@@ -69,7 +69,7 @@ class Scheduler(abc.ABC):
     def grow_users(self, n_users: int) -> None:
         """Resize per-user state to ``n_users`` rows (dynamic lifecycle).
 
-        Called by the dynamic engine whenever the fleet's row capacity
+        Called by the engine on churn runs whenever the fleet's row capacity
         changes.  Stateful policies must preserve the state of the
         common row prefix bit-for-bit and initialise new rows exactly
         like a fresh run; the one shrink happens at run start, before

@@ -1,11 +1,12 @@
 """Engine-owned scratch arena for the allocation-free slot pipeline.
 
-One :class:`SlotArena` per run preallocates every per-user buffer the
-steady-state slot loop needs, so
-:meth:`repro.net.gateway.Gateway.collect_fleet` and
-:meth:`~repro.net.gateway.Gateway.transmit_fleet` assemble each slot's
-:class:`~repro.net.gateway.SlotObservation` by *writing into* reused
-arrays instead of allocating ~a dozen fresh ones per slot.
+One :class:`SlotArena` per run (or per run-stacked batch) preallocates
+every per-row buffer the steady-state slot loop needs, so
+:meth:`repro.net.gateway.InformationCollector.collect_fleet` and
+:meth:`repro.net.gateway.DataTransmitter.transmit_fleet` assemble each
+slot's :class:`~repro.net.gateway.SlotObservation` and delivery by
+*writing into* reused arrays instead of allocating ~a dozen fresh ones
+per slot.
 
 Lifetime contract: every buffer is valid only within the slot that
 filled it — the next ``collect_fleet`` overwrites it.  The engine
@@ -33,12 +34,13 @@ class SlotArena:
     ``drained_kb``, ``tx_mask``) and two generic temporaries
     (``f8_tmp``, ``b1_tmp``) for intermediate ufunc chains.
 
-    The dynamic session-lifecycle engine additionally uses four
+    Churn runs, whose rows are not sessions, additionally use four
     row-space buffers that survive the whole slot (``sig_dbm``,
     ``rebuf_s``, ``trans_mj``, ``tail_mj``) — the generic temporaries
-    are clobbered inside ``collect_fleet`` — and can :meth:`grow` the
-    arena in lockstep with the fleet so kernels stay allocation-free
-    once the population stops growing.
+    are clobbered inside ``collect_fleet`` — until the engine scatters
+    them into its session grids, and :meth:`grow` the arena in
+    lockstep with the fleet so kernels stay allocation-free once the
+    population stops growing.
     """
 
     def __init__(self, n_users: int):

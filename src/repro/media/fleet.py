@@ -20,9 +20,10 @@ per-slot recursions to all users at once:
 Every element-wise operation mirrors the scalar arithmetic of
 :class:`~repro.media.player.StreamingClient` /
 :class:`~repro.media.buffer.PlaybackBuffer` *exactly* (same operations
-in the same order), so a fleet-path simulation is bit-identical to the
-per-object path — the contract `tests/integration/test_fleet_equivalence.py`
-enforces.  State arrays are **rebound, never mutated in place**, which
+in the same order), so a fleet simulation is bit-identical to a
+per-object loop over :class:`StreamingClient` — the contract
+`tests/integration/test_fleet_equivalence.py` enforces against the
+test-side reference loop.  State arrays are **rebound, never mutated in place**, which
 lets :class:`~repro.net.gateway.SlotObservation` snapshots alias them
 safely.
 
@@ -221,7 +222,7 @@ class ClientFleet:
     ) -> "ClientFleet":
         """An all-vacant fleet of ``capacity`` rows.
 
-        The dynamic engine starts small and loads rows as sessions are
+        A churn run starts small and loads rows as sessions are
         admitted (:meth:`load_row`), doubling via :meth:`grow` when the
         free list runs dry.
         """

@@ -1,7 +1,8 @@
 """Streaming client: video session + playback buffer + progress tracking.
 
-:class:`StreamingClient` is the per-user endpoint the simulation engine
-drives.  Each slot proceeds in two phases:
+:class:`StreamingClient` is the per-user endpoint model (the engine
+drives its vectorized twin, :class:`~repro.media.fleet.ClientFleet`).
+Each slot proceeds in two phases:
 
 1. :meth:`begin_slot` — applies the buffer recursion (Eq. 7) using the
    media delivered in the *previous* slot, computes this slot's

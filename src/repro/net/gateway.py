@@ -12,8 +12,12 @@ Four components sit between the Internet and the base station:
 * :class:`DataTransmitter` — pushes the allocated shards to clients,
   truncating to what the receiver queues actually hold.
 
-:class:`Gateway` wires them together; the simulation engine drives one
-:meth:`Gateway.step` per slot.
+Client state lives in a :class:`~repro.media.fleet.ClientFleet` and
+every per-user observation/transmit vector in a
+:class:`~repro.kernels.arena.SlotArena`.  :class:`Gateway` wires the
+components together; the simulation engine drives one
+:meth:`Gateway.step` per slot, and the run-stacked batch engine one
+:meth:`Gateway.step_batch` per slot.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ from time import perf_counter
 import numpy as np
 
 from repro.errors import ConfigurationError, SimulationError
-from repro.media.player import StreamingClient
 from repro.net.basestation import BaseStation
 from repro.net.dpi import DPIInspector
 from repro.net.flows import VideoFlow
@@ -75,11 +78,11 @@ class SlotObservation:
     #: Receiver window: bytes each client can accept this slot, KB
     #: (inf for uncapped buffers).
     receivable_kb: np.ndarray = None  # type: ignore[assignment]
-    #: Rows whose session was admitted this slot (dynamic lifecycle
-    #: runs only; ``None`` on fixed-population runs).
+    #: Rows whose session was admitted this slot (churn runs only;
+    #: ``None`` when row space is session space).
     joined: np.ndarray | None = None
-    #: Rows vacated since the previous slot (dynamic lifecycle runs
-    #: only; ``None`` on fixed-population runs).
+    #: Rows vacated since the previous slot (churn runs only; ``None``
+    #: when row space is session space).
     departed: np.ndarray | None = None
 
     def __post_init__(self) -> None:
@@ -195,51 +198,6 @@ class InformationCollector:
     def __init__(self, dpi: DPIInspector | None = None):
         self.dpi = dpi if dpi is not None else DPIInspector()
 
-    def collect(
-        self,
-        slot: int,
-        sig_row: np.ndarray,
-        flows: list[VideoFlow],
-        clients: list[StreamingClient],
-        bs: BaseStation,
-        slicer: ResourceSlicer,
-        throughput_model,
-        power_model,
-        idle_tail_cost_mj: np.ndarray,
-    ) -> SlotObservation:
-        n = len(flows)
-        if len(clients) != n or np.asarray(sig_row).shape != (n,):
-            raise SimulationError("inconsistent per-user array lengths")
-        sig = np.asarray(sig_row, dtype=float)
-        rates = self.dpi.required_rates_kbps(flows, slot)
-        raw_cap = bs.capacity_kbps(slot)
-        video_cap = slicer.video_capacity_kbps(raw_cap, slot)
-        unit_budget = int(np.floor(bs.tau_s * video_cap / bs.delta_kb))
-        link_units = throughput_model.max_units(sig, bs.tau_s, bs.delta_kb)
-        active = np.array(
-            [f.active_at(slot) and c.needs_data for f, c in zip(flows, clients)],
-            dtype=bool,
-        )
-        buffer_s = np.array([c.buffer_occupancy_s for c in clients], dtype=float)
-        remaining = np.array([c.remaining_kb for c in clients], dtype=float)
-        receivable = np.array([c.receivable_kb(slot) for c in clients], dtype=float)
-        return SlotObservation(
-            slot=slot,
-            tau_s=bs.tau_s,
-            delta_kb=bs.delta_kb,
-            capacity_kbps=video_cap,
-            unit_budget=unit_budget,
-            sig_dbm=sig,
-            rate_kbps=rates,
-            link_units=link_units,
-            p_mj_per_kb=np.asarray(power_model.p(sig), dtype=float),
-            active=active,
-            buffer_s=buffer_s,
-            remaining_kb=remaining,
-            idle_tail_cost_mj=np.asarray(idle_tail_cost_mj, dtype=float),
-            receivable_kb=receivable,
-        )
-
     def collect_fleet(
         self,
         slot: int,
@@ -251,22 +209,21 @@ class InformationCollector:
         throughput_model,
         power_model,
         idle_tail_cost_mj: np.ndarray,
-        arena=None,
+        arena,
         joined: np.ndarray | None = None,
         departed: np.ndarray | None = None,
     ) -> SlotObservation:
-        """:meth:`collect`, reading a :class:`~repro.media.fleet.ClientFleet`.
+        """The slot's observation, read from a
+        :class:`~repro.media.fleet.ClientFleet`.
 
-        Identical observation, no per-user Python loops: client
-        feedback comes straight from the fleet's state arrays and the
-        DPI rates from its vectorized profile lookup.  Safe without
-        copies because the fleet rebinds (never mutates) its arrays.
-
-        With a :class:`~repro.kernels.arena.SlotArena` the per-user
-        observation arrays are written into the arena's reused buffers
-        instead of freshly allocated — bit-identical values, zero array
-        allocations per slot.  Arena-backed observations are only valid
-        until the next ``collect_fleet`` call overwrites the buffers.
+        No per-user Python loops: client feedback comes straight from
+        the fleet's state arrays and the DPI rates from its vectorized
+        profile lookup.  The per-user observation arrays are written
+        into the :class:`~repro.kernels.arena.SlotArena`'s reused
+        buffers — zero array allocations per slot — so the observation
+        is only valid until the next ``collect_fleet`` call overwrites
+        them.  ``buffer_s`` needs no copy because the fleet rebinds
+        (never mutates) its arrays.
         """
         n = fleet.n_users
         sig = np.asarray(sig_row, dtype=float)
@@ -276,26 +233,13 @@ class InformationCollector:
         raw_cap = bs.capacity_kbps(slot)
         video_cap = slicer.video_capacity_kbps(raw_cap, slot)
         unit_budget = int(np.floor(bs.tau_s * video_cap / bs.delta_kb))
-        if arena is not None:
-            link_units = throughput_model.max_units(
-                sig, bs.tau_s, bs.delta_kb, out=arena.link_units, scratch=arena.f8_tmp
-            )
-            p_mj_per_kb = power_model.p(
-                sig, out=arena.p_mj_per_kb, scratch=arena.f8_tmp
-            )
-            active = fleet.active_mask_into(
-                slot, arena.active, arena.f8_tmp, arena.b1_tmp
-            )
-            remaining = fleet.remaining_into(arena.remaining_kb)
-            receivable = fleet.receivable_into(
-                slot, arena.receivable_kb, arena.b1_tmp
-            )
-        else:
-            link_units = throughput_model.max_units(sig, bs.tau_s, bs.delta_kb)
-            p_mj_per_kb = np.asarray(power_model.p(sig), dtype=float)
-            active = fleet.active_mask(slot)
-            remaining = fleet.remaining_kb
-            receivable = fleet.receivable_kb(slot)
+        link_units = throughput_model.max_units(
+            sig, bs.tau_s, bs.delta_kb, out=arena.link_units, scratch=arena.f8_tmp
+        )
+        p_mj_per_kb = power_model.p(sig, out=arena.p_mj_per_kb, scratch=arena.f8_tmp)
+        active = fleet.active_mask_into(slot, arena.active, arena.f8_tmp, arena.b1_tmp)
+        remaining = fleet.remaining_into(arena.remaining_kb)
+        receivable = fleet.receivable_into(slot, arena.receivable_kb, arena.b1_tmp)
         return SlotObservation(
             slot=slot,
             tau_s=bs.tau_s,
@@ -373,54 +317,26 @@ class InformationCollector:
 class DataTransmitter:
     """Delivers allocated shards to clients, bounded by receiver queues."""
 
-    def transmit(
-        self,
-        allocation_units: np.ndarray,
-        obs: SlotObservation,
-        receiver: DataReceiver,
-        clients: list[StreamingClient],
-        stall_mask: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Send ``phi_i(n) * delta`` KB to each client.
-
-        Returns the KB actually accepted per user (after receiver-queue
-        and session-remaining truncation).  ``stall_mask`` marks users
-        whose delivery path is stalled this slot (fault injection):
-        their offer is zeroed — allocated frames go untransmitted and
-        the queued bytes stay buffered at the gateway.
-        """
-        phi = np.asarray(allocation_units)
-        if phi.shape != (len(clients),):
-            raise SimulationError("allocation has wrong shape")
-        if np.any(phi < 0):
-            raise SimulationError("allocation must be non-negative")
-        want_kb = phi.astype(float) * obs.delta_kb
-        offer_kb = np.minimum(want_kb, receiver.queued_kb)
-        if stall_mask is not None:
-            offer_kb[stall_mask] = 0.0
-        accepted = np.zeros(len(clients), dtype=float)
-        for i, client in enumerate(clients):
-            if offer_kb[i] > 0:
-                accepted[i] = client.deliver(offer_kb[i], obs.slot)
-        # Only bytes the client's receiver window accepted leave the
-        # gateway queue; the rest stays buffered (flow control, not loss).
-        receiver.drain(accepted)
-        return accepted
-
     def transmit_fleet(
         self,
         allocation_units: np.ndarray,
         obs: SlotObservation,
         receiver: DataReceiver,
         fleet,
-        arena=None,
+        arena,
         stall_mask: np.ndarray | None = None,
     ) -> np.ndarray:
-        """:meth:`transmit` against a :class:`~repro.media.fleet.ClientFleet`.
+        """Send ``phi_i(n) * delta`` KB to each client of ``fleet``.
 
-        With a :class:`~repro.kernels.arena.SlotArena` the offer and
-        accepted vectors live in the arena's reused buffers (the
-        accepted vector stays valid for the rest of the slot — the
+        Returns the KB actually accepted per user (after receiver-queue
+        and session-remaining truncation).  Only those bytes leave the
+        gateway queue; the rest stays buffered (flow control, not
+        loss).  ``stall_mask`` marks users whose delivery path is
+        stalled this slot (fault injection): their offer is zeroed —
+        allocated frames go untransmitted and the queued bytes stay
+        buffered at the gateway.  The offer and accepted vectors live
+        in the :class:`~repro.kernels.arena.SlotArena`'s reused buffers
+        (the accepted vector stays valid for the rest of the slot — the
         engine copies it into its result grid).
         """
         phi = np.asarray(allocation_units)
@@ -428,20 +344,12 @@ class DataTransmitter:
             raise SimulationError("allocation has wrong shape")
         if np.any(phi < 0):
             raise SimulationError("allocation must be non-negative")
-        if arena is not None:
-            want_kb = np.multiply(phi, obs.delta_kb, out=arena.want_kb)
-            offer_kb = np.minimum(want_kb, receiver.queued_kb, out=want_kb)
-            if stall_mask is not None:
-                offer_kb[stall_mask] = 0.0
-            accepted = fleet.deliver(offer_kb, obs.slot, out=arena.accepted_kb)
-            receiver.drain(accepted, out=arena.drained_kb)
-            return accepted
-        want_kb = phi.astype(float) * obs.delta_kb
-        offer_kb = np.minimum(want_kb, receiver.queued_kb)
+        want_kb = np.multiply(phi, obs.delta_kb, out=arena.want_kb)
+        offer_kb = np.minimum(want_kb, receiver.queued_kb, out=want_kb)
         if stall_mask is not None:
             offer_kb[stall_mask] = 0.0
-        accepted = fleet.deliver(offer_kb, obs.slot)
-        receiver.drain(accepted)
+        accepted = fleet.deliver(offer_kb, obs.slot, out=arena.accepted_kb)
+        receiver.drain(accepted, out=arena.drained_kb)
         return accepted
 
 
@@ -463,9 +371,8 @@ class Gateway:
         self.receiver = DataReceiver(n_users, fetch_ahead_kb)
         self.collector = InformationCollector(dpi)
         self.transmitter = DataTransmitter()
-        # (instrumentation, observe/schedule/transmit sample lists)
-        # resolved once per bundle — the engine calls step() once per
-        # slot and profiler lookups in that loop are measurable.
+        # (instrumentation, observe/schedule/transmit sample appenders);
+        # see _timers.
         self._obs_cache: tuple | None = None
 
     def step(
@@ -473,30 +380,22 @@ class Gateway:
         slot: int,
         sig_row: np.ndarray,
         flows: list[VideoFlow],
-        clients: list[StreamingClient] | None,
+        fleet,
         throughput_model,
         power_model,
         idle_tail_cost_mj: np.ndarray,
+        arena,
         instrumentation=None,
-        fleet=None,
-        arena=None,
         joined_mask: np.ndarray | None = None,
         departed_mask: np.ndarray | None = None,
         stall_mask: np.ndarray | None = None,
     ) -> tuple[SlotObservation, np.ndarray, np.ndarray]:
-        """Run one slot of the framework.
+        """Run one slot of the framework for one run.
 
         Returns ``(observation, allocation_units, delivered_kb)``.
-
-        Client state comes either from a list of per-user
-        :class:`~repro.media.player.StreamingClient` objects or — on
-        the engine's vectorized path — from a
-        :class:`~repro.media.fleet.ClientFleet` passed as ``fleet``
-        (in which case ``clients`` is ignored).  Both paths produce
-        bit-identical observations and deliveries.  A
-        :class:`~repro.kernels.arena.SlotArena` makes the fleet path
-        allocation-free (observation arrays and transmit scratch are
-        written into the arena's reused buffers).
+        Client state comes from the :class:`~repro.media.fleet.ClientFleet`
+        ``fleet``; observation arrays and transmit scratch are written
+        into the :class:`~repro.kernels.arena.SlotArena` ``arena``.
 
         With an :class:`~repro.obs.instrument.Instrumentation` bundle
         attached, the observe/schedule/transmit phases are timed
@@ -506,71 +405,23 @@ class Gateway:
         engine from its recorded grids so the per-slot path stays
         within the instrumentation overhead budget.
         """
-        timed = instrumentation is not None
-        if timed:
-            cache = self._obs_cache
-            if cache is None or cache[0] is not instrumentation:
-                # Only the profiler sees per-slot samples; span phase
-                # totals are derived from these same lists by the
-                # engine after the run (SpanRecorder.add_bulk), so the
-                # gateway's hot path is identical with or without a
-                # span recorder attached.
-                profiler = instrumentation.profiler
-                cache = self._obs_cache = (
-                    instrumentation,
-                    profiler.samples("observe").append,
-                    profiler.samples("schedule").append,
-                    profiler.samples("transmit").append,
-                )
-            _, rec_observe, rec_schedule, rec_transmit = cache
-            _pc = perf_counter
-            _t0 = _pc()
-        if fleet is not None:
-            obs = self.collector.collect_fleet(
-                slot,
-                sig_row,
-                flows,
-                fleet,
-                self.bs,
-                self.slicer,
-                throughput_model,
-                power_model,
-                idle_tail_cost_mj,
-                arena=arena,
-                joined=joined_mask,
-                departed=departed_mask,
-            )
-        else:
-            obs = self.collector.collect(
-                slot,
-                sig_row,
-                flows,
-                clients,
-                self.bs,
-                self.slicer,
-                throughput_model,
-                power_model,
-                idle_tail_cost_mj,
-            )
-        self.receiver.refill(obs.remaining_kb)
-        if timed:
-            _t1 = _pc()
-            rec_observe(_t1 - _t0)
-        phi = np.asarray(self.scheduler.allocate(obs))
-        if timed:
-            _t2 = _pc()
-            rec_schedule(_t2 - _t1)
-        if fleet is not None:
-            delivered_kb = self.transmitter.transmit_fleet(
-                phi, obs, self.receiver, fleet, arena=arena, stall_mask=stall_mask
-            )
-        else:
-            delivered_kb = self.transmitter.transmit(
-                phi, obs, self.receiver, clients, stall_mask=stall_mask
-            )
-        if timed:
-            rec_transmit(_pc() - _t2)
-        return obs, phi, delivered_kb
+        timers = self._timers(instrumentation)
+        t0 = perf_counter() if timers is not None else 0.0
+        obs = self.collector.collect_fleet(
+            slot,
+            sig_row,
+            flows,
+            fleet,
+            self.bs,
+            self.slicer,
+            throughput_model,
+            power_model,
+            idle_tail_cost_mj,
+            arena,
+            joined=joined_mask,
+            departed=departed_mask,
+        )
+        return self._schedule_transmit(obs, fleet, arena, timers, t0, stall_mask)
 
     def step_batch(
         self,
@@ -595,23 +446,11 @@ class Gateway:
         allocates every run, and the transmitter delivers through the
         stacked fleet — the delivery/receiver chains are row-elementwise,
         so :meth:`DataTransmitter.transmit_fleet` is already
-        segment-transparent.  Phase timing mirrors :meth:`step` (one
+        segment-transparent.  Phase timing is :meth:`step`'s (one
         profiler sample per phase per slot for the whole batch).
         """
-        timed = instrumentation is not None
-        if timed:
-            cache = self._obs_cache
-            if cache is None or cache[0] is not instrumentation:
-                profiler = instrumentation.profiler
-                cache = self._obs_cache = (
-                    instrumentation,
-                    profiler.samples("observe").append,
-                    profiler.samples("schedule").append,
-                    profiler.samples("transmit").append,
-                )
-            _, rec_observe, rec_schedule, rec_transmit = cache
-            _pc = perf_counter
-            _t0 = _pc()
+        timers = self._timers(instrumentation)
+        t0 = perf_counter() if timers is not None else 0.0
         obs = self.collector.collect_fleet_batch(
             slot,
             sig_row,
@@ -626,17 +465,46 @@ class Gateway:
             run_capacity_kbps,
             arena,
         )
+        return self._schedule_transmit(obs, fleet, arena, timers, t0)
+
+    def _timers(self, instrumentation):
+        """The observe/schedule/transmit sample appenders, or ``None``.
+
+        Resolved once per bundle — the engine steps once per slot and
+        profiler lookups in that loop are measurable.  Only the profiler
+        sees per-slot samples; span phase totals are derived from these
+        same lists by the engine after the run
+        (``SpanRecorder.add_bulk``), so this hot path is identical with
+        or without a span recorder attached.
+        """
+        if instrumentation is None:
+            return None
+        cache = self._obs_cache
+        if cache is None or cache[0] is not instrumentation:
+            profiler = instrumentation.profiler
+            cache = self._obs_cache = (
+                instrumentation,
+                profiler.samples("observe").append,
+                profiler.samples("schedule").append,
+                profiler.samples("transmit").append,
+            )
+        return cache[1:]
+
+    def _schedule_transmit(self, obs, fleet, arena, timers, t0, stall_mask=None):
+        """Refill, schedule and transmit one collected observation; the
+        observe phase (started at ``t0``) ends once the receiver refills."""
         self.receiver.refill(obs.remaining_kb)
-        if timed:
-            _t1 = _pc()
-            rec_observe(_t1 - _t0)
+        if timers is not None:
+            rec_observe, rec_schedule, rec_transmit = timers
+            t1 = perf_counter()
+            rec_observe(t1 - t0)
         phi = np.asarray(self.scheduler.allocate(obs))
-        if timed:
-            _t2 = _pc()
-            rec_schedule(_t2 - _t1)
+        if timers is not None:
+            t2 = perf_counter()
+            rec_schedule(t2 - t1)
         delivered_kb = self.transmitter.transmit_fleet(
-            phi, obs, self.receiver, fleet, arena=arena
+            phi, obs, self.receiver, fleet, arena, stall_mask=stall_mask
         )
-        if timed:
-            rec_transmit(_pc() - _t2)
+        if timers is not None:
+            rec_transmit(perf_counter() - t2)
         return obs, phi, delivered_kb

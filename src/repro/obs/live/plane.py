@@ -60,7 +60,7 @@ log = logging.getLogger("repro.obs.live")
 #: Channels reset at every run boundary (per-run streaming stats).
 #: ``active_users`` is fed once per watch tick (the resident session
 #: count at the block's last slot) rather than per slot — it tracks the
-#: dynamic engine's churning population for SLO rules like
+#: churning population of churn runs for SLO rules like
 #: ``max(active_users) < 32``.
 _RUN_CHANNELS = (
     "rebuffer_s",

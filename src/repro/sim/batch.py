@@ -36,16 +36,14 @@ it to decide which consecutive tasks may share a batch.
 
 Instrumentation: batches run with metrics, the phase profiler, and
 span recording (one profiler sample per phase per slot covers the
-whole batch; per-run counters are derived after the loop exactly like
-the serial engine derives them).  Per-slot trace events and the live
+whole batch; per-run counters are derived after the loop by the serial
+engine's own :func:`~repro.sim.engine.record_run_metrics`).  Per-slot trace events and the live
 telemetry plane need per-run slot streams, so :meth:`BatchPlan.run`
 transparently falls back to the serial engine when either is attached.
 """
 
 from __future__ import annotations
 
-import logging
-import os
 from time import perf_counter
 
 import numpy as np
@@ -61,7 +59,7 @@ from repro.core.lyapunov import VirtualQueues
 from repro.core.rtma import RTMAScheduler
 from repro.core.scheduler import Scheduler
 from repro.errors import ConfigurationError, SimulationError
-from repro.kernels import SlotArena, backend_info, use_backend
+from repro.kernels import SlotArena, use_backend
 from repro.kernels import registry as kernel_registry
 from repro.media.fleet import ClientFleet
 from repro.net.basestation import BaseStation, ConstantCapacity
@@ -69,15 +67,20 @@ from repro.net.gateway import Gateway, SlotObservation
 from repro.net.slicing import ResourceSlicer
 from repro.obs.instrument import Instrumentation, current_instrumentation
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.spans import SLOT_PREFIX, activate_spans
-from repro.radio.rrc import RRCFleet, fleet_occupancy_from_tx
-from repro.sim.engine import SPAN_BLOCK_SLOTS, Simulation
+from repro.obs.spans import activate_spans
+from repro.radio.rrc import RRCFleet
+from repro.sim.engine import (
+    SPAN_BLOCK_SLOTS,
+    Simulation,
+    abort_run,
+    phase_recorders,
+    record_run_metrics,
+    slot_spans,
+)
 from repro.sim.results import SimulationResult
-from repro.sim.workload import generate_workload
+from repro.sim.workload import resolve_workload
 
 __all__ = ["BatchPlan", "run_batch", "batch_incompatibility"]
-
-log = logging.getLogger("repro.sim.batch")
 
 #: Config fields that must be equal across every run of a batch (the
 #: stacked fleet, receiver, RRC profile, and backend context are
@@ -120,8 +123,6 @@ def batch_incompatibility(tasks) -> str | None:
     tasks = list(tasks)
     if not tasks:
         return "empty task list"
-    if os.environ.get("REPRO_SIM_PATH", "fleet") != "fleet":
-        return "REPRO_SIM_PATH selects the object path (batching needs the fleet)"
     cfg0 = tasks[0].config
     for t in tasks:
         if t.config.has_churn:
@@ -184,21 +185,10 @@ class BatchPlan:
         #: them in task order — locally or across a process pool —
         #: reproduces the serial registry bit-for-bit.
         self.run_metric_states: list[dict] = []
-        self.workloads = []
-        for t in self.tasks:
-            wl = getattr(t, "workload", None)
-            if wl is None:
-                wl = generate_workload(t.config)
-            if wl.n_users != t.config.n_users:
-                raise SimulationError(
-                    f"workload has {wl.n_users} users, config says {t.config.n_users}"
-                )
-            if wl.n_slots < t.config.n_slots:
-                raise SimulationError(
-                    f"workload trace covers {wl.n_slots} slots, "
-                    f"config needs {t.config.n_slots}"
-                )
-            self.workloads.append(wl)
+        self.workloads = [
+            resolve_workload(t.config, getattr(t, "workload", None))
+            for t in self.tasks
+        ]
 
     @property
     def n_runs(self) -> int:
@@ -275,34 +265,13 @@ class BatchPlan:
         instrumented = instr is not None
         spans = instr.spans if instrumented else None
         spans_on = spans is not None
+        fold_spans = None
         if instrumented:
-            prof = instr.profiler
             _pc = perf_counter
-            rec_playback = prof.samples("playback").append
-            prof.samples("observe")
-            prof.samples("schedule")
-            prof.samples("transmit")
-            rec_rrc = prof.samples("rrc").append
-            rec_feedback = prof.samples("feedback").append
+            rec_playback, rec_rrc, rec_feedback = phase_recorders(instr.profiler)
             budgets_grid = np.zeros((gamma, n_runs), dtype=np.int64)
         if spans_on:
-            rec_block = spans.adder(spans.path_node(SLOT_PREFIX))
-            _span_phase_ids = {
-                ph: spans.slot_phase_id(ph)
-                for ph in (
-                    "playback", "observe", "schedule", "transmit",
-                    "rrc", "feedback",
-                )
-            }
-            _span_phase_base = {
-                ph: len(prof.samples(ph)) for ph in _span_phase_ids
-            }
-
-            def _fold_phase_spans() -> None:
-                for ph, node in _span_phase_ids.items():
-                    tail = prof.samples(ph)[_span_phase_base[ph]:]
-                    if tail:
-                        spans.add_bulk(node, len(tail), float(sum(sorted(tail))))
+            rec_block, fold_spans = slot_spans(spans, instr.profiler)
 
         scheduler = self._make_scheduler(run_offsets)
         scheduler.reset()
@@ -479,20 +448,11 @@ class BatchPlan:
                     _block_t0 = _pc()
         except BaseException as exc:
             if instrumented:
-                log.warning(
-                    "batch of %d runs aborted at slot %d: %s: %s",
-                    n_runs,
-                    slot,
-                    type(exc).__name__,
-                    exc,
-                )
-                if spans_on:
-                    _fold_phase_spans()
-                instr.close()
+                abort_run(instr, exc, slot, fold_spans, f"batch of {n_runs} runs")
             raise
 
         if spans_on:
-            _fold_phase_spans()
+            fold_spans()
 
         if not np.all(np.isfinite(e_trans)):
             raise SimulationError("non-finite transmission energy recorded")
@@ -524,35 +484,10 @@ class BatchPlan:
                 # shipping these states home — equals the serially
                 # populated one bit-for-bit.
                 reg = MetricsRegistry()
-                kinfo = backend_info()
-                reg.gauge("kernels.backend").set(kinfo["resolved"])
-                reg.gauge("kernels.requested").set(kinfo["requested"])
-                if kinfo["numba_version"] is not None:
-                    reg.gauge("kernels.numba_version").set(
-                        kinfo["numba_version"]
-                    )
-                reg.counter("engine.slots").inc(gamma)
-                reg.counter("energy.trans_mj").inc(float(e_trans_r.sum()))
-                reg.counter("rrc.tail_mj").inc(float(e_tail_r.sum()))
-                occupancy = fleet_occupancy_from_tx(
-                    delivered_r > 0.0, cfg.tau_s, radio.rrc
+                record_run_metrics(
+                    reg, cfg, alloc_r, delivered_r, e_trans_r, e_tail_r,
+                    np.ascontiguousarray(budgets_grid[:, r]),
                 )
-                reg.counter("rrc.occupancy.dch").inc(occupancy["dch"])
-                reg.counter("rrc.occupancy.fach").inc(occupancy["fach"])
-                reg.counter("rrc.occupancy.idle").inc(occupancy["idle"])
-                reg.counter("scheduler.invocations").inc(gamma)
-                budgets_r = np.ascontiguousarray(budgets_grid[:, r])
-                used_units = alloc_r.sum(axis=1)
-                near_miss = int(
-                    np.count_nonzero(
-                        (budgets_r > 0) & (used_units > 0.9 * budgets_r)
-                    )
-                )
-                reg.counter("allocation.near_miss").inc(near_miss)
-                truncated = float(
-                    np.maximum(alloc_r * cfg.delta_kb - delivered_r, 0.0).sum()
-                )
-                reg.counter("allocation.truncated_kb").inc(truncated)
                 if r == 0:
                     reg.counter("batch.runs").inc(n_runs)
                     reg.counter("batch.slots").inc(gamma)

@@ -233,12 +233,13 @@ class SimConfig:
 
     @property
     def has_churn(self) -> bool:
-        """Whether the run needs the dynamic session-lifecycle engine.
+        """Whether the run has session churn.
 
-        The default ``all_at_zero`` + ``accept-all`` combination takes
-        the historical fixed-population path and stays bit-identical to
-        every prior release; anything else routes through the growable
-        fleet with admission control and session retirement.
+        The default ``all_at_zero`` + ``accept-all`` combination runs
+        the engine's slot loop on a fixed population (rows are
+        sessions) and stays bit-identical to every prior release;
+        anything else adds admission control, session retirement and a
+        growable fleet row space to the same loop.
         """
         return self.arrival_process != "all_at_zero" or self.admission != "accept-all"
 

@@ -18,6 +18,15 @@ Each slot runs the paper's pipeline in order:
 6. **Feedback** — the scheduler's ``notify`` hook sees the delivered
    amounts (EMA updates its virtual queues here).
 
+One slot loop serves every population.  Without churn
+(:attr:`~repro.sim.config.SimConfig.has_churn` false) the fleet's row
+space *is* the workload's session space, fixed at construction, and
+each slot writes straight into the session-keyed result grids.  With
+churn, a :class:`~repro.sim.sessions.SessionManager` admits arrivals
+into a growable row space at slot start, retires completed sessions at
+slot end, and each slot's row-space vectors are scattered into the
+session grids through its ``row -> session`` map.
+
 The engine is deliberately strict: it asserts conservation invariants
 as it goes (delivered bytes never exceed capacity or session size) and
 fails loudly on scheduler misbehaviour.
@@ -28,23 +37,23 @@ bundle (or establish one ambiently with
 every phase, counts slots/energy into the metrics registry, and emits
 one ``"slot"`` trace event per simulated slot.  Instrumentation is
 strictly observational — instrumented and plain runs are bit-identical.
+The set-up, span fold, abort path and metric derivation helpers below
+are shared with the run-stacked loop of :mod:`repro.sim.batch`.
 """
 
 from __future__ import annotations
 
 import logging
-import os
 from time import perf_counter
 
 import numpy as np
 
 from repro.core.admission import AdmissionContext, make_admission_policy
 from repro.core.allocation import check_constraints
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import SimulationError
 from repro.faults import current_fault_plan
 from repro.kernels import SlotArena, backend_info, use_backend
 from repro.media.fleet import ClientFleet
-from repro.media.player import StreamingClient
 from repro.net.basestation import BaseStation, ConstantCapacity, FaultyCapacity
 from repro.net.gateway import Gateway
 from repro.net.slicing import ResourceSlicer
@@ -54,7 +63,7 @@ from repro.radio.rrc import RRCFleet, fleet_occupancy_from_tx
 from repro.sim.config import SimConfig
 from repro.sim.results import SimulationResult
 from repro.sim.sessions import INITIAL_CAPACITY, SessionManager
-from repro.sim.workload import Workload, generate_workload
+from repro.sim.workload import Workload, resolve_workload
 
 __all__ = ["Simulation"]
 
@@ -76,6 +85,9 @@ _TRACED_SCHEDULER_PARAMS = (
 #: live plane's ``watch_every``) so block accounting costs the hot loop
 #: a single comparison per slot.
 SPAN_BLOCK_SLOTS = 64
+
+#: The slot pipeline's phases, in order.
+SLOT_PHASES = ("playback", "observe", "schedule", "transmit", "rrc", "feedback")
 
 
 def _emit_fault_windows(tracer, plan) -> None:
@@ -137,6 +149,103 @@ def _scheduler_trace_params(scheduler) -> dict:
     return out
 
 
+def phase_recorders(prof):
+    """Register the slot phases in pipeline order; return the sample
+    appenders of the three the slot loop times itself.
+
+    The summary table then reads top-to-bottom like a slot (observe,
+    schedule and transmit are appended to by the gateway).  The hot
+    loop appends ``perf_counter`` deltas to these lists rather than
+    entering a context manager per phase per slot, and all registry
+    accounting that can be derived from the recorded grids happens in
+    one vectorised batch after the loop (:func:`record_run_metrics`).
+    """
+    rec = {ph: prof.samples(ph).append for ph in SLOT_PHASES}
+    return rec["playback"], rec["rrc"], rec["feedback"]
+
+
+def slot_spans(spans, prof):
+    """``(rec_block, fold)`` for a run's span tree.
+
+    ``rec_block`` adds one ``run;slots`` block duration.  Phase spans
+    are *derived* from the profiler's sample lists by ``fold`` after
+    the loop — the slot loop pays nothing for them.  The phase nodes
+    are interned now, in pipeline order, so they precede the kernel
+    nodes resolved mid-run and the flame graph reads like a slot.  The
+    profiler may already hold samples from an earlier run against the
+    same bundle; ``fold`` takes only this run's tail.
+    """
+    rec_block = spans.adder(spans.path_node(SLOT_PREFIX))
+    ids = {ph: spans.slot_phase_id(ph) for ph in SLOT_PHASES}
+    base = {ph: len(prof.samples(ph)) for ph in ids}
+
+    def fold() -> None:
+        # Totals are computed exactly the way PhaseProfiler.summary()
+        # computes them — float(sum()) over the sorted samples — so
+        # span phase totals equal profiler totals bit-for-bit.
+        for ph, node in ids.items():
+            tail = prof.samples(ph)[base[ph]:]
+            if tail:
+                spans.add_bulk(node, len(tail), float(sum(sorted(tail))))
+
+    return rec_block, fold
+
+
+def abort_run(instr, exc, slot, fold_spans, what="run", scheduler_name=None) -> None:
+    """Leave a valid, parseable trace prefix behind a crashed (or
+    SLO-aborted) run: fold the spans, emit one final ``run.abort``,
+    abort the live run, then flush and close the bundle.  The caller
+    re-raises."""
+    log.warning(
+        "%s aborted at slot %d: %s: %s", what, slot, type(exc).__name__, exc
+    )
+    if fold_spans is not None:
+        fold_spans()
+    if instr.tracer.enabled:
+        instr.tracer.emit(
+            "run.abort",
+            scheduler=scheduler_name,
+            slot=slot,
+            error=type(exc).__name__,
+            message=str(exc),
+        )
+    if instr.live is not None:
+        instr.live.abort_run(f"{type(exc).__name__}: {exc}")
+    instr.close()
+
+
+def record_run_metrics(
+    metrics, cfg: SimConfig, alloc, delivered, e_trans, e_tail, budgets, sessions=None
+) -> None:
+    """One run's registry accounting, derived from its recorded grids.
+
+    Identical totals to per-slot increments, in a few vectorised
+    operations.  ``sessions`` (churn runs only) carries the
+    admitted/rejected/completed counts.
+    """
+    kinfo = backend_info()
+    metrics.gauge("kernels.backend").set(kinfo["resolved"])
+    metrics.gauge("kernels.requested").set(kinfo["requested"])
+    if kinfo["numba_version"] is not None:
+        metrics.gauge("kernels.numba_version").set(kinfo["numba_version"])
+    metrics.counter("engine.slots").inc(cfg.n_slots)
+    metrics.counter("energy.trans_mj").inc(float(e_trans.sum()))
+    metrics.counter("rrc.tail_mj").inc(float(e_tail.sum()))
+    occupancy = fleet_occupancy_from_tx(delivered > 0.0, cfg.tau_s, cfg.radio.rrc)
+    metrics.counter("rrc.occupancy.dch").inc(occupancy["dch"])
+    metrics.counter("rrc.occupancy.fach").inc(occupancy["fach"])
+    metrics.counter("rrc.occupancy.idle").inc(occupancy["idle"])
+    metrics.counter("scheduler.invocations").inc(cfg.n_slots)
+    if sessions is not None:
+        for key in ("admitted", "rejected", "completed"):
+            metrics.counter(f"sessions.{key}").inc(sessions[key])
+    used_units = alloc.sum(axis=1)
+    near_miss = int(np.count_nonzero((budgets > 0) & (used_units > 0.9 * budgets)))
+    metrics.counter("allocation.near_miss").inc(near_miss)
+    truncated = float(np.maximum(alloc * cfg.delta_kb - delivered, 0.0).sum())
+    metrics.counter("allocation.truncated_kb").inc(truncated)
+
+
 class Simulation:
     """One scheduler, one workload, one run.
 
@@ -155,14 +264,6 @@ class Simulation:
         ambient bundle established by
         :func:`~repro.obs.instrument.use_instrumentation` (and runs
         fully uninstrumented when there is none).
-    path:
-        Client-state implementation: ``"fleet"`` (default) drives the
-        vectorized :class:`~repro.media.fleet.ClientFleet`; ``"object"``
-        drives the original per-user :class:`StreamingClient` loop.
-        The two are bit-identical (guarded by
-        ``tests/integration/test_fleet_equivalence.py``) — ``"object"``
-        survives as the reference implementation.  ``None`` reads
-        ``$REPRO_SIM_PATH``, defaulting to ``"fleet"``.
     """
 
     def __init__(
@@ -171,33 +272,11 @@ class Simulation:
         scheduler,
         workload: Workload | None = None,
         instrumentation: Instrumentation | None = None,
-        path: str | None = None,
     ):
-        if path is None:
-            path = os.environ.get("REPRO_SIM_PATH", "fleet")
-        if path not in ("fleet", "object"):
-            raise ConfigurationError(
-                f"path must be 'fleet' or 'object', got {path!r}"
-            )
-        self.path = path
-        if config.has_churn and path != "fleet":
-            raise ConfigurationError(
-                "dynamic session lifecycle (arrival processes / admission "
-                "control) requires the fleet path"
-            )
         self.config = config
         self.scheduler = scheduler
         self.instrumentation = instrumentation
-        self.workload = workload if workload is not None else generate_workload(config)
-        if self.workload.n_users != config.n_users:
-            raise SimulationError(
-                f"workload has {self.workload.n_users} users, config says {config.n_users}"
-            )
-        if self.workload.n_slots < config.n_slots:
-            raise SimulationError(
-                f"workload trace covers {self.workload.n_slots} slots, "
-                f"config needs {config.n_slots}"
-            )
+        self.workload = resolve_workload(config, workload)
 
     def run(self) -> SimulationResult:
         """Execute the full horizon and return the result record."""
@@ -216,22 +295,19 @@ class Simulation:
             else current_instrumentation()
         )
         spans = instr.spans if instr is not None else None
-        # Zero-churn configs take the historical fixed-population body
-        # (bit-identical to every prior release); arrival processes and
-        # admission policies route through the dynamic lifecycle body.
-        body = self._run_body_dynamic if self.config.has_churn else self._run_body
         if spans is None:
-            return body(instr)
+            return self._run_body(instr)
         # Activate the recorder for the *whole* body — scheduler.reset()
         # and the lazy fleet/RRC kernel resolutions all happen inside,
         # so every registry-resolved kernel self-reports its span.
         with activate_spans(spans), spans.span("run"):
-            return body(instr)
+            return self._run_body(instr)
 
     def _run_body(self, instr: Instrumentation | None) -> SimulationResult:
         cfg = self.config
         radio = cfg.radio
         n, gamma = cfg.n_users, cfg.n_slots
+        churn = cfg.has_churn
 
         # Fault injection: a plan on the config wins; otherwise the
         # ambient plan (repro-experiments --faults) applies.  With
@@ -240,88 +316,54 @@ class Simulation:
         plan = cfg.faults if cfg.faults is not None else current_fault_plan()
         faults_on = plan is not None and not plan.is_empty
 
-        # The hot loop appends perf_counter deltas to the profiler's raw
-        # sample lists rather than entering a context manager per phase
-        # per slot, and all registry accounting that can be derived from
-        # the recorded grids happens in one vectorised batch after the
-        # loop — this is what keeps NullTracer instrumentation under the
-        # 2% overhead budget (guarded in benchmarks/bench_kernels.py).
         instrumented = instr is not None
         live = instr.live if instrumented else None
         live_on = live is not None
         spans = instr.spans if instrumented else None
         spans_on = spans is not None
+        fold_spans = None
         if instrumented:
             tracer = instr.tracer
             trace_on = tracer.enabled
-            prof = instr.profiler
-            # Register phases in pipeline order so the summary table
-            # reads top-to-bottom like a slot (observe/schedule/transmit
-            # are appended to by the gateway).
             _pc = perf_counter
-            rec_playback = prof.samples("playback").append
-            prof.samples("observe")
-            prof.samples("schedule")
-            prof.samples("transmit")
-            rec_rrc = prof.samples("rrc").append
-            rec_feedback = prof.samples("feedback").append
+            rec_playback, rec_rrc, rec_feedback = phase_recorders(instr.profiler)
             budgets = np.zeros(gamma, dtype=np.int64)
         if spans_on:
-            # Phase spans are *derived* from the profiler's sample
-            # lists after the loop (see _fold_phase_spans below) — the
-            # slot loop pays nothing for them.  Intern the phase nodes
-            # now, in pipeline order, so they precede the kernel nodes
-            # resolved mid-run and the flame graph reads like a slot.
-            rec_block = spans.adder(spans.path_node(SLOT_PREFIX))
-            _span_phase_ids = {
-                ph: spans.slot_phase_id(ph)
-                for ph in (
-                    "playback", "observe", "schedule", "transmit",
-                    "rrc", "feedback",
-                )
-            }
-            # The profiler may already hold samples from an earlier
-            # run against the same bundle; fold only this run's tail.
-            _span_phase_base = {
-                ph: len(prof.samples(ph)) for ph in _span_phase_ids
-            }
-
-            def _fold_phase_spans() -> None:
-                # Totals are computed exactly the way
-                # PhaseProfiler.summary() computes them — float(sum())
-                # over the sorted samples — so span phase totals equal
-                # profiler totals bit-for-bit.
-                for ph, node in _span_phase_ids.items():
-                    tail = prof.samples(ph)[_span_phase_base[ph]:]
-                    if tail:
-                        spans.add_bulk(node, len(tail), float(sum(sorted(tail))))
+            rec_block, fold_spans = slot_spans(spans, instr.profiler)
 
         self.scheduler.reset()
         self.scheduler.bind_instrumentation(instr)
-        use_fleet = self.path == "fleet"
-        if use_fleet:
-            fleet = ClientFleet(self.workload.flows, cfg.tau_s, cfg.buffer_capacity_s)
-            clients = None
-            # All per-user observation/transmit buffers for the whole
-            # run; the slot loop below never allocates an array on this
-            # path.
-            arena = SlotArena(n)
+        flows = self.workload.flows
+        # Row space: the whole population without churn; otherwise a
+        # small capacity the session manager doubles on demand.
+        if churn:
+            rows = min(n, INITIAL_CAPACITY)
+            fleet = ClientFleet.with_capacity(rows, cfg.tau_s, cfg.buffer_capacity_s)
         else:
-            fleet = None
-            clients = [
-                StreamingClient(flow.video, cfg.tau_s, cfg.buffer_capacity_s)
-                for flow in self.workload.flows
-            ]
-            arena = None
+            rows = n
+            fleet = ClientFleet(flows, cfg.tau_s, cfg.buffer_capacity_s)
+        # All per-row observation/transmit buffers for the whole run;
+        # the slot loop allocates no array at steady state.
+        arena = SlotArena(rows)
+        rrc = RRCFleet(rows, radio.rrc)
         cap_model = ConstantCapacity(cfg.capacity_kbps)
         if faults_on and plan.capacity:
             cap_model = FaultyCapacity(cap_model, plan.capacity_factors(gamma))
         bs = BaseStation(cap_model, cfg.delta_kb, cfg.tau_s)
         slicer = ResourceSlicer(cfg.background) if cfg.background else ResourceSlicer()
         gateway = Gateway(
-            self.scheduler, bs, n, slicer=slicer, fetch_ahead_kb=cfg.fetch_ahead_kb
+            self.scheduler, bs, rows, slicer=slicer, fetch_ahead_kb=cfg.fetch_ahead_kb
         )
-        rrc = RRCFleet(n, radio.rrc)
+        if churn:
+            # Row-capacity alignment: stateful schedulers built for
+            # cfg.n_users shrink once here, before any state accrues.
+            self.scheduler.grow_users(rows)
+            mgr = SessionManager(
+                flows, fleet, rrc, arena, gateway.receiver, self.scheduler
+            )
+            policy = make_admission_policy(cfg)
+            policy.reset()
+            departure = np.full(n, -1, dtype=np.int64)
 
         alloc = np.zeros((gamma, n), dtype=np.int64)
         delivered = np.zeros((gamma, n), dtype=float)
@@ -333,19 +375,17 @@ class Simulation:
         active_rec = np.zeros((gamma, n), dtype=bool)
         completion = np.full(n, -1, dtype=np.int64)
 
-        flows = self.workload.flows
         signal = self.workload.signal_dbm
+        stall_grid = outage_mask = stall_row = None
         if faults_on:
             # Blackouts are applied to a *copy* of the generated trace
             # (the workload object itself is shared across schedulers
             # and must stay pristine), and the stall/outage masks are
             # precomputed once — the slot loop pays one row lookup.
+            # Windows name sessions; churn runs gather them into rows.
             signal = plan.apply_signal(signal)
             stall_grid = plan.stall_grid(gamma, n)
             outage_mask = plan.outage_slot_mask(gamma)
-        else:
-            stall_grid = None
-            outage_mask = None
         arrivals = np.array([f.arrival_slot for f in flows], dtype=np.int64)
 
         scheduler_name = getattr(
@@ -363,6 +403,11 @@ class Simulation:
                 delta_kb=cfg.delta_kb,
                 seed=cfg.seed,
                 kernel_backend=backend_info()["resolved"],
+                **(
+                    {"arrival_process": cfg.arrival_process, "admission": cfg.admission}
+                    if churn
+                    else {}
+                ),
                 rrc={
                     "pd_mw": radio.rrc.pd_mw,
                     "pf_mw": radio.rrc.pf_mw,
@@ -382,77 +427,134 @@ class Simulation:
             span_block_start = 0
             _block_t0 = perf_counter()
 
+        # Without churn every slot's row vectors are the session grids'
+        # rows; with churn they are arena rows scattered after the slot.
+        row_flows, joined, departed = flows, None, None
         slot = -1
         try:
             for slot in range(gamma):
+                if churn:
+                    # 0. Session lifecycle: roll the join/depart masks,
+                    #    then admit (or reject) every session whose
+                    #    arrival slot has come, in deterministic
+                    #    (arrival, user) order.
+                    mgr.begin_slot()
+                    for sess in mgr.due_sessions(slot):
+                        ctx = AdmissionContext(
+                            slot=slot,
+                            active_sessions=mgr.active_count,
+                            capacity_rows=mgr.capacity,
+                            unit_budget=cfg.unit_budget_per_slot,
+                            flow=flows[sess],
+                        )
+                        if policy.admit(ctx):
+                            row = mgr.admit(sess)
+                            if instrumented and trace_on:
+                                tracer.emit(
+                                    "session.start",
+                                    slot=slot,
+                                    user=int(sess),
+                                    row=int(row),
+                                    arrival_slot=int(arrivals[sess]),
+                                )
+                        else:
+                            mgr.reject(sess)
+                            if instrumented and trace_on:
+                                tracer.emit(
+                                    "session.reject",
+                                    slot=slot,
+                                    user=int(sess),
+                                    policy=policy.name,
+                                )
+                    occ = mgr.occupied_rows()
+                    sess_of = mgr.row_session[occ]
+                    # Admission may have grown the arena and the masks.
+                    rebuf_row, trans_row, tail_row = (
+                        arena.rebuf_s, arena.trans_mj, arena.tail_mj
+                    )
+                    row_flows = mgr.row_flows
+                    joined, departed = mgr.joined_mask, mgr.departed_mask
+                else:
+                    rebuf_row, trans_row, tail_row = (
+                        rebuf[slot], e_trans[slot], e_tail[slot]
+                    )
+
                 # 1. Playback: Eq. (7)/(8) with last slot's deliveries.
-                #    Sessions that have not arrived yet do not play (and do
-                #    not accrue startup rebuffering).
+                #    Sessions that have not arrived yet do not play (and
+                #    do not accrue startup rebuffering).  Completion is
+                #    assembled in arena scratch (the observe/transmit
+                #    buffers are free during playback).
                 if instrumented:
                     _t0 = _pc()
-                if use_fleet:
-                    fleet.begin_slot(slot, out=rebuf[slot])
-                    # newly_done = (completion < 0) & playback_complete &
-                    # (slot >= arrivals), assembled in arena scratch (the
-                    # observe/transmit buffers are free during playback).
-                    newly_done = fleet.playback_complete_into(
-                        arena.b1_tmp, arena.f8_tmp, arena.tx_mask
-                    )
+                fleet.begin_slot(slot, out=rebuf_row)
+                newly_done = fleet.playback_complete_into(
+                    arena.b1_tmp, arena.f8_tmp, arena.tx_mask
+                )
+                if churn:
+                    # Resident rows only; they retire at slot end.
+                    np.greater_equal(mgr.row_session, 0, out=arena.tx_mask)
+                    np.logical_and(newly_done, arena.tx_mask, out=newly_done)
+                    done_rows = np.flatnonzero(newly_done)
+                    completion[mgr.row_session[done_rows]] = slot
+                else:
                     np.less(completion, 0, out=arena.tx_mask)
                     np.logical_and(newly_done, arena.tx_mask, out=newly_done)
                     np.less_equal(arrivals, slot, out=arena.tx_mask)
                     np.logical_and(newly_done, arena.tx_mask, out=newly_done)
                     if newly_done.any():
                         completion[newly_done] = slot
-                else:
-                    for i, client in enumerate(clients):
-                        if slot < arrivals[i]:
-                            continue
-                        c_i, _played = client.begin_slot(slot)
-                        rebuf[slot, i] = c_i
-                        if completion[i] < 0 and client.playback_complete:
-                            completion[i] = slot
                 if instrumented:
                     rec_playback(_pc() - _t0)
 
                 # 2-4. Observe, schedule, transmit (timed inside the gateway).
                 idle_cost = rrc.expected_idle_cost_mj(
-                    cfg.tau_s, out=arena.idle_tail_cost_mj if use_fleet else None
+                    cfg.tau_s, out=arena.idle_tail_cost_mj
                 )
+                if churn:
+                    # Session-keyed signal and stall rows gathered into
+                    # row space: vacant rows see a floor signal (they are
+                    # inactive, so schedulers allocate them nothing) and
+                    # the >= 0 mask discards the wrapped values fancy
+                    # indexing produces for them.
+                    sig_row = arena.sig_dbm
+                    sig_row.fill(-110.0)
+                    if occ.size:
+                        sig_row[occ] = signal[slot][sess_of]
+                    if stall_grid is not None:
+                        stall_row = stall_grid[slot][mgr.row_session]
+                        stall_row &= mgr.row_session >= 0
+                else:
+                    sig_row = signal[slot]
+                    if stall_grid is not None:
+                        stall_row = stall_grid[slot]
                 obs, phi, sent_kb = gateway.step(
                     slot,
-                    signal[slot],
-                    flows,
-                    clients,
+                    sig_row,
+                    row_flows,
+                    fleet,
                     radio.throughput,
                     radio.power,
                     idle_cost,
+                    arena,
                     instrumentation=instr,
-                    fleet=fleet,
-                    arena=arena,
-                    stall_mask=stall_grid[slot] if stall_grid is not None else None,
+                    joined_mask=joined,
+                    departed_mask=departed,
+                    stall_mask=stall_row,
                 )
                 check_constraints(phi, obs)
-                if use_fleet:
-                    np.multiply(phi, cfg.delta_kb, out=arena.f8_tmp)
-                    np.add(arena.f8_tmp, 1e-9, out=arena.f8_tmp)
-                    np.greater(sent_kb, arena.f8_tmp, out=arena.b1_tmp)
-                    overdelivered = arena.b1_tmp.any()
-                else:
-                    overdelivered = np.any(sent_kb > phi * cfg.delta_kb + 1e-9)
-                if overdelivered:
+                np.multiply(phi, cfg.delta_kb, out=arena.f8_tmp)
+                np.add(arena.f8_tmp, 1e-9, out=arena.f8_tmp)
+                np.greater(sent_kb, arena.f8_tmp, out=arena.b1_tmp)
+                if arena.b1_tmp.any():
                     raise SimulationError(f"slot {slot}: delivered more than allocated")
 
                 # 5. Radio energy accounting (Eq. 5: trans XOR tail).
                 #    Occupancy/tail metrics are batch-derived after the loop.
                 if instrumented:
                     _t0 = _pc()
-                if use_fleet:
-                    tx_mask = np.greater(sent_kb, 0.0, out=arena.tx_mask)
-                else:
-                    tx_mask = sent_kb > 0.0
-                np.multiply(obs.p_mj_per_kb, sent_kb, out=e_trans[slot])
-                rrc.step(tx_mask, cfg.tau_s, out=e_tail[slot])
+                tx_mask = np.greater(sent_kb, 0.0, out=arena.tx_mask)
+                np.multiply(obs.p_mj_per_kb, sent_kb, out=trans_row)
+                rrc.step(tx_mask, cfg.tau_s, out=tail_row)
                 if instrumented:
                     rec_rrc(_pc() - _t0)
 
@@ -463,19 +565,43 @@ class Simulation:
                 if instrumented:
                     rec_feedback(_pc() - _t0)
 
-                alloc[slot] = phi
-                delivered[slot] = sent_kb
-                buffer_s[slot] = obs.buffer_s
-                np.multiply(obs.rate_kbps, cfg.tau_s, out=need_kb[slot])
-                active_rec[slot] = obs.active
+                if churn:
+                    # Scatter row-space results into the session grids.
+                    if occ.size:
+                        alloc[slot, sess_of] = phi[occ]
+                        delivered[slot, sess_of] = sent_kb[occ]
+                        rebuf[slot, sess_of] = arena.rebuf_s[occ]
+                        e_trans[slot, sess_of] = arena.trans_mj[occ]
+                        e_tail[slot, sess_of] = arena.tail_mj[occ]
+                        buffer_s[slot, sess_of] = obs.buffer_s[occ]
+                        need_kb[slot, sess_of] = obs.rate_kbps[occ] * cfg.tau_s
+                        active_rec[slot, sess_of] = obs.active[occ]
+                else:
+                    alloc[slot] = phi
+                    delivered[slot] = sent_kb
+                    buffer_s[slot] = obs.buffer_s
+                    np.multiply(obs.rate_kbps, cfg.tau_s, out=need_kb[slot])
+                    active_rec[slot] = obs.active
 
                 if instrumented:
                     budgets[slot] = obs.unit_budget
                 if instrumented and trace_on:
+                    if churn:
+                        link_users = np.zeros(n, dtype=np.int64)
+                        rate_users = np.zeros(n, dtype=float)
+                        if occ.size:
+                            link_users[sess_of] = obs.link_units[occ]
+                            rate_users[sess_of] = obs.rate_kbps[occ]
+                        resident = {"resident_sessions": int(mgr.active_count)}
+                    else:
+                        link_users = np.array(obs.link_units)
+                        rate_users = obs.rate_kbps
+                        resident = {}
                     tracer.emit(
                         "slot",
                         slot=slot,
                         active_users=int(obs.active.sum()),
+                        **resident,
                         tx_users=int(tx_mask.sum()),
                         allocated_units=int(phi.sum()),
                         unit_budget=int(obs.unit_budget),
@@ -483,29 +609,43 @@ class Simulation:
                         rebuffering_s=float(rebuf[slot].sum()),
                         energy_trans_mj=float(e_trans[slot].sum()),
                         energy_tail_mj=float(e_tail[slot].sum()),
-                        mean_buffer_s=float(obs.buffer_s.mean()),
-                        # Per-user vectors: what repro.obs.analyze needs to
-                        # reconstruct timelines and run the invariant
-                        # checkers offline.  Only built when a real tracer
-                        # is attached, so the NullTracer overhead budget is
-                        # untouched.  Arena-backed vectors are referenced
-                        # through the result grids (already copied above) or
-                        # copied here — the arena reuses its buffers next
-                        # slot, so raw references would go stale in a
+                        mean_buffer_s=float(buffer_s[slot].mean()),
+                        # Per-user vectors: what repro.obs.analyze needs
+                        # to reconstruct timelines and run the invariant
+                        # checkers offline.  Only built when a real
+                        # tracer is attached, so the NullTracer overhead
+                        # budget is untouched.  Arena-backed vectors are
+                        # referenced through the result grids or copied
+                        # here — the arena reuses its buffers next slot,
+                        # so raw references would go stale in a
                         # recording tracer.
                         users={
-                            "phi": phi,
+                            "phi": alloc[slot],
                             "delivered_kb": delivered[slot],
                             "rebuffering_s": rebuf[slot],
                             "buffer_s": buffer_s[slot],
                             "energy_trans_mj": e_trans[slot],
                             "energy_tail_mj": e_tail[slot],
-                            "link_units": np.array(obs.link_units),
+                            "link_units": link_users,
                             "sig_dbm": signal[slot],
-                            "rate_kbps": obs.rate_kbps,
+                            "rate_kbps": rate_users,
                             "active": active_rec[slot],
                         },
                     )
+
+                if churn:
+                    # Retirement happens at the *end* of the completion
+                    # slot — the slot's tail accrual and accounting
+                    # include the session — and frees the row.
+                    for row in done_rows:
+                        sess = int(mgr.row_session[row])
+                        departure[sess] = slot
+                        mgr.retire(sess)
+                        if instrumented and trace_on:
+                            tracer.emit(
+                                "session.end", slot=slot, user=sess, row=int(row)
+                            )
+
                 # Live telemetry consumes whole blocks straight from the
                 # result grids — one comparison per slot, vectorized
                 # cell sums every watch_every slots (plus the run tail).
@@ -518,7 +658,11 @@ class Simulation:
                         + e_tail[live_start:end].sum(axis=1),
                         delivered[live_start:end].sum(axis=1),
                         buffer_s[live_start:end].mean(axis=1),
-                        active_users=int(active_rec[slot].sum()),
+                        active_users=(
+                            int(mgr.active_count)
+                            if churn
+                            else int(active_rec[slot].sum())
+                        ),
                         outage_slots=(
                             int(outage_mask[live_start:end].sum())
                             if outage_mask is not None
@@ -536,37 +680,36 @@ class Simulation:
                     span_block_start = slot + 1
                     _block_t0 = _pc()
         except BaseException as exc:
-            # Leave a valid, parseable trace prefix behind a crashed (or
-            # SLO-aborted) run: one final run.abort event, then flush and
-            # close the writer before the exception propagates.
             if instrumented:
-                log.warning(
-                    "run aborted at slot %d: %s: %s",
-                    slot,
-                    type(exc).__name__,
-                    exc,
-                )
-                if spans_on:
-                    _fold_phase_spans()
-                if trace_on:
-                    tracer.emit(
-                        "run.abort",
-                        scheduler=scheduler_name,
-                        slot=slot,
-                        error=type(exc).__name__,
-                        message=str(exc),
-                    )
-                if live_on:
-                    live.abort_run(f"{type(exc).__name__}: {exc}")
-                instr.close()
+                abort_run(instr, exc, slot, fold_spans, scheduler_name=scheduler_name)
             raise
 
         if spans_on:
-            _fold_phase_spans()
+            fold_spans()
 
         if not np.all(np.isfinite(e_trans)):
             raise SimulationError("non-finite transmission energy recorded")
 
+        session_counts = None
+        session_fields = {}
+        if churn:
+            n_admitted = int(mgr.admitted.sum())
+            n_rejected = int(mgr.rejected.sum())
+            session_counts = {
+                "offered": int(n),
+                "arrived": n_admitted + n_rejected,
+                "admitted": n_admitted,
+                "rejected": n_rejected,
+                "completed": int(mgr.completed.sum()),
+                "active": int(mgr.active_count),
+            }
+            session_fields = dict(
+                admitted=mgr.admitted.copy(),
+                rejected=mgr.rejected.copy(),
+                departure_slot=departure,
+                offered_video_kb=self.workload.offered_video_kb(),
+                admitted_video_kb=self.workload.admitted_video_kb(mgr.admitted),
+            )
         if instrumented and trace_on:
             tracer.emit(
                 "run.end",
@@ -576,473 +719,18 @@ class Simulation:
                 energy_total_mj=float(e_trans.sum() + e_tail.sum()),
                 rebuffering_total_s=float(rebuf.sum()),
                 completed_users=int((completion >= 0).sum()),
+                **({"sessions": session_counts} if churn else {}),
             )
         if live_on:
             live.end_run()
 
         if instrumented:
-            # Batch registry accounting: identical totals to per-slot
-            # increments, derived from the recorded grids in a few
-            # vectorised operations.
-            metrics = instr.metrics
-            kinfo = backend_info()
-            metrics.gauge("kernels.backend").set(kinfo["resolved"])
-            metrics.gauge("kernels.requested").set(kinfo["requested"])
-            if kinfo["numba_version"] is not None:
-                metrics.gauge("kernels.numba_version").set(kinfo["numba_version"])
-            metrics.counter("engine.slots").inc(gamma)
-            metrics.counter("energy.trans_mj").inc(float(e_trans.sum()))
-            metrics.counter("rrc.tail_mj").inc(float(e_tail.sum()))
-            occupancy = fleet_occupancy_from_tx(delivered > 0.0, cfg.tau_s, radio.rrc)
-            metrics.counter("rrc.occupancy.dch").inc(occupancy["dch"])
-            metrics.counter("rrc.occupancy.fach").inc(occupancy["fach"])
-            metrics.counter("rrc.occupancy.idle").inc(occupancy["idle"])
-            metrics.counter("scheduler.invocations").inc(gamma)
-            used_units = alloc.sum(axis=1)
-            near_miss = int(
-                np.count_nonzero((budgets > 0) & (used_units > 0.9 * budgets))
-            )
-            metrics.counter("allocation.near_miss").inc(near_miss)
-            truncated = float(
-                np.maximum(alloc * cfg.delta_kb - delivered, 0.0).sum()
-            )
-            metrics.counter("allocation.truncated_kb").inc(truncated)
-            if faults_on:
-                _fault_counters(metrics, plan, outage_mask, gamma)
-        return SimulationResult(
-            scheduler_name=scheduler_name,
-            config=cfg,
-            allocation_units=alloc,
-            delivered_kb=delivered,
-            rebuffering_s=rebuf,
-            energy_trans_mj=e_trans,
-            energy_tail_mj=e_tail,
-            buffer_s=buffer_s,
-            need_kb=need_kb,
-            active=active_rec,
-            completion_slot=completion,
-            arrival_slot=arrivals,
-            phase_timings=instr.profiler.summary() if instrumented else None,
-        )
-
-    def _run_body_dynamic(self, instr: Instrumentation | None) -> SimulationResult:
-        """Slot loop with session arrivals, admission, and retirement.
-
-        Two index spaces coexist: result grids, trace payloads, and the
-        signal trace stay keyed by *session* (the workload's ``n_users``
-        offered sessions), while the fleet/RRC/arena/receiver/scheduler
-        operate on a growable *row* space managed by
-        :class:`~repro.sim.sessions.SessionManager`.  Each slot scatters
-        the row-space vectors into the session-keyed grids through the
-        manager's ``row -> session`` map.
-        """
-        cfg = self.config
-        radio = cfg.radio
-        n_sessions, gamma = cfg.n_users, cfg.n_slots
-
-        plan = cfg.faults if cfg.faults is not None else current_fault_plan()
-        faults_on = plan is not None and not plan.is_empty
-
-        instrumented = instr is not None
-        live = instr.live if instrumented else None
-        live_on = live is not None
-        spans = instr.spans if instrumented else None
-        spans_on = spans is not None
-        if instrumented:
-            tracer = instr.tracer
-            trace_on = tracer.enabled
-            prof = instr.profiler
-            _pc = perf_counter
-            rec_playback = prof.samples("playback").append
-            prof.samples("observe")
-            prof.samples("schedule")
-            prof.samples("transmit")
-            rec_rrc = prof.samples("rrc").append
-            rec_feedback = prof.samples("feedback").append
-            budgets = np.zeros(gamma, dtype=np.int64)
-        if spans_on:
-            rec_block = spans.adder(spans.path_node(SLOT_PREFIX))
-            _span_phase_ids = {
-                ph: spans.slot_phase_id(ph)
-                for ph in (
-                    "playback", "observe", "schedule", "transmit",
-                    "rrc", "feedback",
-                )
-            }
-            _span_phase_base = {
-                ph: len(prof.samples(ph)) for ph in _span_phase_ids
-            }
-
-            def _fold_phase_spans() -> None:
-                for ph, node in _span_phase_ids.items():
-                    tail = prof.samples(ph)[_span_phase_base[ph]:]
-                    if tail:
-                        spans.add_bulk(node, len(tail), float(sum(sorted(tail))))
-
-        self.scheduler.reset()
-        self.scheduler.bind_instrumentation(instr)
-
-        capacity = min(n_sessions, INITIAL_CAPACITY)
-        fleet = ClientFleet.with_capacity(capacity, cfg.tau_s, cfg.buffer_capacity_s)
-        arena = SlotArena(capacity)
-        rrc = RRCFleet(capacity, radio.rrc)
-        cap_model = ConstantCapacity(cfg.capacity_kbps)
-        if faults_on and plan.capacity:
-            cap_model = FaultyCapacity(cap_model, plan.capacity_factors(gamma))
-        bs = BaseStation(cap_model, cfg.delta_kb, cfg.tau_s)
-        slicer = ResourceSlicer(cfg.background) if cfg.background else ResourceSlicer()
-        gateway = Gateway(
-            self.scheduler,
-            bs,
-            capacity,
-            slicer=slicer,
-            fetch_ahead_kb=cfg.fetch_ahead_kb,
-        )
-        # Row-capacity alignment: stateful schedulers built for
-        # cfg.n_users shrink once here, before any state accrues.
-        self.scheduler.grow_users(capacity)
-        mgr = SessionManager(
-            self.workload.flows, fleet, rrc, arena, gateway.receiver, self.scheduler
-        )
-        policy = make_admission_policy(cfg)
-        policy.reset()
-        nominal_budget = cfg.unit_budget_per_slot
-
-        alloc = np.zeros((gamma, n_sessions), dtype=np.int64)
-        delivered = np.zeros((gamma, n_sessions), dtype=float)
-        rebuf = np.zeros((gamma, n_sessions), dtype=float)
-        e_trans = np.zeros((gamma, n_sessions), dtype=float)
-        e_tail = np.zeros((gamma, n_sessions), dtype=float)
-        buffer_s = np.zeros((gamma, n_sessions), dtype=float)
-        need_kb = np.zeros((gamma, n_sessions), dtype=float)
-        active_rec = np.zeros((gamma, n_sessions), dtype=bool)
-        completion = np.full(n_sessions, -1, dtype=np.int64)
-        departure = np.full(n_sessions, -1, dtype=np.int64)
-
-        flows = self.workload.flows
-        signal = self.workload.signal_dbm
-        if faults_on:
-            # Session-keyed injection: blackout/stall windows name
-            # *sessions*; the per-slot scatter below carries them into
-            # whatever row each session currently occupies.
-            signal = plan.apply_signal(signal)
-            stall_grid = plan.stall_grid(gamma, n_sessions)
-            outage_mask = plan.outage_slot_mask(gamma)
-        else:
-            stall_grid = None
-            outage_mask = None
-        arrivals = np.array([f.arrival_slot for f in flows], dtype=np.int64)
-
-        scheduler_name = getattr(
-            self.scheduler, "name", type(self.scheduler).__name__
-        )
-        if instrumented and trace_on:
-            tracer.emit(
-                "run.start",
-                scheduler=scheduler_name,
-                n_users=n_sessions,
-                n_slots=gamma,
-                tau_s=cfg.tau_s,
-                delta_kb=cfg.delta_kb,
-                seed=cfg.seed,
-                kernel_backend=backend_info()["resolved"],
-                arrival_process=cfg.arrival_process,
-                admission=cfg.admission,
-                rrc={
-                    "pd_mw": radio.rrc.pd_mw,
-                    "pf_mw": radio.rrc.pf_mw,
-                    "t1_s": radio.rrc.t1_s,
-                    "t2_s": radio.rrc.t2_s,
-                },
-                params=_scheduler_trace_params(self.scheduler),
-                **({"faults": plan.spec()} if faults_on else {}),
-            )
-            if faults_on:
-                _emit_fault_windows(tracer, plan)
-        if live_on:
-            live.begin_run(scheduler_name, n_slots=gamma, n_users=n_sessions)
-            live_every = live.watch_every
-            live_start = 0
-        if spans_on:
-            span_block_start = 0
-            _block_t0 = perf_counter()
-
-        slot = -1
-        try:
-            for slot in range(gamma):
-                # 0. Session lifecycle: roll the join/depart masks, then
-                #    admit (or reject) every session whose arrival slot
-                #    has come, in deterministic (arrival, user) order.
-                mgr.begin_slot()
-                for sess in mgr.due_sessions(slot):
-                    ctx = AdmissionContext(
-                        slot=slot,
-                        active_sessions=mgr.active_count,
-                        capacity_rows=mgr.capacity,
-                        unit_budget=nominal_budget,
-                        flow=flows[sess],
-                    )
-                    if policy.admit(ctx):
-                        row = mgr.admit(sess)
-                        if instrumented and trace_on:
-                            tracer.emit(
-                                "session.start",
-                                slot=slot,
-                                user=int(sess),
-                                row=int(row),
-                                arrival_slot=int(arrivals[sess]),
-                            )
-                    else:
-                        mgr.reject(sess)
-                        if instrumented and trace_on:
-                            tracer.emit(
-                                "session.reject",
-                                slot=slot,
-                                user=int(sess),
-                                policy=policy.name,
-                            )
-                occ = mgr.occupied_rows()
-                sess_of = mgr.row_session[occ]
-
-                # 1. Playback (row space) + completion detection.
-                if instrumented:
-                    _t0 = _pc()
-                fleet.begin_slot(slot, out=arena.rebuf_s)
-                newly_done = fleet.playback_complete_into(
-                    arena.b1_tmp, arena.f8_tmp, arena.tx_mask
-                )
-                np.greater_equal(mgr.row_session, 0, out=arena.tx_mask)
-                np.logical_and(newly_done, arena.tx_mask, out=newly_done)
-                done_rows = np.flatnonzero(newly_done)
-                for row in done_rows:
-                    completion[mgr.row_session[row]] = slot
-                if instrumented:
-                    rec_playback(_pc() - _t0)
-
-                # 2-4. Observe, schedule, transmit in row space.  The
-                # session-keyed signal is gathered into the arena's
-                # row-space buffer (vacant rows see a floor value; they
-                # are inactive, so schedulers allocate them nothing).
-                idle_cost = rrc.expected_idle_cost_mj(
-                    cfg.tau_s, out=arena.idle_tail_cost_mj
-                )
-                arena.sig_dbm.fill(-110.0)
-                if occ.size:
-                    arena.sig_dbm[occ] = signal[slot][sess_of]
-                if stall_grid is not None:
-                    # Session-keyed stall row gathered into row space;
-                    # the >= 0 mask discards the wrapped values fancy
-                    # indexing produces for vacant (-1) rows.
-                    stall_row = stall_grid[slot][mgr.row_session]
-                    stall_row &= mgr.row_session >= 0
-                else:
-                    stall_row = None
-                obs, phi, sent_kb = gateway.step(
-                    slot,
-                    arena.sig_dbm,
-                    mgr.row_flows,
-                    None,
-                    radio.throughput,
-                    radio.power,
-                    idle_cost,
-                    instrumentation=instr,
-                    fleet=fleet,
-                    arena=arena,
-                    joined_mask=mgr.joined_mask,
-                    departed_mask=mgr.departed_mask,
-                    stall_mask=stall_row,
-                )
-                check_constraints(phi, obs)
-                np.multiply(phi, cfg.delta_kb, out=arena.f8_tmp)
-                np.add(arena.f8_tmp, 1e-9, out=arena.f8_tmp)
-                np.greater(sent_kb, arena.f8_tmp, out=arena.b1_tmp)
-                if arena.b1_tmp.any():
-                    raise SimulationError(f"slot {slot}: delivered more than allocated")
-
-                # 5. Radio energy accounting (row space).
-                if instrumented:
-                    _t0 = _pc()
-                tx_mask = np.greater(sent_kb, 0.0, out=arena.tx_mask)
-                np.multiply(obs.p_mj_per_kb, sent_kb, out=arena.trans_mj)
-                rrc.step(tx_mask, cfg.tau_s, out=arena.tail_mj)
-                if instrumented:
-                    rec_rrc(_pc() - _t0)
-
-                # 6. Scheduler feedback.
-                if instrumented:
-                    _t0 = _pc()
-                self.scheduler.notify(obs, phi, sent_kb)
-                if instrumented:
-                    rec_feedback(_pc() - _t0)
-
-                # Scatter row-space results into the session-keyed grids.
-                if occ.size:
-                    alloc[slot, sess_of] = phi[occ]
-                    delivered[slot, sess_of] = sent_kb[occ]
-                    rebuf[slot, sess_of] = arena.rebuf_s[occ]
-                    e_trans[slot, sess_of] = arena.trans_mj[occ]
-                    e_tail[slot, sess_of] = arena.tail_mj[occ]
-                    buffer_s[slot, sess_of] = obs.buffer_s[occ]
-                    need_kb[slot, sess_of] = obs.rate_kbps[occ] * cfg.tau_s
-                    active_rec[slot, sess_of] = obs.active[occ]
-
-                if instrumented:
-                    budgets[slot] = obs.unit_budget
-                if instrumented and trace_on:
-                    link_sess = np.zeros(n_sessions, dtype=np.int64)
-                    rate_sess = np.zeros(n_sessions, dtype=float)
-                    if occ.size:
-                        link_sess[sess_of] = obs.link_units[occ]
-                        rate_sess[sess_of] = obs.rate_kbps[occ]
-                    tracer.emit(
-                        "slot",
-                        slot=slot,
-                        active_users=int(obs.active.sum()),
-                        resident_sessions=int(mgr.active_count),
-                        tx_users=int(tx_mask.sum()),
-                        allocated_units=int(phi.sum()),
-                        unit_budget=int(obs.unit_budget),
-                        delivered_kb=float(sent_kb.sum()),
-                        rebuffering_s=float(rebuf[slot].sum()),
-                        energy_trans_mj=float(e_trans[slot].sum()),
-                        energy_tail_mj=float(e_tail[slot].sum()),
-                        mean_buffer_s=float(obs.buffer_s.mean()),
-                        users={
-                            "phi": alloc[slot],
-                            "delivered_kb": delivered[slot],
-                            "rebuffering_s": rebuf[slot],
-                            "buffer_s": buffer_s[slot],
-                            "energy_trans_mj": e_trans[slot],
-                            "energy_tail_mj": e_tail[slot],
-                            "link_units": link_sess,
-                            "sig_dbm": signal[slot],
-                            "rate_kbps": rate_sess,
-                            "active": active_rec[slot],
-                        },
-                    )
-
-                # Retirement happens at the *end* of the completion slot
-                # — the slot's tail accrual and accounting include the
-                # session — and frees the row for recycling.
-                for row in done_rows:
-                    sess = int(mgr.row_session[row])
-                    departure[sess] = slot
-                    mgr.retire(sess)
-                    if instrumented and trace_on:
-                        tracer.emit(
-                            "session.end",
-                            slot=slot,
-                            user=sess,
-                            row=int(row),
-                        )
-
-                if live_on and (slot - live_start + 1 >= live_every or slot == gamma - 1):
-                    end = slot + 1
-                    live.observe_block(
-                        slot,
-                        rebuf[live_start:end].sum(axis=1),
-                        e_trans[live_start:end].sum(axis=1)
-                        + e_tail[live_start:end].sum(axis=1),
-                        delivered[live_start:end].sum(axis=1),
-                        buffer_s[live_start:end].mean(axis=1),
-                        active_users=int(mgr.active_count),
-                        outage_slots=(
-                            int(outage_mask[live_start:end].sum())
-                            if outage_mask is not None
-                            else 0
-                        ),
-                    )
-                    live_start = end
-                if spans_on and (
-                    slot - span_block_start + 1 >= SPAN_BLOCK_SLOTS
-                    or slot == gamma - 1
-                ):
-                    rec_block(_pc() - _block_t0)
-                    span_block_start = slot + 1
-                    _block_t0 = _pc()
-        except BaseException as exc:
-            if instrumented:
-                log.warning(
-                    "run aborted at slot %d: %s: %s",
-                    slot,
-                    type(exc).__name__,
-                    exc,
-                )
-                if spans_on:
-                    _fold_phase_spans()
-                if trace_on:
-                    tracer.emit(
-                        "run.abort",
-                        scheduler=scheduler_name,
-                        slot=slot,
-                        error=type(exc).__name__,
-                        message=str(exc),
-                    )
-                if live_on:
-                    live.abort_run(f"{type(exc).__name__}: {exc}")
-                instr.close()
-            raise
-
-        if spans_on:
-            _fold_phase_spans()
-
-        if not np.all(np.isfinite(e_trans)):
-            raise SimulationError("non-finite transmission energy recorded")
-
-        n_admitted = int(mgr.admitted.sum())
-        n_rejected = int(mgr.rejected.sum())
-        n_completed = int(mgr.completed.sum())
-        session_counts = {
-            "offered": int(n_sessions),
-            "arrived": n_admitted + n_rejected,
-            "admitted": n_admitted,
-            "rejected": n_rejected,
-            "completed": n_completed,
-            "active": int(mgr.active_count),
-        }
-        if instrumented and trace_on:
-            tracer.emit(
-                "run.end",
-                scheduler=scheduler_name,
-                n_slots=gamma,
-                delivered_total_kb=float(delivered.sum()),
-                energy_total_mj=float(e_trans.sum() + e_tail.sum()),
-                rebuffering_total_s=float(rebuf.sum()),
-                completed_users=int((completion >= 0).sum()),
+            record_run_metrics(
+                instr.metrics, cfg, alloc, delivered, e_trans, e_tail, budgets,
                 sessions=session_counts,
             )
-        if live_on:
-            live.end_run()
-
-        if instrumented:
-            metrics = instr.metrics
-            kinfo = backend_info()
-            metrics.gauge("kernels.backend").set(kinfo["resolved"])
-            metrics.gauge("kernels.requested").set(kinfo["requested"])
-            if kinfo["numba_version"] is not None:
-                metrics.gauge("kernels.numba_version").set(kinfo["numba_version"])
-            metrics.counter("engine.slots").inc(gamma)
-            metrics.counter("energy.trans_mj").inc(float(e_trans.sum()))
-            metrics.counter("rrc.tail_mj").inc(float(e_tail.sum()))
-            occupancy = fleet_occupancy_from_tx(delivered > 0.0, cfg.tau_s, radio.rrc)
-            metrics.counter("rrc.occupancy.dch").inc(occupancy["dch"])
-            metrics.counter("rrc.occupancy.fach").inc(occupancy["fach"])
-            metrics.counter("rrc.occupancy.idle").inc(occupancy["idle"])
-            metrics.counter("scheduler.invocations").inc(gamma)
-            metrics.counter("sessions.admitted").inc(n_admitted)
-            metrics.counter("sessions.rejected").inc(n_rejected)
-            metrics.counter("sessions.completed").inc(n_completed)
-            used_units = alloc.sum(axis=1)
-            near_miss = int(
-                np.count_nonzero((budgets > 0) & (used_units > 0.9 * budgets))
-            )
-            metrics.counter("allocation.near_miss").inc(near_miss)
-            truncated = float(
-                np.maximum(alloc * cfg.delta_kb - delivered, 0.0).sum()
-            )
-            metrics.counter("allocation.truncated_kb").inc(truncated)
             if faults_on:
-                _fault_counters(metrics, plan, outage_mask, gamma)
+                _fault_counters(instr.metrics, plan, outage_mask, gamma)
         return SimulationResult(
             scheduler_name=scheduler_name,
             config=cfg,
@@ -1057,9 +745,5 @@ class Simulation:
             completion_slot=completion,
             arrival_slot=arrivals,
             phase_timings=instr.profiler.summary() if instrumented else None,
-            admitted=mgr.admitted.copy(),
-            rejected=mgr.rejected.copy(),
-            departure_slot=departure,
-            offered_video_kb=self.workload.offered_video_kb(),
-            admitted_video_kb=self.workload.admitted_video_kb(mgr.admitted),
+            **session_fields,
         )

@@ -1,4 +1,4 @@
-"""Session lifecycle bookkeeping for the dynamic engine.
+"""Session lifecycle bookkeeping for the engine's churn runs.
 
 :class:`SessionManager` separates two index spaces:
 
@@ -32,7 +32,7 @@ from repro.media.fleet import _VacantRowFlow, _placeholder_video
 
 __all__ = ["SessionManager"]
 
-#: Rows the dynamic engine starts with; doubles on demand.
+#: Rows a churn run starts with; doubles on demand.
 INITIAL_CAPACITY = 4
 
 

@@ -12,13 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.media.video import ConstantBitrateProfile, PiecewiseBitrateProfile, VideoSession
 from repro.net.flows import VideoFlow
 from repro.sim.arrivals import generate_arrival_slots
 from repro.sim.config import SimConfig
 
-__all__ = ["Workload", "generate_workload"]
+__all__ = ["Workload", "generate_workload", "resolve_workload"]
 
 
 @dataclass(frozen=True)
@@ -118,3 +118,19 @@ def generate_workload(cfg: SimConfig) -> Workload:
             VideoFlow(user_id=uid, video=video, arrival_slot=int(arrivals[uid]))
         )
     return Workload(flows=flows, signal_dbm=signal)
+
+
+def resolve_workload(cfg: SimConfig, workload: Workload | None = None) -> Workload:
+    """``workload`` (or, when ``None``, the seeded one for ``cfg``),
+    checked to cover ``cfg``'s users and horizon."""
+    wl = workload if workload is not None else generate_workload(cfg)
+    if wl.n_users != cfg.n_users:
+        raise SimulationError(
+            f"workload has {wl.n_users} users, config says {cfg.n_users}"
+        )
+    if wl.n_slots < cfg.n_slots:
+        raise SimulationError(
+            f"workload trace covers {wl.n_slots} slots, "
+            f"config needs {cfg.n_slots}"
+        )
+    return wl

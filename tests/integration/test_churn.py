@@ -3,13 +3,13 @@
 Three contracts:
 
 * **Zero-churn bit-identity** — configs without churn (the default
-  ``all_at_zero`` / ``accept-all``) take the untouched fixed-population
-  body, and making that default explicit changes nothing, for every
-  scheduler, seed, and kernel backend.  A stronger pin rides along:
-  the *dynamic* body itself, driven by an all-zero arrival trace with
-  videos too large to complete (so no retirement), reproduces the
-  fixed path byte-for-byte — admission, row mapping, and the
-  row-to-session scatter are exact.
+  ``all_at_zero`` / ``accept-all``) run the slot loop with row space
+  fixed to session space, and making that default explicit changes
+  nothing, for every scheduler, seed, and kernel backend.  A stronger
+  pin rides along: the loop's churn mode itself, driven by an all-zero
+  arrival trace with videos too large to complete (so no retirement),
+  reproduces the fixed population byte-for-byte — admission, row
+  mapping, and the row-to-session scatter are exact.
 * **Churn end-to-end** — a Poisson-arrival, admission-capped scenario
   runs serially and on the process pool with identical results, emits
   session lifecycle events, and passes the offline invariant checkers
@@ -31,9 +31,9 @@ from repro.baselines import (
 )
 from repro.core.ema import EMAScheduler
 from repro.core.rtma import RTMAScheduler
-from repro.errors import ConfigurationError
 from repro.kernels import available_backends
 from repro.obs import Instrumentation, JsonlTraceWriter, check_trace
+from repro.obs.analyze import timeline_from_result, timelines_from_trace
 from repro.sim import RunExecutor, RunTask
 from repro.sim.config import SimConfig
 from repro.sim.engine import Simulation
@@ -141,10 +141,6 @@ class TestZeroChurnIdentity:
 
 
 class TestChurnEndToEnd:
-    def test_object_path_rejects_churn(self):
-        with pytest.raises(ConfigurationError):
-            Simulation(churn_config(), DefaultScheduler(), path="object")
-
     @pytest.mark.parametrize("sched_name", ["default", "rtma", "ema"])
     def test_poisson_run_conserves_sessions(self, sched_name):
         cfg = churn_config()
@@ -219,6 +215,41 @@ class TestChurnEndToEnd:
         assert counts["admitted"] == counts["completed"] + counts["active"]
         rows = tl.session_rows()
         assert rows and all(r["outcome"] is not None for r in rows)
+
+
+class TestTraceTotalsMatchResult:
+    """A trace's per-slot totals are the result grids' per-slot totals.
+
+    On churn runs ``mean_buffer_s`` must average the session grid, not
+    the row capacity (which counts vacant rows and misses sessions not
+    yet admitted or already retired).
+    """
+
+    @pytest.mark.parametrize("churn", [False, True], ids=["fixed", "churn"])
+    def test_shared_totals_equal(self, tmp_path, churn):
+        cfg = churn_config(arrival_rate_per_slot=0.08, admission_max_active=6)
+        if not churn:
+            cfg = cfg.with_(
+                arrival_process="all_at_zero",
+                arrival_rate_per_slot=None,
+                admission="accept-all",
+                admission_max_active=None,
+            )
+        assert cfg.has_churn == churn
+        path = tmp_path / "trace.jsonl"
+        tracer = JsonlTraceWriter(path)
+        result = Simulation(
+            cfg, DefaultScheduler(), instrumentation=Instrumentation(tracer=tracer)
+        ).run()
+        tracer.close()
+        (traced,) = timelines_from_trace(path)
+        expected = timeline_from_result(result).totals
+        shared = sorted(set(traced.totals) & set(expected))
+        assert "mean_buffer_s" in shared and len(shared) >= 6
+        for key in shared:
+            np.testing.assert_array_equal(
+                traced.totals[key], expected[key], err_msg=key
+            )
 
 
 class TestAdmissionPolicies:

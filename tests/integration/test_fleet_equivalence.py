@@ -1,13 +1,13 @@
-"""Cross-path equivalence: the fleet hot path vs the object reference.
+"""Cross-path equivalence: the engine's fleet path vs the object oracle.
 
-The engine's default ``path="fleet"`` drives the vectorized
-:class:`~repro.media.fleet.ClientFleet`; ``path="object"`` drives the
-original per-user :class:`~repro.media.player.StreamingClient` loop.
-The contract is *bit-identity*: every result grid — allocations,
-deliveries, rebuffering, transmission and tail energy — must match
-byte-for-byte for every scheduler, seed, and workload shape.  This is
-what lets the object path survive as the trusted reference while all
-figures run on the fleet path.
+The engine drives the vectorized :class:`~repro.media.fleet.ClientFleet`;
+:func:`tests.object_reference.run_reference` drives one per-user
+:class:`~repro.media.player.StreamingClient` per session through the
+same slot pipeline.  The contract is *bit-identity*: every result grid
+— allocations, deliveries, rebuffering, transmission and tail energy —
+must match byte-for-byte for every scheduler, seed, and workload shape.
+This is what lets the per-user model serve as the trusted reference
+while all figures run on the fleet path.
 
 A second guarantee rides along: a fleet-path trace passes the offline
 invariant checkers of :mod:`repro.obs.analyze` with zero violations.
@@ -25,7 +25,6 @@ from repro.baselines import (
 )
 from repro.core.ema import EMAScheduler
 from repro.core.rtma import RTMAScheduler
-from repro.errors import ConfigurationError
 from repro.media.fleet import ClientFleet
 from repro.media.player import PlayerState, StreamingClient
 from repro.media.video import ConstantBitrateProfile, VideoSession
@@ -34,6 +33,8 @@ from repro.obs import Instrumentation, JsonlTraceWriter, check_trace
 from repro.sim.config import SimConfig
 from repro.sim.engine import Simulation
 from repro.sim.workload import Workload, generate_workload
+
+from tests.object_reference import run_reference
 
 RESULT_ARRAYS = (
     "allocation_units",
@@ -68,8 +69,8 @@ def assert_results_bit_identical(a, b):
 
 def run_both(cfg, make_scheduler, workload=None):
     wl = workload if workload is not None else generate_workload(cfg)
-    r_obj = Simulation(cfg, make_scheduler(cfg), wl, path="object").run()
-    r_fleet = Simulation(cfg, make_scheduler(cfg), wl, path="fleet").run()
+    r_obj = run_reference(cfg, make_scheduler(cfg), wl)
+    r_fleet = Simulation(cfg, make_scheduler(cfg), wl).run()
     return r_obj, r_fleet
 
 
@@ -142,20 +143,6 @@ class TestBitIdentity:
         assert (r_fleet.completion_slot >= 0).any()
         assert_results_bit_identical(r_obj, r_fleet)
 
-    def test_env_var_selects_path(self, monkeypatch):
-        cfg = SimConfig(n_users=4, n_slots=50, seed=2)
-        wl = generate_workload(cfg)
-        monkeypatch.setenv("REPRO_SIM_PATH", "object")
-        r_env = Simulation(cfg, DefaultScheduler(), wl).run()
-        monkeypatch.delenv("REPRO_SIM_PATH")
-        r_obj = Simulation(cfg, DefaultScheduler(), wl, path="object").run()
-        assert_results_bit_identical(r_env, r_obj)
-
-    def test_invalid_path_rejected(self):
-        cfg = SimConfig(n_users=4, n_slots=50, seed=2)
-        with pytest.raises(ConfigurationError):
-            Simulation(cfg, DefaultScheduler(), path="vectorised")
-
 
 class TestFleetTraceInvariants:
     @pytest.mark.parametrize("sched_name", ["rtma", "ema"])
@@ -170,7 +157,6 @@ class TestFleetTraceInvariants:
             cfg,
             SCHEDULERS[sched_name](cfg),
             instrumentation=Instrumentation(tracer=tracer),
-            path="fleet",
         ).run()
         tracer.close()
         ((tl, report),) = check_trace(path)

@@ -5,7 +5,8 @@ import pytest
 
 from repro.core.scheduler import Scheduler
 from repro.errors import ConfigurationError, SimulationError
-from repro.media.player import StreamingClient
+from repro.kernels import SlotArena
+from repro.media.fleet import ClientFleet
 from repro.media.video import ConstantBitrateProfile, VideoSession
 from repro.net.basestation import BaseStation
 from repro.net.flows import VideoFlow
@@ -22,8 +23,7 @@ def make_world(n=3, size_kb=5000.0, rate=400.0):
         VideoFlow(i, VideoSession(size_kb, ConstantBitrateProfile(rate)))
         for i in range(n)
     ]
-    clients = [StreamingClient(f.video, 1.0) for f in flows]
-    return flows, clients
+    return flows, ClientFleet(flows, tau_s=1.0)
 
 
 class TestDataReceiver:
@@ -60,19 +60,20 @@ class TestDataReceiver:
 
 class TestInformationCollector:
     def test_collect_builds_consistent_observation(self):
-        flows, clients = make_world(n=3)
+        flows, fleet = make_world(n=3)
         bs = BaseStation(capacity=4096.0, delta_kb=40.0)
         collector = InformationCollector()
-        obs = collector.collect(
+        obs = collector.collect_fleet(
             slot=0,
             sig_row=np.array([-60.0, -80.0, -100.0]),
             flows=flows,
-            clients=clients,
+            fleet=fleet,
             bs=bs,
             slicer=ResourceSlicer(),
             throughput_model=LinearThroughputModel(),
             power_model=EnviPowerModel(),
             idle_tail_cost_mj=np.zeros(3),
+            arena=SlotArena(3),
         )
         assert obs.n_users == 3
         assert obs.unit_budget == 102  # floor(4096/40)
@@ -82,44 +83,49 @@ class TestInformationCollector:
         np.testing.assert_allclose(obs.rate_kbps, 400.0)
 
     def test_collect_rejects_mismatched_arrays(self):
-        flows, clients = make_world(n=2)
+        flows, fleet = make_world(n=2)
         with pytest.raises(SimulationError):
-            InformationCollector().collect(
+            InformationCollector().collect_fleet(
                 0,
                 np.array([-80.0]),
                 flows,
-                clients,
+                fleet,
                 BaseStation(),
                 ResourceSlicer(),
                 LinearThroughputModel(),
                 EnviPowerModel(),
                 np.zeros(2),
+                SlotArena(2),
             )
 
 
 class TestDataTransmitter:
     def test_transmit_caps_at_remaining_video(self):
-        flows, clients = make_world(n=1, size_kb=100.0)
+        flows, fleet = make_world(n=1, size_kb=100.0)
         obs = make_obs(n_users=1, remaining_kb=[100.0])
         receiver = DataReceiver(1)
         receiver.refill(np.array([100.0]))
         tx = DataTransmitter()
-        accepted = tx.transmit(np.array([3]), obs, receiver, clients)
+        accepted = tx.transmit_fleet(np.array([3]), obs, receiver, fleet, SlotArena(1))
         assert accepted[0] == 100.0  # 3 units = 120 KB wanted, 100 left
 
     def test_transmit_limited_by_receiver_queue(self):
-        flows, clients = make_world(n=1)
+        flows, fleet = make_world(n=1)
         obs = make_obs(n_users=1)
         receiver = DataReceiver(1)
         receiver.refill(np.array([60.0]))  # less than one 40 KB unit * 2
-        accepted = DataTransmitter().transmit(np.array([2]), obs, receiver, clients)
+        accepted = DataTransmitter().transmit_fleet(
+            np.array([2]), obs, receiver, fleet, SlotArena(1)
+        )
         assert accepted[0] == 60.0
 
     def test_rejects_negative_allocation(self):
-        flows, clients = make_world(n=1)
+        flows, fleet = make_world(n=1)
         obs = make_obs(n_users=1)
         with pytest.raises(SimulationError):
-            DataTransmitter().transmit(np.array([-1]), obs, DataReceiver(1), clients)
+            DataTransmitter().transmit_fleet(
+                np.array([-1]), obs, DataReceiver(1), fleet, SlotArena(1)
+            )
 
 
 class _NeedScheduler(Scheduler):
@@ -132,33 +138,35 @@ class _NeedScheduler(Scheduler):
 
 class TestGateway:
     def test_step_delivers_to_clients(self):
-        flows, clients = make_world(n=2)
+        flows, fleet = make_world(n=2)
         gw = Gateway(_NeedScheduler(), BaseStation(), n_users=2)
         obs, phi, delivered = gw.step(
             0,
             np.array([-70.0, -75.0]),
             flows,
-            clients,
+            fleet,
             LinearThroughputModel(),
             EnviPowerModel(),
             np.zeros(2),
+            SlotArena(2),
         )
         assert phi.shape == (2,)
         assert (delivered > 0).all()
-        assert clients[0].delivered_kb == delivered[0]
+        assert fleet.view(0).delivered_kb == delivered[0]
 
     def test_inactive_users_get_nothing(self):
-        flows, clients = make_world(n=2, size_kb=50.0)
-        clients[1].deliver(50.0, 0)  # user 1 fully delivered
+        flows, fleet = make_world(n=2, size_kb=50.0)
+        fleet.deliver(np.array([0.0, 50.0]), 0)  # user 1 fully delivered
         gw = Gateway(_NeedScheduler(), BaseStation(), n_users=2)
         obs, phi, delivered = gw.step(
             1,
             np.array([-70.0, -75.0]),
             flows,
-            clients,
+            fleet,
             LinearThroughputModel(),
             EnviPowerModel(),
             np.zeros(2),
+            SlotArena(2),
         )
         assert not obs.active[1]
         assert phi[1] == 0 and delivered[1] == 0.0
