@@ -107,36 +107,21 @@ def _clip_batch(
 ) -> np.ndarray:
     """Segmented greedy-prefix clip for run-stacked observations.
 
-    Each run gets the serial treatment against its own budget: per-run
-    cumulative sum (int64, so 2-D and 1-D orders agree exactly),
-    truncate the first over-budget user, zero the rest of the segment.
+    Each run gets the single-run treatment against its own budget:
+    per-run cumulative sum (int64, so 2-D and 1-D orders agree
+    exactly), truncate the first over-budget user, zero the rest of the
+    segment.  Segments are uniform (``n_users`` is a batch
+    compatibility field), so one 2-D cumsum covers them all.
     """
     phi = want.copy()
     n_runs = run_budgets.shape[0]
     n_per_run = int(run_offsets[1] - run_offsets[0])
-    if want.size == n_runs * n_per_run:
-        # Uniform segments (the batch engine's invariant): one 2-D
-        # cumsum, then the serial tail-zeroing on offending rows only.
-        want2 = want.reshape(n_runs, n_per_run)
-        phi2 = phi.reshape(n_runs, n_per_run)
-        cum = np.cumsum(want2, axis=1)
-        over = cum > run_budgets[:, None]
-        for r in np.flatnonzero(over.any(axis=1)):
-            first = int(np.argmax(over[r]))
-            prior = int(cum[r, first - 1]) if first > 0 else 0
-            phi2[r, first] = max(int(run_budgets[r]) - prior, 0)
-            phi2[r, first + 1 :] = 0
-        return phi
-    for r in range(n_runs):
-        lo = int(run_offsets[r])
-        hi = int(run_offsets[r + 1])
-        cum = np.cumsum(want[lo:hi])
-        budget = int(run_budgets[r])
-        over = cum > budget
-        if np.any(over):
-            first = int(np.argmax(over))
-            prior = int(cum[first - 1]) if first > 0 else 0
-            seg = phi[lo:hi]
-            seg[first] = max(budget - prior, 0)
-            seg[first + 1 :] = 0
+    phi2 = phi.reshape(n_runs, n_per_run)
+    cum = np.cumsum(want.reshape(n_runs, n_per_run), axis=1)
+    over = cum > run_budgets[:, None]
+    for r in np.flatnonzero(over.any(axis=1)):
+        first = int(np.argmax(over[r]))
+        prior = int(cum[r, first - 1]) if first > 0 else 0
+        phi2[r, first] = max(int(run_budgets[r]) - prior, 0)
+        phi2[r, first + 1 :] = 0
     return phi

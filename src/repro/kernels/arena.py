@@ -28,19 +28,20 @@ class SlotArena:
     """Reused per-user buffers for one simulation run.
 
     Attributes double as the backing stores of each slot's
-    ``SlotObservation`` (``link_units``, ``p_mj_per_kb``, ``active``,
-    ``remaining_kb``, ``receivable_kb``, ``idle_tail_cost_mj``) plus
-    the transmit-path scratch (``want_kb``, ``accepted_kb``,
-    ``drained_kb``, ``tx_mask``) and two generic temporaries
-    (``f8_tmp``, ``b1_tmp``) for intermediate ufunc chains.
+    ``SlotObservation`` (``active``, ``remaining_kb``,
+    ``receivable_kb``, ``idle_tail_cost_mj``) plus the transmit-path
+    scratch (``want_kb``, ``accepted_kb``, ``drained_kb``, ``tx_mask``)
+    and two generic temporaries (``f8_tmp``, ``b1_tmp``) for
+    intermediate ufunc chains.
 
-    Churn runs, whose rows are not sessions, additionally use four
-    row-space buffers that survive the whole slot (``sig_dbm``,
-    ``rebuf_s``, ``trans_mj``, ``tail_mj``) — the generic temporaries
-    are clobbered inside ``collect_fleet`` — until the engine scatters
-    them into its session grids, and :meth:`grow` the arena in
-    lockstep with the fleet so kernels stay allocation-free once the
-    population stops growing.
+    Churn runs, whose rows are not sessions, additionally use row-space
+    buffers that survive the whole slot: the observation's ``sig_dbm``,
+    ``link_units`` and ``p_mj_per_kb`` (gathered from the engine's
+    session-keyed tables), and ``rebuf_s``, ``trans_mj``, ``tail_mj``
+    — the generic temporaries are clobbered inside ``collect_fleet`` —
+    until the engine scatters them into its session grids.  They
+    :meth:`grow` the arena in lockstep with the fleet so kernels stay
+    allocation-free once the population stops growing.
     """
 
     def __init__(self, n_users: int):

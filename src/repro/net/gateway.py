@@ -15,9 +15,10 @@ Four components sit between the Internet and the base station:
 Client state lives in a :class:`~repro.media.fleet.ClientFleet` and
 every per-user observation/transmit vector in a
 :class:`~repro.kernels.arena.SlotArena`.  :class:`Gateway` wires the
-components together; the simulation engine drives one
-:meth:`Gateway.step` per slot, and the run-stacked batch engine one
-:meth:`Gateway.step_batch` per slot.
+components together; the simulation engine's slot loop drives one
+:meth:`Gateway.step` per slot over ``R >= 1`` run segments, handing it
+the slot's precomputed Eq. (24) link/power rows and per-run Eq. (2)
+budgets.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from repro.errors import ConfigurationError, SimulationError
 from repro.net.basestation import BaseStation
 from repro.net.dpi import DPIInspector
 from repro.net.flows import VideoFlow
-from repro.net.slicing import ResourceSlicer
 
 __all__ = [
     "SlotObservation",
@@ -105,9 +105,9 @@ class SlotObservation:
 class BatchSlotObservation(SlotObservation):
     """A :class:`SlotObservation` over R run-stacked row segments.
 
-    The batch engine (:mod:`repro.sim.batch`) folds R shape-compatible
-    runs into one ``(R*N,)`` row space; every per-user array above
-    covers all R runs, with run ``r`` owning rows
+    The slot loop (:func:`repro.sim.engine.run_segments`) folds R > 1
+    shape-compatible runs into one ``(R*N,)`` row space; every per-user
+    array above covers all R runs, with run ``r`` owning rows
     ``run_offsets[r]:run_offsets[r+1]``.  The scalar ``unit_budget`` /
     ``capacity_kbps`` fields hold cross-run aggregates (sums) for
     display only — constraint enforcement is per run through
@@ -121,10 +121,6 @@ class BatchSlotObservation(SlotObservation):
     run_unit_budgets: np.ndarray | None = None
     #: ``(R,)`` float per-run video-slice capacity S(n), KB/s.
     run_capacity_kbps: np.ndarray | None = None
-
-    @property
-    def n_runs(self) -> int:
-        return 0 if self.run_offsets is None else int(self.run_offsets.shape[0] - 1)
 
 
 class DataReceiver:
@@ -205,85 +201,33 @@ class InformationCollector:
         flows: list[VideoFlow],
         fleet,
         bs: BaseStation,
-        slicer: ResourceSlicer,
-        throughput_model,
-        power_model,
+        link_row: np.ndarray,
+        p_row: np.ndarray,
         idle_tail_cost_mj: np.ndarray,
+        capacity_kbps: np.ndarray,
+        unit_budget: np.ndarray,
+        run_offsets: np.ndarray,
         arena,
         joined: np.ndarray | None = None,
         departed: np.ndarray | None = None,
     ) -> SlotObservation:
-        """The slot's observation, read from a
-        :class:`~repro.media.fleet.ClientFleet`.
+        """The slot's observation over ``R`` run segments of ``fleet``.
+
+        ``capacity_kbps`` / ``unit_budget`` are the ``(R,)`` per-run
+        video-slice capacities and Eq. (2) budgets, and ``run_offsets``
+        the ``(R+1,)`` segment bounds.  ``link_row`` / ``p_row`` are the
+        slot's rows of the engine's precomputed Eq. (24) tables.  One
+        run (``R = 1``) gets a plain :class:`SlotObservation`; ``R > 1``
+        a :class:`BatchSlotObservation` carrying the per-run budgets.
 
         No per-user Python loops: client feedback comes straight from
         the fleet's state arrays and the DPI rates from its vectorized
-        profile lookup.  The per-user observation arrays are written
-        into the :class:`~repro.kernels.arena.SlotArena`'s reused
-        buffers — zero array allocations per slot — so the observation
-        is only valid until the next ``collect_fleet`` call overwrites
-        them.  ``buffer_s`` needs no copy because the fleet rebinds
-        (never mutates) its arrays.
-        """
-        n = fleet.n_users
-        sig = np.asarray(sig_row, dtype=float)
-        if len(flows) != n or sig.shape != (n,):
-            raise SimulationError("inconsistent per-user array lengths")
-        rates = self.dpi.observed_rates_kbps(flows, fleet.rates_for_slot(slot))
-        raw_cap = bs.capacity_kbps(slot)
-        video_cap = slicer.video_capacity_kbps(raw_cap, slot)
-        unit_budget = int(np.floor(bs.tau_s * video_cap / bs.delta_kb))
-        link_units = throughput_model.max_units(
-            sig, bs.tau_s, bs.delta_kb, out=arena.link_units, scratch=arena.f8_tmp
-        )
-        p_mj_per_kb = power_model.p(sig, out=arena.p_mj_per_kb, scratch=arena.f8_tmp)
-        active = fleet.active_mask_into(slot, arena.active, arena.f8_tmp, arena.b1_tmp)
-        remaining = fleet.remaining_into(arena.remaining_kb)
-        receivable = fleet.receivable_into(slot, arena.receivable_kb, arena.b1_tmp)
-        return SlotObservation(
-            slot=slot,
-            tau_s=bs.tau_s,
-            delta_kb=bs.delta_kb,
-            capacity_kbps=video_cap,
-            unit_budget=unit_budget,
-            sig_dbm=sig,
-            rate_kbps=rates,
-            link_units=link_units,
-            p_mj_per_kb=p_mj_per_kb,
-            active=active,
-            buffer_s=fleet.buffer_occupancy_s,
-            remaining_kb=remaining,
-            idle_tail_cost_mj=np.asarray(idle_tail_cost_mj, dtype=float),
-            receivable_kb=receivable,
-            joined=joined,
-            departed=departed,
-        )
-
-    def collect_fleet_batch(
-        self,
-        slot: int,
-        sig_row: np.ndarray,
-        flows: list[VideoFlow],
-        fleet,
-        bs: BaseStation,
-        link_row: np.ndarray,
-        p_row: np.ndarray,
-        idle_tail_cost_mj: np.ndarray,
-        run_offsets: np.ndarray,
-        run_unit_budgets: np.ndarray,
-        run_capacity_kbps: np.ndarray,
-        arena,
-    ) -> BatchSlotObservation:
-        """:meth:`collect_fleet` over a run-stacked fleet.
-
-        The per-run BS capacities and unit budgets arrive precomputed
-        (the batch engine derives them once per slot from each run's
-        capacity model and slicer), and the link/power columns come
-        from the batch's precomputed Eq. (24) tables — ``link_row`` /
-        ``p_row`` are contiguous per-slot views of those tables, with
-        values bit-identical to the per-slot model evaluation the
-        serial arena path performs.  Client feedback reads the stacked
-        fleet exactly like the serial path reads a single-run fleet.
+        profile lookup.  The fleet-derived observation arrays are
+        written into the :class:`~repro.kernels.arena.SlotArena`'s
+        reused buffers — zero array allocations per slot — so the
+        observation is only valid until the next ``collect_fleet`` call
+        overwrites them.  ``buffer_s`` needs no copy because the fleet
+        rebinds (never mutates) its arrays.
         """
         n = fleet.n_users
         sig = np.asarray(sig_row, dtype=float)
@@ -293,12 +237,10 @@ class InformationCollector:
         active = fleet.active_mask_into(slot, arena.active, arena.f8_tmp, arena.b1_tmp)
         remaining = fleet.remaining_into(arena.remaining_kb)
         receivable = fleet.receivable_into(slot, arena.receivable_kb, arena.b1_tmp)
-        return BatchSlotObservation(
+        fields = dict(
             slot=slot,
             tau_s=bs.tau_s,
             delta_kb=bs.delta_kb,
-            capacity_kbps=float(run_capacity_kbps.sum()),
-            unit_budget=int(run_unit_budgets.sum()),
             sig_dbm=sig,
             rate_kbps=rates,
             link_units=link_row,
@@ -308,9 +250,23 @@ class InformationCollector:
             remaining_kb=remaining,
             idle_tail_cost_mj=np.asarray(idle_tail_cost_mj, dtype=float),
             receivable_kb=receivable,
+            joined=joined,
+            departed=departed,
+        )
+        if unit_budget.shape[0] == 1:
+            return SlotObservation(
+                capacity_kbps=float(capacity_kbps[0]),
+                unit_budget=int(unit_budget[0]),
+                **fields,
+            )
+        # The scalar fields hold cross-run sums, for display only.
+        return BatchSlotObservation(
+            capacity_kbps=float(capacity_kbps.sum()),
+            unit_budget=int(unit_budget.sum()),
             run_offsets=run_offsets,
-            run_unit_budgets=run_unit_budgets,
-            run_capacity_kbps=run_capacity_kbps,
+            run_unit_budgets=unit_budget,
+            run_capacity_kbps=capacity_kbps,
+            **fields,
         )
 
 
@@ -361,13 +317,11 @@ class Gateway:
         scheduler,
         bs: BaseStation,
         n_users: int,
-        slicer: ResourceSlicer | None = None,
         dpi: DPIInspector | None = None,
         fetch_ahead_kb: float = float("inf"),
     ):
         self.scheduler = scheduler
         self.bs = bs
-        self.slicer = slicer if slicer is not None else ResourceSlicer()
         self.receiver = DataReceiver(n_users, fetch_ahead_kb)
         self.collector = InformationCollector(dpi)
         self.transmitter = DataTransmitter()
@@ -381,21 +335,27 @@ class Gateway:
         sig_row: np.ndarray,
         flows: list[VideoFlow],
         fleet,
-        throughput_model,
-        power_model,
+        link_row: np.ndarray,
+        p_row: np.ndarray,
         idle_tail_cost_mj: np.ndarray,
+        capacity_kbps: np.ndarray,
+        unit_budget: np.ndarray,
+        run_offsets: np.ndarray,
         arena,
         instrumentation=None,
         joined_mask: np.ndarray | None = None,
         departed_mask: np.ndarray | None = None,
         stall_mask: np.ndarray | None = None,
     ) -> tuple[SlotObservation, np.ndarray, np.ndarray]:
-        """Run one slot of the framework for one run.
+        """Run one slot of the framework over ``R`` run segments.
 
         Returns ``(observation, allocation_units, delivered_kb)``.
         Client state comes from the :class:`~repro.media.fleet.ClientFleet`
         ``fleet``; observation arrays and transmit scratch are written
-        into the :class:`~repro.kernels.arena.SlotArena` ``arena``.
+        into the :class:`~repro.kernels.arena.SlotArena` ``arena``; the
+        remaining arguments are :meth:`InformationCollector.collect_fleet`'s.
+        The delivery and receiver chains are row-elementwise, so one
+        transmit covers every segment.
 
         With an :class:`~repro.obs.instrument.Instrumentation` bundle
         attached, the observe/schedule/transmit phases are timed
@@ -413,59 +373,31 @@ class Gateway:
             flows,
             fleet,
             self.bs,
-            self.slicer,
-            throughput_model,
-            power_model,
+            link_row,
+            p_row,
             idle_tail_cost_mj,
+            capacity_kbps,
+            unit_budget,
+            run_offsets,
             arena,
             joined=joined_mask,
             departed=departed_mask,
         )
-        return self._schedule_transmit(obs, fleet, arena, timers, t0, stall_mask)
-
-    def step_batch(
-        self,
-        slot: int,
-        sig_row: np.ndarray,
-        flows: list[VideoFlow],
-        fleet,
-        link_row: np.ndarray,
-        p_row: np.ndarray,
-        idle_tail_cost_mj: np.ndarray,
-        run_offsets: np.ndarray,
-        run_unit_budgets: np.ndarray,
-        run_capacity_kbps: np.ndarray,
-        arena,
-        instrumentation=None,
-    ) -> tuple[BatchSlotObservation, np.ndarray, np.ndarray]:
-        """:meth:`step` over a run-stacked fleet.
-
-        One observe/schedule/transmit cycle covers all R runs: the
-        collector builds a segment-aware
-        :class:`BatchSlotObservation`, the (batch-adapted) scheduler
-        allocates every run, and the transmitter delivers through the
-        stacked fleet — the delivery/receiver chains are row-elementwise,
-        so :meth:`DataTransmitter.transmit_fleet` is already
-        segment-transparent.  Phase timing is :meth:`step`'s (one
-        profiler sample per phase per slot for the whole batch).
-        """
-        timers = self._timers(instrumentation)
-        t0 = perf_counter() if timers is not None else 0.0
-        obs = self.collector.collect_fleet_batch(
-            slot,
-            sig_row,
-            flows,
-            fleet,
-            self.bs,
-            link_row,
-            p_row,
-            idle_tail_cost_mj,
-            run_offsets,
-            run_unit_budgets,
-            run_capacity_kbps,
-            arena,
+        self.receiver.refill(obs.remaining_kb)
+        if timers is not None:
+            rec_observe, rec_schedule, rec_transmit = timers
+            t1 = perf_counter()
+            rec_observe(t1 - t0)
+        phi = np.asarray(self.scheduler.allocate(obs))
+        if timers is not None:
+            t2 = perf_counter()
+            rec_schedule(t2 - t1)
+        delivered_kb = self.transmitter.transmit_fleet(
+            phi, obs, self.receiver, fleet, arena, stall_mask=stall_mask
         )
-        return self._schedule_transmit(obs, fleet, arena, timers, t0)
+        if timers is not None:
+            rec_transmit(perf_counter() - t2)
+        return obs, phi, delivered_kb
 
     def _timers(self, instrumentation):
         """The observe/schedule/transmit sample appenders, or ``None``.
@@ -489,22 +421,3 @@ class Gateway:
                 profiler.samples("transmit").append,
             )
         return cache[1:]
-
-    def _schedule_transmit(self, obs, fleet, arena, timers, t0, stall_mask=None):
-        """Refill, schedule and transmit one collected observation; the
-        observe phase (started at ``t0``) ends once the receiver refills."""
-        self.receiver.refill(obs.remaining_kb)
-        if timers is not None:
-            rec_observe, rec_schedule, rec_transmit = timers
-            t1 = perf_counter()
-            rec_observe(t1 - t0)
-        phi = np.asarray(self.scheduler.allocate(obs))
-        if timers is not None:
-            t2 = perf_counter()
-            rec_schedule(t2 - t1)
-        delivered_kb = self.transmitter.transmit_fleet(
-            phi, obs, self.receiver, fleet, arena, stall_mask=stall_mask
-        )
-        if timers is not None:
-            rec_transmit(perf_counter() - t2)
-        return obs, phi, delivered_kb

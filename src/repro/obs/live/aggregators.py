@@ -8,7 +8,8 @@ its slot loop without retaining history, which is what makes watching a
   slots/sec);
 * :class:`Welford` — numerically stable online mean/variance;
 * :class:`P2Quantile` — the Jain & Chlamtac P² streaming quantile
-  estimator (five markers per tracked quantile, no samples kept);
+  estimator (exact over its first 64 samples, then five markers per
+  tracked quantile and no samples kept);
 * :class:`StreamStat` — the composite the live plane keeps per channel
   (count/last/min/max + Welford + a P² sketch per tracked quantile).
 
@@ -18,6 +19,7 @@ property-tests it against exact percentiles on random streams.
 
 from __future__ import annotations
 
+import bisect
 import math
 
 import numpy as np
@@ -113,9 +115,20 @@ class P2Quantile:
     Tracks one quantile ``q`` in (0, 1) with five markers whose heights
     approximate the ``(0, q/2, q, (1+q)/2, 1)`` quantiles; marker
     positions are adjusted toward their desired positions with
-    piecewise-parabolic (falling back to linear) interpolation.  Exact
-    until five samples arrive.
+    piecewise-parabolic (falling back to linear) interpolation.
+
+    Exact until :attr:`EXACT_SAMPLES` samples arrive: they are kept
+    sorted and :attr:`value` is their linearly interpolated percentile
+    (numpy's default).  The sample that fills the buffer seeds the five
+    markers with the sorted sample's order statistics at their desired
+    ranks.  Seeding from five samples, as the original algorithm does,
+    lets a few early outliers pull the interior markers off the data on
+    short or heavily tied streams (37 zeros, 3 ones, then 10 zeros put
+    the five-sample q = 0.9 estimate at 0.21, against an exact 0).
     """
+
+    #: Samples kept (sorted) before the markers take over.
+    EXACT_SAMPLES = 64
 
     __slots__ = ("q", "_n", "_heights", "_pos", "_desired", "_incr")
 
@@ -125,8 +138,9 @@ class P2Quantile:
         self.q = float(q)
         self._n = 0
         self._heights: list[float] = []
-        self._pos = [1.0, 2.0, 3.0, 4.0, 5.0]
-        self._desired = [1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q, 3.0 + 2.0 * q, 5.0]
+        # Marker state is set by _seed once the exact buffer is full.
+        self._pos: list[float] = []
+        self._desired: list[float] = []
         self._incr = [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0]
 
     @property
@@ -139,9 +153,10 @@ class P2Quantile:
         # Local aliases: this runs once per engine slot per sketch, so
         # attribute lookups are hoisted out of the marker arithmetic.
         h = self._heights
-        if len(h) < 5:
-            h.append(value)
-            h.sort()
+        if not self._pos:
+            bisect.insort(h, value)
+            if self._n == self.EXACT_SAMPLES:
+                self._seed()
             return
         pos = self._pos
         desired = self._desired
@@ -188,18 +203,23 @@ class P2Quantile:
         this loop is what keeps the plane inside its <3% engine
         overhead budget (``benchmarks/bench_kernels.py``).
         """
-        h = self._heights
         n_new = len(values)
         if not n_new:
             return
         i0 = 0
-        while len(h) < 5 and i0 < n_new:  # exact until five samples
-            h.append(values[i0])
-            h.sort()
-            i0 += 1
-            self._n += 1
-        if i0 == n_new:
-            return
+        if not self._pos:
+            # Still exact: a stable sort of the grown buffer orders ties
+            # by arrival, as bisect.insort in add does.
+            i0 = min(n_new, self.EXACT_SAMPLES - self._n)
+            self._heights.extend(float(v) for v in values[:i0])
+            self._heights.sort()
+            self._n += i0
+            if self._n < self.EXACT_SAMPLES:
+                return
+            self._seed()
+            if i0 == n_new:
+                return
+        h = self._heights
         pos = self._pos
         desired = self._desired
         inc1, inc2, inc3 = self._incr[1], self._incr[2], self._incr[3]
@@ -305,6 +325,21 @@ class P2Quantile:
         desired[1], desired[2], desired[3], desired[4] = d1, d2, d3, d4
         self._n += n_new - i0
 
+    def _seed(self) -> None:
+        """Replace the full sorted buffer with the five P² markers."""
+        x = self._heights
+        n = len(x)
+        desired = [1.0 + (n - 1) * inc for inc in self._incr]
+        pos = [1.0]
+        for i in (1, 2, 3):
+            # Nearest whole rank, kept strictly increasing.
+            rank = min(max(round(desired[i]), pos[-1] + 1.0), n - 4.0 + i)
+            pos.append(float(rank))
+        pos.append(float(n))
+        self._heights = [x[int(p) - 1] for p in pos]
+        self._pos = pos
+        self._desired = desired
+
     def _parabolic(self, i: int, step: float) -> float:
         p, h = self._pos, self._heights
         return h[i] + step / (p[i + 1] - p[i - 1]) * (
@@ -321,14 +356,17 @@ class P2Quantile:
     @property
     def value(self) -> float:
         """The current quantile estimate (NaN before any sample)."""
-        n = len(self._heights)
-        if n == 0:
+        h = self._heights
+        if not h:
             return float("nan")
-        if n < 5:
-            # Exact nearest-rank on the few samples seen so far.
-            rank = max(1, math.ceil(self.q * n))
-            return self._heights[rank - 1]
-        return self._heights[2]
+        if self._pos:
+            return h[2]
+        # Linear interpolation between the two nearest order statistics.
+        at = self.q * (len(h) - 1)
+        lo = math.floor(at)
+        if lo + 1 == len(h):
+            return h[lo]
+        return h[lo] + (at - lo) * (h[lo + 1] - h[lo])
 
 
 class StreamStat:

@@ -1,16 +1,18 @@
 """Run-stacked batch execution: R compatible runs, one slot loop.
 
 Every figure in the paper aggregates many *independent* runs — seeds,
-sweep points, calibration grids.  The serial path pays the full
-per-slot Python cost (engine loop, gateway dispatch, kernel launch)
-once per run; :func:`run_batch` instead stacks R shape-compatible runs
-into a single ``(R*N,)``-row :class:`~repro.media.fleet.ClientFleet` /
-:class:`~repro.radio.rrc.RRCFleet` with a per-run segment table and
-executes ONE slot loop for all R runs, splitting per-run
-:class:`~repro.sim.results.SimulationResult` objects at the end.
+sweep points, calibration grids.  Run one by one, each pays the full
+per-slot Python cost (engine loop, gateway dispatch, kernel launch);
+:func:`run_batch` instead stacks R shape-compatible runs as row
+segments of the engine's one slot loop
+(:func:`~repro.sim.engine.run_segments`): a single ``(R*N,)``-row
+:class:`~repro.media.fleet.ClientFleet` /
+:class:`~repro.radio.rrc.RRCFleet` with a per-run segment table, split
+into per-run :class:`~repro.sim.results.SimulationResult` objects at
+the end.  A single run is the same loop with ``R = 1``.
 
-The contract is **bit-identity** with the serial path (guarded by
-``tests/integration/test_batch_equivalence.py``).  It holds because:
+The contract is **bit-identity** with running each task alone (guarded
+by ``tests/integration/test_batch_equivalence.py``).  It holds because:
 
 * every fleet/RRC/arena/receiver operation in the slot pipeline is
   row-elementwise, so the run axis rides the row axis for free;
@@ -18,33 +20,32 @@ The contract is **bit-identity** with the serial path (guarded by
   ``check_constraints`` / ``clip_to_constraints``, RTMA's rounds, and
   EMA's knapsack DP — are made segment-aware (per-run budgets via
   :class:`~repro.net.gateway.BatchSlotObservation`, the
-  ``rtma_rounds_batch`` / ``ema_dp_batch`` kernels);
+  ``rtma_rounds_batch`` / ``ema_dp_batch`` kernels, and the scheduler
+  adapters below);
 * reductions feeding results and metrics run on *contiguous* per-run
-  copies, so NumPy's pairwise summation order matches the serial one;
-* the Eq. (24) link/power tables are precomputed for all runs in one
-  vectorized 2-D pass using the models' ``out=``-path (the same ufunc
-  chain the serial arena path evaluates per slot).
+  copies, so NumPy's pairwise summation order matches a lone run's;
+* the Eq. (24) link/power tables and Eq. (2) budget tables are built
+  the same way for every ``R``.
 
 Compatibility: stacked runs must share ``n_users``, ``n_slots``,
 ``tau_s``, ``delta_kb``, ``buffer_capacity_s``, ``fetch_ahead_kb``,
 the radio profile, the kernel backend, and the scheduler *type*; BS
 capacity, background traffic, seeds, signal models, and per-run
 scheduler parameters (RTMA thresholds, EMA ``V``) may differ.
-Dynamic-lifecycle runs (arrivals/admission) cannot be stacked.
+Dynamic-lifecycle (churn) runs and fault plans cannot be stacked.
 :func:`batch_incompatibility` is the single oracle — the executor uses
 it to decide which consecutive tasks may share a batch.
 
-Instrumentation: batches run with metrics, the phase profiler, and
+Instrumentation: stacks run with metrics, the phase profiler, and
 span recording (one profiler sample per phase per slot covers the
-whole batch; per-run counters are derived after the loop by the serial
-engine's own :func:`~repro.sim.engine.record_run_metrics`).  Per-slot trace events and the live
-telemetry plane need per-run slot streams, so :meth:`BatchPlan.run`
-transparently falls back to the serial engine when either is attached.
+whole stack; per-run counters are derived after the loop by
+:func:`~repro.sim.engine.record_run_metrics`).  Per-slot trace events
+and the live telemetry plane need each run's own slot stream, so
+:meth:`BatchPlan.run` runs every task as a one-segment loop when either
+is attached.
 """
 
 from __future__ import annotations
-
-from time import perf_counter
 
 import numpy as np
 
@@ -53,30 +54,16 @@ from repro.baselines.estreamer import EStreamerScheduler
 from repro.baselines.onoff import OnOffScheduler
 from repro.baselines.salsa import SalsaScheduler
 from repro.baselines.throttling import ThrottlingScheduler
-from repro.core.allocation import check_constraints
 from repro.core.ema import EMAScheduler
 from repro.core.lyapunov import VirtualQueues
 from repro.core.rtma import RTMAScheduler
 from repro.core.scheduler import Scheduler
-from repro.errors import ConfigurationError, SimulationError
-from repro.kernels import SlotArena, use_backend
+from repro.errors import ConfigurationError
+from repro.faults import current_fault_plan
 from repro.kernels import registry as kernel_registry
-from repro.media.fleet import ClientFleet
-from repro.net.basestation import BaseStation, ConstantCapacity
-from repro.net.gateway import Gateway, SlotObservation
-from repro.net.slicing import ResourceSlicer
+from repro.net.gateway import SlotObservation
 from repro.obs.instrument import Instrumentation, current_instrumentation
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.spans import activate_spans
-from repro.radio.rrc import RRCFleet
-from repro.sim.engine import (
-    SPAN_BLOCK_SLOTS,
-    Simulation,
-    abort_run,
-    phase_recorders,
-    record_run_metrics,
-    slot_spans,
-)
+from repro.sim.engine import Simulation, run_segments
 from repro.sim.results import SimulationResult
 from repro.sim.workload import resolve_workload
 
@@ -95,8 +82,6 @@ _COMPAT_FIELDS = (
     "fetch_ahead_kb",
     "profile",
     "kernel_backend",
-    "arrival_process",
-    "admission",
 )
 
 #: Baseline schedulers whose ``allocate`` is purely row-elementwise
@@ -123,23 +108,21 @@ def batch_incompatibility(tasks) -> str | None:
     tasks = list(tasks)
     if not tasks:
         return "empty task list"
-    cfg0 = tasks[0].config
+    if len(tasks) == 1:
+        # A single task is always fine: it *is* a one-segment loop.
+        return None
+    # Churn (a growable, recycled row space) and fault plans (per-run
+    # injections) are one-segment features of the slot loop.
     for t in tasks:
         if t.config.has_churn:
             return "dynamic session lifecycle (arrivals/admission) cannot be stacked"
-    if len(tasks) > 1:
-        # Fault plans thread through the *serial* engine only; letting
-        # a faulted run into the stacked loop would silently drop its
-        # injections.  Single-task plans are fine — BatchPlan runs
-        # singletons through the serial engine anyway.
-        from repro.faults import current_fault_plan
-
-        for t in tasks:
-            if t.config.faults is not None and not t.config.faults.is_empty:
-                return "fault plan attached (faults need the serial engine)"
-        ambient = current_fault_plan()
-        if ambient is not None and not ambient.is_empty:
-            return "ambient fault plan active (faults need the serial engine)"
+    for t in tasks:
+        if t.config.faults is not None and not t.config.faults.is_empty:
+            return "fault plan attached (faults need a one-segment loop)"
+    ambient = current_fault_plan()
+    if ambient is not None and not ambient.is_empty:
+        return "ambient fault plan active (faults need a one-segment loop)"
+    cfg0 = tasks[0].config
     for name in _COMPAT_FIELDS:
         v0 = getattr(cfg0, name)
         for t in tasks[1:]:
@@ -149,10 +132,8 @@ def batch_incompatibility(tasks) -> str | None:
     for t in tasks[1:]:
         if type(t.scheduler) is not s_type:
             return "scheduler types differ across runs"
-    if len(tasks) > 1:
-        seen_ids = {id(t.scheduler) for t in tasks}
-        if len(seen_ids) != len(tasks):
-            return "the same scheduler instance appears in multiple runs"
+    if len({id(t.scheduler) for t in tasks}) != len(tasks):
+        return "the same scheduler instance appears in multiple runs"
     return None
 
 
@@ -180,10 +161,11 @@ class BatchPlan:
             raise ConfigurationError(f"runs cannot be batched: {reason}")
         #: One metrics state per run, in task order, populated by a
         #: stacked instrumented execution (empty on uninstrumented or
-        #: serial-fallback runs).  Each state holds exactly the single
-        #: increment per counter a serial run would apply, so merging
-        #: them in task order — locally or across a process pool —
-        #: reproduces the serial registry bit-for-bit.
+        #: one-segment runs, which record straight into the bundle).
+        #: Each state holds exactly the single increment per counter a
+        #: lone run would apply, so merging them in task order — locally
+        #: or across a process pool — reproduces the run-by-run registry
+        #: bit-for-bit.
         self.run_metric_states: list[dict] = []
         self.workloads = [
             resolve_workload(t.config, getattr(t, "workload", None))
@@ -197,37 +179,26 @@ class BatchPlan:
     def run(
         self, instrumentation: Instrumentation | None = None
     ) -> list[SimulationResult]:
-        """Execute the batch (or fall back to serial when it must)."""
+        """Execute the batch: one stacked loop, or run by run when it must."""
         instr = (
             instrumentation
             if instrumentation is not None
             else current_instrumentation()
         )
         self.run_metric_states = []
-        if instr is not None and (instr.live is not None or instr.tracer.enabled):
-            # Per-slot trace events and live telemetry consume per-run
-            # slot streams a stacked loop cannot reproduce; run serially.
-            return self._run_serial(instr)
-        if len(self.tasks) == 1:
-            return self._run_serial(instr)
-        cfg = self.tasks[0].config
-        if cfg.kernel_backend is not None:
-            with use_backend(cfg.kernel_backend):
-                return self._dispatch(instr)
-        return self._dispatch(instr)
-
-    def _run_serial(self, instr: Instrumentation | None) -> list[SimulationResult]:
-        return [
-            Simulation(t.config, t.scheduler, wl, instrumentation=instr).run()
-            for t, wl in zip(self.tasks, self.workloads)
-        ]
-
-    def _dispatch(self, instr: Instrumentation | None) -> list[SimulationResult]:
-        spans = instr.spans if instr is not None else None
-        if spans is None:
-            return self._execute(instr)
-        with activate_spans(spans), spans.span("run"):
-            return self._execute(instr)
+        if len(self.tasks) == 1 or (
+            instr is not None and (instr.live is not None or instr.tracer.enabled)
+        ):
+            # Per-slot trace events and live telemetry consume a run's
+            # own slot stream, so each run is a one-segment loop.
+            return [
+                Simulation(t.config, t.scheduler, wl, instrumentation=instr).run()
+                for t, wl in zip(self.tasks, self.workloads)
+            ]
+        results, self.run_metric_states = run_segments(
+            self.tasks, self.workloads, instr, self._make_scheduler
+        )
+        return results
 
     # -- scheduler stacking ---------------------------------------------------
 
@@ -250,278 +221,6 @@ class BatchPlan:
         ):
             return s0
         return _SlicedBatch(scheds, run_offsets)
-
-    # -- the stacked slot loop ------------------------------------------------
-
-    def _execute(self, instr: Instrumentation | None) -> list[SimulationResult]:
-        tasks, workloads = self.tasks, self.workloads
-        cfg = tasks[0].config
-        radio = cfg.radio
-        n_runs = len(tasks)
-        n_per_run, gamma = cfg.n_users, cfg.n_slots
-        total = n_runs * n_per_run
-        run_offsets = np.arange(n_runs + 1, dtype=np.int64) * n_per_run
-
-        instrumented = instr is not None
-        spans = instr.spans if instrumented else None
-        spans_on = spans is not None
-        fold_spans = None
-        if instrumented:
-            _pc = perf_counter
-            rec_playback, rec_rrc, rec_feedback = phase_recorders(instr.profiler)
-            budgets_grid = np.zeros((gamma, n_runs), dtype=np.int64)
-        if spans_on:
-            rec_block, fold_spans = slot_spans(spans, instr.profiler)
-
-        scheduler = self._make_scheduler(run_offsets)
-        scheduler.reset()
-        scheduler.bind_instrumentation(instr)
-
-        flows_all = [f for wl in workloads for f in wl.flows]
-        fleet = ClientFleet(flows_all, cfg.tau_s, cfg.buffer_capacity_s)
-        arena = SlotArena(total)
-        bs = BaseStation(
-            ConstantCapacity(cfg.capacity_kbps), cfg.delta_kb, cfg.tau_s
-        )
-        gateway = Gateway(
-            scheduler, bs, total, fetch_ahead_kb=cfg.fetch_ahead_kb
-        )
-        rrc = RRCFleet(total, radio.rrc)
-
-        # Per-run Eq. (2) budgets through each run's own BS capacity
-        # model and slicer, evaluated with the serial scalar chain.
-        # Without background traffic both are slot-invariant, so one
-        # evaluation covers the horizon; otherwise precompute the
-        # (gamma, R) table up front (run-major so any stateful slicer
-        # sees its run's slots in serial order).
-        bss = [
-            BaseStation(
-                ConstantCapacity(t.config.capacity_kbps), cfg.delta_kb, cfg.tau_s
-            )
-            for t in tasks
-        ]
-        slicers = [
-            ResourceSlicer(t.config.background)
-            if t.config.background
-            else ResourceSlicer()
-            for t in tasks
-        ]
-        static_budget = all(t.config.background is None for t in tasks)
-        if static_budget:
-            run_caps = np.array(
-                [
-                    sl.video_capacity_kbps(b.capacity_kbps(0), 0)
-                    for sl, b in zip(slicers, bss)
-                ],
-                dtype=float,
-            )
-            run_budgets = np.floor(
-                cfg.tau_s * run_caps / cfg.delta_kb
-            ).astype(np.int64)
-        else:
-            cap_table = np.empty((gamma, n_runs), dtype=float)
-            for r, (sl, b) in enumerate(zip(slicers, bss)):
-                for slot in range(gamma):
-                    cap_table[slot, r] = sl.video_capacity_kbps(
-                        b.capacity_kbps(slot), slot
-                    )
-            budget_table = np.floor(
-                cfg.tau_s * cap_table / cfg.delta_kb
-            ).astype(np.int64)
-
-        # Stack the signal traces and precompute the Eq. (24) link and
-        # power tables for every run in one vectorized 2-D pass — this
-        # is also where the redundant per-seed fit-constant evaluation
-        # of the serial path collapses into a single call per batch.
-        # The out=-path is used on purpose: it is the exact ufunc chain
-        # the serial arena path evaluates per slot, so every table row
-        # is bitwise equal to the serial per-slot evaluation.
-        signal = np.concatenate(
-            [wl.signal_dbm[:gamma] for wl in workloads], axis=1
-        )
-        link_table = np.empty((gamma, total), dtype=np.int64)
-        p_table = np.empty((gamma, total), dtype=float)
-        scratch2d = np.empty((gamma, total), dtype=float)
-        radio.throughput.max_units(
-            signal, cfg.tau_s, cfg.delta_kb, out=link_table, scratch=scratch2d
-        )
-        radio.power.p(signal, out=p_table, scratch=scratch2d)
-        del scratch2d
-
-        alloc = np.zeros((gamma, total), dtype=np.int64)
-        delivered = np.zeros((gamma, total), dtype=float)
-        rebuf = np.zeros((gamma, total), dtype=float)
-        e_trans = np.zeros((gamma, total), dtype=float)
-        e_tail = np.zeros((gamma, total), dtype=float)
-        buffer_s = np.zeros((gamma, total), dtype=float)
-        need_kb = np.zeros((gamma, total), dtype=float)
-        active_rec = np.zeros((gamma, total), dtype=bool)
-        completion = np.full(total, -1, dtype=np.int64)
-        arrivals = np.array([f.arrival_slot for f in flows_all], dtype=np.int64)
-
-        if spans_on:
-            span_block_start = 0
-            _block_t0 = perf_counter()
-
-        slot = -1
-        try:
-            for slot in range(gamma):
-                # 1. Playback: Eq. (7)/(8) across all R runs at once.
-                if instrumented:
-                    _t0 = _pc()
-                fleet.begin_slot(slot, out=rebuf[slot])
-                newly_done = fleet.playback_complete_into(
-                    arena.b1_tmp, arena.f8_tmp, arena.tx_mask
-                )
-                np.less(completion, 0, out=arena.tx_mask)
-                np.logical_and(newly_done, arena.tx_mask, out=newly_done)
-                np.less_equal(arrivals, slot, out=arena.tx_mask)
-                np.logical_and(newly_done, arena.tx_mask, out=newly_done)
-                if newly_done.any():
-                    completion[newly_done] = slot
-                if instrumented:
-                    rec_playback(_pc() - _t0)
-
-                # 2-4. Observe, schedule, transmit (timed in the gateway).
-                idle_cost = rrc.expected_idle_cost_mj(
-                    cfg.tau_s, out=arena.idle_tail_cost_mj
-                )
-                if static_budget:
-                    run_caps_row = run_caps
-                    run_budgets_row = run_budgets
-                else:
-                    run_caps_row = cap_table[slot]
-                    run_budgets_row = budget_table[slot]
-                obs, phi, sent_kb = gateway.step_batch(
-                    slot,
-                    signal[slot],
-                    flows_all,
-                    fleet,
-                    link_table[slot],
-                    p_table[slot],
-                    idle_cost,
-                    run_offsets,
-                    run_budgets_row,
-                    run_caps_row,
-                    arena,
-                    instrumentation=instr,
-                )
-                check_constraints(phi, obs)
-                np.multiply(phi, cfg.delta_kb, out=arena.f8_tmp)
-                np.add(arena.f8_tmp, 1e-9, out=arena.f8_tmp)
-                np.greater(sent_kb, arena.f8_tmp, out=arena.b1_tmp)
-                if arena.b1_tmp.any():
-                    raise SimulationError(
-                        f"slot {slot}: delivered more than allocated"
-                    )
-
-                # 5. Radio energy accounting (Eq. 5: trans XOR tail).
-                if instrumented:
-                    _t0 = _pc()
-                tx_mask = np.greater(sent_kb, 0.0, out=arena.tx_mask)
-                np.multiply(obs.p_mj_per_kb, sent_kb, out=e_trans[slot])
-                rrc.step(tx_mask, cfg.tau_s, out=e_tail[slot])
-                if instrumented:
-                    rec_rrc(_pc() - _t0)
-
-                # 6. Scheduler feedback.
-                if instrumented:
-                    _t0 = _pc()
-                scheduler.notify(obs, phi, sent_kb)
-                if instrumented:
-                    rec_feedback(_pc() - _t0)
-
-                alloc[slot] = phi
-                delivered[slot] = sent_kb
-                buffer_s[slot] = obs.buffer_s
-                np.multiply(obs.rate_kbps, cfg.tau_s, out=need_kb[slot])
-                active_rec[slot] = obs.active
-
-                if instrumented:
-                    budgets_grid[slot] = run_budgets_row
-                if spans_on and (
-                    slot - span_block_start + 1 >= SPAN_BLOCK_SLOTS
-                    or slot == gamma - 1
-                ):
-                    rec_block(_pc() - _block_t0)
-                    span_block_start = slot + 1
-                    _block_t0 = _pc()
-        except BaseException as exc:
-            if instrumented:
-                abort_run(instr, exc, slot, fold_spans, f"batch of {n_runs} runs")
-            raise
-
-        if spans_on:
-            fold_spans()
-
-        if not np.all(np.isfinite(e_trans)):
-            raise SimulationError("non-finite transmission energy recorded")
-
-        # Split per-run results in task order.  Each grid slice is
-        # copied C-contiguous before any reduction, so NumPy's pairwise
-        # summation visits exactly the elements (in exactly the layout)
-        # a serial run would reduce — sums, summaries, and the derived
-        # metric counters match the serial path bit-for-bit.
-        results: list[SimulationResult] = []
-        phase_timings = instr.profiler.summary() if instrumented else None
-        for r, task in enumerate(tasks):
-            lo = int(run_offsets[r])
-            hi = int(run_offsets[r + 1])
-            alloc_r = np.ascontiguousarray(alloc[:, lo:hi])
-            delivered_r = np.ascontiguousarray(delivered[:, lo:hi])
-            rebuf_r = np.ascontiguousarray(rebuf[:, lo:hi])
-            e_trans_r = np.ascontiguousarray(e_trans[:, lo:hi])
-            e_tail_r = np.ascontiguousarray(e_tail[:, lo:hi])
-            buffer_r = np.ascontiguousarray(buffer_s[:, lo:hi])
-            need_r = np.ascontiguousarray(need_kb[:, lo:hi])
-            active_r = np.ascontiguousarray(active_rec[:, lo:hi])
-            if instrumented:
-                # Each run's registry accounting goes into its own
-                # fresh registry, merged into the live bundle in task
-                # order.  Every counter receives exactly one increment
-                # per run (as in the serial engine), so the merged
-                # parent registry — here, or across a process pool
-                # shipping these states home — equals the serially
-                # populated one bit-for-bit.
-                reg = MetricsRegistry()
-                record_run_metrics(
-                    reg, cfg, alloc_r, delivered_r, e_trans_r, e_tail_r,
-                    np.ascontiguousarray(budgets_grid[:, r]),
-                )
-                if r == 0:
-                    reg.counter("batch.runs").inc(n_runs)
-                    reg.counter("batch.slots").inc(gamma)
-                if r == n_runs - 1:
-                    # Scheduler adapters publish their final gauge
-                    # state (e.g. EMA's virtual queues) into the last
-                    # run's registry — gauges are last-write-wins, so
-                    # the merged value matches a serial run sequence.
-                    finalize = getattr(scheduler, "finalize_batch", None)
-                    if finalize is not None:
-                        finalize(reg)
-                state = reg.state()
-                self.run_metric_states.append(state)
-                instr.metrics.merge_state(state)
-            results.append(
-                SimulationResult(
-                    scheduler_name=getattr(
-                        task.scheduler, "name", type(task.scheduler).__name__
-                    ),
-                    config=task.config,
-                    allocation_units=alloc_r,
-                    delivered_kb=delivered_r,
-                    rebuffering_s=rebuf_r,
-                    energy_trans_mj=e_trans_r,
-                    energy_tail_mj=e_tail_r,
-                    buffer_s=buffer_r,
-                    need_kb=need_r,
-                    active=active_r,
-                    completion_slot=completion[lo:hi].copy(),
-                    arrival_slot=arrivals[lo:hi].copy(),
-                    phase_timings=phase_timings,
-                )
-            )
-        return results
 
 
 # -- scheduler adapters -------------------------------------------------------

@@ -18,14 +18,21 @@ Each slot runs the paper's pipeline in order:
 6. **Feedback** — the scheduler's ``notify`` hook sees the delivered
    amounts (EMA updates its virtual queues here).
 
-One slot loop serves every population.  Without churn
-(:attr:`~repro.sim.config.SimConfig.has_churn` false) the fleet's row
-space *is* the workload's session space, fixed at construction, and
-each slot writes straight into the session-keyed result grids.  With
-churn, a :class:`~repro.sim.sessions.SessionManager` admits arrivals
-into a growable row space at slot start, retires completed sessions at
-slot end, and each slot's row-space vectors are scattered into the
-session grids through its ``row -> session`` map.
+One slot loop serves every run.  :func:`run_segments` stacks ``R >= 1``
+runs as row segments of one fleet: a single run (every
+:meth:`Simulation.run`, and every run that must run alone) is the
+``R = 1`` case, and :mod:`repro.sim.batch` stacks ``R > 1``
+batch-compatible runs.  The set-up is the same for both: per-run
+Eq. (2) budget tables from each run's capacity model and slicer, the
+Eq. (24) link/power tables computed once from the fault-applied signal
+trace, and a per-run split of the result grids at the end.  Without
+churn (:attr:`~repro.sim.config.SimConfig.has_churn` false) the fleet's
+row space *is* the runs' session space, fixed at construction, and each
+slot writes straight into the session-keyed result grids.  With churn
+(``R = 1`` only), a :class:`~repro.sim.sessions.SessionManager` admits
+arrivals into a growable row space at slot start, retires completed
+sessions at slot end, and each slot's row-space vectors are scattered
+into the session grids through its ``row -> session`` map.
 
 The engine is deliberately strict: it asserts conservation invariants
 as it goes (delivered bytes never exceed capacity or session size) and
@@ -35,15 +42,16 @@ Observability: pass an :class:`~repro.obs.instrument.Instrumentation`
 bundle (or establish one ambiently with
 :func:`~repro.obs.instrument.use_instrumentation`) and the engine times
 every phase, counts slots/energy into the metrics registry, and emits
-one ``"slot"`` trace event per simulated slot.  Instrumentation is
-strictly observational — instrumented and plain runs are bit-identical.
-The set-up, span fold, abort path and metric derivation helpers below
-are shared with the run-stacked loop of :mod:`repro.sim.batch`.
+one ``"slot"`` trace event per simulated slot (per-slot traces and the
+live plane need a run's own slot stream, so they run with ``R = 1``).
+Instrumentation is strictly observational — instrumented and plain
+runs are bit-identical.
 """
 
 from __future__ import annotations
 
 import logging
+from contextlib import ExitStack
 from time import perf_counter
 
 import numpy as np
@@ -58,6 +66,7 @@ from repro.net.basestation import BaseStation, ConstantCapacity, FaultyCapacity
 from repro.net.gateway import Gateway
 from repro.net.slicing import ResourceSlicer
 from repro.obs.instrument import Instrumentation, current_instrumentation
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import SLOT_PREFIX, activate_spans
 from repro.radio.rrc import RRCFleet, fleet_occupancy_from_tx
 from repro.sim.config import SimConfig
@@ -65,7 +74,7 @@ from repro.sim.results import SimulationResult
 from repro.sim.sessions import INITIAL_CAPACITY, SessionManager
 from repro.sim.workload import Workload, resolve_workload
 
-__all__ = ["Simulation"]
+__all__ = ["Simulation", "run_segments"]
 
 log = logging.getLogger("repro.sim.engine")
 
@@ -85,6 +94,10 @@ _TRACED_SCHEDULER_PARAMS = (
 #: live plane's ``watch_every``) so block accounting costs the hot loop
 #: a single comparison per slot.
 SPAN_BLOCK_SLOTS = 64
+
+#: Signal a vacant churn row observes (its link/power columns are this
+#: signal's Eq. 24 values; vacant rows are inactive and get nothing).
+VACANT_SIG_DBM = -110.0
 
 #: The slot pipeline's phases, in order.
 SLOT_PHASES = ("playback", "observe", "schedule", "transmit", "rrc", "feedback")
@@ -280,470 +293,581 @@ class Simulation:
 
     def run(self) -> SimulationResult:
         """Execute the full horizon and return the result record."""
-        if self.config.kernel_backend is not None:
-            # The whole run — including scheduler.reset(), which clears
-            # cached kernel resolutions — executes under the configured
-            # backend.
-            with use_backend(self.config.kernel_backend):
-                return self._run()
-        return self._run()
-
-    def _run(self) -> SimulationResult:
         instr = (
             self.instrumentation
             if self.instrumentation is not None
             else current_instrumentation()
         )
-        spans = instr.spans if instr is not None else None
-        if spans is None:
-            return self._run_body(instr)
-        # Activate the recorder for the *whole* body — scheduler.reset()
-        # and the lazy fleet/RRC kernel resolutions all happen inside,
-        # so every registry-resolved kernel self-reports its span.
-        with activate_spans(spans), spans.span("run"):
-            return self._run_body(instr)
+        results, _ = run_segments([self], [self.workload], instr)
+        return results[0]
 
-    def _run_body(self, instr: Instrumentation | None) -> SimulationResult:
-        cfg = self.config
-        radio = cfg.radio
-        n, gamma = cfg.n_users, cfg.n_slots
-        churn = cfg.has_churn
 
-        # Fault injection: a plan on the config wins; otherwise the
-        # ambient plan (repro-experiments --faults) applies.  With
-        # neither, every fault hook below compiles to the historical
-        # no-op path — bit-identical to the seed behaviour.
-        plan = cfg.faults if cfg.faults is not None else current_fault_plan()
-        faults_on = plan is not None and not plan.is_empty
+def run_segments(tasks, workloads, instr, stack_scheduler=None):
+    """Run ``R = len(tasks)`` runs as row segments of one slot loop.
 
-        instrumented = instr is not None
-        live = instr.live if instrumented else None
-        live_on = live is not None
-        spans = instr.spans if instrumented else None
-        spans_on = spans is not None
-        fold_spans = None
-        if instrumented:
-            tracer = instr.tracer
-            trace_on = tracer.enabled
-            _pc = perf_counter
-            rec_playback, rec_rrc, rec_feedback = phase_recorders(instr.profiler)
-            budgets = np.zeros(gamma, dtype=np.int64)
-        if spans_on:
-            rec_block, fold_spans = slot_spans(spans, instr.profiler)
+    ``tasks`` expose ``.config`` and ``.scheduler``; ``workloads`` are
+    their resolved workloads.  With ``R == 1`` the run's own scheduler
+    sees a plain :class:`~repro.net.gateway.SlotObservation`, and churn,
+    fault plans, per-slot traces and the live plane all apply.  With
+    ``R > 1`` the runs must be batch-compatible and untraced (see
+    :mod:`repro.sim.batch`): ``stack_scheduler(run_offsets)`` builds the
+    scheduler serving the stacked rows, which sees a
+    :class:`~repro.net.gateway.BatchSlotObservation`.
 
-        self.scheduler.reset()
-        self.scheduler.bind_instrumentation(instr)
-        flows = self.workload.flows
-        # Row space: the whole population without churn; otherwise a
-        # small capacity the session manager doubles on demand.
-        if churn:
-            rows = min(n, INITIAL_CAPACITY)
-            fleet = ClientFleet.with_capacity(rows, cfg.tau_s, cfg.buffer_capacity_s)
-        else:
-            rows = n
-            fleet = ClientFleet(flows, cfg.tau_s, cfg.buffer_capacity_s)
-        # All per-row observation/transmit buffers for the whole run;
-        # the slot loop allocates no array at steady state.
-        arena = SlotArena(rows)
-        rrc = RRCFleet(rows, radio.rrc)
-        cap_model = ConstantCapacity(cfg.capacity_kbps)
-        if faults_on and plan.capacity:
-            cap_model = FaultyCapacity(cap_model, plan.capacity_factors(gamma))
-        bs = BaseStation(cap_model, cfg.delta_kb, cfg.tau_s)
-        slicer = ResourceSlicer(cfg.background) if cfg.background else ResourceSlicer()
-        gateway = Gateway(
-            self.scheduler, bs, rows, slicer=slicer, fetch_ahead_kb=cfg.fetch_ahead_kb
+    Returns ``(results, run_metric_states)``: one result per run in
+    task order, and — for an instrumented ``R > 1`` loop — one metrics
+    state per run, already merged into the bundle in task order (a
+    single run records straight into the bundle and returns none).
+    """
+    backend = tasks[0].config.kernel_backend
+    spans = instr.spans if instr is not None else None
+    with ExitStack() as stack:
+        if backend is not None:
+            # The whole run — including scheduler.reset(), which clears
+            # cached kernel resolutions — executes under the configured
+            # backend.
+            stack.enter_context(use_backend(backend))
+        if spans is not None:
+            # Activate the recorder for the *whole* loop — scheduler
+            # reset and the lazy fleet/RRC kernel resolutions all happen
+            # inside, so every registry-resolved kernel self-reports.
+            stack.enter_context(activate_spans(spans))
+            stack.enter_context(spans.span("run"))
+        return _slot_loop(tasks, workloads, instr, stack_scheduler)
+
+
+def _eq24_tables(radio, sig_dbm: np.ndarray, tau_s: float, delta_kb: float):
+    """Eq. (24) link caps and per-KB energy for a whole signal array.
+
+    The models' ``out=``-path is the ufunc chain a per-slot evaluation
+    runs, and every op is elementwise, so each element is bitwise what
+    that slot's evaluation gives.
+    """
+    link = np.empty(sig_dbm.shape, dtype=np.int64)
+    p = np.empty(sig_dbm.shape, dtype=float)
+    scratch = np.empty(sig_dbm.shape, dtype=float)
+    radio.throughput.max_units(sig_dbm, tau_s, delta_kb, out=link, scratch=scratch)
+    radio.power.p(sig_dbm, out=p, scratch=scratch)
+    return link, p
+
+
+def _slot_loop(tasks, workloads, instr, stack_scheduler):
+    cfg = tasks[0].config
+    radio = cfg.radio
+    n_runs = len(tasks)
+    n, gamma = cfg.n_users, cfg.n_slots
+    total = n_runs * n
+    run_offsets = np.arange(n_runs + 1, dtype=np.int64) * n
+    churn = cfg.has_churn
+
+    # Fault injection: a plan on the config wins; otherwise the
+    # ambient plan (repro-experiments --faults) applies.  With
+    # neither, every fault hook below compiles to the historical
+    # no-op path — bit-identical to the seed behaviour.
+    plan = cfg.faults if cfg.faults is not None else current_fault_plan()
+    faults_on = plan is not None and not plan.is_empty
+
+    instrumented = instr is not None
+    live = instr.live if instrumented else None
+    live_on = live is not None
+    spans = instr.spans if instrumented else None
+    spans_on = spans is not None
+    fold_spans = None
+    if instrumented:
+        tracer = instr.tracer
+        trace_on = tracer.enabled
+        _pc = perf_counter
+        rec_playback, rec_rrc, rec_feedback = phase_recorders(instr.profiler)
+    if spans_on:
+        rec_block, fold_spans = slot_spans(spans, instr.profiler)
+
+    scheduler = tasks[0].scheduler if n_runs == 1 else stack_scheduler(run_offsets)
+    scheduler.reset()
+    scheduler.bind_instrumentation(instr)
+    flows = [f for wl in workloads for f in wl.flows]
+    # Row space: every run's whole population without churn; otherwise
+    # a small capacity the session manager doubles on demand.
+    if churn:
+        rows = min(n, INITIAL_CAPACITY)
+        fleet = ClientFleet.with_capacity(rows, cfg.tau_s, cfg.buffer_capacity_s)
+    else:
+        rows = total
+        fleet = ClientFleet(flows, cfg.tau_s, cfg.buffer_capacity_s)
+    # All per-row observation/transmit buffers for the whole run;
+    # the slot loop allocates no array at steady state.
+    arena = SlotArena(rows)
+    rrc = RRCFleet(rows, radio.rrc)
+    bs = BaseStation(ConstantCapacity(cfg.capacity_kbps), cfg.delta_kb, cfg.tau_s)
+    gateway = Gateway(scheduler, bs, rows, fetch_ahead_kb=cfg.fetch_ahead_kb)
+    if churn:
+        # Row-capacity alignment: stateful schedulers built for
+        # cfg.n_users shrink once here, before any state accrues.
+        scheduler.grow_users(rows)
+        mgr = SessionManager(flows, fleet, rrc, arena, gateway.receiver, scheduler)
+        policy = make_admission_policy(cfg)
+        policy.reset()
+        departure = np.full(n, -1, dtype=np.int64)
+
+    # Per-run Eq. (2) budgets through each run's own capacity model
+    # and slicer, with the scalar chain a slot evaluates.  Without
+    # background traffic or capacity faults both are slot-invariant and
+    # one evaluation covers the horizon; otherwise every slot is
+    # evaluated, run-major, so a stateful slicer sees its run's slots
+    # in order.
+    cap_models = [ConstantCapacity(t.config.capacity_kbps) for t in tasks]
+    varying = any(t.config.background is not None for t in tasks)
+    if faults_on and plan.capacity:
+        factors = plan.capacity_factors(gamma)
+        cap_models = [FaultyCapacity(m, factors) for m in cap_models]
+        varying = True
+    slicers = [
+        ResourceSlicer(t.config.background) if t.config.background else ResourceSlicer()
+        for t in tasks
+    ]
+    n_eval = gamma if varying else 1
+    cap_table = np.empty((n_eval, n_runs), dtype=float)
+    for r, (model, slicer) in enumerate(zip(cap_models, slicers)):
+        for slot in range(n_eval):
+            cap = model.capacity_kbps(slot)
+            cap_table[slot, r] = slicer.video_capacity_kbps(cap, slot)
+    budget_table = np.floor(cfg.tau_s * cap_table / cfg.delta_kb).astype(np.int64)
+    if not varying:
+        cap_table = np.broadcast_to(cap_table, (gamma, n_runs))
+        budget_table = np.broadcast_to(budget_table, (gamma, n_runs))
+
+    alloc = np.zeros((gamma, total), dtype=np.int64)
+    delivered = np.zeros((gamma, total), dtype=float)
+    rebuf = np.zeros((gamma, total), dtype=float)
+    e_trans = np.zeros((gamma, total), dtype=float)
+    e_tail = np.zeros((gamma, total), dtype=float)
+    buffer_s = np.zeros((gamma, total), dtype=float)
+    need_kb = np.zeros((gamma, total), dtype=float)
+    active_rec = np.zeros((gamma, total), dtype=bool)
+    completion = np.full(total, -1, dtype=np.int64)
+
+    if n_runs == 1:
+        signal = workloads[0].signal_dbm[:gamma]
+    else:
+        signal = np.concatenate([wl.signal_dbm[:gamma] for wl in workloads], axis=1)
+    stall_grid = outage_mask = stall_row = None
+    if faults_on:
+        # Blackouts are applied to a *copy* of the generated trace
+        # (the workload object itself is shared across schedulers
+        # and must stay pristine), and the stall/outage masks are
+        # precomputed once — the slot loop pays one row lookup.
+        # Windows name sessions; churn runs gather them into rows.
+        signal = plan.apply_signal(signal)
+        stall_grid = plan.stall_grid(gamma, n)
+        outage_mask = plan.outage_slot_mask(gamma)
+    # The Eq. (24) link/power tables for every run in one vectorized
+    # 2-D pass over the (fault-applied) signal; the loop reads a row.
+    link_table, p_table = _eq24_tables(radio, signal, cfg.tau_s, cfg.delta_kb)
+    if churn:
+        vacant_link, vacant_p = _eq24_tables(
+            radio, np.array([VACANT_SIG_DBM]), cfg.tau_s, cfg.delta_kb
         )
-        if churn:
-            # Row-capacity alignment: stateful schedulers built for
-            # cfg.n_users shrink once here, before any state accrues.
-            self.scheduler.grow_users(rows)
-            mgr = SessionManager(
-                flows, fleet, rrc, arena, gateway.receiver, self.scheduler
-            )
-            policy = make_admission_policy(cfg)
-            policy.reset()
-            departure = np.full(n, -1, dtype=np.int64)
+    arrivals = np.array([f.arrival_slot for f in flows], dtype=np.int64)
 
-        alloc = np.zeros((gamma, n), dtype=np.int64)
-        delivered = np.zeros((gamma, n), dtype=float)
-        rebuf = np.zeros((gamma, n), dtype=float)
-        e_trans = np.zeros((gamma, n), dtype=float)
-        e_tail = np.zeros((gamma, n), dtype=float)
-        buffer_s = np.zeros((gamma, n), dtype=float)
-        need_kb = np.zeros((gamma, n), dtype=float)
-        active_rec = np.zeros((gamma, n), dtype=bool)
-        completion = np.full(n, -1, dtype=np.int64)
-
-        signal = self.workload.signal_dbm
-        stall_grid = outage_mask = stall_row = None
+    scheduler_name = getattr(scheduler, "name", type(scheduler).__name__)
+    if instrumented and trace_on:
+        # Run boundary + the parameters trace analysis needs to
+        # segment multi-run traces and select invariant checkers.
+        tracer.emit(
+            "run.start",
+            scheduler=scheduler_name,
+            n_users=n,
+            n_slots=gamma,
+            tau_s=cfg.tau_s,
+            delta_kb=cfg.delta_kb,
+            seed=cfg.seed,
+            kernel_backend=backend_info()["resolved"],
+            **(
+                {"arrival_process": cfg.arrival_process, "admission": cfg.admission}
+                if churn
+                else {}
+            ),
+            rrc={
+                "pd_mw": radio.rrc.pd_mw,
+                "pf_mw": radio.rrc.pf_mw,
+                "t1_s": radio.rrc.t1_s,
+                "t2_s": radio.rrc.t2_s,
+            },
+            params=_scheduler_trace_params(scheduler),
+            **({"faults": plan.spec()} if faults_on else {}),
+        )
         if faults_on:
-            # Blackouts are applied to a *copy* of the generated trace
-            # (the workload object itself is shared across schedulers
-            # and must stay pristine), and the stall/outage masks are
-            # precomputed once — the slot loop pays one row lookup.
-            # Windows name sessions; churn runs gather them into rows.
-            signal = plan.apply_signal(signal)
-            stall_grid = plan.stall_grid(gamma, n)
-            outage_mask = plan.outage_slot_mask(gamma)
-        arrivals = np.array([f.arrival_slot for f in flows], dtype=np.int64)
+            _emit_fault_windows(tracer, plan)
+    if live_on:
+        live.begin_run(scheduler_name, n_slots=gamma, n_users=n)
+        live_every = live.watch_every
+        live_start = 0
+    if spans_on:
+        span_block_start = 0
+        _block_t0 = perf_counter()
 
-        scheduler_name = getattr(
-            self.scheduler, "name", type(self.scheduler).__name__
-        )
-        if instrumented and trace_on:
-            # Run boundary + the parameters trace analysis needs to
-            # segment multi-run traces and select invariant checkers.
-            tracer.emit(
-                "run.start",
-                scheduler=scheduler_name,
-                n_users=n,
-                n_slots=gamma,
-                tau_s=cfg.tau_s,
-                delta_kb=cfg.delta_kb,
-                seed=cfg.seed,
-                kernel_backend=backend_info()["resolved"],
-                **(
-                    {"arrival_process": cfg.arrival_process, "admission": cfg.admission}
-                    if churn
-                    else {}
-                ),
-                rrc={
-                    "pd_mw": radio.rrc.pd_mw,
-                    "pf_mw": radio.rrc.pf_mw,
-                    "t1_s": radio.rrc.t1_s,
-                    "t2_s": radio.rrc.t2_s,
-                },
-                params=_scheduler_trace_params(self.scheduler),
-                **({"faults": plan.spec()} if faults_on else {}),
-            )
-            if faults_on:
-                _emit_fault_windows(tracer, plan)
-        if live_on:
-            live.begin_run(scheduler_name, n_slots=gamma, n_users=n)
-            live_every = live.watch_every
-            live_start = 0
-        if spans_on:
-            span_block_start = 0
-            _block_t0 = perf_counter()
-
-        # Without churn every slot's row vectors are the session grids'
-        # rows; with churn they are arena rows scattered after the slot.
-        row_flows, joined, departed = flows, None, None
-        slot = -1
-        try:
-            for slot in range(gamma):
-                if churn:
-                    # 0. Session lifecycle: roll the join/depart masks,
-                    #    then admit (or reject) every session whose
-                    #    arrival slot has come, in deterministic
-                    #    (arrival, user) order.
-                    mgr.begin_slot()
-                    for sess in mgr.due_sessions(slot):
-                        ctx = AdmissionContext(
-                            slot=slot,
-                            active_sessions=mgr.active_count,
-                            capacity_rows=mgr.capacity,
-                            unit_budget=cfg.unit_budget_per_slot,
-                            flow=flows[sess],
-                        )
-                        if policy.admit(ctx):
-                            row = mgr.admit(sess)
-                            if instrumented and trace_on:
-                                tracer.emit(
-                                    "session.start",
-                                    slot=slot,
-                                    user=int(sess),
-                                    row=int(row),
-                                    arrival_slot=int(arrivals[sess]),
-                                )
-                        else:
-                            mgr.reject(sess)
-                            if instrumented and trace_on:
-                                tracer.emit(
-                                    "session.reject",
-                                    slot=slot,
-                                    user=int(sess),
-                                    policy=policy.name,
-                                )
-                    occ = mgr.occupied_rows()
-                    sess_of = mgr.row_session[occ]
-                    # Admission may have grown the arena and the masks.
-                    rebuf_row, trans_row, tail_row = (
-                        arena.rebuf_s, arena.trans_mj, arena.tail_mj
-                    )
-                    row_flows = mgr.row_flows
-                    joined, departed = mgr.joined_mask, mgr.departed_mask
-                else:
-                    rebuf_row, trans_row, tail_row = (
-                        rebuf[slot], e_trans[slot], e_tail[slot]
-                    )
-
-                # 1. Playback: Eq. (7)/(8) with last slot's deliveries.
-                #    Sessions that have not arrived yet do not play (and
-                #    do not accrue startup rebuffering).  Completion is
-                #    assembled in arena scratch (the observe/transmit
-                #    buffers are free during playback).
-                if instrumented:
-                    _t0 = _pc()
-                fleet.begin_slot(slot, out=rebuf_row)
-                newly_done = fleet.playback_complete_into(
-                    arena.b1_tmp, arena.f8_tmp, arena.tx_mask
-                )
-                if churn:
-                    # Resident rows only; they retire at slot end.
-                    np.greater_equal(mgr.row_session, 0, out=arena.tx_mask)
-                    np.logical_and(newly_done, arena.tx_mask, out=newly_done)
-                    done_rows = np.flatnonzero(newly_done)
-                    completion[mgr.row_session[done_rows]] = slot
-                else:
-                    np.less(completion, 0, out=arena.tx_mask)
-                    np.logical_and(newly_done, arena.tx_mask, out=newly_done)
-                    np.less_equal(arrivals, slot, out=arena.tx_mask)
-                    np.logical_and(newly_done, arena.tx_mask, out=newly_done)
-                    if newly_done.any():
-                        completion[newly_done] = slot
-                if instrumented:
-                    rec_playback(_pc() - _t0)
-
-                # 2-4. Observe, schedule, transmit (timed inside the gateway).
-                idle_cost = rrc.expected_idle_cost_mj(
-                    cfg.tau_s, out=arena.idle_tail_cost_mj
-                )
-                if churn:
-                    # Session-keyed signal and stall rows gathered into
-                    # row space: vacant rows see a floor signal (they are
-                    # inactive, so schedulers allocate them nothing) and
-                    # the >= 0 mask discards the wrapped values fancy
-                    # indexing produces for them.
-                    sig_row = arena.sig_dbm
-                    sig_row.fill(-110.0)
-                    if occ.size:
-                        sig_row[occ] = signal[slot][sess_of]
-                    if stall_grid is not None:
-                        stall_row = stall_grid[slot][mgr.row_session]
-                        stall_row &= mgr.row_session >= 0
-                else:
-                    sig_row = signal[slot]
-                    if stall_grid is not None:
-                        stall_row = stall_grid[slot]
-                obs, phi, sent_kb = gateway.step(
-                    slot,
-                    sig_row,
-                    row_flows,
-                    fleet,
-                    radio.throughput,
-                    radio.power,
-                    idle_cost,
-                    arena,
-                    instrumentation=instr,
-                    joined_mask=joined,
-                    departed_mask=departed,
-                    stall_mask=stall_row,
-                )
-                check_constraints(phi, obs)
-                np.multiply(phi, cfg.delta_kb, out=arena.f8_tmp)
-                np.add(arena.f8_tmp, 1e-9, out=arena.f8_tmp)
-                np.greater(sent_kb, arena.f8_tmp, out=arena.b1_tmp)
-                if arena.b1_tmp.any():
-                    raise SimulationError(f"slot {slot}: delivered more than allocated")
-
-                # 5. Radio energy accounting (Eq. 5: trans XOR tail).
-                #    Occupancy/tail metrics are batch-derived after the loop.
-                if instrumented:
-                    _t0 = _pc()
-                tx_mask = np.greater(sent_kb, 0.0, out=arena.tx_mask)
-                np.multiply(obs.p_mj_per_kb, sent_kb, out=trans_row)
-                rrc.step(tx_mask, cfg.tau_s, out=tail_row)
-                if instrumented:
-                    rec_rrc(_pc() - _t0)
-
-                # 6. Scheduler feedback.
-                if instrumented:
-                    _t0 = _pc()
-                self.scheduler.notify(obs, phi, sent_kb)
-                if instrumented:
-                    rec_feedback(_pc() - _t0)
-
-                if churn:
-                    # Scatter row-space results into the session grids.
-                    if occ.size:
-                        alloc[slot, sess_of] = phi[occ]
-                        delivered[slot, sess_of] = sent_kb[occ]
-                        rebuf[slot, sess_of] = arena.rebuf_s[occ]
-                        e_trans[slot, sess_of] = arena.trans_mj[occ]
-                        e_tail[slot, sess_of] = arena.tail_mj[occ]
-                        buffer_s[slot, sess_of] = obs.buffer_s[occ]
-                        need_kb[slot, sess_of] = obs.rate_kbps[occ] * cfg.tau_s
-                        active_rec[slot, sess_of] = obs.active[occ]
-                else:
-                    alloc[slot] = phi
-                    delivered[slot] = sent_kb
-                    buffer_s[slot] = obs.buffer_s
-                    np.multiply(obs.rate_kbps, cfg.tau_s, out=need_kb[slot])
-                    active_rec[slot] = obs.active
-
-                if instrumented:
-                    budgets[slot] = obs.unit_budget
-                if instrumented and trace_on:
-                    if churn:
-                        link_users = np.zeros(n, dtype=np.int64)
-                        rate_users = np.zeros(n, dtype=float)
-                        if occ.size:
-                            link_users[sess_of] = obs.link_units[occ]
-                            rate_users[sess_of] = obs.rate_kbps[occ]
-                        resident = {"resident_sessions": int(mgr.active_count)}
-                    else:
-                        link_users = np.array(obs.link_units)
-                        rate_users = obs.rate_kbps
-                        resident = {}
-                    tracer.emit(
-                        "slot",
+    # Without churn every slot's row vectors are the result grids'
+    # rows; with churn they are arena rows scattered after the slot.
+    row_flows, joined, departed = flows, None, None
+    slot = -1
+    try:
+        for slot in range(gamma):
+            if churn:
+                # 0. Session lifecycle: roll the join/depart masks,
+                #    then admit (or reject) every session whose
+                #    arrival slot has come, in deterministic
+                #    (arrival, user) order.
+                mgr.begin_slot()
+                for sess in mgr.due_sessions(slot):
+                    ctx = AdmissionContext(
                         slot=slot,
-                        active_users=int(obs.active.sum()),
-                        **resident,
-                        tx_users=int(tx_mask.sum()),
-                        allocated_units=int(phi.sum()),
-                        unit_budget=int(obs.unit_budget),
-                        delivered_kb=float(sent_kb.sum()),
-                        rebuffering_s=float(rebuf[slot].sum()),
-                        energy_trans_mj=float(e_trans[slot].sum()),
-                        energy_tail_mj=float(e_tail[slot].sum()),
-                        mean_buffer_s=float(buffer_s[slot].mean()),
-                        # Per-user vectors: what repro.obs.analyze needs
-                        # to reconstruct timelines and run the invariant
-                        # checkers offline.  Only built when a real
-                        # tracer is attached, so the NullTracer overhead
-                        # budget is untouched.  Arena-backed vectors are
-                        # referenced through the result grids or copied
-                        # here — the arena reuses its buffers next slot,
-                        # so raw references would go stale in a
-                        # recording tracer.
-                        users={
-                            "phi": alloc[slot],
-                            "delivered_kb": delivered[slot],
-                            "rebuffering_s": rebuf[slot],
-                            "buffer_s": buffer_s[slot],
-                            "energy_trans_mj": e_trans[slot],
-                            "energy_tail_mj": e_tail[slot],
-                            "link_units": link_users,
-                            "sig_dbm": signal[slot],
-                            "rate_kbps": rate_users,
-                            "active": active_rec[slot],
-                        },
+                        active_sessions=mgr.active_count,
+                        capacity_rows=mgr.capacity,
+                        unit_budget=cfg.unit_budget_per_slot,
+                        flow=flows[sess],
                     )
-
-                if churn:
-                    # Retirement happens at the *end* of the completion
-                    # slot — the slot's tail accrual and accounting
-                    # include the session — and frees the row.
-                    for row in done_rows:
-                        sess = int(mgr.row_session[row])
-                        departure[sess] = slot
-                        mgr.retire(sess)
+                    if policy.admit(ctx):
+                        row = mgr.admit(sess)
                         if instrumented and trace_on:
                             tracer.emit(
-                                "session.end", slot=slot, user=sess, row=int(row)
+                                "session.start",
+                                slot=slot,
+                                user=int(sess),
+                                row=int(row),
+                                arrival_slot=int(arrivals[sess]),
                             )
+                    else:
+                        mgr.reject(sess)
+                        if instrumented and trace_on:
+                            tracer.emit(
+                                "session.reject",
+                                slot=slot,
+                                user=int(sess),
+                                policy=policy.name,
+                            )
+                occ = mgr.occupied_rows()
+                sess_of = mgr.row_session[occ]
+                # Admission may have grown the arena and the masks.
+                rebuf_row, trans_row, tail_row = (
+                    arena.rebuf_s, arena.trans_mj, arena.tail_mj
+                )
+                row_flows = mgr.row_flows
+                joined, departed = mgr.joined_mask, mgr.departed_mask
+            else:
+                rebuf_row, trans_row, tail_row = (
+                    rebuf[slot], e_trans[slot], e_tail[slot]
+                )
 
-                # Live telemetry consumes whole blocks straight from the
-                # result grids — one comparison per slot, vectorized
-                # cell sums every watch_every slots (plus the run tail).
-                if live_on and (slot - live_start + 1 >= live_every or slot == gamma - 1):
-                    end = slot + 1
-                    live.observe_block(
-                        slot,
-                        rebuf[live_start:end].sum(axis=1),
-                        e_trans[live_start:end].sum(axis=1)
-                        + e_tail[live_start:end].sum(axis=1),
-                        delivered[live_start:end].sum(axis=1),
-                        buffer_s[live_start:end].mean(axis=1),
-                        active_users=(
-                            int(mgr.active_count)
-                            if churn
-                            else int(active_rec[slot].sum())
-                        ),
-                        outage_slots=(
-                            int(outage_mask[live_start:end].sum())
-                            if outage_mask is not None
-                            else 0
-                        ),
-                    )
-                    live_start = end
-                # One run;slots span per block of SPAN_BLOCK_SLOTS slots
-                # (plus the run tail) — a single comparison per slot.
-                if spans_on and (
-                    slot - span_block_start + 1 >= SPAN_BLOCK_SLOTS
-                    or slot == gamma - 1
-                ):
-                    rec_block(_pc() - _block_t0)
-                    span_block_start = slot + 1
-                    _block_t0 = _pc()
-        except BaseException as exc:
+            # 1. Playback: Eq. (7)/(8) with last slot's deliveries.
+            #    Sessions that have not arrived yet do not play (and
+            #    do not accrue startup rebuffering).  Completion is
+            #    assembled in arena scratch (the observe/transmit
+            #    buffers are free during playback).
             if instrumented:
-                abort_run(instr, exc, slot, fold_spans, scheduler_name=scheduler_name)
-            raise
-
-        if spans_on:
-            fold_spans()
-
-        if not np.all(np.isfinite(e_trans)):
-            raise SimulationError("non-finite transmission energy recorded")
-
-        session_counts = None
-        session_fields = {}
-        if churn:
-            n_admitted = int(mgr.admitted.sum())
-            n_rejected = int(mgr.rejected.sum())
-            session_counts = {
-                "offered": int(n),
-                "arrived": n_admitted + n_rejected,
-                "admitted": n_admitted,
-                "rejected": n_rejected,
-                "completed": int(mgr.completed.sum()),
-                "active": int(mgr.active_count),
-            }
-            session_fields = dict(
-                admitted=mgr.admitted.copy(),
-                rejected=mgr.rejected.copy(),
-                departure_slot=departure,
-                offered_video_kb=self.workload.offered_video_kb(),
-                admitted_video_kb=self.workload.admitted_video_kb(mgr.admitted),
+                _t0 = _pc()
+            fleet.begin_slot(slot, out=rebuf_row)
+            newly_done = fleet.playback_complete_into(
+                arena.b1_tmp, arena.f8_tmp, arena.tx_mask
             )
-        if instrumented and trace_on:
-            tracer.emit(
-                "run.end",
-                scheduler=scheduler_name,
-                n_slots=gamma,
-                delivered_total_kb=float(delivered.sum()),
-                energy_total_mj=float(e_trans.sum() + e_tail.sum()),
-                rebuffering_total_s=float(rebuf.sum()),
-                completed_users=int((completion >= 0).sum()),
-                **({"sessions": session_counts} if churn else {}),
-            )
-        if live_on:
-            live.end_run()
+            if churn:
+                # Resident rows only; they retire at slot end.
+                np.greater_equal(mgr.row_session, 0, out=arena.tx_mask)
+                np.logical_and(newly_done, arena.tx_mask, out=newly_done)
+                done_rows = np.flatnonzero(newly_done)
+                completion[mgr.row_session[done_rows]] = slot
+            else:
+                np.less(completion, 0, out=arena.tx_mask)
+                np.logical_and(newly_done, arena.tx_mask, out=newly_done)
+                np.less_equal(arrivals, slot, out=arena.tx_mask)
+                np.logical_and(newly_done, arena.tx_mask, out=newly_done)
+                if newly_done.any():
+                    completion[newly_done] = slot
+            if instrumented:
+                rec_playback(_pc() - _t0)
 
+            # 2-4. Observe, schedule, transmit (timed inside the gateway).
+            idle_cost = rrc.expected_idle_cost_mj(
+                cfg.tau_s, out=arena.idle_tail_cost_mj
+            )
+            if churn:
+                # Session-keyed signal, link, power and stall rows
+                # gathered into row space: vacant rows see a floor
+                # signal (they are inactive, so schedulers allocate
+                # them nothing) and the >= 0 mask discards the wrapped
+                # values fancy indexing produces for them.
+                sig_row = arena.sig_dbm
+                link_row, p_row = arena.link_units, arena.p_mj_per_kb
+                sig_row.fill(VACANT_SIG_DBM)
+                link_row.fill(vacant_link[0])
+                p_row.fill(vacant_p[0])
+                if occ.size:
+                    sig_row[occ] = signal[slot][sess_of]
+                    link_row[occ] = link_table[slot][sess_of]
+                    p_row[occ] = p_table[slot][sess_of]
+                if stall_grid is not None:
+                    stall_row = stall_grid[slot][mgr.row_session]
+                    stall_row &= mgr.row_session >= 0
+            else:
+                sig_row, link_row, p_row = signal[slot], link_table[slot], p_table[slot]
+                if stall_grid is not None:
+                    stall_row = stall_grid[slot]
+            obs, phi, sent_kb = gateway.step(
+                slot,
+                sig_row,
+                row_flows,
+                fleet,
+                link_row,
+                p_row,
+                idle_cost,
+                cap_table[slot],
+                budget_table[slot],
+                run_offsets,
+                arena,
+                instrumentation=instr,
+                joined_mask=joined,
+                departed_mask=departed,
+                stall_mask=stall_row,
+            )
+            check_constraints(phi, obs)
+            np.multiply(phi, cfg.delta_kb, out=arena.f8_tmp)
+            np.add(arena.f8_tmp, 1e-9, out=arena.f8_tmp)
+            np.greater(sent_kb, arena.f8_tmp, out=arena.b1_tmp)
+            if arena.b1_tmp.any():
+                raise SimulationError(f"slot {slot}: delivered more than allocated")
+
+            # 5. Radio energy accounting (Eq. 5: trans XOR tail).
+            #    Occupancy/tail metrics are batch-derived after the loop.
+            if instrumented:
+                _t0 = _pc()
+            tx_mask = np.greater(sent_kb, 0.0, out=arena.tx_mask)
+            np.multiply(obs.p_mj_per_kb, sent_kb, out=trans_row)
+            rrc.step(tx_mask, cfg.tau_s, out=tail_row)
+            if instrumented:
+                rec_rrc(_pc() - _t0)
+
+            # 6. Scheduler feedback.
+            if instrumented:
+                _t0 = _pc()
+            scheduler.notify(obs, phi, sent_kb)
+            if instrumented:
+                rec_feedback(_pc() - _t0)
+
+            if churn:
+                # Scatter row-space results into the session grids.
+                if occ.size:
+                    alloc[slot, sess_of] = phi[occ]
+                    delivered[slot, sess_of] = sent_kb[occ]
+                    rebuf[slot, sess_of] = arena.rebuf_s[occ]
+                    e_trans[slot, sess_of] = arena.trans_mj[occ]
+                    e_tail[slot, sess_of] = arena.tail_mj[occ]
+                    buffer_s[slot, sess_of] = obs.buffer_s[occ]
+                    need_kb[slot, sess_of] = obs.rate_kbps[occ] * cfg.tau_s
+                    active_rec[slot, sess_of] = obs.active[occ]
+            else:
+                alloc[slot] = phi
+                delivered[slot] = sent_kb
+                buffer_s[slot] = obs.buffer_s
+                np.multiply(obs.rate_kbps, cfg.tau_s, out=need_kb[slot])
+                active_rec[slot] = obs.active
+
+            if instrumented and trace_on:
+                if churn:
+                    link_users = np.zeros(n, dtype=np.int64)
+                    rate_users = np.zeros(n, dtype=float)
+                    if occ.size:
+                        link_users[sess_of] = obs.link_units[occ]
+                        rate_users[sess_of] = obs.rate_kbps[occ]
+                    resident = {"resident_sessions": int(mgr.active_count)}
+                else:
+                    link_users = np.array(obs.link_units)
+                    rate_users = obs.rate_kbps
+                    resident = {}
+                tracer.emit(
+                    "slot",
+                    slot=slot,
+                    active_users=int(obs.active.sum()),
+                    **resident,
+                    tx_users=int(tx_mask.sum()),
+                    allocated_units=int(phi.sum()),
+                    unit_budget=int(obs.unit_budget),
+                    delivered_kb=float(sent_kb.sum()),
+                    rebuffering_s=float(rebuf[slot].sum()),
+                    energy_trans_mj=float(e_trans[slot].sum()),
+                    energy_tail_mj=float(e_tail[slot].sum()),
+                    mean_buffer_s=float(buffer_s[slot].mean()),
+                    # Per-user vectors: what repro.obs.analyze needs
+                    # to reconstruct timelines and run the invariant
+                    # checkers offline.  Only built when a real
+                    # tracer is attached, so the NullTracer overhead
+                    # budget is untouched.  Arena-backed vectors are
+                    # referenced through the result grids or copied
+                    # here — the arena reuses its buffers next slot,
+                    # so raw references would go stale in a
+                    # recording tracer.
+                    users={
+                        "phi": alloc[slot],
+                        "delivered_kb": delivered[slot],
+                        "rebuffering_s": rebuf[slot],
+                        "buffer_s": buffer_s[slot],
+                        "energy_trans_mj": e_trans[slot],
+                        "energy_tail_mj": e_tail[slot],
+                        "link_units": link_users,
+                        "sig_dbm": signal[slot],
+                        "rate_kbps": rate_users,
+                        "active": active_rec[slot],
+                    },
+                )
+
+            if churn:
+                # Retirement happens at the *end* of the completion
+                # slot — the slot's tail accrual and accounting
+                # include the session — and frees the row.
+                for row in done_rows:
+                    sess = int(mgr.row_session[row])
+                    departure[sess] = slot
+                    mgr.retire(sess)
+                    if instrumented and trace_on:
+                        tracer.emit(
+                            "session.end", slot=slot, user=sess, row=int(row)
+                        )
+
+            # Live telemetry consumes whole blocks straight from the
+            # result grids — one comparison per slot, vectorized
+            # cell sums every watch_every slots (plus the run tail).
+            if live_on and (slot - live_start + 1 >= live_every or slot == gamma - 1):
+                end = slot + 1
+                live.observe_block(
+                    slot,
+                    rebuf[live_start:end].sum(axis=1),
+                    e_trans[live_start:end].sum(axis=1)
+                    + e_tail[live_start:end].sum(axis=1),
+                    delivered[live_start:end].sum(axis=1),
+                    buffer_s[live_start:end].mean(axis=1),
+                    active_users=(
+                        int(mgr.active_count)
+                        if churn
+                        else int(active_rec[slot].sum())
+                    ),
+                    outage_slots=(
+                        int(outage_mask[live_start:end].sum())
+                        if outage_mask is not None
+                        else 0
+                    ),
+                )
+                live_start = end
+            # One run;slots span per block of SPAN_BLOCK_SLOTS slots
+            # (plus the run tail) — a single comparison per slot.
+            if spans_on and (
+                slot - span_block_start + 1 >= SPAN_BLOCK_SLOTS
+                or slot == gamma - 1
+            ):
+                rec_block(_pc() - _block_t0)
+                span_block_start = slot + 1
+                _block_t0 = _pc()
+    except BaseException as exc:
         if instrumented:
+            what = "run" if n_runs == 1 else f"batch of {n_runs} runs"
+            abort_run(instr, exc, slot, fold_spans, what, scheduler_name=scheduler_name)
+        raise
+
+    if spans_on:
+        fold_spans()
+
+    if not np.all(np.isfinite(e_trans)):
+        raise SimulationError("non-finite transmission energy recorded")
+
+    session_counts = None
+    session_fields = {}
+    if churn:
+        n_admitted = int(mgr.admitted.sum())
+        n_rejected = int(mgr.rejected.sum())
+        session_counts = {
+            "offered": int(n),
+            "arrived": n_admitted + n_rejected,
+            "admitted": n_admitted,
+            "rejected": n_rejected,
+            "completed": int(mgr.completed.sum()),
+            "active": int(mgr.active_count),
+        }
+        session_fields = dict(
+            admitted=mgr.admitted.copy(),
+            rejected=mgr.rejected.copy(),
+            departure_slot=departure,
+            offered_video_kb=workloads[0].offered_video_kb(),
+            admitted_video_kb=workloads[0].admitted_video_kb(mgr.admitted),
+        )
+    if instrumented and trace_on:
+        tracer.emit(
+            "run.end",
+            scheduler=scheduler_name,
+            n_slots=gamma,
+            delivered_total_kb=float(delivered.sum()),
+            energy_total_mj=float(e_trans.sum() + e_tail.sum()),
+            rebuffering_total_s=float(rebuf.sum()),
+            completed_users=int((completion >= 0).sum()),
+            **({"sessions": session_counts} if churn else {}),
+        )
+    if live_on:
+        live.end_run()
+
+    # Split per-run results in task order.  Each grid slice is copied
+    # C-contiguous before any reduction (a single run's slice already
+    # is), so NumPy's pairwise summation visits exactly the elements,
+    # in exactly the layout, a lone run would reduce.
+    results: list[SimulationResult] = []
+    run_metric_states: list[dict] = []
+    phase_timings = instr.profiler.summary() if instrumented else None
+    for r, task in enumerate(tasks):
+        lo, hi = int(run_offsets[r]), int(run_offsets[r + 1])
+        grids = (alloc, delivered, rebuf, e_trans, e_tail, buffer_s, need_kb, active_rec)
+        alloc_r, delivered_r, rebuf_r, e_trans_r, e_tail_r, buffer_r, need_r, active_r = (
+            np.ascontiguousarray(g[:, lo:hi]) for g in grids
+        )
+        if instrumented:
+            # A stacked run's accounting goes into its own registry,
+            # merged into the bundle in task order: every counter gets
+            # the one increment a lone run applies, so the merged
+            # registry — here, or across a process pool shipping these
+            # states home — equals a run-by-run one bit-for-bit.
+            reg = instr.metrics if n_runs == 1 else MetricsRegistry()
             record_run_metrics(
-                instr.metrics, cfg, alloc, delivered, e_trans, e_tail, budgets,
-                sessions=session_counts,
+                reg, task.config, alloc_r, delivered_r, e_trans_r, e_tail_r,
+                np.ascontiguousarray(budget_table[:, r]), sessions=session_counts,
             )
             if faults_on:
-                _fault_counters(instr.metrics, plan, outage_mask, gamma)
-        return SimulationResult(
-            scheduler_name=scheduler_name,
-            config=cfg,
-            allocation_units=alloc,
-            delivered_kb=delivered,
-            rebuffering_s=rebuf,
-            energy_trans_mj=e_trans,
-            energy_tail_mj=e_tail,
-            buffer_s=buffer_s,
-            need_kb=need_kb,
-            active=active_rec,
-            completion_slot=completion,
-            arrival_slot=arrivals,
-            phase_timings=instr.profiler.summary() if instrumented else None,
-            **session_fields,
+                _fault_counters(reg, plan, outage_mask, gamma)
+            if n_runs > 1:
+                if r == 0:
+                    reg.counter("batch.runs").inc(n_runs)
+                    reg.counter("batch.slots").inc(gamma)
+                if r == n_runs - 1:
+                    # Scheduler adapters publish their final gauge
+                    # state (e.g. EMA's virtual queues) into the last
+                    # run's registry — gauges are last-write-wins, so
+                    # the merged value matches a run-by-run sequence.
+                    finalize = getattr(scheduler, "finalize_batch", None)
+                    if finalize is not None:
+                        finalize(reg)
+                state = reg.state()
+                run_metric_states.append(state)
+                instr.metrics.merge_state(state)
+        results.append(
+            SimulationResult(
+                scheduler_name=getattr(
+                    task.scheduler, "name", type(task.scheduler).__name__
+                ),
+                config=task.config,
+                allocation_units=alloc_r,
+                delivered_kb=delivered_r,
+                rebuffering_s=rebuf_r,
+                energy_trans_mj=e_trans_r,
+                energy_tail_mj=e_tail_r,
+                buffer_s=buffer_r,
+                need_kb=need_r,
+                active=active_r,
+                completion_slot=completion[lo:hi].copy(),
+                arrival_slot=arrivals[lo:hi].copy(),
+                phase_timings=phase_timings,
+                **session_fields,
+            )
         )
+    return results, run_metric_states

@@ -113,9 +113,8 @@ from repro.errors import ConfigurationError
 from repro.faults import FaultPlan, WorkerFault, current_fault_plan, use_fault_plan
 from repro.obs.instrument import Instrumentation, current_instrumentation
 from repro.obs.provenance import config_hash
-from repro.sim.batch import batch_incompatibility, run_batch
+from repro.sim.batch import BatchPlan, batch_incompatibility, run_batch
 from repro.sim.config import SimConfig
-from repro.sim.engine import Simulation
 from repro.sim.results import SimulationResult
 from repro.sim.workload import Workload, generate_workload
 
@@ -213,6 +212,54 @@ def _worker_fault_context():
     return nullcontext()
 
 
+def _private_bundle(
+    spans_on: bool, live_spec: dict[str, Any] | None, heartbeat=None
+) -> Instrumentation:
+    """A worker's private bundle: NullTracer (slot events stay local), a
+    live plane rebuilt from the parent's spec (carrying the worker's
+    heartbeat, if any), and a fresh span recorder when the parent
+    records spans."""
+    live = None
+    if live_spec is not None or heartbeat is not None:
+        from repro.obs.live import LiveTelemetry
+
+        live = LiveTelemetry.from_spec(live_spec or {}, heartbeat=heartbeat)
+    spans = None
+    if spans_on:
+        from repro.obs.spans import SpanRecorder
+
+        spans = SpanRecorder()
+    return Instrumentation(live=live, spans=spans)
+
+
+def _run_plan(tasks: list[RunTask], sub: Instrumentation | None):
+    """Run one group through a :class:`~repro.sim.batch.BatchPlan`
+    under the private bundle ``sub``; returns the shape a worker ships.
+
+    The metrics round trip ships the plan's *per-run* registry states
+    when a stacked loop produced them, and the bundle's whole state
+    otherwise (a one-segment run records straight into it) — the parent
+    then merges one state per run in task order, so counter
+    float-accumulation order matches a run-by-run execution
+    bit-for-bit.
+    """
+    plan = BatchPlan(tasks)
+    results = plan.run(sub)
+    if sub is None:
+        return results, None, None, None
+    metrics_payload = (
+        ("runs", plan.run_metric_states)
+        if plan.run_metric_states
+        else ("group", sub.metrics.state())
+    )
+    return (
+        results,
+        metrics_payload,
+        sub.profiler.raw_samples(),
+        sub.spans.state() if sub.spans is not None else None,
+    )
+
+
 def _run_group(payload):
     _maybe_worker_fault(payload[5], payload[6])
     with _worker_fault_context():
@@ -220,18 +267,11 @@ def _run_group(payload):
 
 
 def _run_group_inner(payload):
-    """Worker entry for one batch group (``batch_size > 1`` pools).
+    """Worker entry for one group of consecutive compatible tasks.
 
     ``payload`` carries the group's configs/schedulers/workload keys in
-    task order; the group runs through a
-    :class:`~repro.sim.batch.BatchPlan` (one stacked slot loop) under a
-    private bundle.  The metrics round trip ships the plan's *per-run*
-    registry states when the stacked path produced them — the parent
-    merges one state per run in task order, exactly as :func:`_run_task`
-    does per single run, so counter float-accumulation order matches a
-    serial execution bit-for-bit.  Runs that fell back to the serial
-    engine inside the worker (singleton groups, live plane attached)
-    ship the worker bundle's whole state instead.
+    task order; the group runs through :func:`_run_plan` under a
+    :func:`_private_bundle`.
     """
     configs, schedulers, wl_keys, instrumented, spans_on, group_index = payload[:6]
     tasks = []
@@ -248,90 +288,15 @@ def _run_group_inner(payload):
     heartbeat = _WORKER_HEARTBEAT
     if heartbeat is not None:
         heartbeat.task = group_index
-    from repro.sim.batch import BatchPlan
-
-    plan = BatchPlan(tasks)
-    if not instrumented:
-        if heartbeat is not None:
-            heartbeat.beat("task.start", n_slots=configs[0].n_slots)
-        results = plan.run(None)
-        if heartbeat is not None:
-            heartbeat.beat("idle")
-        return results, None, None, None
-    live = None
-    if _WORKER_LIVE_SPEC is not None or heartbeat is not None:
-        from repro.obs.live import LiveTelemetry
-
-        live = LiveTelemetry.from_spec(_WORKER_LIVE_SPEC or {}, heartbeat=heartbeat)
-    spans = None
-    if spans_on:
-        from repro.obs.spans import SpanRecorder
-
-        spans = SpanRecorder()
-    instr = Instrumentation(live=live, spans=spans)
-    results = plan.run(instr)
+    sub = None
+    if instrumented:
+        sub = _private_bundle(spans_on, _WORKER_LIVE_SPEC, heartbeat)
+    elif heartbeat is not None:
+        heartbeat.beat("task.start", n_slots=configs[0].n_slots)
+    out = _run_plan(tasks, sub)
     if heartbeat is not None:
         heartbeat.beat("idle")
-    metrics_payload = (
-        ("runs", plan.run_metric_states)
-        if plan.run_metric_states
-        else ("group", instr.metrics.state())
-    )
-    return (
-        results,
-        metrics_payload,
-        instr.profiler.raw_samples(),
-        spans.state() if spans is not None else None,
-    )
-
-
-def _run_task(payload):
-    _maybe_worker_fault(payload[5], payload[6])
-    with _worker_fault_context():
-        return _run_task_inner(payload)
-
-
-def _run_task_inner(payload):
-    config, scheduler, wl_key, instrumented, spans_on, task_index = payload[:6]
-    if wl_key is not None:
-        workload = _WORKER_WORKLOADS[wl_key]
-    else:
-        key = config_hash(config)
-        workload = _WORKER_WORKLOADS.get(key)
-        if workload is None:
-            workload = generate_workload(config)
-            _WORKER_WORKLOADS[key] = workload
-    heartbeat = _WORKER_HEARTBEAT
-    if heartbeat is not None:
-        heartbeat.task = task_index
-    if not instrumented:
-        if heartbeat is not None:
-            heartbeat.beat("task.start", n_slots=config.n_slots)
-        result = Simulation(config, scheduler, workload).run()
-        if heartbeat is not None:
-            heartbeat.beat("idle")
-        return result, None, None, None
-    live = None
-    if _WORKER_LIVE_SPEC is not None or heartbeat is not None:
-        from repro.obs.live import LiveTelemetry
-
-        live = LiveTelemetry.from_spec(_WORKER_LIVE_SPEC or {}, heartbeat=heartbeat)
-    spans = None
-    if spans_on:
-        from repro.obs.spans import SpanRecorder
-
-        spans = SpanRecorder()
-    # NullTracer: slot events stay local.
-    instr = Instrumentation(live=live, spans=spans)
-    result = Simulation(config, scheduler, workload, instrumentation=instr).run()
-    if heartbeat is not None:
-        heartbeat.beat("idle")
-    return (
-        result,
-        instr.metrics.state(),
-        instr.profiler.raw_samples(),
-        spans.state() if spans is not None else None,
-    )
+    return out
 
 
 class RunExecutor:
@@ -357,13 +322,14 @@ class RunExecutor:
         as stalled.
     batch_size:
         Maximum runs stacked into one :func:`~repro.sim.batch.run_batch`
-        slot loop.  ``1`` (default) preserves the historical
-        one-``Simulation``-per-task behaviour exactly.  With ``R > 1``,
+        slot loop.  ``1`` (default) runs every task as its own
+        one-segment group — exactly a plain loop of
+        ``Simulation(...).run()`` calls.  With ``R > 1``,
         *consecutive* compatible tasks (same shape/scheduler type — see
         :func:`~repro.sim.batch.batch_incompatibility`) are grouped
         greedily and each group executes as one stacked run;
         incompatible neighbours simply break the group, so heterogeneous
-        batches degrade to serial behaviour instead of failing.
+        batches degrade to run-by-run behaviour instead of failing.
         Composes with ``jobs``: each pool worker receives whole groups,
         so ``jobs=J, batch_size=R`` runs ``J`` stacked loops of up to
         ``R`` runs each concurrently.  Results and metrics stay
@@ -437,33 +403,13 @@ class RunExecutor:
             if instrumentation is not None
             else current_instrumentation()
         )
-        if self.batch_size > 1 and len(tasks) > 1:
-            groups = self._group_tasks(tasks)
-            if self.jobs == 1 or len(groups) == 1:
-                results: list[SimulationResult] = []
-                for group in groups:
-                    if len(group) == 1:
-                        t = group[0]
-                        results.append(
-                            Simulation(
-                                t.config,
-                                t.scheduler,
-                                t.workload,
-                                instrumentation=instr,
-                            ).run()
-                        )
-                    else:
-                        results.extend(run_batch(group, instrumentation=instr))
-                return results
-            return self._map_pool_groups(groups, instr)
-        if self.jobs == 1 or len(tasks) == 1:
-            return [
-                Simulation(
-                    t.config, t.scheduler, t.workload, instrumentation=instr
-                ).run()
-                for t in tasks
-            ]
-        return self._map_pool(tasks, instr)
+        groups = self._group_tasks(tasks)
+        if self.jobs == 1 or len(groups) == 1:
+            results: list[SimulationResult] = []
+            for group in groups:
+                results.extend(run_batch(group, instrumentation=instr))
+            return results
+        return self._map_pool_groups(groups, instr)
 
     def _group_tasks(self, tasks: list[RunTask]) -> list[list[RunTask]]:
         """Greedily group *consecutive* compatible tasks up to batch_size.
@@ -607,38 +553,6 @@ class RunExecutor:
         self._note_failure(instr, "executor.serial_fallbacks")
         return serial_fn(index)
 
-    def _serial_task(
-        self,
-        task: RunTask,
-        instr: Instrumentation | None,
-        spans_on: bool,
-        live_spec: dict[str, Any] | None,
-        wl_cache: dict[str, Workload],
-    ):
-        """Run one task in the parent, mirroring the worker protocol.
-
-        The run happens under a private bundle whose state is returned
-        in the same ``(result, metrics, samples, spans)`` shape a pool
-        worker ships, so the caller's task-order merge treats a
-        fallen-back task exactly like a pooled one.  No worker faults
-        are installed here — an injected fault can never make a batch
-        fail.
-        """
-        workload = self._resolve_workload(task, wl_cache)
-        if instr is None:
-            result = Simulation(task.config, task.scheduler, workload).run()
-            return result, None, None, None
-        sub = self._fallback_bundle(spans_on, live_spec)
-        result = Simulation(
-            task.config, task.scheduler, workload, instrumentation=sub
-        ).run()
-        return (
-            result,
-            sub.metrics.state(),
-            sub.profiler.raw_samples(),
-            sub.spans.state() if sub.spans is not None else None,
-        )
-
     def _serial_group(
         self,
         group: list[RunTask],
@@ -647,29 +561,21 @@ class RunExecutor:
         live_spec: dict[str, Any] | None,
         wl_cache: dict[str, Workload],
     ):
-        """Group-shaped counterpart of :meth:`_serial_task`."""
-        from repro.sim.batch import BatchPlan
+        """Run one group in the parent, mirroring the worker protocol.
 
+        The group runs under a private bundle whose state is returned
+        in the same ``(results, metrics, samples, spans)`` shape a pool
+        worker ships, so the caller's task-order merge treats a
+        fallen-back group exactly like a pooled one.  No worker faults
+        are installed here — an injected fault can never make a batch
+        fail.
+        """
         tasks = [
             RunTask(t.config, t.scheduler, self._resolve_workload(t, wl_cache))
             for t in group
         ]
-        plan = BatchPlan(tasks)
-        if instr is None:
-            return plan.run(None), None, None, None
-        sub = self._fallback_bundle(spans_on, live_spec)
-        results = plan.run(sub)
-        metrics_payload = (
-            ("runs", plan.run_metric_states)
-            if plan.run_metric_states
-            else ("group", sub.metrics.state())
-        )
-        return (
-            results,
-            metrics_payload,
-            sub.profiler.raw_samples(),
-            sub.spans.state() if sub.spans is not None else None,
-        )
+        sub = _private_bundle(spans_on, live_spec) if instr is not None else None
+        return _run_plan(tasks, sub)
 
     @staticmethod
     def _resolve_workload(task: RunTask, wl_cache: dict[str, Workload]) -> Workload:
@@ -683,126 +589,15 @@ class RunExecutor:
             wl_cache[key] = workload
         return workload
 
-    @staticmethod
-    def _fallback_bundle(
-        spans_on: bool, live_spec: dict[str, Any] | None
-    ) -> Instrumentation:
-        """A private bundle mirroring a worker's (NullTracer, private
-        live plane from the parent's spec, fresh span recorder)."""
-        live = None
-        if live_spec is not None:
-            from repro.obs.live import LiveTelemetry
-
-            live = LiveTelemetry.from_spec(live_spec)
-        spans = None
-        if spans_on:
-            from repro.obs.spans import SpanRecorder
-
-            spans = SpanRecorder()
-        return Instrumentation(live=live, spans=spans)
-
-    def _map_pool(
-        self, tasks: list[RunTask], instr: Instrumentation | None
-    ) -> list[SimulationResult]:
-        # Ship each distinct explicit workload once (dedup by object
-        # identity — compare/sweep batches share one object).
-        table: dict[str, Workload] = {}
-        keys_by_id: dict[int, str] = {}
-        payloads = []
-        instrumented = instr is not None
-        live = instr.live if instrumented else None
-        spans_on = instrumented and instr.spans is not None
-        for index, t in enumerate(tasks):
-            wl_key = None
-            if t.workload is not None:
-                wl_key = keys_by_id.get(id(t.workload))
-                if wl_key is None:
-                    wl_key = f"wl{len(table)}"
-                    keys_by_id[id(t.workload)] = wl_key
-                    table[wl_key] = t.workload
-            # Detach any bound instrumentation before pickling (open
-            # trace writers are not picklable; the engine rebinds).
-            bind = getattr(t.scheduler, "bind_instrumentation", None)
-            if bind is not None:
-                bind(None)
-            payloads.append(
-                (t.config, t.scheduler, wl_key, instrumented, spans_on, index, 0)
-            )
-
-        # Workers rebuild the parent's live plane from its picklable
-        # spec so SLO rules are evaluated on exactly the per-run slot
-        # streams a serial execution would see (per-run aggregate reset
-        # makes the alert counters merge back identically).
-        live_spec = live.spec() if live is not None else None
-        wl_cache: dict[str, Workload] = {}
-
-        def serial_fn(index: int):
-            t = tasks[index]
-            return self._serial_task(t, instr, spans_on, live_spec, wl_cache)
-
-        heartbeats_on = self.heartbeat_s is not None and instrumented
-        manager = None
-        monitor = None
-        hb_queue = None
-        try:
-            if heartbeats_on:
-                from repro.obs.live import HeartbeatMonitor
-
-                # A plain mp.Queue cannot cross ProcessPoolExecutor's
-                # initargs pickling; a manager proxy can.
-                manager = multiprocessing.Manager()
-                hb_queue = manager.Queue()
-                monitor = HeartbeatMonitor(
-                    hb_queue,
-                    stall_after_s=self.stall_after_s,
-                    metrics=instr.metrics,
-                    tracer=instr.tracer,
-                ).start()
-                if live is not None:
-                    live.attach_monitor(monitor)
-            with ProcessPoolExecutor(
-                max_workers=min(self.jobs, len(tasks)),
-                initializer=_init_worker,
-                initargs=(
-                    table,
-                    hb_queue,
-                    self.heartbeat_s or 1.0,
-                    live_spec,
-                    self.worker_faults,
-                    self._ambient_plan_spec(),
-                ),
-            ) as pool:
-                outs = self._collect(pool, _run_task, payloads, serial_fn,
-                                     monitor, instr)
-        finally:
-            if monitor is not None:
-                monitor.stop()
-            if manager is not None:
-                manager.shutdown()
-        results = []
-        for result, metrics_state, profiler_samples, spans_state in outs:
-            results.append(result)
-            if instr is not None:
-                if metrics_state is not None:
-                    instr.metrics.merge_state(metrics_state)
-                if profiler_samples is not None:
-                    instr.profiler.merge_samples(profiler_samples)
-                # Span trees merge in task order, so a pooled batch
-                # interns paths in the same order a serial one records
-                # them — tree structure and counts are deterministic.
-                if spans_state is not None and instr.spans is not None:
-                    instr.spans.merge_state(spans_state)
-        return results
-
     def _map_pool_groups(
         self, groups: list[list[RunTask]], instr: Instrumentation | None
     ) -> list[SimulationResult]:
         """Pool dispatch of whole batch groups (``jobs=J, batch_size=R``).
 
-        Mirrors :meth:`_map_pool` — same workload dedup, heartbeat
-        plumbing, broken-pool serial retry, and task-order merge — but
-        each payload is one group, executed in the worker through
-        :func:`_run_group`.
+        The one pool path (``batch_size=1`` gives singleton groups).
+        Each distinct explicit workload ships once; each payload is one
+        group, executed in the worker through :func:`_run_group`, and
+        results and worker state merge back in task order.
         """
         table: dict[str, Workload] = {}
         keys_by_id: dict[int, str] = {}
@@ -821,6 +616,8 @@ class RunExecutor:
                         keys_by_id[id(t.workload)] = wl_key
                         table[wl_key] = t.workload
                 wl_keys.append(wl_key)
+                # Detach any bound instrumentation before pickling (open
+                # trace writers are not picklable; the engine rebinds).
                 bind = getattr(t.scheduler, "bind_instrumentation", None)
                 if bind is not None:
                     bind(None)
@@ -836,6 +633,10 @@ class RunExecutor:
                 )
             )
 
+        # Workers rebuild the parent's live plane from its picklable
+        # spec so SLO rules are evaluated on exactly the per-run slot
+        # streams a serial execution would see (per-run aggregate reset
+        # makes the alert counters merge back identically).
         live_spec = live.spec() if live is not None else None
         wl_cache: dict[str, Workload] = {}
 
@@ -852,6 +653,8 @@ class RunExecutor:
             if heartbeats_on:
                 from repro.obs.live import HeartbeatMonitor
 
+                # A plain mp.Queue cannot cross ProcessPoolExecutor's
+                # initargs pickling; a manager proxy can.
                 manager = multiprocessing.Manager()
                 hb_queue = manager.Queue()
                 monitor = HeartbeatMonitor(
@@ -890,8 +693,8 @@ class RunExecutor:
                     # per run in task order — counter accumulation order
                     # then matches a serial execution exactly (floats
                     # are non-associative; a single group-summed state
-                    # would drift by an ulp).  ("group", state) is the
-                    # worker-side serial-fallback shape.
+                    # would drift by an ulp).  ("group", state) is a
+                    # one-segment run's whole bundle state.
                     kind, payload = metrics_payload
                     if kind == "runs":
                         for state in payload:
@@ -900,6 +703,9 @@ class RunExecutor:
                         instr.metrics.merge_state(payload)
                 if profiler_samples is not None:
                     instr.profiler.merge_samples(profiler_samples)
+                # Span trees merge in task order, so a pooled batch
+                # interns paths in the same order a serial one records
+                # them — tree structure and counts are deterministic.
                 if spans_state is not None and instr.spans is not None:
                     instr.spans.merge_state(spans_state)
         return results

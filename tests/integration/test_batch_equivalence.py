@@ -15,6 +15,8 @@ Locally this exercises numpy and python backends; CI's numba job adds
 the compiled backend to the same parametrisation automatically.
 """
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -29,8 +31,11 @@ from repro.baselines import (
 )
 from repro.core.ema import EMAScheduler
 from repro.core.rtma import RTMAScheduler
+from repro.faults import CapacityFault, FaultPlan, FlowStall, SignalBlackout
 from repro.kernels import available_backends
+from repro.net.slicing import ConstantBackground, PoissonBackground, ResourceSlicer
 from repro.obs import Instrumentation
+from repro.obs.tracer import RecordingTracer
 from repro.sim.batch import batch_incompatibility, run_batch
 from repro.sim.config import SimConfig
 from repro.sim.engine import Simulation
@@ -143,6 +148,100 @@ class TestBatchBitIdentity:
         batched = run_batch(tasks)
         for r, (a, b) in enumerate(zip(serial, batched)):
             assert_results_bit_identical(a, b, f"{sched_name}-lanes run {r}")
+
+
+    @pytest.mark.parametrize("sched_name", ["rtma", "ema", "default"])
+    def test_time_varying_budgets(self, sched_name):
+        """Runs with bursty, constant and no background traffic share
+        one stack: each run's Eq. (2) budget varies per slot through
+        its own slicer (the loop's per-run budget table)."""
+        n_slots = 150
+        poisson = PoissonBackground(
+            mean_flows=2.0, per_flow_kbps=800.0, horizon_slots=n_slots, rng=3
+        )
+        caps = {
+            ResourceSlicer(poisson).video_capacity_kbps(6_000.0, slot)
+            for slot in range(n_slots)
+        }
+        assert len(caps) > 1, "the bursty run's budget must vary per slot"
+        backgrounds = (poisson, ConstantBackground(1_500.0), None)
+        configs = [
+            _cfg(seed, n_slots=n_slots, background=bg)
+            for seed, bg in zip((1, 2, 3), backgrounds)
+        ]
+        make = SCHEDULERS[sched_name]
+        serial = [
+            Simulation(t.config, t.scheduler, t.workload).run()
+            for t in _tasks(make, configs)
+        ]
+        tasks = _tasks(make, configs)
+        assert batch_incompatibility(tasks) is None
+        batched = run_batch(tasks)
+        assert len(batched) == len(serial)
+        for r, (a, b) in enumerate(zip(serial, batched)):
+            assert_results_bit_identical(a, b, f"{sched_name}-background run {r}")
+
+
+def _as_json(value):
+    """Byte-comparable form of trace events and metric states."""
+
+    def default(v):
+        if isinstance(v, np.ndarray):
+            return v.tolist()
+        if isinstance(v, np.generic):
+            return v.item()
+        raise TypeError(type(v).__name__)
+
+    return json.dumps(value, default=default, sort_keys=True)
+
+
+class TestOneSegmentRun:
+    """Churn, faults and a recording tracer meet in one R = 1 loop:
+    ``Simulation.run`` and a single-task ``run_batch`` are the same run."""
+
+    @pytest.mark.parametrize("sched_name", ["rtma", "ema"])
+    def test_simulation_equals_single_task_batch(self, sched_name):
+        plan = FaultPlan(
+            signal=(SignalBlackout(start_slot=40, n_slots=30),),
+            capacity=(CapacityFault(start_slot=120, n_slots=20, factor=0.0),),
+            stalls=(FlowStall(start_slot=60, n_slots=25, users=(0, 3, 5)),),
+        )
+        cfg = SimConfig(
+            n_users=16,
+            n_slots=300,
+            capacity_kbps=4_000.0,
+            video_size_range_kb=(3_000.0, 8_000.0),
+            buffer_capacity_s=40.0,
+            seed=3,
+            arrival_process="poisson",
+            arrival_rate_per_slot=0.4,
+            admission="capacity-threshold",
+            admission_max_active=4,
+            faults=plan,
+        )
+        make = SCHEDULERS[sched_name]
+        runs = []
+        for via_batch in (False, True):
+            tracer = RecordingTracer()
+            instr = Instrumentation(tracer=tracer)
+            (task,) = _tasks(make, [cfg])
+            if via_batch:
+                (result,) = run_batch([task], instrumentation=instr)
+            else:
+                result = Simulation(
+                    task.config, task.scheduler, task.workload,
+                    instrumentation=instr,
+                ).run()
+            runs.append((result, tracer.events, instr.metrics.state()))
+        (res_a, events_a, state_a), (res_b, events_b, state_b) = runs
+        assert_results_bit_identical(res_a, res_b, f"{sched_name} one-segment")
+        for name in ("admitted", "rejected", "departure_slot"):
+            assert getattr(res_a, name).tobytes() == getattr(res_b, name).tobytes()
+        kinds = {e["kind"] for e in events_a}
+        assert {"run.start", "fault.window", "session.start", "slot", "run.end"} <= kinds
+        assert _as_json(events_a) == _as_json(events_b)
+        assert "fault.stall_slots" in state_a["counters"]
+        assert _as_json(state_a) == _as_json(state_b)
 
 
 class TestBatchMetricsEquivalence:

@@ -26,6 +26,25 @@ def make_world(n=3, size_kb=5000.0, rate=400.0):
     return flows, ClientFleet(flows, tau_s=1.0)
 
 
+def slot_inputs(sig_row, bs, slot=0):
+    """One run's precomputed per-slot inputs, as the engine derives
+    them: the Eq. (24) link/power rows of ``sig_row``, and the ``(1,)``
+    capacity / Eq. (2) budget arrays plus segment bounds of a single
+    run whose slicer passes the BS capacity through."""
+    sig = np.asarray(sig_row, dtype=float)
+    link = LinearThroughputModel().max_units(sig, bs.tau_s, bs.delta_kb)
+    p = EnviPowerModel().p(sig)
+    video_cap = ResourceSlicer().video_capacity_kbps(bs.capacity_kbps(slot), slot)
+    budget = int(np.floor(bs.tau_s * video_cap / bs.delta_kb))
+    return (
+        link,
+        p,
+        np.array([video_cap]),
+        np.array([budget], dtype=np.int64),
+        np.array([0, sig.shape[0]], dtype=np.int64),
+    )
+
+
 class TestDataReceiver:
     def test_refill_respects_remaining(self):
         r = DataReceiver(2)
@@ -63,16 +82,20 @@ class TestInformationCollector:
         flows, fleet = make_world(n=3)
         bs = BaseStation(capacity=4096.0, delta_kb=40.0)
         collector = InformationCollector()
+        sig = np.array([-60.0, -80.0, -100.0])
+        link, p, cap, budget, offsets = slot_inputs(sig, bs)
         obs = collector.collect_fleet(
             slot=0,
-            sig_row=np.array([-60.0, -80.0, -100.0]),
+            sig_row=sig,
             flows=flows,
             fleet=fleet,
             bs=bs,
-            slicer=ResourceSlicer(),
-            throughput_model=LinearThroughputModel(),
-            power_model=EnviPowerModel(),
+            link_row=link,
+            p_row=p,
             idle_tail_cost_mj=np.zeros(3),
+            capacity_kbps=cap,
+            unit_budget=budget,
+            run_offsets=offsets,
             arena=SlotArena(3),
         )
         assert obs.n_users == 3
@@ -84,17 +107,21 @@ class TestInformationCollector:
 
     def test_collect_rejects_mismatched_arrays(self):
         flows, fleet = make_world(n=2)
+        bs = BaseStation()
+        link, p, cap, budget, offsets = slot_inputs(np.array([-80.0]), bs)
         with pytest.raises(SimulationError):
             InformationCollector().collect_fleet(
                 0,
                 np.array([-80.0]),
                 flows,
                 fleet,
-                BaseStation(),
-                ResourceSlicer(),
-                LinearThroughputModel(),
-                EnviPowerModel(),
+                bs,
+                link,
+                p,
                 np.zeros(2),
+                cap,
+                budget,
+                offsets,
                 SlotArena(2),
             )
 
@@ -140,14 +167,19 @@ class TestGateway:
     def test_step_delivers_to_clients(self):
         flows, fleet = make_world(n=2)
         gw = Gateway(_NeedScheduler(), BaseStation(), n_users=2)
+        sig = np.array([-70.0, -75.0])
+        link, p, cap, budget, offsets = slot_inputs(sig, gw.bs, slot=0)
         obs, phi, delivered = gw.step(
             0,
-            np.array([-70.0, -75.0]),
+            sig,
             flows,
             fleet,
-            LinearThroughputModel(),
-            EnviPowerModel(),
+            link,
+            p,
             np.zeros(2),
+            cap,
+            budget,
+            offsets,
             SlotArena(2),
         )
         assert phi.shape == (2,)
@@ -158,14 +190,19 @@ class TestGateway:
         flows, fleet = make_world(n=2, size_kb=50.0)
         fleet.deliver(np.array([0.0, 50.0]), 0)  # user 1 fully delivered
         gw = Gateway(_NeedScheduler(), BaseStation(), n_users=2)
+        sig = np.array([-70.0, -75.0])
+        link, p, cap, budget, offsets = slot_inputs(sig, gw.bs, slot=1)
         obs, phi, delivered = gw.step(
             1,
-            np.array([-70.0, -75.0]),
+            sig,
             flows,
             fleet,
-            LinearThroughputModel(),
-            EnviPowerModel(),
+            link,
+            p,
             np.zeros(2),
+            cap,
+            budget,
+            offsets,
             SlotArena(2),
         )
         assert not obs.active[1]

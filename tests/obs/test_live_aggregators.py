@@ -84,6 +84,14 @@ class TestP2Quantile:
         # Nearest-rank median of {1, 3, 5}.
         assert sketch.value == 3.0
 
+    def test_short_tied_stream_is_exact(self):
+        # Markers seeded from the first five samples put this at 0.21.
+        data = [0.0] * 37 + [1.0] * 3 + [0.0] * 10
+        sketch = P2Quantile(0.9)
+        for v in data:
+            sketch.add(v)
+        assert sketch.value == float(np.percentile(data, 90.0))
+
     @settings(max_examples=50, deadline=None)
     @given(
         data=st.lists(
