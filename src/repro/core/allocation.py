@@ -48,26 +48,17 @@ def check_constraints(phi: np.ndarray, obs: SlotObservation) -> None:
             f"(Eq. 1)",
             obs.slot,
         )
-    run_budgets = getattr(obs, "run_unit_budgets", None)
-    if run_budgets is not None:
-        # Run-stacked observation: Eq. (2) holds per run segment, not
-        # over the aggregate row space (int64 reduceat sums are exact).
-        totals = np.add.reduceat(phi, obs.run_offsets[:-1])
-        over_run = totals > run_budgets
-        if np.any(over_run):
-            r = int(np.argmax(over_run))
-            raise ConstraintViolationError(
-                f"run {r}: total {int(totals[r])} units exceeds BS budget "
-                f"{int(run_budgets[r])} (Eq. 2)",
-                obs.slot,
-            )
-    else:
-        total = int(phi.sum())
-        if total > obs.unit_budget:
-            raise ConstraintViolationError(
-                f"total {total} units exceeds BS budget {obs.unit_budget} (Eq. 2)",
-                obs.slot,
-            )
+    # Eq. (2) holds per run segment (one segment for a lone run), not
+    # over the stacked row space; int64 reduceat sums are exact.
+    totals = np.add.reduceat(phi, obs.run_offsets[:-1])
+    over_run = totals > obs.run_unit_budgets
+    if over_run.any():
+        r = int(np.argmax(over_run))
+        raise ConstraintViolationError(
+            f"run {r}: total {int(totals[r])} units exceeds BS budget "
+            f"{int(obs.run_unit_budgets[r])} (Eq. 2)",
+            obs.slot,
+        )
     bad = phi[~obs.active]
     if bad.size and np.any(bad > 0):
         raise ConstraintViolationError("allocation to inactive user", obs.slot)
@@ -85,43 +76,21 @@ def clip_to_constraints(desired: np.ndarray, obs: SlotObservation) -> np.ndarray
     want = np.floor(np.maximum(np.asarray(desired, dtype=float), 0.0)).astype(np.int64)
     want = np.minimum(want, obs.link_units)
     want[~obs.active] = 0
-    run_budgets = getattr(obs, "run_unit_budgets", None)
-    if run_budgets is not None:
-        return _clip_batch(want, obs.run_offsets, run_budgets)
-    # Greedy prefix under the budget: cumulative sum, then truncate the
-    # first user that crosses the line and zero the rest.
-    cum = np.cumsum(want)
-    budget = obs.unit_budget
-    phi = want.copy()
-    over = cum > budget
-    if np.any(over):
-        first = int(np.argmax(over))
-        prior = int(cum[first - 1]) if first > 0 else 0
-        phi[first] = max(budget - prior, 0)
-        phi[first + 1 :] = 0
-    return phi
-
-
-def _clip_batch(
-    want: np.ndarray, run_offsets: np.ndarray, run_budgets: np.ndarray
-) -> np.ndarray:
-    """Segmented greedy-prefix clip for run-stacked observations.
-
-    Each run gets the single-run treatment against its own budget:
-    per-run cumulative sum (int64, so 2-D and 1-D orders agree
-    exactly), truncate the first over-budget user, zero the rest of the
-    segment.  Segments are uniform (``n_users`` is a batch
-    compatibility field), so one 2-D cumsum covers them all.
-    """
-    phi = want.copy()
-    n_runs = run_budgets.shape[0]
-    n_per_run = int(run_offsets[1] - run_offsets[0])
-    phi2 = phi.reshape(n_runs, n_per_run)
-    cum = np.cumsum(want.reshape(n_runs, n_per_run), axis=1)
-    over = cum > run_budgets[:, None]
+    # Greedy prefix under each run's budget: per-run cumulative sum
+    # (int64, exact), then truncate the first user that crosses the
+    # line and zero the rest of the segment.  Segments are uniform
+    # (``n_users`` is a batch compatibility field), so one 2-D cumsum
+    # covers them all.
+    budgets = obs.run_unit_budgets
+    n_runs = budgets.shape[0]
+    phi2 = want.reshape(n_runs, -1)
+    cum = np.cumsum(phi2, axis=1)
+    over = cum > budgets[:, None]
+    if not over.any():
+        return want
     for r in np.flatnonzero(over.any(axis=1)):
         first = int(np.argmax(over[r]))
         prior = int(cum[r, first - 1]) if first > 0 else 0
-        phi2[r, first] = max(int(run_budgets[r]) - prior, 0)
+        phi2[r, first] = max(int(budgets[r]) - prior, 0)
         phi2[r, first + 1 :] = 0
-    return phi
+    return want

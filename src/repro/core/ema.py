@@ -33,6 +33,18 @@ then becomes, for the transmit branch,
 O(M * w_i).  The result is *exact*: ``tests/core/test_ema.py``
 cross-checks it against the brute-force reference in
 :mod:`repro.core.knapsack` on randomized instances.
+
+Run segments
+------------
+One scheduler body serves a lone run and a stack of runs alike.  ``V``,
+the queue floor and the queue seed are per-lane arrays over the
+observation's ``R >= 1`` row segments, one
+:class:`~repro.core.lyapunov.VirtualQueues` holds every lane's ``PC_i``,
+and the DP is always the segmented ``ema_dp_batch`` kernel
+(:mod:`repro.kernels.batch_step`), which solves each run's knapsack
+against its own budget with the scalar ``ema_dp`` body — the DP's one
+call site.  A lone run is ``R = 1``; :meth:`EMAScheduler.stack` builds
+the ``R > 1`` instance.
 """
 
 from __future__ import annotations
@@ -76,15 +88,16 @@ class _EmaScratch:
     """Preallocated buffers for the per-slot DP kernel call.
 
     The per-user coefficient vectors are sized once for the fleet; the
-    state-dimension buffers (value-table rows, DP scratch, the float
-    ``arange``) grow monotonically with the largest ``n_states`` seen,
-    so the steady-state slot loop performs no allocations.
+    DP buffers (value-table rows, DP scratch, the float ``arange``)
+    grow monotonically with the largest segment and ``n_states`` seen,
+    so the steady-state slot loop performs no allocations for them.
     """
 
     def __init__(self, n_users: int):
         self.p = np.empty(n_users, dtype=float)
         self.rate = np.empty(n_users, dtype=float)
         self.pc = np.empty(n_users, dtype=float)
+        self.v = np.empty(n_users, dtype=float)
         self.tmp = np.empty(n_users, dtype=float)
         self.f1 = np.empty(n_users, dtype=float)
         self.f2 = np.empty(n_users, dtype=float)
@@ -95,28 +108,21 @@ class _EmaScratch:
         self.w_eff = np.empty(n_users, dtype=np.int64)
         self.origin = np.empty(n_users, dtype=np.int64)
         self.mask = np.empty(n_users, dtype=bool)
-        self._rows_flat = np.empty(0, dtype=float)
-        self._fscratch = np.empty(0, dtype=float)
-        self._iscratch = np.empty(0, dtype=np.int64)
-        self._m_idx = np.empty(0, dtype=float)
+        self.rows_flat = np.empty(0, dtype=float)
+        self.fscratch = np.empty(0, dtype=float)
+        self.iscratch = np.empty(0, dtype=np.int64)
+        self.m_idx = np.empty(0, dtype=float)
 
-    def dp_buffers(self, n_active: int, n_states: int):
-        """(rows, m_idx, fscratch, iscratch) views sized for this slot."""
-        if self._rows_flat.size < n_active * n_states:
-            self._rows_flat = np.empty(n_active * n_states, dtype=float)
-        if self._fscratch.size < 4 * n_states:
-            self._fscratch = np.empty(4 * n_states, dtype=float)
-        if self._iscratch.size < n_states:
-            self._iscratch = np.empty(n_states, dtype=np.int64)
-        if self._m_idx.size < n_states:
-            self._m_idx = np.arange(n_states, dtype=float)
-        rows = self._rows_flat[: n_active * n_states].reshape(n_active, n_states)
-        return (
-            rows,
-            self._m_idx[:n_states],
-            self._fscratch[: 4 * n_states],
-            self._iscratch[:n_states],
-        )
+    def grow_dp(self, n_rows: int, n_states: int) -> None:
+        """Ensure room for ``n_rows`` value-table cells and ``n_states``."""
+        if self.rows_flat.size < n_rows:
+            self.rows_flat = np.empty(n_rows, dtype=float)
+        if self.fscratch.size < 4 * n_states:
+            self.fscratch = np.empty(4 * n_states, dtype=float)
+        if self.iscratch.size < n_states:
+            self.iscratch = np.empty(n_states, dtype=np.int64)
+        if self.m_idx.size < n_states:
+            self.m_idx = np.arange(n_states, dtype=float)
 
 
 class EMAScheduler(Scheduler):
@@ -183,10 +189,55 @@ class EMAScheduler(Scheduler):
         self.queue_floor_s = queue_floor_s
         self.queue_init = queue_init
         self.typical_p_mj_per_kb = float(typical_p_mj_per_kb)
+        self._parts: list[EMAScheduler] = []
+        self._set_lanes([self], np.array([0, self.n_users]))
         self.queues = VirtualQueues(self.n_users, self.tau_s)
         self._initialized = np.zeros(self.n_users, dtype=bool)
         self._scratch = _EmaScratch(self.n_users)
         self._kernel = None
+
+    @classmethod
+    def stack(cls, scheds, run_offsets: np.ndarray) -> EMAScheduler:
+        """One scheduler over R runs stacked as row segments.
+
+        Run ``r`` keeps ``scheds[r]``'s ``V``, queue floor and queue
+        initialisation on rows ``run_offsets[r]:run_offsets[r+1]``, and
+        one :class:`~repro.core.lyapunov.VirtualQueues` holds every
+        run's ``PC_i``.  The runs must share ``tau_s``.
+        """
+        s0 = scheds[0]
+        stacked = cls(
+            int(run_offsets[-1]), s0.v_param, s0.tau_s, s0.queue_floor_s,
+            s0.queue_init, s0.typical_p_mj_per_kb,
+        )
+        stacked._parts = list(scheds)
+        stacked._set_lanes(scheds, run_offsets)
+        return stacked
+
+    def _set_lanes(self, scheds, run_offsets: np.ndarray) -> None:
+        """Broadcast each run's parameters over its row segment."""
+        sizes = np.diff(run_offsets)
+
+        def lanes(values, dtype=float):
+            return np.repeat(np.array(values, dtype=dtype), sizes)
+
+        self._run_offsets = run_offsets
+        self._v_lanes = lanes([s.v_param for s in scheds])
+        self._has_floor = any(s.queue_floor_s is not None for s in scheds)
+        # Floorless lanes carry -inf: np.maximum(x, -inf) is the bitwise
+        # identity for the non-NaN values PC_i takes.
+        self._floor_lanes = lanes(
+            [-np.inf if s.queue_floor_s is None else s.queue_floor_s for s in scheds]
+        )
+        auto = [isinstance(s.queue_init, str) for s in scheds]
+        self._all_auto = all(auto)
+        self._auto_lanes = lanes(auto, bool)
+        self._init_lanes = lanes(
+            [0.0 if a else float(s.queue_init) for a, s in zip(auto, scheds)]
+        )
+        # The "auto" seed is the python-float product V * P_typ times
+        # the rates; each lane repeats its run's exact scalar product.
+        self._vp_lanes = lanes([float(s.v_param * s.typical_p_mj_per_kb) for s in scheds])
 
     # -- scheduling -----------------------------------------------------------
 
@@ -198,48 +249,53 @@ class EMAScheduler(Scheduler):
         phi = self._zeros(obs)
         self._seed_queues(obs)
         active_idx = np.flatnonzero(obs.active)
+        # unit_budget is the run total: no run has a unit to grant.
         if active_idx.size == 0 or obs.unit_budget <= 0:
             return phi
+        budgets = obs.run_unit_budgets
+        # Each run's slice of the packed active rows.
+        act_bounds = np.searchsorted(active_idx, obs.run_offsets)
 
-        budget = int(obs.unit_budget)
         pc = self.queues.values
-        v = self.v_param
         tau = self.tau_s
         delta = obs.delta_kb
         n_active = int(active_idx.size)
-        n_states = budget + 1
         s = self._scratch
 
         # Affine transmit cost f(i, phi) = const_i + slope_i * phi and
-        # idle cost f(i, 0) = const_i + V * tail_i, with const_i = PC_i * tau.
-        # The per-user coefficients are gathered into preallocated
-        # scratch in one vectorised pass with the element-wise operation
-        # order of the original expressions, so the coefficients — and
-        # hence the allocations — are bit-identical (guarded by
-        # tests/core/test_ema.py's brute-force cross-check).
+        # idle cost f(i, 0) = const_i + V_i * tail_i, with
+        # const_i = PC_i * tau.  The per-user coefficients are gathered
+        # into preallocated scratch in one vectorised pass with the
+        # element-wise operation order of the original expressions, so
+        # the coefficients — and hence the allocations — are
+        # bit-identical (guarded by tests/core/test_ema.py's
+        # brute-force cross-check).  Every operation is elementwise, so
+        # a stack's packed vectors are its runs' own vectors end to end.
         p_act = np.take(obs.p_mj_per_kb, active_idx, out=s.p[:n_active])
         rate_act = np.take(obs.rate_kbps, active_idx, out=s.rate[:n_active])
         pc_act = np.take(pc, active_idx, out=s.pc[:n_active])
+        v_act = np.take(self._v_lanes, active_idx, out=s.v[:n_active])
         const_act = s.const[:n_active]
         np.multiply(pc_act, tau, out=const_act)
         idle_act = s.idle[:n_active]
         np.take(obs.idle_tail_cost_mj, active_idx, out=idle_act)
-        np.multiply(idle_act, v, out=idle_act)
+        np.multiply(idle_act, v_act, out=idle_act)
         np.add(const_act, idle_act, out=idle_act)
         slope_act = s.slope[:n_active]
         tmp = s.tmp[:n_active]
         with np.errstate(invalid="ignore"):
             # Lanes with non-finite P produce inf/nan slopes here; they
             # take the no-tx branch in the DP and never read the slope.
-            np.multiply(p_act, v, out=slope_act)
+            np.multiply(p_act, v_act, out=slope_act)
             np.divide(pc_act, rate_act, out=tmp)
             np.subtract(slope_act, tmp, out=slope_act)
             np.multiply(slope_act, delta, out=slope_act)
 
         # Per-user transmit cap: link constraint (1), remaining bytes,
-        # and the client's receiver window.  w_eff = 0 marks the pure
-        # no-tx users (zero window or non-finite reception power); the
-        # backtrack never reads their slope.
+        # the client's receiver window, and the run's n_states =
+        # budget + 1.  w_eff = 0 marks the pure no-tx users (zero
+        # window or non-finite reception power); the backtrack never
+        # reads their slope.
         sendable = np.take(obs.remaining_kb, active_idx, out=s.f1[:n_active])
         recv = np.take(obs.receivable_kb, active_idx, out=s.f2[:n_active])
         np.minimum(sendable, recv, out=sendable)
@@ -250,7 +306,8 @@ class EMAScheduler(Scheduler):
         w_eff = s.w_eff[:n_active]
         np.take(obs.link_units, active_idx, out=w_eff)
         np.minimum(w_eff, useful, out=w_eff)
-        np.minimum(w_eff, n_states, out=w_eff)
+        seg_sizes = act_bounds[1:] - act_bounds[:-1]
+        np.minimum(w_eff, np.repeat(budgets + 1, seg_sizes), out=w_eff)
         mask = s.mask[:n_active]
         np.isfinite(p_act, out=mask)
         np.logical_not(mask, out=mask)
@@ -260,26 +317,30 @@ class EMAScheduler(Scheduler):
         np.subtract(w_eff, origin_act, out=origin_act)
         np.subtract(origin_act, 1, out=origin_act)
 
-        # One fused kernel call: DP forward pass + trailing-window min
-        # + backtrack (Steps 6-15 of Algorithm 2).  The DP uses "total
+        # One fused kernel call per slot: for each run segment, the DP
+        # forward pass + trailing-window min + backtrack (Steps 6-15 of
+        # Algorithm 2) against that run's budget.  The DP uses "total
         # units *at most* M" semantics (the level-0 predecessor is
-        # identically zero), so leftover capacity after the backtrack is
-        # simply unused budget.
-        rows, m_idx, fscratch, iscratch = s.dp_buffers(n_active, n_states)
+        # identically zero), so leftover capacity after the backtrack
+        # is simply unused budget.
+        n_states = int(budgets.max()) + 1
+        s.grow_dp(int(seg_sizes.max()) * n_states, n_states)
         if self._kernel is None:
-            self._kernel = kernel_registry.resolve("ema_dp")
+            self._kernel = kernel_registry.resolve("ema_dp_batch")
         self._kernel(
             phi,
             active_idx,
+            act_bounds,
+            budgets,
             w_eff,
             origin_act,
             slope_act,
             const_act,
             idle_act,
-            rows,
-            m_idx,
-            fscratch,
-            iscratch,
+            s.rows_flat,
+            s.m_idx,
+            s.fscratch,
+            s.iscratch,
         )
         return phi
 
@@ -288,10 +349,9 @@ class EMAScheduler(Scheduler):
         fresh = obs.active & ~self._initialized
         if not np.any(fresh):
             return
-        if self.queue_init == "auto":
-            seed = self.v_param * self.typical_p_mj_per_kb * obs.rate_kbps
-        else:
-            seed = np.full(obs.n_users, float(self.queue_init))
+        seed = self._vp_lanes * obs.rate_kbps
+        if not self._all_auto:
+            seed = np.where(self._auto_lanes, seed, self._init_lanes)
         self.queues.values = np.where(fresh, seed, self.queues.values)
         self._initialized |= fresh
 
@@ -303,12 +363,13 @@ class EMAScheduler(Scheduler):
         """Update the virtual queues with the *delivered* media (Eq. 16)."""
         t = np.asarray(delivered_kb, dtype=float) / obs.rate_kbps
         self.queues.update(t, obs.active)
-        if self.queue_floor_s is not None:
-            np.maximum(self.queues.values, self.queue_floor_s, out=self.queues.values)
+        if self._has_floor:
+            np.maximum(self.queues.values, self._floor_lanes, out=self.queues.values)
         instr = self.instrumentation
-        if instr is not None:
+        if instr is not None and not self._parts:
             # Lyapunov policies are diagnosed through their virtual-queue
-            # trajectories: publish PC_i(n) after every update.
+            # trajectories: publish PC_i(n) after every update.  A stack
+            # publishes once, through finalize_batch.
             pc = self.queues.values
             instr.metrics.gauge("ema.virtual_queues").set(pc.copy())
             instr.metrics.gauge("ema.virtual_queue_max_s").set(float(pc.max()))
@@ -317,6 +378,18 @@ class EMAScheduler(Scheduler):
                     "ema.queues", slot=int(obs.slot), v=self.v_param, pc_s=pc.copy()
                 )
 
+    def finalize_batch(self, metrics) -> None:
+        """Publish a stack's final gauge state as the serial runs would.
+
+        Serial runs publish ``ema.virtual_queues`` after every slot;
+        gauges are last-write-wins, so the post-sequence state is the
+        last run's final queues — exactly the stack's last segment.
+        ``metrics`` is the last run's per-run registry.
+        """
+        pc = self.queues.values[int(self._run_offsets[-2]) :].copy()
+        metrics.gauge("ema.virtual_queues").set(pc)
+        metrics.gauge("ema.virtual_queue_max_s").set(float(pc.max()))
+
     def reset(self) -> None:
         self.queues.reset()
         self._initialized = np.zeros(self.n_users, dtype=bool)
@@ -324,6 +397,8 @@ class EMAScheduler(Scheduler):
         # entered after construction (the engine's cfg.kernel_backend)
         # governs the kernel choice.
         self._kernel = None
+        for s in self._parts:
+            s.reset()
 
     # -- dynamic session lifecycle --------------------------------------------
 
@@ -334,7 +409,8 @@ class EMAScheduler(Scheduler):
         new rows come up zeroed/unseeded like a fresh run (they seed at
         their first active slot via :meth:`_seed_queues`).  The dynamic
         engine may also shrink once at run start — before any state has
-        accrued — to match its small initial capacity.
+        accrued — to match its small initial capacity.  Churn runs are
+        one segment, so the parameter lanes are rebuilt as one.
         """
         n = int(n_users)
         if n <= 0:
@@ -350,6 +426,7 @@ class EMAScheduler(Scheduler):
         self.queues.values = values
         self._initialized = initialized
         self._scratch = _EmaScratch(n)
+        self._set_lanes([self], np.array([0, n]))
         self.n_users = n
 
     def release_users(self, rows) -> None:

@@ -15,6 +15,13 @@ first), and each round grants each user at most its one-slot need
 budget or every user's link capacity (Eq. 1) is exhausted.  The
 round structure is what produces RTMA's fairness (Fig. 2): no user can
 seize the whole BS before every user has been offered its need.
+
+One scheduler body serves a lone run and a stack of runs alike: the
+observation's ``R >= 1`` row segments each get their own threshold
+lane, rate order and budget, and the rounds always go through the
+segmented ``rtma_rounds_batch`` kernel (:mod:`repro.kernels.batch_step`),
+which runs the scalar ``rtma_rounds`` body once per segment.  A lone run
+is ``R = 1``; :meth:`RTMAScheduler.stack` builds the ``R > 1`` instance.
 """
 
 from __future__ import annotations
@@ -118,13 +125,33 @@ class RTMAScheduler(Scheduler):
             )
         else:
             self.sig_threshold_dbm = float("-inf")
+        #: Per-run thresholds, broadcast to per-lane arrays over the
+        #: observation's run segments (one run unless :meth:`stack`).
+        self._thresholds = np.array([self.sig_threshold_dbm], dtype=float)
+        self._parts: list[RTMAScheduler] = []
         self._scratch: dict | None = None
         self._kernel = None
 
-    def _buffers(self, n_users: int) -> dict:
+    @classmethod
+    def stack(cls, scheds, run_offsets: np.ndarray) -> RTMAScheduler:
+        """One scheduler over R runs stacked as row segments.
+
+        Run ``r`` keeps ``scheds[r]``'s threshold on rows
+        ``run_offsets[r]:run_offsets[r+1]``; every lane then sees the
+        arithmetic of its own run alone.
+        """
+        stacked = cls(sig_threshold_dbm=scheds[0].sig_threshold_dbm)
+        stacked._thresholds = np.array([s.sig_threshold_dbm for s in scheds], dtype=float)
+        stacked._parts = list(scheds)
+        stacked._buffers(run_offsets)
+        return stacked
+
+    def _buffers(self, run_offsets: np.ndarray) -> dict:
+        n_users = int(run_offsets[-1])
         s = self._scratch
         if s is None or s["need"].size != n_users:
             s = {
+                "threshold": np.repeat(self._thresholds, np.diff(run_offsets)),
                 "eligible": np.empty(n_users, dtype=bool),
                 "b_tmp": np.empty(n_users, dtype=bool),
                 "need": np.empty(n_users, dtype=np.int64),
@@ -136,12 +163,13 @@ class RTMAScheduler(Scheduler):
 
     def allocate(self, obs: SlotObservation) -> np.ndarray:
         phi = self._zeros(obs)
-        s = self._buffers(obs.n_users)
+        s = self._buffers(obs.run_offsets)
         eligible = s["eligible"]
-        np.greater_equal(obs.sig_dbm, self.sig_threshold_dbm, out=eligible)
+        np.greater_equal(obs.sig_dbm, s["threshold"], out=eligible)
         np.logical_and(eligible, obs.active, out=eligible)
         np.greater(obs.link_units, 0, out=s["b_tmp"])
         np.logical_and(eligible, s["b_tmp"], out=eligible)
+        # unit_budget is the run total: no run has a unit to grant.
         if not np.any(eligible) or obs.unit_budget <= 0:
             return phi
 
@@ -161,13 +189,17 @@ class RTMAScheduler(Scheduler):
         np.copyto(cap, f, casting="unsafe")
         np.minimum(obs.link_units, cap, out=cap)
 
-        # Steps 1-2: ascending required data rate (stable for ties);
-        # steps 4-15: rounds of at-most-phi_need grants in sorted order,
-        # dispatched to the active kernel backend.
-        order = np.argsort(obs.rate_kbps, kind="stable")
+        # Steps 1-2: ascending required data rate, a stable argsort per
+        # run segment (run-local indices); steps 4-15: rounds of
+        # at-most-phi_need grants in that order against each run's own
+        # budget, dispatched to the active kernel backend.
+        budgets = obs.run_unit_budgets
+        order = np.argsort(
+            obs.rate_kbps.reshape(budgets.shape[0], -1), axis=1, kind="stable"
+        ).reshape(-1)
         if self._kernel is None:
-            self._kernel = kernel_registry.resolve("rtma_rounds")
-        self._kernel(phi, eligible, need, cap, order, int(obs.unit_budget))
+            self._kernel = kernel_registry.resolve("rtma_rounds_batch")
+        self._kernel(phi, eligible, need, cap, order, budgets, obs.run_offsets)
         return phi
 
     def reset(self) -> None:
@@ -175,3 +207,5 @@ class RTMAScheduler(Scheduler):
         # entered after construction (the engine's cfg.kernel_backend)
         # governs the kernel choice.
         self._kernel = None
+        for s in self._parts:
+            s.reset()

@@ -49,8 +49,9 @@ class Scheduler(abc.ABC):
     def allocate(self, obs: SlotObservation) -> np.ndarray:
         """Return the allocation ``phi`` (int64 array, shape (n_users,)).
 
-        Must satisfy ``0 <= phi_i <= obs.link_units[i]`` and
-        ``sum(phi) <= obs.unit_budget``; inactive users must get 0.
+        Must satisfy ``0 <= phi_i <= obs.link_units[i]`` and, for each
+        run segment ``r``, ``sum(phi[run_offsets[r]:run_offsets[r+1]])
+        <= obs.run_unit_budgets[r]``; inactive users must get 0.
         """
 
     def notify(

@@ -1,23 +1,27 @@
-"""Run-stacked batch kernels: EMA DP and RTMA rounds over R segments.
+"""Segmented scheduling kernels: EMA DP and RTMA rounds over R segments.
 
-The batch engine (:mod:`repro.sim.batch`) folds R shape-compatible
-runs into a single ``(R*N,)`` row space.  Three of the four hot kernel
-families — fleet ``begin_slot``/``deliver``, the RRC tail step, and
-the arena ufunc chains — are row-elementwise, so the stacked fleet
-dispatches straight through the existing registered kernels: the run
-axis simply rides along the row axis, and backend selection plus span
-attribution keep working unchanged.
+The slot loop (:func:`repro.sim.engine.run_segments`) runs ``R >= 1``
+runs as row segments of one ``(R*N,)`` row space.  Three of the four
+hot kernel families — fleet ``begin_slot``/``deliver``, the RRC tail
+step, and the arena ufunc chains — are row-elementwise, so the run axis
+simply rides along the row axis through the existing registered
+kernels, and backend selection plus span attribution keep working
+unchanged.
 
 The two cross-user kernels are different: the EMA DP couples every
 active user of a run through the shared unit budget, and RTMA's round
-grants consume a per-run budget in rate order.  Stacking must not let
-one run's allocation see another run's budget, so both get segmented
-variants here that take the per-run segment table and iterate runs
-inside the kernel — one registry dispatch per slot for all R runs
-instead of R dispatches.  Each segment executes the *serial* kernel
-body on contiguous per-run views, which is what makes the batch path
-bit-identical to running each run alone (guarded by
-``tests/integration/test_batch_equivalence.py``).
+grants consume a per-run budget in rate order.  One run's allocation
+must not see another run's budget, so both come in segmented variants
+here that take the per-run segment table and iterate runs inside the
+kernel — one registry dispatch per slot for all R runs.  These are the
+only scheduling kernels production calls:
+:class:`~repro.core.rtma.RTMAScheduler` and
+:class:`~repro.core.ema.EMAScheduler` call them for every ``R``, a lone
+run being ``R = 1``.  Each segment executes the *scalar* kernel body
+(``rtma_rounds`` / ``ema_dp``) on contiguous per-run views, which is
+what makes a stack bit-identical to running each run alone (guarded by
+``tests/integration/test_batch_equivalence.py``).  The scalar kernels
+stay registered, so the parity suite and numba reach them on their own.
 
 The python sources call the serial loop bodies through module-level
 bindings (``maybe_njit(...) or ...``): under Numba the bindings are
@@ -107,10 +111,10 @@ def ema_dp_batch_numpy(
     table over it.  The coefficient vectors (``w_eff``/``origin``/
     ``slope``/``const``/``idle``) are packed in the same active order.
     Each run's DP runs with its own budget (``n_states = budget + 1``)
-    over shared scratch sized for the largest segment, exactly as the
-    serial :class:`~repro.core.ema.EMAScheduler` sizes its buffers.
-    Runs with no active users or a non-positive budget are skipped —
-    mirroring the scheduler's serial early-out.
+    over shared scratch sized for the largest segment (the
+    :class:`~repro.core.ema.EMAScheduler` scratch).  Runs with no
+    active users or a non-positive budget are skipped, as the scheduler
+    skips the whole call when no run has either.
     """
     n_runs = budgets.shape[0]
     for r in range(n_runs):

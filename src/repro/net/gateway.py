@@ -18,7 +18,8 @@ every per-user observation/transmit vector in a
 components together; the simulation engine's slot loop drives one
 :meth:`Gateway.step` per slot over ``R >= 1`` run segments, handing it
 the slot's precomputed Eq. (24) link/power rows and per-run Eq. (2)
-budgets.
+budgets.  A lone run and a stack of runs observe the same
+:class:`SlotObservation` type: ``R = 1`` is simply one segment.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from repro.net.flows import VideoFlow
 
 __all__ = [
     "SlotObservation",
-    "BatchSlotObservation",
     "DataReceiver",
     "InformationCollector",
     "DataTransmitter",
@@ -47,9 +47,15 @@ __all__ = [
 class SlotObservation:
     """Everything a scheduler may observe at the start of a slot.
 
-    All per-user arrays have shape ``(n_users,)``.  Inactive users
-    (session not started, or fully delivered) are flagged in
-    ``active``; well-behaved schedulers allocate them zero units.
+    The slot loop (:func:`repro.sim.engine.run_segments`) stacks
+    ``R >= 1`` runs as row segments: every per-user array covers all R
+    runs, with run ``r`` owning rows ``run_offsets[r]:run_offsets[r+1]``.
+    Inactive users (session not started, or fully delivered) are
+    flagged in ``active``; well-behaved schedulers allocate them zero
+    units.  Constraint (2) holds per run, through ``run_unit_budgets``;
+    the scalar ``capacity_kbps`` / ``unit_budget`` are the run totals
+    (one run's own values when ``R = 1``).  A hand-built observation
+    that omits the run fields is one segment built from the scalars.
     """
 
     slot: int
@@ -84,12 +90,25 @@ class SlotObservation:
     #: Rows vacated since the previous slot (churn runs only; ``None``
     #: when row space is session space).
     departed: np.ndarray | None = None
+    #: ``(R+1,)`` int64 row bounds of each run's segment.
+    run_offsets: np.ndarray = None  # type: ignore[assignment]
+    #: ``(R,)`` int64 per-run Eq. (2) budgets.
+    run_unit_budgets: np.ndarray = None  # type: ignore[assignment]
+    #: ``(R,)`` float per-run video-slice capacity S(n), KB/s.
+    run_capacity_kbps: np.ndarray = None  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
         if self.receivable_kb is None:
             object.__setattr__(
                 self, "receivable_kb", np.full(self.sig_dbm.shape, np.inf)
             )
+        if self.run_offsets is None:
+            for name, value, dtype in (
+                ("run_offsets", [0, self.n_users], np.int64),
+                ("run_unit_budgets", [self.unit_budget], np.int64),
+                ("run_capacity_kbps", [self.capacity_kbps], float),
+            ):
+                object.__setattr__(self, name, np.array(value, dtype=dtype))
 
     @property
     def n_users(self) -> int:
@@ -99,28 +118,6 @@ class SlotObservation:
     def sendable_kb(self) -> np.ndarray:
         """Useful bytes per user: min(remaining media, receiver window)."""
         return np.minimum(self.remaining_kb, self.receivable_kb)
-
-
-@dataclass(frozen=True)
-class BatchSlotObservation(SlotObservation):
-    """A :class:`SlotObservation` over R run-stacked row segments.
-
-    The slot loop (:func:`repro.sim.engine.run_segments`) folds R > 1
-    shape-compatible runs into one ``(R*N,)`` row space; every per-user
-    array above covers all R runs, with run ``r`` owning rows
-    ``run_offsets[r]:run_offsets[r+1]``.  The scalar ``unit_budget`` /
-    ``capacity_kbps`` fields hold cross-run aggregates (sums) for
-    display only — constraint enforcement is per run through
-    ``run_unit_budgets`` (see :func:`repro.core.allocation.check_constraints`
-    and ``clip_to_constraints``, which branch on its presence).
-    """
-
-    #: ``(R+1,)`` int64 row bounds of each run's segment.
-    run_offsets: np.ndarray | None = None
-    #: ``(R,)`` int64 per-run Eq. (2) budgets.
-    run_unit_budgets: np.ndarray | None = None
-    #: ``(R,)`` float per-run video-slice capacity S(n), KB/s.
-    run_capacity_kbps: np.ndarray | None = None
 
 
 class DataReceiver:
@@ -216,9 +213,9 @@ class InformationCollector:
         ``capacity_kbps`` / ``unit_budget`` are the ``(R,)`` per-run
         video-slice capacities and Eq. (2) budgets, and ``run_offsets``
         the ``(R+1,)`` segment bounds.  ``link_row`` / ``p_row`` are the
-        slot's rows of the engine's precomputed Eq. (24) tables.  One
-        run (``R = 1``) gets a plain :class:`SlotObservation`; ``R > 1``
-        a :class:`BatchSlotObservation` carrying the per-run budgets.
+        slot's rows of the engine's precomputed Eq. (24) tables.  Every
+        ``R``, one included, gets the same :class:`SlotObservation`
+        type, carrying the per-run budgets and segment bounds.
 
         No per-user Python loops: client feedback comes straight from
         the fleet's state arrays and the DPI rates from its vectorized
@@ -237,10 +234,13 @@ class InformationCollector:
         active = fleet.active_mask_into(slot, arena.active, arena.f8_tmp, arena.b1_tmp)
         remaining = fleet.remaining_into(arena.remaining_kb)
         receivable = fleet.receivable_into(slot, arena.receivable_kb, arena.b1_tmp)
-        fields = dict(
+        # The scalar fields hold the run totals (a lone run's own values).
+        return SlotObservation(
             slot=slot,
             tau_s=bs.tau_s,
             delta_kb=bs.delta_kb,
+            capacity_kbps=float(capacity_kbps.sum()),
+            unit_budget=int(unit_budget.sum()),
             sig_dbm=sig,
             rate_kbps=rates,
             link_units=link_row,
@@ -252,21 +252,9 @@ class InformationCollector:
             receivable_kb=receivable,
             joined=joined,
             departed=departed,
-        )
-        if unit_budget.shape[0] == 1:
-            return SlotObservation(
-                capacity_kbps=float(capacity_kbps[0]),
-                unit_budget=int(unit_budget[0]),
-                **fields,
-            )
-        # The scalar fields hold cross-run sums, for display only.
-        return BatchSlotObservation(
-            capacity_kbps=float(capacity_kbps.sum()),
-            unit_budget=int(unit_budget.sum()),
             run_offsets=run_offsets,
             run_unit_budgets=unit_budget,
             run_capacity_kbps=capacity_kbps,
-            **fields,
         )
 
 

@@ -306,13 +306,14 @@ def run_segments(tasks, workloads, instr, stack_scheduler=None):
     """Run ``R = len(tasks)`` runs as row segments of one slot loop.
 
     ``tasks`` expose ``.config`` and ``.scheduler``; ``workloads`` are
-    their resolved workloads.  With ``R == 1`` the run's own scheduler
-    sees a plain :class:`~repro.net.gateway.SlotObservation`, and churn,
-    fault plans, per-slot traces and the live plane all apply.  With
-    ``R > 1`` the runs must be batch-compatible and untraced (see
-    :mod:`repro.sim.batch`): ``stack_scheduler(run_offsets)`` builds the
-    scheduler serving the stacked rows, which sees a
-    :class:`~repro.net.gateway.BatchSlotObservation`.
+    their resolved workloads.  Every slot's
+    :class:`~repro.net.gateway.SlotObservation` carries the per-run
+    segment bounds and Eq. (2) budgets.  With ``R == 1`` the run's own
+    scheduler serves its one segment, and churn, fault plans, per-slot
+    traces and the live plane all apply.  With ``R > 1`` the runs must
+    be batch-compatible and untraced (see :mod:`repro.sim.batch`):
+    ``stack_scheduler(run_offsets)`` builds the scheduler serving the
+    stacked rows.
 
     Returns ``(results, run_metric_states)``: one result per run in
     task order, and — for an instrumented ``R > 1`` loop — one metrics
@@ -508,6 +509,7 @@ def _slot_loop(tasks, workloads, instr, stack_scheduler):
     # Without churn every slot's row vectors are the result grids'
     # rows; with churn they are arena rows scattered after the slot.
     row_flows, joined, departed = flows, None, None
+    row_offsets = run_offsets
     slot = -1
     try:
         for slot in range(gamma):
@@ -552,6 +554,9 @@ def _slot_loop(tasks, workloads, instr, stack_scheduler):
                 )
                 row_flows = mgr.row_flows
                 joined, departed = mgr.joined_mask, mgr.departed_mask
+                if row_offsets[-1] != fleet.n_users:
+                    # A churn run is one segment over the row capacity.
+                    row_offsets = np.array([0, fleet.n_users], dtype=np.int64)
             else:
                 rebuf_row, trans_row, tail_row = (
                     rebuf[slot], e_trans[slot], e_tail[slot]
@@ -620,7 +625,7 @@ def _slot_loop(tasks, workloads, instr, stack_scheduler):
                 idle_cost,
                 cap_table[slot],
                 budget_table[slot],
-                run_offsets,
+                row_offsets,
                 arena,
                 instrumentation=instr,
                 joined_mask=joined,
@@ -840,7 +845,7 @@ def _slot_loop(tasks, workloads, instr, stack_scheduler):
                     reg.counter("batch.runs").inc(n_runs)
                     reg.counter("batch.slots").inc(gamma)
                 if r == n_runs - 1:
-                    # Scheduler adapters publish their final gauge
+                    # Stacked schedulers publish their final gauge
                     # state (e.g. EMA's virtual queues) into the last
                     # run's registry — gauges are last-write-wins, so
                     # the merged value matches a run-by-run sequence.

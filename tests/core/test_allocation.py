@@ -1,5 +1,7 @@
 """Tests for constraint validation and repair (Eqs. 1-2)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,29 @@ from repro.core.allocation import check_constraints, clip_to_constraints
 from repro.errors import ConstraintViolationError
 
 from tests.conftest import make_obs
+
+
+def two_run_obs(budgets, n_per_run, **fields):
+    """A two-run stacked observation: run ``r`` owns rows
+    ``[r * n_per_run, (r + 1) * n_per_run)`` and budget ``budgets[r]``."""
+    obs = make_obs(n_users=2 * n_per_run, unit_budget=int(sum(budgets)), **fields)
+    return dataclasses.replace(
+        obs,
+        run_offsets=np.array([0, n_per_run, 2 * n_per_run], dtype=np.int64),
+        run_unit_budgets=np.array(budgets, dtype=np.int64),
+        run_capacity_kbps=np.array(budgets, dtype=float) * obs.delta_kb,
+    )
+
+
+def run_slice(obs, r):
+    """Run ``r`` of a stacked observation as a hand-built one-run one."""
+    lo, hi = int(obs.run_offsets[r]), int(obs.run_offsets[r + 1])
+    return make_obs(
+        n_users=hi - lo,
+        unit_budget=int(obs.run_unit_budgets[r]),
+        link_units=obs.link_units[lo:hi],
+        active=obs.active[lo:hi],
+    )
 
 
 class TestCheck:
@@ -23,6 +48,14 @@ class TestCheck:
         obs = make_obs(n_users=2, unit_budget=8, link_units=[5, 5])
         with pytest.raises(ConstraintViolationError, match="Eq. 2"):
             check_constraints(np.array([5, 4]), obs)
+
+    def test_budget_is_per_run(self):
+        # Run 0 overspends its own budget while the stack total (7 units)
+        # stays under the summed budget (25): still an Eq. (2) violation.
+        obs = two_run_obs([5, 20], n_per_run=2, link_units=[5, 5, 5, 5])
+        with pytest.raises(ConstraintViolationError, match=r"run 0.*Eq\. 2"):
+            check_constraints(np.array([4, 3, 0, 0]), obs)
+        check_constraints(np.array([4, 1, 5, 5]), obs)
 
     def test_negative_rejected(self):
         obs = make_obs(n_users=2)
@@ -83,4 +116,24 @@ class TestClip:
             )
             desired = rng.uniform(-5, 30, n)
             phi = clip_to_constraints(desired, obs)
+            check_constraints(phi, obs)
+
+    def test_two_runs_clip_like_each_run_alone(self, rng):
+        for _ in range(50):
+            n = int(rng.integers(1, 6))
+            obs = two_run_obs(
+                [int(b) for b in rng.integers(0, 40, 2)],
+                n_per_run=n,
+                link_units=rng.integers(0, 20, 2 * n),
+                active=rng.random(2 * n) < 0.8,
+            )
+            desired = rng.uniform(-5, 30, 2 * n)
+            phi = clip_to_constraints(desired, obs)
+            alone = np.concatenate(
+                [
+                    clip_to_constraints(desired[:n], run_slice(obs, 0)),
+                    clip_to_constraints(desired[n:], run_slice(obs, 1)),
+                ]
+            )
+            assert phi.tobytes() == alone.tobytes()
             check_constraints(phi, obs)

@@ -130,17 +130,38 @@ class TestBatchBitIdentity:
                 for t in (-95.0, -90.0, -100.0)
             ]
         else:
+            # Every EMA lane parameter differs across the stack: V, the
+            # queue floor (none vs one that clamps) and the queue seed.
             makes = [
-                lambda cfg, v=v: EMAScheduler(
-                    cfg.n_users, v_param=v, tau_s=cfg.tau_s
+                lambda cfg, v=v, floor=floor, init=init: EMAScheduler(
+                    cfg.n_users, v_param=v, tau_s=cfg.tau_s,
+                    queue_floor_s=floor, queue_init=init,
                 )
-                for v in (0.05, 0.2, 1.0)
+                for v, floor, init in (
+                    (0.2, None, "auto"),
+                    (0.05, -2.0, 0.0),
+                    (1.0, None, 5.0),
+                )
             ]
         configs = [_cfg(s, n_slots=150) for s in (1, 2, 3)]
+        serial_scheds = [make(cfg) for cfg, make in zip(configs, makes)]
+        clamped = []
+        if sched_name == "ema":
+            # Record whether the floored lane's clamp ever binds.
+            floored = serial_scheds[1]
+            notify = floored.notify
+
+            def watched_notify(obs, phi, delivered_kb):
+                notify(obs, phi, delivered_kb)
+                clamped.append(bool(np.any(floored.queues.values == -2.0)))
+
+            floored.notify = watched_notify
         serial = [
-            Simulation(cfg, make(cfg), generate_workload(cfg)).run()
-            for cfg, make in zip(configs, makes)
+            Simulation(cfg, sched, generate_workload(cfg)).run()
+            for cfg, sched in zip(configs, serial_scheds)
         ]
+        if sched_name == "ema":
+            assert any(clamped), "the queue floor never binds"
         tasks = [
             RunTask(cfg, make(cfg), generate_workload(cfg))
             for cfg, make in zip(configs, makes)
@@ -303,13 +324,13 @@ class TestBatchCompatibilityOracle:
 # --- partition invariance ------------------------------------------------
 
 _PARTITION_SEEDS = (0, 1, 2, 3, 4, 5)
-_PARTITION_REFERENCE = None
+_PARTITION_REFERENCE: dict = {}
 
 
-def _partition_reference():
-    """Serial reference grids for the property test, computed once."""
-    global _PARTITION_REFERENCE
-    if _PARTITION_REFERENCE is None:
+def _partition_reference(sched_name):
+    """Serial reference grids for the property test, computed once per
+    scheduler."""
+    if sched_name not in _PARTITION_REFERENCE:
         configs = [
             _cfg(s, n_users=5, n_slots=60,
                  video_size_range_kb=(2_000.0, 5_000.0))
@@ -317,16 +338,16 @@ def _partition_reference():
         ]
         serial = [
             Simulation(t.config, t.scheduler, t.workload).run()
-            for t in _tasks(SCHEDULERS["rtma"], configs)
+            for t in _tasks(SCHEDULERS[sched_name], configs)
         ]
-        _PARTITION_REFERENCE = (
+        _PARTITION_REFERENCE[sched_name] = (
             configs,
             [
                 tuple(getattr(r, name).tobytes() for name in RESULT_ARRAYS)
                 for r in serial
             ],
         )
-    return _PARTITION_REFERENCE
+    return _PARTITION_REFERENCE[sched_name]
 
 
 @st.composite
@@ -343,16 +364,16 @@ def partitions(draw):
 
 class TestPartitionInvariance:
     @settings(
-        max_examples=15,
+        max_examples=24,
         deadline=None,
         suppress_health_check=[HealthCheck.too_slow],
     )
-    @given(partition=partitions())
-    def test_any_partition_is_invisible(self, partition):
-        configs, expected = _partition_reference()
+    @given(partition=partitions(), sched_name=st.sampled_from(["rtma", "ema"]))
+    def test_any_partition_is_invisible(self, partition, sched_name):
+        configs, expected = _partition_reference(sched_name)
         results = []
         for lo, hi in partition:
-            group = _tasks(SCHEDULERS["rtma"], configs[lo:hi])
+            group = _tasks(SCHEDULERS[sched_name], configs[lo:hi])
             if len(group) == 1:
                 t = group[0]
                 results.append(
@@ -366,5 +387,5 @@ class TestPartitionInvariance:
                 getattr(got, name).tobytes() for name in RESULT_ARRAYS
             )
             assert got_bytes == want, (
-                f"partition {partition}: run {r} differs from serial"
+                f"{sched_name} partition {partition}: run {r} differs from serial"
             )

@@ -113,7 +113,7 @@ class TestTreeShape:
             assert "[" in parts[3] and parts[3].endswith("]")
         # RTMA's scheduling kernel lands under the schedule phase.
         assert any(
-            p.startswith(";".join(SLOT_PREFIX) + ";schedule;kernel:rtma_rounds[")
+            p.startswith(";".join(SLOT_PREFIX) + ";schedule;kernel:rtma_rounds_batch[")
             for p in kernel_paths
         )
 

@@ -90,6 +90,100 @@ class TestRtmaRoundsParity:
             assert outs[0] == outs[1]
 
 
+def _segments(rng, max_rows):
+    """Random R = 1-4 run segment bounds; some segments are empty."""
+    sizes = rng.integers(0, max_rows + 1, size=int(rng.integers(1, 5)))
+    return np.concatenate(([0], np.cumsum(sizes))).astype(np.int64)
+
+
+def _budgets(rng, n_runs, high):
+    """Per-run budgets; roughly one in four is zero."""
+    budgets = rng.integers(1, high, size=n_runs).astype(np.int64)
+    budgets[rng.random(n_runs) < 0.25] = 0
+    return budgets
+
+
+@pytest.mark.parametrize("alt", ALT_BACKENDS)
+class TestEmaDpBatchParity:
+    def test_randomized(self, alt):
+        k_np, k_alt = resolve_pair("ema_dp_batch", alt)
+        rng = np.random.default_rng(13)
+        for _ in range(RNG_TRIALS):
+            run_offsets = _segments(rng, 6)
+            n_runs = run_offsets.size - 1
+            budgets = _budgets(rng, n_runs, 30)
+            # Each run's active rows (global indices) and their w_eff,
+            # capped at that run's n_states = budget + 1.
+            active, w_eff = [], []
+            for r in range(n_runs):
+                rows = np.arange(run_offsets[r], run_offsets[r + 1])
+                rows = rows[rng.random(rows.size) < 0.8]
+                active.append(rows)
+                w_eff.append(rng.integers(0, budgets[r] + 2, size=rows.size))
+            active_idx = np.concatenate(active).astype(np.int64)
+            act_bounds = np.concatenate(
+                ([0], np.cumsum([a.size for a in active]))
+            ).astype(np.int64)
+            w_eff = np.concatenate(w_eff).astype(np.int64)
+            n_active = active_idx.size
+            origin = w_eff - w_eff // 2 - 1
+            slope = rng.normal(0.0, 5.0, size=n_active)
+            const = rng.uniform(0.0, 10.0, size=n_active)
+            idle = rng.uniform(0.0, 5.0, size=n_active)
+            n_states = int(budgets.max()) + 1
+            seg_max = int(np.diff(act_bounds).max())
+
+            outs = []
+            for kern in (k_np, k_alt):
+                phi = np.zeros(int(run_offsets[-1]), dtype=np.int64)
+                kern(
+                    phi,
+                    active_idx,
+                    act_bounds,
+                    budgets,
+                    w_eff,
+                    origin,
+                    slope,
+                    const,
+                    idle,
+                    np.empty(seg_max * n_states, dtype=float),
+                    np.arange(n_states, dtype=float),
+                    np.empty(4 * n_states, dtype=float),
+                    np.empty(n_states, dtype=np.int64),
+                )
+                outs.append(phi.tobytes())
+            assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("alt", ALT_BACKENDS)
+class TestRtmaRoundsBatchParity:
+    def test_randomized(self, alt):
+        k_np, k_alt = resolve_pair("rtma_rounds_batch", alt)
+        rng = np.random.default_rng(17)
+        for _ in range(RNG_TRIALS):
+            run_offsets = _segments(rng, 10)
+            n_runs = run_offsets.size - 1
+            n = int(run_offsets[-1])
+            budgets = _budgets(rng, n_runs, 60)
+            eligible = rng.random(n) < 0.7
+            need = rng.integers(1, 10, size=n).astype(np.int64)
+            cap = rng.integers(0, 20, size=n).astype(np.int64)
+            # Run-local stable rate order within each segment.
+            order = np.concatenate(
+                [
+                    np.argsort(rng.uniform(0, 1, size=hi - lo), kind="stable")
+                    for lo, hi in zip(run_offsets[:-1], run_offsets[1:])
+                ]
+            ).astype(np.int64)
+
+            outs = []
+            for kern in (k_np, k_alt):
+                phi = np.zeros(n, dtype=np.int64)
+                kern(phi, eligible, need, cap, order, budgets, run_offsets)
+                outs.append(phi.tobytes())
+            assert outs[0] == outs[1]
+
+
 def _fleet_state(rng, n):
     size = rng.uniform(100.0, 5000.0, size=n)
     delivered = np.minimum(rng.uniform(0.0, 6000.0, size=n), size)
