@@ -14,6 +14,9 @@ where, with virtual queue ``PC_i`` (Eq. 16) and ``t_i = delta*phi_i/p_i``,
 
 The per-slot problem is a multiple-choice knapsack, which Algorithm 2
 solves exactly by dynamic programming over the total unit count ``M``.
+Its costs are convex, so a greedy solves it too; the scheduler runs
+the greedy and keeps the DP for the segments whose greedy result it
+cannot certify to be the DP's (below).
 
 Implementation note — sliding-window minimum
 --------------------------------------------
@@ -34,17 +37,75 @@ O(M * w_i).  The result is *exact*: ``tests/core/test_ema.py``
 cross-checks it against the brute-force reference in
 :mod:`repro.core.knapsack` on randomized instances.
 
+Convex structure: an exact greedy, the DP as tie-breaker
+--------------------------------------------------------
+Write ``g_i = const_i - idle_i = -V_i * tail_i``.  Then
+``f(i, 0) = idle_i`` and ``f(i, phi) = idle_i + g_i + slope_i * phi``
+for ``1 <= phi <= w_i``: user ``i``'s marginal costs are
+``g_i + slope_i`` for the first unit and ``slope_i`` for each further
+one.  ``V > 0`` and the Eq. 4 tail increment is ``>= 0``, so
+``g_i <= 0``, the marginals never decrease and every ``f(i, .)`` is
+convex.  A separable convex problem under the single constraint
+``sum_i phi_i <= budget`` is solved exactly by taking unit marginals
+in increasing order while they are negative and the budget lasts
+(exchange argument: an allocation that holds a dearer unit while a
+cheaper one is free improves by swapping them), so at most one user
+ends strictly between 1 and ``w_i``.  :func:`convex_greedy` does this
+per segment.  When the users' independent optima fit the budget it
+takes them: idle if the first marginal is ``>= 0``, else one unit if
+``slope_i >= 0`` and ``w_i`` units if ``slope_i < 0``.  Otherwise it
+sorts the blocks ``(g_i + slope_i, 1 unit)`` and
+``(slope_i, w_i - 1 units)`` and fills the budget, the last block
+perhaps partly.
+
+The greedy must return the DP's bytes, not merely an optimum, and the
+DP settles exact and near ties by its float sums and three rules:
+first argmin ``m*``, no transmission unless better by 1e-12, smallest
+argmin ``phi``.  So a segment keeps the greedy result only with a
+*certificate*: the segment is convex (``const <= idle`` on every row;
+only the ``w > 0`` rows need it, and a scheduler row always has it,
+``idle - const = V * tail >= 0``), and the greedy optimum ``x*`` beats every other
+feasible allocation by more than a tolerance ``tol``.  With ``L_i``
+the marginal of user ``i``'s last taken unit and ``U_i`` that of its
+next one, any other allocation costs at least ``-max L_i`` more
+(units dropped), or ``min U_i`` more (units added, with budget to
+spare), or ``U_i - L_j`` more for some users ``i != j`` (a unit moved
+from ``j`` to ``i``).  Each of these margins must exceed ``tol``.
+
+Why that suffices: in exact arithmetic the DP's last row equals the
+optimum from ``M = sum(x*)`` on and exceeds it by at least the gap
+below; and at each backtrack level the candidate ``phi = x*_k`` of
+``a[k-1][m - phi] + f(k, phi)`` is the prefix optimum while every other
+candidate is at least the gap above it (a better prefix would extend
+to a better allocation).  If the DP's rounding error is at most
+``eps``, a gap above ``2*eps + 1e-12`` forces ``m* >= sum(x*)`` and
+each level's choice to ``x*_k``.  Bound ``eps``: with
+``S_i = |idle_i| + |const_i| + budget * |slope_i|`` (no slope term on a
+``w_i = 0`` row) and ``T = sum_i S_i``, every cost the DP sums is at
+most ``T`` in magnitude and every intermediate at most ``2T``.  With
+unit roundoff ``u = 2**-53``, each forward level adds at most ``7*u*T``
+of rounding error (six roundings, one of a value up to ``2T``) and the
+backtrack's candidates ``4*u*T`` more, so ``eps <= 7*u*(n+1)*T`` for
+``n`` users.  The margins carry at most ``6*u*T`` of their own, so
+``tol = 1e-12 + 16*u*(n+2)*T`` exceeds ``2*eps + 6*u*T + 1e-12``: it is
+relative to the segment's cost magnitudes.  A non-finite coefficient
+makes ``tol`` non-finite, which fails the certificate.
+
+Uncertified segments — exact ties such as equal slopes of users on
+the same signal and queue, margins within ``tol`` of zero, a
+non-convex segment — go to the DP, which stays the reference: it runs
+with the certified segments' budgets set to 0, which it skips.
+
 Run segments
 ------------
 One scheduler body serves a lone run and a stack of runs alike.  ``V``,
 the queue floor and the queue seed are per-lane arrays over the
 observation's ``R >= 1`` row segments, one
 :class:`~repro.core.lyapunov.VirtualQueues` holds every lane's ``PC_i``,
-and the DP is always the segmented ``ema_dp_batch`` kernel
-(:mod:`repro.kernels.batch_step`), which solves each run's knapsack
-against its own budget with the scalar ``ema_dp`` body — the DP's one
-call site.  A lone run is ``R = 1``; :meth:`EMAScheduler.stack` builds
-the ``R > 1`` instance.
+and both the greedy and the DP fallback, the segmented ``ema_dp_batch``
+kernel (:mod:`repro.kernels.batch_step`), solve each run's knapsack
+against its own budget.  A lone run is ``R = 1``;
+:meth:`EMAScheduler.stack` builds the ``R > 1`` instance.
 """
 
 from __future__ import annotations
@@ -59,7 +120,7 @@ from repro.errors import ConfigurationError
 from repro.kernels import registry as kernel_registry
 from repro.net.gateway import SlotObservation
 
-__all__ = ["EMAScheduler", "trailing_window_min"]
+__all__ = ["EMAScheduler", "convex_greedy", "trailing_window_min"]
 
 
 def trailing_window_min(values: np.ndarray, window: int) -> np.ndarray:
@@ -84,13 +145,100 @@ def trailing_window_min(values: np.ndarray, window: int) -> np.ndarray:
     return minimum_filter1d(shifted, size=w, mode="constant", cval=np.inf, origin=origin)
 
 
+#: Unit roundoff of float64; scales the certificate's tolerance.
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2
+
+
+def convex_greedy(w, slope, const, idle, act_bounds, budgets):
+    """Greedy solve of Eq. 22 per segment, and its certificate.
+
+    The arrays are the scheduler's packed active rows: ``w`` the
+    transmit caps (0 for a pure no-transmit row), ``slope``/``const``/
+    ``idle`` the cost coefficients, segment ``r`` on rows
+    ``act_bounds[r]:act_bounds[r+1]`` with unit budget ``budgets[r]``.
+    Returns ``(x, certified)``: the greedy's per-row units (int64) and,
+    per segment, whether ``x`` there is certified to be exactly what
+    the DP returns (see the module docstring for the greedy, the
+    margins and the tolerance).  Empty segments and segments without
+    budget are certified with no units.
+    """
+    sizes = act_bounds[1:] - act_bounds[:-1]
+    filled = sizes > 0
+    starts = act_bounds[:-1][filled]
+    counts = sizes[filled]
+    budget = budgets[filled]
+    with np.errstate(invalid="ignore"):
+        gap = const - idle  # g_i, <= 0 on a convex row
+        first = gap + slope  # marginal cost of the first unit
+        # Each user's own optimum: idle, one unit, or all w units.
+        x = np.where(first < 0, np.where(slope < 0, w, 1), 0)
+        np.minimum(x, w, out=x)
+        binding = np.add.reduceat(x, starts) > budget
+        bound = binding.any()
+        if bound:
+            bind_row = np.repeat(binding, counts)
+            x = _fill_budgets(x, bind_row, first, slope, counts, budget)
+        # Marginals of each user's last taken unit and of its next one.
+        idle_x = x == 0
+        last = np.where(idle_x, -np.inf, np.where(x == 1, first, slope))
+        rise = np.where(x >= w, np.inf, np.where(idle_x, first, slope))
+        if bound:
+            # A full budget admits no added unit alone, only a move from
+            # user j to user i != j: compare with the least next marginal
+            # of the *other* users.
+            least = np.minimum.reduceat(rise, starts)
+            is_least = rise == np.repeat(least, counts)
+            second = np.minimum.reduceat(np.where(is_least, np.inf, rise), starts)
+            second = np.where(np.add.reduceat(is_least, starts) > 1, least, second)
+            others = np.where(
+                is_least, np.repeat(second, counts), np.repeat(least, counts)
+            )
+            rise = np.where(bind_row, others - last, rise)
+        margin = np.minimum.reduceat(np.minimum(rise, -last), starts)
+        # The DP's rounding scale T; |slope| counts on w > 0 rows only.
+        size = np.add.reduceat(np.abs(idle) + np.abs(const), starts)
+        steep = np.add.reduceat(np.abs(np.where(w > 0, slope, 0.0)), starts)
+        tol = 1e-12 + 16 * _UNIT_ROUNDOFF * (counts + 2) * (size + budget * steep)
+        ok = (margin > tol) & (np.maximum.reduceat(gap, starts) <= 0)
+    certified = np.ones(sizes.size, dtype=bool)
+    certified[filled] = ok | (budget <= 0)
+    return x, certified
+
+
+def _fill_budgets(x, bind_row, first, slope, counts, budget):
+    """Refill the rows of budget-bound segments by marginal cost.
+
+    ``x`` holds each user's own optimum, so ``x > 0`` marks the users
+    whose first unit is worth taking and ``x > 1`` those whose further
+    ``w - 1`` units are too.  Those blocks are taken cheapest first
+    (a user's first block ahead of its second on a tie) until the
+    segment's budget runs out; the last one may be taken in part.
+    """
+    seg = np.repeat(np.arange(counts.size), counts)
+    ones = np.flatnonzero(bind_row & (x > 0))
+    rest = np.flatnonzero(bind_row & (x > 1))
+    rows = np.concatenate((ones, rest))
+    keys = np.concatenate((first[ones], slope[rest]))
+    order = np.lexsort((keys, seg[rows]))
+    rows = rows[order]
+    units = np.concatenate((np.ones(ones.size, dtype=np.int64), x[rest] - 1))[order]
+    blk_seg = seg[rows]
+    # Units ahead of each block within its own segment.
+    ahead = np.cumsum(units) - units
+    ahead -= ahead[np.searchsorted(blk_seg, blk_seg)]
+    take = np.clip(budget[blk_seg] - ahead, 0, units)
+    taken = np.bincount(rows, weights=take, minlength=x.size).astype(np.int64)
+    return np.where(bind_row, taken, x)
+
+
 class _EmaScratch:
-    """Preallocated buffers for the per-slot DP kernel call.
+    """Preallocated buffers for the per-slot coefficients and the DP.
 
     The per-user coefficient vectors are sized once for the fleet; the
     DP buffers (value-table rows, DP scratch, the float ``arange``)
-    grow monotonically with the largest segment and ``n_states`` seen,
-    so the steady-state slot loop performs no allocations for them.
+    grow monotonically with the largest segment and ``n_states`` the
+    DP fallback has seen, so the steady-state slot loop performs no
+    allocations for them.
     """
 
     def __init__(self, n_users: int):
@@ -126,7 +274,10 @@ class _EmaScratch:
 
 
 class EMAScheduler(Scheduler):
-    """Algorithm 2: Lyapunov drift-plus-penalty with exact per-slot DP.
+    """Algorithm 2: Lyapunov drift-plus-penalty, solved exactly per slot.
+
+    Each slot's knapsack goes to :func:`convex_greedy` first and to the
+    DP only where the greedy's result is not certified to be the DP's.
 
     Parameters
     ----------
@@ -291,11 +442,10 @@ class EMAScheduler(Scheduler):
             np.subtract(slope_act, tmp, out=slope_act)
             np.multiply(slope_act, delta, out=slope_act)
 
-        # Per-user transmit cap: link constraint (1), remaining bytes,
-        # the client's receiver window, and the run's n_states =
-        # budget + 1.  w_eff = 0 marks the pure no-tx users (zero
-        # window or non-finite reception power); the backtrack never
-        # reads their slope.
+        # Per-user transmit cap: link constraint (1), remaining bytes
+        # and the client's receiver window.  w_eff = 0 marks the pure
+        # no-tx users (zero window or non-finite reception power);
+        # neither the greedy nor the DP backtrack reads their slope.
         sendable = np.take(obs.remaining_kb, active_idx, out=s.f1[:n_active])
         recv = np.take(obs.receivable_kb, active_idx, out=s.f2[:n_active])
         np.minimum(sendable, recv, out=sendable)
@@ -306,27 +456,39 @@ class EMAScheduler(Scheduler):
         w_eff = s.w_eff[:n_active]
         np.take(obs.link_units, active_idx, out=w_eff)
         np.minimum(w_eff, useful, out=w_eff)
-        seg_sizes = act_bounds[1:] - act_bounds[:-1]
-        np.minimum(w_eff, np.repeat(budgets + 1, seg_sizes), out=w_eff)
         mask = s.mask[:n_active]
         np.isfinite(p_act, out=mask)
         np.logical_not(mask, out=mask)
         np.copyto(w_eff, 0, where=mask)
+
+        if self._kernel is None:
+            self._kernel = kernel_registry.resolve("ema_dp_batch")
+        units, certified = convex_greedy(
+            w_eff, slope_act, const_act, idle_act, act_bounds, budgets
+        )
+        if certified.all():
+            phi[active_idx] = units
+            return phi
+        seg_sizes = act_bounds[1:] - act_bounds[:-1]
+        phi[active_idx] = np.where(np.repeat(certified, seg_sizes), units, 0)
+
+        # The DP on the uncertified segments: one fused kernel call runs,
+        # for each segment with a budget left, the DP forward pass +
+        # trailing-window min + backtrack (Steps 6-15 of Algorithm 2)
+        # against that run's budget.  The DP uses "total units *at
+        # most* M" semantics (the level-0 predecessor is identically
+        # zero), so leftover capacity after the backtrack is simply
+        # unused budget.  Certified segments pass budget 0, which the
+        # kernel skips, and the scratch is sized from the others only.
+        budgets = np.where(certified, 0, budgets)
+        # The DP's n_states = budget + 1 also caps each user's units.
+        np.minimum(w_eff, np.repeat(budgets + 1, seg_sizes), out=w_eff)
         origin_act = s.origin[:n_active]
         np.floor_divide(w_eff, 2, out=origin_act)
         np.subtract(w_eff, origin_act, out=origin_act)
         np.subtract(origin_act, 1, out=origin_act)
-
-        # One fused kernel call per slot: for each run segment, the DP
-        # forward pass + trailing-window min + backtrack (Steps 6-15 of
-        # Algorithm 2) against that run's budget.  The DP uses "total
-        # units *at most* M" semantics (the level-0 predecessor is
-        # identically zero), so leftover capacity after the backtrack
-        # is simply unused budget.
         n_states = int(budgets.max()) + 1
-        s.grow_dp(int(seg_sizes.max()) * n_states, n_states)
-        if self._kernel is None:
-            self._kernel = kernel_registry.resolve("ema_dp_batch")
+        s.grow_dp(int(seg_sizes[budgets > 0].max()) * n_states, n_states)
         self._kernel(
             phi,
             active_idx,

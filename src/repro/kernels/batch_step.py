@@ -14,10 +14,14 @@ grants consume a per-run budget in rate order.  One run's allocation
 must not see another run's budget, so both come in segmented variants
 here that take the per-run segment table and iterate runs inside the
 kernel — one registry dispatch per slot for all R runs.  These are the
-only scheduling kernels production calls:
-:class:`~repro.core.rtma.RTMAScheduler` and
-:class:`~repro.core.ema.EMAScheduler` call them for every ``R``, a lone
-run being ``R = 1``.  Each segment executes the *scalar* kernel body
+only scheduling kernels production calls, a lone run being ``R = 1``.
+:class:`~repro.core.rtma.RTMAScheduler` calls ``rtma_rounds_batch``
+every slot.  :class:`~repro.core.ema.EMAScheduler` first solves every
+segment with its certified convex greedy
+(:func:`~repro.core.ema.convex_greedy`) and calls ``ema_dp_batch`` only
+in slots where some segment is left uncertified (an exact or near tie,
+or a non-convex segment); the certified segments come with budget 0,
+which the kernel skips.  Each segment executes the *scalar* kernel body
 (``rtma_rounds`` / ``ema_dp``) on contiguous per-run views, which is
 what makes a stack bit-identical to running each run alone (guarded by
 ``tests/integration/test_batch_equivalence.py``).  The scalar kernels
@@ -112,9 +116,10 @@ def ema_dp_batch_numpy(
     ``slope``/``const``/``idle``) are packed in the same active order.
     Each run's DP runs with its own budget (``n_states = budget + 1``)
     over shared scratch sized for the largest segment (the
-    :class:`~repro.core.ema.EMAScheduler` scratch).  Runs with no
-    active users or a non-positive budget are skipped, as the scheduler
-    skips the whole call when no run has either.
+    :class:`~repro.core.ema.EMAScheduler` scratch, sized for the
+    segments with a positive budget).  Runs with no active users or a
+    non-positive budget are skipped: the scheduler passes budget 0 for
+    the segments its greedy already settled.
     """
     n_runs = budgets.shape[0]
     for r in range(n_runs):

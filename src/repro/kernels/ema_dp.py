@@ -6,6 +6,13 @@ forward recursion over users, the O(M) trailing-window minimum that
 exploits the affine transmit cost, and the backtrack that recovers the
 per-user allocations from the value tables.
 
+The DP is the reference solve and the tie-breaker.  Production reaches
+it only through the segmented ``ema_dp_batch`` kernel
+(:mod:`repro.kernels.batch_step`), and only for the run segments whose
+convex-greedy result :class:`~repro.core.ema.EMAScheduler` cannot
+certify to be this kernel's own output: exact or near ties, which the
+DP settles by its float sums and tie rules, and non-convex segments.
+
 The numpy implementation is the PR 3 vectorised loop verbatim (per-user
 ufunc chain + scipy's ``minimum_filter1d`` C routine); the python/numba
 implementation replaces the minimum filter with a monotonic-deque
