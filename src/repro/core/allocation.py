@@ -30,6 +30,24 @@ def check_constraints(phi: np.ndarray, obs: SlotObservation) -> None:
     * inactive users receive nothing.
     """
     phi = np.asarray(phi)
+    # Fast path, taken every slot: one fused pass that holds only when
+    # every check below passes (an inactive row's cap is min(link, 0)).
+    # A failing allocation falls through to the ordered checks, which
+    # name the first violation.
+    if phi.shape == (obs.n_users,) and phi.dtype.kind in "iu" and phi.size:
+        link = obs.link_units
+        budgets = obs.run_unit_budgets
+        totals = (
+            phi.sum()
+            if budgets.shape[0] == 1
+            else np.add.reduceat(phi, obs.run_offsets[:-1])
+        )
+        if (
+            phi.min() >= 0
+            and not (phi > np.where(obs.active, link, np.minimum(link, 0))).any()
+            and not (totals > budgets).any()
+        ):
+            return
     if phi.shape != (obs.n_users,):
         raise ConstraintViolationError(
             f"allocation shape {phi.shape} != ({obs.n_users},)", obs.slot

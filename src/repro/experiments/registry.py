@@ -8,10 +8,10 @@ EXPERIMENTS.md-ready rendering.  ``--jobs N`` installs a process-pool
 parallelising every sweep / comparison / calibration grid underneath
 (results and metrics are bit-identical to ``--jobs 1``; per-slot trace
 events stay worker-local, so use ``--jobs 1`` with ``--report-dir``
-when the full slot stream matters).  ``--batch R`` additionally stacks
-up to R consecutive compatible runs into one vectorized slot loop
-(:mod:`repro.sim.batch`) — also bit-identical, and multiplicative with
-``--jobs``.
+when the full slot stream matters).  Consecutive compatible runs are
+stacked into one vectorized slot loop (:mod:`repro.sim.batch`), split
+into one group per worker — also bit-identical.  ``--batch R`` caps a
+stack at R runs; ``--batch 1`` runs every run in its own loop.
 
 Live telemetry flags (see :mod:`repro.obs.live` and the
 "Watching a run live" section of EXPERIMENTS.md):
@@ -135,11 +135,13 @@ def main(argv: list[str] | None = None) -> int:
     run_p.add_argument(
         "--batch",
         type=int,
-        default=1,
-        help="runs stacked per slot loop (run-stacked batching): "
-        "consecutive compatible runs of a sweep/multi-seed/calibration "
-        "grid execute as one vectorized batch; results are bit-identical "
-        "to --batch 1 and compose with --jobs (J workers x R-run batches)",
+        default=None,
+        metavar="R",
+        help="cap on runs stacked per slot loop (run-stacked batching). "
+        "Consecutive compatible runs of a sweep/multi-seed/calibration "
+        "grid execute as one vectorized batch, split into one group per "
+        "--jobs worker; no cap by default, --batch 1 runs every run "
+        "alone. Results are bit-identical at every setting",
     )
     run_p.add_argument(
         "--watch",

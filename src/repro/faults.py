@@ -129,7 +129,8 @@ class FlowStall:
 @dataclass(frozen=True)
 class WorkerFault:
     """An executor-level fault, triggered in the pool worker that picks
-    up task ``task_index``.
+    up task ``task_index`` — the index of a task group, which is the
+    task itself under ``RunExecutor(batch_size=1)``.
 
     kind:
         ``"crash"`` hard-kills the worker process (``os._exit``) —

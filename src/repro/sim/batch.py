@@ -46,7 +46,9 @@ whole loop).  Per-run counters are derived after the loop by
 :func:`~repro.sim.engine.record_run_metrics`, into one registry per
 run when ``R > 1``.  Per-slot trace events and the live telemetry
 plane need each run's own slot stream, so :meth:`BatchPlan.run` runs
-every task as a one-segment loop when either is attached.
+every task as a one-segment loop when either is attached
+(:func:`runs_alone`), and the executor then gives every task its own
+group, so pool workers run them alone too.
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ from repro.sim.engine import Simulation, run_segments
 from repro.sim.results import SimulationResult
 from repro.sim.workload import resolve_workload
 
-__all__ = ["BatchPlan", "run_batch", "batch_incompatibility"]
+__all__ = ["BatchPlan", "run_batch", "batch_incompatibility", "runs_alone"]
 
 #: Config fields that must be equal across every run of a batch (the
 #: stacked fleet, receiver, RRC profile, and backend context are
@@ -139,6 +141,16 @@ def batch_incompatibility(tasks) -> str | None:
     return None
 
 
+def runs_alone(instr: Instrumentation | None) -> bool:
+    """Whether every run observed by ``instr`` needs its own loop.
+
+    Per-slot trace events and the live telemetry plane consume a run's
+    own slot stream, so under a tracer or a live plane each run is a
+    one-segment loop.
+    """
+    return instr is not None and (instr.live is not None or instr.tracer.enabled)
+
+
 def run_batch(tasks, instrumentation: Instrumentation | None = None):
     """Execute ``tasks`` as one run-stacked batch; results in task order.
 
@@ -188,11 +200,7 @@ class BatchPlan:
             else current_instrumentation()
         )
         self.run_metric_states = []
-        if len(self.tasks) == 1 or (
-            instr is not None and (instr.live is not None or instr.tracer.enabled)
-        ):
-            # Per-slot trace events and live telemetry consume a run's
-            # own slot stream, so each run is a one-segment loop.
+        if len(self.tasks) == 1 or runs_alone(instr):
             return [
                 Simulation(t.config, t.scheduler, wl, instrumentation=instr).run()
                 for t, wl in zip(self.tasks, self.workloads)

@@ -10,9 +10,10 @@ module gives that shape a single entry point:
   instance, optional pre-generated workload);
 * :class:`RunExecutor` — maps a task batch to
   :class:`~repro.sim.results.SimulationResult` objects, either
-  in-process (``jobs=1``, the default — byte-for-byte the behaviour of
-  a plain loop over ``Simulation(...).run()``) or on a process pool
-  (``jobs=N``);
+  in-process (``jobs=1``, the default) or on a process pool
+  (``jobs=N``), stacking consecutive compatible tasks into one slot
+  loop by default (``batch_size=None``) — byte-for-byte the results of
+  a plain loop over ``Simulation(...).run()``;
 * :func:`map_runs` — module-level convenience resolving the ambient
   executor installed with :func:`use_executor` (mirroring
   :func:`repro.obs.instrument.use_instrumentation`), so experiment
@@ -38,6 +39,12 @@ Determinism contract
   same structure and counts as a serial run's
   (``tests/sim/test_executor.py``).
 
+What depends on the grouping is the bookkeeping of the stacked loops
+themselves: the ``batch.*`` counters, and profiler samples and spans,
+which count one per loop.  These match ``jobs=1`` for the same groups,
+e.g. at ``batch_size=1``.  A traced batch never stacks, so its
+``metrics.json`` is byte-identical at every ``jobs`` and ``batch_size``.
+
 The one thing workers do **not** ship back is per-slot trace events —
 a parallel run's trace contains the orchestration-level events only
 (``sweep.point``, ``calibration.*``, run summaries), not the ``slot``
@@ -62,8 +69,10 @@ plane is active and ``--jobs > 1``.
 
 Resilience
 ----------
-Pool dispatch submits tasks individually and collects them in task
-order, so one bad task never costs the sweep:
+Pool dispatch submits each group of tasks individually and collects
+them in task order, so one bad group never costs the sweep (the
+counters and fault indices below count groups; ``batch_size=1`` makes
+every task its own group):
 
 * an unhandled exception in a worker is retried in-pool up to
   ``task_retries`` times (``executor.task_retries`` counter), then run
@@ -113,7 +122,7 @@ from repro.errors import ConfigurationError
 from repro.faults import FaultPlan, WorkerFault, current_fault_plan, use_fault_plan
 from repro.obs.instrument import Instrumentation, current_instrumentation
 from repro.obs.provenance import config_hash
-from repro.sim.batch import BatchPlan, batch_incompatibility, run_batch
+from repro.sim.batch import BatchPlan, batch_incompatibility, run_batch, runs_alone
 from repro.sim.config import SimConfig
 from repro.sim.results import SimulationResult
 from repro.sim.workload import Workload, generate_workload
@@ -305,9 +314,9 @@ class RunExecutor:
     Parameters
     ----------
     jobs:
-        Worker processes.  ``1`` (default) runs every task in-process —
-        identical to a plain loop, with the caller's (or ambient)
-        instrumentation observing each run directly.
+        Worker processes.  ``1`` (default) runs every group in-process,
+        with the caller's (or ambient) instrumentation observing each
+        run directly.
     heartbeat_s:
         When set (and the batch is instrumented), pool workers emit
         heartbeats at most every ``heartbeat_s`` seconds over a manager
@@ -321,34 +330,36 @@ class RunExecutor:
         Heartbeat silence (mid-task) after which a worker is flagged
         as stalled.
     batch_size:
-        Maximum runs stacked into one :func:`~repro.sim.batch.run_batch`
-        slot loop.  ``1`` (default) runs every task as its own
-        one-segment group — exactly a plain loop of
-        ``Simulation(...).run()`` calls.  With ``R > 1``,
-        *consecutive* compatible tasks (same shape/scheduler type — see
-        :func:`~repro.sim.batch.batch_incompatibility`) are grouped
-        greedily and each group executes as one stacked run;
-        incompatible neighbours simply break the group, so heterogeneous
-        batches degrade to run-by-run behaviour instead of failing.
-        Composes with ``jobs``: each pool worker receives whole groups,
-        so ``jobs=J, batch_size=R`` runs ``J`` stacked loops of up to
-        ``R`` runs each concurrently.  Results and metrics stay
-        bit-identical to ``batch_size=1``
-        (``tests/integration/test_batch_equivalence.py``).
+        Cap on the runs stacked into one :func:`~repro.sim.batch.run_batch`
+        slot loop.  ``None`` (default) is *auto*: no cap.  Every maximal
+        run of *consecutive* compatible tasks (same shape/scheduler type
+        — see :func:`~repro.sim.batch.batch_incompatibility`) is split
+        into ``min(jobs, n)`` near-equal groups, so ``jobs=J`` still
+        keeps ``J`` workers busy; an integer ``R`` additionally splits
+        it into at least ``ceil(n / R)`` groups.  ``1`` runs every task
+        as its own one-segment group — exactly a plain loop of
+        ``Simulation(...).run()`` calls.  Incompatible neighbours simply
+        break a group, so heterogeneous batches degrade to run-by-run
+        behaviour instead of failing.  Each pool worker receives whole
+        groups.  Results and metrics stay bit-identical to
+        ``batch_size=1`` (``tests/integration/test_batch_equivalence.py``),
+        apart from the ``batch.*`` counters that count stacked loops.
+        A traced or live batch keeps every task in its own group.
     task_timeout_s:
-        Per-task result deadline for pool dispatch, measured from when
-        the parent starts collecting that task (covers queueing plus
-        execution).  A timed-out task is cancelled where possible and
+        Per-group result deadline for pool dispatch, measured from when
+        the parent starts collecting that group (covers queueing plus
+        execution).  A timed-out group is cancelled where possible and
         re-run serially in the parent.  ``None`` (default) waits
         forever, the historical behaviour.
     task_retries:
-        In-pool resubmissions of a task whose worker raised, before
+        In-pool resubmissions of a group whose worker raised, before
         the parent gives up on the pool and runs it serially.  The
-        default ``1`` absorbs one transient failure per task.
+        default ``1`` absorbs one transient failure per group.
     worker_faults:
         :class:`~repro.faults.WorkerFault` injectors installed in every
         pool worker — chaos drills for the resilience machinery above.
-        Empty (default) in normal operation.
+        Their ``task_index`` names a group (a task at
+        ``batch_size=1``).  Empty (default) in normal operation.
     """
 
     def __init__(
@@ -356,14 +367,14 @@ class RunExecutor:
         jobs: int = 1,
         heartbeat_s: float | None = None,
         stall_after_s: float = 30.0,
-        batch_size: int = 1,
+        batch_size: int | None = None,
         task_timeout_s: float | None = None,
         task_retries: int = 1,
         worker_faults: Sequence[WorkerFault] = (),
     ):
         if jobs < 1:
             raise ConfigurationError("jobs must be >= 1")
-        if batch_size < 1:
+        if batch_size is not None and batch_size < 1:
             raise ConfigurationError("batch_size must be >= 1")
         if task_timeout_s is not None and task_timeout_s <= 0:
             raise ConfigurationError("task_timeout_s must be positive")
@@ -378,7 +389,7 @@ class RunExecutor:
         self.jobs = int(jobs)
         self.heartbeat_s = float(heartbeat_s) if heartbeat_s is not None else None
         self.stall_after_s = float(stall_after_s)
-        self.batch_size = int(batch_size)
+        self.batch_size = int(batch_size) if batch_size is not None else None
         self.task_timeout_s = (
             float(task_timeout_s) if task_timeout_s is not None else None
         )
@@ -403,7 +414,7 @@ class RunExecutor:
             if instrumentation is not None
             else current_instrumentation()
         )
-        groups = self._group_tasks(tasks)
+        groups = self._group_tasks(tasks, instr)
         if self.jobs == 1 or len(groups) == 1:
             results: list[SimulationResult] = []
             for group in groups:
@@ -411,28 +422,40 @@ class RunExecutor:
             return results
         return self._map_pool_groups(groups, instr)
 
-    def _group_tasks(self, tasks: list[RunTask]) -> list[list[RunTask]]:
-        """Greedily group *consecutive* compatible tasks up to batch_size.
+    def _group_tasks(
+        self, tasks: list[RunTask], instr: Instrumentation | None = None
+    ) -> list[list[RunTask]]:
+        """Split *consecutive* compatible tasks into stacked groups.
 
-        Task order is never permuted — results must come back in task
-        order, and batching is invisible to metrics only when each
-        group is a contiguous slice of the original sequence.
+        Each maximal run of ``n`` compatible neighbours becomes
+        ``max(min(jobs, n), ceil(n / batch_size))`` contiguous groups
+        whose sizes differ by at most one, larger first.  Task order is
+        never permuted — results must come back in task order, and
+        batching is invisible to metrics only when each group is a
+        contiguous slice of the original sequence.  Under a tracer or a
+        live plane every task is its own group
+        (:func:`~repro.sim.batch.runs_alone`), in a pool worker too.
         """
-        groups: list[list[RunTask]] = []
-        group: list[RunTask] = []
+        if runs_alone(instr):
+            return [[t] for t in tasks]
+        runs: list[list[RunTask]] = []
         for t in tasks:
-            if not group:
-                group = [t]
-                continue
-            if (
-                len(group) < self.batch_size
-                and batch_incompatibility(group + [t]) is None
-            ):
-                group.append(t)
+            if runs and batch_incompatibility(runs[-1] + [t]) is None:
+                runs[-1].append(t)
             else:
-                groups.append(group)
-                group = [t]
-        groups.append(group)
+                runs.append([t])
+        groups: list[list[RunTask]] = []
+        for run in runs:
+            n = len(run)
+            k = min(self.jobs, n)
+            if self.batch_size is not None:
+                k = max(k, -(-n // self.batch_size))
+            size, extra = divmod(n, k)
+            start = 0
+            for i in range(k):
+                stop = start + size + (i < extra)
+                groups.append(run[start:stop])
+                start = stop
         return groups
 
     # -- pool resilience ----------------------------------------------
@@ -711,7 +734,8 @@ class RunExecutor:
         return results
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"RunExecutor(jobs={self.jobs})"
+        batch = "auto" if self.batch_size is None else self.batch_size
+        return f"RunExecutor(jobs={self.jobs}, batch_size={batch})"
 
 
 _SERIAL = RunExecutor(jobs=1)

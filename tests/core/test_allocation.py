@@ -78,6 +78,80 @@ class TestCheck:
             check_constraints(np.array([1, 1, 1]), obs)
 
 
+def _ordered_checks(phi, obs):
+    """The checks one by one, in documented order: the oracle for the
+    fused pass, returning the first violation's message or ``None``."""
+    phi = np.asarray(phi)
+    if phi.shape != (obs.n_users,):
+        return f"allocation shape {phi.shape} != ({obs.n_users},)"
+    if not np.issubdtype(phi.dtype, np.integer):
+        return f"allocation dtype {phi.dtype} is not integral"
+    if np.any(phi < 0):
+        return "negative allocation"
+    over = phi > obs.link_units
+    if np.any(over):
+        i = int(np.argmax(over))
+        return (
+            f"user {i}: phi={int(phi[i])} exceeds link cap "
+            f"{int(obs.link_units[i])} (Eq. 1)"
+        )
+    totals = np.add.reduceat(phi, obs.run_offsets[:-1])
+    over_run = totals > obs.run_unit_budgets
+    if over_run.any():
+        r = int(np.argmax(over_run))
+        return (
+            f"run {r}: total {int(totals[r])} units exceeds BS budget "
+            f"{int(obs.run_unit_budgets[r])} (Eq. 2)"
+        )
+    if np.any(phi[~obs.active] > 0):
+        return "allocation to inactive user"
+    return None
+
+
+KINDS = ("shape", "dtype", "negative", "Eq. 1", "Eq. 2", "inactive")
+
+
+class TestCheckMatchesOrderedChecks:
+    """Every allocation — valid or violating any check, one run or a
+    stack — gets the verdict and message of the ordered checks."""
+
+    def _verdict(self, phi, obs):
+        try:
+            check_constraints(phi, obs)
+        except ConstraintViolationError as exc:
+            return str(exc)
+        return None
+
+    def test_random_allocations(self, rng):
+        kinds = set()
+        for _ in range(600):
+            n = int(rng.integers(1, 7))
+            link = rng.integers(-1, 8, 2 * n)
+            active = rng.random(2 * n) < 0.7
+            budgets = [int(b) for b in rng.integers(0, 30, 2)]
+            if rng.random() < 0.5:
+                obs = two_run_obs(budgets, n_per_run=n, link_units=link, active=active)
+            else:
+                obs = make_obs(
+                    n_users=2 * n, unit_budget=budgets[0],
+                    link_units=link, active=active,
+                )
+            phi = np.minimum(rng.integers(-1, 9, 2 * n), np.maximum(link, 0))
+            phi = np.where(active | (rng.random(2 * n) < 0.1), phi, 0)
+            if rng.random() < 0.05:
+                phi = phi[:-1]
+            elif rng.random() < 0.05:
+                phi = phi.astype(float)
+            elif rng.random() < 0.1:
+                phi = phi.astype(np.int32)
+            want = _ordered_checks(phi, obs)
+            got = self._verdict(phi, obs)
+            expected = None if want is None else str(ConstraintViolationError(want, obs.slot))
+            assert got == expected, (phi, obs.link_units, obs.active)
+            kinds.add(next((k for k in KINDS if want and k in want), None))
+        assert kinds == {None, *KINDS}
+
+
 class TestClip:
     def test_within_limits_untouched(self):
         obs = make_obs(n_users=3, unit_budget=100, link_units=[20, 20, 20])

@@ -145,7 +145,7 @@ class TestPooledMergeDeterminism:
     def _run(self, jobs):
         spans = SpanRecorder()
         instr = Instrumentation(spans=spans)
-        results = RunExecutor(jobs=jobs).map_runs(self._tasks(), instr)
+        results = RunExecutor(jobs=jobs, batch_size=1).map_runs(self._tasks(), instr)
         return results, spans
 
     def test_pooled_tree_matches_serial(self):

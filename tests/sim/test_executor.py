@@ -14,10 +14,12 @@ from repro.core.rtma import RTMAScheduler
 from repro.errors import ConfigurationError
 from repro.faults import CapacityFault, FaultPlan, WorkerFault, use_fault_plan
 from repro.obs import Instrumentation, use_instrumentation
+from repro.obs.tracer import RecordingTracer
 from repro.sim import (
     RunExecutor,
     RunTask,
     SimConfig,
+    calibrate_ema_v,
     compare_schedulers,
     current_executor,
     map_runs,
@@ -25,6 +27,7 @@ from repro.sim import (
     sweep,
     use_executor,
 )
+from repro.sim.runner import calibrate_rtma_threshold
 from repro.sim.workload import generate_workload
 
 RESULT_ARRAYS = (
@@ -75,7 +78,7 @@ class TestSerialPoolEquivalence:
         states = []
         for jobs in (1, 2):
             instr = Instrumentation()
-            RunExecutor(jobs=jobs).map_runs(
+            RunExecutor(jobs=jobs, batch_size=1).map_runs(
                 make_tasks(cfg, self.THRESHOLDS, wl), instrumentation=instr
             )
             states.append(instr.metrics.state())
@@ -105,12 +108,42 @@ class TestSerialPoolEquivalence:
         cfg = small_config()
         wl = generate_workload(cfg)
         instr = Instrumentation()
-        RunExecutor(jobs=2).map_runs(
+        RunExecutor(jobs=2, batch_size=1).map_runs(
             make_tasks(cfg, self.THRESHOLDS, wl), instrumentation=instr
         )
         summary = instr.profiler.summary()
         assert summary, "worker profiler samples should merge into the parent"
         assert summary["playback"]["count"] == len(self.THRESHOLDS) * cfg.n_slots
+
+    def test_auto_metrics_match_unstacked(self):
+        # The default stacks the four runs (one group at jobs=1, two at
+        # jobs=2): every counter, histogram and gauge equals the
+        # run-by-run registry, plus the batch.* bookkeeping counters.
+        cfg = small_config()
+        wl = generate_workload(cfg)
+        ref = Instrumentation()
+        RunExecutor(batch_size=1).map_runs(
+            make_tasks(cfg, self.THRESHOLDS, wl), instrumentation=ref
+        )
+        ref_state = ref.metrics.state()
+        assert not any(k.startswith("batch.") for k in ref_state["counters"])
+        for jobs in (1, 2):
+            instr = Instrumentation()
+            RunExecutor(jobs=jobs).map_runs(
+                make_tasks(cfg, self.THRESHOLDS, wl), instrumentation=instr
+            )
+            state = instr.metrics.state()
+            counters = dict(state["counters"])
+            assert counters.pop("batch.runs") == len(self.THRESHOLDS)
+            assert counters.pop("batch.slots") == jobs * cfg.n_slots
+            assert counters == ref_state["counters"]
+            assert state["histograms"] == ref_state["histograms"]
+            assert state["info"] == ref_state["info"]
+            assert set(state["gauges"]) == set(ref_state["gauges"])
+            for name, value in ref_state["gauges"].items():
+                assert np.asarray(value).tobytes() == np.asarray(
+                    state["gauges"][name]
+                ).tobytes(), name
 
 
 class TestExecutorAPI:
@@ -160,7 +193,9 @@ class TestExecutorResilience:
     def test_raise_fault_retries_in_pool(self):
         instr = Instrumentation()
         pooled = RunExecutor(
-            jobs=2, worker_faults=(WorkerFault("raise", task_index=1),)
+            jobs=2,
+            batch_size=1,
+            worker_faults=(WorkerFault("raise", task_index=1),),
         ).map_runs(self._tasks(), instrumentation=instr)
         for a, b in zip(self._serial(), pooled):
             assert_results_bit_identical(a, b)
@@ -170,7 +205,9 @@ class TestExecutorResilience:
     def test_crash_fault_partial_recovery(self):
         instr = Instrumentation()
         pooled = RunExecutor(
-            jobs=2, worker_faults=(WorkerFault("crash", task_index=2),)
+            jobs=2,
+            batch_size=1,
+            worker_faults=(WorkerFault("crash", task_index=2),),
         ).map_runs(self._tasks(), instrumentation=instr)
         for a, b in zip(self._serial(), pooled):
             assert_results_bit_identical(a, b)
@@ -178,12 +215,34 @@ class TestExecutorResilience:
         assert counters["executor.pool_breaks"] == 1
         assert counters["executor.serial_fallbacks"] >= 1
 
+    def test_crash_fault_partial_recovery_auto(self):
+        # Default grouping: four compatible tasks on two workers are two
+        # stacked groups, and a WorkerFault's index names a group.
+        healthy = Instrumentation()
+        RunExecutor(jobs=2).map_runs(self._tasks(), instrumentation=healthy)
+        instr = Instrumentation()
+        pooled = RunExecutor(
+            jobs=2, worker_faults=(WorkerFault("crash", task_index=1),)
+        ).map_runs(self._tasks(), instrumentation=instr)
+        for a, b in zip(self._serial(), pooled):
+            assert_results_bit_identical(a, b)
+        counters = self._executor_counters(instr)
+        assert counters["executor.pool_breaks"] == 1
+        assert counters["executor.serial_fallbacks"] >= 1
+        survived = {
+            k: v
+            for k, v in instr.metrics.state()["counters"].items()
+            if not k.startswith("executor.")
+        }
+        assert survived == healthy.metrics.state()["counters"]
+
     def test_delay_fault_trips_task_timeout(self):
         instr = Instrumentation()
         # delay >> timeout, but short enough that the pool's shutdown
         # (which waits for the still-sleeping worker) stays quick.
         pooled = RunExecutor(
             jobs=2,
+            batch_size=1,
             task_timeout_s=1.5,
             worker_faults=(WorkerFault("delay", task_index=0, delay_s=6.0),),
         ).map_runs(self._tasks(), instrumentation=instr)
@@ -197,6 +256,7 @@ class TestExecutorResilience:
         instr = Instrumentation()
         pooled = RunExecutor(
             jobs=2,
+            batch_size=1,
             task_retries=1,
             worker_faults=(WorkerFault("raise", task_index=1, times=5),),
         ).map_runs(self._tasks(), instrumentation=instr)
@@ -226,12 +286,14 @@ class TestExecutorResilience:
         # The serial fallback merges a private bundle in task order, so
         # engine counters still equal a serial run's despite the crash.
         serial_instr = Instrumentation()
-        RunExecutor(jobs=1).map_runs(
+        RunExecutor(jobs=1, batch_size=1).map_runs(
             self._tasks(), instrumentation=serial_instr
         )
         crash_instr = Instrumentation()
         RunExecutor(
-            jobs=2, worker_faults=(WorkerFault("crash", task_index=2),)
+            jobs=2,
+            batch_size=1,
+            worker_faults=(WorkerFault("crash", task_index=2),),
         ).map_runs(self._tasks(), instrumentation=crash_instr)
         serial_counters = serial_instr.metrics.state()["counters"]
         crash_counters = {
@@ -322,3 +384,124 @@ class TestRunnerOnExecutor:
             )
         assert explicit.metrics.counter("engine.slots").value == 2 * cfg.n_slots
         assert "engine.slots" not in ambient.metrics
+
+
+class TestAutoGrouping:
+    """``batch_size=None`` (the default) stacks each maximal run of
+    consecutive compatible tasks, split into near-equal groups, one per
+    worker; an integer caps the group size."""
+
+    @staticmethod
+    def _tasks(n=10):
+        cfg = small_config()
+        return [RunTask(cfg, DefaultScheduler()) for _ in range(n)]
+
+    @staticmethod
+    def _sizes(executor, tasks, instr=None):
+        groups = executor._group_tasks(tasks, instr)
+        flat = [t for g in groups for t in g]
+        assert len(flat) == len(tasks)
+        assert all(a is b for a, b in zip(flat, tasks)), "task order changed"
+        return [len(g) for g in groups]
+
+    @pytest.mark.parametrize(
+        "jobs, sizes", [(1, [10]), (2, [5, 5]), (3, [4, 3, 3])]
+    )
+    def test_one_group_per_worker(self, jobs, sizes):
+        executor = RunExecutor(jobs=jobs)
+        assert executor.batch_size is None
+        assert self._sizes(executor, self._tasks()) == sizes
+
+    def test_more_workers_than_tasks(self):
+        assert self._sizes(RunExecutor(jobs=4), self._tasks(3)) == [1, 1, 1]
+
+    def test_incompatible_neighbour_breaks_group(self):
+        tasks = self._tasks(6)
+        tasks.insert(3, RunTask(small_config().with_(n_users=4), DefaultScheduler()))
+        tasks.insert(5, RunTask(small_config(), RTMAScheduler()))
+        assert self._sizes(RunExecutor(), tasks) == [3, 1, 1, 1, 2]
+        assert self._sizes(RunExecutor(jobs=2), tasks) == [2, 1, 1, 1, 1, 1, 1]
+
+    def test_cap_is_honoured(self):
+        assert self._sizes(RunExecutor(batch_size=4), self._tasks()) == [4, 3, 3]
+        assert self._sizes(
+            RunExecutor(jobs=2, batch_size=4), self._tasks()
+        ) == [4, 3, 3]
+        assert self._sizes(
+            RunExecutor(jobs=3, batch_size=16), self._tasks()
+        ) == [4, 3, 3]
+
+    def test_batch_size_one_gives_singletons(self):
+        for jobs in (1, 2):
+            executor = RunExecutor(jobs=jobs, batch_size=1)
+            assert self._sizes(executor, self._tasks()) == [1] * 10
+
+    def test_traced_runs_stay_alone(self):
+        # A tracer needs each run's own slot stream, so even a pool
+        # worker must not stack the tasks of a traced batch.
+        instr = Instrumentation(tracer=RecordingTracer())
+        assert self._sizes(RunExecutor(jobs=2), self._tasks(), instr) == [1] * 10
+        assert self._sizes(RunExecutor(), self._tasks(), Instrumentation()) == [10]
+
+    def test_batch_size_validation_and_repr(self):
+        with pytest.raises(ConfigurationError):
+            RunExecutor(batch_size=0)
+        assert repr(RunExecutor(jobs=2)) == "RunExecutor(jobs=2, batch_size=auto)"
+        assert repr(RunExecutor(batch_size=8)) == "RunExecutor(jobs=1, batch_size=8)"
+
+
+class _RecordingExecutor(RunExecutor):
+    """Keeps every result it returns, in order."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.results = []
+
+    def map_runs(self, tasks, instrumentation=None):
+        out = super().map_runs(tasks, instrumentation=instrumentation)
+        self.results.extend(out)
+        return out
+
+
+class TestCalibrationStacking:
+    """The calibration grids stack by default and return the same
+    value and the same run grids, byte for byte, as run by run."""
+
+    @staticmethod
+    def _contended():
+        return SimConfig(
+            n_users=6,
+            n_slots=120,
+            capacity_kbps=3_000.0,
+            video_size_range_kb=(50_000.0, 80_000.0),
+            seed=7,
+        )
+
+    def _both(self, calibrate):
+        out = {}
+        for batch_size in (None, 1):
+            executor = _RecordingExecutor(batch_size=batch_size)
+            instr = Instrumentation()
+            with use_executor(executor), use_instrumentation(instr):
+                value = calibrate()
+            stacked = instr.metrics.state()["counters"].get("batch.runs", 0)
+            out[batch_size] = (value, executor.results, stacked)
+        (v_auto, runs_auto, stacked), (v_one, runs_one, unstacked) = (
+            out[None],
+            out[1],
+        )
+        assert stacked > 0 and unstacked == 0
+        assert v_auto == v_one
+        assert len(runs_auto) == len(runs_one) > 2
+        for a, b in zip(runs_auto, runs_one):
+            assert_results_bit_identical(a, b)
+
+    def test_rtma_threshold_grid(self):
+        cfg = self._contended()
+        self._both(
+            lambda: calibrate_rtma_threshold(cfg, alpha=0.5, iterations=5)
+        )
+
+    def test_ema_v_grid(self):
+        cfg = self._contended()
+        self._both(lambda: calibrate_ema_v(cfg, 0.05, iterations=6))
