@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats as sps
 
 from repro.errors import ConfigurationError
 
@@ -16,7 +15,11 @@ def mean_confidence_interval(
     """``(mean, lo, hi)`` via the Student-t interval.
 
     A single sample yields a degenerate interval at the point.
+    ``scipy.stats`` is imported here, not at module level: it is the
+    package's slowest import and nothing on the simulation path needs it.
     """
+    from scipy import stats as sps
+
     if not 0.0 < confidence < 1.0:
         raise ConfigurationError("confidence must be in (0, 1)")
     x = np.asarray(samples, dtype=float).ravel()

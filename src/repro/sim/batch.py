@@ -24,21 +24,29 @@ by ``tests/integration/test_batch_equivalence.py``).  It holds because:
   :class:`~repro.core.ema.EMAScheduler` keep their parameters as
   per-lane arrays and always call the ``rtma_rounds_batch`` /
   ``ema_dp_batch`` kernels, so a stack is built with their ``stack``
-  classmethods (other policies share one instance or run per-run
-  slices, see :meth:`BatchPlan._make_scheduler`);
-* reductions feeding results and metrics run on *contiguous* per-run
-  copies, so NumPy's pairwise summation order matches a lone run's;
+  classmethods;
+* the stack's scheduler serves it in *blocks*: maximal runs of
+  consecutive tasks that one instance can serve (RTMA/EMA through
+  ``stack``, a row-elementwise baseline with equal parameters through
+  its first instance, anything else alone).  Each block sees its own
+  :class:`~repro.net.gateway.SlotObservation` over its rows, with its
+  own segment table and budgets — what a stack of that block alone
+  would see (see :class:`_BlockScheduler`);
+* every run's result grids are its own C-contiguous slice of the
+  run-major ``(R, n_slots, N)`` grids, so reductions feeding results
+  and metrics follow a lone run's pairwise summation order;
 * the Eq. (24) link/power tables and Eq. (2) budget tables are built
   the same way for every ``R``.
 
 Compatibility: stacked runs must share ``n_users``, ``n_slots``,
 ``tau_s``, ``delta_kb``, ``buffer_capacity_s``, ``fetch_ahead_kb``,
-the radio profile, the kernel backend, and the scheduler *type*; BS
-capacity, background traffic, seeds, signal models, and per-run
-scheduler parameters (RTMA thresholds, EMA ``V``) may differ.
-Dynamic-lifecycle (churn) runs and fault plans cannot be stacked.
-:func:`batch_incompatibility` is the single oracle — the executor uses
-it to decide which consecutive tasks may share a batch.
+the radio profile and the kernel backend; BS capacity, background
+traffic, seeds, signal models, scheduler types and per-run scheduler
+parameters (RTMA thresholds, EMA ``V``) may differ.  One scheduler
+instance may not serve two runs.  Dynamic-lifecycle (churn) runs and
+fault plans cannot be stacked.  :func:`batch_incompatibility` is the
+single oracle — the executor uses it to decide which consecutive tasks
+may share a batch.
 
 Instrumentation: metrics, phase samples and spans are recorded the
 same way for every ``R`` (one sample per phase per slot covers the
@@ -90,9 +98,9 @@ _COMPAT_FIELDS = (
 
 #: Baseline schedulers whose ``allocate`` is purely row-elementwise
 #: (state auto-sized to the observation) followed by
-#: ``clip_to_constraints``.  When every run carries equal parameters,
-#: the first run's instance can serve the whole stacked row space
-#: directly — each lane evolves exactly as it would in its own run.
+#: ``clip_to_constraints``.  When consecutive runs carry equal
+#: parameters, the first run's instance serves all their rows directly
+#: — each lane evolves exactly as it would in its own run.
 _CLIP_SHARED_PARAMS: dict[type, tuple[str, ...]] = {
     DefaultScheduler: ("refill_trigger_s", "refill_high_s"),
     NeedRateScheduler: (),
@@ -132,10 +140,6 @@ def batch_incompatibility(tasks) -> str | None:
         for t in tasks[1:]:
             if getattr(t.config, name) != v0:
                 return f"config field {name!r} differs across runs"
-    s_type = type(tasks[0].scheduler)
-    for t in tasks[1:]:
-        if type(t.scheduler) is not s_type:
-            return "scheduler types differ across runs"
     if len({id(t.scheduler) for t in tasks}) != len(tasks):
         return "the same scheduler instance appears in multiple runs"
     return None
@@ -210,87 +214,133 @@ class BatchPlan:
         )
         return results
 
-    # -- scheduler stacking ---------------------------------------------------
+    def _make_scheduler(self, run_offsets: np.ndarray) -> _BlockScheduler:
+        return _BlockScheduler([t.scheduler for t in self.tasks], run_offsets)
 
-    def _make_scheduler(self, run_offsets: np.ndarray):
-        scheds = [t.scheduler for t in self.tasks]
-        s0 = scheds[0]
-        s_type = type(s0)
-        n_per_run = int(run_offsets[1] - run_offsets[0])
-        if s_type is RTMAScheduler or (
-            s_type is EMAScheduler
-            and all(s.n_users == n_per_run and s.tau_s == s0.tau_s for s in scheds)
+
+def _same_instance_serves(s0, s, n_per_run: int) -> bool:
+    """Whether the instance serving ``s0``'s run can also serve ``s``'s."""
+    if type(s) is not type(s0):
+        return False
+    if type(s0) is RTMAScheduler:
+        return True
+    if type(s0) is EMAScheduler:
+        return s0.n_users == s.n_users == n_per_run and s.tau_s == s0.tau_s
+    params = _CLIP_SHARED_PARAMS.get(type(s0))
+    return params is not None and all(getattr(s, a) == getattr(s0, a) for a in params)
+
+
+class _Block:
+    """Runs ``start:stop`` of a stack, rows ``lo:hi``, one scheduler."""
+
+    __slots__ = ("start", "stop", "lo", "hi", "run_offsets", "scheduler")
+
+    def __init__(self, scheds, start: int, stop: int, run_offsets: np.ndarray):
+        self.start, self.stop = start, stop
+        self.lo, self.hi = int(run_offsets[start]), int(run_offsets[stop])
+        self.run_offsets = run_offsets[start : stop + 1] - self.lo
+        members = scheds[start:stop]
+        s0 = members[0]
+        if type(s0) is RTMAScheduler or (
+            type(s0) is EMAScheduler and s0.n_users == self.run_offsets[1]
         ):
-            return s_type.stack(scheds, run_offsets)
-        params = _CLIP_SHARED_PARAMS.get(s_type)
-        if params is not None and all(
-            getattr(s, a) == getattr(s0, a) for s in scheds[1:] for a in params
-        ):
-            return s0
-        return _SlicedBatch(scheds, run_offsets)
+            self.scheduler = type(s0).stack(members, self.run_offsets)
+        else:
+            # A clip-shared baseline with equal parameters: its
+            # row-elementwise state auto-sizes to the block's rows, so
+            # each lane evolves exactly as in its own run.  Any other
+            # scheduler is a one-run block served by its own instance.
+            self.scheduler = s0
+
+    def view(self, obs: SlotObservation) -> SlotObservation:
+        """``obs`` restricted to the block's rows and runs."""
+        lo, hi = self.lo, self.hi
+        budgets = obs.run_unit_budgets[self.start : self.stop]
+        caps = obs.run_capacity_kbps[self.start : self.stop]
+        return SlotObservation(
+            slot=obs.slot,
+            tau_s=obs.tau_s,
+            delta_kb=obs.delta_kb,
+            capacity_kbps=float(caps.sum()),
+            unit_budget=int(budgets.sum()),
+            sig_dbm=obs.sig_dbm[lo:hi],
+            rate_kbps=obs.rate_kbps[lo:hi],
+            link_units=obs.link_units[lo:hi],
+            p_mj_per_kb=obs.p_mj_per_kb[lo:hi],
+            active=obs.active[lo:hi],
+            buffer_s=obs.buffer_s[lo:hi],
+            remaining_kb=obs.remaining_kb[lo:hi],
+            idle_tail_cost_mj=obs.idle_tail_cost_mj[lo:hi],
+            receivable_kb=obs.receivable_kb[lo:hi],
+            run_offsets=self.run_offsets,
+            run_unit_budgets=budgets,
+            run_capacity_kbps=caps,
+        )
 
 
-class _SlicedBatch(Scheduler):
-    """Fallback adapter: per-run schedulers on per-run observation views.
+class _BlockScheduler(Scheduler):
+    """The scheduler of a stack: one instance per block of runs.
 
-    Always bit-identical for *any* scheduler (including the error it
-    would raise): each run's instance sees a one-segment
-    :class:`~repro.net.gateway.SlotObservation` whose arrays are that
-    run's contiguous row segment and whose budget/capacity are that
-    run's scalars.  Used when runs carry unequal baseline parameters or
-    a scheduler type without a ``stack`` classmethod.
+    The stack's tasks split into maximal blocks of consecutive runs one
+    instance can serve (:func:`_same_instance_serves`).  A block's
+    instance sees :meth:`_Block.view` of each slot's observation — for
+    a single block, the observation itself — so every lane evolves
+    exactly as in a run-by-run execution.
     """
 
     def __init__(self, scheds, run_offsets: np.ndarray):
-        self.scheds = list(scheds)
-        self.run_offsets = run_offsets
-        self.name = getattr(self.scheds[0], "name", type(self.scheds[0]).__name__)
-        self._last_obs: list[SlotObservation] | None = None
+        n_per_run = int(run_offsets[1] - run_offsets[0])
+        self.blocks: list[_Block] = []
+        start = 0
+        while start < len(scheds):
+            stop = start + 1
+            while stop < len(scheds) and _same_instance_serves(
+                scheds[start], scheds[stop], n_per_run
+            ):
+                stop += 1
+            self.blocks.append(_Block(scheds, start, stop, run_offsets))
+            start = stop
+        first = self.blocks[0].scheduler
+        self.name = getattr(first, "name", type(first).__name__)
+        self._views: list[SlotObservation] = []
 
     def bind_instrumentation(self, instrumentation) -> None:
         self.instrumentation = instrumentation
-        for s in self.scheds:
-            s.bind_instrumentation(instrumentation)
+        for b in self.blocks:
+            b.scheduler.bind_instrumentation(instrumentation)
 
     def allocate(self, obs: SlotObservation) -> np.ndarray:
+        if len(self.blocks) == 1:
+            return self.blocks[0].scheduler.allocate(obs)
         phi = np.zeros(obs.n_users, dtype=np.int64)
-        off = self.run_offsets
-        views = []
-        for r, s in enumerate(self.scheds):
-            lo = int(off[r])
-            hi = int(off[r + 1])
-            obs_r = SlotObservation(
-                slot=obs.slot,
-                tau_s=obs.tau_s,
-                delta_kb=obs.delta_kb,
-                capacity_kbps=float(obs.run_capacity_kbps[r]),
-                unit_budget=int(obs.run_unit_budgets[r]),
-                sig_dbm=obs.sig_dbm[lo:hi],
-                rate_kbps=obs.rate_kbps[lo:hi],
-                link_units=obs.link_units[lo:hi],
-                p_mj_per_kb=obs.p_mj_per_kb[lo:hi],
-                active=obs.active[lo:hi],
-                buffer_s=obs.buffer_s[lo:hi],
-                remaining_kb=obs.remaining_kb[lo:hi],
-                idle_tail_cost_mj=obs.idle_tail_cost_mj[lo:hi],
-                receivable_kb=obs.receivable_kb[lo:hi],
-            )
-            views.append(obs_r)
-            phi[lo:hi] = np.asarray(s.allocate(obs_r))
-        self._last_obs = views
+        self._views = views = [b.view(obs) for b in self.blocks]
+        for b, view in zip(self.blocks, views):
+            phi[b.lo : b.hi] = b.scheduler.allocate(view)
         return phi
 
     def notify(
         self, obs: SlotObservation, phi: np.ndarray, delivered_kb: np.ndarray
     ) -> None:
-        views = self._last_obs
-        off = self.run_offsets
-        for r, s in enumerate(self.scheds):
-            lo = int(off[r])
-            hi = int(off[r + 1])
-            s.notify(views[r], phi[lo:hi], delivered_kb[lo:hi])
+        if len(self.blocks) == 1:
+            self.blocks[0].scheduler.notify(obs, phi, delivered_kb)
+            return
+        for b, view in zip(self.blocks, self._views):
+            b.scheduler.notify(view, phi[b.lo : b.hi], delivered_kb[b.lo : b.hi])
 
     def reset(self) -> None:
-        self._last_obs = None
-        for s in self.scheds:
-            s.reset()
+        self._views = []
+        for b in self.blocks:
+            b.scheduler.reset()
+
+    def finalize_runs(self, registries) -> None:
+        """Publish each block's final gauge state into its last run's
+        registry (``registries`` holds one per run, in task order).
+
+        Gauges are last-write-wins and the per-run registries merge in
+        task order, so the merged value is the one a run-by-run
+        sequence leaves behind.
+        """
+        for b in self.blocks:
+            finalize = getattr(b.scheduler, "finalize_batch", None)
+            if finalize is not None:
+                finalize(registries[b.stop - 1])

@@ -24,11 +24,13 @@ runs as row segments of one fleet: a single run (every
 ``R = 1`` case, and :mod:`repro.sim.batch` stacks ``R > 1``
 batch-compatible runs.  The set-up is the same for both: per-run
 Eq. (2) budget tables from each run's capacity model and slicer, the
-Eq. (24) link/power tables computed once from the fault-applied signal
-trace, and a per-run split of the result grids at the end.  Without
+Eq. (24) link/power tables computed per block of slots from the
+fault-applied signal trace, and run-major ``(R, n_slots, N)`` result
+grids whose per-run slices are the runs' results.  Without
 churn (:attr:`~repro.sim.config.SimConfig.has_churn` false) the fleet's
 row space *is* the runs' session space, fixed at construction, and each
-slot writes straight into the session-keyed result grids.  With churn
+slot's rows go straight into the session-keyed result grids (through
+per-block staging rows when ``R > 1``).  With churn
 (``R = 1`` only), a :class:`~repro.sim.sessions.SessionManager` admits
 arrivals into a growable row space at slot start, retires completed
 sessions at slot end, and each slot's row-space vectors are scattered
@@ -94,6 +96,12 @@ _TRACED_SCHEDULER_PARAMS = (
 #: live plane's ``watch_every``) so block accounting costs the hot loop
 #: a single comparison per slot.
 SPAN_BLOCK_SLOTS = 64
+
+#: Slots per block of the Eq. (24) link/power tables and, when
+#: ``R > 1``, of the slot-major staging rows flushed into the run-major
+#: result grids: the loop holds a block of slots, never the horizon, of
+#: either.
+SLOT_BLOCK_SLOTS = 64
 
 #: Signal a vacant churn row observes (its link/power columns are this
 #: signal's Eq. 24 values; vacant rows are inactive and get nothing).
@@ -313,7 +321,8 @@ def run_segments(tasks, workloads, instr, stack_scheduler=None):
     traces and the live plane all apply.  With ``R > 1`` the runs must
     be batch-compatible and untraced (see :mod:`repro.sim.batch`):
     ``stack_scheduler(run_offsets)`` builds the scheduler serving the
-    stacked rows.
+    stacked rows, whose ``finalize_runs(registries)`` publishes its
+    final gauge state into the per-run registries after the loop.
 
     Returns ``(results, run_metric_states)``: one result per run in
     task order, and — for an instrumented ``R > 1`` loop — one metrics
@@ -436,20 +445,23 @@ def _slot_loop(tasks, workloads, instr, stack_scheduler):
         cap_table = np.broadcast_to(cap_table, (gamma, n_runs))
         budget_table = np.broadcast_to(budget_table, (gamma, n_runs))
 
-    alloc = np.zeros((gamma, total), dtype=np.int64)
-    delivered = np.zeros((gamma, total), dtype=float)
-    rebuf = np.zeros((gamma, total), dtype=float)
-    e_trans = np.zeros((gamma, total), dtype=float)
-    e_tail = np.zeros((gamma, total), dtype=float)
-    buffer_s = np.zeros((gamma, total), dtype=float)
-    need_kb = np.zeros((gamma, total), dtype=float)
-    active_rec = np.zeros((gamma, total), dtype=bool)
+    # Run-major result grids: run r's record is grids[k][r], a
+    # C-contiguous (n_slots, N) array that is handed out without a copy
+    # and reduces exactly like a lone run's.  A slot writes one row per
+    # grid into slot-major staging rows; with R = 1 those are the grid's
+    # own rows, otherwise a block buffer flushed every
+    # SLOT_BLOCK_SLOTS slots.
+    grids = (
+        alloc, delivered, rebuf, e_trans, e_tail, buffer_s, need_kb, active_rec
+    ) = tuple(
+        np.zeros((n_runs, gamma, n), dtype=dt)
+        for dt in (np.int64, float, float, float, float, float, float, bool)
+    )
+    if n_runs > 1:
+        staging = tuple(np.empty((SLOT_BLOCK_SLOTS, total), g.dtype) for g in grids)
     completion = np.full(total, -1, dtype=np.int64)
 
-    if n_runs == 1:
-        signal = workloads[0].signal_dbm[:gamma]
-    else:
-        signal = np.concatenate([wl.signal_dbm[:gamma] for wl in workloads], axis=1)
+    signals = [wl.signal_dbm[:gamma] for wl in workloads]
     stall_grid = outage_mask = stall_row = None
     if faults_on:
         # Blackouts are applied to a *copy* of the generated trace
@@ -457,12 +469,9 @@ def _slot_loop(tasks, workloads, instr, stack_scheduler):
         # and must stay pristine), and the stall/outage masks are
         # precomputed once — the slot loop pays one row lookup.
         # Windows name sessions; churn runs gather them into rows.
-        signal = plan.apply_signal(signal)
+        signals = [plan.apply_signal(signals[0])]
         stall_grid = plan.stall_grid(gamma, n)
         outage_mask = plan.outage_slot_mask(gamma)
-    # The Eq. (24) link/power tables for every run in one vectorized
-    # 2-D pass over the (fault-applied) signal; the loop reads a row.
-    link_table, p_table = _eq24_tables(radio, signal, cfg.tau_s, cfg.delta_kb)
     if churn:
         vacant_link, vacant_p = _eq24_tables(
             radio, np.array([VACANT_SIG_DBM]), cfg.tau_s, cfg.delta_kb
@@ -511,8 +520,28 @@ def _slot_loop(tasks, workloads, instr, stack_scheduler):
     row_flows, joined, departed = flows, None, None
     row_offsets = run_offsets
     slot = -1
+    block_start = block_end = 0
     try:
         for slot in range(gamma):
+            if slot == block_end:
+                # Next block of slots: the Eq. (24) link/power tables of
+                # every run in one vectorized 2-D pass over the
+                # (fault-applied) signal, and the rows slots write to.
+                block_start, block_end = slot, min(slot + SLOT_BLOCK_SLOTS, gamma)
+                if n_runs == 1:
+                    sig_block = signals[0][block_start:block_end]
+                    stage = tuple(g[0, block_start:block_end] for g in grids)
+                else:
+                    sig_block = np.concatenate(
+                        [sig[block_start:block_end] for sig in signals], axis=1
+                    )
+                    stage = staging
+                link_block, p_block = _eq24_tables(
+                    radio, sig_block, cfg.tau_s, cfg.delta_kb
+                )
+                (st_alloc, st_delivered, st_rebuf, st_trans, st_tail, st_buffer,
+                 st_need, st_active) = stage
+            i = slot - block_start
             if churn:
                 # 0. Session lifecycle: roll the join/depart masks,
                 #    then admit (or reject) every session whose
@@ -558,9 +587,7 @@ def _slot_loop(tasks, workloads, instr, stack_scheduler):
                     # A churn run is one segment over the row capacity.
                     row_offsets = np.array([0, fleet.n_users], dtype=np.int64)
             else:
-                rebuf_row, trans_row, tail_row = (
-                    rebuf[slot], e_trans[slot], e_tail[slot]
-                )
+                rebuf_row, trans_row, tail_row = st_rebuf[i], st_trans[i], st_tail[i]
 
             # 1. Playback: Eq. (7)/(8) with last slot's deliveries.
             #    Sessions that have not arrived yet do not play (and
@@ -605,14 +632,14 @@ def _slot_loop(tasks, workloads, instr, stack_scheduler):
                 link_row.fill(vacant_link[0])
                 p_row.fill(vacant_p[0])
                 if occ.size:
-                    sig_row[occ] = signal[slot][sess_of]
-                    link_row[occ] = link_table[slot][sess_of]
-                    p_row[occ] = p_table[slot][sess_of]
+                    sig_row[occ] = sig_block[i][sess_of]
+                    link_row[occ] = link_block[i][sess_of]
+                    p_row[occ] = p_block[i][sess_of]
                 if stall_grid is not None:
                     stall_row = stall_grid[slot][mgr.row_session]
                     stall_row &= mgr.row_session >= 0
             else:
-                sig_row, link_row, p_row = signal[slot], link_table[slot], p_table[slot]
+                sig_row, link_row, p_row = sig_block[i], link_block[i], p_block[i]
                 if stall_grid is not None:
                     stall_row = stall_grid[slot]
             obs, phi, sent_kb = gateway.step(
@@ -659,20 +686,28 @@ def _slot_loop(tasks, workloads, instr, stack_scheduler):
             if churn:
                 # Scatter row-space results into the session grids.
                 if occ.size:
-                    alloc[slot, sess_of] = phi[occ]
-                    delivered[slot, sess_of] = sent_kb[occ]
-                    rebuf[slot, sess_of] = arena.rebuf_s[occ]
-                    e_trans[slot, sess_of] = arena.trans_mj[occ]
-                    e_tail[slot, sess_of] = arena.tail_mj[occ]
-                    buffer_s[slot, sess_of] = obs.buffer_s[occ]
-                    need_kb[slot, sess_of] = obs.rate_kbps[occ] * cfg.tau_s
-                    active_rec[slot, sess_of] = obs.active[occ]
+                    st_alloc[i, sess_of] = phi[occ]
+                    st_delivered[i, sess_of] = sent_kb[occ]
+                    st_rebuf[i, sess_of] = arena.rebuf_s[occ]
+                    st_trans[i, sess_of] = arena.trans_mj[occ]
+                    st_tail[i, sess_of] = arena.tail_mj[occ]
+                    st_buffer[i, sess_of] = obs.buffer_s[occ]
+                    st_need[i, sess_of] = obs.rate_kbps[occ] * cfg.tau_s
+                    st_active[i, sess_of] = obs.active[occ]
             else:
-                alloc[slot] = phi
-                delivered[slot] = sent_kb
-                buffer_s[slot] = obs.buffer_s
-                np.multiply(obs.rate_kbps, cfg.tau_s, out=need_kb[slot])
-                active_rec[slot] = obs.active
+                st_alloc[i] = phi
+                st_delivered[i] = sent_kb
+                st_buffer[i] = obs.buffer_s
+                np.multiply(obs.rate_kbps, cfg.tau_s, out=st_need[i])
+                st_active[i] = obs.active
+            if n_runs > 1 and slot == block_end - 1:
+                # Flush the block's slot-major rows into the run-major
+                # grids: (slots, R*N) -> (R, slots, N).
+                width = block_end - block_start
+                for g, st in zip(grids, staging):
+                    g[:, block_start:block_end] = (
+                        st[:width].reshape(width, n_runs, n).transpose(1, 0, 2)
+                    )
 
             if instrumented and trace_on:
                 if churn:
@@ -695,10 +730,10 @@ def _slot_loop(tasks, workloads, instr, stack_scheduler):
                     allocated_units=int(phi.sum()),
                     unit_budget=int(obs.unit_budget),
                     delivered_kb=float(sent_kb.sum()),
-                    rebuffering_s=float(rebuf[slot].sum()),
-                    energy_trans_mj=float(e_trans[slot].sum()),
-                    energy_tail_mj=float(e_tail[slot].sum()),
-                    mean_buffer_s=float(buffer_s[slot].mean()),
+                    rebuffering_s=float(st_rebuf[i].sum()),
+                    energy_trans_mj=float(st_trans[i].sum()),
+                    energy_tail_mj=float(st_tail[i].sum()),
+                    mean_buffer_s=float(st_buffer[i].mean()),
                     # Per-user vectors: what repro.obs.analyze needs
                     # to reconstruct timelines and run the invariant
                     # checkers offline.  Only built when a real
@@ -709,16 +744,16 @@ def _slot_loop(tasks, workloads, instr, stack_scheduler):
                     # so raw references would go stale in a
                     # recording tracer.
                     users={
-                        "phi": alloc[slot],
-                        "delivered_kb": delivered[slot],
-                        "rebuffering_s": rebuf[slot],
-                        "buffer_s": buffer_s[slot],
-                        "energy_trans_mj": e_trans[slot],
-                        "energy_tail_mj": e_tail[slot],
+                        "phi": st_alloc[i],
+                        "delivered_kb": st_delivered[i],
+                        "rebuffering_s": st_rebuf[i],
+                        "buffer_s": st_buffer[i],
+                        "energy_trans_mj": st_trans[i],
+                        "energy_tail_mj": st_tail[i],
                         "link_units": link_users,
-                        "sig_dbm": signal[slot],
+                        "sig_dbm": sig_block[i],
                         "rate_kbps": rate_users,
-                        "active": active_rec[slot],
+                        "active": st_active[i],
                     },
                 )
 
@@ -736,21 +771,22 @@ def _slot_loop(tasks, workloads, instr, stack_scheduler):
                         )
 
             # Live telemetry consumes whole blocks straight from the
-            # result grids — one comparison per slot, vectorized
-            # cell sums every watch_every slots (plus the run tail).
+            # result grids (R = 1: the staging rows are grid rows) — one
+            # comparison per slot, vectorized cell sums every
+            # watch_every slots (plus the run tail).
             if live_on and (slot - live_start + 1 >= live_every or slot == gamma - 1):
                 end = slot + 1
                 live.observe_block(
                     slot,
-                    rebuf[live_start:end].sum(axis=1),
-                    e_trans[live_start:end].sum(axis=1)
-                    + e_tail[live_start:end].sum(axis=1),
-                    delivered[live_start:end].sum(axis=1),
-                    buffer_s[live_start:end].mean(axis=1),
+                    rebuf[0, live_start:end].sum(axis=1),
+                    e_trans[0, live_start:end].sum(axis=1)
+                    + e_tail[0, live_start:end].sum(axis=1),
+                    delivered[0, live_start:end].sum(axis=1),
+                    buffer_s[0, live_start:end].mean(axis=1),
                     active_users=(
                         int(mgr.active_count)
                         if churn
-                        else int(active_rec[slot].sum())
+                        else int(st_active[i].sum())
                     ),
                     outage_slots=(
                         int(outage_mask[live_start:end].sum())
@@ -805,27 +841,26 @@ def _slot_loop(tasks, workloads, instr, stack_scheduler):
             "run.end",
             scheduler=scheduler_name,
             n_slots=gamma,
-            delivered_total_kb=float(delivered.sum()),
-            energy_total_mj=float(e_trans.sum() + e_tail.sum()),
-            rebuffering_total_s=float(rebuf.sum()),
+            delivered_total_kb=float(delivered[0].sum()),
+            energy_total_mj=float(e_trans[0].sum() + e_tail[0].sum()),
+            rebuffering_total_s=float(rebuf[0].sum()),
             completed_users=int((completion >= 0).sum()),
             **({"sessions": session_counts} if churn else {}),
         )
     if live_on:
         live.end_run()
 
-    # Split per-run results in task order.  Each grid slice is copied
-    # C-contiguous before any reduction (a single run's slice already
-    # is), so NumPy's pairwise summation visits exactly the elements,
-    # in exactly the layout, a lone run would reduce.
+    # Per-run results in task order: each run's grids are its own
+    # C-contiguous (n_slots, N) slices, so NumPy's pairwise summation
+    # visits exactly the elements, in exactly the layout, a lone run
+    # would reduce.
     results: list[SimulationResult] = []
-    run_metric_states: list[dict] = []
+    registries: list[MetricsRegistry] = []
     phase_timings = instr.profiler.summary() if instrumented else None
     for r, task in enumerate(tasks):
         lo, hi = int(run_offsets[r]), int(run_offsets[r + 1])
-        grids = (alloc, delivered, rebuf, e_trans, e_tail, buffer_s, need_kb, active_rec)
         alloc_r, delivered_r, rebuf_r, e_trans_r, e_tail_r, buffer_r, need_r, active_r = (
-            np.ascontiguousarray(g[:, lo:hi]) for g in grids
+            g[r] for g in grids
         )
         if instrumented:
             # A stacked run's accounting goes into its own registry,
@@ -840,21 +875,7 @@ def _slot_loop(tasks, workloads, instr, stack_scheduler):
             )
             if faults_on:
                 _fault_counters(reg, plan, outage_mask, gamma)
-            if n_runs > 1:
-                if r == 0:
-                    reg.counter("batch.runs").inc(n_runs)
-                    reg.counter("batch.slots").inc(gamma)
-                if r == n_runs - 1:
-                    # Stacked schedulers publish their final gauge
-                    # state (e.g. EMA's virtual queues) into the last
-                    # run's registry — gauges are last-write-wins, so
-                    # the merged value matches a run-by-run sequence.
-                    finalize = getattr(scheduler, "finalize_batch", None)
-                    if finalize is not None:
-                        finalize(reg)
-                state = reg.state()
-                run_metric_states.append(state)
-                instr.metrics.merge_state(state)
+            registries.append(reg)
         results.append(
             SimulationResult(
                 scheduler_name=getattr(
@@ -875,4 +896,17 @@ def _slot_loop(tasks, workloads, instr, stack_scheduler):
                 **session_fields,
             )
         )
+    run_metric_states: list[dict] = []
+    if instrumented and n_runs > 1:
+        registries[0].counter("batch.runs").inc(n_runs)
+        registries[0].counter("batch.slots").inc(gamma)
+        # The stacked scheduler publishes final gauge state (e.g. EMA's
+        # virtual queues) into the last run of each block it serves —
+        # gauges are last-write-wins, so the merged value matches a
+        # run-by-run sequence.
+        scheduler.finalize_runs(registries)
+        for reg in registries:
+            state = reg.state()
+            run_metric_states.append(state)
+            instr.metrics.merge_state(state)
     return results, run_metric_states

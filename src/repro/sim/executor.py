@@ -332,8 +332,8 @@ class RunExecutor:
     batch_size:
         Cap on the runs stacked into one :func:`~repro.sim.batch.run_batch`
         slot loop.  ``None`` (default) is *auto*: no cap.  Every maximal
-        run of *consecutive* compatible tasks (same shape/scheduler type
-        — see :func:`~repro.sim.batch.batch_incompatibility`) is split
+        run of *consecutive* compatible tasks (same shape, any scheduler
+        types — see :func:`~repro.sim.batch.batch_incompatibility`) is split
         into ``min(jobs, n)`` near-equal groups, so ``jobs=J`` still
         keeps ``J`` workers busy; an integer ``R`` additionally splits
         it into at least ``ceil(n / R)`` groups.  ``1`` runs every task

@@ -166,7 +166,16 @@ def calibrate_rtma_threshold(
         wl = workload
     if wl is None:
         wl = generate_workload(cal_cfg)
-    budget = alpha * default_reference(cal_cfg, wl).pe_mj
+    # The Default reference and the unconstrained RTMA probe share the
+    # calibration workload, so they go out as one batch: one slot loop
+    # when the executor stacks them.
+    reference, probe = map_runs(
+        [
+            RunTask(cal_cfg, DefaultScheduler(), wl),
+            RunTask(cal_cfg, RTMAScheduler(sig_threshold_dbm=float("-inf")), wl),
+        ]
+    )
+    budget = alpha * reference.pe_mj
     sig_model = cal_cfg.make_signal_model()
 
     def note(threshold: float, pe: float) -> None:
@@ -181,12 +190,6 @@ def calibrate_rtma_threshold(
                     budget_mj=budget,
                 )
 
-    def pe_for(threshold: float) -> float:
-        sched = RTMAScheduler(sig_threshold_dbm=threshold)
-        pe = run_scheduler(cal_cfg, sched, wl).pe_mj
-        note(threshold, pe)
-        return pe
-
     def finish(threshold: float, feasible: bool) -> float:
         if instr is not None:
             instr.profiler.record("calibrate_rtma", time.perf_counter() - started)
@@ -200,7 +203,8 @@ def calibrate_rtma_threshold(
                 )
         return threshold
 
-    if pe_for(float("-inf")) <= budget:
+    note(float("-inf"), probe.pe_mj)
+    if probe.pe_mj <= budget:
         return finish(float("-inf"), True)
     # PE is not monotone in the threshold (a stricter threshold trades
     # transmission energy for extra tail toggling), so scan a grid

@@ -1,5 +1,9 @@
 """Tests for analysis helpers: CDF queries, stats, tables."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -69,6 +73,35 @@ class TestStats:
             mean_confidence_interval([])
         with pytest.raises(ConfigurationError):
             mean_confidence_interval([1.0], confidence=1.5)
+
+    def test_student_t_values_pinned(self):
+        # Pinned Student-t intervals: the lazy scipy import keeps them exact.
+        assert mean_confidence_interval([1.0, 2.0, 4.0, 8.0]) == (
+            3.75, -1.1759430482302937, 8.675943048230295
+        )
+        assert mean_confidence_interval([0.5, 0.25, 3.0], confidence=0.9) == (
+            1.25, -1.3136630864941328, 3.8136630864941328
+        )
+
+
+class TestColdImport:
+    def test_package_import_leaves_scipy_stats_unloaded(self):
+        # scipy.stats is the slowest import reachable from the package;
+        # only mean_confidence_interval needs it, and it imports lazily.
+        code = (
+            "import sys, repro, repro.experiments.registry; "
+            "print('scipy.stats' in sys.modules)"
+        )
+        src = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.abspath(src)] + [p for p in [env.get("PYTHONPATH")] if p]
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True,
+            text=True, check=True,
+        )
+        assert out.stdout.strip() == "False"
 
 
 class TestTable:

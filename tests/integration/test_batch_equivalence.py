@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 from repro.baselines import (
     DefaultScheduler,
     EStreamerScheduler,
+    NeedRateScheduler,
     OnOffScheduler,
     SalsaScheduler,
     ThrottlingScheduler,
@@ -36,10 +37,10 @@ from repro.kernels import available_backends
 from repro.net.slicing import ConstantBackground, PoissonBackground, ResourceSlicer
 from repro.obs import Instrumentation
 from repro.obs.tracer import RecordingTracer
-from repro.sim.batch import batch_incompatibility, run_batch
+from repro.sim.batch import BatchPlan, batch_incompatibility, run_batch
 from repro.sim.config import SimConfig
 from repro.sim.engine import Simulation
-from repro.sim.executor import RunTask
+from repro.sim.executor import RunExecutor, RunTask
 from repro.sim.workload import generate_workload
 
 RESULT_ARRAYS = (
@@ -303,14 +304,24 @@ class TestBatchCompatibilityOracle:
         with pytest.raises(Exception):
             run_batch(tasks)
 
-    def test_mixed_scheduler_types_are_rejected(self):
-        cfgs = [_cfg(1), _cfg(2)]
-        tasks = [
-            RunTask(cfgs[0], RTMAScheduler(sig_threshold_dbm=-95.0),
-                    generate_workload(cfgs[0])),
-            RunTask(cfgs[1], DefaultScheduler(), generate_workload(cfgs[1])),
+    def test_mixed_types_stack(self):
+        cfgs = [_cfg(1), _cfg(2), _cfg(3)]
+
+        def tasks():
+            return [
+                RunTask(cfgs[0], RTMAScheduler(sig_threshold_dbm=-95.0),
+                        generate_workload(cfgs[0])),
+                RunTask(cfgs[1], DefaultScheduler(), generate_workload(cfgs[1])),
+                RunTask(cfgs[2], EMAScheduler(10, v_param=0.05),
+                        generate_workload(cfgs[2])),
+            ]
+
+        assert batch_incompatibility(tasks()) is None
+        serial = [
+            Simulation(t.config, t.scheduler, t.workload).run() for t in tasks()
         ]
-        assert batch_incompatibility(tasks) is not None
+        for r, (a, b) in enumerate(zip(serial, run_batch(tasks()))):
+            assert_results_bit_identical(a, b, f"mixed run {r}")
 
     def test_shared_scheduler_instance_is_rejected(self):
         cfgs = [_cfg(1), _cfg(2)]
@@ -389,3 +400,146 @@ class TestPartitionInvariance:
             assert got_bytes == want, (
                 f"{sched_name} partition {partition}: run {r} differs from serial"
             )
+
+
+# --- mixed stacks --------------------------------------------------------
+
+#: Every scheduler type with a few unequal parameter choices each.
+_MIXED_KINDS = {
+    "rtma": [
+        lambda cfg, p=p: RTMAScheduler(sig_threshold_dbm=p)
+        for p in (-100.0, -95.0, float("-inf"))
+    ],
+    "ema": [
+        lambda cfg, v=v, f=f, q=q: EMAScheduler(
+            cfg.n_users, v_param=v, tau_s=cfg.tau_s, queue_floor_s=f, queue_init=q
+        )
+        for v, f, q in ((0.05, None, "auto"), (0.5, -30.0, "auto"), (0.02, None, 0.0))
+    ],
+    "default": [
+        lambda cfg, lo=lo: DefaultScheduler(refill_trigger_s=lo, refill_high_s=50.0)
+        for lo in (20.0, 10.0)
+    ],
+    "need-rate": [lambda cfg: NeedRateScheduler()],
+    "on-off": [
+        lambda cfg, lo=lo: OnOffScheduler(low_threshold_s=lo) for lo in (10.0, 5.0)
+    ],
+    "throttling": [
+        lambda cfg, f=f: ThrottlingScheduler(factor=f) for f in (1.25, 1.5)
+    ],
+    "salsa": [lambda cfg, v=v: SalsaScheduler(v_salsa=v) for v in (2.0, 0.5)],
+    "estreamer": [
+        lambda cfg, t=t: EStreamerScheduler(refill_trigger_s=t) for t in (8.0, 4.0)
+    ],
+}
+
+
+def _mixed_cfg(seed):
+    return _cfg(
+        seed,
+        n_users=4,
+        n_slots=60,
+        capacity_kbps=2_000.0 + 500.0 * (seed % 3),
+        video_size_range_kb=(2_000.0, 6_000.0),
+    )
+
+
+@st.composite
+def mixed_stacks(draw):
+    """A random interleaving of scheduler types with per-run parameters."""
+    picks = draw(
+        st.lists(
+            st.tuples(st.sampled_from(sorted(_MIXED_KINDS)), st.integers(0, 2)),
+            min_size=2,
+            max_size=7,
+        )
+    )
+    return [
+        (kind, i % len(_MIXED_KINDS[kind]), seed)
+        for seed, (kind, i) in enumerate(picks)
+    ]
+
+
+def _mixed_tasks(spec, workloads):
+    tasks = []
+    for kind, i, seed in spec:
+        cfg = _mixed_cfg(seed)
+        tasks.append(RunTask(cfg, _MIXED_KINDS[kind][i](cfg), workloads[seed]))
+    return tasks
+
+
+def _registry_view(state):
+    """A metrics state minus the grouping bookkeeping: per section, a
+    byte-comparable form of each metric."""
+    return {
+        section: {
+            k: _as_json(v) for k, v in values.items() if not k.startswith("batch.")
+        }
+        for section, values in state.items()
+    }
+
+
+class TestMixedStacks:
+    """Runs of different scheduler types stack: every observable equals
+    a run-by-run execution."""
+
+    @settings(
+        max_examples=8,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(spec=mixed_stacks())
+    def test_mixed_stack_equals_run_by_run(self, spec):
+        workloads = {seed: generate_workload(_mixed_cfg(seed)) for *_, seed in spec}
+        serial_instr = Instrumentation()
+        lone_states, serial = [], []
+        for t in _mixed_tasks(spec, workloads):
+            own = Instrumentation()
+            serial.append(
+                Simulation(t.config, t.scheduler, t.workload, instrumentation=own).run()
+            )
+            lone_states.append(own.metrics.state())
+            serial_instr.metrics.merge_state(own.metrics.state())
+        want_metrics = _registry_view(serial_instr.metrics.state())
+        if any(kind == "ema" for kind, *_ in spec):
+            assert "ema.virtual_queues" in want_metrics["gauges"]
+
+        for jobs in (1, 2):
+            instr = Instrumentation()
+            got = RunExecutor(jobs=jobs).map_runs(
+                _mixed_tasks(spec, workloads), instrumentation=instr
+            )
+            assert len(got) == len(serial)
+            for r, (a, b) in enumerate(zip(serial, got)):
+                assert_results_bit_identical(a, b, f"{spec} jobs={jobs} run {r}")
+            assert _registry_view(instr.metrics.state()) == want_metrics, (
+                f"{spec} jobs={jobs}: merged metrics differ"
+            )
+
+        # Per-run states of one stacked loop: the counters, histograms
+        # and info a lone run records, and no gauge value it would not
+        # leave behind.
+        plan = BatchPlan(_mixed_tasks(spec, workloads))
+        plan.run(Instrumentation())
+        assert len(plan.run_metric_states) == len(spec)
+        for r, (state, lone) in enumerate(zip(plan.run_metric_states, lone_states)):
+            got_view, want_view = _registry_view(state), _registry_view(lone)
+            for section in ("counters", "histograms", "info"):
+                assert got_view[section] == want_view[section], (spec, r, section)
+            for key, value in got_view["gauges"].items():
+                assert want_view["gauges"][key] == value, (spec, r, key)
+
+    def test_result_arrays_share_no_memory(self):
+        spec = [("rtma", 0, 0), ("default", 0, 1), ("ema", 1, 2), ("rtma", 1, 3)]
+        workloads = {seed: generate_workload(_mixed_cfg(seed)) for *_, seed in spec}
+        results = run_batch(_mixed_tasks(spec, workloads))
+        arrays = [
+            (r, name, getattr(res, name))
+            for r, res in enumerate(results)
+            for name in RESULT_ARRAYS
+        ]
+        for r, name, a in arrays:
+            assert a.flags.c_contiguous, (r, name)
+            for q, other, b in arrays:
+                if (r, name) < (q, other):
+                    assert not np.shares_memory(a, b), (r, name, q, other)

@@ -418,7 +418,7 @@ class TestAutoGrouping:
     def test_incompatible_neighbour_breaks_group(self):
         tasks = self._tasks(6)
         tasks.insert(3, RunTask(small_config().with_(n_users=4), DefaultScheduler()))
-        tasks.insert(5, RunTask(small_config(), RTMAScheduler()))
+        tasks.insert(5, RunTask(small_config().with_(n_slots=7), RTMAScheduler()))
         assert self._sizes(RunExecutor(), tasks) == [3, 1, 1, 1, 2]
         assert self._sizes(RunExecutor(jobs=2), tasks) == [2, 1, 1, 1, 1, 1, 1]
 
