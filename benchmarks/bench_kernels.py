@@ -106,6 +106,42 @@ def test_rtma_allocate_slot(benchmark):
     assert phi.sum() > 0
 
 
+def stacked_slot_observation(n_runs=10, n_users=40) -> SlotObservation:
+    """``n_runs`` paper-like slots stacked as row segments of one slot."""
+    parts = [paper_slot_observation(n_users, seed=r) for r in range(n_runs)]
+    budgets = np.random.default_rng(n_runs).integers(256, 768, n_runs)
+    rows = {
+        name: np.concatenate([getattr(o, name) for o in parts])
+        for name in (
+            "sig_dbm", "rate_kbps", "link_units", "p_mj_per_kb", "active",
+            "buffer_s", "remaining_kb", "idle_tail_cost_mj", "receivable_kb",
+        )
+    }
+    return SlotObservation(
+        slot=0,
+        tau_s=1.0,
+        delta_kb=40.0,
+        capacity_kbps=float(budgets.sum()) * 40.0,
+        unit_budget=int(budgets.sum()),
+        run_offsets=np.arange(n_runs + 1, dtype=np.int64) * n_users,
+        run_unit_budgets=budgets.astype(np.int64),
+        run_capacity_kbps=budgets * 40.0,
+        **rows,
+    )
+
+
+def test_rtma_allocate_stacked_slot(benchmark):
+    """One slot of fig05's calibration grid: ten RTMA runs, one threshold
+    each, stacked over 40-user segments."""
+    obs = stacked_slot_observation()
+    thresholds = np.linspace(-110.0, -80.0, 10)
+    sched = RTMAScheduler.stack(
+        [RTMAScheduler(sig_threshold_dbm=t) for t in thresholds], obs.run_offsets
+    )
+    phi = benchmark(sched.allocate, obs)
+    assert phi.shape == (400,) and phi.sum() > 0
+
+
 def test_ema_allocate_slot(benchmark):
     obs = paper_slot_observation()
     sched = EMAScheduler(40, v_param=0.1)

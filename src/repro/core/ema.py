@@ -111,7 +111,6 @@ against its own budget.  A lone run is ``R = 1``;
 from __future__ import annotations
 
 import numpy as np
-from scipy.ndimage import minimum_filter1d
 
 from repro import constants
 from repro.core.lyapunov import VirtualQueues
@@ -128,7 +127,11 @@ def trailing_window_min(values: np.ndarray, window: int) -> np.ndarray:
 
     The trailing window *excludes* index ``M`` itself — exactly the
     ``k = M - phi`` range for ``phi in [1, window]``.
+    ``scipy.ndimage`` is imported here, not at module level: importing
+    the package must not pay for it.
     """
+    from scipy.ndimage import minimum_filter1d
+
     if window <= 0:
         raise ConfigurationError("window must be positive")
     v = np.asarray(values, dtype=float)

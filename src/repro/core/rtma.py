@@ -19,9 +19,14 @@ seize the whole BS before every user has been offered its need.
 One scheduler body serves a lone run and a stack of runs alike: the
 observation's ``R >= 1`` row segments each get their own threshold
 lane, rate order and budget, and the rounds always go through the
-segmented ``rtma_rounds_batch`` kernel (:mod:`repro.kernels.batch_step`),
-which runs the scalar ``rtma_rounds`` body once per segment.  A lone run
-is ``R = 1``; :meth:`RTMAScheduler.stack` builds the ``R > 1`` instance.
+segmented ``rtma_rounds_batch`` kernel (:mod:`repro.kernels.batch_step`).
+Its numpy leg does not play the rounds one by one: after ``k`` full
+rounds a user holds ``min(k * phi_need, headroom)``, so the kernel
+bisects for the number of rounds the budget covers in full and hands
+out one partial round in rate order — the same int64 grants, for every
+segment in one vectorised pass (:mod:`repro.kernels.rtma_rounds`
+derives it).  A lone run is ``R = 1``; :meth:`RTMAScheduler.stack`
+builds the ``R > 1`` instance.
 """
 
 from __future__ import annotations

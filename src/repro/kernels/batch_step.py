@@ -12,17 +12,21 @@ The two cross-user kernels are different: the EMA DP couples every
 active user of a run through the shared unit budget, and RTMA's round
 grants consume a per-run budget in rate order.  One run's allocation
 must not see another run's budget, so both come in segmented variants
-here that take the per-run segment table and iterate runs inside the
-kernel — one registry dispatch per slot for all R runs.  These are the
-only scheduling kernels production calls, a lone run being ``R = 1``.
+here that take the per-run segment table — one registry dispatch per
+slot for all R runs.  These are the only scheduling kernels production
+calls, a lone run being ``R = 1``.
 :class:`~repro.core.rtma.RTMAScheduler` calls ``rtma_rounds_batch``
-every slot.  :class:`~repro.core.ema.EMAScheduler` first solves every
+every slot; its numpy leg computes every segment's rounds at once in
+the closed form of :mod:`repro.kernels.rtma_rounds` (all int64, so each
+segment's grants are byte-equal to the scalar kernel on that segment
+alone).  :class:`~repro.core.ema.EMAScheduler` first solves every
 segment with its certified convex greedy
 (:func:`~repro.core.ema.convex_greedy`) and calls ``ema_dp_batch`` only
 in slots where some segment is left uncertified (an exact or near tie,
 or a non-convex segment); the certified segments come with budget 0,
-which the kernel skips.  Each segment executes the *scalar* kernel body
-(``rtma_rounds`` / ``ema_dp``) on contiguous per-run views, which is
+which the kernel skips.  The EMA DP, and both kernels' python/numba
+legs, still run the *scalar* kernel body (``ema_dp`` /
+``rtma_rounds``) once per segment on contiguous per-run views, which is
 what makes a stack bit-identical to running each run alone (guarded by
 ``tests/integration/test_batch_equivalence.py``).  The scalar kernels
 stay registered, so the parity suite and numba reach them on their own.
@@ -54,25 +58,72 @@ _EMA_INNER = maybe_njit(ema_dp_loops) or ema_dp_loops
 
 
 def rtma_rounds_batch_numpy(phi, eligible, need, cap, order, budgets, run_offsets):
-    """Serial numpy rounds per run segment.
+    """Closed-form rounds (see :mod:`repro.kernels.rtma_rounds`) for R segments.
 
     All row arrays are stacked ``(R*N,)``; ``order`` holds *run-local*
     indices (each run's own stable rate argsort), ``budgets`` the
     per-run unit budgets, ``run_offsets`` the ``(R+1,)`` segment
-    bounds.  ``phi`` is updated in place through the segment views.
+    bounds.  ``phi`` is updated in place.  The segments bisect their
+    full-round counts ``k*`` in lockstep over ``[0, K]`` (``K`` the
+    largest round count of any row), each segment's ``S(k)`` coming
+    from one cumsum over the rows differenced at ``run_offsets``; a
+    segment whose headroom fits its budget starts at ``k* = K`` (every
+    row at its headroom, no partial round) and a non-positive budget
+    searches against 0.  The partial round is one segmented cumsum over
+    the global rate order (``order`` plus each segment's start).  R = 1
+    is the scalar kernel.
     """
     n_runs = budgets.shape[0]
-    for r in range(n_runs):
-        lo = run_offsets[r]
-        hi = run_offsets[r + 1]
-        rtma_rounds_numpy(
-            phi[lo:hi],
-            eligible[lo:hi],
-            need[lo:hi],
-            cap[lo:hi],
-            order[lo:hi],
-            int(budgets[r]),
-        )
+    if n_runs == 1:
+        rtma_rounds_numpy(phi, eligible, need, cap, order, int(budgets[0]))
+        return 0
+    starts = run_offsets[:-1]
+    ends = run_offsets[1:]
+    run_of = np.repeat(np.arange(n_runs), ends - starts)
+    budget = np.maximum(budgets, 0)
+    headroom = np.subtract(cap, phi)
+    np.maximum(headroom, 0, out=headroom)
+    np.multiply(headroom, eligible, out=headroom)
+    # csum[i] = sum of the first i rows, so a segment's sum is a difference.
+    csum = np.zeros(headroom.size + 1, dtype=np.int64)
+    np.cumsum(headroom, out=csum[1:])
+    fits = csum[ends] - csum[starts] <= budget
+    if fits.all():
+        phi += headroom
+        return 0
+    held = np.negative(headroom)
+    np.floor_divide(held, need, out=held)
+    k_max = -int(held.min())
+    # Invariant per segment: S(lo) <= budget, and S(hi) > budget unless
+    # lo == hi == K.  mid == lo once hi - lo <= 1, which keeps lo.
+    lo = np.where(fits, k_max, 0)
+    hi = np.full(n_runs, k_max)
+    while int((hi - lo).max()) > 1:
+        mid = (lo + hi) >> 1
+        np.multiply(need, mid[run_of], out=held)
+        np.minimum(held, headroom, out=held)
+        np.cumsum(held, out=csum[1:])
+        ok = csum[ends] - csum[starts] <= budget
+        lo = np.where(ok, mid, lo)
+        hi = np.where(ok, hi, mid)
+    k_rows = lo[run_of]
+    np.multiply(need, k_rows, out=held)
+    np.minimum(held, headroom, out=held)
+    k_rows += 1
+    offer = np.multiply(need, k_rows)
+    np.minimum(offer, headroom, out=offer)
+    offer -= held
+    np.cumsum(held, out=csum[1:])
+    remaining = budget - (csum[ends] - csum[starts])
+    rows = order + starts[run_of]
+    offer_sorted = offer[rows]
+    # grant = clip(remaining - (the segment's offers before it), 0, offer)
+    np.cumsum(offer_sorted, out=csum[1:])
+    before = csum[:-1] - csum[starts][run_of]
+    np.subtract(remaining[run_of], before, out=before)
+    np.clip(before, 0, offer_sorted, out=before)
+    held[rows] += before
+    phi += held
     return 0
 
 

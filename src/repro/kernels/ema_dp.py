@@ -14,12 +14,14 @@ certify to be this kernel's own output: exact or near ties, which the
 DP settles by its float sums and tie rules, and non-convex segments.
 
 The numpy implementation is the PR 3 vectorised loop verbatim (per-user
-ufunc chain + scipy's ``minimum_filter1d`` C routine); the python/numba
-implementation replaces the minimum filter with a monotonic-deque
-sliding minimum fused into the forward sweep.  Both compute the minimum
-of the same value set with the same additions and multiplications in
-the same association order, so the results are bit-identical — the
-contract checked by ``tests/kernels/test_kernel_parity.py``.
+ufunc chain + scipy's ``minimum_filter1d`` C routine, bound on the first
+call so that importing the kernels leaves ``scipy.ndimage`` unloaded);
+the python/numba implementation replaces the minimum filter with a
+monotonic-deque sliding minimum fused into the forward sweep.  Both
+compute the minimum of the same value set with the same additions and
+multiplications in the same association order, so the results are
+bit-identical — the contract checked by
+``tests/kernels/test_kernel_parity.py``.
 
 Caller contract (enforced by :class:`repro.core.ema.EMAScheduler`):
 
@@ -35,34 +37,46 @@ Caller contract (enforced by :class:`repro.core.ema.EMAScheduler`):
 from __future__ import annotations
 
 import numpy as np
-from scipy.ndimage import minimum_filter1d
 
 from repro.kernels.registry import register
 
 __all__ = ["ema_dp_numpy", "ema_dp_loops"]
 
-try:  # pragma: no cover - import plumbing
-    # The DP loop calls the minimum filter once per active user per
-    # slot; the public wrapper's argument validation is measurable at
-    # that call rate.  This invokes the same C routine with the same
-    # arguments the wrapper would pass (axis normalized, mode
-    # pre-encoded), so results are bit-identical; any scipy-internal
-    # change falls back to the public function.
-    from scipy.ndimage import _nd_image as _scipy_nd_image
-    from scipy.ndimage import _ni_support as _scipy_ni_support
+#: The trailing-window minimum filter, bound by :func:`_bind_trailing_min`
+#: on the DP's first call so that importing the kernels (every run
+#: does) does not import ``scipy.ndimage``.
+_trailing_min_into = None
 
-    _MODE_CONSTANT = _scipy_ni_support._extend_mode_to_code("constant")
 
-    def _trailing_min_into(shifted, size, origin, out):
-        _scipy_nd_image.min_or_max_filter1d(
-            shifted, size, 0, out, _MODE_CONSTANT, np.inf, origin, 1
-        )
-except Exception:  # pragma: no cover - scipy internals moved
+def _bind_trailing_min():
+    """Import ``scipy.ndimage`` and bind :data:`_trailing_min_into`."""
+    global _trailing_min_into
+    try:  # pragma: no cover - import plumbing
+        # The DP loop calls the minimum filter once per active user per
+        # slot; the public wrapper's argument validation is measurable at
+        # that call rate.  This invokes the same C routine with the same
+        # arguments the wrapper would pass (axis normalized, mode
+        # pre-encoded), so results are bit-identical; any scipy-internal
+        # change falls back to the public function.
+        from scipy.ndimage import _nd_image, _ni_support
 
-    def _trailing_min_into(shifted, size, origin, out):
-        minimum_filter1d(
-            shifted, size=size, mode="constant", cval=np.inf, origin=origin, output=out
-        )
+        mode_constant = _ni_support._extend_mode_to_code("constant")
+
+        def trailing_min_into(shifted, size, origin, out):
+            _nd_image.min_or_max_filter1d(
+                shifted, size, 0, out, mode_constant, np.inf, origin, 1
+            )
+    except Exception:  # pragma: no cover - scipy internals moved
+        from scipy.ndimage import minimum_filter1d
+
+        def trailing_min_into(shifted, size, origin, out):
+            minimum_filter1d(
+                shifted, size=size, mode="constant", cval=np.inf, origin=origin,
+                output=out,
+            )
+
+    _trailing_min_into = trailing_min_into
+    return trailing_min_into
 
 
 def ema_dp_numpy(
@@ -86,6 +100,7 @@ def ema_dp_numpy(
     slope_list = slope[:n_active].tolist()
     const_list = const[:n_active].tolist()
     idle_list = idle[:n_active].tolist()
+    trailing_min_into = _trailing_min_into or _bind_trailing_min()
 
     a_prev = zeros_row
     for k in range(n_active):
@@ -102,7 +117,7 @@ def ema_dp_numpy(
             # trailing_window_min(basis, w) = filt[M-1] with filt the
             # size-w window ending *at* M — one origin shift instead of
             # the copy into a prepended-inf buffer.
-            _trailing_min_into(basis, w, origin_list[k], filt)
+            trailing_min_into(basis, w, origin_list[k], filt)
             # tx = const + slope * m_idx + twm, with twm[0] = +inf
             # (empty trailing window) and twm[1:] = filt[:-1].
             np.add(prod, const_list[k], out=prod)

@@ -24,7 +24,10 @@ by ``tests/integration/test_batch_equivalence.py``).  It holds because:
   :class:`~repro.core.ema.EMAScheduler` keep their parameters as
   per-lane arrays and always call the ``rtma_rounds_batch`` /
   ``ema_dp_batch`` kernels, so a stack is built with their ``stack``
-  classmethods;
+  classmethods.  RTMA's numpy kernel solves every segment's rounds in
+  one closed-form int64 pass; it matches the scalar kernel on each
+  segment alone byte for byte, because no sum it takes crosses a
+  segment bound;
 * the stack's scheduler serves it in *blocks*: maximal runs of
   consecutive tasks that one instance can serve (RTMA/EMA through
   ``stack``, a row-elementwise baseline with equal parameters through

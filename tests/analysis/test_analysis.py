@@ -85,12 +85,11 @@ class TestStats:
 
 
 class TestColdImport:
-    def test_package_import_leaves_scipy_stats_unloaded(self):
-        # scipy.stats is the slowest import reachable from the package;
-        # only mean_confidence_interval needs it, and it imports lazily.
+    @staticmethod
+    def _loaded_after_import(module):
         code = (
             "import sys, repro, repro.experiments.registry; "
-            "print('scipy.stats' in sys.modules)"
+            f"print({module!r} in sys.modules)"
         )
         src = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "src")
         env = dict(os.environ)
@@ -101,7 +100,17 @@ class TestColdImport:
             [sys.executable, "-c", code], env=env, capture_output=True,
             text=True, check=True,
         )
-        assert out.stdout.strip() == "False"
+        return out.stdout.strip() == "True"
+
+    def test_package_import_leaves_scipy_stats_unloaded(self):
+        # scipy.stats is the slowest import reachable from the package;
+        # only mean_confidence_interval needs it, and it imports lazily.
+        assert not self._loaded_after_import("scipy.stats")
+
+    def test_package_import_leaves_scipy_ndimage_unloaded(self):
+        # Only EMA's minimum filter needs scipy.ndimage: the DP kernel
+        # binds it on its first call, trailing_window_min on each call.
+        assert not self._loaded_after_import("scipy.ndimage")
 
 
 class TestTable:

@@ -69,6 +69,45 @@ class TestEmaDpParity:
             assert outs[0] == outs[1]
 
 
+#: RTMA rounds instance shapes aimed at the closed form's edges.
+ROUNDS_KINDS = [
+    "many_rounds",  # need 1, cap up to ~1000: a bisection of >= 10 steps
+    "started",  # a non-zero starting phi
+    "cap_below_phi",  # some caps already below phi: no headroom
+    "negative_budget",
+    "all_fit",  # total headroom <= budget: every user ends at its cap
+    "exact_tie",  # budget == S(k) for some k: the partial round grants 0
+]
+
+
+def _rounds_case(rng, n, kind):
+    """``(phi, eligible, need, cap, budget)`` for one rounds instance."""
+    eligible = rng.random(n) < 0.8
+    need = rng.integers(1, 10, size=n).astype(np.int64)
+    cap = rng.integers(0, 40, size=n).astype(np.int64)
+    phi = np.zeros(n, dtype=np.int64)
+    if kind == "many_rounds":
+        need[:] = 1
+        cap = rng.integers(0, 1000, size=n).astype(np.int64)
+        cap[:1] = 1000
+    elif kind == "started":
+        phi = rng.integers(0, 20, size=n).astype(np.int64)
+    elif kind == "cap_below_phi":
+        phi = rng.integers(0, 40, size=n).astype(np.int64)
+        cap[rng.random(n) < 0.5] = 0
+    headroom = np.where(eligible, np.maximum(cap - phi, 0), 0)
+    if kind == "negative_budget":
+        budget = -int(rng.integers(0, 20))
+    elif kind == "all_fit":
+        budget = int(headroom.sum()) + int(rng.integers(0, 5))
+    elif kind == "exact_tie":
+        k = int(rng.integers(0, 6))
+        budget = int(np.minimum(k * need, headroom).sum())
+    else:
+        budget = int(rng.integers(0, max(int(headroom.sum()), 1) + 1))
+    return phi, eligible, need, cap, budget
+
+
 @pytest.mark.parametrize("alt", ALT_BACKENDS)
 class TestRtmaRoundsParity:
     def test_randomized(self, alt):
@@ -88,6 +127,44 @@ class TestRtmaRoundsParity:
                 left = kern(phi, eligible, need, cap, order, budget)
                 outs.append((int(left), phi.tobytes()))
             assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("kind", ROUNDS_KINDS)
+    def test_edge_cases(self, alt, kind):
+        k_np, k_alt = resolve_pair("rtma_rounds", alt)
+        rng = np.random.default_rng(19)
+        for _ in range(RNG_TRIALS):
+            n = int(rng.integers(1, 40))
+            phi0, eligible, need, cap, budget = _rounds_case(rng, n, kind)
+            order = np.argsort(rng.uniform(0, 1, size=n), kind="stable")
+
+            outs = []
+            for kern in (k_np, k_alt):
+                phi = phi0.copy()
+                left = kern(phi, eligible, need, cap, order, budget)
+                # The leftover is what the grants did not spend.
+                if budget > 0:
+                    assert int(left) == budget - int((phi - phi0).sum())
+                else:
+                    assert int(left) == budget
+                outs.append((int(left), phi.tobytes()))
+            assert outs[0] == outs[1]
+
+    def test_worked_example(self, alt):
+        # Needs (1, 2) under caps (5, 5).  Budget 5: two full rounds would
+        # spend 6, so round 2 is partial — user 0 takes its 1 first, user
+        # 1 the last unit.  Budget 13 exceeds the total headroom of 10.
+        for budget, expected in ((5, (0, [2, 3])), (13, (3, [5, 5]))):
+            for kern in resolve_pair("rtma_rounds", alt):
+                phi = np.zeros(2, dtype=np.int64)
+                left = kern(
+                    phi,
+                    np.ones(2, dtype=bool),
+                    np.array([1, 2], dtype=np.int64),
+                    np.full(2, 5, dtype=np.int64),
+                    np.arange(2, dtype=np.int64),
+                    budget,
+                )
+                assert (int(left), phi.tolist()) == expected
 
 
 def _segments(rng, max_rows):
@@ -182,6 +259,51 @@ class TestRtmaRoundsBatchParity:
                 kern(phi, eligible, need, cap, order, budgets, run_offsets)
                 outs.append(phi.tobytes())
             assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("layout", ["equal_width", "ragged"])
+    def test_edge_cases(self, alt, layout):
+        # "equal_width" is the shape RTMAScheduler sends: R equal-width
+        # segments, each with its own run-local rate order and budget;
+        # "ragged" has unequal and empty segments.  Every segment is an
+        # edge case of its own kind and must get what the scalar kernel
+        # gives it alone.
+        k_scalar = registry.resolve("rtma_rounds", "numpy")
+        k_np, k_alt = resolve_pair("rtma_rounds_batch", alt)
+        rng = np.random.default_rng(23)
+        for _ in range(RNG_TRIALS):
+            if layout == "equal_width":
+                n_runs, width = int(rng.integers(1, 6)), int(rng.integers(1, 30))
+                run_offsets = np.arange(n_runs + 1, dtype=np.int64) * width
+            else:
+                run_offsets = _segments(rng, 30)
+            sizes = np.diff(run_offsets)
+            kinds = rng.integers(0, len(ROUNDS_KINDS), size=sizes.size)
+            cases = [
+                _rounds_case(rng, int(n), ROUNDS_KINDS[int(k)])
+                for n, k in zip(sizes, kinds)
+            ]
+            phi0, eligible, need, cap = (
+                np.concatenate([c[i] for c in cases]) for i in range(4)
+            )
+            budgets = np.array([c[4] for c in cases], dtype=np.int64)
+            order = np.concatenate(
+                [np.argsort(rng.uniform(0, 1, size=n), kind="stable") for n in sizes]
+            ).astype(np.int64)
+
+            expected = phi0.copy()
+            for r, (lo, hi) in enumerate(zip(run_offsets[:-1], run_offsets[1:])):
+                k_scalar(
+                    expected[lo:hi],
+                    eligible[lo:hi],
+                    need[lo:hi],
+                    cap[lo:hi],
+                    order[lo:hi],
+                    int(budgets[r]),
+                )
+            for kern in (k_np, k_alt):
+                phi = phi0.copy()
+                kern(phi, eligible, need, cap, order, budgets, run_offsets)
+                assert phi.tobytes() == expected.tobytes()
 
 
 def _fleet_state(rng, n):
