@@ -64,7 +64,6 @@ from repro.sim import (
     calibrate_ema_v,
     compare_schedulers,
     generate_workload,
-    make_rtma_for_alpha,
     run_scheduler,
     sweep,
 )
@@ -115,7 +114,6 @@ __all__ = [
     "run_scheduler",
     "compare_schedulers",
     "sweep",
-    "make_rtma_for_alpha",
     "calibrate_ema_v",
     "__version__",
 ]

@@ -24,11 +24,8 @@ TITLE = "Fairness index CDF (RTMA vs default), N=40, avg 350 MB"
 def run(scale: str = "bench", seed: int = 0) -> ExperimentResult:
     cfg = paper_config(scale, seed)
     wl = generate_workload(cfg)
-    threshold = calibrate_rtma_threshold(
-        cfg, alpha=1.0, workload=wl, **calibration_kwargs(scale)
-    )
-    threshold_12 = calibrate_rtma_threshold(
-        cfg, alpha=1.2, workload=wl, **calibration_kwargs(scale)
+    threshold, threshold_12 = calibrate_rtma_threshold(
+        cfg, alphas=(1.0, 1.2), workload=wl, **calibration_kwargs(scale)
     )
     results = compare_schedulers(
         cfg,

@@ -11,8 +11,6 @@ signature.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.analysis.cdf import cdf_at, tail_fraction
 from repro.analysis.tables import Table
 from repro.baselines.default import DefaultScheduler
@@ -28,11 +26,8 @@ TITLE = "Rebuffering-time CDF (RTMA vs default)"
 def run(scale: str = "bench", seed: int = 0) -> ExperimentResult:
     cfg = paper_config(scale, seed)
     wl = generate_workload(cfg)
-    threshold = calibrate_rtma_threshold(
-        cfg, alpha=1.0, workload=wl, **calibration_kwargs(scale)
-    )
-    threshold_12 = calibrate_rtma_threshold(
-        cfg, alpha=1.2, workload=wl, **calibration_kwargs(scale)
+    threshold, threshold_12 = calibrate_rtma_threshold(
+        cfg, alphas=(1.0, 1.2), workload=wl, **calibration_kwargs(scale)
     )
     results = compare_schedulers(
         cfg,

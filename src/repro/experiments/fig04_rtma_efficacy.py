@@ -12,7 +12,7 @@ from repro.analysis.tables import Table
 from repro.baselines.default import DefaultScheduler
 from repro.core.rtma import RTMAScheduler
 from repro.experiments.common import ExperimentResult, calibration_kwargs, paper_config
-from repro.sim.runner import calibrate_rtma_threshold, run_scheduler
+from repro.sim.runner import calibrate_rtma_threshold, compare_schedulers
 from repro.sim.workload import generate_workload
 
 EXP_ID = "fig04"
@@ -30,20 +30,26 @@ def _sweep(cfg_points, label, fmt, scale):
     series: dict = {"points": [], "default": [], **{f"alpha={a}": [] for a in ALPHAS}}
     for point, cfg in cfg_points:
         wl = generate_workload(cfg)
-        default_pc = run_scheduler(cfg, DefaultScheduler(), wl).pc_session_s
-        row = [point, default_pc]
+        # Phase 1: one reference, probe and grid for every alpha.
+        thresholds = calibrate_rtma_threshold(
+            cfg, alphas=ALPHAS, workload=wl, **calibration_kwargs(scale)
+        )
+        # Phase 2: the point's full-horizon runs as one batch.
+        results = compare_schedulers(
+            cfg,
+            {
+                "default": DefaultScheduler(),
+                **{
+                    f"alpha={a}": RTMAScheduler(sig_threshold_dbm=thr)
+                    for a, thr in zip(ALPHAS, thresholds)
+                },
+            },
+            workload=wl,
+        )
         series["points"].append(point)
-        series["default"].append(default_pc)
-        for alpha in ALPHAS:
-            thr = calibrate_rtma_threshold(
-                cfg, alpha=alpha, workload=wl, **calibration_kwargs(scale)
-            )
-            pc = run_scheduler(
-                cfg, RTMAScheduler(sig_threshold_dbm=thr), wl
-            ).pc_session_s
-            row.append(pc)
-            series[f"alpha={alpha}"].append(pc)
-        table.add_row(row)
+        for name, res in results.items():
+            series[name].append(res.pc_session_s)
+        table.add_row([point] + [res.pc_session_s for res in results.values()])
     return table, series
 
 

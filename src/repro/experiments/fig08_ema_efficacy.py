@@ -12,7 +12,7 @@ from repro.analysis.tables import Table
 from repro.baselines.default import DefaultScheduler
 from repro.core.ema import EMAScheduler
 from repro.experiments.common import ExperimentResult, paper_config
-from repro.sim.runner import calibrate_ema_v_to_reference, run_scheduler
+from repro.sim.runner import calibrate_ema_v_to_reference, compare_schedulers
 from repro.sim.workload import generate_workload
 
 EXP_ID = "fig08"
@@ -34,25 +34,31 @@ def _sweep(cfg_points, label, scale):
     series: dict = {"points": [], "default": [], **{f"beta={b}": [] for b in BETAS}}
     for point, cfg in cfg_points:
         wl = generate_workload(cfg)
-        ref = run_scheduler(cfg, DefaultScheduler(), wl)
+        # Phase 1: one reference and V grid for every beta.
+        vs = calibrate_ema_v_to_reference(
+            cfg,
+            DefaultScheduler,
+            betas=BETAS,
+            workload=wl,
+            iterations=6,
+            calibration_slots=_calibration_slots(scale),
+        )
+        # Phase 2: the point's full-horizon runs as one batch.
+        results = compare_schedulers(
+            cfg,
+            {
+                "default": DefaultScheduler(),
+                **{
+                    f"beta={b}": EMAScheduler(cfg.n_users, v_param=v, tau_s=cfg.tau_s)
+                    for b, v in zip(BETAS, vs)
+                },
+            },
+            workload=wl,
+        )
         series["points"].append(point)
-        series["default"].append(ref.pe_session_mj)
-        row = [point, ref.pe_session_mj]
-        for beta in BETAS:
-            v = calibrate_ema_v_to_reference(
-                cfg,
-                DefaultScheduler,
-                beta=beta,
-                workload=wl,
-                iterations=6,
-                calibration_slots=_calibration_slots(scale),
-            )
-            res = run_scheduler(
-                cfg, EMAScheduler(cfg.n_users, v_param=v, tau_s=cfg.tau_s), wl
-            )
-            row.append(res.pe_session_mj)
-            series[f"beta={beta}"].append(res.pe_session_mj)
-        table.add_row(row)
+        for name, res in results.items():
+            series[name].append(res.pe_session_mj)
+        table.add_row([point] + [res.pe_session_mj for res in results.values()])
     return table, series
 
 

@@ -14,7 +14,7 @@ from repro.baselines.estreamer import EStreamerScheduler
 from repro.baselines.salsa import SalsaScheduler
 from repro.core.ema import EMAScheduler
 from repro.experiments.common import ExperimentResult, paper_config
-from repro.sim.runner import calibrate_ema_v_to_reference, compare_schedulers, run_scheduler
+from repro.sim.runner import calibrate_ema_v_to_reference, compare_schedulers
 from repro.sim.workload import generate_workload
 
 EXP_ID = "fig09"
@@ -40,7 +40,6 @@ def run(scale: str = "bench", seed: int = 0) -> ExperimentResult:
     for n in user_counts:
         cfg = base.with_(n_users=n)
         wl = generate_workload(cfg)
-        est = run_scheduler(cfg, EStreamerScheduler(), wl)
         v = calibrate_ema_v_to_reference(
             cfg,
             EStreamerScheduler,
@@ -54,11 +53,11 @@ def run(scale: str = "bench", seed: int = 0) -> ExperimentResult:
             {
                 "default": DefaultScheduler(),
                 "salsa": SalsaScheduler(),
+                "estreamer": EStreamerScheduler(),
                 "ema": EMAScheduler(cfg.n_users, v_param=v, tau_s=cfg.tau_s),
             },
             workload=wl,
         )
-        results["estreamer"] = est
         data["users"].append(n)
         order = ("default", "salsa", "estreamer", "ema")
         for name in order:

@@ -17,7 +17,6 @@ from repro.sim.runner import (
     calibrate_ema_v_to_reference,
     calibrate_rtma_threshold,
     compare_schedulers,
-    run_scheduler,
 )
 from repro.sim.workload import generate_workload
 
@@ -39,7 +38,6 @@ def run(scale: str = "bench", seed: int = 0) -> ExperimentResult:
     for n in user_counts:
         cfg = base.with_(n_users=n)
         wl = generate_workload(cfg)
-        ref = run_scheduler(cfg, DefaultScheduler(), wl)
         thr = calibrate_rtma_threshold(
             cfg, alpha=1.0, workload=wl, **calibration_kwargs(scale)
         )

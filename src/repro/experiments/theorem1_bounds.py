@@ -19,7 +19,7 @@ from repro.core.lyapunov import (
     theorem1_rebuffering_bound,
 )
 from repro.experiments.common import ExperimentResult, paper_config
-from repro.sim.runner import run_scheduler
+from repro.sim.executor import RunTask, map_runs
 from repro.sim.workload import generate_workload
 
 EXP_ID = "theorem1"
@@ -54,12 +54,18 @@ def run(scale: str = "bench", seed: int = 0) -> ExperimentResult:
         title=TITLE,
     )
     pes, pcs = [], []
-    for v in V_SWEEP:
-        res = run_scheduler(
-            cfg,
-            EMAScheduler(cfg.n_users, v_param=v, tau_s=cfg.tau_s, queue_init=0.0),
-            wl,
-        )
+    # The V sweep's runs share the workload: one batch, one slot loop.
+    runs = map_runs(
+        [
+            RunTask(
+                cfg,
+                EMAScheduler(cfg.n_users, v_param=v, tau_s=cfg.tau_s, queue_init=0.0),
+                wl,
+            )
+            for v in V_SWEEP
+        ]
+    )
+    for v, res in zip(V_SWEEP, runs):
         pe_aggregate = res.pe_mj * cfg.n_users  # per-slot across users
         pc_aggregate = res.pc_s * cfg.n_users
         pes.append(pe_aggregate)

@@ -40,6 +40,7 @@ from repro.obs.perf import (
     trend_html,
     warn_gate_skipped,
 )
+from repro.obs.provenance import short_revision
 
 __all__ = ["main"]
 
@@ -61,7 +62,7 @@ def _cmd_record(args: argparse.Namespace) -> int:
             print(f"error: {exc}", file=sys.stderr)
             status = 2
             continue
-        rev = (record.git_rev or "unknown")[:12]
+        rev = short_revision(record.git_rev)
         print(
             f"recorded {record.source} ({len(record.entries)} metric(s), "
             f"backend {record.backend}, machine {record.machine_id}, "

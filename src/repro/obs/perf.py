@@ -45,6 +45,7 @@ from typing import Any, Iterable, Mapping
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.obs.provenance import short_revision, tree_revision
 
 __all__ = [
     "machine_fingerprint",
@@ -201,7 +202,12 @@ def record_snapshot(
     backend: str | None = None,
     extra: Mapping[str, Any] | None = None,
 ) -> BenchRecord:
-    """Append one bench snapshot to the JSONL ledger; returns the record."""
+    """Append one bench snapshot to the JSONL ledger; returns the record.
+
+    The record's ``git_rev`` is the revision of the checkout this package
+    lives in, marked ``+dirty:<hash>`` when uncommitted changes are
+    measured (see :func:`repro.obs.provenance.tree_revision`).
+    """
     snapshot_path = Path(snapshot_path)
     if not snapshot_path.exists():
         raise ConfigurationError(f"no bench snapshot at {snapshot_path}")
@@ -217,12 +223,11 @@ def record_snapshot(
     if backend is None:
         backend = _snapshot_backend(snapshot) or "unknown"
     from repro.kernels import numba_version
-    from repro.obs.provenance import git_revision
 
     record = BenchRecord(
         recorded_at=time.time(),
         source=source,
-        git_rev=git_revision(),
+        git_rev=tree_revision(),
         backend=backend,
         numba_version=numba_version(),
         machine=machine_fingerprint(),
@@ -580,7 +585,7 @@ def trend_html(
         stamp = time.strftime(
             "%Y-%m-%d %H:%M", time.localtime(latest.recorded_at)
         )
-        rev = (latest.git_rev or "unknown")[:12]
+        rev = short_revision(latest.git_rev)
         sections.append(
             f"<h2>{html.escape(source)} · backend <code>"
             f"{html.escape(rec_backend)}</code> · machine <code>"

@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import os
 import platform
 import subprocess
 import sys
@@ -24,7 +25,14 @@ import numpy as np
 if TYPE_CHECKING:  # import would cycle (sim.engine -> obs) at runtime
     from repro.sim.config import SimConfig
 
-__all__ = ["config_hash", "git_revision", "RunManifest", "build_manifest"]
+__all__ = [
+    "config_hash",
+    "git_revision",
+    "tree_revision",
+    "short_revision",
+    "RunManifest",
+    "build_manifest",
+]
 
 
 def _canonical(value: Any) -> Any:
@@ -60,23 +68,71 @@ def config_hash(config: SimConfig) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def git_revision(repo_dir: str | Path | None = None) -> str | None:
-    """The current git commit hash, or ``None`` outside a checkout."""
-    if repo_dir is None:
-        repo_dir = Path(__file__).resolve().parent
+def _git(repo_dir: str | Path, *args: str) -> bytes | None:
+    """``git <args>`` run in ``repo_dir``: its stdout, or ``None`` on failure."""
     try:
         out = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
+            ["git", *args],
             cwd=str(repo_dir),
             capture_output=True,
-            text=True,
-            timeout=5,
+            timeout=30,
             check=False,
         )
     except (OSError, subprocess.TimeoutExpired):
         return None
-    rev = out.stdout.strip()
-    return rev if out.returncode == 0 and rev else None
+    return out.stdout if out.returncode == 0 else None
+
+
+def git_revision(repo_dir: str | Path | None = None) -> str | None:
+    """The current git commit hash, or ``None`` outside a checkout."""
+    if repo_dir is None:
+        repo_dir = Path(__file__).resolve().parent
+    out = _git(repo_dir, "rev-parse", "HEAD")
+    rev = out.decode().strip() if out is not None else ""
+    return rev or None
+
+
+def tree_revision(repo_dir: str | Path | None = None) -> str | None:
+    """:func:`git_revision`, marked when the working tree differs from it.
+
+    The tree is dirty when tracked files differ from ``HEAD`` or when
+    files that are neither tracked nor ignored exist. It then reads
+    ``<rev>+dirty:<h>``, where ``h`` is the first 12 hex digits of a
+    SHA-256 over ``git diff HEAD`` followed by each untracked file's path
+    and contents (with no untracked files, of ``git diff HEAD`` alone), so
+    two different uncommitted changes on one commit stamp different
+    revisions.
+    """
+    if repo_dir is None:
+        repo_dir = Path(__file__).resolve().parent
+    rev = git_revision(repo_dir)
+    top = _git(repo_dir, "rev-parse", "--show-toplevel")
+    if rev is None or top is None:
+        return rev
+    root = Path(top.decode().strip())
+    diff = _git(root, "diff", "HEAD")
+    untracked = _git(root, "ls-files", "--others", "--exclude-standard", "-z")
+    if diff is None or untracked is None:
+        return rev
+    names = sorted(name for name in untracked.split(b"\0") if name)
+    if not diff and not names:
+        return rev
+    digest = hashlib.sha256(diff)
+    for name in names:
+        digest.update(b"\0" + name + b"\0")
+        try:
+            digest.update((root / os.fsdecode(name)).read_bytes())
+        except OSError:
+            pass
+    return f"{rev}+dirty:{digest.hexdigest()[:12]}"
+
+
+def short_revision(rev: str | None) -> str:
+    """A revision for display: 12 hex digits, any dirty mark kept."""
+    if rev is None:
+        return "unknown"
+    head, sep, dirty = rev.partition("+")
+    return head[:12] + sep + dirty
 
 
 @dataclass

@@ -41,7 +41,6 @@ from repro.sim.results import SimulationResult, SummaryStats
 from repro.sim.runner import (
     calibrate_ema_v,
     compare_schedulers,
-    make_rtma_for_alpha,
     multi_seed,
     run_scheduler,
     sweep,
@@ -62,7 +61,6 @@ __all__ = [
     "run_scheduler",
     "compare_schedulers",
     "sweep",
-    "make_rtma_for_alpha",
     "calibrate_ema_v",
     "multi_seed",
     "RunTask",

@@ -1,15 +1,26 @@
 """High-level run orchestration: comparisons, sweeps, calibration.
 
-The paper's evaluation protocol has a two-stage structure: first run
-the *default* strategy to measure ``E_default`` / ``R_default``, then
-configure RTMA with ``Phi = alpha * E_default`` (or pick EMA's ``V``
-for a rebuffering bound ``Omega = beta * R_default``) and re-run on
-the **same workload**.  The helpers here encode that protocol so the
-experiment scripts and benches stay declarative.
+The paper's evaluation protocol calibrates each scheduler against a
+reference on the **same workload**: RTMA's budget is ``Phi = alpha *
+E_default`` and EMA's rebuffering bound is ``Omega = beta *
+PC_reference``.  The helpers here run that protocol in two phases per
+sweep point, each one :func:`repro.sim.executor.map_runs` call:
 
-Every batched helper (comparisons, sweeps, multi-seed replication, the
-calibration grids) routes its runs through
-:func:`repro.sim.executor.map_runs`, so installing a pooled executor
+1. *Calibration.*  The reference, RTMA's unconstrained probe and the
+   threshold grid (or the reference and EMA's V grid) are independent
+   runs on one shortened workload, so they go out as one task list,
+   which the executor stacks into one slot loop.  The grid runs
+   speculatively, even when the probe alone would settle the answer.
+   One reference, probe and grid serve every alpha (or beta) of a
+   point (``calibrate_rtma_threshold(..., alphas=...)``,
+   ``calibrate_ema_v_to_reference(..., betas=...)``): only the final
+   budget cut depends on the factor.
+2. *Comparison.*  The point's full-horizon runs, with the calibrated
+   parameters, go out as one more batch (:func:`compare_schedulers`).
+
+Sweep points stay separate batches, so only one point's results are
+alive at a time.  Since every helper routes its runs through
+``map_runs``, installing a pooled executor
 (:func:`repro.sim.executor.use_executor`, or ``repro-experiments
 --jobs N``) parallelises them with bit-identical results and metrics.
 """
@@ -39,13 +50,15 @@ __all__ = [
     "sweep",
     "default_reference",
     "calibrate_rtma_threshold",
-    "make_rtma_for_alpha",
     "make_rtma_eq12",
     "calibrate_ema_v",
     "multi_seed",
 ]
 
 log = logging.getLogger("repro.sim.runner")
+
+#: EMA's default V search range (Algorithm 2's Lyapunov weight).
+_V_LO, _V_HI = 1e-5, 50.0
 
 
 def _resolve_instrumentation(
@@ -133,14 +146,45 @@ def default_reference(
     return run_scheduler(config, DefaultScheduler(), workload)
 
 
+def _one_of(name: str, scalar, plural: str, vector) -> tuple[bool, list]:
+    """Validate a calibrator's scalar/vector argument pair.
+
+    Returns whether the scalar was given, and the factors as a list.
+    """
+    if (scalar is None) == (vector is None):
+        raise ConfigurationError(f"pass exactly one of {name}= and {plural}=")
+    factors = [scalar] if vector is None else list(vector)
+    if not factors:
+        raise ConfigurationError(f"{plural} must not be empty")
+    if any(f <= 0 for f in factors):
+        raise ConfigurationError(f"{name} must be positive")
+    return vector is None, factors
+
+
+def _calibration_inputs(
+    config: SimConfig, workload: Workload | None, slots: int
+) -> tuple[SimConfig, Workload]:
+    """The shortened calibration config and a workload covering it.
+
+    A workload shorter than the calibration horizon cannot drive the
+    inner runs (the engine rejects it), so it is regenerated instead.
+    """
+    cal_cfg = config.with_(n_slots=slots)
+    if workload is None or workload.n_slots < slots:
+        workload = generate_workload(cal_cfg)
+    return cal_cfg, workload
+
+
 def calibrate_rtma_threshold(
     config: SimConfig,
-    alpha: float,
+    alpha: float | None = None,
     workload: Workload | None = None,
     iterations: int = 9,
     calibration_slots: int | None = None,
     instrumentation: Instrumentation | None = None,
-) -> float:
+    *,
+    alphas: Sequence[float] | None = None,
+) -> float | list[float]:
     """Find the least-restrictive signal threshold meeting the Eq. (10)
     budget ``Phi = alpha * E_default``.
 
@@ -149,34 +193,82 @@ def calibrate_rtma_threshold(
     capacity-shared regimes the realized per-user energy sits well
     below that analytic band, so we recover the threshold the paper's
     conversion is *for* — "do not schedule users whose signal is too
-    weak for the budget" — empirically: bisect the threshold on a
+    weak for the budget" — empirically: scan the threshold on a
     shortened run until RTMA's measured PE meets ``alpha`` times the
     default strategy's PE *on the same horizon* (horizon-consistent,
     since PE dilutes once sessions complete).  Returns ``-inf`` when
     unconstrained RTMA already fits the budget.
+
+    Pass exactly one of ``alpha`` and ``alphas``.  With ``alphas`` the
+    result is one threshold per factor, all cut from a single
+    reference, probe and grid: only the final ``pe <= alpha * E_default``
+    test depends on alpha.
     """
-    if alpha <= 0:
-        raise ConfigurationError("alpha must be positive")
+    scalar, factors = _one_of("alpha", alpha, "alphas", alphas)
     instr = _resolve_instrumentation(instrumentation)
     started = time.perf_counter()
-    slots = calibration_slots or min(config.n_slots, 2000)
-    cal_cfg = config.with_(n_slots=slots)
-    wl = None
-    if workload is not None and workload.n_slots >= slots:
-        wl = workload
-    if wl is None:
-        wl = generate_workload(cal_cfg)
-    # The Default reference and the unconstrained RTMA probe share the
-    # calibration workload, so they go out as one batch: one slot loop
-    # when the executor stacks them.
-    reference, probe = map_runs(
-        [
-            RunTask(cal_cfg, DefaultScheduler(), wl),
-            RunTask(cal_cfg, RTMAScheduler(sig_threshold_dbm=float("-inf")), wl),
-        ]
+    cal_cfg, wl = _calibration_inputs(
+        config, workload, calibration_slots or min(config.n_slots, 2000)
     )
-    budget = alpha * reference.pe_mj
+    # PE is not monotone in the threshold (a stricter threshold trades
+    # transmission energy for extra tail toggling), so scan a grid
+    # instead of bisecting.  Sample densely near the weak end where
+    # clipped trace mass makes eligibility jump, then evenly across
+    # the range.
     sig_model = cal_cfg.make_signal_model()
+    lo, hi = sig_model.sig_min, sig_model.sig_max
+    grid = np.unique(
+        np.concatenate(
+            [
+                np.array([lo + 0.01 * (hi - lo)]),
+                np.linspace(lo, hi, max(iterations, 3)),
+            ]
+        )
+    )
+    # The Default reference, the unconstrained probe and the grid share
+    # the calibration workload, so they go out as one task list: one
+    # slot loop when the executor stacks them.  The grid is evaluated
+    # speculatively; it is only read when the probe misses a budget.
+    # Inner runs stay on the *ambient* instrumentation.
+    tasks = [
+        RunTask(cal_cfg, DefaultScheduler(), wl),
+        RunTask(cal_cfg, RTMAScheduler(sig_threshold_dbm=float("-inf")), wl),
+    ]
+    tasks += [
+        RunTask(cal_cfg, RTMAScheduler(sig_threshold_dbm=float(t)), wl)
+        for t in grid
+    ]
+    reference, probe, *grid_runs = map_runs(tasks)
+    thresholds = _pick_rtma_thresholds(
+        grid,
+        probe.pe_mj,
+        np.array([res.pe_mj for res in grid_runs]),
+        factors,
+        [a * reference.pe_mj for a in factors],
+        instr,
+        started,
+    )
+    return thresholds[0] if scalar else thresholds
+
+
+def _pick_rtma_thresholds(
+    grid: np.ndarray,
+    probe_pe: float,
+    pes: np.ndarray,
+    alphas: list,
+    budgets: list[float],
+    instr: Instrumentation | None,
+    started: float,
+) -> list[float]:
+    """Each budget's threshold from the probe's and the grid's PE.
+
+    Feasible -> the weakest feasible threshold (smallest rebuffering
+    impact); infeasible -> best effort, the PE-minimizing threshold.
+    The ``calibration.*`` metrics and events record what a serial scan
+    reads: the probe always, the grid only when the probe misses some
+    budget.
+    """
+    budget_mj = budgets[0] if len(budgets) == 1 else budgets
 
     def note(threshold: float, pe: float) -> None:
         if instr is not None:
@@ -187,82 +279,41 @@ def calibrate_rtma_threshold(
                     "calibration.rtma.point",
                     threshold_dbm=threshold,
                     pe_mj=pe,
-                    budget_mj=budget,
+                    budget_mj=budget_mj,
                 )
 
-    def finish(threshold: float, feasible: bool) -> float:
-        if instr is not None:
-            instr.profiler.record("calibrate_rtma", time.perf_counter() - started)
-            if instr.tracer.enabled:
-                instr.tracer.emit(
-                    "calibration.rtma.result",
-                    threshold_dbm=threshold,
-                    feasible=feasible,
-                    alpha=alpha,
-                    budget_mj=budget,
-                )
-        return threshold
-
-    note(float("-inf"), probe.pe_mj)
-    if probe.pe_mj <= budget:
-        return finish(float("-inf"), True)
-    # PE is not monotone in the threshold (a stricter threshold trades
-    # transmission energy for extra tail toggling), so scan a grid
-    # instead of bisecting.  Feasible -> least restrictive feasible
-    # point (smallest rebuffering impact); infeasible -> best effort,
-    # the PE-minimizing threshold.
-    lo, hi = sig_model.sig_min, sig_model.sig_max
-    # Sample densely near the weak end where clipped trace mass makes
-    # eligibility jump, then evenly across the range.
-    grid = np.unique(
-        np.concatenate(
-            [
-                np.array([lo + 0.01 * (hi - lo)]),
-                np.linspace(lo, hi, max(iterations, 3)),
-            ]
-        )
-    )
-    # Grid points are independent runs on one shared workload — fan
-    # them out through the (possibly parallel) run executor.  Inner
-    # runs stay on the *ambient* instrumentation, exactly as the
-    # serial run_scheduler calls resolved it.
-    tasks = [
-        RunTask(cal_cfg, RTMAScheduler(sig_threshold_dbm=float(t)), wl)
-        for t in grid
-    ]
-    grid_runs = map_runs(tasks)
-    pes = np.array([res.pe_mj for res in grid_runs])
-    for t, pe in zip(grid, pes):
-        note(float(t), float(pe))
-    feasible = pes <= budget
-    if np.any(feasible):
-        # Weakest feasible threshold (smallest rebuffering impact).
-        return finish(float(grid[np.argmax(feasible)]), True)
-    log.warning(
-        "RTMA calibration infeasible: no threshold meets budget %.4g mJ "
-        "(best effort PE %.4g mJ at %.1f dBm)",
-        budget,
-        float(pes.min()),
-        float(grid[np.argmin(pes)]),
-    )
-    return finish(float(grid[np.argmin(pes)]), False)
-
-
-def make_rtma_for_alpha(
-    config: SimConfig,
-    alpha: float = 1.0,
-    workload: Workload | None = None,
-    reference: SimulationResult | None = None,
-) -> RTMAScheduler:
-    """Build RTMA with ``Phi = alpha * E_default`` (Section VI-A).
-
-    ``reference`` is accepted for API symmetry but the budget is
-    re-measured on the calibration horizon for consistency (see
-    :func:`calibrate_rtma_threshold`).
-    """
-    del reference  # budget must be horizon-consistent; re-measured inside
-    threshold = calibrate_rtma_threshold(config, alpha, workload)
-    return RTMAScheduler(sig_threshold_dbm=threshold)
+    note(float("-inf"), probe_pe)
+    if probe_pe > min(budgets):
+        for t, pe in zip(grid, pes):
+            note(float(t), float(pe))
+    thresholds = []
+    for alpha, budget in zip(alphas, budgets):
+        feasible = pes <= budget
+        if probe_pe <= budget:
+            threshold, ok = float("-inf"), True
+        elif np.any(feasible):
+            threshold, ok = float(grid[np.argmax(feasible)]), True
+        else:
+            threshold, ok = float(grid[np.argmin(pes)]), False
+            log.warning(
+                "RTMA calibration infeasible: no threshold meets budget %.4g mJ "
+                "(best effort PE %.4g mJ at %.1f dBm)",
+                budget,
+                float(pes.min()),
+                threshold,
+            )
+        if instr is not None and instr.tracer.enabled:
+            instr.tracer.emit(
+                "calibration.rtma.result",
+                threshold_dbm=threshold,
+                feasible=ok,
+                alpha=alpha,
+                budget_mj=budget,
+            )
+        thresholds.append(threshold)
+    if instr is not None:
+        instr.profiler.record("calibrate_rtma", time.perf_counter() - started)
+    return thresholds
 
 
 def make_rtma_eq12(
@@ -283,12 +334,81 @@ def make_rtma_eq12(
     )
 
 
+def _ema_grid_tasks(
+    cal_cfg: SimConfig, wl: Workload, v_lo: float, v_hi: float, iterations: int
+) -> tuple[np.ndarray, list[RunTask]]:
+    """EMA's geometric V grid and one calibration task per point."""
+    grid = np.geomspace(v_lo, v_hi, max(iterations, 4))
+    tasks = [
+        RunTask(
+            cal_cfg,
+            EMAScheduler(cal_cfg.n_users, v_param=float(v), tau_s=cal_cfg.tau_s),
+            wl,
+        )
+        for v in grid
+    ]
+    return grid, tasks
+
+
+def _pick_ema_v(
+    grid: np.ndarray,
+    grid_runs: Sequence[SimulationResult],
+    bounds: list[float],
+    instr: Instrumentation | None,
+    started: float,
+) -> list[float]:
+    """Each rebuffering bound's V from the grid's measured PC and PE.
+
+    Feasible -> the most energy-saving feasible V (PE(V) is not
+    monotone once tails and receiver windows bite, so pick by measured
+    PE rather than by V); infeasible -> best effort, the PC-minimizing V.
+    """
+    bound_s = bounds[0] if len(bounds) == 1 else bounds
+    if instr is not None:
+        for v, res in zip(grid, grid_runs):
+            instr.metrics.counter("calibration.grid_evaluations").inc()
+            instr.metrics.histogram("calibration.ema.pc_s").observe(res.pc_s)
+            instr.metrics.histogram("calibration.ema.pe_mj").observe(res.pe_mj)
+            if instr.tracer.enabled:
+                instr.tracer.emit(
+                    "calibration.ema.point",
+                    v=float(v),
+                    pc_s=res.pc_s,
+                    pe_mj=res.pe_mj,
+                    bound_s=bound_s,
+                )
+    pcs = np.array([res.pc_s for res in grid_runs])
+    pes = np.array([res.pe_mj for res in grid_runs])
+    vs = []
+    for bound in bounds:
+        feasible = np.flatnonzero(pcs <= bound)
+        if feasible.size:
+            v, ok = float(grid[feasible[np.argmin(pes[feasible])]]), True
+        else:
+            v, ok = float(grid[np.argmin(pcs)]), False
+            log.warning(
+                "EMA calibration infeasible: no V meets rebuffering bound %.4g s "
+                "(best effort PC %.4g s at V=%.4g)",
+                bound,
+                float(pcs.min()),
+                v,
+            )
+        if instr is not None and instr.tracer.enabled:
+            instr.tracer.emit(
+                "calibration.ema.result", v=v, feasible=ok, bound_s=bound
+            )
+        vs.append(v)
+    if instr is not None:
+        instr.profiler.record("calibrate_ema", time.perf_counter() - started)
+    return vs
+
+
 def calibrate_ema_v(
     config: SimConfig,
     rebuffering_bound_s: float,
     workload: Workload | None = None,
-    v_lo: float = 1e-5,
-    v_hi: float = 50.0,
+    v_lo: float = _V_LO,
+    v_hi: float = _V_HI,
     iterations: int = 12,
     calibration_slots: int | None = None,
     instrumentation: Instrumentation | None = None,
@@ -309,108 +429,53 @@ def calibrate_ema_v(
         raise ConfigurationError("need 0 < v_lo < v_hi")
     instr = _resolve_instrumentation(instrumentation)
     started = time.perf_counter()
-    slots = calibration_slots or min(config.n_slots, 1500)
-    cal_cfg = config.with_(n_slots=slots)
-    # A workload shorter than the calibration horizon cannot drive the
-    # inner runs (the engine rejects it); regenerate instead, matching
-    # the guard in calibrate_rtma_threshold / calibrate_ema_v_to_reference.
-    wl = None
-    if workload is not None and workload.n_slots >= slots:
-        wl = workload
-    if wl is None:
-        wl = generate_workload(cal_cfg)
-
-    def note(v: float, res: SimulationResult) -> None:
-        if instr is not None:
-            instr.metrics.counter("calibration.grid_evaluations").inc()
-            instr.metrics.histogram("calibration.ema.pc_s").observe(res.pc_s)
-            instr.metrics.histogram("calibration.ema.pe_mj").observe(res.pe_mj)
-            if instr.tracer.enabled:
-                instr.tracer.emit(
-                    "calibration.ema.point",
-                    v=v,
-                    pc_s=res.pc_s,
-                    pe_mj=res.pe_mj,
-                    bound_s=rebuffering_bound_s,
-                )
-
-    def finish(v: float, feasible: bool) -> float:
-        if instr is not None:
-            instr.profiler.record("calibrate_ema", time.perf_counter() - started)
-            if instr.tracer.enabled:
-                instr.tracer.emit(
-                    "calibration.ema.result",
-                    v=v,
-                    feasible=feasible,
-                    bound_s=rebuffering_bound_s,
-                )
-        return v
-
-    grid = np.geomspace(v_lo, v_hi, max(iterations, 4))
-    # Independent grid runs on one shared workload — executor fan-out,
-    # ambient instrumentation for the inner runs (as before).
-    tasks = [
-        RunTask(
-            cal_cfg,
-            EMAScheduler(cal_cfg.n_users, v_param=float(v), tau_s=cal_cfg.tau_s),
-            wl,
-        )
-        for v in grid
-    ]
-    grid_runs = map_runs(tasks)
-    for v, res in zip(grid, grid_runs):
-        note(float(v), res)
-    pcs = np.array([res.pc_s for res in grid_runs])
-    pes = np.array([res.pe_mj for res in grid_runs])
-    feasible = np.flatnonzero(pcs <= rebuffering_bound_s)
-    if feasible.size:
-        # Most energy-saving feasible setting: PE(V) is not monotone
-        # once tails and receiver windows bite, so pick by measured PE
-        # rather than by V.
-        return finish(float(grid[feasible[np.argmin(pes[feasible])]]), True)
-    log.warning(
-        "EMA calibration infeasible: no V meets rebuffering bound %.4g s "
-        "(best effort PC %.4g s at V=%.4g)",
-        rebuffering_bound_s,
-        float(pcs.min()),
-        float(grid[np.argmin(pcs)]),
+    cal_cfg, wl = _calibration_inputs(
+        config, workload, calibration_slots or min(config.n_slots, 1500)
     )
-    return finish(float(grid[np.argmin(pcs)]), False)
+    # Independent grid runs on one shared workload: executor fan-out,
+    # ambient instrumentation for the inner runs.
+    grid, tasks = _ema_grid_tasks(cal_cfg, wl, v_lo, v_hi, iterations)
+    return _pick_ema_v(grid, map_runs(tasks), [rebuffering_bound_s], instr, started)[0]
 
 
 def calibrate_ema_v_to_reference(
     config: SimConfig,
     reference_scheduler_factory: Callable[[], object],
-    beta: float = 1.0,
+    beta: float | None = None,
     workload: Workload | None = None,
     iterations: int = 8,
     calibration_slots: int | None = None,
-) -> float:
+    *,
+    betas: Sequence[float] | None = None,
+) -> float | list[float]:
     """Calibrate EMA's ``V`` to ``Omega = beta * PC(reference)``.
 
     Both the reference rebuffering and EMA's are measured on the *same*
     shortened horizon — PC dilutes once sessions complete, so mixing
     horizons (bounding a short-horizon EMA by a long-horizon reference)
-    systematically over-tightens the bound.
+    systematically over-tightens the bound.  The reference and the V
+    grid share that horizon's workload and go out as one task list, so
+    the executor stacks them into one slot loop.
+
+    Pass at most one of ``beta`` and ``betas`` (neither means
+    ``beta=1.0``).  With ``betas`` the result is one V per factor, all
+    chosen from a single reference and grid.
     """
-    if beta <= 0:
-        raise ConfigurationError("beta must be positive")
-    slots = calibration_slots or min(config.n_slots, 1500)
-    cal_cfg = config.with_(n_slots=slots)
-    wl = None
-    if workload is not None and workload.n_slots >= slots:
-        wl = workload
-    if wl is None:
-        wl = generate_workload(cal_cfg)
-    ref_pc = run_scheduler(cal_cfg, reference_scheduler_factory(), wl).pc_s
-    omega = beta * max(ref_pc, 1e-4)
-    return calibrate_ema_v(
-        cal_cfg,
-        omega,
-        workload=wl,
-        iterations=iterations,
-        calibration_slots=slots,
+    if beta is None and betas is None:
+        beta = 1.0
+    scalar, factors = _one_of("beta", beta, "betas", betas)
+    instr = current_instrumentation()
+    started = time.perf_counter()
+    cal_cfg, wl = _calibration_inputs(
+        config, workload, calibration_slots or min(config.n_slots, 1500)
     )
+    grid, tasks = _ema_grid_tasks(cal_cfg, wl, _V_LO, _V_HI, iterations)
+    reference, *grid_runs = map_runs(
+        [RunTask(cal_cfg, reference_scheduler_factory(), wl)] + tasks
+    )
+    ref_pc = max(reference.pc_s, 1e-4)
+    vs = _pick_ema_v(grid, grid_runs, [b * ref_pc for b in factors], instr, started)
+    return vs[0] if scalar else vs
 
 
 def multi_seed(

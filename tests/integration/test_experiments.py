@@ -11,6 +11,8 @@ from repro.errors import ConfigurationError
 from repro.experiments.common import ExperimentResult, paper_config
 from repro.experiments.registry import EXPERIMENTS, main, run_experiment
 from repro.analysis.tables import Table
+from repro.sim import engine
+from repro.sim.executor import RunExecutor, use_executor
 
 
 class TestPaperConfig:
@@ -83,6 +85,29 @@ class TestCLI:
     def test_run_markdown(self, capsys):
         assert main(["run", "fig07", "--scale", "bench", "--markdown"]) == 0
         assert "| scheduler |" in capsys.readouterr().out
+
+
+class TestPhasedDrivers:
+    """A driver's slot loops: per sweep point, one for its calibration
+    (reference, probe and grid) and one for its comparison."""
+
+    @pytest.mark.parametrize(
+        "exp_id, loops, runs",
+        [("fig05", 6, 39), ("fig09", 6, 33)],
+    )
+    def test_slot_loops_at_bench_scale(self, monkeypatch, exp_id, loops, runs):
+        census = {"loops": 0, "runs": 0}
+        slot_loop = engine._slot_loop
+
+        def counted(tasks, *args):
+            census["loops"] += 1
+            census["runs"] += len(tasks)
+            return slot_loop(tasks, *args)
+
+        monkeypatch.setattr(engine, "_slot_loop", counted)
+        with use_executor(RunExecutor()):
+            run_experiment(exp_id, scale="bench")
+        assert census == {"loops": loops, "runs": runs}
 
 
 class TestExperimentResult:

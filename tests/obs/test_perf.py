@@ -3,7 +3,10 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import shutil
+import subprocess
 
 import pytest
 
@@ -22,6 +25,7 @@ from repro.obs.perf import (
     trend_html,
     warn_gate_skipped,
 )
+from repro.obs.provenance import short_revision, tree_revision
 
 KERNEL_HIST = "bench.test_rtma_allocate_slot[numpy].seconds"
 
@@ -104,6 +108,78 @@ class TestLedger:
 
     def test_load_missing_ledger_is_empty(self, tmp_path):
         assert load_ledger(tmp_path / "absent.jsonl") == []
+
+
+def _git(repo, *args) -> str:
+    out = subprocess.run(
+        ["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+        cwd=repo,
+        capture_output=True,
+        check=True,
+    )
+    return out.stdout.decode()
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+class TestTreeRevision:
+    @pytest.fixture
+    def repo(self, tmp_path):
+        repo = tmp_path / "repo"
+        (repo / "sub").mkdir(parents=True)
+        _git(repo, "init", "-q")
+        (repo / "a.txt").write_text("one\n")
+        (repo / ".gitignore").write_text("*.log\n")
+        _git(repo, "add", "a.txt", ".gitignore")
+        _git(repo, "commit", "-q", "-m", "first")
+        return repo
+
+    def test_clean_tree_stamps_head(self, repo):
+        head = _git(repo, "rev-parse", "HEAD").strip()
+        assert tree_revision(repo) == head
+        # Ignored files leave the tree clean.
+        (repo / "run.log").write_text("noise\n")
+        assert tree_revision(repo) == head
+
+    def test_changed_tracked_file_stamps_diff_hash(self, repo):
+        head = _git(repo, "rev-parse", "HEAD").strip()
+        (repo / "a.txt").write_text("two\n")
+        diff = subprocess.run(
+            ["git", "diff", "HEAD"], cwd=repo, capture_output=True, check=True
+        ).stdout
+        first = tree_revision(repo)
+        assert first == f"{head}+dirty:{hashlib.sha256(diff).hexdigest()[:12]}"
+        # A subdirectory of the checkout stamps the same revision.
+        assert tree_revision(repo / "sub") == first
+        # Another uncommitted change on the same commit stamps differently.
+        (repo / "a.txt").write_text("three\n")
+        second = tree_revision(repo)
+        assert second.startswith(f"{head}+dirty:")
+        assert second != first
+        assert short_revision(first) == f"{head[:12]}+dirty:{first[-12:]}"
+
+    def test_untracked_file_is_dirty(self, repo):
+        head = _git(repo, "rev-parse", "HEAD").strip()
+        (repo / "sub" / "new.py").write_text("x = 1\n")
+        first = tree_revision(repo)
+        assert first.startswith(f"{head}+dirty:")
+        assert tree_revision(repo / "sub") == first
+        # The untracked file's contents count, not just its name.
+        (repo / "sub" / "new.py").write_text("x = 2\n")
+        assert tree_revision(repo) not in (first, head)
+
+    def test_outside_a_checkout_has_no_revision(self, tmp_path):
+        outside = tmp_path / "plain"
+        outside.mkdir()
+        assert tree_revision(outside) is None
+        assert short_revision(None) == "unknown"
+
+    def test_record_snapshot_stores_the_tree_revision(self, tmp_path, monkeypatch):
+        stamp = "0123456789abcdef+dirty:fedcba987654"
+        monkeypatch.setattr("repro.obs.perf.tree_revision", lambda: stamp)
+        ledger = tmp_path / "history.jsonl"
+        record = record_snapshot(_write_snapshot(tmp_path), ledger)
+        assert record.git_rev == stamp
+        assert [r.git_rev for r in load_ledger(ledger)] == [stamp]
 
 
 class TestChangePoint:

@@ -1,19 +1,19 @@
 """Tests for the run orchestration helpers."""
 
-import numpy as np
 import pytest
 
 from repro.baselines.default import DefaultScheduler
 from repro.core.ema import EMAScheduler
 from repro.core.rtma import RTMAScheduler
 from repro.errors import ConfigurationError
+from repro.obs import Instrumentation, use_instrumentation
 from repro.sim.runner import (
     calibrate_ema_v,
+    calibrate_ema_v_to_reference,
     calibrate_rtma_threshold,
     compare_schedulers,
     default_reference,
     make_rtma_eq12,
-    make_rtma_for_alpha,
     multi_seed,
     run_scheduler,
     sweep,
@@ -77,10 +77,6 @@ class TestCalibration:
         assert thr_tight > -110.0
         assert thr_loose == float("-inf")
 
-    def test_make_rtma_for_alpha_returns_scheduler(self, small_config):
-        sched = make_rtma_for_alpha(small_config, alpha=1.0)
-        assert isinstance(sched, RTMAScheduler)
-
     def test_make_rtma_eq12_in_band(self, small_config):
         sched = make_rtma_eq12(small_config, 1000.0)
         assert -110.0 < sched.sig_threshold_dbm < -50.0
@@ -121,6 +117,104 @@ class TestCalibration:
             calibrate_ema_v(small_config, 0.0)
         with pytest.raises(ConfigurationError):
             calibrate_ema_v(small_config, 1.0, v_lo=5.0, v_hi=1.0)
+
+
+def _observed(calibrate):
+    """A calibration's value and the counters and histograms it left."""
+    instr = Instrumentation()
+    with use_instrumentation(instr):
+        value = calibrate()
+    snap = instr.metrics.snapshot()
+    return value, snap["counters"], snap["histograms"]
+
+
+class TestVectorCalibration:
+    """One vector call equals its per-factor scalar calls."""
+
+    def test_rtma_alphas_match_scalar_calls(self, contended_config):
+        wl = generate_workload(contended_config.with_(n_slots=200))
+        # 5.0 is a factor whose budget the unconstrained probe fits.
+        alphas = (0.5, 1.0, 5.0)
+        kw = dict(workload=wl, iterations=5, calibration_slots=200)
+        thresholds, counters, hists = _observed(
+            lambda: calibrate_rtma_threshold(contended_config, alphas=alphas, **kw)
+        )
+        scalar = [
+            _observed(lambda: calibrate_rtma_threshold(contended_config, alpha=a, **kw))
+            for a in alphas
+        ]
+        assert thresholds == [value for value, _, _ in scalar]
+        assert thresholds[-1] == float("-inf") and thresholds[0] > -110.0
+        # Each scalar call runs the same reference, probe and grid ...
+        for _, c, _ in scalar:
+            engine = {k: v for k, v in c.items() if k.startswith("engine.")}
+            assert engine == {k: v for k, v in counters.items() if k.startswith("engine.")}
+        # ... but reads the grid only when the probe misses its budget.
+        grid_size = 6  # linspace(…, 5) plus the dense weak-end point
+        assert [c["calibration.grid_evaluations"] for _, c, _ in scalar] == [
+            1 + grid_size,
+            1 + grid_size,
+            1,
+        ]
+        # The vector call records exactly what its tightest factor does.
+        assert counters == scalar[0][1]
+        assert hists == scalar[0][2]
+
+    def test_rtma_all_probe_fits_reads_no_grid(self, contended_config):
+        thresholds, counters, _ = _observed(
+            lambda: calibrate_rtma_threshold(
+                contended_config, alphas=[5.0, 6.0], calibration_slots=200
+            )
+        )
+        assert thresholds == [float("-inf")] * 2
+        assert counters["calibration.grid_evaluations"] == 1
+
+    def test_ema_betas_match_scalar_calls(self, contended_config):
+        wl = generate_workload(contended_config.with_(n_slots=150))
+        # 0.01 leaves no V feasible: the best-effort branch.
+        betas = (0.01, 0.8, 1.0, 2.0)
+        kw = dict(workload=wl, iterations=5, calibration_slots=150)
+        vs, counters, hists = _observed(
+            lambda: calibrate_ema_v_to_reference(
+                contended_config, DefaultScheduler, betas=betas, **kw
+            )
+        )
+        scalar = [
+            _observed(
+                lambda: calibrate_ema_v_to_reference(
+                    contended_config, DefaultScheduler, beta=b, **kw
+                )
+            )
+            for b in betas
+        ]
+        assert vs == [value for value, _, _ in scalar]
+        assert len(set(vs)) > 1
+        for _, c, h in scalar:
+            assert c == counters
+            assert h == hists
+        assert counters["calibration.grid_evaluations"] == 5
+
+    def test_ema_beta_defaults_to_one(self, small_config):
+        kw = dict(iterations=4, calibration_slots=60)
+        assert calibrate_ema_v_to_reference(
+            small_config, DefaultScheduler, **kw
+        ) == calibrate_ema_v_to_reference(small_config, DefaultScheduler, beta=1.0, **kw)
+
+    def test_exactly_one_factor_argument(self, small_config):
+        with pytest.raises(ConfigurationError):
+            calibrate_rtma_threshold(small_config)
+        with pytest.raises(ConfigurationError):
+            calibrate_rtma_threshold(small_config, alpha=1.0, alphas=[1.0])
+        with pytest.raises(ConfigurationError):
+            calibrate_rtma_threshold(small_config, alphas=[])
+        with pytest.raises(ConfigurationError):
+            calibrate_rtma_threshold(small_config, alphas=[1.0, -1.0])
+        with pytest.raises(ConfigurationError):
+            calibrate_ema_v_to_reference(
+                small_config, DefaultScheduler, beta=1.0, betas=[1.0]
+            )
+        with pytest.raises(ConfigurationError):
+            calibrate_ema_v_to_reference(small_config, DefaultScheduler, betas=[0.0])
 
 
 class TestCalibrationWorkloadGuards:
