@@ -48,9 +48,10 @@ from repro.core.rtma import RTMAScheduler
 from repro.kernels import resolved_backend
 from repro.obs import Instrumentation
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.spans import SLOT_PREFIX
 from repro.sim.batch import run_batch
 from repro.sim.config import SimConfig
-from repro.sim.engine import Simulation
+from repro.sim.engine import SLOT_PHASES, Simulation
 from repro.sim.executor import RunTask
 from repro.sim.workload import generate_workload
 
@@ -117,10 +118,10 @@ def _record_phase_split(cfg: SimConfig, sched_name: str, wl) -> None:
     instr = Instrumentation()
     Simulation(cfg, _make_scheduler(sched_name, cfg), wl,
                instrumentation=instr).run()
-    for phase, stats in instr.profiler.summary().items():
+    for phase in SLOT_PHASES:
         SCALING_REGISTRY.gauge(
             f"scaling.{sched_name}.u{cfg.n_users:04d}.phase.{phase}_total_s"
-        ).set(stats["total_s"])
+        ).set(instr.spans.total_s(SLOT_PREFIX + (phase,)))
 
 
 def _make_scheduler(sched_name: str, cfg: SimConfig):

@@ -51,7 +51,6 @@ from repro.obs import (
     JsonlTraceWriter,
     MetricsRegistry,
     NullTracer,
-    PhaseProfiler,
     RecordingTracer,
     use_instrumentation,
 )
@@ -103,7 +102,6 @@ __all__ = [
     "RecordingTracer",
     "JsonlTraceWriter",
     "MetricsRegistry",
-    "PhaseProfiler",
     # simulation
     "SimConfig",
     "Simulation",

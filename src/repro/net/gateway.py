@@ -347,7 +347,7 @@ class Gateway:
 
         With an :class:`~repro.obs.instrument.Instrumentation` bundle
         attached, the observe/schedule/transmit phases are timed
-        separately (one profiler sample each per call).  Allocation
+        separately (one span each per call).  Allocation
         counters — scheduler invocations, budget near-misses,
         allocated-but-unaccepted bytes — are batch-derived by the
         engine from its recorded grids so the per-slot path stays
@@ -388,24 +388,19 @@ class Gateway:
         return obs, phi, delivered_kb
 
     def _timers(self, instrumentation):
-        """The observe/schedule/transmit sample appenders, or ``None``.
+        """The observe/schedule/transmit span adders, or ``None``.
 
         Resolved once per bundle — the engine steps once per slot and
-        profiler lookups in that loop are measurable.  Only the profiler
-        sees per-slot samples; span phase totals are derived from these
-        same lists by the engine after the run
-        (``SpanRecorder.add_bulk``), so this hot path is identical with
-        or without a span recorder attached.
+        node lookups in that loop are measurable.  The adders record
+        into the bundle's span tree under ``run > slots``.
         """
         if instrumentation is None:
             return None
         cache = self._obs_cache
         if cache is None or cache[0] is not instrumentation:
-            profiler = instrumentation.profiler
-            cache = self._obs_cache = (
-                instrumentation,
-                profiler.samples("observe").append,
-                profiler.samples("schedule").append,
-                profiler.samples("transmit").append,
+            spans = instrumentation.spans
+            cache = self._obs_cache = (instrumentation,) + tuple(
+                spans.adder(spans.slot_phase_id(ph))
+                for ph in ("observe", "schedule", "transmit")
             )
         return cache[1:]

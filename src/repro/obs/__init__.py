@@ -6,9 +6,7 @@ optional :class:`~repro.obs.instrument.Instrumentation` bundle:
 * :mod:`repro.obs.tracer` — structured per-slot event tracing
   (:class:`NullTracer` default, :class:`JsonlTraceWriter` for files);
 * :mod:`repro.obs.metrics` — a counters/gauges/histograms registry;
-* :mod:`repro.obs.profiler` — per-phase wall-clock timing with
-  p50/p95/max summaries;
-* :mod:`repro.obs.spans` — hierarchical span profiling (run →
+* :mod:`repro.obs.spans` — wall-clock timing as a span tree (run →
   slot-block → phase → kernel) with collapsed-stack / speedscope /
   flame-graph export;
 * :mod:`repro.obs.provenance` — run manifests (config hash, seed, git
@@ -38,7 +36,7 @@ Quick taste::
 
     instr = Instrumentation(tracer=RecordingTracer())
     res = run_scheduler(cfg, EMAScheduler(cfg.n_users), instrumentation=instr)
-    print(instr.profiler.render_table())
+    print(instr.spans.render_table())
     print(instr.metrics.snapshot()["counters"]["rrc.occupancy.idle"])
 """
 
@@ -79,12 +77,9 @@ from repro.obs.perf import (
     record_snapshot,
     trend_html,
 )
-from repro.obs.profiler import PhaseProfiler, PhaseTimer, null_phase
 from repro.obs.provenance import RunManifest, build_manifest, config_hash, git_revision
 from repro.obs.report import render_report, write_report
 from repro.obs.spans import (
-    NULL_SPAN,
-    NullSpan,
     SpanRecorder,
     activate_spans,
     current_spans,
@@ -123,12 +118,7 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "PhaseProfiler",
-    "PhaseTimer",
-    "null_phase",
     "SpanRecorder",
-    "NullSpan",
-    "NULL_SPAN",
     "activate_spans",
     "current_spans",
     "flamegraph_svg",

@@ -2,7 +2,7 @@
 
 Runs either a named experiment from the registry or the built-in
 ``quickstart`` scenario with a :class:`~repro.obs.instrument.Instrumentation`
-bundle attached, then writes three artifacts into the output directory:
+bundle attached, then writes these artifacts into the output directory:
 
 * ``trace.jsonl`` — one structured JSON event per line (>= 1 per
   simulated slot, plus calibration/sweep/EMA-queue events);
@@ -12,9 +12,9 @@ bundle attached, then writes three artifacts into the output directory:
 * ``spans.json`` / ``spans.collapsed.txt`` / ``spans.speedscope.json``
   — the hierarchical span tree (run → slot-block → phase → kernel; see
   :mod:`repro.obs.spans`), as raw state, collapsed-stack text, and a
-  speedscope profile (``--no-spans`` disables);
+  speedscope profile;
 
-and prints the per-phase wall-clock timing table.
+and prints the span tree's calls, total and self time per node.
 
 This module also hosts :func:`add_version_argument`, the shared
 ``--version`` helper every ``repro-*`` console script installs.  An existing trace
@@ -41,7 +41,6 @@ from pathlib import Path
 from repro.analysis.tables import summary_table
 from repro.obs.instrument import Instrumentation, use_instrumentation
 from repro.obs.provenance import build_manifest
-from repro.obs.spans import SpanRecorder
 from repro.obs.tracer import JsonlTraceWriter
 
 __all__ = ["main", "QUICKSTART", "add_version_argument"]
@@ -137,11 +136,6 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="also render report.html into the output directory",
     )
-    parser.add_argument(
-        "--no-spans",
-        action="store_true",
-        help="skip hierarchical span profiling (no spans.* artifacts)",
-    )
     add_version_argument(parser)
     args = parser.parse_args(argv)
 
@@ -162,8 +156,7 @@ def main(argv: list[str] | None = None) -> int:
         stale.unlink()
     trace_name = "trace.jsonl.gz" if args.gzip else "trace.jsonl"
     tracer = JsonlTraceWriter(out_dir / trace_name)
-    spans = None if args.no_spans else SpanRecorder()
-    instr = Instrumentation(tracer=tracer, spans=spans)
+    instr = Instrumentation(tracer=tracer)
 
     started = time.perf_counter()
     if args.target == QUICKSTART:
@@ -192,7 +185,7 @@ def main(argv: list[str] | None = None) -> int:
     manifest.wall_time_s = wall_time
     manifest_path = manifest.write_json(out_dir / "manifest.json")
     metrics_path = instr.metrics.write_json(out_dir / "metrics.json")
-    span_paths = spans.write_artifacts(out_dir) if spans is not None else []
+    span_paths = instr.spans.write_artifacts(out_dir)
     report_path = None
     if args.report:
         from repro.obs.report import write_report
@@ -201,10 +194,7 @@ def main(argv: list[str] | None = None) -> int:
 
     print(rendering)
     print()
-    print(instr.profiler.render_table())
-    if spans is not None:
-        print()
-        print(spans.render_table())
+    print(instr.spans.render_table())
     print()
     print(f"trace:    {tracer.path} ({tracer.n_events} events)")
     print(f"manifest: {manifest_path}")

@@ -4,15 +4,12 @@ One object carries the observability facets through the pipeline:
 
 * ``tracer`` — structured events (:mod:`repro.obs.tracer`);
 * ``metrics`` — counters/gauges/histograms (:mod:`repro.obs.metrics`);
-* ``profiler`` — per-phase wall-clock timing (:mod:`repro.obs.profiler`);
+* ``spans`` — wall-clock timing as a span tree (:mod:`repro.obs.spans`):
+  run → slot-block → phase → kernel, with flame-graph export;
 * ``live`` — the optional live telemetry plane
   (:mod:`repro.obs.live`): streaming aggregators, the SLO watchdog,
   heartbeats, and snapshot export, fed once per engine slot.  ``None``
   (the default) costs the hot loop a single attribute test.
-* ``spans`` — the optional hierarchical span profiler
-  (:mod:`repro.obs.spans`): run → slot-block → phase → kernel timing
-  attribution with flame-graph export.  ``None`` (the default) keeps
-  the engine on the NullSpan fast path.
 
 Passing the bundle explicitly (``Simulation(cfg, sched,
 instrumentation=instr)`` or ``run_scheduler(..., instrumentation=instr)``)
@@ -37,45 +34,43 @@ from contextlib import contextmanager
 from typing import Iterator
 
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.profiler import PhaseProfiler
+from repro.obs.spans import SpanRecorder
 from repro.obs.tracer import NullTracer, Tracer
 
 __all__ = ["Instrumentation", "use_instrumentation", "current_instrumentation"]
 
 
 class Instrumentation:
-    """Tracer + metrics registry + phase profiler, travelling together.
+    """Tracer + metrics registry + span tree, travelling together.
 
     Any facet may be omitted: the tracer defaults to
     :class:`~repro.obs.tracer.NullTracer` (drop everything) and the
-    other two to fresh empty instances, so
+    metrics registry and span recorder to fresh empty instances, so
     ``Instrumentation()`` already collects metrics and phase timings
     without writing a trace anywhere.
     """
 
-    __slots__ = ("tracer", "metrics", "profiler", "live", "spans")
+    __slots__ = ("tracer", "metrics", "live", "spans")
 
     def __init__(
         self,
         tracer: Tracer | None = None,
         metrics: MetricsRegistry | None = None,
-        profiler: PhaseProfiler | None = None,
         live=None,
-        spans=None,
+        spans: SpanRecorder | None = None,
     ):
         self.tracer = tracer if tracer is not None else NullTracer()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.profiler = profiler if profiler is not None else PhaseProfiler()
         #: Optional :class:`repro.obs.live.LiveTelemetry`; bound to the
         #: sibling facets so its watchdog/exporter see this bundle's
         #: metrics and tracer.
         self.live = live
         if live is not None:
             live.bind(self.metrics, self.tracer)
-        #: Optional :class:`repro.obs.spans.SpanRecorder`; the engine
-        #: activates it around the slot loop so registry-resolved
-        #: kernels self-report backend-tagged spans.
-        self.spans = spans
+        #: The engine records each slot phase here and activates the
+        #: recorder around the slot loop, so registry-resolved kernels
+        #: self-report backend-tagged spans.
+        self.spans = spans if spans is not None else SpanRecorder()
 
     def close(self) -> None:
         """Close the tracer (flushes file-backed writers) and the live plane."""
@@ -92,8 +87,7 @@ class Instrumentation:
     def __repr__(self) -> str:  # pragma: no cover
         return (
             f"<Instrumentation tracer={type(self.tracer).__name__} "
-            f"metrics={len(self.metrics)} phases={len(self.profiler.phases)}"
-            f"{' spans' if self.spans is not None else ''}>"
+            f"metrics={len(self.metrics)} spans={len(self.spans)}>"
         )
 
 

@@ -1,9 +1,10 @@
 """Hierarchical span profiling: run → slot-block → phase → kernel.
 
-The six-phase :class:`~repro.obs.profiler.PhaseProfiler` answers "how
-long does each pipeline phase take?"; this module answers "where does
-a slot's time go *below* the phases?" — which kernel, on which
-backend, under which phase — and renders the answer as a flame graph.
+The :class:`SpanRecorder` is the instrumentation bundle's one timing
+store.  It answers "how long does each pipeline phase take?" and
+"where does a slot's time go *below* the phases?" — which kernel, on
+which backend, under which phase — and renders the answer as a flame
+graph.
 
 Design constraints (the engine records spans inside its hot loop):
 
@@ -13,15 +14,13 @@ Design constraints (the engine records spans inside its hot loop):
   add into plain-list ``count``/``total`` accumulators (lists, not
   numpy arrays: scalar ``lst[i] += x`` is an order of magnitude
   cheaper than a numpy scalar in-place add, and lists grow in place
-  so adder closures bound before a growth stay valid).  An optional
-  ring buffer keeps the most recent raw spans for inspection without
-  unbounded memory.
-* **Null fast path.**  When no recorder is attached the call sites
-  cost a single ``is None`` test (the engine) or nothing at all (the
-  kernel registry only wraps kernels while a recorder is *active*);
-  :data:`NULL_SPAN` is the no-op context manager for coarse scopes.
-  The ``"spans"`` mode of ``benchmarks/bench_kernels.py`` gates the
-  *recording* overhead under the same 2% budget as the null tracer.
+  so adder closures bound before a growth stay valid).
+* **Phases recorded directly.**  The engine and the gateway bind one
+  :meth:`SpanRecorder.adder` per slot phase and feed it each slot's
+  ``perf_counter`` delta.  Without a bundle the call sites cost a
+  single ``is None`` test, and the kernel registry only wraps kernels
+  while a recorder is *active*.  The perf-smoke CI gate bounds the
+  recording overhead at 2% of a plain run.
 * **Worker merge.**  :meth:`SpanRecorder.state` /
   :meth:`SpanRecorder.merge_state` ship span trees across process
   boundaries keyed by path (not by node id), so the run executor can
@@ -46,38 +45,15 @@ from pathlib import Path
 from time import perf_counter
 from typing import Any, Iterator
 
-import numpy as np
-
 from repro.analysis.tables import Table
 from repro.errors import ConfigurationError
 
 __all__ = [
     "SpanRecorder",
-    "NullSpan",
-    "NULL_SPAN",
     "current_spans",
     "activate_spans",
     "flamegraph_svg",
-    "tee",
 ]
-
-
-def tee(first, second):
-    """Compose two single-argument recorders into one call.
-
-    A generic helper for feeding one measured ``dt`` to two sinks
-    (e.g. a :class:`~repro.obs.profiler.PhaseProfiler` sample list and
-    a span adder).  The engine itself no longer tees per slot — phase
-    spans are derived from the profiler's sample lists after the run
-    via :meth:`SpanRecorder.add_bulk`, which is cheaper and equally
-    exact.
-    """
-
-    def _rec(value):
-        first(value)
-        second(value)
-
-    return _rec
 
 #: Sentinel parent id of the tree root ("run" is its only child in
 #: engine-produced trees, but recorders are generic).
@@ -89,21 +65,6 @@ ROOT = -1
 SLOT_PREFIX = ("run", "slots")
 
 
-class NullSpan:
-    """Shared no-op context manager for un-recorded scopes."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "NullSpan":
-        return self
-
-    def __exit__(self, *exc_info) -> bool:
-        return False
-
-
-NULL_SPAN = NullSpan()
-
-
 class SpanRecorder:
     """Accumulates a tree of named wall-clock spans.
 
@@ -112,13 +73,9 @@ class SpanRecorder:
     capacity:
         Initial number of preallocated tree nodes (doubled on demand;
         an engine run produces a few dozen distinct paths).
-    ring:
-        Keep the most recent ``ring`` raw spans ``(node_id, start_s,
-        duration_s)`` in a circular buffer (0 disables — the default;
-        aggregation never needs them).
     """
 
-    def __init__(self, capacity: int = 64, ring: int = 0):
+    def __init__(self, capacity: int = 64):
         if capacity < 1:
             raise ConfigurationError("capacity must be positive")
         self._names: list[str] = []
@@ -129,13 +86,6 @@ class SpanRecorder:
         self._totals: list[float] = [0.0] * capacity
         #: Explicit span stack for the context-manager API.
         self._stack: list[tuple[int, float]] = []
-        self._ring_n = int(ring)
-        if self._ring_n > 0:
-            self._ring_node = np.full(self._ring_n, -1, dtype=np.int64)
-            self._ring_start = np.zeros(self._ring_n, dtype=float)
-            self._ring_dur = np.zeros(self._ring_n, dtype=float)
-        self._ring_pos = 0
-        self._ring_seen = 0
 
     # -- tree construction ---------------------------------------------------
 
@@ -175,36 +125,16 @@ class SpanRecorder:
 
     # -- recording -----------------------------------------------------------
 
-    def add(self, node_id: int, duration_s: float, start_s: float = 0.0) -> None:
+    def add(self, node_id: int, duration_s: float) -> None:
         """Record one completed span of ``node_id`` (O(1))."""
         self._counts[node_id] += 1
         self._totals[node_id] += duration_s
-        if self._ring_n > 0:
-            pos = self._ring_pos
-            self._ring_node[pos] = node_id
-            self._ring_start[pos] = start_s
-            self._ring_dur[pos] = duration_s
-            self._ring_pos = (pos + 1) % self._ring_n
-            self._ring_seen += 1
-
-    def add_bulk(self, node_id: int, count: int, total_s: float) -> None:
-        """Fold ``count`` pre-aggregated spans totalling ``total_s``
-        seconds into ``node_id`` in one O(1) update.
-
-        The engine uses this to derive the six phase spans from the
-        profiler's per-phase sample lists *after* the slot loop — the
-        totals are sums of the exact floats the profiler holds, at
-        zero per-slot cost.  Bulk entries never touch the ring buffer
-        (they are aggregates, not individually observed spans).
-        """
-        self._counts[node_id] += int(count)
-        self._totals[node_id] += float(total_s)
 
     def adder(self, node_id: int):
         """A bound single-argument recorder for hot loops.
 
         ``rec = spans.adder(nid)`` then ``rec(dt)`` per measurement —
-        mirrors how the engine binds ``profiler.samples(...).append``.
+        the engine and the gateway bind one per slot phase.
         """
         counts, totals = self._counts, self._totals
 
@@ -212,8 +142,6 @@ class SpanRecorder:
             _c[_n] += 1
             _t[_n] += duration_s
 
-        if self._ring_n > 0:  # ring bookkeeping needs the full path
-            return lambda duration_s: self.add(node_id, duration_s)
         return _add
 
     @contextmanager
@@ -233,7 +161,7 @@ class SpanRecorder:
             yield node_id
         finally:
             self._stack.pop()
-            self.add(node_id, perf_counter() - start, start)
+            self.add(node_id, perf_counter() - start)
 
     # -- introspection -------------------------------------------------------
 
@@ -288,23 +216,6 @@ class SpanRecorder:
         )
         return max(float(self._totals[node_id]) - child_sum, 0.0)
 
-    def recent(self) -> list[tuple[tuple[str, ...], float, float]]:
-        """The ring buffer's raw spans, oldest first (empty when off)."""
-        if self._ring_n == 0 or self._ring_seen == 0:
-            return []
-        n = min(self._ring_seen, self._ring_n)
-        order = [(self._ring_pos + i) % self._ring_n for i in range(self._ring_n)]
-        order = order[-n:] if self._ring_seen >= self._ring_n else list(range(n))
-        return [
-            (
-                self._path_of(int(self._ring_node[i])),
-                float(self._ring_start[i]),
-                float(self._ring_dur[i]),
-            )
-            for i in order
-            if self._ring_node[i] >= 0
-        ]
-
     # -- merge (executor workers) --------------------------------------------
 
     def state(self) -> dict[str, list[float]]:
@@ -343,8 +254,6 @@ class SpanRecorder:
         self._counts[:] = [0] * len(self._counts)
         self._totals[:] = [0.0] * len(self._totals)
         self._stack.clear()
-        self._ring_pos = 0
-        self._ring_seen = 0
 
     # -- export --------------------------------------------------------------
 

@@ -51,9 +51,9 @@ fault plans cannot be stacked.  :func:`batch_incompatibility` is the
 single oracle — the executor uses it to decide which consecutive tasks
 may share a batch.
 
-Instrumentation: metrics, phase samples and spans are recorded the
-same way for every ``R`` (one sample per phase per slot covers the
-whole loop).  Per-run counters are derived after the loop by
+Instrumentation: metrics and spans are recorded the same way for
+every ``R`` (one span per phase per slot covers the whole loop).
+Per-run counters are derived after the loop by
 :func:`~repro.sim.engine.record_run_metrics`, into one registry per
 run when ``R > 1``.  Per-slot trace events and the live telemetry
 plane need each run's own slot stream, so :meth:`BatchPlan.run` runs

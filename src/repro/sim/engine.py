@@ -91,7 +91,7 @@ _TRACED_SCHEDULER_PARAMS = (
 )
 
 
-#: Slots per hierarchical-span slot block: the span profiler closes one
+#: Slots per hierarchical-span slot block: the engine closes one
 #: ``run;slots`` span every this many slots (same batching idea as the
 #: live plane's ``watch_every``) so block accounting costs the hot loop
 #: a single comparison per slot.
@@ -170,58 +170,13 @@ def _scheduler_trace_params(scheduler) -> dict:
     return out
 
 
-def phase_recorders(prof):
-    """Register the slot phases in pipeline order; return the sample
-    appenders of the three the slot loop times itself.
-
-    The summary table then reads top-to-bottom like a slot (observe,
-    schedule and transmit are appended to by the gateway).  The hot
-    loop appends ``perf_counter`` deltas to these lists rather than
-    entering a context manager per phase per slot, and all registry
-    accounting that can be derived from the recorded grids happens in
-    one vectorised batch after the loop (:func:`record_run_metrics`).
-    """
-    rec = {ph: prof.samples(ph).append for ph in SLOT_PHASES}
-    return rec["playback"], rec["rrc"], rec["feedback"]
-
-
-def slot_spans(spans, prof):
-    """``(rec_block, fold)`` for a run's span tree.
-
-    ``rec_block`` adds one ``run;slots`` block duration.  Phase spans
-    are *derived* from the profiler's sample lists by ``fold`` after
-    the loop — the slot loop pays nothing for them.  The phase nodes
-    are interned now, in pipeline order, so they precede the kernel
-    nodes resolved mid-run and the flame graph reads like a slot.  The
-    profiler may already hold samples from an earlier run against the
-    same bundle; ``fold`` takes only this run's tail.
-    """
-    rec_block = spans.adder(spans.path_node(SLOT_PREFIX))
-    ids = {ph: spans.slot_phase_id(ph) for ph in SLOT_PHASES}
-    base = {ph: len(prof.samples(ph)) for ph in ids}
-
-    def fold() -> None:
-        # Totals are computed exactly the way PhaseProfiler.summary()
-        # computes them — float(sum()) over the sorted samples — so
-        # span phase totals equal profiler totals bit-for-bit.
-        for ph, node in ids.items():
-            tail = prof.samples(ph)[base[ph]:]
-            if tail:
-                spans.add_bulk(node, len(tail), float(sum(sorted(tail))))
-
-    return rec_block, fold
-
-
-def abort_run(instr, exc, slot, fold_spans, what="run", scheduler_name=None) -> None:
+def abort_run(instr, exc, slot, what="run", scheduler_name=None) -> None:
     """Leave a valid, parseable trace prefix behind a crashed (or
-    SLO-aborted) run: fold the spans, emit one final ``run.abort``,
-    abort the live run, then flush and close the bundle.  The caller
-    re-raises."""
+    SLO-aborted) run: emit one final ``run.abort``, abort the live run,
+    then flush and close the bundle.  The caller re-raises."""
     log.warning(
         "%s aborted at slot %d: %s: %s", what, slot, type(exc).__name__, exc
     )
-    if fold_spans is not None:
-        fold_spans()
     if instr.tracer.enabled:
         instr.tracer.emit(
             "run.abort",
@@ -330,19 +285,18 @@ def run_segments(tasks, workloads, instr, stack_scheduler=None):
     single run records straight into the bundle and returns none).
     """
     backend = tasks[0].config.kernel_backend
-    spans = instr.spans if instr is not None else None
     with ExitStack() as stack:
         if backend is not None:
             # The whole run — including scheduler.reset(), which clears
             # cached kernel resolutions — executes under the configured
             # backend.
             stack.enter_context(use_backend(backend))
-        if spans is not None:
+        if instr is not None:
             # Activate the recorder for the *whole* loop — scheduler
             # reset and the lazy fleet/RRC kernel resolutions all happen
             # inside, so every registry-resolved kernel self-reports.
-            stack.enter_context(activate_spans(spans))
-            stack.enter_context(spans.span("run"))
+            stack.enter_context(activate_spans(instr.spans))
+            stack.enter_context(instr.spans.span("run"))
         return _slot_loop(tasks, workloads, instr, stack_scheduler)
 
 
@@ -380,16 +334,21 @@ def _slot_loop(tasks, workloads, instr, stack_scheduler):
     instrumented = instr is not None
     live = instr.live if instrumented else None
     live_on = live is not None
-    spans = instr.spans if instrumented else None
-    spans_on = spans is not None
-    fold_spans = None
     if instrumented:
         tracer = instr.tracer
         trace_on = tracer.enabled
         _pc = perf_counter
-        rec_playback, rec_rrc, rec_feedback = phase_recorders(instr.profiler)
-    if spans_on:
-        rec_block, fold_spans = slot_spans(spans, instr.profiler)
+        # The block node and the phase nodes are interned before the
+        # scheduler resets, in pipeline order, so they precede the
+        # kernel nodes resolved mid-run and the flame graph reads like
+        # a slot.  Observe, schedule and transmit are timed inside the
+        # gateway.
+        spans = instr.spans
+        rec_block = spans.adder(spans.path_node(SLOT_PREFIX))
+        rec = {ph: spans.adder(spans.slot_phase_id(ph)) for ph in SLOT_PHASES}
+        rec_playback, rec_rrc, rec_feedback = (
+            rec["playback"], rec["rrc"], rec["feedback"]
+        )
 
     scheduler = tasks[0].scheduler if n_runs == 1 else stack_scheduler(run_offsets)
     scheduler.reset()
@@ -511,7 +470,7 @@ def _slot_loop(tasks, workloads, instr, stack_scheduler):
         live.begin_run(scheduler_name, n_slots=gamma, n_users=n)
         live_every = live.watch_every
         live_start = 0
-    if spans_on:
+    if instrumented:
         span_block_start = 0
         _block_t0 = perf_counter()
 
@@ -797,7 +756,7 @@ def _slot_loop(tasks, workloads, instr, stack_scheduler):
                 live_start = end
             # One run;slots span per block of SPAN_BLOCK_SLOTS slots
             # (plus the run tail) — a single comparison per slot.
-            if spans_on and (
+            if instrumented and (
                 slot - span_block_start + 1 >= SPAN_BLOCK_SLOTS
                 or slot == gamma - 1
             ):
@@ -807,11 +766,8 @@ def _slot_loop(tasks, workloads, instr, stack_scheduler):
     except BaseException as exc:
         if instrumented:
             what = "run" if n_runs == 1 else f"batch of {n_runs} runs"
-            abort_run(instr, exc, slot, fold_spans, what, scheduler_name=scheduler_name)
+            abort_run(instr, exc, slot, what, scheduler_name=scheduler_name)
         raise
-
-    if spans_on:
-        fold_spans()
 
     if not np.all(np.isfinite(e_trans)):
         raise SimulationError("non-finite transmission energy recorded")
@@ -856,7 +812,6 @@ def _slot_loop(tasks, workloads, instr, stack_scheduler):
     # would reduce.
     results: list[SimulationResult] = []
     registries: list[MetricsRegistry] = []
-    phase_timings = instr.profiler.summary() if instrumented else None
     for r, task in enumerate(tasks):
         lo, hi = int(run_offsets[r]), int(run_offsets[r + 1])
         alloc_r, delivered_r, rebuf_r, e_trans_r, e_tail_r, buffer_r, need_r, active_r = (
@@ -892,7 +847,6 @@ def _slot_loop(tasks, workloads, instr, stack_scheduler):
                 active=active_r,
                 completion_slot=completion[lo:hi].copy(),
                 arrival_slot=arrivals[lo:hi].copy(),
-                phase_timings=phase_timings,
                 **session_fields,
             )
         )

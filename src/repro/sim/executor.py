@@ -31,17 +31,16 @@ Determinism contract
   worker, cached by :func:`~repro.obs.provenance.config_hash` — the
   same deterministic generation a serial run performs;
 * each worker runs under a private :class:`Instrumentation` whose
-  metrics state, profiler samples, and (when the parent bundle carries
-  a :class:`~repro.obs.spans.SpanRecorder`) span-tree state are merged
-  back into the parent bundle in task order.  Engine counters receive
+  metrics state and span-tree state are merged back into the parent
+  bundle in task order.  Engine counters receive
   one increment per run, so the merged registry equals the
   serially-populated one exactly, and the merged span tree has the
   same structure and counts as a serial run's
   (``tests/sim/test_executor.py``).
 
 What depends on the grouping is the bookkeeping of the stacked loops
-themselves: the ``batch.*`` counters, and profiler samples and spans,
-which count one per loop.  These match ``jobs=1`` for the same groups,
+themselves: the ``batch.*`` counters, and spans, which count one per
+loop.  These match ``jobs=1`` for the same groups,
 e.g. at ``batch_size=1``.  A traced batch never stacks, so its
 ``metrics.json`` is byte-identical at every ``jobs`` and ``batch_size``.
 
@@ -89,8 +88,8 @@ every task its own group):
   ``executor.serial_fallbacks``).
 
 A task that falls back to serial execution runs under a private
-bundle mirroring the worker protocol, so its metrics/profiler/span
-state still merges in task order and the deterministic-merge contract
+bundle mirroring the worker protocol, so its metrics/span state still
+merges in task order and the deterministic-merge contract
 survives the failure.  The ``executor.*`` failure counters are created
 lazily, only when a failure actually happens — a healthy pooled run's
 metric state stays byte-identical to a serial one.
@@ -222,23 +221,17 @@ def _worker_fault_context():
 
 
 def _private_bundle(
-    spans_on: bool, live_spec: dict[str, Any] | None, heartbeat=None
+    live_spec: dict[str, Any] | None, heartbeat=None
 ) -> Instrumentation:
     """A worker's private bundle: NullTracer (slot events stay local), a
     live plane rebuilt from the parent's spec (carrying the worker's
-    heartbeat, if any), and a fresh span recorder when the parent
-    records spans."""
+    heartbeat, if any), and a fresh span recorder."""
     live = None
     if live_spec is not None or heartbeat is not None:
         from repro.obs.live import LiveTelemetry
 
         live = LiveTelemetry.from_spec(live_spec or {}, heartbeat=heartbeat)
-    spans = None
-    if spans_on:
-        from repro.obs.spans import SpanRecorder
-
-        spans = SpanRecorder()
-    return Instrumentation(live=live, spans=spans)
+    return Instrumentation(live=live)
 
 
 def _run_plan(tasks: list[RunTask], sub: Instrumentation | None):
@@ -255,22 +248,17 @@ def _run_plan(tasks: list[RunTask], sub: Instrumentation | None):
     plan = BatchPlan(tasks)
     results = plan.run(sub)
     if sub is None:
-        return results, None, None, None
+        return results, None, None
     metrics_payload = (
         ("runs", plan.run_metric_states)
         if plan.run_metric_states
         else ("group", sub.metrics.state())
     )
-    return (
-        results,
-        metrics_payload,
-        sub.profiler.raw_samples(),
-        sub.spans.state() if sub.spans is not None else None,
-    )
+    return results, metrics_payload, sub.spans.state()
 
 
 def _run_group(payload):
-    _maybe_worker_fault(payload[5], payload[6])
+    _maybe_worker_fault(payload[4], payload[5])
     with _worker_fault_context():
         return _run_group_inner(payload)
 
@@ -282,7 +270,7 @@ def _run_group_inner(payload):
     task order; the group runs through :func:`_run_plan` under a
     :func:`_private_bundle`.
     """
-    configs, schedulers, wl_keys, instrumented, spans_on, group_index = payload[:6]
+    configs, schedulers, wl_keys, instrumented, group_index = payload[:5]
     tasks = []
     for config, scheduler, wl_key in zip(configs, schedulers, wl_keys):
         if wl_key is not None:
@@ -299,7 +287,7 @@ def _run_group_inner(payload):
         heartbeat.task = group_index
     sub = None
     if instrumented:
-        sub = _private_bundle(spans_on, _WORKER_LIVE_SPEC, heartbeat)
+        sub = _private_bundle(_WORKER_LIVE_SPEC, heartbeat)
     elif heartbeat is not None:
         heartbeat.beat("task.start", n_slots=configs[0].n_slots)
     out = _run_plan(tasks, sub)
@@ -580,15 +568,14 @@ class RunExecutor:
         self,
         group: list[RunTask],
         instr: Instrumentation | None,
-        spans_on: bool,
         live_spec: dict[str, Any] | None,
         wl_cache: dict[str, Workload],
     ):
         """Run one group in the parent, mirroring the worker protocol.
 
         The group runs under a private bundle whose state is returned
-        in the same ``(results, metrics, samples, spans)`` shape a pool
-        worker ships, so the caller's task-order merge treats a
+        in the same ``(results, metrics, spans)`` shape a pool worker
+        ships, so the caller's task-order merge treats a
         fallen-back group exactly like a pooled one.  No worker faults
         are installed here — an injected fault can never make a batch
         fail.
@@ -597,7 +584,7 @@ class RunExecutor:
             RunTask(t.config, t.scheduler, self._resolve_workload(t, wl_cache))
             for t in group
         ]
-        sub = _private_bundle(spans_on, live_spec) if instr is not None else None
+        sub = _private_bundle(live_spec) if instr is not None else None
         return _run_plan(tasks, sub)
 
     @staticmethod
@@ -627,7 +614,6 @@ class RunExecutor:
         payloads = []
         instrumented = instr is not None
         live = instr.live if instrumented else None
-        spans_on = instrumented and instr.spans is not None
         for index, group in enumerate(groups):
             wl_keys = []
             for t in group:
@@ -650,7 +636,6 @@ class RunExecutor:
                     [t.scheduler for t in group],
                     wl_keys,
                     instrumented,
-                    spans_on,
                     index,
                     0,
                 )
@@ -664,9 +649,7 @@ class RunExecutor:
         wl_cache: dict[str, Workload] = {}
 
         def serial_fn(index: int):
-            return self._serial_group(
-                groups[index], instr, spans_on, live_spec, wl_cache
-            )
+            return self._serial_group(groups[index], instr, live_spec, wl_cache)
 
         heartbeats_on = self.heartbeat_s is not None and instrumented
         manager = None
@@ -708,29 +691,25 @@ class RunExecutor:
             if manager is not None:
                 manager.shutdown()
         results = []
-        for group_results, metrics_payload, profiler_samples, spans_state in outs:
+        for group_results, metrics_payload, spans_state in outs:
             results.extend(group_results)
             if instr is not None:
-                if metrics_payload is not None:
-                    # ("runs", [state, ...]) merges one registry state
-                    # per run in task order — counter accumulation order
-                    # then matches a serial execution exactly (floats
-                    # are non-associative; a single group-summed state
-                    # would drift by an ulp).  ("group", state) is a
-                    # one-segment run's whole bundle state.
-                    kind, payload = metrics_payload
-                    if kind == "runs":
-                        for state in payload:
-                            instr.metrics.merge_state(state)
-                    else:
-                        instr.metrics.merge_state(payload)
-                if profiler_samples is not None:
-                    instr.profiler.merge_samples(profiler_samples)
+                # ("runs", [state, ...]) merges one registry state per
+                # run in task order — counter accumulation order then
+                # matches a serial execution exactly (floats are
+                # non-associative; a single group-summed state would
+                # drift by an ulp).  ("group", state) is a one-segment
+                # run's whole bundle state.
+                kind, payload = metrics_payload
+                if kind == "runs":
+                    for state in payload:
+                        instr.metrics.merge_state(state)
+                else:
+                    instr.metrics.merge_state(payload)
                 # Span trees merge in task order, so a pooled batch
                 # interns paths in the same order a serial one records
                 # them — tree structure and counts are deterministic.
-                if spans_state is not None and instr.spans is not None:
-                    instr.spans.merge_state(spans_state)
+                instr.spans.merge_state(spans_state)
         return results
 
     def __repr__(self) -> str:  # pragma: no cover

@@ -9,7 +9,7 @@ is the flat snapshot used by the experiment tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -95,10 +95,6 @@ class SimulationResult:
     completion_slot: np.ndarray
     #: Per-user session start slot.
     arrival_slot: np.ndarray
-    #: Per-phase wall-clock summary from the run's profiler
-    #: (``None`` when the run was uninstrumented).  Keys are phase
-    #: names; values are ``count/total_s/mean_s/p50_s/p95_s/max_s``.
-    phase_timings: dict | None = field(default=None, compare=False)
     #: Per-session admission outcome (dynamic runs only; ``None`` on
     #: the fixed path, where every offered session is implicitly
     #: admitted at slot 0).
@@ -298,8 +294,6 @@ class SimulationResult:
                 out["offered_video_kb"] = float(self.offered_video_kb)
             if self.admitted_video_kb is not None:
                 out["admitted_video_kb"] = float(self.admitted_video_kb)
-        if self.phase_timings is not None:
-            out["phase_timings"] = self.phase_timings
         return out
 
     def summary(self) -> SummaryStats:

@@ -28,7 +28,6 @@ alive at a time.  Since every helper routes its runs through
 from __future__ import annotations
 
 import logging
-import time
 from collections.abc import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -206,7 +205,6 @@ def calibrate_rtma_threshold(
     """
     scalar, factors = _one_of("alpha", alpha, "alphas", alphas)
     instr = _resolve_instrumentation(instrumentation)
-    started = time.perf_counter()
     cal_cfg, wl = _calibration_inputs(
         config, workload, calibration_slots or min(config.n_slots, 2000)
     )
@@ -246,7 +244,6 @@ def calibrate_rtma_threshold(
         factors,
         [a * reference.pe_mj for a in factors],
         instr,
-        started,
     )
     return thresholds[0] if scalar else thresholds
 
@@ -258,7 +255,6 @@ def _pick_rtma_thresholds(
     alphas: list,
     budgets: list[float],
     instr: Instrumentation | None,
-    started: float,
 ) -> list[float]:
     """Each budget's threshold from the probe's and the grid's PE.
 
@@ -311,8 +307,6 @@ def _pick_rtma_thresholds(
                 budget_mj=budget,
             )
         thresholds.append(threshold)
-    if instr is not None:
-        instr.profiler.record("calibrate_rtma", time.perf_counter() - started)
     return thresholds
 
 
@@ -355,7 +349,6 @@ def _pick_ema_v(
     grid_runs: Sequence[SimulationResult],
     bounds: list[float],
     instr: Instrumentation | None,
-    started: float,
 ) -> list[float]:
     """Each rebuffering bound's V from the grid's measured PC and PE.
 
@@ -398,8 +391,6 @@ def _pick_ema_v(
                 "calibration.ema.result", v=v, feasible=ok, bound_s=bound
             )
         vs.append(v)
-    if instr is not None:
-        instr.profiler.record("calibrate_ema", time.perf_counter() - started)
     return vs
 
 
@@ -428,14 +419,13 @@ def calibrate_ema_v(
     if not 0 < v_lo < v_hi:
         raise ConfigurationError("need 0 < v_lo < v_hi")
     instr = _resolve_instrumentation(instrumentation)
-    started = time.perf_counter()
     cal_cfg, wl = _calibration_inputs(
         config, workload, calibration_slots or min(config.n_slots, 1500)
     )
     # Independent grid runs on one shared workload: executor fan-out,
     # ambient instrumentation for the inner runs.
     grid, tasks = _ema_grid_tasks(cal_cfg, wl, v_lo, v_hi, iterations)
-    return _pick_ema_v(grid, map_runs(tasks), [rebuffering_bound_s], instr, started)[0]
+    return _pick_ema_v(grid, map_runs(tasks), [rebuffering_bound_s], instr)[0]
 
 
 def calibrate_ema_v_to_reference(
@@ -465,7 +455,6 @@ def calibrate_ema_v_to_reference(
         beta = 1.0
     scalar, factors = _one_of("beta", beta, "betas", betas)
     instr = current_instrumentation()
-    started = time.perf_counter()
     cal_cfg, wl = _calibration_inputs(
         config, workload, calibration_slots or min(config.n_slots, 1500)
     )
@@ -474,7 +463,7 @@ def calibrate_ema_v_to_reference(
         [RunTask(cal_cfg, reference_scheduler_factory(), wl)] + tasks
     )
     ref_pc = max(reference.pc_s, 1e-4)
-    vs = _pick_ema_v(grid, grid_runs, [b * ref_pc for b in factors], instr, started)
+    vs = _pick_ema_v(grid, grid_runs, [b * ref_pc for b in factors], instr)
     return vs[0] if scalar else vs
 
 

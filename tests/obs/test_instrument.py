@@ -6,6 +6,7 @@ from repro.obs.instrument import (
     use_instrumentation,
 )
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.spans import SpanRecorder
 from repro.obs.tracer import NullTracer, RecordingTracer
 
 
@@ -14,7 +15,8 @@ class TestBundle:
         instr = Instrumentation()
         assert isinstance(instr.tracer, NullTracer)
         assert len(instr.metrics) == 0
-        assert instr.profiler.phases == []
+        assert isinstance(instr.spans, SpanRecorder)
+        assert len(instr.spans) == 0
 
     def test_explicit_facets_kept(self):
         tracer = RecordingTracer()

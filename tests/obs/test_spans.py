@@ -7,15 +7,12 @@ import json
 import pytest
 
 from repro.obs.spans import (
-    NULL_SPAN,
     ROOT,
     SLOT_PREFIX,
-    NullSpan,
     SpanRecorder,
     activate_spans,
     current_spans,
     flamegraph_svg,
-    tee,
 )
 
 
@@ -152,20 +149,6 @@ class TestAmbient:
                 assert current_spans() is inner
             assert current_spans() is r
         assert current_spans() is None
-
-    def test_null_span_is_reusable_noop(self):
-        with NULL_SPAN:
-            with NULL_SPAN:
-                pass
-        assert isinstance(NULL_SPAN, NullSpan)
-
-    def test_tee_feeds_both_sinks_the_same_value(self):
-        left: list[float] = []
-        right: list[float] = []
-        rec = tee(left.append, right.append)
-        rec(0.125)
-        rec(0.25)
-        assert left == right == [0.125, 0.25]
 
 
 def _engine_shaped_recorder() -> SpanRecorder:

@@ -9,6 +9,9 @@ from repro.core.scheduler import Scheduler
 from repro.errors import ConstraintViolationError, SimulationError
 from repro.media.video import ConstantBitrateProfile, VideoSession
 from repro.net.flows import VideoFlow
+from repro.obs.instrument import Instrumentation
+from repro.obs.spans import SLOT_PREFIX
+from repro.obs.tracer import RecordingTracer
 from repro.radio.signal import ConstantSignalModel
 from repro.sim.config import SimConfig
 from repro.sim.engine import Simulation
@@ -29,6 +32,19 @@ class _IdleScheduler(Scheduler):
 
     def allocate(self, obs):
         return self._zeros(obs)
+
+
+class _CrashingScheduler(DefaultScheduler):
+    """Raises in ``allocate`` at one slot."""
+
+    def __init__(self, crash_slot: int):
+        super().__init__()
+        self.crash_slot = crash_slot
+
+    def allocate(self, obs):
+        if obs.slot == self.crash_slot:
+            raise RuntimeError("scheduler crash")
+        return super().allocate(obs)
 
 
 class TestConservation:
@@ -147,3 +163,23 @@ class TestArrivals:
         r1 = Simulation(small_config, DefaultScheduler(), wl).run()
         r2 = Simulation(small_config, DefaultScheduler(), wl).run()
         np.testing.assert_array_equal(r1.delivered_kb, r2.delivered_kb)
+
+
+class TestAbortSpans:
+    def test_crashed_run_keeps_its_phase_spans(self, small_config):
+        # Slots 0..k-1 run every phase; slot k plays back and observes,
+        # then the scheduler raises before it returns an allocation.
+        k = 37
+        instr = Instrumentation(tracer=RecordingTracer())
+        with pytest.raises(RuntimeError, match="scheduler crash"):
+            Simulation(
+                small_config, _CrashingScheduler(k), instrumentation=instr
+            ).run()
+        spans = instr.spans
+        assert spans.count(("run",)) == 1
+        assert spans.count(SLOT_PREFIX + ("playback",)) == k + 1
+        assert spans.count(SLOT_PREFIX + ("observe",)) == k + 1
+        for phase in ("schedule", "transmit", "rrc", "feedback"):
+            assert spans.count(SLOT_PREFIX + (phase,)) == k, phase
+        assert instr.tracer.events[-1]["kind"] == "run.abort"
+        assert instr.tracer.events[-1]["slot"] == k
