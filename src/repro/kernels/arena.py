@@ -30,9 +30,9 @@ class SlotArena:
     Attributes double as the backing stores of each slot's
     ``SlotObservation`` (``active``, ``remaining_kb``,
     ``receivable_kb``, ``idle_tail_cost_mj``) plus the transmit-path
-    scratch (``want_kb``, ``accepted_kb``, ``drained_kb``, ``tx_mask``)
-    and two generic temporaries (``f8_tmp``, ``b1_tmp``) for
-    intermediate ufunc chains.
+    scratch (the ``want_kb`` offer, ``accepted_kb``, ``tx_mask``) and
+    two generic temporaries (``f8_tmp``, ``b1_tmp``) for intermediate
+    ufunc chains.
 
     Churn runs, whose rows are not sessions, additionally use row-space
     buffers that survive the whole slot: the observation's ``sig_dbm``,
@@ -59,7 +59,6 @@ class SlotArena:
         self.idle_tail_cost_mj = np.empty(n, dtype=float)
         self.want_kb = np.empty(n, dtype=float)
         self.accepted_kb = np.empty(n, dtype=float)
-        self.drained_kb = np.empty(n, dtype=float)
         self.tx_mask = np.empty(n, dtype=bool)
         self.f8_tmp = np.empty(n, dtype=float)
         self.b1_tmp = np.empty(n, dtype=bool)

@@ -1,32 +1,30 @@
-"""Network substrate: base station, flows, DPI, slicing, gateway.
+"""Network substrate: base station, flows, slicing, gateway.
 
 * :mod:`repro.net.basestation` — serving capacity ``S(n)`` and the
   frame/data-unit discretisation (Eq. 2);
 * :mod:`repro.net.flows` — video flow descriptors (user, session,
   arrival time);
-* :mod:`repro.net.dpi` — the DPI middlebox the paper relies on to read
-  the required data rate from HTTP/RTSP requests;
 * :mod:`repro.net.slicing` — resource slicing (CellSlice [26]) that
   separates video traffic from background downlink load;
-* :mod:`repro.net.gateway` — the framework of Fig. 1: DataReceiver,
-  InformationCollector, Scheduler slot, DataTransmitter.
+* :mod:`repro.net.gateway` — the framework of Fig. 1:
+  InformationCollector, Scheduler slot, DataTransmitter.  The paper's
+  Data Receiver and DPI middlebox are identities under its assumptions
+  (never origin-limited, exact rates), so the collector reads required
+  rates from the client fleet.
 """
 
 from repro.net.basestation import BaseStation, ConstantCapacity, TimeVaryingCapacity
 from repro.net.flows import VideoFlow
-from repro.net.dpi import DPIInspector
 from repro.net.slicing import ResourceSlicer, BackgroundTraffic
-from repro.net.gateway import DataReceiver, DataTransmitter, Gateway, InformationCollector, SlotObservation
+from repro.net.gateway import DataTransmitter, Gateway, InformationCollector, SlotObservation
 
 __all__ = [
     "BaseStation",
     "ConstantCapacity",
     "TimeVaryingCapacity",
     "VideoFlow",
-    "DPIInspector",
     "ResourceSlicer",
     "BackgroundTraffic",
-    "DataReceiver",
     "DataTransmitter",
     "Gateway",
     "InformationCollector",

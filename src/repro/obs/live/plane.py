@@ -3,11 +3,12 @@ heartbeats, and export together.
 
 A :class:`LiveTelemetry` rides the :class:`~repro.obs.instrument.Instrumentation`
 bundle as its optional fourth facet (``instr.live``).  The engine's
-slot loop calls :meth:`observe_slot` once per slot with a handful of
-scalars; everything downstream — P²/Welford aggregation, SLO rule
+slot loop calls :meth:`observe_block` every ``watch_every`` slots (and
+at the run's last slot) with one cell-aggregated value per slot of the
+block; everything downstream — P²/Welford aggregation, SLO rule
 evaluation, heartbeat emission, snapshot export — hangs off that one
-call, time- or slot-count-gated so the overhead stays inside the <3%
-budget benched in ``benchmarks/bench_kernels.py``.
+call, so the overhead stays inside the <3% budget benched in
+``benchmarks/bench_kernels.py``.
 
 Live telemetry is strictly observational (bit-identical result grids
 with it on or off — ``tests/integration/test_live_equivalence.py``)
@@ -79,7 +80,7 @@ _SKETCHED_CHANNELS = ("rebuffer_s", "slot_energy_mj")
 
 
 class LiveTelemetry:
-    """Streaming aggregation + watchdog + heartbeat + export, per slot.
+    """Streaming aggregation + watchdog + heartbeat + export, per slot block.
 
     Parameters
     ----------
@@ -90,7 +91,7 @@ class LiveTelemetry:
         ``"warn"`` or ``"abort"`` — what a firing rule does.
     watch_every:
         Evaluate the watchdog (and consider exporting/heartbeating)
-        every N slots.  Aggregators update every slot regardless.
+        every N slots.  Aggregators take every slot's value regardless.
     quantiles:
         P² sketches tracked per run channel.
     heartbeat:
@@ -213,28 +214,6 @@ class LiveTelemetry:
                 "run.start", scheduler=scheduler, n_slots=n_slots, n_users=n_users
             )
 
-    def observe_slot(
-        self,
-        slot: int,
-        rebuffer_s: float,
-        energy_mj: float,
-        delivered_kb: float,
-        mean_buffer_s: float,
-        active_users: int = 0,
-        outage_slots: int = 0,
-    ) -> None:
-        """One engine slot's cell-level aggregates (per-slot entry point)."""
-        stats = self.stats
-        stats["rebuffer_s"].add(rebuffer_s)
-        stats["slot_energy_mj"].add(energy_mj)
-        stats["delivered_kb"].add(delivered_kb)
-        stats["buffer_s"].add(mean_buffer_s)
-        self.total_slots += 1
-        self._run_slots += 1
-        if self._run_slots % self.watch_every:
-            return
-        self._tick(slot, self.watch_every, active_users, outage_slots)
-
     def observe_block(
         self,
         slot: int,
@@ -245,14 +224,13 @@ class LiveTelemetry:
         active_users: int = 0,
         outage_slots: int = 0,
     ) -> None:
-        """A block of consecutive slots, vectorized (the engine's path).
+        """A block of consecutive slots, vectorized.
 
         The four array arguments hold one cell-aggregated value per
         slot; ``slot`` is the index of the block's last slot.  The
-        aggregates are identical to per-slot :meth:`observe_slot`
-        calls, but the whole block costs O(1) vectorized Python per
-        channel plus the (sequential) P² sketch feeds — this is what
-        keeps the live plane inside its <3% overhead budget.  One
+        whole block costs O(1) vectorized Python per channel plus the
+        (sequential) P² sketch feeds — this is what keeps the live
+        plane inside its <3% overhead budget.  One
         watchdog/heartbeat/export tick runs per block.
         """
         stats = self.stats

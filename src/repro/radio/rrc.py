@@ -210,7 +210,6 @@ class RRCFleet:
         self,
         transmitting: np.ndarray,
         dt_s: float,
-        instrumentation=None,
         out: np.ndarray | None = None,
     ) -> np.ndarray:
         """Advance all devices one slot.
@@ -221,11 +220,6 @@ class RRCFleet:
             Boolean mask, shape ``(n_users,)``.
         dt_s:
             Slot length in seconds.
-        instrumentation:
-            Optional :class:`~repro.obs.instrument.Instrumentation`;
-            when given, the per-state occupancy (user-slots in
-            DCH/FACH/IDLE after this step) and the slot's aggregate
-            tail accrual are added to its metrics registry.
 
         Returns
         -------
@@ -260,13 +254,6 @@ class RRCFleet:
         )
         self.idle_age_s, self._age_alt = self._age_alt, self.idle_age_s
         self.ever_transmitted, self._ever_alt = self._ever_alt, self.ever_transmitted
-        if instrumentation is not None:
-            metrics = instrumentation.metrics
-            counts = self.state_counts()
-            metrics.counter("rrc.occupancy.dch").inc(counts["dch"])
-            metrics.counter("rrc.occupancy.fach").inc(counts["fach"])
-            metrics.counter("rrc.occupancy.idle").inc(counts["idle"])
-            metrics.counter("rrc.tail_mj").inc(float(tail.sum()))
         if out is not None:
             return out
         return tail.copy()
@@ -275,8 +262,8 @@ class RRCFleet:
         """Vectorised per-state device counts ``{"dch", "fach", "idle"}``.
 
         Matches :meth:`states` element-for-element (tested) but runs in
-        a handful of NumPy ops — cheap enough to call every slot from
-        the instrumented engine.
+        a handful of NumPy ops.  A run's totals come from
+        :func:`fleet_occupancy_from_tx` instead, after the loop.
         """
         t1, t2 = self.params.t1_s, self.params.t2_s
         age = self.idle_age_s
@@ -311,11 +298,6 @@ class RRCFleet:
         if out is not None:
             return out
         return cost.copy()
-
-    def occupancy_from_tx(self, tx: np.ndarray, dt_s: float) -> dict[str, int]:
-        """Batch :meth:`state_counts` totals for a whole run, see
-        :func:`fleet_occupancy_from_tx`."""
-        return fleet_occupancy_from_tx(tx, dt_s, self.params)
 
     def states(self) -> list[RRCState]:
         """Current per-device states (for inspection/plotting)."""

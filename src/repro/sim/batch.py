@@ -42,12 +42,12 @@ by ``tests/integration/test_batch_equivalence.py``).  It holds because:
   the same way for every ``R``.
 
 Compatibility: stacked runs must share ``n_users``, ``n_slots``,
-``tau_s``, ``delta_kb``, ``buffer_capacity_s``, ``fetch_ahead_kb``,
-the radio profile and the kernel backend; BS capacity, background
-traffic, seeds, signal models, scheduler types and per-run scheduler
-parameters (RTMA thresholds, EMA ``V``) may differ.  One scheduler
-instance may not serve two runs.  Dynamic-lifecycle (churn) runs and
-fault plans cannot be stacked.  :func:`batch_incompatibility` is the
+``tau_s``, ``delta_kb``, ``buffer_capacity_s``, the radio profile and
+the kernel backend; BS capacity, background traffic, seeds, signal
+models, scheduler types and per-run scheduler parameters (RTMA
+thresholds, EMA ``V``) may differ.  One scheduler instance may not
+serve two runs.  Dynamic-lifecycle (churn) runs and fault plans cannot
+be stacked.  :func:`batch_incompatibility` is the
 single oracle — the executor uses it to decide which consecutive tasks
 may share a batch.
 
@@ -85,8 +85,8 @@ from repro.sim.workload import resolve_workload
 __all__ = ["BatchPlan", "run_batch", "batch_incompatibility", "runs_alone"]
 
 #: Config fields that must be equal across every run of a batch (the
-#: stacked fleet, receiver, RRC profile, and backend context are
-#: shared).  ``capacity_kbps`` and ``background`` are deliberately
+#: stacked fleet, RRC profile, and backend context are shared).
+#: ``capacity_kbps`` and ``background`` are deliberately
 #: absent — each run keeps its own BS/slicer through the segment table.
 _COMPAT_FIELDS = (
     "n_users",
@@ -94,7 +94,6 @@ _COMPAT_FIELDS = (
     "tau_s",
     "delta_kb",
     "buffer_capacity_s",
-    "fetch_ahead_kb",
     "profile",
     "kernel_backend",
 )

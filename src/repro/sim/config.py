@@ -26,6 +26,10 @@ __all__ = ["SimConfig"]
 class SimConfig:
     """All parameters of one simulation run.
 
+    The gateway follows the paper: it is never limited by the origin
+    server and reads each flow's exact required rate, so neither has a
+    knob here.
+
     Attributes
     ----------
     n_users, n_slots, tau_s, delta_kb, capacity_kbps:
@@ -54,8 +58,6 @@ class SimConfig:
         as the paper implies).
     background:
         Optional non-video downlink load competing inside the BS.
-    fetch_ahead_kb:
-        Gateway Data Receiver origin-fetch window.
     seed:
         Workload RNG seed; identical seeds give identical workloads
         across schedulers (the comparisons rely on this).
@@ -124,7 +126,6 @@ class SimConfig:
     signal_model: SignalModel | None = None
     buffer_capacity_s: float | None = None
     background: BackgroundTraffic | None = None
-    fetch_ahead_kb: float = float("inf")
     seed: int = 0
     arrival_process: str = "all_at_zero"
     arrival_rate_per_slot: float | None = None

@@ -6,12 +6,14 @@ Each slot runs the paper's pipeline in order:
    delivered last slot, records this slot's rebuffering (Eq. 8), and
    plays;
 2. **Observation** — the gateway's Information Collector assembles the
-   cross-layer :class:`~repro.net.gateway.SlotObservation` (RSSI, DPI
-   rates, BS slice capacity, client feedback, prospective tail costs);
+   cross-layer :class:`~repro.net.gateway.SlotObservation` (RSSI,
+   required rates, BS slice capacity, client feedback, prospective tail
+   costs);
 3. **Scheduling** — the policy returns ``phi_i(n)``, validated against
    constraints (1)-(2) (a violating policy raises, it never cheats);
-4. **Transmission** — shards flow through Data Receiver queues to the
-   clients; transmission energy is ``P(sig_i) * delivered`` (Eq. 3);
+4. **Transmission** — shards flow to the clients, truncated to each
+   session's remaining bytes and receive window; transmission energy is
+   ``P(sig_i) * delivered`` (Eq. 3);
 5. **Radio accounting** — the RRC fleet advances: transmitting users
    reset their tails, idle users accrue incremental tail energy
    (Eq. 4/5);
@@ -64,7 +66,7 @@ from repro.errors import SimulationError
 from repro.faults import current_fault_plan
 from repro.kernels import SlotArena, backend_info, use_backend
 from repro.media.fleet import ClientFleet
-from repro.net.basestation import BaseStation, ConstantCapacity, FaultyCapacity
+from repro.net.basestation import ConstantCapacity, FaultyCapacity
 from repro.net.gateway import Gateway
 from repro.net.slicing import ResourceSlicer
 from repro.obs.instrument import Instrumentation, current_instrumentation
@@ -349,6 +351,9 @@ def _slot_loop(tasks, workloads, instr, stack_scheduler):
         rec_playback, rec_rrc, rec_feedback = (
             rec["playback"], rec["rrc"], rec["feedback"]
         )
+        gateway_timers = (rec["observe"], rec["schedule"], rec["transmit"])
+    else:
+        gateway_timers = None
 
     scheduler = tasks[0].scheduler if n_runs == 1 else stack_scheduler(run_offsets)
     scheduler.reset()
@@ -366,13 +371,12 @@ def _slot_loop(tasks, workloads, instr, stack_scheduler):
     # the slot loop allocates no array at steady state.
     arena = SlotArena(rows)
     rrc = RRCFleet(rows, radio.rrc)
-    bs = BaseStation(ConstantCapacity(cfg.capacity_kbps), cfg.delta_kb, cfg.tau_s)
-    gateway = Gateway(scheduler, bs, rows, fetch_ahead_kb=cfg.fetch_ahead_kb)
+    gateway = Gateway(scheduler, cfg.tau_s, cfg.delta_kb)
     if churn:
         # Row-capacity alignment: stateful schedulers built for
         # cfg.n_users shrink once here, before any state accrues.
         scheduler.grow_users(rows)
-        mgr = SessionManager(flows, fleet, rrc, arena, gateway.receiver, scheduler)
+        mgr = SessionManager(flows, fleet, rrc, arena, scheduler)
         policy = make_admission_policy(cfg)
         policy.reset()
         departure = np.full(n, -1, dtype=np.int64)
@@ -476,7 +480,7 @@ def _slot_loop(tasks, workloads, instr, stack_scheduler):
 
     # Without churn every slot's row vectors are the result grids'
     # rows; with churn they are arena rows scattered after the slot.
-    row_flows, joined, departed = flows, None, None
+    joined, departed = None, None
     row_offsets = run_offsets
     slot = -1
     block_start = block_end = 0
@@ -540,7 +544,6 @@ def _slot_loop(tasks, workloads, instr, stack_scheduler):
                 rebuf_row, trans_row, tail_row = (
                     arena.rebuf_s, arena.trans_mj, arena.tail_mj
                 )
-                row_flows = mgr.row_flows
                 joined, departed = mgr.joined_mask, mgr.departed_mask
                 if row_offsets[-1] != fleet.n_users:
                     # A churn run is one segment over the row capacity.
@@ -604,7 +607,6 @@ def _slot_loop(tasks, workloads, instr, stack_scheduler):
             obs, phi, sent_kb = gateway.step(
                 slot,
                 sig_row,
-                row_flows,
                 fleet,
                 link_row,
                 p_row,
@@ -613,7 +615,7 @@ def _slot_loop(tasks, workloads, instr, stack_scheduler):
                 budget_table[slot],
                 row_offsets,
                 arena,
-                instrumentation=instr,
+                timers=gateway_timers,
                 joined_mask=joined,
                 departed_mask=departed,
                 stall_mask=stall_row,
@@ -765,6 +767,9 @@ def _slot_loop(tasks, workloads, instr, stack_scheduler):
                 _block_t0 = _pc()
     except BaseException as exc:
         if instrumented:
+            # Close the open run;slots block so it covers the slots its
+            # phases recorded, the aborted one included.
+            rec_block(_pc() - _block_t0)
             what = "run" if n_runs == 1 else f"batch of {n_runs} runs"
             abort_run(instr, exc, slot, what, scheduler_name=scheduler_name)
         raise

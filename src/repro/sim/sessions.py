@@ -8,8 +8,7 @@
 * **row space** — the growable SoA capacity shared by
   :class:`~repro.media.fleet.ClientFleet`,
   :class:`~repro.radio.rrc.RRCFleet`,
-  :class:`~repro.kernels.arena.SlotArena`, the gateway's
-  :class:`~repro.net.gateway.DataReceiver`, and the scheduler's
+  :class:`~repro.kernels.arena.SlotArena`, and the scheduler's
   per-user state.  Rows are recycled lowest-index-first (a heap), so
   the mapping — and therefore the whole run — is deterministic.
 
@@ -28,8 +27,6 @@ from collections import deque
 
 import numpy as np
 
-from repro.media.fleet import _VacantRowFlow, _placeholder_video
-
 __all__ = ["SessionManager"]
 
 #: Rows a churn run starts with; doubles on demand.
@@ -43,17 +40,16 @@ class SessionManager:
     ----------
     flows:
         The workload's session-space flow list (fixes ``n_sessions``).
-    fleet, rrc, arena, receiver, scheduler:
+    fleet, rrc, arena, scheduler:
         The row-space structures grown/recycled in lockstep.
     """
 
-    def __init__(self, flows, fleet, rrc, arena, receiver, scheduler):
+    def __init__(self, flows, fleet, rrc, arena, scheduler):
         self.flows = flows
         self.n_sessions = len(flows)
         self.fleet = fleet
         self.rrc = rrc
         self.arena = arena
-        self.receiver = receiver
         self.scheduler = scheduler
 
         cap = fleet.n_users
@@ -65,13 +61,6 @@ class SessionManager:
         self.admitted = np.zeros(self.n_sessions, dtype=bool)
         self.rejected = np.zeros(self.n_sessions, dtype=bool)
         self.completed = np.zeros(self.n_sessions, dtype=bool)
-        #: Flow-shaped row views handed to the gateway (placeholders on
-        #: vacant rows; DPI never draws error factors for them on the
-        #: paper's zero-error setting).
-        placeholder = _placeholder_video()
-        self.row_flows = [
-            _VacantRowFlow(user_id=-1, video=placeholder) for _ in range(cap)
-        ]
         self.joined_mask = np.zeros(cap, dtype=bool)
         self.departed_mask = np.zeros(cap, dtype=bool)
         self._departed_next: list[int] = []
@@ -119,8 +108,6 @@ class SessionManager:
         flow = self.flows[session]
         self.fleet.load_row(row, flow)
         self.rrc.reset_rows([row])
-        self.receiver.reset_rows([row])
-        self.row_flows[row] = flow
         self.row_session[row] = session
         self.session_row[session] = row
         self.admitted[session] = True
@@ -140,10 +127,7 @@ class SessionManager:
         row = int(self.session_row[session])
         self.fleet.clear_row(row)
         self.rrc.reset_rows([row])
-        self.receiver.reset_rows([row])
         self.scheduler.release_users(np.array([row], dtype=np.intp))
-        placeholder = _placeholder_video()
-        self.row_flows[row] = _VacantRowFlow(user_id=-1, video=placeholder)
         self.row_session[row] = -1
         self.session_row[session] = -1
         self.completed[session] = True
@@ -159,7 +143,6 @@ class SessionManager:
         self.fleet.grow(new_capacity)
         self.rrc.grow(new_capacity)
         self.arena.grow(new_capacity)
-        self.receiver.grow(new_capacity)
         self.scheduler.grow_users(new_capacity)
         row_session = np.full(new_capacity, -1, dtype=np.int64)
         row_session[:old] = self.row_session
@@ -170,11 +153,6 @@ class SessionManager:
         departed = np.zeros(new_capacity, dtype=bool)
         departed[:old] = self.departed_mask
         self.departed_mask = departed
-        placeholder = _placeholder_video()
-        self.row_flows.extend(
-            _VacantRowFlow(user_id=-1, video=placeholder)
-            for _ in range(old, new_capacity)
-        )
         for row in range(old, new_capacity):
             heapq.heappush(self._free, row)
         self.capacity = new_capacity

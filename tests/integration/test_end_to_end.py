@@ -115,14 +115,6 @@ class TestExtensions:
         )
         assert capped.buffer_s.max() <= 15.0 + 1e-9
 
-    def test_fetch_ahead_limits_gateway_queue(self, cfg):
-        res = run_scheduler(
-            cfg.with_(fetch_ahead_kb=200.0), NeedRateScheduler()
-        )
-        # Per-slot delivery per user bounded by the fetch window plus
-        # one refill.
-        assert res.delivered_kb.max() <= 400.0 + 1e-9
-
     def test_staggered_arrivals_respected(self, cfg):
         wl = generate_workload(cfg)
         for i, f in enumerate(wl.flows):

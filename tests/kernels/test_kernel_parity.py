@@ -461,7 +461,6 @@ class TestSlotArena:
             "idle_tail_cost_mj",
             "want_kb",
             "accepted_kb",
-            "drained_kb",
             "f8_tmp",
         ):
             buf = getattr(arena, name)

@@ -1,11 +1,9 @@
-"""Tests for video flows and the DPI inspector."""
+"""Tests for video flow descriptors."""
 
-import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.media.video import ConstantBitrateProfile, VideoSession
-from repro.net.dpi import DPIInspector
 from repro.net.flows import VideoFlow
 
 
@@ -35,32 +33,3 @@ class TestFlows:
                 video=VideoSession(1.0, ConstantBitrateProfile(1.0)),
                 protocol="quic",
             )
-
-
-class TestDPI:
-    def test_exact_when_error_zero(self):
-        dpi = DPIInspector()
-        f = make_flow(rate=450.0)
-        assert dpi.required_rate_kbps(f, 0) == 450.0
-
-    def test_error_bounded_and_stable_per_flow(self):
-        dpi = DPIInspector(rate_error_frac=0.2, rng=0)
-        f = make_flow(rate=500.0)
-        r1 = dpi.required_rate_kbps(f, 0)
-        r2 = dpi.required_rate_kbps(f, 99)
-        assert r1 == r2  # same flow, same factor
-        assert 400.0 <= r1 <= 600.0
-
-    def test_vector_matches_scalar(self):
-        dpi = DPIInspector(rate_error_frac=0.1, rng=1)
-        flows = [make_flow(uid=i, rate=300.0 + 50 * i) for i in range(4)]
-        vec = dpi.required_rates_kbps(flows, 3)
-        scalars = [dpi.required_rate_kbps(f, 3) for f in flows]
-        np.testing.assert_allclose(vec, scalars)
-
-    def test_classify(self):
-        assert DPIInspector().classify(make_flow()) == "http"
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            DPIInspector(rate_error_frac=1.0)

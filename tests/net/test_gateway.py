@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from repro.core.scheduler import Scheduler
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import SimulationError
 from repro.kernels import SlotArena
 from repro.media.fleet import ClientFleet
 from repro.media.video import ConstantBitrateProfile, VideoSession
 from repro.net.basestation import BaseStation
 from repro.net.flows import VideoFlow
-from repro.net.gateway import DataReceiver, DataTransmitter, Gateway, InformationCollector
+from repro.net.gateway import DataTransmitter, Gateway, InformationCollector
 from repro.net.slicing import ResourceSlicer
 from repro.radio.power import EnviPowerModel
 from repro.radio.throughput import LinearThroughputModel
@@ -18,12 +18,13 @@ from repro.radio.throughput import LinearThroughputModel
 from tests.conftest import make_obs
 
 
-def make_world(n=3, size_kb=5000.0, rate=400.0):
+def make_world(n=3, size_kb=5000.0, rate=400.0, buffer_capacity_s=None):
+    sizes = np.broadcast_to(size_kb, (n,))
     flows = [
-        VideoFlow(i, VideoSession(size_kb, ConstantBitrateProfile(rate)))
+        VideoFlow(i, VideoSession(float(sizes[i]), ConstantBitrateProfile(rate)))
         for i in range(n)
     ]
-    return flows, ClientFleet(flows, tau_s=1.0)
+    return flows, ClientFleet(flows, tau_s=1.0, buffer_capacity_s=buffer_capacity_s)
 
 
 def slot_inputs(sig_row, bs, slot=0):
@@ -45,38 +46,6 @@ def slot_inputs(sig_row, bs, slot=0):
     )
 
 
-class TestDataReceiver:
-    def test_refill_respects_remaining(self):
-        r = DataReceiver(2)
-        r.refill(np.array([1000.0, 0.0]))
-        np.testing.assert_allclose(r.queued_kb, [1000.0, 0.0])
-
-    def test_fetch_ahead_limit(self):
-        r = DataReceiver(1, fetch_ahead_kb=300.0)
-        r.refill(np.array([10_000.0]))
-        assert r.queued_kb[0] == 300.0
-        # Drain, then refill tops back up.
-        r.drain(np.array([200.0]))
-        r.refill(np.array([9800.0]))
-        assert r.queued_kb[0] == 300.0
-
-    def test_drain_bounded_by_queue(self):
-        r = DataReceiver(1)
-        r.refill(np.array([100.0]))
-        taken = r.drain(np.array([500.0]))
-        assert taken[0] == 100.0
-        assert r.queued_kb[0] == 0.0
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            DataReceiver(0)
-        r = DataReceiver(2)
-        with pytest.raises(ConfigurationError):
-            r.drain(np.array([-1.0, 0.0]))
-        with pytest.raises(ConfigurationError):
-            r.refill(np.zeros(3))
-
-
 class TestInformationCollector:
     def test_collect_builds_consistent_observation(self):
         flows, fleet = make_world(n=3)
@@ -87,9 +56,9 @@ class TestInformationCollector:
         obs = collector.collect_fleet(
             slot=0,
             sig_row=sig,
-            flows=flows,
             fleet=fleet,
-            bs=bs,
+            tau_s=bs.tau_s,
+            delta_kb=bs.delta_kb,
             link_row=link,
             p_row=p,
             idle_tail_cost_mj=np.zeros(3),
@@ -113,9 +82,9 @@ class TestInformationCollector:
             InformationCollector().collect_fleet(
                 0,
                 np.array([-80.0]),
-                flows,
                 fleet,
-                bs,
+                bs.tau_s,
+                bs.delta_kb,
                 link,
                 p,
                 np.zeros(2),
@@ -130,28 +99,42 @@ class TestDataTransmitter:
     def test_transmit_caps_at_remaining_video(self):
         flows, fleet = make_world(n=1, size_kb=100.0)
         obs = make_obs(n_users=1, remaining_kb=[100.0])
-        receiver = DataReceiver(1)
-        receiver.refill(np.array([100.0]))
         tx = DataTransmitter()
-        accepted = tx.transmit_fleet(np.array([3]), obs, receiver, fleet, SlotArena(1))
+        accepted = tx.transmit_fleet(np.array([3]), obs, fleet, SlotArena(1))
         assert accepted[0] == 100.0  # 3 units = 120 KB wanted, 100 left
 
-    def test_transmit_limited_by_receiver_queue(self):
-        flows, fleet = make_world(n=1)
-        obs = make_obs(n_users=1)
-        receiver = DataReceiver(1)
-        receiver.refill(np.array([60.0]))  # less than one 40 KB unit * 2
-        accepted = DataTransmitter().transmit_fleet(
-            np.array([2]), obs, receiver, fleet, SlotArena(1)
+    def test_fleet_truncates_overallocation_and_stalls_zero_offer(self):
+        # Row 0 is bound by its remaining bytes, row 1 by its receive
+        # window (a 10 s buffer cap at 400 KB/s), row 2 is stalled.
+        flows, fleet = make_world(
+            n=3, size_kb=[100.0, 50_000.0, 50_000.0], buffer_capacity_s=10.0
         )
-        assert accepted[0] == 60.0
+        obs = make_obs(n_users=3)
+        phi = np.array([10, 200, 10])
+        remaining = fleet.remaining_kb.copy()
+        receivable = fleet.receivable_kb(obs.slot).copy()
+        accepted = DataTransmitter().transmit_fleet(
+            phi,
+            obs,
+            fleet,
+            SlotArena(3),
+            stall_mask=np.array([False, False, True]),
+        )
+        want = phi * obs.delta_kb
+        np.testing.assert_array_equal(
+            accepted[:2], np.minimum(np.minimum(want, remaining), receivable)[:2]
+        )
+        assert accepted[0] == remaining[0] < min(want[0], receivable[0])
+        assert accepted[1] == receivable[1] < min(want[1], remaining[1])
+        assert accepted[2] == 0.0
+        np.testing.assert_array_equal(fleet.delivered_kb, accepted)
 
     def test_rejects_negative_allocation(self):
         flows, fleet = make_world(n=1)
         obs = make_obs(n_users=1)
         with pytest.raises(SimulationError):
             DataTransmitter().transmit_fleet(
-                np.array([-1]), obs, DataReceiver(1), fleet, SlotArena(1)
+                np.array([-1]), obs, fleet, SlotArena(1)
             )
 
 
@@ -166,13 +149,13 @@ class _NeedScheduler(Scheduler):
 class TestGateway:
     def test_step_delivers_to_clients(self):
         flows, fleet = make_world(n=2)
-        gw = Gateway(_NeedScheduler(), BaseStation(), n_users=2)
+        bs = BaseStation()
+        gw = Gateway(_NeedScheduler(), bs.tau_s, bs.delta_kb)
         sig = np.array([-70.0, -75.0])
-        link, p, cap, budget, offsets = slot_inputs(sig, gw.bs, slot=0)
+        link, p, cap, budget, offsets = slot_inputs(sig, bs, slot=0)
         obs, phi, delivered = gw.step(
             0,
             sig,
-            flows,
             fleet,
             link,
             p,
@@ -189,13 +172,13 @@ class TestGateway:
     def test_inactive_users_get_nothing(self):
         flows, fleet = make_world(n=2, size_kb=50.0)
         fleet.deliver(np.array([0.0, 50.0]), 0)  # user 1 fully delivered
-        gw = Gateway(_NeedScheduler(), BaseStation(), n_users=2)
+        bs = BaseStation()
+        gw = Gateway(_NeedScheduler(), bs.tau_s, bs.delta_kb)
         sig = np.array([-70.0, -75.0])
-        link, p, cap, budget, offsets = slot_inputs(sig, gw.bs, slot=1)
+        link, p, cap, budget, offsets = slot_inputs(sig, bs, slot=1)
         obs, phi, delivered = gw.step(
             1,
             sig,
-            flows,
             fleet,
             link,
             p,

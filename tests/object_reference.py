@@ -14,8 +14,7 @@ import numpy as np
 from repro.core.allocation import check_constraints
 from repro.media.player import StreamingClient
 from repro.net.basestation import BaseStation, ConstantCapacity
-from repro.net.dpi import DPIInspector
-from repro.net.gateway import DataReceiver, SlotObservation
+from repro.net.gateway import SlotObservation
 from repro.net.slicing import ResourceSlicer
 from repro.radio.rrc import RRCFleet
 
@@ -30,8 +29,6 @@ def run_reference(cfg, scheduler, workload):
     ]
     bs = BaseStation(ConstantCapacity(cfg.capacity_kbps), cfg.delta_kb, cfg.tau_s)
     slicer = ResourceSlicer(cfg.background) if cfg.background else ResourceSlicer()
-    receiver = DataReceiver(n, cfg.fetch_ahead_kb)
-    dpi = DPIInspector()
     rrc = RRCFleet(n, radio.rrc)
     scheduler.reset()
     scheduler.bind_instrumentation(None)
@@ -67,7 +64,7 @@ def run_reference(cfg, scheduler, workload):
             capacity_kbps=video_cap,
             unit_budget=int(np.floor(bs.tau_s * video_cap / bs.delta_kb)),
             sig_dbm=sig,
-            rate_kbps=dpi.required_rates_kbps(flows, slot),
+            rate_kbps=np.array([f.video.rate_kbps(slot) for f in flows]),
             link_units=radio.throughput.max_units(sig, bs.tau_s, bs.delta_kb),
             p_mj_per_kb=np.asarray(radio.power.p(sig), dtype=float),
             active=np.array(
@@ -79,17 +76,15 @@ def run_reference(cfg, scheduler, workload):
             idle_tail_cost_mj=rrc.expected_idle_cost_mj(cfg.tau_s),
             receivable_kb=np.array([c.receivable_kb(slot) for c in clients]),
         )
-        receiver.refill(obs.remaining_kb)
 
-        # Schedule, then transmit through the receiver queues.
+        # Schedule, then transmit; each client truncates its shard.
         phi = np.asarray(scheduler.allocate(obs))
         check_constraints(phi, obs)
-        offer_kb = np.minimum(phi.astype(float) * obs.delta_kb, receiver.queued_kb)
+        offer_kb = phi.astype(float) * obs.delta_kb
         sent_kb = np.zeros(n)
         for i, client in enumerate(clients):
             if offer_kb[i] > 0:
                 sent_kb[i] = client.deliver(offer_kb[i], slot)
-        receiver.drain(sent_kb)
 
         # Radio energy (Eq. 3-5) and scheduler feedback.
         out.energy_trans_mj[slot] = obs.p_mj_per_kb * sent_kb

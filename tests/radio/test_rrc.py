@@ -166,22 +166,6 @@ class TestFleetInstrumentation:
             assert counts["fach"] == sum(s is RRCState.FACH for s in states)
             assert counts["idle"] == sum(s is RRCState.IDLE for s in states)
 
-    def test_step_instrumentation_counters(self):
-        from repro.obs import Instrumentation
-
-        instr = Instrumentation()
-        fleet = RRCFleet(4)
-        tx = np.array([True, False, True, False])
-        fleet.step(tx, 1.0, instrumentation=instr)
-        counters = instr.metrics.snapshot()["counters"]
-        occupancy = (
-            counters["rrc.occupancy.dch"]
-            + counters["rrc.occupancy.fach"]
-            + counters["rrc.occupancy.idle"]
-        )
-        assert occupancy == 4
-        assert counters["rrc.tail_mj"] == 0.0  # nobody ever transmitted before
-
     def test_occupancy_rejects_bad_input(self):
         from repro.radio.rrc import fleet_occupancy_from_tx
 

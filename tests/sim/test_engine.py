@@ -14,7 +14,7 @@ from repro.obs.spans import SLOT_PREFIX
 from repro.obs.tracer import RecordingTracer
 from repro.radio.signal import ConstantSignalModel
 from repro.sim.config import SimConfig
-from repro.sim.engine import Simulation
+from repro.sim.engine import SLOT_PHASES, Simulation
 from repro.sim.workload import Workload, generate_workload
 
 
@@ -166,20 +166,31 @@ class TestArrivals:
 
 
 class TestAbortSpans:
-    def test_crashed_run_keeps_its_phase_spans(self, small_config):
+    @staticmethod
+    def _check_crash_at(config, k, blocks):
         # Slots 0..k-1 run every phase; slot k plays back and observes,
         # then the scheduler raises before it returns an allocation.
-        k = 37
         instr = Instrumentation(tracer=RecordingTracer())
         with pytest.raises(RuntimeError, match="scheduler crash"):
-            Simulation(
-                small_config, _CrashingScheduler(k), instrumentation=instr
-            ).run()
+            Simulation(config, _CrashingScheduler(k), instrumentation=instr).run()
         spans = instr.spans
         assert spans.count(("run",)) == 1
         assert spans.count(SLOT_PREFIX + ("playback",)) == k + 1
         assert spans.count(SLOT_PREFIX + ("observe",)) == k + 1
         for phase in ("schedule", "transmit", "rrc", "feedback"):
             assert spans.count(SLOT_PREFIX + (phase,)) == k, phase
+        # The open 64-slot block is closed on abort, so the block spans
+        # cover every slot whose phases were recorded.
+        assert spans.count(SLOT_PREFIX) == blocks
+        phase_total = sum(
+            spans.total_s(SLOT_PREFIX + (phase,)) for phase in SLOT_PHASES
+        )
+        assert spans.total_s(SLOT_PREFIX) >= phase_total
         assert instr.tracer.events[-1]["kind"] == "run.abort"
         assert instr.tracer.events[-1]["slot"] == k
+
+    def test_crashed_run_keeps_its_phase_spans(self, small_config):
+        self._check_crash_at(small_config, k=37, blocks=1)
+
+    def test_crash_in_second_block_closes_it(self, small_config):
+        self._check_crash_at(small_config, k=101, blocks=2)
