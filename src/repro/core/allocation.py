@@ -94,21 +94,29 @@ def clip_to_constraints(desired: np.ndarray, obs: SlotObservation) -> np.ndarray
     want = np.floor(np.maximum(np.asarray(desired, dtype=float), 0.0)).astype(np.int64)
     want = np.minimum(want, obs.link_units)
     want[~obs.active] = 0
-    # Greedy prefix under each run's budget: per-run cumulative sum
-    # (int64, exact), then truncate the first user that crosses the
-    # line and zero the rest of the segment.  Segments are uniform
-    # (``n_users`` is a batch compatibility field), so one 2-D cumsum
-    # covers them all.
+    # Greedy prefix under each run's budget: a per-run cumulative sum
+    # (int64, exact: the running total minus the total before the
+    # segment), then truncate the first user that crosses the line and
+    # zero the rest of the segment.
     budgets = obs.run_unit_budgets
-    n_runs = budgets.shape[0]
-    phi2 = want.reshape(n_runs, -1)
-    cum = np.cumsum(phi2, axis=1)
-    over = cum > budgets[:, None]
-    if not over.any():
-        return want
-    for r in np.flatnonzero(over.any(axis=1)):
-        first = int(np.argmax(over[r]))
-        prior = int(cum[r, first - 1]) if first > 0 else 0
-        phi2[r, first] = max(int(budgets[r]) - prior, 0)
-        phi2[r, first + 1 :] = 0
+    offsets = obs.run_offsets
+    cum = np.cumsum(want)
+    if budgets.shape[0] == 1:
+        over = cum > budgets[0]
+        if not over.any():
+            return want
+        runs = [0]
+    else:
+        sizes = np.diff(offsets)
+        cum -= np.repeat(np.concatenate(([0], cum[offsets[1:-1] - 1])), sizes)
+        over = cum > np.repeat(budgets, sizes)
+        if not over.any():
+            return want
+        runs = np.flatnonzero(np.logical_or.reduceat(over, offsets[:-1]))
+    for r in runs:
+        lo, hi = int(offsets[r]), int(offsets[r + 1])
+        first = lo + int(np.argmax(over[lo:hi]))
+        prior = int(cum[first - 1]) if first > lo else 0
+        want[first] = max(int(budgets[r]) - prior, 0)
+        want[first + 1 : hi] = 0
     return want

@@ -357,7 +357,8 @@ class EMAScheduler(Scheduler):
         Run ``r`` keeps ``scheds[r]``'s ``V``, queue floor and queue
         initialisation on rows ``run_offsets[r]:run_offsets[r+1]``, and
         one :class:`~repro.core.lyapunov.VirtualQueues` holds every
-        run's ``PC_i``.  The runs must share ``tau_s``.
+        run's ``PC_i``.  Segments may differ in width; each run's
+        ``n_users`` must be its own.  The runs must share ``tau_s``.
         """
         s0 = scheds[0]
         stacked = cls(

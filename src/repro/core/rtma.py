@@ -155,8 +155,16 @@ class RTMAScheduler(Scheduler):
         n_users = int(run_offsets[-1])
         s = self._scratch
         if s is None or s["need"].size != n_users:
+            sizes = np.diff(run_offsets)
+            width = int(sizes.max())
             s = {
-                "threshold": np.repeat(self._thresholds, np.diff(run_offsets)),
+                "threshold": np.repeat(self._thresholds, sizes),
+                # The rate sort runs on an (R, widest segment) grid:
+                # each row's cell, and the +inf-padded grid itself.
+                "cell": np.arange(n_users) + np.repeat(
+                    np.arange(sizes.size) * width - run_offsets[:-1], sizes
+                ),
+                "padded": np.full((sizes.size, width), np.inf),
                 "eligible": np.empty(n_users, dtype=bool),
                 "b_tmp": np.empty(n_users, dtype=bool),
                 "need": np.empty(n_users, dtype=np.int64),
@@ -199,9 +207,16 @@ class RTMAScheduler(Scheduler):
         # at-most-phi_need grants in that order against each run's own
         # budget, dispatched to the active kernel backend.
         budgets = obs.run_unit_budgets
-        order = np.argsort(
-            obs.rate_kbps.reshape(budgets.shape[0], -1), axis=1, kind="stable"
-        ).reshape(-1)
+        padded = s["padded"]
+        if padded.size == obs.n_users:
+            padded = obs.rate_kbps.reshape(padded.shape)
+        else:
+            # Ragged segments: +inf pads each row past its segment, and
+            # a stable sort keeps the pads behind every finite rate.
+            padded.flat[s["cell"]] = obs.rate_kbps
+        order = np.argsort(padded, axis=1, kind="stable").reshape(-1)
+        if order.size != obs.n_users:
+            order = order[s["cell"]]
         if self._kernel is None:
             self._kernel = kernel_registry.resolve("rtma_rounds_batch")
         self._kernel(phi, eligible, need, cap, order, budgets, obs.run_offsets)

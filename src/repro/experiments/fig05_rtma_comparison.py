@@ -14,7 +14,7 @@ from repro.baselines.onoff import OnOffScheduler
 from repro.baselines.throttling import ThrottlingScheduler
 from repro.core.rtma import RTMAScheduler
 from repro.experiments.common import ExperimentResult, calibration_kwargs, paper_config
-from repro.sim.runner import calibrate_rtma_threshold, compare_schedulers
+from repro.sim.runner import comparison_phase, rtma_calibration_phase
 from repro.sim.workload import generate_workload
 
 EXP_ID = "fig05"
@@ -36,22 +36,27 @@ def run(scale: str = "bench", seed: int = 0) -> ExperimentResult:
         title="Fig 5b: avg energy (mJ per user-slot, session window)",
     )
     data: dict = {"users": [], "pc": {}, "pe": {}, "tail": {}}
-    for n in user_counts:
-        cfg = base.with_(n_users=n)
-        wl = generate_workload(cfg)
-        thr = calibrate_rtma_threshold(
-            cfg, alpha=1.0, workload=wl, **calibration_kwargs(scale)
-        )
-        results = compare_schedulers(
-            cfg,
-            {
-                "default": DefaultScheduler(),
-                "throttling": ThrottlingScheduler(),
-                "on-off": OnOffScheduler(),
-                "rtma": RTMAScheduler(sig_threshold_dbm=thr),
-            },
-            workload=wl,
-        )
+    # The points are independent: every point's calibration is one
+    # phase, every point's comparison one more.
+    configs = [base.with_(n_users=n) for n in user_counts]
+    points = [(cfg, generate_workload(cfg)) for cfg in configs]
+    thresholds = rtma_calibration_phase(points, [1.0], **calibration_kwargs(scale))
+    comparisons = comparison_phase(
+        [
+            (
+                cfg,
+                {
+                    "default": DefaultScheduler(),
+                    "throttling": ThrottlingScheduler(),
+                    "on-off": OnOffScheduler(),
+                    "rtma": RTMAScheduler(sig_threshold_dbm=thr),
+                },
+                wl,
+            )
+            for (cfg, wl), (thr,) in zip(points, thresholds)
+        ]
+    )
+    for n, results in zip(user_counts, comparisons):
         data["users"].append(n)
         mask_sums = {}
         for name, res in results.items():

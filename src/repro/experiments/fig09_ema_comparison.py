@@ -14,7 +14,7 @@ from repro.baselines.estreamer import EStreamerScheduler
 from repro.baselines.salsa import SalsaScheduler
 from repro.core.ema import EMAScheduler
 from repro.experiments.common import ExperimentResult, paper_config
-from repro.sim.runner import calibrate_ema_v_to_reference, compare_schedulers
+from repro.sim.runner import comparison_phase, ema_calibration_phase
 from repro.sim.workload import generate_workload
 
 EXP_ID = "fig09"
@@ -37,29 +37,31 @@ def run(scale: str = "bench", seed: int = 0) -> ExperimentResult:
         title="Fig 9b: avg rebuffering (s per user-slot, session window)",
     )
     data: dict = {"users": [], "pe": {}, "pc": {}}
-    for n in user_counts:
-        cfg = base.with_(n_users=n)
-        wl = generate_workload(cfg)
-        v = calibrate_ema_v_to_reference(
-            cfg,
-            EStreamerScheduler,
-            beta=1.0,
-            workload=wl,
-            iterations=6,
-            calibration_slots=cal_slots,
-        )
-        results = compare_schedulers(
-            cfg,
-            {
-                "default": DefaultScheduler(),
-                "salsa": SalsaScheduler(),
-                "estreamer": EStreamerScheduler(),
-                "ema": EMAScheduler(cfg.n_users, v_param=v, tau_s=cfg.tau_s),
-            },
-            workload=wl,
-        )
+    # The points are independent: every point's calibration is one
+    # phase, every point's comparison one more.
+    configs = [base.with_(n_users=n) for n in user_counts]
+    points = [(cfg, generate_workload(cfg)) for cfg in configs]
+    vs = ema_calibration_phase(
+        points, EStreamerScheduler, [1.0], iterations=6, calibration_slots=cal_slots
+    )
+    comparisons = comparison_phase(
+        [
+            (
+                cfg,
+                {
+                    "default": DefaultScheduler(),
+                    "salsa": SalsaScheduler(),
+                    "estreamer": EStreamerScheduler(),
+                    "ema": EMAScheduler(cfg.n_users, v_param=v, tau_s=cfg.tau_s),
+                },
+                wl,
+            )
+            for (cfg, wl), (v,) in zip(points, vs)
+        ]
+    )
+    order = ("default", "salsa", "estreamer", "ema")
+    for n, results in zip(user_counts, comparisons):
         data["users"].append(n)
-        order = ("default", "salsa", "estreamer", "ema")
         for name in order:
             data["pe"].setdefault(name, []).append(results[name].pe_session_mj)
             data["pc"].setdefault(name, []).append(results[name].pc_session_s)

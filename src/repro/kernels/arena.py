@@ -37,9 +37,9 @@ class SlotArena:
     Churn runs, whose rows are not sessions, additionally use row-space
     buffers that survive the whole slot: the observation's ``sig_dbm``,
     ``link_units`` and ``p_mj_per_kb`` (gathered from the engine's
-    session-keyed tables), and ``rebuf_s``, ``trans_mj``, ``tail_mj``
-    — the generic temporaries are clobbered inside ``collect_fleet`` —
-    until the engine scatters them into its session grids.  They
+    session-keyed tables), and ``rebuf_s`` and ``tail_mj`` — the
+    generic temporaries are clobbered inside ``collect_fleet`` — until
+    the engine scatters them into its session grids.  They
     :meth:`grow` the arena in lockstep with the fleet so kernels stay
     allocation-free once the population stops growing.
     """
@@ -64,7 +64,6 @@ class SlotArena:
         self.b1_tmp = np.empty(n, dtype=bool)
         self.sig_dbm = np.empty(n, dtype=float)
         self.rebuf_s = np.empty(n, dtype=float)
-        self.trans_mj = np.empty(n, dtype=float)
         self.tail_mj = np.empty(n, dtype=float)
 
     def grow(self, new_n_users: int) -> None:

@@ -1,7 +1,8 @@
 """Segmented scheduling kernels: EMA DP and RTMA rounds over R segments.
 
 The slot loop (:func:`repro.sim.engine.run_segments`) runs ``R >= 1``
-runs as row segments of one ``(R*N,)`` row space.  Three of the four
+runs as row segments of one row space (run ``r`` owns ``N_r`` rows;
+the widths may differ).  Three of the four
 hot kernel families — fleet ``begin_slot``/``deliver``, the RRC tail
 step, and the arena ufunc chains — are row-elementwise, so the run axis
 simply rides along the row axis through the existing registered
@@ -60,8 +61,8 @@ _EMA_INNER = maybe_njit(ema_dp_loops) or ema_dp_loops
 def rtma_rounds_batch_numpy(phi, eligible, need, cap, order, budgets, run_offsets):
     """Closed-form rounds (see :mod:`repro.kernels.rtma_rounds`) for R segments.
 
-    All row arrays are stacked ``(R*N,)``; ``order`` holds *run-local*
-    indices (each run's own stable rate argsort), ``budgets`` the
+    All row arrays are stacked over the segments; ``order`` holds
+    *run-local* indices (each run's own stable rate argsort), ``budgets`` the
     per-run unit budgets, ``run_offsets`` the ``(R+1,)`` segment
     bounds.  ``phi`` is updated in place.  The segments bisect their
     full-round counts ``k*`` in lockstep over ``[0, K]`` (``K`` the

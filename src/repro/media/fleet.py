@@ -45,7 +45,7 @@ from repro.media.video import (
     VideoSession,
 )
 
-__all__ = ["ClientFleet", "FleetClientView"]
+__all__ = ["ClientFleet", "FleetClientView", "rate_grid_kbps"]
 
 #: Tolerance for floating-point playback-time comparisons — must match
 #: ``repro.media.player._EPS`` for cross-path bit-identity.
@@ -142,6 +142,31 @@ class _RateTable:
             return out
         self._cache_slot, self._cache = slot, out
         return out
+
+    def rates_grid(self, n_slots: int) -> np.ndarray:
+        """``(n_slots, n)`` rates: row ``s`` is :meth:`rates_for_slot`'s
+        vector for slot ``s``, gathered from the same tables."""
+        out = np.empty((n_slots, self.n), dtype=float)
+        if self._const_idx.size:
+            out[:, self._const_idx] = self._const_rates
+        if self._pw_idx.size:
+            slots = np.arange(n_slots, dtype=np.int64)
+            # One row gather per distinct (segment length, segment count).
+            pairs = sorted(set(zip(self._pw_seg.tolist(), self._pw_len.tolist())))
+            for seg_slots, n_seg in pairs:
+                k = np.flatnonzero((self._pw_seg == seg_slots) & (self._pw_len == n_seg))
+                seg = (slots // seg_slots) % n_seg
+                out[:, self._pw_idx[k]] = self._pw_mat[k].T[seg]
+        for i, prof in self._other:
+            out[:, i] = [prof.rate_kbps(slot) for slot in range(n_slots)]
+        return out
+
+
+def rate_grid_kbps(flows, n_slots: int) -> np.ndarray:
+    """Required rates ``p_i(n)`` of ``flows`` over ``n_slots`` slots,
+    ``(n_slots, len(flows))`` KB/s — bitwise the per-slot vectors a
+    :class:`ClientFleet` of those flows observes."""
+    return _RateTable([f.video.profile for f in flows]).rates_grid(n_slots)
 
 
 class ClientFleet:

@@ -1,7 +1,7 @@
 """Network substrate: base station, flows, slicing, gateway.
 
-* :mod:`repro.net.basestation` — serving capacity ``S(n)`` and the
-  frame/data-unit discretisation (Eq. 2);
+* :mod:`repro.net.basestation` — serving capacity models ``S(n)``
+  (Eq. 2);
 * :mod:`repro.net.flows` — video flow descriptors (user, session,
   arrival time);
 * :mod:`repro.net.slicing` — resource slicing (CellSlice [26]) that
@@ -13,13 +13,12 @@
   rates from the client fleet.
 """
 
-from repro.net.basestation import BaseStation, ConstantCapacity, TimeVaryingCapacity
+from repro.net.basestation import ConstantCapacity, TimeVaryingCapacity
 from repro.net.flows import VideoFlow
 from repro.net.slicing import ResourceSlicer, BackgroundTraffic
 from repro.net.gateway import DataTransmitter, Gateway, InformationCollector, SlotObservation
 
 __all__ = [
-    "BaseStation",
     "ConstantCapacity",
     "TimeVaryingCapacity",
     "VideoFlow",

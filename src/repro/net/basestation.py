@@ -1,8 +1,9 @@
-"""Base-station capacity model and frame discretisation (Eq. 2).
+"""Base-station capacity models (Eq. 2).
 
 The BS serves at most ``S(n)`` KB/s in slot ``n``; allocations are made
 in physical-layer frames of ``delta_kb`` KB, so the per-slot unit
-budget is ``floor(tau * S(n) / delta)`` (constraint 2).  The paper uses
+budget is ``floor(tau * S(n) / delta)`` (constraint 2) — the engine
+builds it from these models and each run's resource slicer.  The paper uses
 a constant 20 MB/s; :class:`TimeVaryingCapacity` supports diurnal or
 trace-driven load for robustness experiments.
 """
@@ -21,7 +22,6 @@ __all__ = [
     "ConstantCapacity",
     "TimeVaryingCapacity",
     "FaultyCapacity",
-    "BaseStation",
 ]
 
 
@@ -94,47 +94,3 @@ class FaultyCapacity(CapacityModel):
             raise ConfigurationError("slot must be non-negative")
         factor = self._factors[slot] if slot < self._factors.size else 1.0
         return max(self.base.capacity_kbps(slot) * factor, self.OUTAGE_FLOOR_KBPS)
-
-
-class BaseStation:
-    """A base station: capacity model + frame size.
-
-    Parameters
-    ----------
-    capacity:
-        A :class:`CapacityModel`, or a plain number (KB/s) for
-        convenience.
-    delta_kb:
-        Physical-layer frame (data unit) size in KB — the paper's
-        ``delta``, fixed by the spreading factor.
-    tau_s:
-        Slot length, seconds.
-    """
-
-    def __init__(
-        self,
-        capacity: CapacityModel | float = constants.BS_CAPACITY_KBPS,
-        delta_kb: float = constants.DEFAULT_DELTA_KB,
-        tau_s: float = constants.DEFAULT_TAU_S,
-    ):
-        if isinstance(capacity, (int, float)):
-            capacity = ConstantCapacity(float(capacity))
-        if delta_kb <= 0:
-            raise ConfigurationError("delta_kb must be positive")
-        if tau_s <= 0:
-            raise ConfigurationError("tau_s must be positive")
-        self.capacity = capacity
-        self.delta_kb = float(delta_kb)
-        self.tau_s = float(tau_s)
-
-    def capacity_kbps(self, slot: int) -> float:
-        """Serving capacity ``S(n)`` for slot ``slot``."""
-        return self.capacity.capacity_kbps(slot)
-
-    def unit_budget(self, slot: int) -> int:
-        """Constraint (2) budget: ``floor(tau * S(n) / delta)`` units."""
-        return int(np.floor(self.tau_s * self.capacity_kbps(slot) / self.delta_kb))
-
-    def units_to_kb(self, units) -> np.ndarray:
-        """Convert unit counts to KB (``d = phi * delta``)."""
-        return np.asarray(units, dtype=float) * self.delta_kb

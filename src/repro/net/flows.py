@@ -1,15 +1,14 @@
 """Video flow descriptors.
 
 A :class:`VideoFlow` identifies one user's streaming session as seen at
-the gateway: which user, which video, when the session started, and the
-application-layer metadata the DPI middlebox would expose (protocol,
-declared bitrate).  Flows are the hand-off unit between the workload
-generator and the simulation engine.
+the gateway: which user, which video, and when the session started.
+Flows are the hand-off unit between the workload generator and the
+simulation engine.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 from repro.media.video import VideoSession
@@ -30,24 +29,17 @@ class VideoFlow:
     arrival_slot:
         Slot at which the session starts (0 for the paper's synchronous
         workloads; staggered arrivals supported for robustness tests).
-    protocol:
-        Application protocol as DPI would classify it.
     """
 
     user_id: int
     video: VideoSession
     arrival_slot: int = 0
-    protocol: str = "http"
 
     def __post_init__(self) -> None:
         if self.user_id < 0:
             raise ConfigurationError("user_id must be non-negative")
         if self.arrival_slot < 0:
             raise ConfigurationError("arrival_slot must be non-negative")
-        if self.protocol not in ("http", "rtsp"):
-            raise ConfigurationError(
-                f"protocol must be 'http' or 'rtsp', got {self.protocol!r}"
-            )
 
     def active_at(self, slot: int) -> bool:
         """Whether the session has started by slot ``slot``."""

@@ -40,96 +40,72 @@ Quick taste::
     print(instr.metrics.snapshot()["counters"]["rrc.occupancy.idle"])
 """
 
-from repro.obs.analyze import (
-    InvariantReport,
-    RunTimeline,
-    Violation,
-    check_invariants,
-    check_trace,
-    timeline_from_result,
-    timelines_from_trace,
-)
-from repro.obs.compare import (
-    ComparisonReport,
-    Tolerance,
-    compare_bench,
-    compare_metrics,
-    compare_runs,
-)
-from repro.obs.instrument import (
-    Instrumentation,
-    current_instrumentation,
-    use_instrumentation,
-)
-from repro.obs.live import (
-    LiveTelemetry,
-    MetricsServer,
-    SloWatchdog,
-    SnapshotExporter,
-    logging_setup,
-)
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.perf import (
-    BenchRecord,
-    check_against_history,
-    load_ledger,
-    machine_fingerprint,
-    record_snapshot,
-    trend_html,
-)
-from repro.obs.provenance import RunManifest, build_manifest, config_hash, git_revision
-from repro.obs.report import render_report, write_report
-from repro.obs.spans import (
-    SpanRecorder,
-    activate_spans,
-    current_spans,
-    flamegraph_svg,
-)
-from repro.obs.tracer import JsonlTraceWriter, NullTracer, RecordingTracer, Tracer
+import importlib
 
-__all__ = [
-    "RunTimeline",
-    "Violation",
-    "InvariantReport",
-    "check_invariants",
-    "check_trace",
-    "timeline_from_result",
-    "timelines_from_trace",
-    "Tolerance",
-    "ComparisonReport",
-    "compare_metrics",
-    "compare_runs",
-    "compare_bench",
-    "render_report",
-    "write_report",
-    "Instrumentation",
-    "use_instrumentation",
-    "current_instrumentation",
-    "LiveTelemetry",
-    "SloWatchdog",
-    "SnapshotExporter",
-    "MetricsServer",
-    "logging_setup",
-    "Tracer",
-    "NullTracer",
-    "RecordingTracer",
-    "JsonlTraceWriter",
-    "MetricsRegistry",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "SpanRecorder",
-    "activate_spans",
-    "current_spans",
-    "flamegraph_svg",
-    "BenchRecord",
-    "machine_fingerprint",
-    "record_snapshot",
-    "load_ledger",
-    "check_against_history",
-    "trend_html",
-    "RunManifest",
-    "build_manifest",
-    "config_hash",
-    "git_revision",
-]
+#: Each public name -> the submodule defining it.  The package resolves
+#: them on first access (PEP 562), so ``import repro`` loads only the
+#: modules it uses: not the live plane's HTTP server, nor the analysis,
+#: report, comparison and ledger tools.
+_EXPORTS = {
+    **dict.fromkeys(
+        (
+            "RunTimeline",
+            "Violation",
+            "InvariantReport",
+            "check_invariants",
+            "check_trace",
+            "timeline_from_result",
+            "timelines_from_trace",
+        ),
+        "analyze",
+    ),
+    **dict.fromkeys(
+        ("Tolerance", "ComparisonReport", "compare_metrics", "compare_runs", "compare_bench"),
+        "compare",
+    ),
+    **dict.fromkeys(("render_report", "write_report"), "report"),
+    **dict.fromkeys(
+        ("Instrumentation", "use_instrumentation", "current_instrumentation"),
+        "instrument",
+    ),
+    **dict.fromkeys(
+        ("LiveTelemetry", "SloWatchdog", "SnapshotExporter", "MetricsServer", "logging_setup"),
+        "live",
+    ),
+    **dict.fromkeys(
+        ("Tracer", "NullTracer", "RecordingTracer", "JsonlTraceWriter"), "tracer"
+    ),
+    **dict.fromkeys(("MetricsRegistry", "Counter", "Gauge", "Histogram"), "metrics"),
+    **dict.fromkeys(
+        ("SpanRecorder", "activate_spans", "current_spans", "flamegraph_svg"), "spans"
+    ),
+    **dict.fromkeys(
+        (
+            "BenchRecord",
+            "machine_fingerprint",
+            "record_snapshot",
+            "load_ledger",
+            "check_against_history",
+            "trend_html",
+        ),
+        "perf",
+    ),
+    **dict.fromkeys(
+        ("RunManifest", "build_manifest", "config_hash", "git_revision"), "provenance"
+    ),
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

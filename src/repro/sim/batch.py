@@ -3,13 +3,15 @@
 Every figure in the paper aggregates many *independent* runs — seeds,
 sweep points, calibration grids.  Run one by one, each pays the full
 per-slot Python cost (engine loop, gateway dispatch, kernel launch);
-:func:`run_batch` instead stacks R shape-compatible runs as row
-segments of the engine's one slot loop
-(:func:`~repro.sim.engine.run_segments`): a single ``(R*N,)``-row
+:func:`run_batch` instead stacks R compatible runs as row segments of
+the engine's one slot loop (:func:`~repro.sim.engine.run_segments`):
+a single ``(N_1 + ... + N_R,)``-row
 :class:`~repro.media.fleet.ClientFleet` /
-:class:`~repro.radio.rrc.RRCFleet` with a per-run segment table, split
-into per-run :class:`~repro.sim.results.SimulationResult` objects at
-the end.  A single run is the same loop with ``R = 1``.
+:class:`~repro.radio.rrc.RRCFleet` with a per-run segment table, whose
+per-run result grids are the runs'
+:class:`~repro.sim.results.SimulationResult` objects.  Runs may differ
+in population (a *ragged* stack: run ``r`` owns ``N_r`` rows).  A
+single run is the same loop with ``R = 1``.
 
 The contract is **bit-identity** with running each task alone (guarded
 by ``tests/integration/test_batch_equivalence.py``).  It holds because:
@@ -28,22 +30,28 @@ by ``tests/integration/test_batch_equivalence.py``).  It holds because:
   one closed-form int64 pass; it matches the scalar kernel on each
   segment alone byte for byte, because no sum it takes crosses a
   segment bound;
-* the stack's scheduler serves it in *blocks*: maximal runs of
-  consecutive tasks that one instance can serve (RTMA/EMA through
-  ``stack``, a row-elementwise baseline with equal parameters through
-  its first instance, anything else alone).  Each block sees its own
+* the stack's scheduler serves it in *blocks*, one per block key
+  (:func:`_block_key`): RTMA runs through ``stack``, EMA runs of one
+  ``tau_s`` through ``stack``, a row-elementwise baseline with equal
+  parameters through its first instance, anything else alone.
+  :class:`BatchPlan` orders the loop's segments by block key, stably,
+  so each key is one block however the tasks interleave (a
+  Default/Throttling/ON-OFF/RTMA stack of three sweep points is four
+  blocks), and hands results and per-run metric states back in task
+  order.  Each block sees its own
   :class:`~repro.net.gateway.SlotObservation` over its rows, with its
   own segment table and budgets — what a stack of that block alone
   would see (see :class:`_BlockScheduler`);
-* every run's result grids are its own C-contiguous slice of the
-  run-major ``(R, n_slots, N)`` grids, so reductions feeding results
-  and metrics follow a lone run's pairwise summation order;
+* every run's result grids are its own C-contiguous
+  ``(n_slots, N_r)`` arrays, filled from the loop's slot-major staging
+  rows one run slice at a time, so reductions feeding results and
+  metrics follow a lone run's pairwise summation order;
 * the Eq. (24) link/power tables and Eq. (2) budget tables are built
   the same way for every ``R``.
 
-Compatibility: stacked runs must share ``n_users``, ``n_slots``,
-``tau_s``, ``delta_kb``, ``buffer_capacity_s``, the radio profile and
-the kernel backend; BS capacity, background traffic, seeds, signal
+Compatibility: stacked runs must share ``n_slots``, ``tau_s``,
+``delta_kb``, ``buffer_capacity_s``, the radio profile and the kernel
+backend; user counts, BS capacity, background traffic, seeds, signal
 models, scheduler types and per-run scheduler parameters (RTMA
 thresholds, EMA ``V``) may differ.  One scheduler instance may not
 serve two runs.  Dynamic-lifecycle (churn) runs and fault plans cannot
@@ -52,14 +60,15 @@ single oracle — the executor uses it to decide which consecutive tasks
 may share a batch.
 
 Instrumentation: metrics and spans are recorded the same way for
-every ``R`` (one span per phase per slot covers the whole loop).
-Per-run counters are derived after the loop by
-:func:`~repro.sim.engine.record_run_metrics`, into one registry per
-run when ``R > 1``.  Per-slot trace events and the live telemetry
-plane need each run's own slot stream, so :meth:`BatchPlan.run` runs
-every task as a one-segment loop when either is attached
-(:func:`runs_alone`), and the executor then gives every task its own
-group, so pool workers run them alone too.
+every ``R`` (one span per phase per slot covers the whole loop, and
+one ``run`` span counts the loop).  Per-run counters are derived after
+the loop by :func:`~repro.sim.engine.record_run_metrics`, into one
+registry per run when ``R > 1``, merged in task order: the registry
+does not depend on how runs are grouped.  Per-slot trace events and
+the live telemetry plane need each run's own slot stream, so
+:meth:`BatchPlan.run` runs every task as a one-segment loop when
+either is attached (:func:`runs_alone`), and the executor then gives
+every task its own group, so pool workers run them alone too.
 """
 
 from __future__ import annotations
@@ -85,11 +94,11 @@ from repro.sim.workload import resolve_workload
 __all__ = ["BatchPlan", "run_batch", "batch_incompatibility", "runs_alone"]
 
 #: Config fields that must be equal across every run of a batch (the
-#: stacked fleet, RRC profile, and backend context are shared).
-#: ``capacity_kbps`` and ``background`` are deliberately
-#: absent — each run keeps its own BS/slicer through the segment table.
+#: slot loop, stacked fleet, RRC profile, and backend context are
+#: shared).  ``n_users``, ``capacity_kbps`` and ``background`` are
+#: deliberately absent — each run keeps its own row segment and BS/
+#: slicer through the segment table.
 _COMPAT_FIELDS = (
-    "n_users",
     "n_slots",
     "tau_s",
     "delta_kb",
@@ -100,9 +109,9 @@ _COMPAT_FIELDS = (
 
 #: Baseline schedulers whose ``allocate`` is purely row-elementwise
 #: (state auto-sized to the observation) followed by
-#: ``clip_to_constraints``.  When consecutive runs carry equal
-#: parameters, the first run's instance serves all their rows directly
-#: — each lane evolves exactly as it would in its own run.
+#: ``clip_to_constraints``.  When runs carry equal parameters, the
+#: first run's instance serves all their rows directly — each lane
+#: evolves exactly as it would in its own run.
 _CLIP_SHARED_PARAMS: dict[type, tuple[str, ...]] = {
     DefaultScheduler: ("refill_trigger_s", "refill_high_s"),
     NeedRateScheduler: (),
@@ -172,7 +181,14 @@ def run_batch(tasks, instrumentation: Instrumentation | None = None):
 
 
 class BatchPlan:
-    """R validated, workload-resolved runs ready for stacked execution."""
+    """R validated, workload-resolved runs ready for stacked execution.
+
+    The loop stacks the runs grouped by block key
+    (:func:`_block_key`), stably: runs one scheduler instance can serve
+    become adjacent row segments, so a stack of Default/Throttling/
+    ON-OFF/RTMA points is four blocks, not one per run.  Results and
+    per-run metric states come back in task order.
+    """
 
     def __init__(self, tasks):
         self.tasks = list(tasks)
@@ -191,6 +207,17 @@ class BatchPlan:
             resolve_workload(t.config, getattr(t, "workload", None))
             for t in self.tasks
         ]
+        keys = [
+            _block_key(t.scheduler, t.config.n_users, i)
+            for i, t in enumerate(self.tasks)
+        ]
+        rank: dict = {}
+        for key in keys:
+            rank.setdefault(key, len(rank))
+        #: Task indices in loop (block) order: by first appearance of
+        #: each key, task order within a key.
+        self.order = sorted(range(len(keys)), key=lambda i: rank[keys[i]])
+        self._keys = [keys[i] for i in self.order]
 
     @property
     def n_runs(self) -> int:
@@ -211,25 +238,48 @@ class BatchPlan:
                 Simulation(t.config, t.scheduler, wl, instrumentation=instr).run()
                 for t, wl in zip(self.tasks, self.workloads)
             ]
-        results, self.run_metric_states = run_segments(
-            self.tasks, self.workloads, instr, self._make_scheduler
+        order = self.order
+        results, states = run_segments(
+            [self.tasks[i] for i in order],
+            [self.workloads[i] for i in order],
+            instr,
+            self._make_scheduler,
         )
-        return results
+        by_task = [None] * len(order)
+        for k, i in enumerate(order):
+            by_task[i] = results[k]
+        if states:
+            self.run_metric_states = [None] * len(order)
+            for k, i in enumerate(order):
+                self.run_metric_states[i] = states[k]
+            for state in self.run_metric_states:
+                instr.metrics.merge_state(state)
+        return by_task
 
     def _make_scheduler(self, run_offsets: np.ndarray) -> _BlockScheduler:
-        return _BlockScheduler([t.scheduler for t in self.tasks], run_offsets)
+        scheds = [self.tasks[i].scheduler for i in self.order]
+        return _BlockScheduler(scheds, self._keys, run_offsets)
 
 
-def _same_instance_serves(s0, s, n_per_run: int) -> bool:
-    """Whether the instance serving ``s0``'s run can also serve ``s``'s."""
-    if type(s) is not type(s0):
-        return False
-    if type(s0) is RTMAScheduler:
-        return True
-    if type(s0) is EMAScheduler:
-        return s0.n_users == s.n_users == n_per_run and s.tau_s == s0.tau_s
-    params = _CLIP_SHARED_PARAMS.get(type(s0))
-    return params is not None and all(getattr(s, a) == getattr(s0, a) for a in params)
+def _block_key(sched, n_users: int, index: int) -> tuple:
+    """Runs whose schedulers share a key are served by one instance.
+
+    RTMA stacks any thresholds and EMA any ``V``/floor/seed lanes of one
+    ``tau_s`` (an EMA instance sized for another population serves
+    alone, where its allocate rejects the mismatch).  A row-elementwise
+    baseline serves every run with equal parameters through one
+    instance; any other scheduler serves its own run (``index`` makes
+    its key unique).
+    """
+    kind = type(sched)
+    if kind is RTMAScheduler:
+        return (kind,)
+    if kind is EMAScheduler and sched.n_users == n_users:
+        return (kind, sched.tau_s)
+    params = _CLIP_SHARED_PARAMS.get(kind)
+    if params is not None:
+        return (kind, *(getattr(sched, a) for a in params))
+    return (None, index)
 
 
 class _Block:
@@ -237,22 +287,19 @@ class _Block:
 
     __slots__ = ("start", "stop", "lo", "hi", "run_offsets", "scheduler")
 
-    def __init__(self, scheds, start: int, stop: int, run_offsets: np.ndarray):
+    def __init__(self, scheds, key, start: int, stop: int, run_offsets: np.ndarray):
         self.start, self.stop = start, stop
         self.lo, self.hi = int(run_offsets[start]), int(run_offsets[stop])
         self.run_offsets = run_offsets[start : stop + 1] - self.lo
         members = scheds[start:stop]
-        s0 = members[0]
-        if type(s0) is RTMAScheduler or (
-            type(s0) is EMAScheduler and s0.n_users == self.run_offsets[1]
-        ):
-            self.scheduler = type(s0).stack(members, self.run_offsets)
+        if key[0] is RTMAScheduler or key[0] is EMAScheduler:
+            self.scheduler = key[0].stack(members, self.run_offsets)
         else:
             # A clip-shared baseline with equal parameters: its
             # row-elementwise state auto-sizes to the block's rows, so
             # each lane evolves exactly as in its own run.  Any other
             # scheduler is a one-run block served by its own instance.
-            self.scheduler = s0
+            self.scheduler = members[0]
 
     def view(self, obs: SlotObservation) -> SlotObservation:
         """``obs`` restricted to the block's rows and runs."""
@@ -283,24 +330,21 @@ class _Block:
 class _BlockScheduler(Scheduler):
     """The scheduler of a stack: one instance per block of runs.
 
-    The stack's tasks split into maximal blocks of consecutive runs one
-    instance can serve (:func:`_same_instance_serves`).  A block's
-    instance sees :meth:`_Block.view` of each slot's observation — for
-    a single block, the observation itself — so every lane evolves
-    exactly as in a run-by-run execution.
+    The stack's runs split into maximal blocks of consecutive runs with
+    one block key (:func:`_block_key`).  A block's instance sees
+    :meth:`_Block.view` of each slot's observation — for a single
+    block, the observation itself — so every lane evolves exactly as
+    in a run-by-run execution.
     """
 
-    def __init__(self, scheds, run_offsets: np.ndarray):
-        n_per_run = int(run_offsets[1] - run_offsets[0])
+    def __init__(self, scheds, keys, run_offsets: np.ndarray):
         self.blocks: list[_Block] = []
         start = 0
         while start < len(scheds):
             stop = start + 1
-            while stop < len(scheds) and _same_instance_serves(
-                scheds[start], scheds[stop], n_per_run
-            ):
+            while stop < len(scheds) and keys[stop] == keys[start]:
                 stop += 1
-            self.blocks.append(_Block(scheds, start, stop, run_offsets))
+            self.blocks.append(_Block(scheds, keys[start], start, stop, run_offsets))
             start = stop
         first = self.blocks[0].scheduler
         self.name = getattr(first, "name", type(first).__name__)

@@ -24,15 +24,19 @@ One slot loop serves every run.  :func:`run_segments` stacks ``R >= 1``
 runs as row segments of one fleet: a single run (every
 :meth:`Simulation.run`, and every run that must run alone) is the
 ``R = 1`` case, and :mod:`repro.sim.batch` stacks ``R > 1``
-batch-compatible runs.  The set-up is the same for both: per-run
-Eq. (2) budget tables from each run's capacity model and slicer, the
-Eq. (24) link/power tables computed per block of slots from the
-fault-applied signal trace, and run-major ``(R, n_slots, N)`` result
-grids whose per-run slices are the runs' results.  Without
+batch-compatible runs, whose populations may differ (run ``r`` owns
+``N_r`` rows).  The set-up is the same for both: per-run Eq. (2)
+budget tables from each run's capacity model and slicer, the Eq. (24)
+link/power tables computed per block of slots from the fault-applied
+signal trace, and per-run ``(n_slots, N_r)`` result grids that are the
+runs' results.  Transmission energy and required data are not
+recorded: :class:`~repro.sim.results.SimulationResult` derives them
+from the deliveries and the workload.  Without
 churn (:attr:`~repro.sim.config.SimConfig.has_churn` false) the fleet's
 row space *is* the runs' session space, fixed at construction, and each
 slot's rows go straight into the session-keyed result grids (through
-per-block staging rows when ``R > 1``).  With churn
+per-block staging rows, flushed run slice by run slice, when
+``R > 1``).  With churn
 (``R = 1`` only), a :class:`~repro.sim.sessions.SessionManager` admits
 arrivals into a growable row space at slot start, retires completed
 sessions at slot end, and each slot's row-space vectors are scattered
@@ -74,7 +78,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import SLOT_PREFIX, activate_spans
 from repro.radio.rrc import RRCFleet, fleet_occupancy_from_tx
 from repro.sim.config import SimConfig
-from repro.sim.results import SimulationResult
+from repro.sim.results import SimulationResult, transmission_energy_mj
 from repro.sim.sessions import INITIAL_CAPACITY, SessionManager
 from repro.sim.workload import Workload, resolve_workload
 
@@ -100,7 +104,7 @@ _TRACED_SCHEDULER_PARAMS = (
 SPAN_BLOCK_SLOTS = 64
 
 #: Slots per block of the Eq. (24) link/power tables and, when
-#: ``R > 1``, of the slot-major staging rows flushed into the run-major
+#: ``R > 1``, of the slot-major staging rows flushed into the per-run
 #: result grids: the loop holds a block of slots, never the horizon, of
 #: either.
 SLOT_BLOCK_SLOTS = 64
@@ -111,6 +115,10 @@ VACANT_SIG_DBM = -110.0
 
 #: The slot pipeline's phases, in order.
 SLOT_PHASES = ("playback", "observe", "schedule", "transmit", "rrc", "feedback")
+
+#: dtypes of the recorded result grids: allocation, delivered,
+#: rebuffering, tail energy, buffer, active.
+_GRID_DTYPES = (np.int64, float, float, float, float, bool)
 
 
 def _emit_fault_windows(tracer, plan) -> None:
@@ -283,8 +291,8 @@ def run_segments(tasks, workloads, instr, stack_scheduler=None):
 
     Returns ``(results, run_metric_states)``: one result per run in
     task order, and — for an instrumented ``R > 1`` loop — one metrics
-    state per run, already merged into the bundle in task order (a
-    single run records straight into the bundle and returns none).
+    state per run, for the caller to merge into the bundle (a single
+    run records straight into the bundle and returns none).
     """
     backend = tasks[0].config.kernel_backend
     with ExitStack() as stack:
@@ -321,9 +329,13 @@ def _slot_loop(tasks, workloads, instr, stack_scheduler):
     cfg = tasks[0].config
     radio = cfg.radio
     n_runs = len(tasks)
+    # n: the population of a lone run (churn, faults and traces are
+    # R = 1 features); a stack's runs own segments of their own widths.
     n, gamma = cfg.n_users, cfg.n_slots
-    total = n_runs * n
-    run_offsets = np.arange(n_runs + 1, dtype=np.int64) * n
+    widths = [t.config.n_users for t in tasks]
+    run_offsets = np.zeros(n_runs + 1, dtype=np.int64)
+    np.cumsum(widths, out=run_offsets[1:])
+    total = int(run_offsets[-1])
     churn = cfg.has_churn
 
     # Fault injection: a plan on the config wins; otherwise the
@@ -408,20 +420,22 @@ def _slot_loop(tasks, workloads, instr, stack_scheduler):
         cap_table = np.broadcast_to(cap_table, (gamma, n_runs))
         budget_table = np.broadcast_to(budget_table, (gamma, n_runs))
 
-    # Run-major result grids: run r's record is grids[k][r], a
-    # C-contiguous (n_slots, N) array that is handed out without a copy
-    # and reduces exactly like a lone run's.  A slot writes one row per
-    # grid into slot-major staging rows; with R = 1 those are the grid's
-    # own rows, otherwise a block buffer flushed every
+    # Per-run result grids: run r's record is grids[r], C-contiguous
+    # (n_slots, N_r) arrays handed out without a copy, which reduce
+    # exactly like a lone run's.  A slot writes one row per grid into
+    # slot-major staging rows; with R = 1 those are the grids' own rows,
+    # otherwise a block buffer flushed, run slice by run slice, every
     # SLOT_BLOCK_SLOTS slots.
-    grids = (
-        alloc, delivered, rebuf, e_trans, e_tail, buffer_s, need_kb, active_rec
-    ) = tuple(
-        np.zeros((n_runs, gamma, n), dtype=dt)
-        for dt in (np.int64, float, float, float, float, float, float, bool)
-    )
+    grids = [
+        tuple(np.zeros((gamma, w), dtype=dt) for dt in _GRID_DTYPES)
+        for w in widths
+    ]
     if n_runs > 1:
-        staging = tuple(np.empty((SLOT_BLOCK_SLOTS, total), g.dtype) for g in grids)
+        staging = tuple(
+            np.empty((SLOT_BLOCK_SLOTS, total), dtype=dt) for dt in _GRID_DTYPES
+        )
+    # The lone run's grids, which the live plane reads while it runs.
+    _, delivered, rebuf, e_tail, buffer_s, _ = grids[0]
     completion = np.full(total, -1, dtype=np.int64)
 
     signals = [wl.signal_dbm[:gamma] for wl in workloads]
@@ -493,7 +507,7 @@ def _slot_loop(tasks, workloads, instr, stack_scheduler):
                 block_start, block_end = slot, min(slot + SLOT_BLOCK_SLOTS, gamma)
                 if n_runs == 1:
                     sig_block = signals[0][block_start:block_end]
-                    stage = tuple(g[0, block_start:block_end] for g in grids)
+                    stage = tuple(g[block_start:block_end] for g in grids[0])
                 else:
                     sig_block = np.concatenate(
                         [sig[block_start:block_end] for sig in signals], axis=1
@@ -502,8 +516,9 @@ def _slot_loop(tasks, workloads, instr, stack_scheduler):
                 link_block, p_block = _eq24_tables(
                     radio, sig_block, cfg.tau_s, cfg.delta_kb
                 )
-                (st_alloc, st_delivered, st_rebuf, st_trans, st_tail, st_buffer,
-                 st_need, st_active) = stage
+                st_alloc, st_delivered, st_rebuf, st_tail, st_buffer, st_active = (
+                    stage
+                )
             i = slot - block_start
             if churn:
                 # 0. Session lifecycle: roll the join/depart masks,
@@ -541,15 +556,13 @@ def _slot_loop(tasks, workloads, instr, stack_scheduler):
                 occ = mgr.occupied_rows()
                 sess_of = mgr.row_session[occ]
                 # Admission may have grown the arena and the masks.
-                rebuf_row, trans_row, tail_row = (
-                    arena.rebuf_s, arena.trans_mj, arena.tail_mj
-                )
+                rebuf_row, tail_row = arena.rebuf_s, arena.tail_mj
                 joined, departed = mgr.joined_mask, mgr.departed_mask
                 if row_offsets[-1] != fleet.n_users:
                     # A churn run is one segment over the row capacity.
                     row_offsets = np.array([0, fleet.n_users], dtype=np.int64)
             else:
-                rebuf_row, trans_row, tail_row = st_rebuf[i], st_trans[i], st_tail[i]
+                rebuf_row, tail_row = st_rebuf[i], st_tail[i]
 
             # 1. Playback: Eq. (7)/(8) with last slot's deliveries.
             #    Sessions that have not arrived yet do not play (and
@@ -627,12 +640,14 @@ def _slot_loop(tasks, workloads, instr, stack_scheduler):
             if arena.b1_tmp.any():
                 raise SimulationError(f"slot {slot}: delivered more than allocated")
 
-            # 5. Radio energy accounting (Eq. 5: trans XOR tail).
-            #    Occupancy/tail metrics are batch-derived after the loop.
+            # 5. Radio energy accounting (Eq. 5: trans XOR tail).  The
+            #    Eq. (3) transmission energy P(sig) * delivered is
+            #    derived from the recorded deliveries (see
+            #    SimulationResult.energy_trans_mj); occupancy/tail
+            #    metrics are batch-derived after the loop.
             if instrumented:
                 _t0 = _pc()
             tx_mask = np.greater(sent_kb, 0.0, out=arena.tx_mask)
-            np.multiply(obs.p_mj_per_kb, sent_kb, out=trans_row)
             rrc.step(tx_mask, cfg.tau_s, out=tail_row)
             if instrumented:
                 rec_rrc(_pc() - _t0)
@@ -650,27 +665,32 @@ def _slot_loop(tasks, workloads, instr, stack_scheduler):
                     st_alloc[i, sess_of] = phi[occ]
                     st_delivered[i, sess_of] = sent_kb[occ]
                     st_rebuf[i, sess_of] = arena.rebuf_s[occ]
-                    st_trans[i, sess_of] = arena.trans_mj[occ]
                     st_tail[i, sess_of] = arena.tail_mj[occ]
                     st_buffer[i, sess_of] = obs.buffer_s[occ]
-                    st_need[i, sess_of] = obs.rate_kbps[occ] * cfg.tau_s
                     st_active[i, sess_of] = obs.active[occ]
             else:
                 st_alloc[i] = phi
                 st_delivered[i] = sent_kb
                 st_buffer[i] = obs.buffer_s
-                np.multiply(obs.rate_kbps, cfg.tau_s, out=st_need[i])
                 st_active[i] = obs.active
             if n_runs > 1 and slot == block_end - 1:
-                # Flush the block's slot-major rows into the run-major
-                # grids: (slots, R*N) -> (R, slots, N).
+                # Flush the block's slot-major rows into each run's
+                # grids: columns lo:hi of (slots, sum N_r) -> (slots, N_r).
                 width = block_end - block_start
-                for g, st in zip(grids, staging):
-                    g[:, block_start:block_end] = (
-                        st[:width].reshape(width, n_runs, n).transpose(1, 0, 2)
-                    )
+                for r, run_grids in enumerate(grids):
+                    lo, hi = run_offsets[r], run_offsets[r + 1]
+                    for g, st in zip(run_grids, staging):
+                        g[block_start:block_end] = st[:width, lo:hi]
 
             if instrumented and trace_on:
+                # Session-keyed Eq. (3) energy, as the result derives it:
+                # P(sig) * delivered, exactly 0 where nothing was sent.
+                trans_users = np.multiply(
+                    p_block[i],
+                    st_delivered[i],
+                    out=np.zeros_like(st_delivered[i]),
+                    where=st_delivered[i] > 0.0,
+                )
                 if churn:
                     link_users = np.zeros(n, dtype=np.int64)
                     rate_users = np.zeros(n, dtype=float)
@@ -692,7 +712,7 @@ def _slot_loop(tasks, workloads, instr, stack_scheduler):
                     unit_budget=int(obs.unit_budget),
                     delivered_kb=float(sent_kb.sum()),
                     rebuffering_s=float(st_rebuf[i].sum()),
-                    energy_trans_mj=float(st_trans[i].sum()),
+                    energy_trans_mj=float(trans_users.sum()),
                     energy_tail_mj=float(st_tail[i].sum()),
                     mean_buffer_s=float(st_buffer[i].mean()),
                     # Per-user vectors: what repro.obs.analyze needs
@@ -709,7 +729,7 @@ def _slot_loop(tasks, workloads, instr, stack_scheduler):
                         "delivered_kb": st_delivered[i],
                         "rebuffering_s": st_rebuf[i],
                         "buffer_s": st_buffer[i],
-                        "energy_trans_mj": st_trans[i],
+                        "energy_trans_mj": trans_users,
                         "energy_tail_mj": st_tail[i],
                         "link_units": link_users,
                         "sig_dbm": sig_block[i],
@@ -737,13 +757,16 @@ def _slot_loop(tasks, workloads, instr, stack_scheduler):
             # watch_every slots (plus the run tail).
             if live_on and (slot - live_start + 1 >= live_every or slot == gamma - 1):
                 end = slot + 1
+                live_delivered = delivered[live_start:end]
                 live.observe_block(
                     slot,
-                    rebuf[0, live_start:end].sum(axis=1),
-                    e_trans[0, live_start:end].sum(axis=1)
-                    + e_tail[0, live_start:end].sum(axis=1),
-                    delivered[0, live_start:end].sum(axis=1),
-                    buffer_s[0, live_start:end].mean(axis=1),
+                    rebuf[live_start:end].sum(axis=1),
+                    transmission_energy_mj(
+                        radio.power, signals[0][live_start:end], live_delivered
+                    ).sum(axis=1)
+                    + e_tail[live_start:end].sum(axis=1),
+                    live_delivered.sum(axis=1),
+                    buffer_s[live_start:end].mean(axis=1),
                     active_users=(
                         int(mgr.active_count)
                         if churn
@@ -774,9 +797,6 @@ def _slot_loop(tasks, workloads, instr, stack_scheduler):
             abort_run(instr, exc, slot, what, scheduler_name=scheduler_name)
         raise
 
-    if not np.all(np.isfinite(e_trans)):
-        raise SimulationError("non-finite transmission energy recorded")
-
     session_counts = None
     session_fields = {}
     if churn:
@@ -797,45 +817,14 @@ def _slot_loop(tasks, workloads, instr, stack_scheduler):
             offered_video_kb=workloads[0].offered_video_kb(),
             admitted_video_kb=workloads[0].admitted_video_kb(mgr.admitted),
         )
-    if instrumented and trace_on:
-        tracer.emit(
-            "run.end",
-            scheduler=scheduler_name,
-            n_slots=gamma,
-            delivered_total_kb=float(delivered[0].sum()),
-            energy_total_mj=float(e_trans[0].sum() + e_tail[0].sum()),
-            rebuffering_total_s=float(rebuf[0].sum()),
-            completed_users=int((completion >= 0).sum()),
-            **({"sessions": session_counts} if churn else {}),
-        )
-    if live_on:
-        live.end_run()
-
     # Per-run results in task order: each run's grids are its own
-    # C-contiguous (n_slots, N) slices, so NumPy's pairwise summation
+    # C-contiguous (n_slots, N_r) arrays, so NumPy's pairwise summation
     # visits exactly the elements, in exactly the layout, a lone run
     # would reduce.
     results: list[SimulationResult] = []
-    registries: list[MetricsRegistry] = []
     for r, task in enumerate(tasks):
         lo, hi = int(run_offsets[r]), int(run_offsets[r + 1])
-        alloc_r, delivered_r, rebuf_r, e_trans_r, e_tail_r, buffer_r, need_r, active_r = (
-            g[r] for g in grids
-        )
-        if instrumented:
-            # A stacked run's accounting goes into its own registry,
-            # merged into the bundle in task order: every counter gets
-            # the one increment a lone run applies, so the merged
-            # registry — here, or across a process pool shipping these
-            # states home — equals a run-by-run one bit-for-bit.
-            reg = instr.metrics if n_runs == 1 else MetricsRegistry()
-            record_run_metrics(
-                reg, task.config, alloc_r, delivered_r, e_trans_r, e_tail_r,
-                np.ascontiguousarray(budget_table[:, r]), sessions=session_counts,
-            )
-            if faults_on:
-                _fault_counters(reg, plan, outage_mask, gamma)
-            registries.append(reg)
+        alloc_r, delivered_r, rebuf_r, e_tail_r, buffer_r, active_r = grids[r]
         results.append(
             SimulationResult(
                 scheduler_name=getattr(
@@ -845,27 +834,61 @@ def _slot_loop(tasks, workloads, instr, stack_scheduler):
                 allocation_units=alloc_r,
                 delivered_kb=delivered_r,
                 rebuffering_s=rebuf_r,
-                energy_trans_mj=e_trans_r,
                 energy_tail_mj=e_tail_r,
                 buffer_s=buffer_r,
-                need_kb=need_r,
                 active=active_r,
                 completion_slot=completion[lo:hi].copy(),
                 arrival_slot=arrivals[lo:hi].copy(),
+                workload=workloads[r],
+                faulted_signal_dbm=signals[0] if faults_on else None,
                 **session_fields,
             )
         )
+    # Each run's derived Eq. (3) energy, one grid alive at a time: the
+    # lone run's is kept for its exit event and accounting.
+    for res in results:
+        e_trans = res.energy_trans_mj
+        if not np.all(np.isfinite(e_trans)):
+            raise SimulationError("non-finite transmission energy recorded")
+    if instrumented and trace_on:
+        # A traced loop is one run: e_trans is its grid.
+        tracer.emit(
+            "run.end",
+            scheduler=scheduler_name,
+            n_slots=gamma,
+            delivered_total_kb=float(delivered.sum()),
+            energy_total_mj=float(e_trans.sum() + e_tail.sum()),
+            rebuffering_total_s=float(rebuf.sum()),
+            completed_users=int((completion >= 0).sum()),
+            **({"sessions": session_counts} if churn else {}),
+        )
+    if live_on:
+        live.end_run()
+
+    registries: list[MetricsRegistry] = []
+    if instrumented:
+        # A stacked run's accounting goes into its own registry, for the
+        # caller to merge in task order: every counter gets the one
+        # increment a lone run applies, so the merged registry — locally,
+        # or across a process pool shipping these states home — equals a
+        # run-by-run one bit-for-bit.
+        for r, (task, res) in enumerate(zip(tasks, results)):
+            reg = instr.metrics if n_runs == 1 else MetricsRegistry()
+            record_run_metrics(
+                reg, task.config, res.allocation_units, res.delivered_kb,
+                e_trans if n_runs == 1 else res.energy_trans_mj,
+                res.energy_tail_mj,
+                np.ascontiguousarray(budget_table[:, r]), sessions=session_counts,
+            )
+            if faults_on:
+                _fault_counters(reg, plan, outage_mask, gamma)
+            registries.append(reg)
     run_metric_states: list[dict] = []
     if instrumented and n_runs > 1:
-        registries[0].counter("batch.runs").inc(n_runs)
-        registries[0].counter("batch.slots").inc(gamma)
         # The stacked scheduler publishes final gauge state (e.g. EMA's
         # virtual queues) into the last run of each block it serves —
-        # gauges are last-write-wins, so the merged value matches a
-        # run-by-run sequence.
+        # gauges are last-write-wins, so merged in task order the value
+        # matches a run-by-run sequence.
         scheduler.finalize_runs(registries)
-        for reg in registries:
-            state = reg.state()
-            run_metric_states.append(state)
-            instr.metrics.merge_state(state)
+        run_metric_states = [reg.state() for reg in registries]
     return results, run_metric_states

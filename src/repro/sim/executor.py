@@ -38,11 +38,11 @@ Determinism contract
   same structure and counts as a serial run's
   (``tests/sim/test_executor.py``).
 
-What depends on the grouping is the bookkeeping of the stacked loops
-themselves: the ``batch.*`` counters, and spans, which count one per
-loop.  These match ``jobs=1`` for the same groups,
-e.g. at ``batch_size=1``.  A traced batch never stacks, so its
-``metrics.json`` is byte-identical at every ``jobs`` and ``batch_size``.
+The metrics registry does not depend on the grouping.  The span tree
+does in one respect: the ``run`` span counts slot loops, so it matches
+``jobs=1`` for the same groups, e.g. at ``batch_size=1``.  A traced
+batch never stacks, so its ``metrics.json`` is byte-identical at every
+``jobs`` and ``batch_size``.
 
 The one thing workers do **not** ship back is per-slot trace events —
 a parallel run's trace contains the orchestration-level events only
@@ -330,8 +330,7 @@ class RunExecutor:
         break a group, so heterogeneous batches degrade to run-by-run
         behaviour instead of failing.  Each pool worker receives whole
         groups.  Results and metrics stay bit-identical to
-        ``batch_size=1`` (``tests/integration/test_batch_equivalence.py``),
-        apart from the ``batch.*`` counters that count stacked loops.
+        ``batch_size=1`` (``tests/integration/test_batch_equivalence.py``).
         A traced or live batch keeps every task in its own group.
     task_timeout_s:
         Per-group result deadline for pool dispatch, measured from when

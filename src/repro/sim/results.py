@@ -1,10 +1,11 @@
 """Result containers and summaries.
 
 A :class:`SimulationResult` stores the full per-slot, per-user record
-of one run (allocations, deliveries, rebuffering, transmission and
-tail energy, buffer levels, fairness) plus the workload it ran on, and
-derives the paper's headline metrics on demand.  :class:`SummaryStats`
-is the flat snapshot used by the experiment tables.
+of one run (allocations, deliveries, rebuffering, tail energy, buffer
+levels, activity) plus the workload it ran on, and derives the rest —
+transmission energy, required data, the paper's headline metrics — on
+demand.  :class:`SummaryStats` is the flat snapshot used by the
+experiment tables.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.media.fleet import rate_grid_kbps
 from repro.sim.config import SimConfig
 from repro.sim.metrics import (
     average_energy_mj,
@@ -21,8 +23,27 @@ from repro.sim.metrics import (
     empirical_cdf,
     per_slot_fairness,
 )
+from repro.sim.workload import Workload
 
-__all__ = ["SimulationResult", "SummaryStats"]
+__all__ = ["SimulationResult", "SummaryStats", "transmission_energy_mj"]
+
+
+def transmission_energy_mj(power, sig_dbm: np.ndarray, delivered_kb: np.ndarray):
+    """Eq. (3) energy ``P(sig) * delivered`` with Eq. (24)'s ``P``, mJ;
+    exactly 0 where nothing was delivered.
+
+    ``P`` is evaluated, where anything was delivered, through the power
+    model's ``out=`` path, the ufunc chain of the engine's per-slot
+    Eq. (24) tables, so each element is bitwise the product the slot
+    loop would form.
+    """
+    out = np.zeros(delivered_kb.shape)
+    sent = np.flatnonzero(delivered_kb > 0.0)
+    sig = np.ravel(sig_dbm)[sent]
+    p = np.empty(sent.size)
+    power.p(sig, out=p, scratch=np.empty(sent.size))
+    out.reshape(-1)[sent] = np.multiply(p, np.ravel(delivered_kb)[sent], out=p)
+    return out
 
 
 @dataclass(frozen=True)
@@ -70,7 +91,11 @@ class SummaryStats:
 class SimulationResult:
     """Full record of one simulation run.
 
-    All 2-D arrays have shape ``(n_slots, n_users)``.
+    All 2-D arrays have shape ``(n_slots, n_users)``.  Six grids are
+    stored; :attr:`energy_trans_mj` and :attr:`need_kb` are derived
+    from the stored deliveries and the run's workload, bitwise the
+    values the slot loop's observations give (runs stacked on one
+    workload share its signal trace and bit-rate profiles).
     """
 
     scheduler_name: str
@@ -81,20 +106,19 @@ class SimulationResult:
     delivered_kb: np.ndarray
     #: Rebuffering time c_i(n), s.
     rebuffering_s: np.ndarray
-    #: Transmission energy, mJ (Eq. 3).
-    energy_trans_mj: np.ndarray
     #: Tail energy, mJ (Eq. 4 incremental).
     energy_tail_mj: np.ndarray
     #: Client buffer occupancy r_i(n) at slot start, s.
     buffer_s: np.ndarray
-    #: Required data amount per slot, KB (tau * p_i(n)).
-    need_kb: np.ndarray
     #: Active mask (session in progress and bytes outstanding).
     active: np.ndarray
     #: Per-user completion slot (-1 if playback unfinished at horizon).
     completion_slot: np.ndarray
     #: Per-user session start slot.
     arrival_slot: np.ndarray
+    #: The workload the run consumed: its flows' bit-rate profiles and
+    #: its signal trace (covering at least ``n_slots``).
+    workload: Workload
     #: Per-session admission outcome (dynamic runs only; ``None`` on
     #: the fixed path, where every offered session is implicitly
     #: admitted at slot 0).
@@ -108,20 +132,55 @@ class SimulationResult:
     offered_video_kb: float | None = None
     #: Media belonging to *admitted* sessions, KB (dynamic runs only).
     admitted_video_kb: float | None = None
+    #: The signal trace after fault injection, when a fault plan
+    #: altered it (``None``: the workload's own trace).
+    faulted_signal_dbm: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         shape = self.allocation_units.shape
         for name in (
             "delivered_kb",
             "rebuffering_s",
-            "energy_trans_mj",
             "energy_tail_mj",
             "buffer_s",
-            "need_kb",
             "active",
         ):
             if getattr(self, name).shape != shape:
                 raise ConfigurationError(f"{name} shape mismatch: expected {shape}")
+        if self.workload.n_users != shape[1] or self.workload.n_slots < shape[0]:
+            raise ConfigurationError(f"workload does not cover the {shape} grids")
+
+    # -- derived grids ---------------------------------------------------
+
+    @property
+    def signal_dbm(self) -> np.ndarray:
+        """The RSSI trace the run observed, ``(slots, users)``, dBm."""
+        if self.faulted_signal_dbm is not None:
+            return self.faulted_signal_dbm
+        return self.workload.signal_dbm[: self.allocation_units.shape[0]]
+
+    @property
+    def energy_trans_mj(self) -> np.ndarray:
+        """Transmission energy, mJ: Eq. (3) with Eq. (24)'s per-KB
+        energy, ``P(sig_i(n)) * delivered_i(n)`` (0 where nothing was
+        delivered)."""
+        return transmission_energy_mj(
+            self.config.radio.power, self.signal_dbm, self.delivered_kb
+        )
+
+    @property
+    def need_kb(self) -> np.ndarray:
+        """Required data amount per slot, KB: ``tau * p_i(n)``.
+
+        On dynamic runs it is zero outside each session's residency
+        (:meth:`session_mask`: arrival through completion, admitted
+        sessions only), where no row observed the session's rate.
+        """
+        need = rate_grid_kbps(self.workload.flows, self.allocation_units.shape[0])
+        np.multiply(need, self.config.tau_s, out=need)
+        if self.admitted is not None:
+            need[~self.session_mask()] = 0.0
+        return need
 
     # -- derived metrics -------------------------------------------------
 
@@ -309,18 +368,23 @@ class SimulationResult:
             )
         else:
             completion_rate = float(completed.mean())
+        # The derived grids and the session mask, built once: the
+        # energy averages below are the properties' own expressions.
+        e_trans = self.energy_trans_mj
+        energy = e_trans + self.energy_tail_mj
+        mask = self.session_mask()
         return SummaryStats(
             scheduler=self.scheduler_name,
-            pe_mj=self.pe_mj,
+            pe_mj=average_energy_mj(energy),
             pc_s=self.pc_s,
             pe_tail_mj=average_energy_mj(self.energy_tail_mj),
-            pe_trans_mj=average_energy_mj(self.energy_trans_mj),
+            pe_trans_mj=average_energy_mj(e_trans),
             mean_fairness=float(finite.mean()) if finite.size else float("nan"),
             frac_slots_fair=float((finite > 0.7).mean()) if finite.size else float("nan"),
             completion_rate=completion_rate,
             total_rebuffering_per_user_s=float(
                 self.per_user_total_rebuffering_s().mean()
             ),
-            pe_session_mj=self.pe_session_mj,
-            pc_session_s=self.pc_session_s,
+            pe_session_mj=float(energy[mask].mean()),
+            pc_session_s=float(self.rebuffering_s[mask].mean()),
         )

@@ -3,23 +3,29 @@
 The paper's evaluation protocol calibrates each scheduler against a
 reference on the **same workload**: RTMA's budget is ``Phi = alpha *
 E_default`` and EMA's rebuffering bound is ``Omega = beta *
-PC_reference``.  The helpers here run that protocol in two phases per
-sweep point, each one :func:`repro.sim.executor.map_runs` call:
+PC_reference``.  The helpers here run that protocol in two *phases*,
+each one :func:`repro.sim.executor.map_runs` call over every sweep
+point it is given (a point is a config and its workload; the points
+do not depend on each other):
 
-1. *Calibration.*  The reference, RTMA's unconstrained probe and the
-   threshold grid (or the reference and EMA's V grid) are independent
-   runs on one shortened workload, so they go out as one task list,
-   which the executor stacks into one slot loop.  The grid runs
-   speculatively, even when the probe alone would settle the answer.
-   One reference, probe and grid serve every alpha (or beta) of a
-   point (``calibrate_rtma_threshold(..., alphas=...)``,
-   ``calibrate_ema_v_to_reference(..., betas=...)``): only the final
-   budget cut depends on the factor.
-2. *Comparison.*  The point's full-horizon runs, with the calibrated
-   parameters, go out as one more batch (:func:`compare_schedulers`).
+1. *Calibration* (:func:`rtma_calibration_phase`,
+   :func:`ema_calibration_phase`).  Each point's reference, RTMA's
+   unconstrained probe and the threshold grid (or the reference and
+   EMA's V grid) are independent runs on the point's shortened
+   workload, so every point's tasks go out as one task list, which the
+   executor stacks into one slot loop (runs of different user counts
+   included).  The grid runs speculatively, even when the probe alone
+   would settle the answer.  One reference, probe and grid serve every
+   alpha (or beta) of a point: only the final budget cut depends on
+   the factor.
+2. *Comparison* (:func:`comparison_phase`).  Every point's
+   full-horizon runs, with the calibrated parameters, go out as one
+   more batch.
 
-Sweep points stay separate batches, so only one point's results are
-alive at a time.  Since every helper routes its runs through
+Each phase hands every point its slice of the results, in point
+order.  :func:`calibrate_rtma_threshold`,
+:func:`calibrate_ema_v_to_reference` and :func:`compare_schedulers` are
+the one-point case.  Since every helper routes its runs through
 ``map_runs``, installing a pooled executor
 (:func:`repro.sim.executor.use_executor`, or ``repro-experiments
 --jobs N``) parallelises them with bit-identical results and metrics.
@@ -46,11 +52,15 @@ from repro.sim.workload import Workload, generate_workload
 __all__ = [
     "run_scheduler",
     "compare_schedulers",
+    "comparison_phase",
     "sweep",
     "default_reference",
     "calibrate_rtma_threshold",
+    "rtma_calibration_phase",
     "make_rtma_eq12",
     "calibrate_ema_v",
+    "calibrate_ema_v_to_reference",
+    "ema_calibration_phase",
     "multi_seed",
 ]
 
@@ -88,22 +98,40 @@ def compare_schedulers(
     """Run several schedulers on the *identical* workload.
 
     Returns results keyed like the input mapping, preserving order.
+    The one-point case of :func:`comparison_phase`.
     """
-    if not schedulers:
-        raise ConfigurationError("need at least one scheduler")
-    wl = workload if workload is not None else generate_workload(config)
-    instr = _resolve_instrumentation(instrumentation)
-    names = list(schedulers)
-    tasks = [RunTask(config, schedulers[name], wl) for name in names]
-    runs = map_runs(tasks, instrumentation=instr)
-    results: dict[str, SimulationResult] = {}
-    for name, res in zip(names, runs):
-        results[name] = res
-        if instr is not None and instr.tracer.enabled:
-            instr.tracer.emit(
-                "compare.run", scheduler=name, pe_mj=res.pe_mj, pc_s=res.pc_s
-            )
+    (results,) = comparison_phase([(config, schedulers, workload)], instrumentation)
     return results
+
+
+def comparison_phase(
+    points: Sequence[tuple[SimConfig, Mapping[str, object], Workload | None]],
+    instrumentation: Instrumentation | None = None,
+) -> list[dict[str, SimulationResult]]:
+    """Every point's schedulers on that point's workload, one batch.
+
+    ``points`` holds ``(config, schedulers, workload)`` triples (a
+    ``None`` workload is generated from the config).  Returns one dict
+    per point, keyed like its mapping.
+    """
+    instr = _resolve_instrumentation(instrumentation)
+    tasks = []
+    for config, schedulers, workload in points:
+        if not schedulers:
+            raise ConfigurationError("need at least one scheduler")
+        wl = workload if workload is not None else generate_workload(config)
+        tasks += [RunTask(config, sched, wl) for sched in schedulers.values()]
+    runs = iter(map_runs(tasks, instrumentation=instr))
+    out = []
+    for _, schedulers, _ in points:
+        results = {name: next(runs) for name in schedulers}
+        if instr is not None and instr.tracer.enabled:
+            for name, res in results.items():
+                instr.tracer.emit(
+                    "compare.run", scheduler=name, pe_mj=res.pe_mj, pc_s=res.pc_s
+                )
+        out.append(results)
+    return out
 
 
 def sweep(
@@ -204,48 +232,74 @@ def calibrate_rtma_threshold(
     test depends on alpha.
     """
     scalar, factors = _one_of("alpha", alpha, "alphas", alphas)
-    instr = _resolve_instrumentation(instrumentation)
-    cal_cfg, wl = _calibration_inputs(
-        config, workload, calibration_slots or min(config.n_slots, 2000)
-    )
-    # PE is not monotone in the threshold (a stricter threshold trades
-    # transmission energy for extra tail toggling), so scan a grid
-    # instead of bisecting.  Sample densely near the weak end where
-    # clipped trace mass makes eligibility jump, then evenly across
-    # the range.
-    sig_model = cal_cfg.make_signal_model()
-    lo, hi = sig_model.sig_min, sig_model.sig_max
-    grid = np.unique(
-        np.concatenate(
-            [
-                np.array([lo + 0.01 * (hi - lo)]),
-                np.linspace(lo, hi, max(iterations, 3)),
-            ]
-        )
-    )
-    # The Default reference, the unconstrained probe and the grid share
-    # the calibration workload, so they go out as one task list: one
-    # slot loop when the executor stacks them.  The grid is evaluated
-    # speculatively; it is only read when the probe misses a budget.
-    # Inner runs stay on the *ambient* instrumentation.
-    tasks = [
-        RunTask(cal_cfg, DefaultScheduler(), wl),
-        RunTask(cal_cfg, RTMAScheduler(sig_threshold_dbm=float("-inf")), wl),
-    ]
-    tasks += [
-        RunTask(cal_cfg, RTMAScheduler(sig_threshold_dbm=float(t)), wl)
-        for t in grid
-    ]
-    reference, probe, *grid_runs = map_runs(tasks)
-    thresholds = _pick_rtma_thresholds(
-        grid,
-        probe.pe_mj,
-        np.array([res.pe_mj for res in grid_runs]),
-        factors,
-        [a * reference.pe_mj for a in factors],
-        instr,
+    (thresholds,) = rtma_calibration_phase(
+        [(config, workload)], factors, iterations, calibration_slots, instrumentation
     )
     return thresholds[0] if scalar else thresholds
+
+
+def rtma_calibration_phase(
+    points: Sequence[tuple[SimConfig, Workload | None]],
+    alphas: Sequence[float],
+    iterations: int = 9,
+    calibration_slots: int | None = None,
+    instrumentation: Instrumentation | None = None,
+) -> list[list[float]]:
+    """:func:`calibrate_rtma_threshold` for several ``(config,
+    workload)`` points at once: every point's reference, probe and grid
+    go out as one task list.  Returns one threshold per alpha for each
+    point, in point order.
+    """
+    instr = _resolve_instrumentation(instrumentation)
+    grids, tasks = [], []
+    for config, workload in points:
+        cal_cfg, wl = _calibration_inputs(
+            config, workload, calibration_slots or min(config.n_slots, 2000)
+        )
+        # PE is not monotone in the threshold (a stricter threshold
+        # trades transmission energy for extra tail toggling), so scan a
+        # grid instead of bisecting.  Sample densely near the weak end
+        # where clipped trace mass makes eligibility jump, then evenly
+        # across the range.
+        sig_model = cal_cfg.make_signal_model()
+        lo, hi = sig_model.sig_min, sig_model.sig_max
+        grid = np.unique(
+            np.concatenate(
+                [
+                    np.array([lo + 0.01 * (hi - lo)]),
+                    np.linspace(lo, hi, max(iterations, 3)),
+                ]
+            )
+        )
+        grids.append(grid)
+        # The Default reference, the unconstrained probe and the grid
+        # share the calibration workload.  The grid is evaluated
+        # speculatively; it is only read when the probe misses a
+        # budget.  Inner runs stay on the *ambient* instrumentation.
+        tasks += [
+            RunTask(cal_cfg, DefaultScheduler(), wl),
+            RunTask(cal_cfg, RTMAScheduler(sig_threshold_dbm=float("-inf")), wl),
+        ]
+        tasks += [
+            RunTask(cal_cfg, RTMAScheduler(sig_threshold_dbm=float(t)), wl)
+            for t in grid
+        ]
+    runs = iter(map_runs(tasks))
+    out = []
+    for grid in grids:
+        reference, probe = next(runs), next(runs)
+        pes = np.array([next(runs).pe_mj for _ in grid])
+        out.append(
+            _pick_rtma_thresholds(
+                grid,
+                probe.pe_mj,
+                pes,
+                alphas,
+                [a * reference.pe_mj for a in alphas],
+                instr,
+            )
+        )
+    return out
 
 
 def _pick_rtma_thresholds(
@@ -454,17 +508,44 @@ def calibrate_ema_v_to_reference(
     if beta is None and betas is None:
         beta = 1.0
     scalar, factors = _one_of("beta", beta, "betas", betas)
-    instr = current_instrumentation()
-    cal_cfg, wl = _calibration_inputs(
-        config, workload, calibration_slots or min(config.n_slots, 1500)
+    (vs,) = ema_calibration_phase(
+        [(config, workload)],
+        reference_scheduler_factory,
+        factors,
+        iterations,
+        calibration_slots,
     )
-    grid, tasks = _ema_grid_tasks(cal_cfg, wl, _V_LO, _V_HI, iterations)
-    reference, *grid_runs = map_runs(
-        [RunTask(cal_cfg, reference_scheduler_factory(), wl)] + tasks
-    )
-    ref_pc = max(reference.pc_s, 1e-4)
-    vs = _pick_ema_v(grid, grid_runs, [b * ref_pc for b in factors], instr)
     return vs[0] if scalar else vs
+
+
+def ema_calibration_phase(
+    points: Sequence[tuple[SimConfig, Workload | None]],
+    reference_scheduler_factory: Callable[[], object],
+    betas: Sequence[float],
+    iterations: int = 8,
+    calibration_slots: int | None = None,
+) -> list[list[float]]:
+    """:func:`calibrate_ema_v_to_reference` for several ``(config,
+    workload)`` points at once: every point's reference and V grid go
+    out as one task list.  Returns one V per beta for each point, in
+    point order.
+    """
+    instr = current_instrumentation()
+    grids, tasks = [], []
+    for config, workload in points:
+        cal_cfg, wl = _calibration_inputs(
+            config, workload, calibration_slots or min(config.n_slots, 1500)
+        )
+        grid, grid_tasks = _ema_grid_tasks(cal_cfg, wl, _V_LO, _V_HI, iterations)
+        grids.append(grid)
+        tasks += [RunTask(cal_cfg, reference_scheduler_factory(), wl)] + grid_tasks
+    runs = iter(map_runs(tasks))
+    out = []
+    for grid in grids:
+        ref_pc = max(next(runs).pc_s, 1e-4)
+        grid_runs = [next(runs) for _ in grid]
+        out.append(_pick_ema_v(grid, grid_runs, [b * ref_pc for b in betas], instr))
+    return out
 
 
 def multi_seed(

@@ -112,6 +112,12 @@ class TestColdImport:
         # binds it on its first call, trailing_window_min on each call.
         assert not self._loaded_after_import("scipy.ndimage")
 
+    def test_package_import_leaves_live_http_server_unloaded(self):
+        # repro.obs resolves its exports lazily: only the live plane's
+        # exporter needs http.server, and nothing the package imports
+        # loads the live plane.
+        assert not self._loaded_after_import("http.server")
+
 
 class TestTable:
     def test_render_alignment(self):

@@ -1,15 +1,16 @@
 """Run-stacked batching equivalence: ``run_batch`` is invisible.
 
-:mod:`repro.sim.batch` stacks R shape-compatible runs into one
-``(R*N)``-row fleet and executes a single slot loop for all of them.
+:mod:`repro.sim.batch` stacks R compatible runs into one fleet of
+``N_1 + ... + N_R`` rows and executes a single slot loop for all of
+them.
 The contract is *bit-identity*: every per-run result grid, every
-summary statistic, and the instrumentation metrics (minus the
-``batch.*`` bookkeeping counters the stacked path adds) must match a
+summary statistic, and the instrumentation metrics must match a
 serial run-by-run execution byte for byte, for every scheduler and
-every available kernel backend.  A property test additionally checks
-that *how* a task sequence is partitioned into batches — any split
-into consecutive groups of any sizes — cannot be observed in the
-results.
+every available kernel backend — also when the stacked runs differ in
+population (ragged stacks).  Property tests additionally check that
+*how* a task sequence is partitioned into batches — any split into
+consecutive groups of any sizes — and how its scheduler types
+interleave cannot be observed in the results.
 
 Locally this exercises numpy and python backends; CI's numba job adds
 the compiled backend to the same parametrisation automatically.
@@ -37,7 +38,7 @@ from repro.kernels import available_backends
 from repro.net.slicing import ConstantBackground, PoissonBackground, ResourceSlicer
 from repro.obs import Instrumentation
 from repro.obs.tracer import RecordingTracer
-from repro.sim.batch import BatchPlan, batch_incompatibility, run_batch
+from repro.sim.batch import BatchPlan, _block_key, batch_incompatibility, run_batch
 from repro.sim.config import SimConfig
 from repro.sim.engine import Simulation
 from repro.sim.executor import RunExecutor, RunTask
@@ -95,10 +96,6 @@ def assert_results_bit_identical(a, b, label):
         assert (
             getattr(a, name).tobytes() == getattr(b, name).tobytes()
         ), f"{label}: {name} differs between serial and batched execution"
-
-
-def _strip_batch_keys(counters):
-    return {k: v for k, v in counters.items() if not k.startswith("batch.")}
 
 
 class TestBatchBitIdentity:
@@ -283,9 +280,11 @@ class TestBatchMetricsEquivalence:
         snap_s = instr_serial.metrics.snapshot()
         snap_b = instr_batch.metrics.snapshot()
         # Counters: exact float equality (same accumulation order is
-        # part of the contract), minus the batch.* bookkeeping.
-        assert snap_s["counters"] == _strip_batch_keys(snap_b["counters"])
-        assert snap_b["counters"].get("batch.runs") == len(configs)
+        # part of the contract).  The grouping shows only in the span
+        # tree: one run span per slot loop.
+        assert snap_s["counters"] == snap_b["counters"]
+        assert instr_serial.spans.count(("run",)) == len(configs)
+        assert instr_batch.spans.count(("run",)) == 1
         # Gauges: every serially-published gauge must come back with
         # the same final value (last-write-wins order is preserved).
         for key, value in snap_s["gauges"].items():
@@ -299,7 +298,7 @@ class TestBatchMetricsEquivalence:
 class TestBatchCompatibilityOracle:
     def test_incompatible_shapes_are_rejected(self):
         make = SCHEDULERS["rtma"]
-        tasks = _tasks(make, [_cfg(1), _cfg(2, n_users=8)])
+        tasks = _tasks(make, [_cfg(1), _cfg(2, n_slots=200)])
         assert batch_incompatibility(tasks) is not None
         with pytest.raises(Exception):
             run_batch(tasks)
@@ -469,12 +468,10 @@ def _mixed_tasks(spec, workloads):
 
 
 def _registry_view(state):
-    """A metrics state minus the grouping bookkeeping: per section, a
-    byte-comparable form of each metric."""
+    """A metrics state: per section, a byte-comparable form of each
+    metric."""
     return {
-        section: {
-            k: _as_json(v) for k, v in values.items() if not k.startswith("batch.")
-        }
+        section: {k: _as_json(v) for k, v in values.items()}
         for section, values in state.items()
     }
 
@@ -543,3 +540,139 @@ class TestMixedStacks:
             for q, other, b in arrays:
                 if (r, name) < (q, other):
                     assert not np.shares_memory(a, b), (r, name, q, other)
+
+
+# --- ragged stacks -------------------------------------------------------
+
+
+def _ragged_cfg(seed, n_users):
+    return _cfg(
+        seed,
+        n_users=n_users,
+        n_slots=60,
+        capacity_kbps=1_500.0 + 150.0 * n_users,
+        video_size_range_kb=(2_000.0, 6_000.0),
+    )
+
+
+@st.composite
+def ragged_stacks(draw):
+    """Runs of random populations and scheduler types, interleaved."""
+    picks = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(sorted(_MIXED_KINDS)),
+                st.integers(0, 2),
+                st.integers(1, 40),
+            ),
+            min_size=2,
+            max_size=8,
+        )
+    )
+    return [
+        (kind, i % len(_MIXED_KINDS[kind]), seed, n_users)
+        for seed, (kind, i, n_users) in enumerate(picks)
+    ]
+
+
+def _ragged_tasks(spec, workloads):
+    tasks = []
+    for kind, i, seed, n_users in spec:
+        cfg = _ragged_cfg(seed, n_users)
+        tasks.append(RunTask(cfg, _MIXED_KINDS[kind][i](cfg), workloads[seed]))
+    return tasks
+
+
+class TestRaggedStacks:
+    """Runs with different user counts share one slot loop: results,
+    per-run metric states and the merged registry equal a run-by-run
+    execution."""
+
+    @settings(
+        max_examples=6,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(spec=ragged_stacks())
+    def test_ragged_stack_equals_run_by_run(self, spec):
+        workloads = {
+            seed: generate_workload(_ragged_cfg(seed, n)) for *_, seed, n in spec
+        }
+        assert batch_incompatibility(_ragged_tasks(spec, workloads)) is None
+        serial_instr = Instrumentation()
+        lone_states, serial = [], []
+        for t in _ragged_tasks(spec, workloads):
+            own = Instrumentation()
+            serial.append(
+                Simulation(t.config, t.scheduler, t.workload, instrumentation=own).run()
+            )
+            lone_states.append(own.metrics.state())
+            serial_instr.metrics.merge_state(own.metrics.state())
+        want_metrics = _registry_view(serial_instr.metrics.state())
+
+        for jobs in (1, 2):
+            instr = Instrumentation()
+            got = RunExecutor(jobs=jobs).map_runs(
+                _ragged_tasks(spec, workloads), instrumentation=instr
+            )
+            assert len(got) == len(serial)
+            for r, (a, b) in enumerate(zip(serial, got)):
+                assert_results_bit_identical(a, b, f"{spec} jobs={jobs} run {r}")
+            assert _registry_view(instr.metrics.state()) == want_metrics, (
+                f"{spec} jobs={jobs}: merged metrics differ"
+            )
+            if jobs == 1:
+                assert instr.spans.count(("run",)) == 1
+
+        plan = BatchPlan(_ragged_tasks(spec, workloads))
+        plan.run(Instrumentation())
+        assert len(plan.run_metric_states) == len(spec)
+        for r, (state, lone) in enumerate(zip(plan.run_metric_states, lone_states)):
+            got_view, want_view = _registry_view(state), _registry_view(lone)
+            for section in ("counters", "histograms", "info"):
+                assert got_view[section] == want_view[section], (spec, r, section)
+            for key, value in got_view["gauges"].items():
+                assert want_view["gauges"][key] == value, (spec, r, key)
+
+    def test_incompatibility_never_names_n_users(self):
+        tasks = _tasks(SCHEDULERS["ema"], [_cfg(1, n_users=3), _cfg(2, n_users=17)])
+        assert batch_incompatibility(tasks) is None
+
+
+def _loop_blocks(plan):
+    """The scheduler blocks of ``plan``'s stacked loop."""
+    widths = [plan.tasks[i].config.n_users for i in plan.order]
+    offsets = np.concatenate(([0], np.cumsum(widths))).astype(np.int64)
+    return plan._make_scheduler(offsets).blocks
+
+
+class TestBlockGrouping:
+    """A stack's segments are grouped by block key: one scheduler
+    instance per distinct key, whatever the interleaving."""
+
+    def test_point_major_panel_is_four_blocks(self):
+        kinds = ("default", "throttling", "on-off", "rtma")
+        tasks = [
+            RunTask(cfg, SCHEDULERS[kind](cfg), generate_workload(cfg))
+            for cfg in (_cfg(1, n_users=4), _cfg(1, n_users=6), _cfg(1, n_users=8))
+            for kind in kinds
+        ]
+        plan = BatchPlan(tasks)
+        assert [tasks[i].scheduler.name for i in plan.order] == [
+            tasks[k].scheduler.name for k in range(4) for _ in range(3)
+        ]
+        assert len(_loop_blocks(plan)) == 4
+
+    @settings(max_examples=30, deadline=None)
+    @given(spec=ragged_stacks())
+    def test_block_count_is_distinct_keys(self, spec):
+        workloads = {
+            seed: generate_workload(_ragged_cfg(seed, n)) for *_, seed, n in spec
+        }
+        tasks = _ragged_tasks(spec, workloads)
+        plan = BatchPlan(tasks)
+        assert sorted(plan.order) == list(range(len(tasks)))
+        keys = {
+            _block_key(t.scheduler, t.config.n_users, i) for i, t in enumerate(tasks)
+        }
+        assert len(_loop_blocks(plan)) == len(keys)

@@ -88,12 +88,12 @@ class TestCLI:
 
 
 class TestPhasedDrivers:
-    """A driver's slot loops: per sweep point, one for its calibration
-    (reference, probe and grid) and one for its comparison."""
+    """A figure's slot loops: one for every sweep point's calibration
+    (reference, probe and grid), one for every point's comparison."""
 
     @pytest.mark.parametrize(
         "exp_id, loops, runs",
-        [("fig05", 6, 39), ("fig09", 6, 33)],
+        [("fig05", 2, 39), ("fig09", 2, 33)],
     )
     def test_slot_loops_at_bench_scale(self, monkeypatch, exp_id, loops, runs):
         census = {"loops": 0, "runs": 0}

@@ -120,7 +120,6 @@ class TestBitIdentity:
                 user_id=f.user_id,
                 video=f.video,
                 arrival_slot=(f.user_id * 25) % 120,
-                protocol=f.protocol,
             )
             for f in base.flows
         ]

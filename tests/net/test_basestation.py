@@ -1,10 +1,9 @@
-"""Tests for base-station capacity and discretisation (Eq. 2)."""
+"""Tests for the base-station capacity models (Eq. 2)."""
 
-import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.net.basestation import BaseStation, ConstantCapacity, TimeVaryingCapacity
+from repro.net.basestation import ConstantCapacity, TimeVaryingCapacity
 
 
 class TestCapacityModels:
@@ -29,28 +28,3 @@ class TestCapacityModels:
             TimeVaryingCapacity([100.0, -5.0])
         with pytest.raises(ConfigurationError):
             TimeVaryingCapacity([100.0]).capacity_kbps(-1)
-
-
-class TestBaseStation:
-    def test_paper_unit_budget(self):
-        # 20 MB/s, delta = 40 KB, tau = 1 s -> 512 units.
-        bs = BaseStation()
-        assert bs.unit_budget(0) == 512
-
-    def test_budget_floors(self):
-        bs = BaseStation(capacity=100.0, delta_kb=30.0, tau_s=1.0)
-        assert bs.unit_budget(0) == 3  # floor(100/30)
-
-    def test_accepts_plain_number(self):
-        bs = BaseStation(capacity=1234.0)
-        assert bs.capacity_kbps(0) == 1234.0
-
-    def test_units_to_kb(self):
-        bs = BaseStation(delta_kb=40.0)
-        np.testing.assert_allclose(bs.units_to_kb([0, 2, 5]), [0.0, 80.0, 200.0])
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            BaseStation(delta_kb=0.0)
-        with pytest.raises(ConfigurationError):
-            BaseStation(tau_s=-1.0)

@@ -27,9 +27,3 @@ class TestFlows:
             make_flow(uid=-1)
         with pytest.raises(ConfigurationError):
             make_flow(arrival=-1)
-        with pytest.raises(ConfigurationError):
-            VideoFlow(
-                user_id=0,
-                video=VideoSession(1.0, ConstantBitrateProfile(1.0)),
-                protocol="quic",
-            )

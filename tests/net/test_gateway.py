@@ -1,14 +1,17 @@
 """Tests for the gateway framework components (Fig. 1)."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from repro import constants
 from repro.core.scheduler import Scheduler
 from repro.errors import SimulationError
 from repro.kernels import SlotArena
 from repro.media.fleet import ClientFleet
 from repro.media.video import ConstantBitrateProfile, VideoSession
-from repro.net.basestation import BaseStation
+from repro.net.basestation import ConstantCapacity
 from repro.net.flows import VideoFlow
 from repro.net.gateway import DataTransmitter, Gateway, InformationCollector
 from repro.net.slicing import ResourceSlicer
@@ -27,6 +30,15 @@ def make_world(n=3, size_kb=5000.0, rate=400.0, buffer_capacity_s=None):
     return flows, ClientFleet(flows, tau_s=1.0, buffer_capacity_s=buffer_capacity_s)
 
 
+def cell(capacity_kbps=constants.BS_CAPACITY_KBPS, delta_kb=constants.DEFAULT_DELTA_KB):
+    """A base station's Eq. (2) parameters: capacity model, frame, slot."""
+    return SimpleNamespace(
+        capacity=ConstantCapacity(capacity_kbps),
+        delta_kb=delta_kb,
+        tau_s=constants.DEFAULT_TAU_S,
+    )
+
+
 def slot_inputs(sig_row, bs, slot=0):
     """One run's precomputed per-slot inputs, as the engine derives
     them: the Eq. (24) link/power rows of ``sig_row``, and the ``(1,)``
@@ -35,7 +47,7 @@ def slot_inputs(sig_row, bs, slot=0):
     sig = np.asarray(sig_row, dtype=float)
     link = LinearThroughputModel().max_units(sig, bs.tau_s, bs.delta_kb)
     p = EnviPowerModel().p(sig)
-    video_cap = ResourceSlicer().video_capacity_kbps(bs.capacity_kbps(slot), slot)
+    video_cap = ResourceSlicer().video_capacity_kbps(bs.capacity.capacity_kbps(slot), slot)
     budget = int(np.floor(bs.tau_s * video_cap / bs.delta_kb))
     return (
         link,
@@ -49,7 +61,7 @@ def slot_inputs(sig_row, bs, slot=0):
 class TestInformationCollector:
     def test_collect_builds_consistent_observation(self):
         flows, fleet = make_world(n=3)
-        bs = BaseStation(capacity=4096.0, delta_kb=40.0)
+        bs = cell(capacity_kbps=4096.0, delta_kb=40.0)
         collector = InformationCollector()
         sig = np.array([-60.0, -80.0, -100.0])
         link, p, cap, budget, offsets = slot_inputs(sig, bs)
@@ -76,7 +88,7 @@ class TestInformationCollector:
 
     def test_collect_rejects_mismatched_arrays(self):
         flows, fleet = make_world(n=2)
-        bs = BaseStation()
+        bs = cell()
         link, p, cap, budget, offsets = slot_inputs(np.array([-80.0]), bs)
         with pytest.raises(SimulationError):
             InformationCollector().collect_fleet(
@@ -149,7 +161,7 @@ class _NeedScheduler(Scheduler):
 class TestGateway:
     def test_step_delivers_to_clients(self):
         flows, fleet = make_world(n=2)
-        bs = BaseStation()
+        bs = cell()
         gw = Gateway(_NeedScheduler(), bs.tau_s, bs.delta_kb)
         sig = np.array([-70.0, -75.0])
         link, p, cap, budget, offsets = slot_inputs(sig, bs, slot=0)
@@ -172,7 +184,7 @@ class TestGateway:
     def test_inactive_users_get_nothing(self):
         flows, fleet = make_world(n=2, size_kb=50.0)
         fleet.deliver(np.array([0.0, 50.0]), 0)  # user 1 fully delivered
-        bs = BaseStation()
+        bs = cell()
         gw = Gateway(_NeedScheduler(), bs.tau_s, bs.delta_kb)
         sig = np.array([-70.0, -75.0])
         link, p, cap, budget, offsets = slot_inputs(sig, bs, slot=1)

@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.core.allocation import check_constraints
 from repro.media.player import StreamingClient
-from repro.net.basestation import BaseStation, ConstantCapacity
+from repro.net.basestation import ConstantCapacity
 from repro.net.gateway import SlotObservation
 from repro.net.slicing import ResourceSlicer
 from repro.radio.rrc import RRCFleet
@@ -27,7 +27,7 @@ def run_reference(cfg, scheduler, workload):
     clients = [
         StreamingClient(f.video, cfg.tau_s, cfg.buffer_capacity_s) for f in flows
     ]
-    bs = BaseStation(ConstantCapacity(cfg.capacity_kbps), cfg.delta_kb, cfg.tau_s)
+    capacity = ConstantCapacity(cfg.capacity_kbps)
     slicer = ResourceSlicer(cfg.background) if cfg.background else ResourceSlicer()
     rrc = RRCFleet(n, radio.rrc)
     scheduler.reset()
@@ -56,16 +56,16 @@ def run_reference(cfg, scheduler, workload):
 
         # Observe.
         sig = np.asarray(workload.signal_dbm[slot], dtype=float)
-        video_cap = slicer.video_capacity_kbps(bs.capacity_kbps(slot), slot)
+        video_cap = slicer.video_capacity_kbps(capacity.capacity_kbps(slot), slot)
         obs = SlotObservation(
             slot=slot,
-            tau_s=bs.tau_s,
-            delta_kb=bs.delta_kb,
+            tau_s=cfg.tau_s,
+            delta_kb=cfg.delta_kb,
             capacity_kbps=video_cap,
-            unit_budget=int(np.floor(bs.tau_s * video_cap / bs.delta_kb)),
+            unit_budget=int(np.floor(cfg.tau_s * video_cap / cfg.delta_kb)),
             sig_dbm=sig,
             rate_kbps=np.array([f.video.rate_kbps(slot) for f in flows]),
-            link_units=radio.throughput.max_units(sig, bs.tau_s, bs.delta_kb),
+            link_units=radio.throughput.max_units(sig, cfg.tau_s, cfg.delta_kb),
             p_mj_per_kb=np.asarray(radio.power.p(sig), dtype=float),
             active=np.array(
                 [f.active_at(slot) and c.needs_data for f, c in zip(flows, clients)],

@@ -73,25 +73,27 @@ class TestSerialPoolEquivalence:
             assert_results_bit_identical(a, b)
 
     def test_metrics_bit_identical(self):
+        # Run by run and at the default (stacked) grouping alike.
         cfg = small_config()
         wl = generate_workload(cfg)
-        states = []
-        for jobs in (1, 2):
-            instr = Instrumentation()
-            RunExecutor(jobs=jobs, batch_size=1).map_runs(
-                make_tasks(cfg, self.THRESHOLDS, wl), instrumentation=instr
-            )
-            states.append(instr.metrics.state())
-        assert states[0]["counters"] == states[1]["counters"]
-        assert states[0]["histograms"] == states[1]["histograms"]
-        assert states[0]["info"] == states[1]["info"]
-        assert set(states[0]["gauges"]) == set(states[1]["gauges"])
-        for name, value in states[0]["gauges"].items():
-            other = states[1]["gauges"][name]
-            if isinstance(value, np.ndarray):
-                assert value.tobytes() == other.tobytes(), name
-            else:
-                assert value == other, name
+        for batch_size in (1, None):
+            states = []
+            for jobs in (1, 2):
+                instr = Instrumentation()
+                RunExecutor(jobs=jobs, batch_size=batch_size).map_runs(
+                    make_tasks(cfg, self.THRESHOLDS, wl), instrumentation=instr
+                )
+                states.append(instr.metrics.state())
+            assert states[0]["counters"] == states[1]["counters"]
+            assert states[0]["histograms"] == states[1]["histograms"]
+            assert states[0]["info"] == states[1]["info"]
+            assert set(states[0]["gauges"]) == set(states[1]["gauges"])
+            for name, value in states[0]["gauges"].items():
+                other = states[1]["gauges"][name]
+                if isinstance(value, np.ndarray):
+                    assert value.tobytes() == other.tobytes(), name
+                else:
+                    assert value == other, name
 
     def test_generated_workloads_match(self):
         # No explicit workload: workers regenerate from the seeded
@@ -119,7 +121,8 @@ class TestSerialPoolEquivalence:
     def test_auto_metrics_match_unstacked(self):
         # The default stacks the four runs (one group at jobs=1, two at
         # jobs=2): every counter, histogram and gauge equals the
-        # run-by-run registry, plus the batch.* bookkeeping counters.
+        # run-by-run registry.  The grouping shows in the span tree
+        # only: one run span per slot loop.
         cfg = small_config()
         wl = generate_workload(cfg)
         ref = Instrumentation()
@@ -127,17 +130,15 @@ class TestSerialPoolEquivalence:
             make_tasks(cfg, self.THRESHOLDS, wl), instrumentation=ref
         )
         ref_state = ref.metrics.state()
-        assert not any(k.startswith("batch.") for k in ref_state["counters"])
+        assert ref.spans.count(("run",)) == len(self.THRESHOLDS)
         for jobs in (1, 2):
             instr = Instrumentation()
             RunExecutor(jobs=jobs).map_runs(
                 make_tasks(cfg, self.THRESHOLDS, wl), instrumentation=instr
             )
             state = instr.metrics.state()
-            counters = dict(state["counters"])
-            assert counters.pop("batch.runs") == len(self.THRESHOLDS)
-            assert counters.pop("batch.slots") == jobs * cfg.n_slots
-            assert counters == ref_state["counters"]
+            assert instr.spans.count(("run",)) == jobs
+            assert state["counters"] == ref_state["counters"]
             assert state["histograms"] == ref_state["histograms"]
             assert state["info"] == ref_state["info"]
             assert set(state["gauges"]) == set(ref_state["gauges"])
@@ -418,7 +419,7 @@ class TestAutoGrouping:
 
     def test_incompatible_neighbour_breaks_group(self):
         tasks = self._tasks(6)
-        tasks.insert(3, RunTask(small_config().with_(n_users=4), DefaultScheduler()))
+        tasks.insert(3, RunTask(small_config().with_(delta_kb=30.0), DefaultScheduler()))
         tasks.insert(5, RunTask(small_config().with_(n_slots=7), RTMAScheduler()))
         assert self._sizes(RunExecutor(), tasks) == [3, 1, 1, 1, 2]
         assert self._sizes(RunExecutor(jobs=2), tasks) == [2, 1, 1, 1, 1, 1, 1]
@@ -485,13 +486,13 @@ class TestCalibrationStacking:
             instr = Instrumentation()
             with use_executor(executor), use_instrumentation(instr):
                 value = calibrate()
-            stacked = instr.metrics.state()["counters"].get("batch.runs", 0)
-            out[batch_size] = (value, executor.results, stacked)
+            loops = instr.spans.count(("run",))
+            out[batch_size] = (value, executor.results, loops)
         (v_auto, runs_auto, stacked), (v_one, runs_one, unstacked) = (
             out[None],
             out[1],
         )
-        assert stacked > 0 and unstacked == 0
+        assert stacked == 1 and unstacked == len(runs_one)
         assert v_auto == v_one
         assert len(runs_auto) == len(runs_one) > 2
         for a, b in zip(runs_auto, runs_one):

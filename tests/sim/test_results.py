@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from repro.baselines.default import DefaultScheduler
+from repro.core.rtma import RTMAScheduler
 from repro.errors import ConfigurationError
+from repro.faults import CapacityFault, FaultPlan, SignalBlackout
+from repro.obs import Instrumentation, RecordingTracer
+from repro.sim.config import SimConfig
 from repro.sim.engine import Simulation
 from repro.sim.results import SimulationResult
 
@@ -95,11 +99,107 @@ class TestValidation:
                 allocation_units=result.allocation_units,
                 delivered_kb=result.delivered_kb[:-1],
                 rebuffering_s=result.rebuffering_s,
-                energy_trans_mj=result.energy_trans_mj,
                 energy_tail_mj=result.energy_tail_mj,
                 buffer_s=result.buffer_s,
-                need_kb=result.need_kb,
                 active=result.active,
                 completion_slot=result.completion_slot,
                 arrival_slot=result.arrival_slot,
+                workload=result.workload,
             )
+
+
+class _Recording(RTMAScheduler):
+    """RTMA that keeps, per slot, the row-space Eq. (3) energy
+    ``P(sig) * delivered`` and need ``tau * p_i(n)`` the engine's slot
+    loop observed."""
+
+    def __init__(self):
+        super().__init__(sig_threshold_dbm=-95.0)
+        self.rows = []
+
+    def notify(self, obs, phi, delivered_kb):
+        super().notify(obs, phi, delivered_kb)
+        self.rows.append(
+            (obs.p_mj_per_kb * delivered_kb, obs.rate_kbps * obs.tau_s)
+        )
+
+
+def _traced_run(cfg):
+    sched = _Recording()
+    tracer = RecordingTracer()
+    res = Simulation(
+        cfg, sched, instrumentation=Instrumentation(tracer=tracer)
+    ).run()
+    return res, sched.rows, tracer.events
+
+
+def _session_rows(events, n_slots, n_users):
+    """``(slots, sessions)`` row of each resident session, else -1."""
+    rows = np.full((n_slots, n_users), -1, dtype=np.int64)
+    for e in events:
+        if e["kind"] == "session.start":
+            rows[e["slot"] :, e["user"]] = e["row"]
+        elif e["kind"] == "session.end":
+            rows[e["slot"] + 1 :, e["user"]] = -1
+    return rows
+
+
+class TestDerivedGrids:
+    """``energy_trans_mj`` and ``need_kb`` are not stored: they are
+    derived from the deliveries and the workload, bitwise the values
+    the slot loop computed from its observations."""
+
+    BASE = dict(
+        n_users=8,
+        n_slots=160,
+        capacity_kbps=2_500.0,
+        video_size_range_kb=(3_000.0, 9_000.0),
+        buffer_capacity_s=40.0,
+        seed=5,
+    )
+
+    def _check_fixed(self, cfg):
+        res, rows, events = _traced_run(cfg)
+        trans = np.array([t for t, _ in rows])
+        need = np.array([n for _, n in rows])
+        assert trans.any()
+        assert res.energy_trans_mj.tobytes() == trans.tobytes()
+        assert res.need_kb.tobytes() == need.tobytes()
+        slots = [e for e in events if e["kind"] == "slot"]
+        traced = np.array([e["users"]["energy_trans_mj"] for e in slots])
+        assert res.energy_trans_mj.tobytes() == traced.tobytes()
+
+    def test_fixed_run(self):
+        self._check_fixed(SimConfig(**self.BASE))
+
+    def test_faulted_run(self):
+        plan = FaultPlan(
+            signal=(SignalBlackout(start_slot=20, n_slots=40, users=(0, 2, 5)),),
+            capacity=(CapacityFault(start_slot=90, n_slots=10, factor=0.3),),
+        )
+        cfg = SimConfig(**self.BASE, faults=plan)
+        self._check_fixed(cfg)
+        res = Simulation(cfg, DefaultScheduler()).run()
+        assert res.faulted_signal_dbm is not None
+        assert not np.array_equal(res.signal_dbm, res.workload.signal_dbm[: cfg.n_slots])
+
+    def test_churn_run(self):
+        cfg = SimConfig(
+            **{**self.BASE, "n_users": 14},
+            arrival_process="poisson",
+            arrival_rate_per_slot=0.3,
+            admission="capacity-threshold",
+            admission_max_active=3,
+        )
+        res, rows, events = _traced_run(cfg)
+        assert res.rejected.any() and (res.departure_slot >= 0).any()
+        where = _session_rows(events, cfg.n_slots, cfg.n_users)
+        trans = np.zeros((cfg.n_slots, cfg.n_users))
+        need = np.zeros((cfg.n_slots, cfg.n_users))
+        for slot, (t_row, n_row) in enumerate(rows):
+            resident = where[slot] >= 0
+            trans[slot, resident] = t_row[where[slot, resident]]
+            need[slot, resident] = n_row[where[slot, resident]]
+        assert need.any()
+        assert res.energy_trans_mj.tobytes() == trans.tobytes()
+        assert res.need_kb.tobytes() == need.tobytes()
