@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 from repro.analysis.tables import Table
 from repro.errors import ConfigurationError
 from repro.sim.config import SimConfig
+from repro.sim.workload import Workload, generate_workload
 
 __all__ = ["ExperimentResult", "paper_config", "SCALES"]
 
@@ -64,7 +65,39 @@ def paper_config(scale: str = "bench", seed: int = 0, **overrides) -> SimConfig:
 
 
 def calibration_kwargs(scale: str) -> dict:
-    """Cheaper calibration budgets at bench scale."""
+    """RTMA's calibration budget: cheaper at bench scale."""
     if scale == "bench":
         return {"iterations": 6, "calibration_slots": 500}
     return {"iterations": 9, "calibration_slots": 2000}
+
+
+def ema_calibration_kwargs(scale: str) -> dict:
+    """EMA's calibration budget (V grid size and horizon)."""
+    return {"iterations": 6, "calibration_slots": 400 if scale == "bench" else 1500}
+
+
+def _with_workloads(configs: list[SimConfig]) -> list[tuple[SimConfig, Workload]]:
+    return [(cfg, generate_workload(cfg)) for cfg in configs]
+
+
+def users_axis(base: SimConfig, scale: str) -> tuple[tuple[int, ...], list]:
+    """The user-count sweep: its user counts and, for each, the
+    ``(config, workload)`` point the runner's phases take.
+    """
+    counts = (20, 30, 40) if scale == "bench" else (20, 25, 30, 35, 40)
+    return counts, _with_workloads([base.with_(n_users=n) for n in counts])
+
+
+def sizes_axis(base: SimConfig, scale: str) -> tuple[tuple[int, ...], list]:
+    """The data-amount sweep of Figs. 4b and 8b: its sizes (MB) and
+    their ``(config, workload)`` points.
+
+    The paper's x-axis runs 150..550 MB; bench scale shrinks the mean
+    video size proportionally.
+    """
+    scale_factor = 1.0 if scale == "full" else (150.0 * 1024.0) / (375.0 * 1024.0)
+    sizes_mb = (150, 350, 550) if scale == "bench" else (150, 250, 350, 450, 550)
+    configs = [
+        base.with_(mean_video_size_kb=mb * 1024.0 * scale_factor) for mb in sizes_mb
+    ]
+    return sizes_mb, _with_workloads(configs)

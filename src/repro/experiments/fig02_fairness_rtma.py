@@ -12,20 +12,25 @@ import numpy as np
 from repro.analysis.cdf import cdf_at, tail_fraction
 from repro.analysis.tables import Table
 from repro.baselines.default import DefaultScheduler
-from repro.experiments.common import ExperimentResult, calibration_kwargs, paper_config
-from repro.sim.runner import calibrate_rtma_threshold, compare_schedulers
-from repro.sim.workload import generate_workload
 from repro.core.rtma import RTMAScheduler
+from repro.experiments.common import ExperimentResult, calibration_kwargs, paper_config
+from repro.sim.runner import compare_schedulers, rtma_calibration_phase
+from repro.sim.workload import generate_workload
 
 EXP_ID = "fig02"
 TITLE = "Fairness index CDF (RTMA vs default), N=40, avg 350 MB"
 
 
-def run(scale: str = "bench", seed: int = 0) -> ExperimentResult:
+def rtma_vs_default(scale: str, seed: int) -> tuple[float, dict]:
+    """The runs of Figs. 2 and 3: Default, RTMA (alpha = 1) and RTMA
+    (alpha = 1.2) on the paper's N=40 workload.
+
+    Returns the alpha = 1 threshold and the results by scheduler name.
+    """
     cfg = paper_config(scale, seed)
     wl = generate_workload(cfg)
-    threshold, threshold_12 = calibrate_rtma_threshold(
-        cfg, alphas=(1.0, 1.2), workload=wl, **calibration_kwargs(scale)
+    ((threshold, threshold_12),) = rtma_calibration_phase(
+        [(cfg, wl)], (1.0, 1.2), **calibration_kwargs(scale)
     )
     results = compare_schedulers(
         cfg,
@@ -36,6 +41,11 @@ def run(scale: str = "bench", seed: int = 0) -> ExperimentResult:
         },
         workload=wl,
     )
+    return threshold, results
+
+
+def run(scale: str = "bench", seed: int = 0) -> ExperimentResult:
+    threshold, results = rtma_vs_default(scale, seed)
     table = Table(
         ["scheduler", "mean fairness", "P(J > 0.7)", "P(J < 0.2)"],
         formats=[None, ".3f", ".3f", ".3f"],

@@ -13,31 +13,15 @@ from __future__ import annotations
 
 from repro.analysis.cdf import cdf_at, tail_fraction
 from repro.analysis.tables import Table
-from repro.baselines.default import DefaultScheduler
-from repro.core.rtma import RTMAScheduler
-from repro.experiments.common import ExperimentResult, calibration_kwargs, paper_config
-from repro.sim.runner import calibrate_rtma_threshold, compare_schedulers
-from repro.sim.workload import generate_workload
+from repro.experiments.common import ExperimentResult
+from repro.experiments.fig02_fairness_rtma import rtma_vs_default
 
 EXP_ID = "fig03"
 TITLE = "Rebuffering-time CDF (RTMA vs default)"
 
 
 def run(scale: str = "bench", seed: int = 0) -> ExperimentResult:
-    cfg = paper_config(scale, seed)
-    wl = generate_workload(cfg)
-    threshold, threshold_12 = calibrate_rtma_threshold(
-        cfg, alphas=(1.0, 1.2), workload=wl, **calibration_kwargs(scale)
-    )
-    results = compare_schedulers(
-        cfg,
-        {
-            "default": DefaultScheduler(),
-            "rtma": RTMAScheduler(sig_threshold_dbm=threshold),
-            "rtma (a=1.2)": RTMAScheduler(sig_threshold_dbm=threshold_12),
-        },
-        workload=wl,
-    )
+    _, results = rtma_vs_default(scale, seed)
     table = Table(
         [
             "scheduler",

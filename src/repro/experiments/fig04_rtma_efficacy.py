@@ -11,9 +11,14 @@ from __future__ import annotations
 from repro.analysis.tables import Table
 from repro.baselines.default import DefaultScheduler
 from repro.core.rtma import RTMAScheduler
-from repro.experiments.common import ExperimentResult, calibration_kwargs, paper_config
-from repro.sim.runner import calibrate_rtma_threshold, compare_schedulers
-from repro.sim.workload import generate_workload
+from repro.experiments.common import (
+    ExperimentResult,
+    calibration_kwargs,
+    paper_config,
+    sizes_axis,
+    users_axis,
+)
+from repro.sim.runner import comparison_phase, rtma_calibration_phase
 
 EXP_ID = "fig04"
 TITLE = "RTMA rebuffering vs users / data amount, alpha sweep"
@@ -21,55 +26,46 @@ TITLE = "RTMA rebuffering vs users / data amount, alpha sweep"
 ALPHAS = (0.8, 1.0, 1.2)
 
 
-def _sweep(cfg_points, label, fmt, scale):
+def _panel(axis, label, scale):
+    xs, points = axis
     table = Table(
         [label, "default (s)"] + [f"rtma a={a} (s)" for a in ALPHAS],
-        formats=[fmt, ".4f"] + [".4f"] * len(ALPHAS),
+        formats=["d", ".4f"] + [".4f"] * len(ALPHAS),
         title=f"{TITLE} — by {label}",
     )
-    series: dict = {"points": [], "default": [], **{f"alpha={a}": [] for a in ALPHAS}}
-    for point, cfg in cfg_points:
-        wl = generate_workload(cfg)
-        # Phase 1: one reference, probe and grid for every alpha.
-        thresholds = calibrate_rtma_threshold(
-            cfg, alphas=ALPHAS, workload=wl, **calibration_kwargs(scale)
-        )
-        # Phase 2: the point's full-horizon runs as one batch.
-        results = compare_schedulers(
-            cfg,
-            {
-                "default": DefaultScheduler(),
-                **{
-                    f"alpha={a}": RTMAScheduler(sig_threshold_dbm=thr)
-                    for a, thr in zip(ALPHAS, thresholds)
+    # Phase 1: each point's one reference, probe and grid serve every alpha.
+    thresholds = rtma_calibration_phase(points, ALPHAS, **calibration_kwargs(scale))
+    # Phase 2: every point's Default and per-alpha runs as one batch.
+    comparisons = comparison_phase(
+        [
+            (
+                cfg,
+                {
+                    "default": DefaultScheduler(),
+                    **{
+                        f"alpha={a}": RTMAScheduler(sig_threshold_dbm=thr)
+                        for a, thr in zip(ALPHAS, point_thresholds)
+                    },
                 },
-            },
-            workload=wl,
-        )
-        series["points"].append(point)
+                wl,
+            )
+            for (cfg, wl), point_thresholds in zip(points, thresholds)
+        ]
+    )
+    series: dict = {"points": list(xs)}
+    for x, results in zip(xs, comparisons):
         for name, res in results.items():
-            series[name].append(res.pc_session_s)
-        table.add_row([point] + [res.pc_session_s for res in results.values()])
+            series.setdefault(name, []).append(res.pc_session_s)
+        table.add_row([x] + [res.pc_session_s for res in results.values()])
     return table, series
 
 
 def run(scale: str = "bench", seed: int = 0) -> ExperimentResult:
     base = paper_config(scale, seed)
-    user_counts = (20, 30, 40) if scale == "bench" else (20, 25, 30, 35, 40)
     # Fig. 4a: vary user count (capacity fixed -> contention grows).
-    users_points = [(n, base.with_(n_users=n)) for n in user_counts]
-    table_a, series_a = _sweep(users_points, "users", "d", scale)
-
-    # Fig. 4b: vary mean data amount (x-axis 150..550 MB in the paper,
-    # scaled down proportionally at bench scale).
-    scale_factor = 1.0 if scale == "full" else (150.0 * 1024.0) / (375.0 * 1024.0)
-    sizes_mb = (150, 350, 550) if scale == "bench" else (150, 250, 350, 450, 550)
-    size_points = [
-        (mb, base.with_(mean_video_size_kb=mb * 1024.0 * scale_factor))
-        for mb in sizes_mb
-    ]
-    table_b, series_b = _sweep(size_points, "avg size (MB)", "d", scale)
-
+    table_a, series_a = _panel(users_axis(base, scale), "users", scale)
+    # Fig. 4b: vary mean data amount.
+    table_b, series_b = _panel(sizes_axis(base, scale), "avg size (MB)", scale)
     return ExperimentResult(
         EXP_ID,
         TITLE,

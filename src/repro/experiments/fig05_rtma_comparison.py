@@ -13,9 +13,13 @@ from repro.baselines.default import DefaultScheduler
 from repro.baselines.onoff import OnOffScheduler
 from repro.baselines.throttling import ThrottlingScheduler
 from repro.core.rtma import RTMAScheduler
-from repro.experiments.common import ExperimentResult, calibration_kwargs, paper_config
+from repro.experiments.common import (
+    ExperimentResult,
+    calibration_kwargs,
+    paper_config,
+    users_axis,
+)
 from repro.sim.runner import comparison_phase, rtma_calibration_phase
-from repro.sim.workload import generate_workload
 
 EXP_ID = "fig05"
 TITLE = "RTMA vs Throttling / ON-OFF / Default"
@@ -23,7 +27,6 @@ TITLE = "RTMA vs Throttling / ON-OFF / Default"
 
 def run(scale: str = "bench", seed: int = 0) -> ExperimentResult:
     base = paper_config(scale, seed)
-    user_counts = (20, 30, 40) if scale == "bench" else (20, 25, 30, 35, 40)
 
     table_pc = Table(
         ["users", "default", "throttling", "on-off", "rtma"],
@@ -38,8 +41,7 @@ def run(scale: str = "bench", seed: int = 0) -> ExperimentResult:
     data: dict = {"users": [], "pc": {}, "pe": {}, "tail": {}}
     # The points are independent: every point's calibration is one
     # phase, every point's comparison one more.
-    configs = [base.with_(n_users=n) for n in user_counts]
-    points = [(cfg, generate_workload(cfg)) for cfg in configs]
+    counts, points = users_axis(base, scale)
     thresholds = rtma_calibration_phase(points, [1.0], **calibration_kwargs(scale))
     comparisons = comparison_phase(
         [
@@ -56,7 +58,7 @@ def run(scale: str = "bench", seed: int = 0) -> ExperimentResult:
             for (cfg, wl), (thr,) in zip(points, thresholds)
         ]
     )
-    for n, results in zip(user_counts, comparisons):
+    for n, results in zip(counts, comparisons):
         data["users"].append(n)
         mask_sums = {}
         for name, res in results.items():

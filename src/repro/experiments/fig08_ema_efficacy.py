@@ -11,9 +11,14 @@ from __future__ import annotations
 from repro.analysis.tables import Table
 from repro.baselines.default import DefaultScheduler
 from repro.core.ema import EMAScheduler
-from repro.experiments.common import ExperimentResult, paper_config
-from repro.sim.runner import calibrate_ema_v_to_reference, compare_schedulers
-from repro.sim.workload import generate_workload
+from repro.experiments.common import (
+    ExperimentResult,
+    ema_calibration_kwargs,
+    paper_config,
+    sizes_axis,
+    users_axis,
+)
+from repro.sim.runner import comparison_phase, ema_calibration_phase
 
 EXP_ID = "fig08"
 TITLE = "EMA energy vs users / data amount, beta sweep"
@@ -21,61 +26,46 @@ TITLE = "EMA energy vs users / data amount, beta sweep"
 BETAS = (0.8, 1.0, 1.2)
 
 
-def _calibration_slots(scale: str) -> int:
-    return 400 if scale == "bench" else 1500
-
-
-def _sweep(cfg_points, label, scale):
+def _panel(axis, label, scale):
+    xs, points = axis
     table = Table(
         [label, "default (mJ)"] + [f"ema b={b} (mJ)" for b in BETAS],
         formats=["d", ".1f"] + [".1f"] * len(BETAS),
         title=f"{TITLE} — by {label}",
     )
-    series: dict = {"points": [], "default": [], **{f"beta={b}": [] for b in BETAS}}
-    for point, cfg in cfg_points:
-        wl = generate_workload(cfg)
-        # Phase 1: one reference and V grid for every beta.
-        vs = calibrate_ema_v_to_reference(
-            cfg,
-            DefaultScheduler,
-            betas=BETAS,
-            workload=wl,
-            iterations=6,
-            calibration_slots=_calibration_slots(scale),
-        )
-        # Phase 2: the point's full-horizon runs as one batch.
-        results = compare_schedulers(
-            cfg,
-            {
-                "default": DefaultScheduler(),
-                **{
-                    f"beta={b}": EMAScheduler(cfg.n_users, v_param=v, tau_s=cfg.tau_s)
-                    for b, v in zip(BETAS, vs)
+    # Phase 1: each point's one reference and V grid serve every beta.
+    vs = ema_calibration_phase(
+        points, DefaultScheduler, BETAS, **ema_calibration_kwargs(scale)
+    )
+    # Phase 2: every point's Default and per-beta runs as one batch.
+    comparisons = comparison_phase(
+        [
+            (
+                cfg,
+                {
+                    "default": DefaultScheduler(),
+                    **{
+                        f"beta={b}": EMAScheduler(cfg.n_users, v_param=v, tau_s=cfg.tau_s)
+                        for b, v in zip(BETAS, point_vs)
+                    },
                 },
-            },
-            workload=wl,
-        )
-        series["points"].append(point)
+                wl,
+            )
+            for (cfg, wl), point_vs in zip(points, vs)
+        ]
+    )
+    series: dict = {"points": list(xs)}
+    for x, results in zip(xs, comparisons):
         for name, res in results.items():
-            series[name].append(res.pe_session_mj)
-        table.add_row([point] + [res.pe_session_mj for res in results.values()])
+            series.setdefault(name, []).append(res.pe_session_mj)
+        table.add_row([x] + [res.pe_session_mj for res in results.values()])
     return table, series
 
 
 def run(scale: str = "bench", seed: int = 0) -> ExperimentResult:
     base = paper_config(scale, seed)
-    user_counts = (20, 30, 40) if scale == "bench" else (20, 25, 30, 35, 40)
-    users_points = [(n, base.with_(n_users=n)) for n in user_counts]
-    table_a, series_a = _sweep(users_points, "users", scale)
-
-    scale_factor = 1.0 if scale == "full" else (150.0 * 1024.0) / (375.0 * 1024.0)
-    sizes_mb = (150, 350, 550) if scale == "bench" else (150, 250, 350, 450, 550)
-    size_points = [
-        (mb, base.with_(mean_video_size_kb=mb * 1024.0 * scale_factor))
-        for mb in sizes_mb
-    ]
-    table_b, series_b = _sweep(size_points, "avg size (MB)", scale)
-
+    table_a, series_a = _panel(users_axis(base, scale), "users", scale)
+    table_b, series_b = _panel(sizes_axis(base, scale), "avg size (MB)", scale)
     return ExperimentResult(
         EXP_ID, TITLE, [table_a, table_b], {"by_users": series_a, "by_size": series_b}
     )

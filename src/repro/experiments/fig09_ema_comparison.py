@@ -13,9 +13,13 @@ from repro.baselines.default import DefaultScheduler
 from repro.baselines.estreamer import EStreamerScheduler
 from repro.baselines.salsa import SalsaScheduler
 from repro.core.ema import EMAScheduler
-from repro.experiments.common import ExperimentResult, paper_config
+from repro.experiments.common import (
+    ExperimentResult,
+    ema_calibration_kwargs,
+    paper_config,
+    users_axis,
+)
 from repro.sim.runner import comparison_phase, ema_calibration_phase
-from repro.sim.workload import generate_workload
 
 EXP_ID = "fig09"
 TITLE = "EMA vs SALSA / EStreamer / Default"
@@ -23,8 +27,6 @@ TITLE = "EMA vs SALSA / EStreamer / Default"
 
 def run(scale: str = "bench", seed: int = 0) -> ExperimentResult:
     base = paper_config(scale, seed)
-    user_counts = (20, 30, 40) if scale == "bench" else (20, 25, 30, 35, 40)
-    cal_slots = 400 if scale == "bench" else 1500
 
     table_pe = Table(
         ["users", "default", "salsa", "estreamer", "ema"],
@@ -39,10 +41,9 @@ def run(scale: str = "bench", seed: int = 0) -> ExperimentResult:
     data: dict = {"users": [], "pe": {}, "pc": {}}
     # The points are independent: every point's calibration is one
     # phase, every point's comparison one more.
-    configs = [base.with_(n_users=n) for n in user_counts]
-    points = [(cfg, generate_workload(cfg)) for cfg in configs]
+    counts, points = users_axis(base, scale)
     vs = ema_calibration_phase(
-        points, EStreamerScheduler, [1.0], iterations=6, calibration_slots=cal_slots
+        points, EStreamerScheduler, [1.0], **ema_calibration_kwargs(scale)
     )
     comparisons = comparison_phase(
         [
@@ -60,7 +61,7 @@ def run(scale: str = "bench", seed: int = 0) -> ExperimentResult:
         ]
     )
     order = ("default", "salsa", "estreamer", "ema")
-    for n, results in zip(user_counts, comparisons):
+    for n, results in zip(counts, comparisons):
         data["users"].append(n)
         for name in order:
             data["pe"].setdefault(name, []).append(results[name].pe_session_mj)

@@ -12,13 +12,18 @@ from repro.analysis.tables import Table
 from repro.baselines.default import DefaultScheduler
 from repro.core.ema import EMAScheduler
 from repro.core.rtma import RTMAScheduler
-from repro.experiments.common import ExperimentResult, calibration_kwargs, paper_config
-from repro.sim.runner import (
-    calibrate_ema_v_to_reference,
-    calibrate_rtma_threshold,
-    compare_schedulers,
+from repro.experiments.common import (
+    ExperimentResult,
+    calibration_kwargs,
+    ema_calibration_kwargs,
+    paper_config,
+    users_axis,
 )
-from repro.sim.workload import generate_workload
+from repro.sim.runner import (
+    comparison_phase,
+    ema_calibration_phase,
+    rtma_calibration_phase,
+)
 
 EXP_ID = "fig10"
 TITLE = "Rebuffering-energy trade-off panel (default / RTMA / EMA)"
@@ -26,39 +31,33 @@ TITLE = "Rebuffering-energy trade-off panel (default / RTMA / EMA)"
 
 def run(scale: str = "bench", seed: int = 0) -> ExperimentResult:
     base = paper_config(scale, seed)
-    user_counts = (20, 30, 40) if scale == "bench" else (20, 25, 30, 35, 40)
-    cal_slots = 400 if scale == "bench" else 1500
+    counts, points = users_axis(base, scale)
 
     table = Table(
         ["users", "scheduler", "energy (mJ)", "rebuffering (s)"],
         formats=["d", None, ".1f", ".4f"],
         title=TITLE,
     )
-    data: dict = {"users": [], "points": {}}
-    for n in user_counts:
-        cfg = base.with_(n_users=n)
-        wl = generate_workload(cfg)
-        thr = calibrate_rtma_threshold(
-            cfg, alpha=1.0, workload=wl, **calibration_kwargs(scale)
-        )
-        v = calibrate_ema_v_to_reference(
-            cfg,
-            DefaultScheduler,
-            beta=1.0,
-            workload=wl,
-            iterations=6,
-            calibration_slots=cal_slots,
-        )
-        results = compare_schedulers(
-            cfg,
-            {
-                "default": DefaultScheduler(),
-                "rtma": RTMAScheduler(sig_threshold_dbm=thr),
-                "ema": EMAScheduler(cfg.n_users, v_param=v, tau_s=cfg.tau_s),
-            },
-            workload=wl,
-        )
-        data["users"].append(n)
+    data: dict = {"users": list(counts), "points": {}}
+    thresholds = rtma_calibration_phase(points, [1.0], **calibration_kwargs(scale))
+    vs = ema_calibration_phase(
+        points, DefaultScheduler, [1.0], **ema_calibration_kwargs(scale)
+    )
+    comparisons = comparison_phase(
+        [
+            (
+                cfg,
+                {
+                    "default": DefaultScheduler(),
+                    "rtma": RTMAScheduler(sig_threshold_dbm=thr),
+                    "ema": EMAScheduler(cfg.n_users, v_param=v, tau_s=cfg.tau_s),
+                },
+                wl,
+            )
+            for (cfg, wl), (thr,), (v,) in zip(points, thresholds, vs)
+        ]
+    )
+    for n, results in zip(counts, comparisons):
         for name, res in results.items():
             point = (res.pe_session_mj, res.pc_session_s)
             data["points"].setdefault(name, []).append(point)

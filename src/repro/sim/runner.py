@@ -23,12 +23,15 @@ do not depend on each other):
    more batch.
 
 Each phase hands every point its slice of the results, in point
-order.  :func:`calibrate_rtma_threshold`,
-:func:`calibrate_ema_v_to_reference` and :func:`compare_schedulers` are
-the one-point case.  Since every helper routes its runs through
-``map_runs``, installing a pooled executor
-(:func:`repro.sim.executor.use_executor`, or ``repro-experiments
---jobs N``) parallelises them with bit-identical results and metrics.
+order.  Every calibrating figure driver (fig02 to fig05, fig08 to
+fig10) calls the phases over its points: once per driver, or once per
+panel for fig04 and fig08.  :func:`calibrate_rtma_threshold` and
+:func:`calibrate_ema_v_to_reference` are the phases' one-point,
+one-factor case, and :func:`compare_schedulers` is the one-point
+comparison.  Since every helper routes its runs through ``map_runs``,
+installing a pooled executor (:func:`repro.sim.executor.use_executor`,
+or ``repro-experiments --jobs N``) parallelises them with bit-identical
+results and metrics.
 """
 
 from __future__ import annotations
@@ -173,19 +176,14 @@ def default_reference(
     return run_scheduler(config, DefaultScheduler(), workload)
 
 
-def _one_of(name: str, scalar, plural: str, vector) -> tuple[bool, list]:
-    """Validate a calibrator's scalar/vector argument pair.
-
-    Returns whether the scalar was given, and the factors as a list.
-    """
-    if (scalar is None) == (vector is None):
-        raise ConfigurationError(f"pass exactly one of {name}= and {plural}=")
-    factors = [scalar] if vector is None else list(vector)
+def _checked_factors(name: str, factors: Sequence[float]) -> list[float]:
+    """A calibration phase's budget factors, which must be positive."""
+    factors = list(factors)
     if not factors:
-        raise ConfigurationError(f"{plural} must not be empty")
+        raise ConfigurationError(f"need at least one {name}")
     if any(f <= 0 for f in factors):
         raise ConfigurationError(f"{name} must be positive")
-    return vector is None, factors
+    return factors
 
 
 def _calibration_inputs(
@@ -204,14 +202,12 @@ def _calibration_inputs(
 
 def calibrate_rtma_threshold(
     config: SimConfig,
-    alpha: float | None = None,
+    alpha: float,
     workload: Workload | None = None,
     iterations: int = 9,
     calibration_slots: int | None = None,
     instrumentation: Instrumentation | None = None,
-    *,
-    alphas: Sequence[float] | None = None,
-) -> float | list[float]:
+) -> float:
     """Find the least-restrictive signal threshold meeting the Eq. (10)
     budget ``Phi = alpha * E_default``.
 
@@ -226,16 +222,12 @@ def calibrate_rtma_threshold(
     since PE dilutes once sessions complete).  Returns ``-inf`` when
     unconstrained RTMA already fits the budget.
 
-    Pass exactly one of ``alpha`` and ``alphas``.  With ``alphas`` the
-    result is one threshold per factor, all cut from a single
-    reference, probe and grid: only the final ``pe <= alpha * E_default``
-    test depends on alpha.
+    The one-point, one-factor case of :func:`rtma_calibration_phase`.
     """
-    scalar, factors = _one_of("alpha", alpha, "alphas", alphas)
-    (thresholds,) = rtma_calibration_phase(
-        [(config, workload)], factors, iterations, calibration_slots, instrumentation
+    ((threshold,),) = rtma_calibration_phase(
+        [(config, workload)], [alpha], iterations, calibration_slots, instrumentation
     )
-    return thresholds[0] if scalar else thresholds
+    return threshold
 
 
 def rtma_calibration_phase(
@@ -248,8 +240,11 @@ def rtma_calibration_phase(
     """:func:`calibrate_rtma_threshold` for several ``(config,
     workload)`` points at once: every point's reference, probe and grid
     go out as one task list.  Returns one threshold per alpha for each
-    point, in point order.
+    point, in point order; all of a point's thresholds are cut from its
+    one reference, probe and grid, since only the final
+    ``pe <= alpha * E_default`` test depends on alpha.
     """
+    alphas = _checked_factors("alpha", alphas)
     instr = _resolve_instrumentation(instrumentation)
     grids, tasks = [], []
     for config, workload in points:
@@ -485,13 +480,11 @@ def calibrate_ema_v(
 def calibrate_ema_v_to_reference(
     config: SimConfig,
     reference_scheduler_factory: Callable[[], object],
-    beta: float | None = None,
+    beta: float = 1.0,
     workload: Workload | None = None,
     iterations: int = 8,
     calibration_slots: int | None = None,
-    *,
-    betas: Sequence[float] | None = None,
-) -> float | list[float]:
+) -> float:
     """Calibrate EMA's ``V`` to ``Omega = beta * PC(reference)``.
 
     Both the reference rebuffering and EMA's are measured on the *same*
@@ -501,21 +494,16 @@ def calibrate_ema_v_to_reference(
     grid share that horizon's workload and go out as one task list, so
     the executor stacks them into one slot loop.
 
-    Pass at most one of ``beta`` and ``betas`` (neither means
-    ``beta=1.0``).  With ``betas`` the result is one V per factor, all
-    chosen from a single reference and grid.
+    The one-point, one-factor case of :func:`ema_calibration_phase`.
     """
-    if beta is None and betas is None:
-        beta = 1.0
-    scalar, factors = _one_of("beta", beta, "betas", betas)
-    (vs,) = ema_calibration_phase(
+    ((v,),) = ema_calibration_phase(
         [(config, workload)],
         reference_scheduler_factory,
-        factors,
+        [beta],
         iterations,
         calibration_slots,
     )
-    return vs[0] if scalar else vs
+    return v
 
 
 def ema_calibration_phase(
@@ -528,8 +516,10 @@ def ema_calibration_phase(
     """:func:`calibrate_ema_v_to_reference` for several ``(config,
     workload)`` points at once: every point's reference and V grid go
     out as one task list.  Returns one V per beta for each point, in
-    point order.
+    point order; all of a point's Vs are chosen from its one reference
+    and grid.
     """
+    betas = _checked_factors("beta", betas)
     instr = current_instrumentation()
     grids, tasks = [], []
     for config, workload in points:

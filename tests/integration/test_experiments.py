@@ -89,11 +89,21 @@ class TestCLI:
 
 class TestPhasedDrivers:
     """A figure's slot loops: one for every sweep point's calibration
-    (reference, probe and grid), one for every point's comparison."""
+    (reference, probe and grid), one for every point's comparison.
+    fig04 and fig08 run that pair once per panel; fig10 calibrates RTMA
+    and EMA in one loop each."""
 
     @pytest.mark.parametrize(
         "exp_id, loops, runs",
-        [("fig05", 2, 39), ("fig09", 2, 33)],
+        [
+            ("fig02", 2, 12),
+            ("fig03", 2, 12),
+            ("fig04", 4, 78),
+            ("fig05", 2, 39),
+            ("fig08", 4, 66),
+            ("fig09", 2, 33),
+            ("fig10", 3, 57),
+        ],
     )
     def test_slot_loops_at_bench_scale(self, monkeypatch, exp_id, loops, runs):
         census = {"loops": 0, "runs": 0}

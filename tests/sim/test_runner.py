@@ -7,18 +7,24 @@ from repro.core.ema import EMAScheduler
 from repro.core.rtma import RTMAScheduler
 from repro.errors import ConfigurationError
 from repro.obs import Instrumentation, use_instrumentation
+from repro.obs.metrics import MetricsRegistry
+from repro.sim import runner
 from repro.sim.runner import (
     calibrate_ema_v,
     calibrate_ema_v_to_reference,
     calibrate_rtma_threshold,
     compare_schedulers,
+    comparison_phase,
     default_reference,
+    ema_calibration_phase,
     make_rtma_eq12,
     multi_seed,
+    rtma_calibration_phase,
     run_scheduler,
     sweep,
 )
 from repro.sim.workload import generate_workload
+from tests.sim.test_executor import assert_results_bit_identical
 
 
 class TestBasics:
@@ -129,18 +135,22 @@ def _observed(calibrate):
 
 
 class TestVectorCalibration:
-    """One vector call equals its per-factor scalar calls."""
+    """A phase's several factors equal its one-factor calls."""
 
     def test_rtma_alphas_match_scalar_calls(self, contended_config):
         wl = generate_workload(contended_config.with_(n_slots=200))
         # 5.0 is a factor whose budget the unconstrained probe fits.
         alphas = (0.5, 1.0, 5.0)
-        kw = dict(workload=wl, iterations=5, calibration_slots=200)
-        thresholds, counters, hists = _observed(
-            lambda: calibrate_rtma_threshold(contended_config, alphas=alphas, **kw)
+        kw = dict(iterations=5, calibration_slots=200)
+        (thresholds,), counters, hists = _observed(
+            lambda: rtma_calibration_phase([(contended_config, wl)], alphas, **kw)
         )
         scalar = [
-            _observed(lambda: calibrate_rtma_threshold(contended_config, alpha=a, **kw))
+            _observed(
+                lambda: calibrate_rtma_threshold(
+                    contended_config, alpha=a, workload=wl, **kw
+                )
+            )
             for a in alphas
         ]
         assert thresholds == [value for value, _, _ in scalar]
@@ -161,9 +171,9 @@ class TestVectorCalibration:
         assert hists == scalar[0][2]
 
     def test_rtma_all_probe_fits_reads_no_grid(self, contended_config):
-        thresholds, counters, _ = _observed(
-            lambda: calibrate_rtma_threshold(
-                contended_config, alphas=[5.0, 6.0], calibration_slots=200
+        (thresholds,), counters, _ = _observed(
+            lambda: rtma_calibration_phase(
+                [(contended_config, None)], [5.0, 6.0], calibration_slots=200
             )
         )
         assert thresholds == [float("-inf")] * 2
@@ -173,16 +183,16 @@ class TestVectorCalibration:
         wl = generate_workload(contended_config.with_(n_slots=150))
         # 0.01 leaves no V feasible: the best-effort branch.
         betas = (0.01, 0.8, 1.0, 2.0)
-        kw = dict(workload=wl, iterations=5, calibration_slots=150)
-        vs, counters, hists = _observed(
-            lambda: calibrate_ema_v_to_reference(
-                contended_config, DefaultScheduler, betas=betas, **kw
+        kw = dict(iterations=5, calibration_slots=150)
+        (vs,), counters, hists = _observed(
+            lambda: ema_calibration_phase(
+                [(contended_config, wl)], DefaultScheduler, betas, **kw
             )
         )
         scalar = [
             _observed(
                 lambda: calibrate_ema_v_to_reference(
-                    contended_config, DefaultScheduler, beta=b, **kw
+                    contended_config, DefaultScheduler, beta=b, workload=wl, **kw
                 )
             )
             for b in betas
@@ -200,21 +210,107 @@ class TestVectorCalibration:
             small_config, DefaultScheduler, **kw
         ) == calibrate_ema_v_to_reference(small_config, DefaultScheduler, beta=1.0, **kw)
 
-    def test_exactly_one_factor_argument(self, small_config):
+    def test_phases_validate_factors(self, small_config, monkeypatch):
+        # Bad factors are rejected before any point is prepared or run.
+        def ran(*args, **kwargs):
+            raise AssertionError("calibration ran before its factors were checked")
+
+        monkeypatch.setattr(runner, "_calibration_inputs", ran)
+        monkeypatch.setattr(runner, "map_runs", ran)
+        points = [(small_config, None)]
+        for alphas in ([], [-1.0], [1.0, 0.0]):
+            with pytest.raises(ConfigurationError):
+                rtma_calibration_phase(points, alphas)
+        for betas in ([], [0.0], [1.0, -1.0]):
+            with pytest.raises(ConfigurationError):
+                ema_calibration_phase(points, DefaultScheduler, betas)
         with pytest.raises(ConfigurationError):
-            calibrate_rtma_threshold(small_config)
+            calibrate_rtma_threshold(small_config, alpha=-1.0)
         with pytest.raises(ConfigurationError):
-            calibrate_rtma_threshold(small_config, alpha=1.0, alphas=[1.0])
-        with pytest.raises(ConfigurationError):
-            calibrate_rtma_threshold(small_config, alphas=[])
-        with pytest.raises(ConfigurationError):
-            calibrate_rtma_threshold(small_config, alphas=[1.0, -1.0])
-        with pytest.raises(ConfigurationError):
-            calibrate_ema_v_to_reference(
-                small_config, DefaultScheduler, beta=1.0, betas=[1.0]
+            calibrate_ema_v_to_reference(small_config, DefaultScheduler, beta=0.0)
+
+
+def _observed_state(call):
+    """A call's value, the raw metric state it left and its slot loops."""
+    instr = Instrumentation()
+    with use_instrumentation(instr):
+        value = call()
+    return value, instr.metrics.state(), instr.spans.count(("run",))
+
+
+class TestMultiPointPhases:
+    """A phase over a ragged pair of points (6 and 9 users, one slot
+    loop) gives each point what its one-point call gives it."""
+
+    @pytest.fixture
+    def points(self, small_config):
+        configs = [small_config, small_config.with_(n_users=9, seed=43)]
+        return [(cfg, generate_workload(cfg)) for cfg in configs]
+
+    @staticmethod
+    def _assert_metrics_add_up(state, lone):
+        want = MetricsRegistry()
+        for _, lone_state, _ in lone:
+            want.merge_state(lone_state)
+        want = want.state()
+        assert state["counters"] == pytest.approx(want["counters"], rel=1e-12)
+        assert {k: sorted(v) for k, v in state["histograms"].items()} == {
+            k: sorted(v) for k, v in want["histograms"].items()
+        }
+
+    def test_rtma_calibration_phase(self, points):
+        kw = dict(iterations=4, calibration_slots=100)
+        alphas = (0.8, 1.2)
+        got, state, loops = _observed_state(
+            lambda: rtma_calibration_phase(points, alphas, **kw)
+        )
+        lone = [
+            _observed_state(lambda: rtma_calibration_phase([p], alphas, **kw))
+            for p in points
+        ]
+        assert loops == 1
+        assert got == [value for (value,), _, _ in lone]
+        self._assert_metrics_add_up(state, lone)
+
+    def test_ema_calibration_phase(self, points):
+        kw = dict(iterations=4, calibration_slots=100)
+        betas = (0.8, 1.2)
+        got, state, loops = _observed_state(
+            lambda: ema_calibration_phase(points, DefaultScheduler, betas, **kw)
+        )
+        lone = [
+            _observed_state(
+                lambda: ema_calibration_phase([p], DefaultScheduler, betas, **kw)
             )
-        with pytest.raises(ConfigurationError):
-            calibrate_ema_v_to_reference(small_config, DefaultScheduler, betas=[0.0])
+            for p in points
+        ]
+        assert loops == 1
+        assert got == [value for (value,), _, _ in lone]
+        self._assert_metrics_add_up(state, lone)
+
+    def test_comparison_phase(self, points):
+        def schedulers(cfg):
+            return {
+                "default": DefaultScheduler(),
+                "rtma": RTMAScheduler(sig_threshold_dbm=-95.0),
+                "ema": EMAScheduler(cfg.n_users, v_param=0.1, tau_s=cfg.tau_s),
+            }
+
+        got, state, loops = _observed_state(
+            lambda: comparison_phase(
+                [(cfg, schedulers(cfg), wl) for cfg, wl in points]
+            )
+        )
+        lone = [
+            _observed_state(lambda: compare_schedulers(cfg, schedulers(cfg), wl))
+            for cfg, wl in points
+        ]
+        assert loops == 1 and len(got) == len(points)
+        for results, (want, _, _) in zip(got, lone):
+            assert list(results) == list(want)
+            for name, res in results.items():
+                assert_results_bit_identical(res, want[name])
+        self._assert_metrics_add_up(state, lone)
 
 
 class TestCalibrationWorkloadGuards:
