@@ -64,7 +64,6 @@ from repro.sim import (
     compare_schedulers,
     generate_workload,
     run_scheduler,
-    sweep,
 )
 
 __version__ = "1.2.0"
@@ -111,7 +110,6 @@ __all__ = [
     "generate_workload",
     "run_scheduler",
     "compare_schedulers",
-    "sweep",
     "calibrate_ema_v",
     "__version__",
 ]

@@ -539,10 +539,16 @@ class EMAScheduler(Scheduler):
             pc = self.queues.values
             instr.metrics.gauge("ema.virtual_queues").set(pc.copy())
             instr.metrics.gauge("ema.virtual_queue_max_s").set(float(pc.max()))
-            if instr.tracer.enabled:
-                instr.tracer.emit(
-                    "ema.queues", slot=int(obs.slot), v=self.v_param, pc_s=pc.copy()
-                )
+
+    def trace_snapshots(self) -> list[tuple[int, str, dict]]:
+        """Each run's ``PC_i(n)`` after this slot's update, with its ``V``."""
+        pc, offsets = self.queues.values, self._run_offsets
+        return [
+            (r, "ema.queues", {"v": s.v_param, "pc_s": pc[lo:hi].copy()})
+            for r, (s, lo, hi) in enumerate(
+                zip(self._parts or [self], offsets[:-1], offsets[1:])
+            )
+        ]
 
     def finalize_batch(self, metrics) -> None:
         """Publish a stack's final gauge state as the serial runs would.

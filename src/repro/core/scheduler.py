@@ -67,6 +67,15 @@ class Scheduler(abc.ABC):
     def reset(self) -> None:
         """Clear internal state before a fresh run (default: no-op)."""
 
+    def trace_snapshots(self) -> list[tuple[int, str, dict]]:
+        """State a traced run records after each slot's feedback.
+
+        ``(run, kind, fields)`` triples, ``run`` indexing the runs the
+        scheduler serves; the engine records each as a ``kind`` trace
+        event of that run's slot.  Default: none.
+        """
+        return []
+
     def grow_users(self, n_users: int) -> None:
         """Resize per-user state to ``n_users`` rows (dynamic lifecycle).
 

@@ -6,12 +6,11 @@ one (or ``all``) and prints its tables.  ``--markdown`` emits the
 EXPERIMENTS.md-ready rendering.  ``--jobs N`` installs a process-pool
 :class:`~repro.sim.executor.RunExecutor` for the duration of the run,
 parallelising every sweep / comparison / calibration grid underneath
-(results and metrics are bit-identical to ``--jobs 1``; per-slot trace
-events stay worker-local, so use ``--jobs 1`` with ``--report-dir``
-when the full slot stream matters).  Consecutive compatible runs are
-stacked into one vectorized slot loop (:mod:`repro.sim.batch`), split
-into one group per worker — also bit-identical.  ``--batch R`` caps a
-stack at R runs; ``--batch 1`` runs every run in its own loop.
+(results, metrics and traces are bit-identical to ``--jobs 1``).
+Consecutive compatible runs are stacked into one vectorized slot loop
+(:mod:`repro.sim.batch`), split into one group per worker — also
+bit-identical.  ``--batch R`` caps a stack at R runs; ``--batch 1``
+runs every run in its own loop.
 
 Live telemetry flags (see :mod:`repro.obs.live` and the
 "Watching a run live" section of EXPERIMENTS.md):

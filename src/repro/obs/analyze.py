@@ -1,8 +1,8 @@
 """Trace analysis: timeline reconstruction and invariant checking.
 
-The instrumented engine writes one ``slot`` event per simulated slot
-(with per-user vectors), plus ``run.start`` / ``run.end`` boundaries
-and ``ema.queues`` virtual-queue snapshots.  This module turns that
+A traced run writes one ``slot`` event per simulated slot (with
+per-user vectors), plus ``run.start`` / ``run.end`` boundaries and
+``ema.queues`` virtual-queue snapshots.  This module turns that
 stream back into structured :class:`RunTimeline` objects — per-user
 buffer/energy/allocation grids, rebuffer events, RRC state residency,
 the DCH/FACH/tail energy split — and runs a pluggable **invariant
@@ -444,32 +444,17 @@ def timelines_from_trace(path: str | Path) -> list[RunTimeline]:
 def timeline_from_result(result, params: dict[str, Any] | None = None) -> RunTimeline:
     """Build a timeline from an in-memory :class:`~repro.sim.results.SimulationResult`.
 
-    The result record does not retain the per-slot link caps, unit
-    budgets, or signal rows, so the capacity and RTMA-threshold
-    invariants report themselves skipped; buffer and EMA-consistency
-    checks run as on a trace.  ``params`` plays the role of the
+    The result is replayed into the events a traced run writes
+    (:func:`repro.sim.engine.trace_events`, which recomputes the per-slot
+    link caps and unit budgets) and read back like a trace, so every
+    checker runs as on a trace.  ``params`` plays the role of the
     ``run.start`` scheduler parameters.
     """
-    cfg = result.config
-    tl = RunTimeline(
-        scheduler=result.scheduler_name,
-        n_users=int(result.allocation_units.shape[1]),
-        n_slots=int(result.allocation_units.shape[0]),
-        tau_s=cfg.tau_s,
-        delta_kb=cfg.delta_kb,
-        seed=cfg.seed,
-        params=dict(params or {}),
-        rrc=cfg.radio.rrc,
-        grids=result.per_user_grids(),
+    from repro.sim.engine import trace_events
+
+    (tl,) = timelines_from_events(
+        {"kind": kind, **fields} for kind, fields in trace_events(result, params=params)
     )
-    tl.totals = {
-        "delivered_kb": result.delivered_kb.sum(axis=1),
-        "rebuffering_s": result.rebuffering_s.sum(axis=1),
-        "energy_trans_mj": result.energy_trans_mj.sum(axis=1),
-        "energy_tail_mj": result.energy_tail_mj.sum(axis=1),
-        "mean_buffer_s": result.buffer_s.mean(axis=1),
-        "allocated_units": result.allocation_units.sum(axis=1),
-    }
     return tl
 
 

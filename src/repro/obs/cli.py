@@ -5,7 +5,7 @@ Runs either a named experiment from the registry or the built-in
 bundle attached, then writes these artifacts into the output directory:
 
 * ``trace.jsonl`` — one structured JSON event per line (>= 1 per
-  simulated slot, plus calibration/sweep/EMA-queue events);
+  simulated slot, plus calibration and EMA-queue events);
 * ``manifest.json`` — provenance: config hash, seed, package version,
   git revision, wall time, event count;
 * ``metrics.json`` — the final counters/gauges/histograms snapshot;

@@ -2,7 +2,7 @@
 
 A *tracer* receives a stream of structured events — one dict per call —
 from the instrumented simulation pipeline: per-slot engine summaries,
-EMA virtual-queue snapshots, calibration grid points, sweep progress.
+EMA virtual-queue snapshots, calibration grid points and results.
 Three implementations cover the useful design space:
 
 * :class:`NullTracer` — the default everywhere; every method is a
@@ -12,8 +12,8 @@ Three implementations cover the useful design space:
   event per line, with NumPy arrays/scalars converted to plain JSON.
 
 Events are free-form: a ``kind`` string plus arbitrary keyword fields.
-The engine guarantees at least one ``"slot"`` event per simulated slot
-when tracing is enabled (see :meth:`repro.sim.engine.Simulation.run`).
+A traced run writes one ``"slot"`` event per simulated slot, derived
+from its finished result (see :func:`repro.sim.engine.trace_events`).
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@
 * :mod:`repro.sim.results` — per-slot/per-user result arrays plus
   summaries;
 * :mod:`repro.sim.runner` — comparisons on identical workloads,
-  parameter sweeps, multi-seed replication, and the calibration
+  multi-seed replication, and the calibration
   helpers that set ``Phi = alpha * E_default`` / pick EMA's ``V`` for a
   target rebuffering bound;
 * :mod:`repro.sim.executor` — serial and process-pool run execution
@@ -43,7 +43,6 @@ from repro.sim.runner import (
     compare_schedulers,
     multi_seed,
     run_scheduler,
-    sweep,
 )
 from repro.sim.workload import Workload, generate_workload
 
@@ -60,7 +59,6 @@ __all__ = [
     "per_slot_fairness",
     "run_scheduler",
     "compare_schedulers",
-    "sweep",
     "calibrate_ema_v",
     "multi_seed",
     "RunTask",

@@ -64,11 +64,13 @@ every ``R`` (one span per phase per slot covers the whole loop, and
 one ``run`` span counts the loop).  Per-run counters are derived after
 the loop by :func:`~repro.sim.engine.record_run_metrics`, into one
 registry per run when ``R > 1``, merged in task order: the registry
-does not depend on how runs are grouped.  Per-slot trace events and
-the live telemetry plane need each run's own slot stream, so
-:meth:`BatchPlan.run` runs every task as a one-segment loop when
-either is attached (:func:`runs_alone`), and the executor then gives
-every task its own group, so pool workers run them alone too.
+does not depend on how runs are grouped.  Traces do not either: each
+run's trace is written from its finished result and
+:class:`~repro.sim.engine.RunLog` (:func:`~repro.sim.engine.trace_events`),
+in task order.  The live telemetry plane alone needs each run's own
+slot stream, so :meth:`BatchPlan.run` runs every task as a one-segment
+loop when one is attached (:func:`runs_alone`), and the executor then
+gives every task its own group, so pool workers run them alone too.
 """
 
 from __future__ import annotations
@@ -87,7 +89,7 @@ from repro.errors import ConfigurationError
 from repro.faults import current_fault_plan
 from repro.net.gateway import SlotObservation
 from repro.obs.instrument import Instrumentation, current_instrumentation
-from repro.sim.engine import Simulation, run_segments
+from repro.sim.engine import RunLog, run_segments, write_traces
 from repro.sim.results import SimulationResult
 from repro.sim.workload import resolve_workload
 
@@ -159,11 +161,10 @@ def batch_incompatibility(tasks) -> str | None:
 def runs_alone(instr: Instrumentation | None) -> bool:
     """Whether every run observed by ``instr`` needs its own loop.
 
-    Per-slot trace events and the live telemetry plane consume a run's
-    own slot stream, so under a tracer or a live plane each run is a
-    one-segment loop.
+    The live telemetry plane consumes a run's own slot stream, so under
+    a live plane each run is a one-segment loop.
     """
-    return instr is not None and (instr.live is not None or instr.tracer.enabled)
+    return instr is not None and instr.live is not None
 
 
 def run_batch(tasks, instrumentation: Instrumentation | None = None):
@@ -203,6 +204,9 @@ class BatchPlan:
         #: or across a process pool — reproduces the run-by-run registry
         #: bit-for-bit.
         self.run_metric_states: list[dict] = []
+        #: One :class:`~repro.sim.engine.RunLog` per run, in task order,
+        #: when the execution recorded them (empty otherwise).
+        self.run_logs: list[RunLog] = []
         self.workloads = [
             resolve_workload(t.config, getattr(t, "workload", None))
             for t in self.tasks
@@ -224,36 +228,48 @@ class BatchPlan:
         return len(self.tasks)
 
     def run(
-        self, instrumentation: Instrumentation | None = None
+        self, instrumentation: Instrumentation | None = None, record: bool | None = None
     ) -> list[SimulationResult]:
-        """Execute the batch: one stacked loop, or run by run when it must."""
+        """Execute the batch: one stacked loop, or run by run when it must.
+
+        ``record`` (default: whether the bundle traces) keeps each run's
+        :class:`~repro.sim.engine.RunLog` in :attr:`run_logs`, for a pool
+        worker to ship home; a tracing bundle gets each run's trace
+        written in task order.
+        """
         instr = (
             instrumentation
             if instrumentation is not None
             else current_instrumentation()
         )
-        self.run_metric_states = []
-        if len(self.tasks) == 1 or runs_alone(instr):
-            return [
-                Simulation(t.config, t.scheduler, wl, instrumentation=instr).run()
-                for t, wl in zip(self.tasks, self.workloads)
-            ]
-        order = self.order
-        results, states = run_segments(
-            [self.tasks[i] for i in order],
-            [self.workloads[i] for i in order],
-            instr,
-            self._make_scheduler,
-        )
-        by_task = [None] * len(order)
-        for k, i in enumerate(order):
-            by_task[i] = results[k]
-        if states:
-            self.run_metric_states = [None] * len(order)
-            for k, i in enumerate(order):
-                self.run_metric_states[i] = states[k]
-            for state in self.run_metric_states:
-                instr.metrics.merge_state(state)
+        if record is None:
+            record = instr is not None and instr.tracer.enabled
+        n = len(self.tasks)
+        by_task, states_by_task, logs_by_task = [None] * n, [None] * n, [None] * n
+        for loop in [[i] for i in range(n)] if runs_alone(instr) else [self.order]:
+            logs = [RunLog() for _ in loop] if record else None
+            results, states = run_segments(
+                [self.tasks[i] for i in loop],
+                [self.workloads[i] for i in loop],
+                instr,
+                self._make_scheduler,
+                logs,
+            )
+            for k, i in enumerate(loop):
+                by_task[i] = results[k]
+                states_by_task[i] = states[k] if states else None
+                logs_by_task[i] = logs[k] if logs else None
+            if logs is not None:
+                # Each run's trace, in task order.
+                done = sorted(loop)
+                write_traces(
+                    instr, [by_task[i] for i in done], [logs_by_task[i] for i in done]
+                )
+        # Only a stacked loop (the plan's one loop) returns states.
+        self.run_metric_states = states_by_task if states else []
+        self.run_logs = logs_by_task if record else []
+        for state in self.run_metric_states:
+            instr.metrics.merge_state(state)
         return by_task
 
     def _make_scheduler(self, run_offsets: np.ndarray) -> _BlockScheduler:
@@ -377,6 +393,13 @@ class _BlockScheduler(Scheduler):
         self._views = []
         for b in self.blocks:
             b.scheduler.reset()
+
+    def trace_snapshots(self) -> list[tuple[int, str, dict]]:
+        return [
+            (b.start + r, kind, fields)
+            for b in self.blocks
+            for r, kind, fields in b.scheduler.trace_snapshots()
+        ]
 
     def finalize_runs(self, registries) -> None:
         """Publish each block's final gauge state into its last run's

@@ -49,9 +49,13 @@ fails loudly on scheduler misbehaviour.
 Observability: pass an :class:`~repro.obs.instrument.Instrumentation`
 bundle (or establish one ambiently with
 :func:`~repro.obs.instrument.use_instrumentation`) and the engine times
-every phase, counts slots/energy into the metrics registry, and emits
-one ``"slot"`` trace event per simulated slot (per-slot traces and the
-live plane need a run's own slot stream, so they run with ``R = 1``).
+every phase and counts slots/energy into the metrics registry.  The
+slot loop writes no trace: under a tracing bundle it records, in one
+:class:`RunLog` per run, only what a run's grids cannot reproduce, and
+:func:`trace_events` derives the run's ``run.start``, ``fault.window``,
+``slot`` and ``run.end`` events from its finished result and merges the
+log back in, so stacked and pooled runs trace like lone ones (the live
+plane alone needs a run's own slot stream, so it runs with ``R = 1``).
 Instrumentation is strictly observational — instrumented and plain
 runs are bit-identical.
 """
@@ -69,7 +73,7 @@ from repro.core.allocation import check_constraints
 from repro.errors import SimulationError
 from repro.faults import current_fault_plan
 from repro.kernels import SlotArena, backend_info, use_backend
-from repro.media.fleet import ClientFleet
+from repro.media.fleet import ClientFleet, rate_grid_kbps
 from repro.net.basestation import ConstantCapacity, FaultyCapacity
 from repro.net.gateway import Gateway
 from repro.net.slicing import ResourceSlicer
@@ -82,7 +86,7 @@ from repro.sim.results import SimulationResult, transmission_energy_mj
 from repro.sim.sessions import INITIAL_CAPACITY, SessionManager
 from repro.sim.workload import Workload, resolve_workload
 
-__all__ = ["Simulation", "run_segments"]
+__all__ = ["Simulation", "run_segments", "RunLog", "trace_events", "write_traces"]
 
 log = logging.getLogger("repro.sim.engine")
 
@@ -121,12 +125,11 @@ SLOT_PHASES = ("playback", "observe", "schedule", "transmit", "rrc", "feedback")
 _GRID_DTYPES = (np.int64, float, float, float, float, bool)
 
 
-def _emit_fault_windows(tracer, plan) -> None:
-    """One ``fault.window`` trace event per injected window, emitted at
-    run start so trace analysis sees the full plan before any slot."""
+def _fault_window_events(plan):
+    """One ``fault.window`` event per injected window, written at run
+    start so trace analysis sees the full plan before any slot."""
     for w in plan.signal:
-        tracer.emit(
-            "fault.window",
+        yield "fault.window", dict(
             fault="signal",
             start_slot=w.start_slot,
             n_slots=w.n_slots,
@@ -134,20 +137,12 @@ def _emit_fault_windows(tracer, plan) -> None:
             level_dbm=w.level_dbm,
         )
     for w in plan.capacity:
-        tracer.emit(
-            "fault.window",
-            fault="capacity",
-            start_slot=w.start_slot,
-            n_slots=w.n_slots,
-            factor=w.factor,
+        yield "fault.window", dict(
+            fault="capacity", start_slot=w.start_slot, n_slots=w.n_slots, factor=w.factor
         )
     for w in plan.stalls:
-        tracer.emit(
-            "fault.window",
-            fault="stall",
-            start_slot=w.start_slot,
-            n_slots=w.n_slots,
-            users=list(w.users),
+        yield "fault.window", dict(
+            fault="stall", start_slot=w.start_slot, n_slots=w.n_slots, users=list(w.users)
         )
 
 
@@ -180,14 +175,19 @@ def _scheduler_trace_params(scheduler) -> dict:
     return out
 
 
-def abort_run(instr, exc, slot, what="run", scheduler_name=None) -> None:
+def abort_run(instr, exc, slot, what="run", scheduler_name=None, runs=(), done=0) -> None:
     """Leave a valid, parseable trace prefix behind a crashed (or
-    SLO-aborted) run: emit one final ``run.abort``, abort the live run,
-    then flush and close the bundle.  The caller re-raises."""
+    SLO-aborted) loop: write each of ``runs`` (``(partial result, log)``
+    pairs) up to its ``done`` completed slots, then one final
+    ``run.abort``; abort the live run, then flush and close the bundle.
+    The caller re-raises."""
     log.warning(
         "%s aborted at slot %d: %s: %s", what, slot, type(exc).__name__, exc
     )
     if instr.tracer.enabled:
+        for res, run_log in runs:
+            for kind, fields in trace_events(res, run_log, slots=done):
+                instr.tracer.emit(kind, **fields)
         instr.tracer.emit(
             "run.abort",
             scheduler=scheduler_name,
@@ -200,15 +200,15 @@ def abort_run(instr, exc, slot, what="run", scheduler_name=None) -> None:
     instr.close()
 
 
-def record_run_metrics(
-    metrics, cfg: SimConfig, alloc, delivered, e_trans, e_tail, budgets, sessions=None
-) -> None:
-    """One run's registry accounting, derived from its recorded grids.
+def record_run_metrics(metrics, res, e_trans, budgets) -> None:
+    """One run's registry accounting, derived from its result.
 
     Identical totals to per-slot increments, in a few vectorised
-    operations.  ``sessions`` (churn runs only) carries the
-    admitted/rejected/completed counts.
+    operations.  ``e_trans`` is the run's derived Eq. (3) energy grid
+    and ``budgets`` its Eq. (2) unit budget per slot; a churn run also
+    counts its admitted/rejected/completed sessions.
     """
+    cfg, alloc, delivered = res.config, res.allocation_units, res.delivered_kb
     kinfo = backend_info()
     metrics.gauge("kernels.backend").set(kinfo["resolved"])
     metrics.gauge("kernels.requested").set(kinfo["requested"])
@@ -216,13 +216,14 @@ def record_run_metrics(
         metrics.gauge("kernels.numba_version").set(kinfo["numba_version"])
     metrics.counter("engine.slots").inc(cfg.n_slots)
     metrics.counter("energy.trans_mj").inc(float(e_trans.sum()))
-    metrics.counter("rrc.tail_mj").inc(float(e_tail.sum()))
+    metrics.counter("rrc.tail_mj").inc(float(res.energy_tail_mj.sum()))
     occupancy = fleet_occupancy_from_tx(delivered > 0.0, cfg.tau_s, cfg.radio.rrc)
     metrics.counter("rrc.occupancy.dch").inc(occupancy["dch"])
     metrics.counter("rrc.occupancy.fach").inc(occupancy["fach"])
     metrics.counter("rrc.occupancy.idle").inc(occupancy["idle"])
     metrics.counter("scheduler.invocations").inc(cfg.n_slots)
-    if sessions is not None:
+    if res.admitted is not None:
+        sessions = session_counts(res)
         for key in ("admitted", "rejected", "completed"):
             metrics.counter(f"sessions.{key}").inc(sessions[key])
     used_units = alloc.sum(axis=1)
@@ -230,6 +231,222 @@ def record_run_metrics(
     metrics.counter("allocation.near_miss").inc(near_miss)
     truncated = float(np.maximum(alloc * cfg.delta_kb - delivered, 0.0).sum())
     metrics.counter("allocation.truncated_kb").inc(truncated)
+
+
+def session_counts(res) -> dict:
+    """A churn run's session outcome counts, from its result."""
+    admitted, rejected = int(res.admitted.sum()), int(res.rejected.sum())
+    completed = int((res.departure_slot >= 0).sum())
+    return dict(
+        offered=int(res.admitted.size), arrived=admitted + rejected, admitted=admitted,
+        rejected=rejected, completed=completed, active=admitted - completed,
+    )
+
+
+class RunLog:
+    """What a run's trace needs beyond its result grids.
+
+    Three kinds of event carry data the grids lack: churn's
+    ``session.*`` events (their row ids), EMA's ``ema.queues`` snapshots
+    and the live watchdog's ``slo.*`` events.  The slot loop records
+    them here against their position instead of emitting them (the
+    log's :meth:`emit` stands in for the watchdog's tracer).  Position
+    ``2 * slot`` precedes the slot's ``slot`` event, ``2 * slot + 1``
+    follows it and ``2 * n_slots`` follows ``run.end``.  The log also keeps the run's
+    traced scheduler parameters, resolved kernel backend and fault plan.
+    :func:`trace_events` merges it with the events it derives from the
+    finished result.  Logs pickle, so a pool worker ships them home with
+    its results.
+    """
+
+    #: Read by the watchdog, as on a tracer.
+    enabled = True
+
+    def __init__(self, params=None, backend=None, plan=None):
+        self.params = dict(params or {})
+        self.backend = backend
+        self.plan = plan
+        self.events: list[tuple[int, str, dict]] = []
+        #: Position the loop is at, for :meth:`emit`.
+        self.at = 0
+
+    def record(self, at: int, kind: str, /, **fields) -> None:
+        self.events.append((at, kind, fields))
+
+    def emit(self, kind: str, /, **fields) -> None:
+        self.record(self.at, kind, **fields)
+
+
+def _budget_tables(configs, plan, gamma: int):
+    """Per-run video capacity and Eq. (2) unit budget tables, ``(gamma, R)``.
+
+    Each run's budgets go through its own capacity model and slicer,
+    with the scalar chain a slot evaluates.  Without background traffic
+    or capacity faults both are slot-invariant and one evaluation covers
+    the horizon (the tables are broadcast views); otherwise every slot
+    is evaluated, run-major, so a stateful slicer sees its run's slots
+    in order.
+    """
+    cfg = configs[0]
+    cap_models = [ConstantCapacity(c.capacity_kbps) for c in configs]
+    varying = any(c.background is not None for c in configs)
+    if plan is not None and plan.capacity:
+        factors = plan.capacity_factors(gamma)
+        cap_models = [FaultyCapacity(m, factors) for m in cap_models]
+        varying = True
+    slicers = [
+        ResourceSlicer(c.background) if c.background else ResourceSlicer()
+        for c in configs
+    ]
+    n_eval = gamma if varying else 1
+    cap_table = np.empty((n_eval, len(configs)), dtype=float)
+    for r, (model, slicer) in enumerate(zip(cap_models, slicers)):
+        for slot in range(n_eval):
+            cap = model.capacity_kbps(slot)
+            cap_table[slot, r] = slicer.video_capacity_kbps(cap, slot)
+    budget_table = np.floor(cfg.tau_s * cap_table / cfg.delta_kb).astype(np.int64)
+    if not varying:
+        cap_table = np.broadcast_to(cap_table, (gamma, len(configs)))
+        budget_table = np.broadcast_to(budget_table, (gamma, len(configs)))
+    return cap_table, budget_table
+
+
+def trace_events(res, run_log: RunLog | None = None, slots: int | None = None, params=None):
+    """The trace of run ``res``, as ``(kind, fields)`` pairs in order.
+
+    ``run.start``, ``fault.window``, one ``slot`` event per slot and
+    ``run.end`` are derived from the result: its grids, workload and
+    config, plus the Eq. (24) link units and Eq. (2) budgets recomputed
+    with the slot loop's own tables, bitwise what the loop observed.
+    ``run_log``'s recorded events are merged in at their positions.
+    ``slots`` cuts an aborted run's trace after that many completed
+    slots (the recorded events of the slot in progress follow; no
+    ``run.end``).  Without a log (an in-memory result), ``params``
+    stands in for the scheduler parameters, the config's fault plan
+    applies, and a churn run has no ``session.*`` events, so its slot
+    totals sum in session order rather than the loop's row order.
+    """
+    recorded = run_log is not None
+    if run_log is None:
+        plan = res.config.faults
+        if plan is not None and plan.is_empty:
+            plan = None
+        run_log = RunLog(params, backend_info()["resolved"], plan)
+    cfg, plan = res.config, run_log.plan
+    radio = cfg.radio
+    gamma, n = res.allocation_units.shape
+    churn = res.admitted is not None
+    yield "run.start", dict(
+        scheduler=res.scheduler_name,
+        n_users=n,
+        n_slots=gamma,
+        tau_s=cfg.tau_s,
+        delta_kb=cfg.delta_kb,
+        seed=cfg.seed,
+        kernel_backend=run_log.backend,
+        **(
+            {"arrival_process": cfg.arrival_process, "admission": cfg.admission}
+            if churn
+            else {}
+        ),
+        rrc={k: getattr(radio.rrc, k) for k in ("pd_mw", "pf_mw", "t1_s", "t2_s")},
+        params=run_log.params,
+        **({"faults": plan.spec()} if plan is not None else {}),
+    )
+    if plan is not None:
+        yield from _fault_window_events(plan)
+
+    alloc, delivered, rebuf = res.allocation_units, res.delivered_kb, res.rebuffering_s
+    e_tail, buffer_s, active = res.energy_tail_mj, res.buffer_s, res.active
+    e_trans = res.energy_trans_mj
+    sig = res.signal_dbm
+    link, _ = _eq24_tables(radio, sig, cfg.tau_s, cfg.delta_kb)
+    rates = rate_grid_kbps(res.workload.flows, gamma)
+    budgets = _budget_tables([cfg], plan, gamma)[1][:, 0]
+    if churn:
+        # Only resident sessions occupy rows: the others' link and rate
+        # columns read 0.  The loop summed deliveries over its row
+        # space, whose rows the session.start events name and whose
+        # capacity doubles on demand.
+        resident = res.session_mask()
+        link[~resident] = 0
+        rates[~resident] = 0.0
+        row_of = np.full(n, -1, dtype=np.int64)
+        capacity = min(cfg.n_users, INITIAL_CAPACITY)
+    events, k = run_log.events, 0
+    for s in range(gamma if slots is None else slots):
+        while k < len(events) and events[k][0] <= 2 * s:
+            _, kind, fields = events[k]
+            k += 1
+            if kind == "session.start":
+                row_of[fields["user"]] = fields["row"]
+                while fields["row"] >= capacity:
+                    capacity *= 2
+            yield kind, fields
+        delivered_kb = delivered[s].sum()
+        resident_sessions = {}
+        if churn:
+            occ = np.flatnonzero(resident[s])
+            resident_sessions["resident_sessions"] = int(occ.size)
+            if recorded:
+                by_row = np.zeros(capacity)
+                by_row[row_of[occ]] = delivered[s, occ]
+                delivered_kb = by_row.sum()
+        yield "slot", dict(
+            slot=s,
+            active_users=int(active[s].sum()),
+            **resident_sessions,
+            tx_users=int((delivered[s] > 0.0).sum()),
+            allocated_units=int(alloc[s].sum()),
+            unit_budget=int(budgets[s]),
+            delivered_kb=float(delivered_kb),
+            rebuffering_s=float(rebuf[s].sum()),
+            energy_trans_mj=float(e_trans[s].sum()),
+            energy_tail_mj=float(e_tail[s].sum()),
+            mean_buffer_s=float(buffer_s[s].mean()),
+            # Per-user vectors: what repro.obs.analyze needs to
+            # reconstruct timelines and run the invariant checkers.
+            users={
+                "phi": alloc[s],
+                "delivered_kb": delivered[s],
+                "rebuffering_s": rebuf[s],
+                "buffer_s": buffer_s[s],
+                "energy_trans_mj": e_trans[s],
+                "energy_tail_mj": e_tail[s],
+                "link_units": link[s],
+                "sig_dbm": sig[s],
+                "rate_kbps": rates[s],
+                "active": active[s],
+            },
+        )
+        while k < len(events) and events[k][0] <= 2 * s + 1:
+            yield events[k][1:]
+            k += 1
+    if slots is None:
+        yield "run.end", dict(
+            scheduler=res.scheduler_name,
+            n_slots=gamma,
+            delivered_total_kb=float(delivered.sum()),
+            energy_total_mj=float(e_trans.sum() + e_tail.sum()),
+            rebuffering_total_s=float(rebuf.sum()),
+            completed_users=int((res.completion_slot >= 0).sum()),
+            **({"sessions": session_counts(res)} if churn else {}),
+        )
+    for _, kind, fields in events[k:]:
+        yield kind, fields
+
+
+def write_traces(instr, results, logs) -> None:
+    """Write each run's trace, in order, into a tracing bundle.
+
+    ``logs`` are the runs' :class:`RunLog` objects (``None`` or empty
+    when nothing was recorded).
+    """
+    if not logs or instr is None or not instr.tracer.enabled:
+        return
+    for res, run_log in zip(results, logs):
+        for kind, fields in trace_events(res, run_log):
+            instr.tracer.emit(kind, **fields)
 
 
 class Simulation:
@@ -271,23 +488,29 @@ class Simulation:
             if self.instrumentation is not None
             else current_instrumentation()
         )
-        results, _ = run_segments([self], [self.workload], instr)
+        logs = [RunLog()] if instr is not None and instr.tracer.enabled else None
+        results, _ = run_segments([self], [self.workload], instr, logs=logs)
+        write_traces(instr, results, logs)
         return results[0]
 
 
-def run_segments(tasks, workloads, instr, stack_scheduler=None):
+def run_segments(tasks, workloads, instr, stack_scheduler=None, logs=None):
     """Run ``R = len(tasks)`` runs as row segments of one slot loop.
 
     ``tasks`` expose ``.config`` and ``.scheduler``; ``workloads`` are
     their resolved workloads.  Every slot's
     :class:`~repro.net.gateway.SlotObservation` carries the per-run
     segment bounds and Eq. (2) budgets.  With ``R == 1`` the run's own
-    scheduler serves its one segment, and churn, fault plans, per-slot
-    traces and the live plane all apply.  With ``R > 1`` the runs must
-    be batch-compatible and untraced (see :mod:`repro.sim.batch`):
+    scheduler serves its one segment, and churn, fault plans and the
+    live plane all apply.  With ``R > 1`` the runs must be
+    batch-compatible (see :mod:`repro.sim.batch`):
     ``stack_scheduler(run_offsets)`` builds the scheduler serving the
     stacked rows, whose ``finalize_runs(registries)`` publishes its
     final gauge state into the per-run registries after the loop.
+    ``logs`` (one :class:`RunLog` per run, or ``None``) receive what
+    each run's trace needs beyond its result; the caller writes the
+    traces with :func:`write_traces`, except for an aborted loop, whose
+    trace prefixes :func:`abort_run` writes.
 
     Returns ``(results, run_metric_states)``: one result per run in
     task order, and — for an instrumented ``R > 1`` loop — one metrics
@@ -307,7 +530,12 @@ def run_segments(tasks, workloads, instr, stack_scheduler=None):
             # inside, so every registry-resolved kernel self-reports.
             stack.enter_context(activate_spans(instr.spans))
             stack.enter_context(instr.spans.span("run"))
-        return _slot_loop(tasks, workloads, instr, stack_scheduler)
+            if logs is not None and instr.live is not None:
+                # The watchdog's slo.* events go into the run's log, at
+                # their slot.
+                instr.live.bind(instr.metrics, logs[0])
+                stack.callback(instr.live.bind, instr.metrics, instr.tracer)
+        return _slot_loop(tasks, workloads, instr, stack_scheduler, logs)
 
 
 def _eq24_tables(radio, sig_dbm: np.ndarray, tau_s: float, delta_kb: float):
@@ -325,12 +553,12 @@ def _eq24_tables(radio, sig_dbm: np.ndarray, tau_s: float, delta_kb: float):
     return link, p
 
 
-def _slot_loop(tasks, workloads, instr, stack_scheduler):
+def _slot_loop(tasks, workloads, instr, stack_scheduler, logs):
     cfg = tasks[0].config
     radio = cfg.radio
     n_runs = len(tasks)
-    # n: the population of a lone run (churn, faults and traces are
-    # R = 1 features); a stack's runs own segments of their own widths.
+    # n: the population of a lone run (churn and faults are R = 1
+    # features); a stack's runs own segments of their own widths.
     n, gamma = cfg.n_users, cfg.n_slots
     widths = [t.config.n_users for t in tasks]
     run_offsets = np.zeros(n_runs + 1, dtype=np.int64)
@@ -343,14 +571,14 @@ def _slot_loop(tasks, workloads, instr, stack_scheduler):
     # neither, every fault hook below compiles to the historical
     # no-op path — bit-identical to the seed behaviour.
     plan = cfg.faults if cfg.faults is not None else current_fault_plan()
-    faults_on = plan is not None and not plan.is_empty
+    if plan is not None and plan.is_empty:
+        plan = None
+    faults_on = plan is not None
 
     instrumented = instr is not None
     live = instr.live if instrumented else None
     live_on = live is not None
     if instrumented:
-        tracer = instr.tracer
-        trace_on = tracer.enabled
         _pc = perf_counter
         # The block node and the phase nodes are interned before the
         # scheduler resets, in pipeline order, so they precede the
@@ -370,6 +598,13 @@ def _slot_loop(tasks, workloads, instr, stack_scheduler):
     scheduler = tasks[0].scheduler if n_runs == 1 else stack_scheduler(run_offsets)
     scheduler.reset()
     scheduler.bind_instrumentation(instr)
+    # A traced loop records, per run, the header its trace needs and the
+    # events its grids lack; the lone run's log takes the session and
+    # watchdog events.
+    for rl, task in zip(logs or (), tasks):
+        rl.params = _scheduler_trace_params(task.scheduler)
+        rl.backend, rl.plan = backend_info()["resolved"], plan
+    run_log = logs[0] if logs is not None and n_runs == 1 else None
     flows = [f for wl in workloads for f in wl.flows]
     # Row space: every run's whole population without churn; otherwise
     # a small capacity the session manager doubles on demand.
@@ -393,32 +628,7 @@ def _slot_loop(tasks, workloads, instr, stack_scheduler):
         policy.reset()
         departure = np.full(n, -1, dtype=np.int64)
 
-    # Per-run Eq. (2) budgets through each run's own capacity model
-    # and slicer, with the scalar chain a slot evaluates.  Without
-    # background traffic or capacity faults both are slot-invariant and
-    # one evaluation covers the horizon; otherwise every slot is
-    # evaluated, run-major, so a stateful slicer sees its run's slots
-    # in order.
-    cap_models = [ConstantCapacity(t.config.capacity_kbps) for t in tasks]
-    varying = any(t.config.background is not None for t in tasks)
-    if faults_on and plan.capacity:
-        factors = plan.capacity_factors(gamma)
-        cap_models = [FaultyCapacity(m, factors) for m in cap_models]
-        varying = True
-    slicers = [
-        ResourceSlicer(t.config.background) if t.config.background else ResourceSlicer()
-        for t in tasks
-    ]
-    n_eval = gamma if varying else 1
-    cap_table = np.empty((n_eval, n_runs), dtype=float)
-    for r, (model, slicer) in enumerate(zip(cap_models, slicers)):
-        for slot in range(n_eval):
-            cap = model.capacity_kbps(slot)
-            cap_table[slot, r] = slicer.video_capacity_kbps(cap, slot)
-    budget_table = np.floor(cfg.tau_s * cap_table / cfg.delta_kb).astype(np.int64)
-    if not varying:
-        cap_table = np.broadcast_to(cap_table, (gamma, n_runs))
-        budget_table = np.broadcast_to(budget_table, (gamma, n_runs))
+    cap_table, budget_table = _budget_tables([t.config for t in tasks], plan, gamma)
 
     # Per-run result grids: run r's record is grids[r], C-contiguous
     # (n_slots, N_r) arrays handed out without a copy, which reduce
@@ -434,6 +644,15 @@ def _slot_loop(tasks, workloads, instr, stack_scheduler):
         staging = tuple(
             np.empty((SLOT_BLOCK_SLOTS, total), dtype=dt) for dt in _GRID_DTYPES
         )
+
+    def flush(stop: int) -> None:
+        # The block's slot-major rows up to ``stop`` into each run's
+        # grids: columns lo:hi of (slots, sum N_r) -> (slots, N_r).
+        for r, run_grids in enumerate(grids):
+            lo, hi = run_offsets[r], run_offsets[r + 1]
+            for g, st in zip(run_grids, staging):
+                g[block_start:stop] = st[: stop - block_start, lo:hi]
+
     # The lone run's grids, which the live plane reads while it runs.
     _, delivered, rebuf, e_tail, buffer_s, _ = grids[0]
     completion = np.full(total, -1, dtype=np.int64)
@@ -455,35 +674,46 @@ def _slot_loop(tasks, workloads, instr, stack_scheduler):
         )
     arrivals = np.array([f.arrival_slot for f in flows], dtype=np.int64)
 
+    def finish() -> list[SimulationResult]:
+        # Per-run results in task order: each run's grids are its own
+        # C-contiguous (n_slots, N_r) arrays, so NumPy's pairwise
+        # summation visits exactly the elements, in exactly the layout,
+        # a lone run would reduce.
+        session_fields = {}
+        if churn:
+            session_fields = dict(
+                admitted=mgr.admitted.copy(),
+                rejected=mgr.rejected.copy(),
+                departure_slot=departure,
+                offered_video_kb=workloads[0].offered_video_kb(),
+                admitted_video_kb=workloads[0].admitted_video_kb(mgr.admitted),
+            )
+        results = []
+        for r, task in enumerate(tasks):
+            lo, hi = int(run_offsets[r]), int(run_offsets[r + 1])
+            alloc_r, delivered_r, rebuf_r, e_tail_r, buffer_r, active_r = grids[r]
+            results.append(
+                SimulationResult(
+                    scheduler_name=getattr(
+                        task.scheduler, "name", type(task.scheduler).__name__
+                    ),
+                    config=task.config,
+                    allocation_units=alloc_r,
+                    delivered_kb=delivered_r,
+                    rebuffering_s=rebuf_r,
+                    energy_tail_mj=e_tail_r,
+                    buffer_s=buffer_r,
+                    active=active_r,
+                    completion_slot=completion[lo:hi].copy(),
+                    arrival_slot=arrivals[lo:hi].copy(),
+                    workload=workloads[r],
+                    faulted_signal_dbm=signals[0] if faults_on else None,
+                    **session_fields,
+                )
+            )
+        return results
+
     scheduler_name = getattr(scheduler, "name", type(scheduler).__name__)
-    if instrumented and trace_on:
-        # Run boundary + the parameters trace analysis needs to
-        # segment multi-run traces and select invariant checkers.
-        tracer.emit(
-            "run.start",
-            scheduler=scheduler_name,
-            n_users=n,
-            n_slots=gamma,
-            tau_s=cfg.tau_s,
-            delta_kb=cfg.delta_kb,
-            seed=cfg.seed,
-            kernel_backend=backend_info()["resolved"],
-            **(
-                {"arrival_process": cfg.arrival_process, "admission": cfg.admission}
-                if churn
-                else {}
-            ),
-            rrc={
-                "pd_mw": radio.rrc.pd_mw,
-                "pf_mw": radio.rrc.pf_mw,
-                "t1_s": radio.rrc.t1_s,
-                "t2_s": radio.rrc.t2_s,
-            },
-            params=_scheduler_trace_params(scheduler),
-            **({"faults": plan.spec()} if faults_on else {}),
-        )
-        if faults_on:
-            _emit_fault_windows(tracer, plan)
     if live_on:
         live.begin_run(scheduler_name, n_slots=gamma, n_users=n)
         live_every = live.watch_every
@@ -497,6 +727,8 @@ def _slot_loop(tasks, workloads, instr, stack_scheduler):
     joined, departed = None, None
     row_offsets = run_offsets
     slot = -1
+    # Slots whose rows are all written: an aborted run's trace keeps them.
+    done = 0
     block_start = block_end = 0
     try:
         for slot in range(gamma):
@@ -536,8 +768,9 @@ def _slot_loop(tasks, workloads, instr, stack_scheduler):
                     )
                     if policy.admit(ctx):
                         row = mgr.admit(sess)
-                        if instrumented and trace_on:
-                            tracer.emit(
+                        if run_log is not None:
+                            run_log.record(
+                                2 * slot,
                                 "session.start",
                                 slot=slot,
                                 user=int(sess),
@@ -546,8 +779,9 @@ def _slot_loop(tasks, workloads, instr, stack_scheduler):
                             )
                     else:
                         mgr.reject(sess)
-                        if instrumented and trace_on:
-                            tracer.emit(
+                        if run_log is not None:
+                            run_log.record(
+                                2 * slot,
                                 "session.reject",
                                 slot=slot,
                                 user=int(sess),
@@ -658,6 +892,9 @@ def _slot_loop(tasks, workloads, instr, stack_scheduler):
             scheduler.notify(obs, phi, sent_kb)
             if instrumented:
                 rec_feedback(_pc() - _t0)
+            if logs is not None:
+                for r, kind, fields in scheduler.trace_snapshots():
+                    logs[r].record(2 * slot, kind, slot=slot, **fields)
 
             if churn:
                 # Scatter row-space results into the session grids.
@@ -673,70 +910,9 @@ def _slot_loop(tasks, workloads, instr, stack_scheduler):
                 st_delivered[i] = sent_kb
                 st_buffer[i] = obs.buffer_s
                 st_active[i] = obs.active
-            if n_runs > 1 and slot == block_end - 1:
-                # Flush the block's slot-major rows into each run's
-                # grids: columns lo:hi of (slots, sum N_r) -> (slots, N_r).
-                width = block_end - block_start
-                for r, run_grids in enumerate(grids):
-                    lo, hi = run_offsets[r], run_offsets[r + 1]
-                    for g, st in zip(run_grids, staging):
-                        g[block_start:block_end] = st[:width, lo:hi]
-
-            if instrumented and trace_on:
-                # Session-keyed Eq. (3) energy, as the result derives it:
-                # P(sig) * delivered, exactly 0 where nothing was sent.
-                trans_users = np.multiply(
-                    p_block[i],
-                    st_delivered[i],
-                    out=np.zeros_like(st_delivered[i]),
-                    where=st_delivered[i] > 0.0,
-                )
-                if churn:
-                    link_users = np.zeros(n, dtype=np.int64)
-                    rate_users = np.zeros(n, dtype=float)
-                    if occ.size:
-                        link_users[sess_of] = obs.link_units[occ]
-                        rate_users[sess_of] = obs.rate_kbps[occ]
-                    resident = {"resident_sessions": int(mgr.active_count)}
-                else:
-                    link_users = np.array(obs.link_units)
-                    rate_users = obs.rate_kbps
-                    resident = {}
-                tracer.emit(
-                    "slot",
-                    slot=slot,
-                    active_users=int(obs.active.sum()),
-                    **resident,
-                    tx_users=int(tx_mask.sum()),
-                    allocated_units=int(phi.sum()),
-                    unit_budget=int(obs.unit_budget),
-                    delivered_kb=float(sent_kb.sum()),
-                    rebuffering_s=float(st_rebuf[i].sum()),
-                    energy_trans_mj=float(trans_users.sum()),
-                    energy_tail_mj=float(st_tail[i].sum()),
-                    mean_buffer_s=float(st_buffer[i].mean()),
-                    # Per-user vectors: what repro.obs.analyze needs
-                    # to reconstruct timelines and run the invariant
-                    # checkers offline.  Only built when a real
-                    # tracer is attached, so the NullTracer overhead
-                    # budget is untouched.  Arena-backed vectors are
-                    # referenced through the result grids or copied
-                    # here — the arena reuses its buffers next slot,
-                    # so raw references would go stale in a
-                    # recording tracer.
-                    users={
-                        "phi": st_alloc[i],
-                        "delivered_kb": st_delivered[i],
-                        "rebuffering_s": st_rebuf[i],
-                        "buffer_s": st_buffer[i],
-                        "energy_trans_mj": trans_users,
-                        "energy_tail_mj": st_tail[i],
-                        "link_units": link_users,
-                        "sig_dbm": sig_block[i],
-                        "rate_kbps": rate_users,
-                        "active": st_active[i],
-                    },
-                )
+            done = slot + 1
+            if n_runs > 1 and done == block_end:
+                flush(block_end)
 
             if churn:
                 # Retirement happens at the *end* of the completion
@@ -746,9 +922,9 @@ def _slot_loop(tasks, workloads, instr, stack_scheduler):
                     sess = int(mgr.row_session[row])
                     departure[sess] = slot
                     mgr.retire(sess)
-                    if instrumented and trace_on:
-                        tracer.emit(
-                            "session.end", slot=slot, user=sess, row=int(row)
+                    if run_log is not None:
+                        run_log.record(
+                            2 * slot + 1, "session.end", slot=slot, user=sess, row=int(row)
                         )
 
             # Live telemetry consumes whole blocks straight from the
@@ -758,6 +934,8 @@ def _slot_loop(tasks, workloads, instr, stack_scheduler):
             if live_on and (slot - live_start + 1 >= live_every or slot == gamma - 1):
                 end = slot + 1
                 live_delivered = delivered[live_start:end]
+                if run_log is not None:
+                    run_log.at = 2 * slot + 1
                 live.observe_block(
                     slot,
                     rebuf[live_start:end].sum(axis=1),
@@ -793,93 +971,35 @@ def _slot_loop(tasks, workloads, instr, stack_scheduler):
             # Close the open run;slots block so it covers the slots its
             # phases recorded, the aborted one included.
             rec_block(_pc() - _block_t0)
+            runs = ()
+            if logs is not None:
+                if n_runs > 1 and done > block_start:
+                    flush(done)
+                runs = zip(finish(), logs)
             what = "run" if n_runs == 1 else f"batch of {n_runs} runs"
-            abort_run(instr, exc, slot, what, scheduler_name=scheduler_name)
+            abort_run(instr, exc, slot, what, scheduler_name, runs, done)
         raise
 
-    session_counts = None
-    session_fields = {}
-    if churn:
-        n_admitted = int(mgr.admitted.sum())
-        n_rejected = int(mgr.rejected.sum())
-        session_counts = {
-            "offered": int(n),
-            "arrived": n_admitted + n_rejected,
-            "admitted": n_admitted,
-            "rejected": n_rejected,
-            "completed": int(mgr.completed.sum()),
-            "active": int(mgr.active_count),
-        }
-        session_fields = dict(
-            admitted=mgr.admitted.copy(),
-            rejected=mgr.rejected.copy(),
-            departure_slot=departure,
-            offered_video_kb=workloads[0].offered_video_kb(),
-            admitted_video_kb=workloads[0].admitted_video_kb(mgr.admitted),
-        )
-    # Per-run results in task order: each run's grids are its own
-    # C-contiguous (n_slots, N_r) arrays, so NumPy's pairwise summation
-    # visits exactly the elements, in exactly the layout, a lone run
-    # would reduce.
-    results: list[SimulationResult] = []
-    for r, task in enumerate(tasks):
-        lo, hi = int(run_offsets[r]), int(run_offsets[r + 1])
-        alloc_r, delivered_r, rebuf_r, e_tail_r, buffer_r, active_r = grids[r]
-        results.append(
-            SimulationResult(
-                scheduler_name=getattr(
-                    task.scheduler, "name", type(task.scheduler).__name__
-                ),
-                config=task.config,
-                allocation_units=alloc_r,
-                delivered_kb=delivered_r,
-                rebuffering_s=rebuf_r,
-                energy_tail_mj=e_tail_r,
-                buffer_s=buffer_r,
-                active=active_r,
-                completion_slot=completion[lo:hi].copy(),
-                arrival_slot=arrivals[lo:hi].copy(),
-                workload=workloads[r],
-                faulted_signal_dbm=signals[0] if faults_on else None,
-                **session_fields,
-            )
-        )
-    # Each run's derived Eq. (3) energy, one grid alive at a time: the
-    # lone run's is kept for its exit event and accounting.
-    for res in results:
+    results = finish()
+    if live_on:
+        if run_log is not None:
+            run_log.at = 2 * gamma
+        live.end_run()
+
+    # Each run's derived Eq. (3) energy, once and one grid alive at a
+    # time: checked, then accounted.  A stacked run's accounting goes
+    # into its own registry, for the caller to merge in task order:
+    # every counter gets the one increment a lone run applies, so the
+    # merged registry — locally, or across a process pool shipping these
+    # states home — equals a run-by-run one bit-for-bit.
+    registries: list[MetricsRegistry] = []
+    for r, res in enumerate(results):
         e_trans = res.energy_trans_mj
         if not np.all(np.isfinite(e_trans)):
             raise SimulationError("non-finite transmission energy recorded")
-    if instrumented and trace_on:
-        # A traced loop is one run: e_trans is its grid.
-        tracer.emit(
-            "run.end",
-            scheduler=scheduler_name,
-            n_slots=gamma,
-            delivered_total_kb=float(delivered.sum()),
-            energy_total_mj=float(e_trans.sum() + e_tail.sum()),
-            rebuffering_total_s=float(rebuf.sum()),
-            completed_users=int((completion >= 0).sum()),
-            **({"sessions": session_counts} if churn else {}),
-        )
-    if live_on:
-        live.end_run()
-
-    registries: list[MetricsRegistry] = []
-    if instrumented:
-        # A stacked run's accounting goes into its own registry, for the
-        # caller to merge in task order: every counter gets the one
-        # increment a lone run applies, so the merged registry — locally,
-        # or across a process pool shipping these states home — equals a
-        # run-by-run one bit-for-bit.
-        for r, (task, res) in enumerate(zip(tasks, results)):
+        if instrumented:
             reg = instr.metrics if n_runs == 1 else MetricsRegistry()
-            record_run_metrics(
-                reg, task.config, res.allocation_units, res.delivered_kb,
-                e_trans if n_runs == 1 else res.energy_trans_mj,
-                res.energy_tail_mj,
-                np.ascontiguousarray(budget_table[:, r]), sessions=session_counts,
-            )
+            record_run_metrics(reg, res, e_trans, np.ascontiguousarray(budget_table[:, r]))
             if faults_on:
                 _fault_counters(reg, plan, outage_mask, gamma)
             registries.append(reg)

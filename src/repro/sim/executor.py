@@ -1,9 +1,9 @@
 """Run execution backends: serial and process-pool, one ``map_runs`` API.
 
 The repo's orchestration helpers (:mod:`repro.sim.runner`'s
-``compare_schedulers`` / ``sweep`` / ``multi_seed`` and the calibration
-grid evaluations) all reduce to the same shape: *run a batch of
-independent simulations and collect their results in order*.  This
+comparison and calibration phases and ``multi_seed``) all reduce to
+the same shape: *run a batch of independent simulations and collect
+their results in order*.  This
 module gives that shape a single entry point:
 
 * :class:`RunTask` — one simulation to run (config, scheduler
@@ -40,14 +40,15 @@ Determinism contract
 
 The metrics registry does not depend on the grouping.  The span tree
 does in one respect: the ``run`` span counts slot loops, so it matches
-``jobs=1`` for the same groups, e.g. at ``batch_size=1``.  A traced
-batch never stacks, so its ``metrics.json`` is byte-identical at every
-``jobs`` and ``batch_size``.
+``jobs=1`` for the same groups, e.g. at ``batch_size=1``.
 
-The one thing workers do **not** ship back is per-slot trace events —
-a parallel run's trace contains the orchestration-level events only
-(``sweep.point``, ``calibration.*``, run summaries), not the ``slot``
-stream.  Run with ``jobs=1`` when a full trace is needed.
+Traces do not depend on the grouping either.  Each run's trace is
+written from its finished result and its
+:class:`~repro.sim.engine.RunLog`; under a tracing bundle a worker
+records the logs and ships them home with the results, and the parent
+writes the group's traces in task order, as it merges metrics and span
+states.  So ``trace.jsonl`` is byte-identical at every ``jobs`` and
+``batch_size``.
 
 Liveness
 --------
@@ -122,6 +123,7 @@ from repro.faults import FaultPlan, WorkerFault, current_fault_plan, use_fault_p
 from repro.obs.instrument import Instrumentation, current_instrumentation
 from repro.obs.provenance import config_hash
 from repro.sim.batch import BatchPlan, batch_incompatibility, run_batch, runs_alone
+from repro.sim.engine import write_traces
 from repro.sim.config import SimConfig
 from repro.sim.results import SimulationResult
 from repro.sim.workload import Workload, generate_workload
@@ -223,9 +225,10 @@ def _worker_fault_context():
 def _private_bundle(
     live_spec: dict[str, Any] | None, heartbeat=None
 ) -> Instrumentation:
-    """A worker's private bundle: NullTracer (slot events stay local), a
-    live plane rebuilt from the parent's spec (carrying the worker's
-    heartbeat, if any), and a fresh span recorder."""
+    """A worker's private bundle: NullTracer (the parent writes the
+    group's traces from its results and run logs), a live plane rebuilt
+    from the parent's spec (carrying the worker's heartbeat, if any),
+    and a fresh span recorder."""
     live = None
     if live_spec is not None or heartbeat is not None:
         from repro.obs.live import LiveTelemetry
@@ -234,7 +237,7 @@ def _private_bundle(
     return Instrumentation(live=live)
 
 
-def _run_plan(tasks: list[RunTask], sub: Instrumentation | None):
+def _run_plan(tasks: list[RunTask], sub: Instrumentation | None, traced: bool):
     """Run one group through a :class:`~repro.sim.batch.BatchPlan`
     under the private bundle ``sub``; returns the shape a worker ships.
 
@@ -243,22 +246,23 @@ def _run_plan(tasks: list[RunTask], sub: Instrumentation | None):
     otherwise (a one-segment run records straight into it) — the parent
     then merges one state per run in task order, so counter
     float-accumulation order matches a run-by-run execution
-    bit-for-bit.
+    bit-for-bit.  ``traced`` records each run's log, shipped for the
+    parent to write the runs' traces.
     """
     plan = BatchPlan(tasks)
-    results = plan.run(sub)
+    results = plan.run(sub, record=traced)
     if sub is None:
-        return results, None, None
+        return results, None, None, None
     metrics_payload = (
         ("runs", plan.run_metric_states)
         if plan.run_metric_states
         else ("group", sub.metrics.state())
     )
-    return results, metrics_payload, sub.spans.state()
+    return results, metrics_payload, sub.spans.state(), plan.run_logs
 
 
 def _run_group(payload):
-    _maybe_worker_fault(payload[4], payload[5])
+    _maybe_worker_fault(payload[-2], payload[-1])
     with _worker_fault_context():
         return _run_group_inner(payload)
 
@@ -270,7 +274,7 @@ def _run_group_inner(payload):
     task order; the group runs through :func:`_run_plan` under a
     :func:`_private_bundle`.
     """
-    configs, schedulers, wl_keys, instrumented, group_index = payload[:5]
+    configs, schedulers, wl_keys, instrumented, traced, group_index = payload[:6]
     tasks = []
     for config, scheduler, wl_key in zip(configs, schedulers, wl_keys):
         if wl_key is not None:
@@ -290,7 +294,7 @@ def _run_group_inner(payload):
         sub = _private_bundle(_WORKER_LIVE_SPEC, heartbeat)
     elif heartbeat is not None:
         heartbeat.beat("task.start", n_slots=configs[0].n_slots)
-    out = _run_plan(tasks, sub)
+    out = _run_plan(tasks, sub, traced)
     if heartbeat is not None:
         heartbeat.beat("idle")
     return out
@@ -331,7 +335,7 @@ class RunExecutor:
         behaviour instead of failing.  Each pool worker receives whole
         groups.  Results and metrics stay bit-identical to
         ``batch_size=1`` (``tests/integration/test_batch_equivalence.py``).
-        A traced or live batch keeps every task in its own group.
+        A live batch keeps every task in its own group.
     task_timeout_s:
         Per-group result deadline for pool dispatch, measured from when
         the parent starts collecting that group (covers queueing plus
@@ -419,8 +423,8 @@ class RunExecutor:
         whose sizes differ by at most one, larger first.  Task order is
         never permuted — results must come back in task order, and
         batching is invisible to metrics only when each group is a
-        contiguous slice of the original sequence.  Under a tracer or a
-        live plane every task is its own group
+        contiguous slice of the original sequence.  Under a live plane
+        every task is its own group
         (:func:`~repro.sim.batch.runs_alone`), in a pool worker too.
         """
         if runs_alone(instr):
@@ -584,7 +588,7 @@ class RunExecutor:
             for t in group
         ]
         sub = _private_bundle(live_spec) if instr is not None else None
-        return _run_plan(tasks, sub)
+        return _run_plan(tasks, sub, instr is not None and instr.tracer.enabled)
 
     @staticmethod
     def _resolve_workload(task: RunTask, wl_cache: dict[str, Workload]) -> Workload:
@@ -612,6 +616,7 @@ class RunExecutor:
         keys_by_id: dict[int, str] = {}
         payloads = []
         instrumented = instr is not None
+        traced = instrumented and instr.tracer.enabled
         live = instr.live if instrumented else None
         for index, group in enumerate(groups):
             wl_keys = []
@@ -635,6 +640,7 @@ class RunExecutor:
                     [t.scheduler for t in group],
                     wl_keys,
                     instrumented,
+                    traced,
                     index,
                     0,
                 )
@@ -690,8 +696,9 @@ class RunExecutor:
             if manager is not None:
                 manager.shutdown()
         results = []
-        for group_results, metrics_payload, spans_state in outs:
+        for group_results, metrics_payload, spans_state, logs in outs:
             results.extend(group_results)
+            write_traces(instr, group_results, logs)
             if instr is not None:
                 # ("runs", [state, ...]) merges one registry state per
                 # run in task order — counter accumulation order then

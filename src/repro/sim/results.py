@@ -232,66 +232,6 @@ class SimulationResult:
     def per_user_total_energy_mj(self) -> np.ndarray:
         return self.energy_mj.sum(axis=0)
 
-    # -- per-user grids for trace analysis --------------------------------
-
-    @property
-    def tx_mask(self) -> np.ndarray:
-        """Boolean ``(slots, users)``: slots in which the user received data."""
-        return self.delivered_kb > 0.0
-
-    def rrc_state_grid(self) -> np.ndarray:
-        """Per-(slot, user) RRC state codes (0=DCH, 1=FACH, 2=IDLE).
-
-        Reconstructed from the transmission history exactly as the
-        engine's fleet evolved (see
-        :func:`repro.radio.rrc.fleet_state_grid_from_tx`).
-        """
-        from repro.radio.rrc import fleet_state_grid_from_tx
-
-        return fleet_state_grid_from_tx(
-            self.tx_mask, self.config.tau_s, self.config.radio.rrc
-        )
-
-    def rrc_residency(self) -> dict[str, np.ndarray]:
-        """Per-user slot counts in each RRC state over the run."""
-        grid = self.rrc_state_grid()
-        return {
-            "dch": (grid == 0).sum(axis=0),
-            "fach": (grid == 1).sum(axis=0),
-            "idle": (grid == 2).sum(axis=0),
-        }
-
-    def tail_energy_split_mj(self) -> tuple[np.ndarray, np.ndarray]:
-        """Tail energy split into DCH/FACH components, ``(slots, users)``.
-
-        The two grids sum to :attr:`energy_tail_mj` exactly (tested);
-        together with :attr:`energy_trans_mj` they give the full
-        DCH-transmission / DCH-tail / FACH-tail energy decomposition.
-        """
-        from repro.radio.rrc import tail_split_from_tx
-
-        return tail_split_from_tx(
-            self.tx_mask, self.config.tau_s, self.config.radio.rrc
-        )
-
-    def per_user_grids(self) -> dict[str, np.ndarray]:
-        """The per-(slot, user) grids consumed by :mod:`repro.obs.analyze`.
-
-        One flat dict, keyed like the trace's per-user ``slot`` event
-        fields, so in-memory results and re-read traces feed the same
-        invariant checkers.
-        """
-        return {
-            "phi": self.allocation_units,
-            "delivered_kb": self.delivered_kb,
-            "rebuffering_s": self.rebuffering_s,
-            "buffer_s": self.buffer_s,
-            "energy_trans_mj": self.energy_trans_mj,
-            "energy_tail_mj": self.energy_tail_mj,
-            "rate_kbps": self.need_kb / self.config.tau_s,
-            "active": self.active,
-        }
-
     def session_mask(self) -> np.ndarray:
         """Boolean ``(slots, users)``: slot lies within the user's session.
 

@@ -56,8 +56,6 @@ __all__ = [
     "run_scheduler",
     "compare_schedulers",
     "comparison_phase",
-    "sweep",
-    "default_reference",
     "calibrate_rtma_threshold",
     "rtma_calibration_phase",
     "make_rtma_eq12",
@@ -135,45 +133,6 @@ def comparison_phase(
                 )
         out.append(results)
     return out
-
-
-def sweep(
-    base_config: SimConfig,
-    axis: str,
-    values: Sequence,
-    scheduler_factory: Callable[[SimConfig], object],
-    instrumentation: Instrumentation | None = None,
-) -> list[SimulationResult]:
-    """Vary one config axis, building a fresh scheduler per point.
-
-    ``scheduler_factory`` receives the point's config — this is where
-    calibrated policies (RTMA with alpha-scaled budgets) plug in.
-    """
-    instr = _resolve_instrumentation(instrumentation)
-    tasks = []
-    for value in values:
-        cfg = base_config.with_(**{axis: value})
-        tasks.append(RunTask(cfg, scheduler_factory(cfg)))
-    results = map_runs(tasks, instrumentation=instr)
-    if instr is not None:
-        for value, res in zip(values, results):
-            instr.metrics.counter("sweep.points").inc()
-            if instr.tracer.enabled:
-                instr.tracer.emit(
-                    "sweep.point",
-                    axis=axis,
-                    value=value,
-                    pe_mj=res.pe_mj,
-                    pc_s=res.pc_s,
-                )
-    return results
-
-
-def default_reference(
-    config: SimConfig, workload: Workload | None = None
-) -> SimulationResult:
-    """The paper's reference run: the default strategy on this workload."""
-    return run_scheduler(config, DefaultScheduler(), workload)
 
 
 def _checked_factors(name: str, factors: Sequence[float]) -> list[float]:

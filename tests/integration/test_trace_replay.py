@@ -1,0 +1,226 @@
+"""Traces written from finished results.
+
+Each run's trace is derived from its :class:`SimulationResult` plus the
+few events its grids lack, so how runs are grouped cannot show in it:
+
+* a traced ragged stack writes the trace of the same tasks run one by
+  one, and a pooled batch the trace of a serial one, byte for byte;
+* a churn run with a fault plan keeps every ``session.*``,
+  ``fault.window`` and ``ema.queues`` event in its slot, and its slot
+  totals sum in the loop's row order;
+* an in-memory result replays into a timeline whose Eq. (1)-(2) and
+  RTMA checks run, and catch a budget overrun seeded into one run.
+"""
+
+import io
+import json
+
+import numpy as np
+import pytest
+
+from repro.baselines import DefaultScheduler
+from repro.core.ema import EMAScheduler
+from repro.core.rtma import RTMAScheduler
+from repro.faults import CapacityFault, FaultPlan, SignalBlackout
+from repro.obs import Instrumentation, JsonlTraceWriter
+from repro.obs.analyze import check_invariants, timeline_from_result, timelines_from_events
+from repro.sim import RunExecutor, RunTask, SimConfig, map_runs, use_executor
+from repro.sim.batch import run_batch
+from repro.sim.engine import Simulation
+
+
+def _cfg(n_users, **overrides):
+    base = dict(
+        n_users=n_users,
+        n_slots=90,
+        capacity_kbps=1_500.0 + 150.0 * n_users,
+        video_size_range_kb=(2_000.0, 6_000.0),
+        buffer_capacity_s=40.0,
+        seed=n_users,
+    )
+    base.update(overrides)
+    return SimConfig(**base)
+
+
+def _ragged_tasks():
+    """Default, RTMA and EMA at 6 and 9 users: one ragged stack."""
+    tasks = []
+    for n in (6, 9):
+        cfg = _cfg(n)
+        tasks += [
+            RunTask(cfg, DefaultScheduler()),
+            RunTask(cfg, RTMAScheduler(sig_threshold_dbm=-95.0)),
+            RunTask(cfg, EMAScheduler(n, v_param=0.5, tau_s=cfg.tau_s)),
+        ]
+    return tasks
+
+
+def _traced(executor, tasks):
+    """``tasks`` on ``executor`` under a trace writer: (trace text, bundle)."""
+    buf = io.StringIO()
+    instr = Instrumentation(tracer=JsonlTraceWriter(buf))
+    with use_executor(executor):
+        map_runs(tasks, instrumentation=instr)
+    return buf.getvalue(), instr
+
+
+def _events(text):
+    return [json.loads(line) for line in text.splitlines()]
+
+
+class TestGroupingIsInvisible:
+    def test_ragged_stack_trace_equals_run_by_run(self):
+        stacked, instr = _traced(RunExecutor(), _ragged_tasks())
+        alone, instr_alone = _traced(RunExecutor(batch_size=1), _ragged_tasks())
+        assert instr.spans.count(("run",)) == 1
+        assert instr_alone.spans.count(("run",)) == 6
+        assert stacked == alone
+        events = _events(stacked)
+        assert [e["scheduler"] for e in events if e["kind"] == "run.start"] == [
+            "default", "rtma", "ema"
+        ] * 2
+        assert sum(e["kind"] == "ema.queues" for e in events) == 2 * 90
+        for tl in timelines_from_events(events):
+            report = check_invariants(tl)
+            assert report.ok, report.render()
+            assert "allocation.capacity" in report.checked
+
+    def test_pooled_trace_equals_serial(self):
+        serial, _ = _traced(RunExecutor(), _ragged_tasks())
+        pooled, _ = _traced(RunExecutor(jobs=2), _ragged_tasks())
+        assert pooled == serial
+
+
+class TestChurnTraceKeepsItsEvents:
+    def test_sessions_faults_and_queues_survive(self):
+        plan = FaultPlan(
+            signal=(SignalBlackout(start_slot=40, n_slots=30),),
+            capacity=(CapacityFault(start_slot=150, n_slots=20, factor=0.0),),
+        )
+        cfg = SimConfig(
+            n_users=16,
+            n_slots=300,
+            capacity_kbps=4_000.0,
+            video_size_range_kb=(3_000.0, 8_000.0),
+            buffer_capacity_s=40.0,
+            seed=3,
+            arrival_process="poisson",
+            arrival_rate_per_slot=0.4,
+            admission="capacity-threshold",
+            admission_max_active=4,
+            faults=plan,
+        )
+        buf = io.StringIO()
+        instr = Instrumentation(tracer=JsonlTraceWriter(buf))
+        sched = EMAScheduler(cfg.n_users, v_param=0.05, tau_s=cfg.tau_s)
+        res = Simulation(cfg, sched, instrumentation=instr).run()
+        events = _events(buf.getvalue())
+        kinds = [e["kind"] for e in events]
+        assert kinds.count("fault.window") == 2
+        assert kinds.count("session.start") == int(res.admitted.sum())
+        assert kinds.count("session.reject") == int(res.rejected.sum())
+        assert kinds.count("session.end") == int((res.departure_slot >= 0).sum())
+        assert kinds.count("ema.queues") == kinds.count("slot") == cfg.n_slots
+        # Admissions and each slot's queue snapshot precede its slot
+        # event; retirements follow it.
+        slot = -1
+        for e in events:
+            if e["kind"] == "slot":
+                slot = e["slot"]
+            elif e["kind"] in ("session.start", "session.reject", "ema.queues"):
+                assert e["slot"] == slot + 1
+            elif e["kind"] == "session.end":
+                assert e["slot"] == slot
+        (tl,) = timelines_from_events(events)
+        report = check_invariants(tl)
+        assert report.ok, report.render()
+        assert "session.conservation" in report.checked
+
+    def test_slot_totals_sum_in_row_order(self, monkeypatch):
+        # The loop sums each slot's deliveries over its row space, whose
+        # rows recycle; the replay rebuilds that order from the
+        # session.start rows (session order differs in the last bit on
+        # this run).
+        from repro.net.gateway import Gateway
+
+        step, row_sums = Gateway.step, []
+
+        def spy(self, *args, **kwargs):
+            obs, phi, sent_kb = step(self, *args, **kwargs)
+            row_sums.append(float(sent_kb.sum()))
+            return obs, phi, sent_kb
+
+        monkeypatch.setattr(Gateway, "step", spy)
+        cfg = SimConfig(
+            n_users=40,
+            n_slots=300,
+            capacity_kbps=6_000.0,
+            video_size_range_kb=(300.0, 2_000.0),
+            buffer_capacity_s=40.0,
+            seed=0,
+            arrival_process="poisson",
+            arrival_rate_per_slot=0.5,
+            admission="accept-all",
+        )
+        buf = io.StringIO()
+        instr = Instrumentation(tracer=JsonlTraceWriter(buf))
+        Simulation(cfg, DefaultScheduler(), instrumentation=instr).run()
+        traced = [e["delivered_kb"] for e in _events(buf.getvalue()) if e["kind"] == "slot"]
+        assert traced == row_sums
+
+
+class TestInMemoryTimeline:
+    @staticmethod
+    def _stack():
+        tasks = [
+            RunTask(_cfg(6, capacity_kbps=cap), RTMAScheduler(sig_threshold_dbm=-95.0))
+            for cap in (1_200.0, 2_400.0)
+        ]
+        return run_batch(tasks)
+
+    def test_capacity_and_rtma_checks_run(self):
+        for res in self._stack():
+            report = check_invariants(
+                timeline_from_result(res, params={"sig_threshold_dbm": -95.0})
+            )
+            assert report.ok, report.render()
+            assert "allocation.capacity" in report.checked
+            assert "rtma.energy_budget" in report.checked
+
+    def test_budget_overrun_in_one_run_is_caught(self):
+        first, second = self._stack()
+        tl = timeline_from_result(second)
+        budget = tl.totals["unit_budget"]
+        used = second.allocation_units.sum(axis=1)
+        slot = int(np.argmax(used))
+        # One unit over the run's Eq. (2) budget at one slot.
+        second.allocation_units[slot, 0] += int(budget[slot] - used[slot]) + 1
+        report = check_invariants(timeline_from_result(second))
+        budget_hits = [
+            v for v in report.violations if "BS unit budget" in v.message
+        ]
+        assert [(v.slot, v.actual - v.expected) for v in budget_hits] == [(slot, 1.0)]
+        assert check_invariants(timeline_from_result(first)).ok
+
+
+@pytest.mark.parametrize("stacked", [False, True])
+def test_aborted_run_keeps_its_trace_prefix(stacked):
+    class Crashing(DefaultScheduler):
+        def allocate(self, obs):
+            if obs.slot == 70:
+                raise RuntimeError("scheduler crash")
+            return super().allocate(obs)
+
+    buf = io.StringIO()
+    instr = Instrumentation(tracer=JsonlTraceWriter(buf))
+    tasks = [RunTask(_cfg(6), DefaultScheduler()), RunTask(_cfg(6), Crashing())]
+    with pytest.raises(RuntimeError, match="scheduler crash"):
+        for group in [tasks] if stacked else [[t] for t in tasks]:
+            run_batch(group, instrumentation=instr)
+    events = _events(buf.getvalue())
+    assert events[-1]["kind"] == "run.abort" and events[-1]["slot"] == 70
+    starts = [i for i, e in enumerate(events) if e["kind"] == "run.start"]
+    assert len(starts) == 2
+    # The crashed run keeps its 70 completed slots.
+    crashed = [e for e in events[starts[-1] :] if e["kind"] == "slot"]
+    assert [e["slot"] for e in crashed] == list(range(70))

@@ -2,7 +2,7 @@
 
 The contract under test is the one the docs promise: ``jobs=N`` is
 bit-identical to ``jobs=1`` in results *and* in the merged metrics
-registry, for explicit-workload batches (compare/sweep shape) and
+registry, for explicit-workload batches (comparison shape) and
 generate-in-worker batches (multi-seed shape) alike.
 """
 
@@ -24,7 +24,6 @@ from repro.sim import (
     current_executor,
     map_runs,
     multi_seed,
-    sweep,
     use_executor,
 )
 from repro.sim.runner import calibrate_rtma_threshold
@@ -348,11 +347,15 @@ class TestRunnerOnExecutor:
 
     def test_sweep_parallel(self):
         cfg = small_config()
-        values = [3, 5, 7]
-        factory = lambda c: DefaultScheduler()  # noqa: E731
-        serial = sweep(cfg, "n_users", values, factory)
+
+        def tasks():
+            return [
+                RunTask(cfg.with_(n_users=n), DefaultScheduler()) for n in (3, 5, 7)
+            ]
+
+        serial = map_runs(tasks())
         with use_executor(RunExecutor(jobs=2)):
-            pooled = sweep(cfg, "n_users", values, factory)
+            pooled = map_runs(tasks())
         for a, b in zip(serial, pooled):
             assert_results_bit_identical(a, b)
 
@@ -366,7 +369,7 @@ class TestRunnerOnExecutor:
             assert_results_bit_identical(a, b)
 
     def test_explicit_instrumentation_observes_runs(self):
-        # Regression: compare/sweep/multi_seed used to forward the
+        # Regression: compare/multi_seed used to forward the
         # *unresolved* instrumentation argument to the engine, so an
         # explicitly passed bundle never saw the runs' counters.
         cfg = small_config()
@@ -438,11 +441,16 @@ class TestAutoGrouping:
             executor = RunExecutor(jobs=jobs, batch_size=1)
             assert self._sizes(executor, self._tasks()) == [1] * 10
 
-    def test_traced_runs_stay_alone(self):
-        # A tracer needs each run's own slot stream, so even a pool
-        # worker must not stack the tasks of a traced batch.
-        instr = Instrumentation(tracer=RecordingTracer())
-        assert self._sizes(RunExecutor(jobs=2), self._tasks(), instr) == [1] * 10
+    def test_traced_runs_stack_live_runs_stay_alone(self):
+        # Traces are written from finished results, so a traced batch
+        # stacks; the live plane needs each run's own slot stream, so
+        # even a pool worker must not stack the tasks of a live batch.
+        from repro.obs.live import LiveTelemetry
+
+        traced = Instrumentation(tracer=RecordingTracer())
+        assert self._sizes(RunExecutor(jobs=2), self._tasks(), traced) == [5, 5]
+        live = Instrumentation(live=LiveTelemetry())
+        assert self._sizes(RunExecutor(jobs=2), self._tasks(), live) == [1] * 10
         assert self._sizes(RunExecutor(), self._tasks(), Instrumentation()) == [10]
 
     def test_batch_size_validation_and_repr(self):

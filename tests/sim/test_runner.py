@@ -15,14 +15,13 @@ from repro.sim.runner import (
     calibrate_rtma_threshold,
     compare_schedulers,
     comparison_phase,
-    default_reference,
     ema_calibration_phase,
     make_rtma_eq12,
     multi_seed,
     rtma_calibration_phase,
     run_scheduler,
-    sweep,
 )
+from repro.sim.executor import RunTask, map_runs
 from repro.sim.workload import generate_workload
 from tests.sim.test_executor import assert_results_bit_identical
 
@@ -48,8 +47,11 @@ class TestBasics:
             compare_schedulers(small_config, {})
 
     def test_sweep_varies_axis(self, small_config):
-        results = sweep(
-            small_config, "n_users", [2, 4], lambda cfg: DefaultScheduler()
+        results = map_runs(
+            [
+                RunTask(small_config.with_(n_users=n), DefaultScheduler())
+                for n in (2, 4)
+            ]
         )
         assert [r.config.n_users for r in results] == [2, 4]
 
@@ -62,8 +64,10 @@ class TestBasics:
         assert len({round(r.pc_s, 9) for r in results}) > 1
 
     def test_default_reference(self, small_config):
-        ref = default_reference(small_config)
-        assert ref.scheduler_name == "default"
+        (point,) = comparison_phase(
+            [(small_config, {"reference": DefaultScheduler()}, None)]
+        )
+        assert point["reference"].scheduler_name == "default"
 
 
 class TestCalibration:
