@@ -26,12 +26,15 @@ import numpy as np
 import pytest
 
 from repro.baselines.default import DefaultScheduler
+from repro.baselines.onoff import OnOffScheduler
+from repro.baselines.throttling import ThrottlingScheduler
 from repro.core.ema import EMAScheduler, trailing_window_min
 from repro.core.rtma import RTMAScheduler
 from repro.kernels import available_backends, use_backend
 from repro.net.gateway import SlotObservation
 from repro.obs import Instrumentation, MetricsRegistry, NullTracer
 from repro.radio.rrc import RRCFleet
+from repro.sim.batch import _BlockScheduler, _block_key
 from repro.sim.config import SimConfig
 from repro.sim.engine import Simulation
 
@@ -108,7 +111,14 @@ def test_rtma_allocate_slot(benchmark):
 
 def stacked_slot_observation(n_runs=10, n_users=40) -> SlotObservation:
     """``n_runs`` paper-like slots stacked as row segments of one slot."""
-    parts = [paper_slot_observation(n_users, seed=r) for r in range(n_runs)]
+    return ragged_slot_observation([n_users] * n_runs)
+
+
+def ragged_slot_observation(users) -> SlotObservation:
+    """Paper-like slots of ``users[r]`` users each, stacked as row
+    segments of one slot."""
+    n_runs = len(users)
+    parts = [paper_slot_observation(n, seed=r) for r, n in enumerate(users)]
     budgets = np.random.default_rng(n_runs).integers(256, 768, n_runs)
     rows = {
         name: np.concatenate([getattr(o, name) for o in parts])
@@ -123,7 +133,7 @@ def stacked_slot_observation(n_runs=10, n_users=40) -> SlotObservation:
         delta_kb=40.0,
         capacity_kbps=float(budgets.sum()) * 40.0,
         unit_budget=int(budgets.sum()),
-        run_offsets=np.arange(n_runs + 1, dtype=np.int64) * n_users,
+        run_offsets=np.concatenate(([0], np.cumsum(users))).astype(np.int64),
         run_unit_budgets=budgets.astype(np.int64),
         run_capacity_kbps=budgets * 40.0,
         **rows,
@@ -140,6 +150,26 @@ def test_rtma_allocate_stacked_slot(benchmark):
     )
     phi = benchmark(sched.allocate, obs)
     assert phi.shape == (400,) and phi.sum() > 0
+
+
+def test_block_schedule_slot(benchmark):
+    """One slot of fig05's comparison stack: Default, Throttling, ON-OFF
+    and RTMA blocks, each over 20/30/40-user runs."""
+    users = (20, 30, 40)
+    kinds = (
+        DefaultScheduler,
+        ThrottlingScheduler,
+        OnOffScheduler,
+        lambda: RTMAScheduler(sig_threshold_dbm=-100.0),
+    )
+    obs = ragged_slot_observation([n for _ in kinds for n in users])
+    scheds = [make() for make in kinds for _ in users]
+    sizes = users * len(kinds)
+    keys = [_block_key(s, n, i) for i, (s, n) in enumerate(zip(scheds, sizes))]
+    sched = _BlockScheduler(scheds, keys, obs.run_offsets)
+    assert len(sched.blocks) == len(kinds)
+    phi = benchmark(sched.allocate, obs)
+    assert phi.shape == (obs.n_users,) and phi.sum() > 0
 
 
 def test_ema_allocate_slot(benchmark):

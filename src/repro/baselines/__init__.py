@@ -6,10 +6,10 @@ The paper evaluates RTMA against *Default*, *Throttling* [15] and
 rebuilt here from its published one-paragraph characterization in the
 paper's Sections II and VI (see DESIGN.md for the substitution table).
 
-All baselines implement the common
-:class:`repro.core.scheduler.Scheduler` interface, observe the same
-:class:`~repro.net.gateway.SlotObservation`, and respect constraints
-(1)-(2), so comparisons isolate *policy*, not plumbing.
+All baselines are :class:`repro.core.scheduler.ClipScheduler` policies:
+they observe the same :class:`~repro.net.gateway.SlotObservation`,
+return only what each user *wants* this slot, and share one fit to
+constraints (1)-(2), so comparisons isolate *policy*, not plumbing.
 """
 
 from repro.baselines.default import DefaultScheduler, NeedRateScheduler

@@ -40,15 +40,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.allocation import clip_to_constraints
-from repro.core.scheduler import Scheduler
+from repro.core.scheduler import ClipScheduler
 from repro.errors import ConfigurationError
 from repro.net.gateway import SlotObservation
 
 __all__ = ["DefaultScheduler", "NeedRateScheduler"]
 
 
-class DefaultScheduler(Scheduler):
+class DefaultScheduler(ClipScheduler):
     """Greedy full-rate delivery in user-index order.
 
     Clients re-request whenever their buffer dips below
@@ -60,6 +59,7 @@ class DefaultScheduler(Scheduler):
     """
 
     name = "default"
+    shared_params = ("refill_trigger_s", "refill_high_s")
 
     def __init__(self, refill_trigger_s: float = 20.0, refill_high_s: float = 55.0):
         if refill_trigger_s <= 0 or refill_high_s <= refill_trigger_s:
@@ -75,15 +75,14 @@ class DefaultScheduler(Scheduler):
             self._refilling = np.ones(n_users, dtype=bool)  # empty buffers
         return self._refilling
 
-    def allocate(self, obs: SlotObservation) -> np.ndarray:
+    def want(self, obs: SlotObservation) -> np.ndarray:
         refilling = self._ensure_state(obs.n_users)
         refilling |= obs.buffer_s < self.refill_trigger_s
         refilling &= obs.buffer_s < self.refill_high_s
         useful_units = np.ceil(obs.sendable_kb / obs.delta_kb)
-        want = np.where(
+        return np.where(
             refilling & obs.active, np.minimum(obs.link_units, useful_units), 0.0
         )
-        return clip_to_constraints(want, obs)
 
     def reset(self) -> None:
         self._refilling = None
@@ -101,7 +100,7 @@ class DefaultScheduler(Scheduler):
             self._refilling[rows] = True  # recycled rows start refilling
 
 
-class NeedRateScheduler(Scheduler):
+class NeedRateScheduler(ClipScheduler):
     """Required-rate delivery, head-of-line under contention.
 
     Serves each user exactly ``ceil(tau * p_i / delta)`` units per slot
@@ -110,9 +109,9 @@ class NeedRateScheduler(Scheduler):
     """
 
     name = "need-rate"
+    shared_params = ()
 
-    def allocate(self, obs: SlotObservation) -> np.ndarray:
+    def want(self, obs: SlotObservation) -> np.ndarray:
         need_units = np.ceil(obs.tau_s * obs.rate_kbps / obs.delta_kb)
         useful_units = np.ceil(obs.sendable_kb / obs.delta_kb)
-        want = np.minimum(need_units, useful_units)
-        return clip_to_constraints(want, obs)
+        return np.minimum(need_units, useful_units)

@@ -21,15 +21,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.allocation import clip_to_constraints
-from repro.core.scheduler import Scheduler
+from repro.core.scheduler import ClipScheduler
 from repro.errors import ConfigurationError
 from repro.net.gateway import SlotObservation
 
 __all__ = ["EStreamerScheduler"]
 
 
-class EStreamerScheduler(Scheduler):
+class EStreamerScheduler(ClipScheduler):
     """Buffer-capacity-sized bursts, signal-agnostic.
 
     Parameters
@@ -42,6 +41,7 @@ class EStreamerScheduler(Scheduler):
     """
 
     name = "estreamer"
+    shared_params = ("buffer_capacity_s", "refill_trigger_s")
 
     def __init__(self, buffer_capacity_s: float = 60.0, refill_trigger_s: float = 8.0):
         if refill_trigger_s <= 0:
@@ -58,7 +58,7 @@ class EStreamerScheduler(Scheduler):
             self._bursting = np.ones(n_users, dtype=bool)
         return self._bursting
 
-    def allocate(self, obs: SlotObservation) -> np.ndarray:
+    def want(self, obs: SlotObservation) -> np.ndarray:
         bursting = self._ensure_state(obs.n_users)
         bursting |= obs.buffer_s < self.refill_trigger_s
         # A burst is complete once the buffer is within one slot of the
@@ -70,7 +70,7 @@ class EStreamerScheduler(Scheduler):
         # at full link rate (signal-blind by design: the *decision* to
         # burst never looks at sig; Eq. (1) still caps the physics).
         deficit_kb = (self.buffer_capacity_s - obs.buffer_s) * obs.rate_kbps
-        want = np.where(
+        return np.where(
             bursting & obs.active,
             np.minimum(
                 np.ceil(np.maximum(deficit_kb, 0.0) / obs.delta_kb),
@@ -78,7 +78,6 @@ class EStreamerScheduler(Scheduler):
             ),
             0.0,
         )
-        return clip_to_constraints(want, obs)
 
     def reset(self) -> None:
         self._bursting = None

@@ -18,15 +18,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.allocation import clip_to_constraints
-from repro.core.scheduler import Scheduler
+from repro.core.scheduler import ClipScheduler
 from repro.errors import ConfigurationError
 from repro.net.gateway import SlotObservation
 
 __all__ = ["OnOffScheduler"]
 
 
-class OnOffScheduler(Scheduler):
+class OnOffScheduler(ClipScheduler):
     """Buffer-threshold hysteresis with full-rate ON bursts.
 
     Parameters
@@ -38,6 +37,7 @@ class OnOffScheduler(Scheduler):
     """
 
     name = "on-off"
+    shared_params = ("low_threshold_s", "high_threshold_s")
 
     def __init__(self, low_threshold_s: float = 10.0, high_threshold_s: float = 40.0):
         if low_threshold_s <= 0:
@@ -54,11 +54,11 @@ class OnOffScheduler(Scheduler):
             self._on = np.ones(n_users, dtype=bool)
         return self._on
 
-    def allocate(self, obs: SlotObservation) -> np.ndarray:
+    def want(self, obs: SlotObservation) -> np.ndarray:
         on = self._ensure_state(obs.n_users)
         on |= obs.buffer_s < self.low_threshold_s
         on &= obs.buffer_s < self.high_threshold_s
-        want = np.where(
+        return np.where(
             on & obs.active,
             np.minimum(
                 obs.link_units,
@@ -66,7 +66,6 @@ class OnOffScheduler(Scheduler):
             ),
             0,
         )
-        return clip_to_constraints(want, obs)
 
     def reset(self) -> None:
         self._on = None

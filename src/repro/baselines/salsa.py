@@ -31,18 +31,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.allocation import clip_to_constraints
-from repro.core.scheduler import Scheduler
+from repro.core.scheduler import ClipScheduler
 from repro.errors import ConfigurationError
 from repro.net.gateway import SlotObservation
 
 __all__ = ["SalsaScheduler"]
 
 
-class SalsaScheduler(Scheduler):
+class SalsaScheduler(ClipScheduler):
     """Queue-threshold deferral priced on transmission energy only."""
 
     name = "salsa"
+    shared_params = ("v_salsa", "p_ref_mj_per_kb")
 
     def __init__(self, v_salsa: float = 2.0, p_ref_mj_per_kb: float = 0.198):
         if v_salsa <= 0:
@@ -59,7 +59,7 @@ class SalsaScheduler(Scheduler):
             self._queue_kb = np.zeros(n_users, dtype=float)
         return self._queue_kb
 
-    def allocate(self, obs: SlotObservation) -> np.ndarray:
+    def want(self, obs: SlotObservation) -> np.ndarray:
         queue = self._ensure_state(obs.n_users)
         # Demand arrives at the encoding rate while the session runs.
         queue += np.where(obs.active, obs.rate_kbps * obs.tau_s, 0.0)
@@ -68,8 +68,7 @@ class SalsaScheduler(Scheduler):
         backlog_s = queue / obs.rate_kbps
         price_s = self.v_salsa * obs.p_mj_per_kb / self.p_ref_mj_per_kb
         send = obs.active & (backlog_s > price_s) & (obs.link_units > 0)
-        want = np.where(send, np.ceil(queue / obs.delta_kb), 0.0)
-        return clip_to_constraints(want, obs)
+        return np.where(send, np.ceil(queue / obs.delta_kb), 0.0)
 
     def notify(
         self, obs: SlotObservation, phi: np.ndarray, delivered_kb: np.ndarray

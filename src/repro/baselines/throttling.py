@@ -14,15 +14,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.allocation import clip_to_constraints
-from repro.core.scheduler import Scheduler
+from repro.core.scheduler import ClipScheduler
 from repro.errors import ConfigurationError
 from repro.net.gateway import SlotObservation
 
 __all__ = ["ThrottlingScheduler"]
 
 
-class ThrottlingScheduler(Scheduler):
+class ThrottlingScheduler(ClipScheduler):
     """Constant-factor over-provisioned continuous delivery.
 
     Parameters
@@ -33,14 +32,14 @@ class ThrottlingScheduler(Scheduler):
     """
 
     name = "throttling"
+    shared_params = ("factor",)
 
     def __init__(self, factor: float = 1.25):
         if factor <= 1.0:
             raise ConfigurationError("throttling factor must exceed 1.0")
         self.factor = float(factor)
 
-    def allocate(self, obs: SlotObservation) -> np.ndarray:
+    def want(self, obs: SlotObservation) -> np.ndarray:
         target_kb = self.factor * obs.rate_kbps * obs.tau_s
         want_units = np.ceil(target_kb / obs.delta_kb)
-        want_units = np.minimum(want_units, np.ceil(obs.sendable_kb / obs.delta_kb))
-        return clip_to_constraints(want_units, obs)
+        return np.minimum(want_units, np.ceil(obs.sendable_kb / obs.delta_kb))

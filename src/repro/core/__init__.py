@@ -1,7 +1,8 @@
 """The paper's primary contribution: the RTM/EM scheduling core.
 
 * :mod:`repro.core.scheduler` — the scheduler interface all policies
-  (RTMA, EMA, and every baseline) implement;
+  (RTMA, EMA, and every baseline) implement, and the wanted-units
+  base every baseline shares;
 * :mod:`repro.core.allocation` — constraint validation for Eqs. (1)-(2);
 * :mod:`repro.core.rtma` — Rebuffering Time Minimization Algorithm
   (Algorithm 1) and the Eq. (12) energy-to-signal threshold;
@@ -15,7 +16,7 @@
   optimality gaps.
 """
 
-from repro.core.scheduler import Scheduler
+from repro.core.scheduler import ClipScheduler, Scheduler
 from repro.core.allocation import check_constraints, clip_to_constraints
 from repro.core.rtma import RTMAScheduler, signal_threshold_for_energy_budget
 from repro.core.ema import EMAScheduler
@@ -29,6 +30,7 @@ from repro.core.knapsack import exact_slot_minimum, brute_force_slot_minimum
 
 __all__ = [
     "Scheduler",
+    "ClipScheduler",
     "check_constraints",
     "clip_to_constraints",
     "RTMAScheduler",

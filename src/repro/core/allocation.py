@@ -4,9 +4,13 @@ The engine validates every scheduler's output with
 :func:`check_constraints` (raising
 :class:`~repro.errors.ConstraintViolationError` on any violation) so a
 buggy policy fails loudly instead of silently inflating its results.
-:func:`clip_to_constraints` is the lenient variant used by baseline
-implementations that compute a *desired* allocation first and then fit
-it to the physical limits in user order.
+:func:`clip_to_constraints` is the lenient variant that fits a *desired*
+allocation to the physical limits in user order: every
+:class:`~repro.core.scheduler.ClipScheduler` baseline allocates through
+it, and a stack of runs clips all its baseline rows with one call per
+slot, passing the row -> run layout (:func:`segment_rows`) it built
+once for the loop.  The clip is one vectorized int64 pass for any
+number of run segments.
 """
 
 from __future__ import annotations
@@ -82,7 +86,20 @@ def check_constraints(phi: np.ndarray, obs: SlotObservation) -> None:
         raise ConstraintViolationError("allocation to inactive user", obs.slot)
 
 
-def clip_to_constraints(desired: np.ndarray, obs: SlotObservation) -> np.ndarray:
+def segment_rows(run_offsets: np.ndarray) -> np.ndarray:
+    """Row -> run index of the segment table ``run_offsets``.
+
+    The layout :func:`clip_to_constraints` takes; a stack's scheduler
+    builds it once per slot loop.
+    """
+    return np.repeat(
+        np.arange(run_offsets.shape[0] - 1, dtype=np.intp), np.diff(run_offsets)
+    )
+
+
+def clip_to_constraints(
+    desired: np.ndarray, obs: SlotObservation, row_run: np.ndarray | None = None
+) -> np.ndarray:
     """Fit a desired (possibly fractional/overcommitted) allocation to
     constraints (1)-(2).
 
@@ -90,33 +107,34 @@ def clip_to_constraints(desired: np.ndarray, obs: SlotObservation) -> np.ndarray
     ascending user-index order (first-come-first-served), which models
     the naive head-of-line behaviour the paper's *default* strategy
     exhibits and that RTMA's round-based allocation deliberately avoids.
+
+    Eq. (2) holds per run segment.  ``row_run`` is the observation's
+    row -> run index (:func:`segment_rows` of ``obs.run_offsets``);
+    without it the index is derived when a segment overspends.
     """
     want = np.floor(np.maximum(np.asarray(desired, dtype=float), 0.0)).astype(np.int64)
     want = np.minimum(want, obs.link_units)
     want[~obs.active] = 0
-    # Greedy prefix under each run's budget: a per-run cumulative sum
-    # (int64, exact: the running total minus the total before the
-    # segment), then truncate the first user that crosses the line and
-    # zero the rest of the segment.
+    # Greedy prefix under each run's budget, in exact int64: a row gets
+    # what its run's budget leaves after the rows before it in the
+    # segment, so the first row to cross the line is truncated and the
+    # rest of the segment gets nothing.  In running-total terms a row
+    # of run r may reach ``limit[r]``, the total before the segment
+    # plus its budget.
     budgets = obs.run_unit_budgets
-    offsets = obs.run_offsets
     cum = np.cumsum(want)
     if budgets.shape[0] == 1:
-        over = cum > budgets[0]
-        if not over.any():
+        if not cum.size or cum[-1] <= budgets[0]:
             return want
-        runs = [0]
+        limit = budgets[0]
     else:
-        sizes = np.diff(offsets)
-        cum -= np.repeat(np.concatenate(([0], cum[offsets[1:-1] - 1])), sizes)
-        over = cum > np.repeat(budgets, sizes)
-        if not over.any():
+        offsets = obs.run_offsets
+        bounds = np.concatenate(([0], cum))[offsets]
+        limits = bounds[:-1] + budgets
+        if not (bounds[1:] > limits).any():
             return want
-        runs = np.flatnonzero(np.logical_or.reduceat(over, offsets[:-1]))
-    for r in runs:
-        lo, hi = int(offsets[r]), int(offsets[r + 1])
-        first = lo + int(np.argmax(over[lo:hi]))
-        prior = int(cum[first - 1]) if first > lo else 0
-        want[first] = max(int(budgets[r]) - prior, 0)
-        want[first + 1 : hi] = 0
-    return want
+        limit = limits[segment_rows(offsets) if row_run is None else row_run]
+    room = limit - cum
+    room += want
+    np.maximum(room, 0, out=room)
+    return np.minimum(want, room, out=want)

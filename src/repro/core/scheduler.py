@@ -6,6 +6,12 @@ baselines — is a :class:`Scheduler`: given a
 data-unit allocation ``phi_i(n)`` for all users, subject to the link
 constraint (Eq. 1) and the capacity constraint (Eq. 2).
 
+Most baselines only differ in what each user *wants* in a slot; a
+:class:`ClipScheduler` returns those wanted units from
+:meth:`ClipScheduler.want` and fits them to Eqs. (1)-(2) with
+:func:`~repro.core.allocation.clip_to_constraints`, which a stack of
+runs (:mod:`repro.sim.batch`) does once per slot for all its runs.
+
 Schedulers may be stateful (EMA maintains virtual queues; ON-OFF keeps
 per-user hysteresis state); the engine calls :meth:`Scheduler.notify`
 after transmission with what was actually delivered so a policy's
@@ -19,9 +25,10 @@ import abc
 
 import numpy as np
 
+from repro.core.allocation import clip_to_constraints
 from repro.net.gateway import SlotObservation
 
-__all__ = ["Scheduler"]
+__all__ = ["Scheduler", "ClipScheduler"]
 
 
 class Scheduler(abc.ABC):
@@ -102,3 +109,31 @@ class Scheduler(abc.ABC):
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<{type(self).__name__} {self.name!r}>"
+
+
+class ClipScheduler(Scheduler):
+    """A policy that decides each user's wanted units; Eqs. (1)-(2)
+    then fit them head-of-line.
+
+    :meth:`allocate` is ``clip_to_constraints(self.want(obs), obs)``.
+    A stack of runs calls :meth:`want` on each block of its rows and
+    clips the whole stack once (:class:`repro.sim.batch._BlockScheduler`),
+    which is the same allocation because Eq. (2) holds per run segment.
+    """
+
+    #: Parameters that, when equal, let one instance serve several runs
+    #: of a stack: its per-user state is row-elementwise and sizes
+    #: itself to the rows it sees.  Only a class that declares the
+    #: tuple itself shares; ``None`` (or a subclass that inherits it)
+    #: serves its own run.
+    shared_params: tuple[str, ...] | None = None
+
+    @abc.abstractmethod
+    def want(self, obs: SlotObservation) -> np.ndarray:
+        """Float wanted units per user, before Eqs. (1)-(2).
+
+        Makes every state update of the slot's allocation.
+        """
+
+    def allocate(self, obs: SlotObservation) -> np.ndarray:
+        return clip_to_constraints(self.want(obs), obs)

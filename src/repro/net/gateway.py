@@ -112,6 +112,18 @@ class SlotObservation:
             ):
                 object.__setattr__(self, name, np.array(value, dtype=dtype))
 
+    @classmethod
+    def _of(cls, fields: dict) -> SlotObservation:
+        """An observation of ``fields``, every field given and valid.
+
+        Sets them directly, without ``__init__`` / ``__post_init__``:
+        the per-slot constructor of a stack's block views
+        (:mod:`repro.sim.batch`).
+        """
+        obs = object.__new__(cls)
+        obs.__dict__.update(fields)
+        return obs
+
     @property
     def n_users(self) -> int:
         return self.sig_dbm.shape[0]

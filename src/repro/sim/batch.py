@@ -32,8 +32,9 @@ by ``tests/integration/test_batch_equivalence.py``).  It holds because:
   segment bound;
 * the stack's scheduler serves it in *blocks*, one per block key
   (:func:`_block_key`): RTMA runs through ``stack``, EMA runs of one
-  ``tau_s`` through ``stack``, a row-elementwise baseline with equal
-  parameters through its first instance, anything else alone.
+  ``tau_s`` through ``stack``, a
+  :class:`~repro.core.scheduler.ClipScheduler` baseline with equal
+  ``shared_params`` through its first instance, anything else alone.
   :class:`BatchPlan` orders the loop's segments by block key, stably,
   so each key is one block however the tasks interleave (a
   Default/Throttling/ON-OFF/RTMA stack of three sweep points is four
@@ -41,7 +42,11 @@ by ``tests/integration/test_batch_equivalence.py``).  It holds because:
   order.  Each block sees its own
   :class:`~repro.net.gateway.SlotObservation` over its rows, with its
   own segment table and budgets — what a stack of that block alone
-  would see (see :class:`_BlockScheduler`);
+  would see.  There is one Eq. (2) clip per slot for the whole stack:
+  every baseline block returns its wanted units and
+  ``clip_to_constraints`` fits them all at once, with a row -> run
+  layout built once per loop, before the RTMA and EMA blocks fill
+  their own rows (see :class:`_BlockScheduler`);
 * every run's result grids are its own C-contiguous
   ``(n_slots, N_r)`` arrays, filled from the loop's slot-major staging
   rows one run slice at a time, so reductions feeding results and
@@ -77,14 +82,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines.default import DefaultScheduler, NeedRateScheduler
-from repro.baselines.estreamer import EStreamerScheduler
-from repro.baselines.onoff import OnOffScheduler
-from repro.baselines.salsa import SalsaScheduler
-from repro.baselines.throttling import ThrottlingScheduler
+from repro.core.allocation import clip_to_constraints, segment_rows
 from repro.core.ema import EMAScheduler
 from repro.core.rtma import RTMAScheduler
-from repro.core.scheduler import Scheduler
+from repro.core.scheduler import ClipScheduler, Scheduler
 from repro.errors import ConfigurationError
 from repro.faults import current_fault_plan
 from repro.net.gateway import SlotObservation
@@ -108,20 +109,6 @@ _COMPAT_FIELDS = (
     "profile",
     "kernel_backend",
 )
-
-#: Baseline schedulers whose ``allocate`` is purely row-elementwise
-#: (state auto-sized to the observation) followed by
-#: ``clip_to_constraints``.  When runs carry equal parameters, the
-#: first run's instance serves all their rows directly — each lane
-#: evolves exactly as it would in its own run.
-_CLIP_SHARED_PARAMS: dict[type, tuple[str, ...]] = {
-    DefaultScheduler: ("refill_trigger_s", "refill_high_s"),
-    NeedRateScheduler: (),
-    OnOffScheduler: ("low_threshold_s", "high_threshold_s"),
-    ThrottlingScheduler: ("factor",),
-    SalsaScheduler: ("v_salsa", "p_ref_mj_per_kb"),
-    EStreamerScheduler: ("buffer_capacity_s", "refill_trigger_s"),
-}
 
 
 def batch_incompatibility(tasks) -> str | None:
@@ -285,14 +272,16 @@ def _block_key(sched, n_users: int, index: int) -> tuple:
     alone, where its allocate rejects the mismatch).  A row-elementwise
     baseline serves every run with equal parameters through one
     instance; any other scheduler serves its own run (``index`` makes
-    its key unique).
+    its key unique).  The baselines that share are the
+    :class:`~repro.core.scheduler.ClipScheduler` classes declaring their
+    own ``shared_params``.
     """
     kind = type(sched)
     if kind is RTMAScheduler:
         return (kind,)
     if kind is EMAScheduler and sched.n_users == n_users:
         return (kind, sched.tau_s)
-    params = _CLIP_SHARED_PARAMS.get(kind)
+    params = vars(kind).get("shared_params")
     if params is not None:
         return (kind, *(getattr(sched, a) for a in params))
     return (None, index)
@@ -301,11 +290,16 @@ def _block_key(sched, n_users: int, index: int) -> tuple:
 class _Block:
     """Runs ``start:stop`` of a stack, rows ``lo:hi``, one scheduler."""
 
-    __slots__ = ("start", "stop", "lo", "hi", "run_offsets", "scheduler")
+    __slots__ = (
+        "start", "stop", "lo", "hi", "rows", "whole", "run_offsets", "scheduler",
+        "clips",
+    )
 
     def __init__(self, scheds, key, start: int, stop: int, run_offsets: np.ndarray):
         self.start, self.stop = start, stop
         self.lo, self.hi = int(run_offsets[start]), int(run_offsets[stop])
+        self.rows = slice(self.lo, self.hi)
+        self.whole = start == 0 and stop == run_offsets.shape[0] - 1
         self.run_offsets = run_offsets[start : stop + 1] - self.lo
         members = scheds[start:stop]
         if key[0] is RTMAScheduler or key[0] is EMAScheduler:
@@ -316,30 +310,39 @@ class _Block:
             # each lane evolves exactly as in its own run.  Any other
             # scheduler is a one-run block served by its own instance.
             self.scheduler = members[0]
+        #: Whether the scheduler's allocation is its wanted units fitted
+        #: by ``clip_to_constraints``, so the stack's one clip serves it.
+        self.clips = type(self.scheduler).allocate is ClipScheduler.allocate
 
     def view(self, obs: SlotObservation) -> SlotObservation:
         """``obs`` restricted to the block's rows and runs."""
-        lo, hi = self.lo, self.hi
+        if self.whole:
+            return obs
+        rows = self.rows
         budgets = obs.run_unit_budgets[self.start : self.stop]
         caps = obs.run_capacity_kbps[self.start : self.stop]
-        return SlotObservation(
-            slot=obs.slot,
-            tau_s=obs.tau_s,
-            delta_kb=obs.delta_kb,
-            capacity_kbps=float(caps.sum()),
-            unit_budget=int(budgets.sum()),
-            sig_dbm=obs.sig_dbm[lo:hi],
-            rate_kbps=obs.rate_kbps[lo:hi],
-            link_units=obs.link_units[lo:hi],
-            p_mj_per_kb=obs.p_mj_per_kb[lo:hi],
-            active=obs.active[lo:hi],
-            buffer_s=obs.buffer_s[lo:hi],
-            remaining_kb=obs.remaining_kb[lo:hi],
-            idle_tail_cost_mj=obs.idle_tail_cost_mj[lo:hi],
-            receivable_kb=obs.receivable_kb[lo:hi],
-            run_offsets=self.run_offsets,
-            run_unit_budgets=budgets,
-            run_capacity_kbps=caps,
+        return SlotObservation._of(
+            {
+                "slot": obs.slot,
+                "tau_s": obs.tau_s,
+                "delta_kb": obs.delta_kb,
+                "capacity_kbps": float(caps.sum()),
+                "unit_budget": int(budgets.sum()),
+                "sig_dbm": obs.sig_dbm[rows],
+                "rate_kbps": obs.rate_kbps[rows],
+                "link_units": obs.link_units[rows],
+                "p_mj_per_kb": obs.p_mj_per_kb[rows],
+                "active": obs.active[rows],
+                "buffer_s": obs.buffer_s[rows],
+                "remaining_kb": obs.remaining_kb[rows],
+                "idle_tail_cost_mj": obs.idle_tail_cost_mj[rows],
+                "receivable_kb": obs.receivable_kb[rows],
+                "joined": None,
+                "departed": None,
+                "run_offsets": self.run_offsets,
+                "run_unit_budgets": budgets,
+                "run_capacity_kbps": caps,
+            }
         )
 
 
@@ -351,6 +354,14 @@ class _BlockScheduler(Scheduler):
     :meth:`_Block.view` of each slot's observation — for a single
     block, the observation itself — so every lane evolves exactly as
     in a run-by-run execution.
+
+    Each slot, every :class:`~repro.core.scheduler.ClipScheduler` block
+    writes its wanted units into the loop's want buffer, whose other
+    rows stay 0; one ``clip_to_constraints`` over the whole observation
+    fits them, and every other block's allocation then fills its own
+    rows.  That equals clipping each block alone: Eq. (2) holds per run
+    segment, every segment lies inside one block, and the clip is exact
+    int64 arithmetic, so a zero row changes no other row's grant.
     """
 
     def __init__(self, scheds, keys, run_offsets: np.ndarray):
@@ -364,6 +375,10 @@ class _BlockScheduler(Scheduler):
             start = stop
         first = self.blocks[0].scheduler
         self.name = getattr(first, "name", type(first).__name__)
+        self._clips = any(b.clips for b in self.blocks)
+        # The clip's segment layout and want buffer, for the whole loop.
+        self._row_run = segment_rows(run_offsets)
+        self._want = np.zeros(int(run_offsets[-1]))
         self._views: list[SlotObservation] = []
 
     def bind_instrumentation(self, instrumentation) -> None:
@@ -372,22 +387,25 @@ class _BlockScheduler(Scheduler):
             b.scheduler.bind_instrumentation(instrumentation)
 
     def allocate(self, obs: SlotObservation) -> np.ndarray:
-        if len(self.blocks) == 1:
-            return self.blocks[0].scheduler.allocate(obs)
-        phi = np.zeros(obs.n_users, dtype=np.int64)
         self._views = views = [b.view(obs) for b in self.blocks]
+        if self._clips:
+            want = self._want
+            for b, view in zip(self.blocks, views):
+                if b.clips:
+                    want[b.rows] = b.scheduler.want(view)
+            phi = clip_to_constraints(want, obs, self._row_run)
+        else:
+            phi = np.zeros(obs.n_users, dtype=np.int64)
         for b, view in zip(self.blocks, views):
-            phi[b.lo : b.hi] = b.scheduler.allocate(view)
+            if not b.clips:
+                phi[b.rows] = b.scheduler.allocate(view)
         return phi
 
     def notify(
         self, obs: SlotObservation, phi: np.ndarray, delivered_kb: np.ndarray
     ) -> None:
-        if len(self.blocks) == 1:
-            self.blocks[0].scheduler.notify(obs, phi, delivered_kb)
-            return
         for b, view in zip(self.blocks, self._views):
-            b.scheduler.notify(view, phi[b.lo : b.hi], delivered_kb[b.lo : b.hi])
+            b.scheduler.notify(view, phi[b.rows], delivered_kb[b.rows])
 
     def reset(self) -> None:
         self._views = []

@@ -17,6 +17,7 @@ the compiled backend to the same parametrisation automatically.
 """
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -31,14 +32,22 @@ from repro.baselines import (
     SalsaScheduler,
     ThrottlingScheduler,
 )
+from repro.core.allocation import check_constraints, clip_to_constraints, segment_rows
 from repro.core.ema import EMAScheduler
 from repro.core.rtma import RTMAScheduler
 from repro.faults import CapacityFault, FaultPlan, FlowStall, SignalBlackout
 from repro.kernels import available_backends
+from repro.net.gateway import SlotObservation
 from repro.net.slicing import ConstantBackground, PoissonBackground, ResourceSlicer
 from repro.obs import Instrumentation
 from repro.obs.tracer import RecordingTracer
-from repro.sim.batch import BatchPlan, _block_key, batch_incompatibility, run_batch
+from repro.sim.batch import (
+    BatchPlan,
+    _block_key,
+    _BlockScheduler,
+    batch_incompatibility,
+    run_batch,
+)
 from repro.sim.config import SimConfig
 from repro.sim.engine import Simulation
 from repro.sim.executor import RunExecutor, RunTask
@@ -637,6 +646,142 @@ class TestRaggedStacks:
     def test_incompatibility_never_names_n_users(self):
         tasks = _tasks(SCHEDULERS["ema"], [_cfg(1, n_users=3), _cfg(2, n_users=17)])
         assert batch_incompatibility(tasks) is None
+
+
+# --- one clip per slot ----------------------------------------------------
+
+#: Kinds of a stack whose clip-shared baselines sit next to RTMA and EMA.
+_ONE_CLIP_KINDS = ("default", "throttling", "on-off", "salsa", "estreamer", "rtma", "ema")
+
+
+@st.composite
+def block_stacks(draw):
+    """Runs of 1-40 users, baseline blocks interleaved with RTMA and EMA
+    blocks, and a seed for the slots they see."""
+    picks = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(_ONE_CLIP_KINDS),
+                st.integers(0, 2),
+                st.integers(1, 40),
+            ),
+            min_size=2,
+            max_size=8,
+        )
+    )
+    return picks, draw(st.integers(0, 2**16))
+
+
+def _block_scheduler(spec):
+    """A stack's scheduler over ``spec``'s runs, in spec order."""
+    scheds, sizes = [], []
+    for kind, i, n in spec:
+        cfg = SimpleNamespace(n_users=n, tau_s=1.0)
+        makers = _MIXED_KINDS[kind]
+        scheds.append(makers[i % len(makers)](cfg))
+        sizes.append(n)
+    keys = [_block_key(s, n, i) for i, (s, n) in enumerate(zip(scheds, sizes))]
+    offsets = np.concatenate(([0], np.cumsum(sizes))).astype(np.int64)
+    sched = _BlockScheduler(scheds, keys, offsets)
+    sched.reset()
+    return sched, offsets
+
+
+def _random_stack_obs(rng, offsets, slot):
+    """A random stacked slot over the segments ``offsets``; about a
+    quarter of the runs get a zero Eq. (2) budget."""
+    n, n_runs = int(offsets[-1]), offsets.shape[0] - 1
+    sig = rng.uniform(-110.0, -50.0, n)
+    active = rng.random(n) < 0.85
+    budgets = rng.integers(0, 30 * np.diff(offsets) + 1)
+    budgets[rng.random(n_runs) < 0.25] = 0
+    return SlotObservation(
+        slot=slot,
+        tau_s=1.0,
+        delta_kb=40.0,
+        capacity_kbps=float(budgets.sum()) * 40.0,
+        unit_budget=int(budgets.sum()),
+        sig_dbm=sig,
+        rate_kbps=rng.uniform(300.0, 600.0, n),
+        link_units=np.floor((65.8 * sig + 7567.0) / 40.0).astype(np.int64),
+        p_mj_per_kb=-0.167 + 1560.0 / (65.8 * sig + 7567.0),
+        active=active,
+        buffer_s=rng.uniform(0.0, 70.0, n),
+        remaining_kb=np.where(active, rng.uniform(40.0, 2e4, n), 0.0),
+        idle_tail_cost_mj=rng.uniform(0.0, 733.0, n),
+        receivable_kb=np.where(rng.random(n) < 0.5, np.inf, rng.uniform(0.0, 3e4, n)),
+        run_offsets=offsets,
+        run_unit_budgets=budgets.astype(np.int64),
+        run_capacity_kbps=budgets * 40.0,
+    )
+
+
+def _state(sched):
+    """Bytes of a scheduler's array state, EMA's virtual queues included."""
+    arrays = {k: v for k, v in vars(sched).items() if isinstance(v, np.ndarray)}
+    if isinstance(sched, EMAScheduler):
+        arrays["queues"] = sched.queues.values
+    return {k: v.tobytes() for k, v in arrays.items()}
+
+
+class TestOneClipPerSlot:
+    """A stack's scheduler clips all its baseline blocks at once: the
+    same allocation and state as allocating each block on its own
+    view."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(stack=block_stacks())
+    def test_one_clip_equals_blocks_alone(self, stack):
+        spec, seed = stack
+        one, offsets = _block_scheduler(spec)
+        alone, _ = _block_scheduler(spec)
+        assert any(b.clips for b in one.blocks) == any(
+            kind not in ("rtma", "ema") for kind, *_ in spec
+        )
+        rng = np.random.default_rng(seed)
+        for slot in range(12):
+            obs = _random_stack_obs(rng, offsets, slot)
+            phi = one.allocate(obs)
+            views = [b.view(obs) for b in alone.blocks]
+            want = np.zeros(obs.n_users, dtype=np.int64)
+            for b, view in zip(alone.blocks, views):
+                want[b.lo : b.hi] = b.scheduler.allocate(view)
+            assert phi.dtype == want.dtype and phi.tobytes() == want.tobytes(), (
+                spec, slot
+            )
+            check_constraints(phi, obs)
+            delivered = np.minimum(phi * obs.delta_kb, obs.remaining_kb)
+            one.notify(obs, phi, delivered)
+            for b, view in zip(alone.blocks, views):
+                b.scheduler.notify(view, want[b.lo : b.hi], delivered[b.lo : b.hi])
+            for b, c in zip(one.blocks, alone.blocks):
+                assert _state(b.scheduler) == _state(c.scheduler), (spec, slot)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(1, 40), min_size=1, max_size=8),
+        seed=st.integers(0, 2**16),
+    )
+    def test_clip_with_loop_layout_is_segment_greedy(self, sizes, seed):
+        rng = np.random.default_rng(seed)
+        offsets = np.concatenate(([0], np.cumsum(sizes))).astype(np.int64)
+        obs = _random_stack_obs(rng, offsets, 0)
+        desired = rng.uniform(-5.0, 40.0, obs.n_users)
+        desired[rng.random(obs.n_users) < 0.2] = 0.0
+        # One segment at a time, user by user: each takes what it wants,
+        # up to what its run's budget has left.
+        expected = []
+        for r in range(len(sizes)):
+            left = int(obs.run_unit_budgets[r])
+            for i in range(int(offsets[r]), int(offsets[r + 1])):
+                units = min(max(int(np.floor(desired[i])), 0), int(obs.link_units[i]))
+                grant = min(units, left) if obs.active[i] else 0
+                left -= grant
+                expected.append(grant)
+        expected = np.array(expected, dtype=np.int64)
+        for row_run in (segment_rows(offsets), None):
+            got = clip_to_constraints(desired, obs, row_run)
+            assert got.dtype == np.int64 and got.tobytes() == expected.tobytes()
 
 
 def _loop_blocks(plan):
