@@ -88,7 +88,6 @@ def paper_slot_observation(n_users=40, budget=512, seed=0) -> SlotObservation:
         slot=0,
         tau_s=1.0,
         delta_kb=40.0,
-        capacity_kbps=budget * 40.0,
         unit_budget=budget,
         sig_dbm=sig,
         rate_kbps=rng.uniform(300, 600, n_users),
@@ -131,11 +130,9 @@ def ragged_slot_observation(users) -> SlotObservation:
         slot=0,
         tau_s=1.0,
         delta_kb=40.0,
-        capacity_kbps=float(budgets.sum()) * 40.0,
         unit_budget=int(budgets.sum()),
         run_offsets=np.concatenate(([0], np.cumsum(users))).astype(np.int64),
         run_unit_budgets=budgets.astype(np.int64),
-        run_capacity_kbps=budgets * 40.0,
         **rows,
     )
 

@@ -531,14 +531,6 @@ class EMAScheduler(Scheduler):
         self.queues.update(t, obs.active)
         if self._has_floor:
             np.maximum(self.queues.values, self._floor_lanes, out=self.queues.values)
-        instr = self.instrumentation
-        if instr is not None and not self._parts:
-            # Lyapunov policies are diagnosed through their virtual-queue
-            # trajectories: publish PC_i(n) after every update.  A stack
-            # publishes once, through finalize_batch.
-            pc = self.queues.values
-            instr.metrics.gauge("ema.virtual_queues").set(pc.copy())
-            instr.metrics.gauge("ema.virtual_queue_max_s").set(float(pc.max()))
 
     def trace_snapshots(self) -> list[tuple[int, str, dict]]:
         """Each run's ``PC_i(n)`` after this slot's update, with its ``V``."""
@@ -550,17 +542,13 @@ class EMAScheduler(Scheduler):
             )
         ]
 
-    def finalize_batch(self, metrics) -> None:
-        """Publish a stack's final gauge state as the serial runs would.
-
-        Serial runs publish ``ema.virtual_queues`` after every slot;
-        gauges are last-write-wins, so the post-sequence state is the
-        last run's final queues — exactly the stack's last segment.
-        ``metrics`` is the last run's per-run registry.
-        """
-        pc = self.queues.values[int(self._run_offsets[-2]) :].copy()
-        metrics.gauge("ema.virtual_queues").set(pc)
-        metrics.gauge("ema.virtual_queue_max_s").set(float(pc.max()))
+    def finalize_runs(self, registries) -> None:
+        """Each run's final ``PC_i(n)``, from its own segment, as the
+        ``ema.virtual_queues`` and ``ema.virtual_queue_max_s`` gauges."""
+        pc, offsets = self.queues.values, self._run_offsets
+        for metrics, lo, hi in zip(registries, offsets[:-1], offsets[1:]):
+            metrics.gauge("ema.virtual_queues").set(pc[lo:hi].copy())
+            metrics.gauge("ema.virtual_queue_max_s").set(float(pc[lo:hi].max()))
 
     def reset(self) -> None:
         self.queues.reset()

@@ -37,21 +37,6 @@ class Scheduler(abc.ABC):
     #: Human-readable policy name (used in result tables).
     name: str = "scheduler"
 
-    #: Observability bundle attached by the engine for the current run
-    #: (``None`` when running uninstrumented).  Stateful policies may
-    #: use it to expose internal state — EMA publishes its virtual
-    #: queues as the ``ema.virtual_queues`` gauge from ``notify``.
-    instrumentation = None
-
-    def bind_instrumentation(self, instrumentation) -> None:
-        """Attach (or, with ``None``, detach) an observability bundle.
-
-        Called by :meth:`repro.sim.engine.Simulation.run` before the
-        first slot, after :meth:`reset`.  Policies must not let the
-        bundle influence allocations — instrumentation is observational.
-        """
-        self.instrumentation = instrumentation
-
     @abc.abstractmethod
     def allocate(self, obs: SlotObservation) -> np.ndarray:
         """Return the allocation ``phi`` (int64 array, shape (n_users,)).
@@ -73,6 +58,15 @@ class Scheduler(abc.ABC):
 
     def reset(self) -> None:
         """Clear internal state before a fresh run (default: no-op)."""
+
+    def finalize_runs(self, registries) -> None:
+        """Publish each served run's final state into its registry.
+
+        ``registries`` holds one :class:`~repro.obs.metrics.MetricsRegistry`
+        per run the scheduler serves, in segment order; an instrumented
+        loop calls this once, after its last slot or at an abort (EMA
+        publishes its virtual queues).  Default: nothing to publish.
+        """
 
     def trace_snapshots(self) -> list[tuple[int, str, dict]]:
         """State a traced run records after each slot's feedback.

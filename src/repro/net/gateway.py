@@ -55,16 +55,14 @@ class SlotObservation:
     Inactive users (session not started, or fully delivered) are
     flagged in ``active``; well-behaved schedulers allocate them zero
     units.  Constraint (2) holds per run, through ``run_unit_budgets``;
-    the scalar ``capacity_kbps`` / ``unit_budget`` are the run totals
-    (one run's own values when ``R = 1``).  A hand-built observation
-    that omits the run fields is one segment built from the scalars.
+    the scalar ``unit_budget`` is the run total (one run's own budget
+    when ``R = 1``).  A hand-built observation that omits the run
+    fields is one segment built from the scalar.
     """
 
     slot: int
     tau_s: float
     delta_kb: float
-    #: Video-slice serving capacity S(n), KB/s.
-    capacity_kbps: float
     #: Constraint (2) budget: floor(tau * S(n) / delta) units.
     unit_budget: int
     #: Per-user RSSI, dBm.
@@ -96,8 +94,6 @@ class SlotObservation:
     run_offsets: np.ndarray = None  # type: ignore[assignment]
     #: ``(R,)`` int64 per-run Eq. (2) budgets.
     run_unit_budgets: np.ndarray = None  # type: ignore[assignment]
-    #: ``(R,)`` float per-run video-slice capacity S(n), KB/s.
-    run_capacity_kbps: np.ndarray = None  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
         if self.receivable_kb is None:
@@ -105,12 +101,11 @@ class SlotObservation:
                 self, "receivable_kb", np.full(self.sig_dbm.shape, np.inf)
             )
         if self.run_offsets is None:
-            for name, value, dtype in (
-                ("run_offsets", [0, self.n_users], np.int64),
-                ("run_unit_budgets", [self.unit_budget], np.int64),
-                ("run_capacity_kbps", [self.capacity_kbps], float),
+            for name, value in (
+                ("run_offsets", [0, self.n_users]),
+                ("run_unit_budgets", [self.unit_budget]),
             ):
-                object.__setattr__(self, name, np.array(value, dtype=dtype))
+                object.__setattr__(self, name, np.array(value, dtype=np.int64))
 
     @classmethod
     def _of(cls, fields: dict) -> SlotObservation:
@@ -147,7 +142,6 @@ class InformationCollector:
         link_row: np.ndarray,
         p_row: np.ndarray,
         idle_tail_cost_mj: np.ndarray,
-        capacity_kbps: np.ndarray,
         unit_budget: np.ndarray,
         run_offsets: np.ndarray,
         arena,
@@ -156,10 +150,10 @@ class InformationCollector:
     ) -> SlotObservation:
         """The slot's observation over ``R`` run segments of ``fleet``.
 
-        ``capacity_kbps`` / ``unit_budget`` are the ``(R,)`` per-run
-        video-slice capacities and Eq. (2) budgets, and ``run_offsets``
-        the ``(R+1,)`` segment bounds.  ``link_row`` / ``p_row`` are the
-        slot's rows of the engine's precomputed Eq. (24) tables.  Every
+        ``unit_budget`` holds the ``(R,)`` per-run Eq. (2) budgets, and
+        ``run_offsets`` the ``(R+1,)`` segment bounds.  ``link_row`` /
+        ``p_row`` are the slot's rows of the engine's precomputed
+        Eq. (24) tables.  Every
         ``R``, one included, gets the same :class:`SlotObservation`
         type, carrying the per-run budgets and segment bounds.
 
@@ -178,12 +172,11 @@ class InformationCollector:
         active = fleet.active_mask_into(slot, arena.active, arena.f8_tmp, arena.b1_tmp)
         remaining = fleet.remaining_into(arena.remaining_kb)
         receivable = fleet.receivable_into(slot, arena.receivable_kb, arena.b1_tmp)
-        # The scalar fields hold the run totals (a lone run's own values).
+        # The scalar budget is the run total (a lone run's own budget).
         return SlotObservation(
             slot=slot,
             tau_s=tau_s,
             delta_kb=delta_kb,
-            capacity_kbps=float(capacity_kbps.sum()),
             unit_budget=int(unit_budget.sum()),
             sig_dbm=sig,
             rate_kbps=fleet.rates_for_slot(slot),
@@ -198,7 +191,6 @@ class InformationCollector:
             departed=departed,
             run_offsets=run_offsets,
             run_unit_budgets=unit_budget,
-            run_capacity_kbps=capacity_kbps,
         )
 
 
@@ -253,7 +245,6 @@ class Gateway:
         link_row: np.ndarray,
         p_row: np.ndarray,
         idle_tail_cost_mj: np.ndarray,
-        capacity_kbps: np.ndarray,
         unit_budget: np.ndarray,
         run_offsets: np.ndarray,
         arena,
@@ -289,7 +280,6 @@ class Gateway:
             link_row,
             p_row,
             idle_tail_cost_mj,
-            capacity_kbps,
             unit_budget,
             run_offsets,
             arena,

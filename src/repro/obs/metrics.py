@@ -18,7 +18,7 @@ name                                      type       meaning
 ``rrc.occupancy.dch|fach|idle``           counter    user-slots spent in each RRC state
 ``rrc.tail_mj``                           counter    cumulative tail-energy accrual
 ``energy.trans_mj``                       counter    cumulative transmission energy
-``ema.virtual_queues``                    gauge      EMA's PC_i(n) vector, updated per slot
+``ema.virtual_queues``                    gauge      each run's final ``PC_i(n)`` (EMA)
 ``calibration.grid_evaluations``          counter    inner simulations run by the calibrators
 ========================================  =========  =========================================
 """

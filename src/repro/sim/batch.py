@@ -66,10 +66,12 @@ may share a batch.
 
 Instrumentation: metrics and spans are recorded the same way for
 every ``R`` (one span per phase per slot covers the whole loop, and
-one ``run`` span counts the loop).  Per-run counters are derived after
-the loop by :func:`~repro.sim.engine.record_run_metrics`, into one
-registry per run when ``R > 1``, merged in task order: the registry
-does not depend on how runs are grouped.  Traces do not either: each
+one ``run`` span counts the loop).  Each run records into its own
+registry, one included: its counters, derived after the loop by
+:func:`~repro.sim.engine.record_run_metrics`, and its scheduler's final
+gauges, published by ``finalize_runs`` (EMA's ``PC_i(n)``).
+:meth:`BatchPlan.run` merges them in task order, so the registry does
+not depend on how runs are grouped.  Traces do not either: each
 run's trace is written from its finished result and
 :class:`~repro.sim.engine.RunLog` (:func:`~repro.sim.engine.trace_events`),
 in task order.  The live telemetry plane alone needs each run's own
@@ -183,12 +185,11 @@ class BatchPlan:
         reason = batch_incompatibility(self.tasks)
         if reason is not None:
             raise ConfigurationError(f"runs cannot be batched: {reason}")
-        #: One metrics state per run, in task order, populated by a
-        #: stacked instrumented execution (empty on uninstrumented or
-        #: one-segment runs, which record straight into the bundle).
-        #: Each state holds exactly the single increment per counter a
-        #: lone run would apply, so merging them in task order — locally
-        #: or across a process pool — reproduces the run-by-run registry
+        #: One metrics state per run, in task order, populated by an
+        #: instrumented execution (empty on uninstrumented ones).  Each
+        #: state holds exactly the single increment per counter a lone
+        #: run applies, so merging them in task order — locally or
+        #: across a process pool — reproduces the run-by-run registry
         #: bit-for-bit.
         self.run_metric_states: list[dict] = []
         #: One :class:`~repro.sim.engine.RunLog` per run, in task order,
@@ -252,8 +253,7 @@ class BatchPlan:
                 write_traces(
                     instr, [by_task[i] for i in done], [logs_by_task[i] for i in done]
                 )
-        # Only a stacked loop (the plan's one loop) returns states.
-        self.run_metric_states = states_by_task if states else []
+        self.run_metric_states = states_by_task if instr is not None else []
         self.run_logs = logs_by_task if record else []
         for state in self.run_metric_states:
             instr.metrics.merge_state(state)
@@ -320,13 +320,11 @@ class _Block:
             return obs
         rows = self.rows
         budgets = obs.run_unit_budgets[self.start : self.stop]
-        caps = obs.run_capacity_kbps[self.start : self.stop]
         return SlotObservation._of(
             {
                 "slot": obs.slot,
                 "tau_s": obs.tau_s,
                 "delta_kb": obs.delta_kb,
-                "capacity_kbps": float(caps.sum()),
                 "unit_budget": int(budgets.sum()),
                 "sig_dbm": obs.sig_dbm[rows],
                 "rate_kbps": obs.rate_kbps[rows],
@@ -341,7 +339,6 @@ class _Block:
                 "departed": None,
                 "run_offsets": self.run_offsets,
                 "run_unit_budgets": budgets,
-                "run_capacity_kbps": caps,
             }
         )
 
@@ -381,11 +378,6 @@ class _BlockScheduler(Scheduler):
         self._want = np.zeros(int(run_offsets[-1]))
         self._views: list[SlotObservation] = []
 
-    def bind_instrumentation(self, instrumentation) -> None:
-        self.instrumentation = instrumentation
-        for b in self.blocks:
-            b.scheduler.bind_instrumentation(instrumentation)
-
     def allocate(self, obs: SlotObservation) -> np.ndarray:
         self._views = views = [b.view(obs) for b in self.blocks]
         if self._clips:
@@ -420,14 +412,5 @@ class _BlockScheduler(Scheduler):
         ]
 
     def finalize_runs(self, registries) -> None:
-        """Publish each block's final gauge state into its last run's
-        registry (``registries`` holds one per run, in task order).
-
-        Gauges are last-write-wins and the per-run registries merge in
-        task order, so the merged value is the one a run-by-run
-        sequence leaves behind.
-        """
         for b in self.blocks:
-            finalize = getattr(b.scheduler, "finalize_batch", None)
-            if finalize is not None:
-                finalize(registries[b.stop - 1])
+            b.scheduler.finalize_runs(registries[b.start : b.stop])

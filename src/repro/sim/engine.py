@@ -77,7 +77,7 @@ from repro.media.fleet import ClientFleet, rate_grid_kbps
 from repro.net.basestation import ConstantCapacity, FaultyCapacity
 from repro.net.gateway import Gateway
 from repro.net.slicing import ResourceSlicer
-from repro.obs.instrument import Instrumentation, current_instrumentation
+from repro.obs.instrument import Instrumentation
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import SLOT_PREFIX, activate_spans
 from repro.radio.rrc import RRCFleet, fleet_occupancy_from_tx
@@ -278,12 +278,12 @@ class RunLog:
 
 
 def _budget_tables(configs, plan, gamma: int):
-    """Per-run video capacity and Eq. (2) unit budget tables, ``(gamma, R)``.
+    """Per-run Eq. (2) unit budget tables, ``(gamma, R)``.
 
     Each run's budgets go through its own capacity model and slicer,
     with the scalar chain a slot evaluates.  Without background traffic
-    or capacity faults both are slot-invariant and one evaluation covers
-    the horizon (the tables are broadcast views); otherwise every slot
+    or capacity faults they are slot-invariant and one evaluation covers
+    the horizon (the table is a broadcast view); otherwise every slot
     is evaluated, run-major, so a stateful slicer sees its run's slots
     in order.
     """
@@ -305,10 +305,7 @@ def _budget_tables(configs, plan, gamma: int):
             cap = model.capacity_kbps(slot)
             cap_table[slot, r] = slicer.video_capacity_kbps(cap, slot)
     budget_table = np.floor(cfg.tau_s * cap_table / cfg.delta_kb).astype(np.int64)
-    if not varying:
-        cap_table = np.broadcast_to(cap_table, (gamma, len(configs)))
-        budget_table = np.broadcast_to(budget_table, (gamma, len(configs)))
-    return cap_table, budget_table
+    return np.broadcast_to(budget_table, (gamma, len(configs)))
 
 
 def trace_events(res, run_log: RunLog | None = None, slots: int | None = None, params=None):
@@ -362,7 +359,7 @@ def trace_events(res, run_log: RunLog | None = None, slots: int | None = None, p
     sig = res.signal_dbm
     link, _ = _eq24_tables(radio, sig, cfg.tau_s, cfg.delta_kb)
     rates = rate_grid_kbps(res.workload.flows, gamma)
-    budgets = _budget_tables([cfg], plan, gamma)[1][:, 0]
+    budgets = _budget_tables([cfg], plan, gamma)[:, 0]
     if churn:
         # Only resident sessions occupy rows: the others' link and rate
         # columns read 0.  The loop summed deliveries over its row
@@ -483,15 +480,9 @@ class Simulation:
 
     def run(self) -> SimulationResult:
         """Execute the full horizon and return the result record."""
-        instr = (
-            self.instrumentation
-            if self.instrumentation is not None
-            else current_instrumentation()
-        )
-        logs = [RunLog()] if instr is not None and instr.tracer.enabled else None
-        results, _ = run_segments([self], [self.workload], instr, logs=logs)
-        write_traces(instr, results, logs)
-        return results[0]
+        from repro.sim.batch import BatchPlan
+
+        return BatchPlan([self]).run(self.instrumentation)[0]
 
 
 def run_segments(tasks, workloads, instr, stack_scheduler=None, logs=None):
@@ -505,18 +496,22 @@ def run_segments(tasks, workloads, instr, stack_scheduler=None, logs=None):
     live plane all apply.  With ``R > 1`` the runs must be
     batch-compatible (see :mod:`repro.sim.batch`):
     ``stack_scheduler(run_offsets)`` builds the scheduler serving the
-    stacked rows, whose ``finalize_runs(registries)`` publishes its
-    final gauge state into the per-run registries after the loop.
-    ``logs`` (one :class:`RunLog` per run, or ``None``) receive what
-    each run's trace needs beyond its result; the caller writes the
-    traces with :func:`write_traces`, except for an aborted loop, whose
-    trace prefixes :func:`abort_run` writes.
+    stacked rows.  ``logs`` (one :class:`RunLog` per run, or ``None``)
+    receive what each run's trace needs beyond its result; the caller
+    writes the traces with :func:`write_traces`, except for an aborted
+    loop, whose trace prefixes :func:`abort_run` writes.
+
+    An instrumented loop records into one fresh registry per run, for
+    every ``R``: the run's accounting after the loop, its scheduler's
+    final state (``finalize_runs``), and a lone live run's ``slo.*``
+    alerts as they fire.  An aborted loop merges them into the bundle
+    before closing it.
 
     Returns ``(results, run_metric_states)``: one result per run in
-    task order, and — for an instrumented ``R > 1`` loop — one metrics
-    state per run, for the caller to merge into the bundle (a single
-    run records straight into the bundle and returns none).
+    task order, and — when instrumented — one metrics state per run,
+    for the caller to merge into the bundle in task order.
     """
+    registries = [MetricsRegistry() for _ in tasks] if instr is not None else []
     backend = tasks[0].config.kernel_backend
     with ExitStack() as stack:
         if backend is not None:
@@ -530,12 +525,14 @@ def run_segments(tasks, workloads, instr, stack_scheduler=None, logs=None):
             # inside, so every registry-resolved kernel self-reports.
             stack.enter_context(activate_spans(instr.spans))
             stack.enter_context(instr.spans.span("run"))
-            if logs is not None and instr.live is not None:
-                # The watchdog's slo.* events go into the run's log, at
-                # their slot.
-                instr.live.bind(instr.metrics, logs[0])
-                stack.callback(instr.live.bind, instr.metrics, instr.tracer)
-        return _slot_loop(tasks, workloads, instr, stack_scheduler, logs)
+            watchdog = instr.live.watchdog if instr.live is not None else None
+            if watchdog is not None:
+                # A live run is alone: its watchdog counts slo.* alerts
+                # into the run's registry and, traced, logs slo.* events
+                # at their slot.  The plane itself keeps the bundle.
+                watchdog.bind(registries[0], logs[0] if logs else instr.tracer)
+                stack.callback(watchdog.bind, instr.metrics, instr.tracer)
+        return _slot_loop(tasks, workloads, instr, stack_scheduler, logs, registries)
 
 
 def _eq24_tables(radio, sig_dbm: np.ndarray, tau_s: float, delta_kb: float):
@@ -553,7 +550,7 @@ def _eq24_tables(radio, sig_dbm: np.ndarray, tau_s: float, delta_kb: float):
     return link, p
 
 
-def _slot_loop(tasks, workloads, instr, stack_scheduler, logs):
+def _slot_loop(tasks, workloads, instr, stack_scheduler, logs, registries):
     cfg = tasks[0].config
     radio = cfg.radio
     n_runs = len(tasks)
@@ -597,7 +594,6 @@ def _slot_loop(tasks, workloads, instr, stack_scheduler, logs):
 
     scheduler = tasks[0].scheduler if n_runs == 1 else stack_scheduler(run_offsets)
     scheduler.reset()
-    scheduler.bind_instrumentation(instr)
     # A traced loop records, per run, the header its trace needs and the
     # events its grids lack; the lone run's log takes the session and
     # watchdog events.
@@ -628,7 +624,7 @@ def _slot_loop(tasks, workloads, instr, stack_scheduler, logs):
         policy.reset()
         departure = np.full(n, -1, dtype=np.int64)
 
-    cap_table, budget_table = _budget_tables([t.config for t in tasks], plan, gamma)
+    budget_table = _budget_tables([t.config for t in tasks], plan, gamma)
 
     # Per-run result grids: run r's record is grids[r], C-contiguous
     # (n_slots, N_r) arrays handed out without a copy, which reduce
@@ -858,7 +854,6 @@ def _slot_loop(tasks, workloads, instr, stack_scheduler, logs):
                 link_row,
                 p_row,
                 idle_cost,
-                cap_table[slot],
                 budget_table[slot],
                 row_offsets,
                 arena,
@@ -976,6 +971,11 @@ def _slot_loop(tasks, workloads, instr, stack_scheduler, logs):
                 if n_runs > 1 and done > block_start:
                     flush(done)
                 runs = zip(finish(), logs)
+            # The partial registries (a live run's slo.* alerts, the
+            # scheduler's state at the abort) outlive the loop.
+            scheduler.finalize_runs(registries)
+            for reg in registries:
+                instr.metrics.merge_state(reg.state())
             what = "run" if n_runs == 1 else f"batch of {n_runs} runs"
             abort_run(instr, exc, slot, what, scheduler_name, runs, done)
         raise
@@ -987,28 +987,19 @@ def _slot_loop(tasks, workloads, instr, stack_scheduler, logs):
         live.end_run()
 
     # Each run's derived Eq. (3) energy, once and one grid alive at a
-    # time: checked, then accounted.  A stacked run's accounting goes
-    # into its own registry, for the caller to merge in task order:
-    # every counter gets the one increment a lone run applies, so the
-    # merged registry — locally, or across a process pool shipping these
-    # states home — equals a run-by-run one bit-for-bit.
-    registries: list[MetricsRegistry] = []
+    # time: checked, then accounted into the run's own registry, for the
+    # caller to merge in task order: every counter gets the one
+    # increment a run-by-run execution applies, so the merged registry —
+    # locally, or across a process pool shipping these states home —
+    # does not depend on how runs were grouped.
     for r, res in enumerate(results):
         e_trans = res.energy_trans_mj
         if not np.all(np.isfinite(e_trans)):
             raise SimulationError("non-finite transmission energy recorded")
         if instrumented:
-            reg = instr.metrics if n_runs == 1 else MetricsRegistry()
+            reg = registries[r]
             record_run_metrics(reg, res, e_trans, np.ascontiguousarray(budget_table[:, r]))
             if faults_on:
                 _fault_counters(reg, plan, outage_mask, gamma)
-            registries.append(reg)
-    run_metric_states: list[dict] = []
-    if instrumented and n_runs > 1:
-        # The stacked scheduler publishes final gauge state (e.g. EMA's
-        # virtual queues) into the last run of each block it serves —
-        # gauges are last-write-wins, so merged in task order the value
-        # matches a run-by-run sequence.
-        scheduler.finalize_runs(registries)
-        run_metric_states = [reg.state() for reg in registries]
-    return results, run_metric_states
+    scheduler.finalize_runs(registries)
+    return results, [reg.state() for reg in registries]

@@ -30,12 +30,12 @@ Determinism contract
   object identity); tasks without a workload generate one in the
   worker, cached by :func:`~repro.obs.provenance.config_hash` — the
   same deterministic generation a serial run performs;
-* each worker runs under a private :class:`Instrumentation` whose
-  metrics state and span-tree state are merged back into the parent
-  bundle in task order.  Engine counters receive
-  one increment per run, so the merged registry equals the
-  serially-populated one exactly, and the merged span tree has the
-  same structure and counts as a serial run's
+* each worker runs under a private :class:`Instrumentation`; its
+  runs' metrics states (one registry per run) and its span-tree state
+  are merged back into the parent bundle in task order.  Engine
+  counters receive one increment per run, so the merged registry
+  equals the serially-populated one exactly, and the merged span tree
+  has the same structure and counts as a serial run's
   (``tests/sim/test_executor.py``).
 
 The metrics registry does not depend on the grouping.  The span tree
@@ -241,24 +241,17 @@ def _run_plan(tasks: list[RunTask], sub: Instrumentation | None, traced: bool):
     """Run one group through a :class:`~repro.sim.batch.BatchPlan`
     under the private bundle ``sub``; returns the shape a worker ships.
 
-    The metrics round trip ships the plan's *per-run* registry states
-    when a stacked loop produced them, and the bundle's whole state
-    otherwise (a one-segment run records straight into it) — the parent
-    then merges one state per run in task order, so counter
-    float-accumulation order matches a run-by-run execution
-    bit-for-bit.  ``traced`` records each run's log, shipped for the
-    parent to write the runs' traces.
+    The metrics round trip ships the plan's *per-run* registry states;
+    the parent merges them in task order, so counter float-accumulation
+    order matches a run-by-run execution bit-for-bit.  ``traced``
+    records each run's log, shipped for the parent to write the runs'
+    traces.
     """
     plan = BatchPlan(tasks)
     results = plan.run(sub, record=traced)
     if sub is None:
         return results, None, None, None
-    metrics_payload = (
-        ("runs", plan.run_metric_states)
-        if plan.run_metric_states
-        else ("group", sub.metrics.state())
-    )
-    return results, metrics_payload, sub.spans.state(), plan.run_logs
+    return results, plan.run_metric_states, sub.spans.state(), plan.run_logs
 
 
 def _run_group(payload):
@@ -629,11 +622,6 @@ class RunExecutor:
                         keys_by_id[id(t.workload)] = wl_key
                         table[wl_key] = t.workload
                 wl_keys.append(wl_key)
-                # Detach any bound instrumentation before pickling (open
-                # trace writers are not picklable; the engine rebinds).
-                bind = getattr(t.scheduler, "bind_instrumentation", None)
-                if bind is not None:
-                    bind(None)
             payloads.append(
                 (
                     [t.config for t in group],
@@ -696,22 +684,16 @@ class RunExecutor:
             if manager is not None:
                 manager.shutdown()
         results = []
-        for group_results, metrics_payload, spans_state, logs in outs:
+        for group_results, run_states, spans_state, logs in outs:
             results.extend(group_results)
             write_traces(instr, group_results, logs)
             if instr is not None:
-                # ("runs", [state, ...]) merges one registry state per
-                # run in task order — counter accumulation order then
-                # matches a serial execution exactly (floats are
-                # non-associative; a single group-summed state would
-                # drift by an ulp).  ("group", state) is a one-segment
-                # run's whole bundle state.
-                kind, payload = metrics_payload
-                if kind == "runs":
-                    for state in payload:
-                        instr.metrics.merge_state(state)
-                else:
-                    instr.metrics.merge_state(payload)
+                # One registry state per run, in task order — counter
+                # accumulation order then matches a serial execution
+                # exactly (floats are non-associative; a single
+                # group-summed state would drift by an ulp).
+                for state in run_states:
+                    instr.metrics.merge_state(state)
                 # Span trees merge in task order, so a pooled batch
                 # interns paths in the same order a serial one records
                 # them — tree structure and counts are deterministic.

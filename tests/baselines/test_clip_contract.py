@@ -67,7 +67,6 @@ def _random_obs(rng, n, slot):
         unit_budget=int(budgets.sum()),
         run_offsets=np.array([0, cut, n], dtype=np.int64),
         run_unit_budgets=budgets.astype(np.int64),
-        run_capacity_kbps=budgets * obs.delta_kb / obs.tau_s,
     )
 
 

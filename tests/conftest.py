@@ -52,7 +52,6 @@ def make_obs(
         slot=slot,
         tau_s=tau_s,
         delta_kb=delta_kb,
-        capacity_kbps=unit_budget * delta_kb / tau_s,
         unit_budget=unit_budget,
         sig_dbm=sig,
         rate_kbps=rates,

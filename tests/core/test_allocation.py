@@ -19,7 +19,6 @@ def two_run_obs(budgets, n_per_run, **fields):
         obs,
         run_offsets=np.array([0, n_per_run, 2 * n_per_run], dtype=np.int64),
         run_unit_budgets=np.array(budgets, dtype=np.int64),
-        run_capacity_kbps=np.array(budgets, dtype=float) * obs.delta_kb,
     )
 
 

@@ -237,14 +237,11 @@ def _stacked_obs(obs, sizes, budgets):
     """``obs`` cut into run segments of ``sizes`` rows with ``budgets``."""
     offsets = np.concatenate(([0], np.cumsum(sizes))).astype(np.int64)
     budgets = np.asarray(budgets, dtype=np.int64)
-    capacity = budgets * obs.delta_kb / obs.tau_s
     return replace(
         obs,
         unit_budget=int(budgets.sum()),
-        capacity_kbps=float(capacity.sum()),
         run_offsets=offsets,
         run_unit_budgets=budgets,
-        run_capacity_kbps=capacity,
     )
 
 

@@ -10,6 +10,8 @@ exactly once per violating run, and nothing else does.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.baselines import (
@@ -25,6 +27,7 @@ from repro.obs import Instrumentation
 from repro.obs.live import LiveTelemetry
 from repro.sim.config import SimConfig
 from repro.sim.engine import Simulation
+from repro.sim.executor import RunExecutor, RunTask
 from repro.sim.workload import generate_workload
 
 RESULT_ARRAYS = (
@@ -131,3 +134,24 @@ class TestWatchdogOnViolatingWorkload:
         # One alert per violating run: the edge trigger re-arms at run
         # boundaries, the serial/pooled alert-count contract.
         assert live.snapshot()["n_alerts"] == 3
+
+
+class TestSloCountersAcrossThePool:
+    def test_warn_alerts_merge_identically_at_jobs_1_and_2(self):
+        """Each run's slo.* counters travel home in its own registry: a
+        pooled batch's merged registry equals an in-process one."""
+        cfg = SimConfig(n_users=6, n_slots=120)
+        snapshots = []
+        for jobs in (1, 2):
+            tasks = [
+                RunTask(cfg.with_(seed=seed), make(cfg))
+                for seed in range(4)
+                for make in (SCHEDULERS["default"], SCHEDULERS["ema"])
+            ]
+            live = LiveTelemetry(rules=("max(slot_energy_mj) <= 500",), watch_every=16)
+            instr = Instrumentation(live=live)
+            RunExecutor(jobs=jobs).map_runs(tasks, instrumentation=instr)
+            snapshots.append(json.dumps(instr.metrics.snapshot(), sort_keys=True))
+        assert snapshots[0] == snapshots[1]
+        counters = json.loads(snapshots[0])["counters"]
+        assert counters["slo.alerts"] == counters["slo.alerts.max(slot_energy_mj)"] == 8.0

@@ -42,8 +42,8 @@ def cell(capacity_kbps=constants.BS_CAPACITY_KBPS, delta_kb=constants.DEFAULT_DE
 def slot_inputs(sig_row, bs, slot=0):
     """One run's precomputed per-slot inputs, as the engine derives
     them: the Eq. (24) link/power rows of ``sig_row``, and the ``(1,)``
-    capacity / Eq. (2) budget arrays plus segment bounds of a single
-    run whose slicer passes the BS capacity through."""
+    Eq. (2) budget array plus segment bounds of a single run whose
+    slicer passes the BS capacity through."""
     sig = np.asarray(sig_row, dtype=float)
     link = LinearThroughputModel().max_units(sig, bs.tau_s, bs.delta_kb)
     p = EnviPowerModel().p(sig)
@@ -52,7 +52,6 @@ def slot_inputs(sig_row, bs, slot=0):
     return (
         link,
         p,
-        np.array([video_cap]),
         np.array([budget], dtype=np.int64),
         np.array([0, sig.shape[0]], dtype=np.int64),
     )
@@ -64,7 +63,7 @@ class TestInformationCollector:
         bs = cell(capacity_kbps=4096.0, delta_kb=40.0)
         collector = InformationCollector()
         sig = np.array([-60.0, -80.0, -100.0])
-        link, p, cap, budget, offsets = slot_inputs(sig, bs)
+        link, p, budget, offsets = slot_inputs(sig, bs)
         obs = collector.collect_fleet(
             slot=0,
             sig_row=sig,
@@ -74,7 +73,6 @@ class TestInformationCollector:
             link_row=link,
             p_row=p,
             idle_tail_cost_mj=np.zeros(3),
-            capacity_kbps=cap,
             unit_budget=budget,
             run_offsets=offsets,
             arena=SlotArena(3),
@@ -89,7 +87,7 @@ class TestInformationCollector:
     def test_collect_rejects_mismatched_arrays(self):
         flows, fleet = make_world(n=2)
         bs = cell()
-        link, p, cap, budget, offsets = slot_inputs(np.array([-80.0]), bs)
+        link, p, budget, offsets = slot_inputs(np.array([-80.0]), bs)
         with pytest.raises(SimulationError):
             InformationCollector().collect_fleet(
                 0,
@@ -100,7 +98,6 @@ class TestInformationCollector:
                 link,
                 p,
                 np.zeros(2),
-                cap,
                 budget,
                 offsets,
                 SlotArena(2),
@@ -164,7 +161,7 @@ class TestGateway:
         bs = cell()
         gw = Gateway(_NeedScheduler(), bs.tau_s, bs.delta_kb)
         sig = np.array([-70.0, -75.0])
-        link, p, cap, budget, offsets = slot_inputs(sig, bs, slot=0)
+        link, p, budget, offsets = slot_inputs(sig, bs, slot=0)
         obs, phi, delivered = gw.step(
             0,
             sig,
@@ -172,7 +169,6 @@ class TestGateway:
             link,
             p,
             np.zeros(2),
-            cap,
             budget,
             offsets,
             SlotArena(2),
@@ -187,7 +183,7 @@ class TestGateway:
         bs = cell()
         gw = Gateway(_NeedScheduler(), bs.tau_s, bs.delta_kb)
         sig = np.array([-70.0, -75.0])
-        link, p, cap, budget, offsets = slot_inputs(sig, bs, slot=1)
+        link, p, budget, offsets = slot_inputs(sig, bs, slot=1)
         obs, phi, delivered = gw.step(
             1,
             sig,
@@ -195,7 +191,6 @@ class TestGateway:
             link,
             p,
             np.zeros(2),
-            cap,
             budget,
             offsets,
             SlotArena(2),

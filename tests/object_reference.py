@@ -31,7 +31,6 @@ def run_reference(cfg, scheduler, workload):
     slicer = ResourceSlicer(cfg.background) if cfg.background else ResourceSlicer()
     rrc = RRCFleet(n, radio.rrc)
     scheduler.reset()
-    scheduler.bind_instrumentation(None)
 
     out = SimpleNamespace(
         allocation_units=np.zeros((gamma, n), dtype=np.int64),
@@ -61,7 +60,6 @@ def run_reference(cfg, scheduler, workload):
             slot=slot,
             tau_s=cfg.tau_s,
             delta_kb=cfg.delta_kb,
-            capacity_kbps=video_cap,
             unit_budget=int(np.floor(cfg.tau_s * video_cap / cfg.delta_kb)),
             sig_dbm=sig,
             rate_kbps=np.array([f.video.rate_kbps(slot) for f in flows]),

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.baselines.default import DefaultScheduler
+from repro.core.ema import EMAScheduler
 from repro.errors import SloViolation
 from repro.obs.instrument import Instrumentation
 from repro.obs.live import LiveTelemetry
@@ -103,6 +104,27 @@ class TestAbortPath:
         assert kinds[-1] == "run.abort"
         abort = instr.tracer.events[-1]
         assert abort["error"] == "SloViolation"
+
+    def test_ema_abort_keeps_slo_counters_and_queues(self):
+        # An aborted run's registry reaches the bundle: the alert that
+        # stopped it, and EMA's virtual queues as the last slot left them.
+        cfg = small_config()
+        live = LiveTelemetry(
+            rules=("count(rebuffer_s) < 50",), action="abort", watch_every=16
+        )
+        instr = Instrumentation(tracer=RecordingTracer(), live=live)
+        ema = EMAScheduler(cfg.n_users, v_param=0.05, tau_s=cfg.tau_s)
+        with pytest.raises(SloViolation):
+            Simulation(cfg, ema, instrumentation=instr).run()
+        snap = instr.metrics.snapshot()
+        assert snap["counters"] == {
+            "slo.alerts": 1.0,
+            "slo.alerts.count(rebuffer_s)": 1.0,
+        }
+        queues = instr.tracer.of_kind("ema.queues")
+        assert queues[-1]["slot"] == 63  # the slot whose block fired
+        assert snap["gauges"]["ema.virtual_queues"] == queues[-1]["pc_s"].tolist()
+        assert snap["gauges"]["ema.virtual_queue_max_s"] == queues[-1]["pc_s"].max()
 
     def test_crashed_run_leaves_valid_trace_prefix(self, tmp_path):
         cfg = small_config()
