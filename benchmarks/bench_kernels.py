@@ -19,6 +19,8 @@ ever compares a backend against itself — a numpy-only baseline treats
 numba entries as "added", never as a cross-backend regression.
 """
 
+import io
+import json
 import os
 from pathlib import Path
 
@@ -30,13 +32,17 @@ from repro.baselines.onoff import OnOffScheduler
 from repro.baselines.throttling import ThrottlingScheduler
 from repro.core.ema import EMAScheduler, trailing_window_min
 from repro.core.rtma import RTMAScheduler
+from repro.experiments.churn_sessions import churn_config
+from repro.faults import CapacityFault, FaultPlan, SignalBlackout
 from repro.kernels import available_backends, use_backend
 from repro.net.gateway import SlotObservation
-from repro.obs import Instrumentation, MetricsRegistry, NullTracer
+from repro.obs import Instrumentation, JsonlTraceWriter, MetricsRegistry, NullTracer
+from repro.obs.analyze import timelines_from_events
 from repro.radio.rrc import RRCFleet
-from repro.sim.batch import _BlockScheduler, _block_key
+from repro.sim import RunTask
+from repro.sim.batch import BatchPlan, _BlockScheduler, _block_key
 from repro.sim.config import SimConfig
-from repro.sim.engine import Simulation
+from repro.sim.engine import Simulation, write_traces
 
 #: Shared registry all kernel benches report into (one file per session).
 KERNEL_REGISTRY = MetricsRegistry()
@@ -271,3 +277,31 @@ def test_engine_200_slots_instrumentation_overhead(benchmark, mode):
 
     res = benchmark.pedantic(run, rounds=5, warmup_rounds=2, iterations=1)
     assert res.delivered_kb.sum() > 0
+
+
+@pytest.fixture(scope="module")
+def traced_churn_run():
+    """One finished EMA churn run with a signal blackout and a capacity
+    outage (the bench-scale ``churn`` config, seed 1), and its RunLog."""
+    plan = FaultPlan(
+        signal=(SignalBlackout(start_slot=150, n_slots=60),),
+        capacity=(CapacityFault(start_slot=380, n_slots=40, factor=0.0),),
+    )
+    cfg = churn_config("bench", seed=1).with_(faults=plan)
+    batch = BatchPlan([RunTask(cfg, EMAScheduler(cfg.n_users))])
+    (res,) = batch.run(record=True)
+    return res, batch.run_logs[0]
+
+
+def test_trace_write_read(benchmark, traced_churn_run):
+    """A traced run's observation cost after its slot loop: its trace
+    written as JSON lines, then decoded and rebuilt into a timeline."""
+    res, run_log = traced_churn_run
+
+    def write_read():
+        buf = io.StringIO()
+        write_traces(Instrumentation(tracer=JsonlTraceWriter(buf)), [res], [run_log])
+        return timelines_from_events(json.loads(line) for line in buf.getvalue().splitlines())
+
+    (tl,) = benchmark.pedantic(write_read, rounds=15, warmup_rounds=1, iterations=1)
+    assert tl.n_slots == 600 and tl.sessions and len(tl.fault_windows) == 2

@@ -79,13 +79,6 @@ def _definitize(value: Any) -> Any:
     return value
 
 
-def _row(values: Iterable[Any], dtype) -> np.ndarray:
-    values = list(values)
-    if any(isinstance(v, str) for v in values):
-        values = [_definitize(v) for v in values]
-    return np.asarray(values, dtype=dtype)
-
-
 def open_trace(path: str | Path):
     """Open a trace for reading, transparently handling gzip.
 
@@ -360,14 +353,18 @@ class _RunBuilder:
             return None
         tl = self.timeline
         tl.n_slots = max(tl.n_slots, len(self.slot_rows))
+        # One conversion per column: numpy parses the writer's
+        # 'inf'/'-inf'/'nan' strings into float columns itself.
         for key in _TOTAL_KEYS:
             if self.slot_rows and key in self.slot_rows[0]:
-                tl.totals[key] = _row((e.get(key, 0) for e in self.slot_rows), float)
+                tl.totals[key] = np.asarray(
+                    [e.get(key, 0) for e in self.slot_rows], dtype=float
+                )
         if self.user_rows and len(self.user_rows) == len(self.slot_rows):
             for key in self.user_rows[0]:
-                dtype = _GRID_DTYPES.get(key, float)
-                tl.grids[key] = np.stack(
-                    [_row(users[key], dtype) for users in self.user_rows]
+                tl.grids[key] = np.asarray(
+                    [users[key] for users in self.user_rows],
+                    dtype=_GRID_DTYPES.get(key, float),
                 )
             tl.n_users = tl.grids[next(iter(tl.grids))].shape[1]
         if self.queue_rows:
@@ -379,8 +376,8 @@ class _RunBuilder:
                 tl.ema_queue_slots = np.array(
                     [s for s, _ in self.queue_rows], dtype=np.int64
                 )
-                tl.ema_queues = np.stack(
-                    [_row(pc, float) for _, pc in self.queue_rows]
+                tl.ema_queues = np.asarray(
+                    [pc for _, pc in self.queue_rows], dtype=float
                 )
         tl.sessions = self.session_rows
         return tl
@@ -411,8 +408,6 @@ def timelines_from_events(events: Iterable[dict[str, Any]]) -> list[RunTimeline]
         elif kind == "slot":
             if builder is None or event["slot"] <= builder.last_slot:
                 flush()
-                builder = builder if builder is not None else _RunBuilder()
-            if builder is None:
                 builder = _RunBuilder()
             builder.add_slot(event)
         elif kind == "ema.queues":

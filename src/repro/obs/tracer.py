@@ -14,6 +14,10 @@ Three implementations cover the useful design space:
 Events are free-form: a ``kind`` string plus arbitrary keyword fields.
 A traced run writes one ``"slot"`` event per simulated slot, derived
 from its finished result (see :func:`repro.sim.engine.trace_events`).
+Those events carry plain Python numbers and lists only, so the
+encoder's ``_jsonify`` hook fires just for the rare fields that are
+still NumPy objects, such as the ``pc_s`` array of an ``ema.queues``
+snapshot.
 """
 
 from __future__ import annotations

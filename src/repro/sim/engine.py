@@ -322,6 +322,13 @@ def trace_events(res, run_log: RunLog | None = None, slots: int | None = None, p
     stands in for the scheduler parameters, the config's fault plan
     applies, and a churn run has no ``session.*`` events, so its slot
     totals sum in session order rather than the loop's row order.
+
+    The slot totals are reduced a run at a time and every number goes
+    out as a plain Python ``int``/``float``/``bool``: a ``slot`` event's
+    per-user vectors (its ``users`` payload) are lists, converted from
+    the grids a block of :data:`SLOT_BLOCK_SLOTS` slots at a time, so
+    the encoder never calls back into Python for them and the extra
+    memory is a block's, not the horizon's.
     """
     recorded = run_log is not None
     if run_log is None:
@@ -370,8 +377,37 @@ def trace_events(res, run_log: RunLog | None = None, slots: int | None = None, p
         rates[~resident] = 0.0
         row_of = np.full(n, -1, dtype=np.int64)
         capacity = min(cfg.n_users, INITIAL_CAPACITY)
+    n_out = gamma if slots is None else slots
+    # Slot totals, a run at a time: on the C-contiguous result grids an
+    # axis=1 reduction reduces each row as ``rebuf[s].sum()`` does,
+    # bitwise, and ``tolist`` hands the encoder plain Python numbers.
+    n_active = active[:n_out].sum(axis=1).tolist()
+    n_tx = (delivered[:n_out] > 0.0).sum(axis=1).tolist()
+    units = alloc[:n_out].sum(axis=1).tolist()
+    unit_budget = budgets[:n_out].tolist()
+    delivered_sum = delivered[:n_out].sum(axis=1).tolist()
+    rebuf_sum = rebuf[:n_out].sum(axis=1).tolist()
+    trans_sum = e_trans[:n_out].sum(axis=1).tolist()
+    tail_sum = e_tail[:n_out].sum(axis=1).tolist()
+    mean_buffer = buffer_s[:n_out].mean(axis=1).tolist()
+    # Per-user vectors: what repro.obs.analyze needs to reconstruct
+    # timelines and run the invariant checkers.
+    columns = {
+        "phi": alloc,
+        "delivered_kb": delivered,
+        "rebuffering_s": rebuf,
+        "buffer_s": buffer_s,
+        "energy_trans_mj": e_trans,
+        "energy_tail_mj": e_tail,
+        "link_units": link,
+        "sig_dbm": sig,
+        "rate_kbps": rates,
+        "active": active,
+    }
+    if churn:
+        n_resident = resident[:n_out].sum(axis=1).tolist()
     events, k = run_log.events, 0
-    for s in range(gamma if slots is None else slots):
+    for s in range(n_out):
         while k < len(events) and events[k][0] <= 2 * s:
             _, kind, fields = events[k]
             k += 1
@@ -380,41 +416,32 @@ def trace_events(res, run_log: RunLog | None = None, slots: int | None = None, p
                 while fields["row"] >= capacity:
                     capacity *= 2
             yield kind, fields
-        delivered_kb = delivered[s].sum()
+        i = s % SLOT_BLOCK_SLOTS
+        if i == 0:
+            block = slice(s, min(s + SLOT_BLOCK_SLOTS, n_out))
+            rows = {key: grid[block].tolist() for key, grid in columns.items()}
+        delivered_kb = delivered_sum[s]
         resident_sessions = {}
         if churn:
-            occ = np.flatnonzero(resident[s])
-            resident_sessions["resident_sessions"] = int(occ.size)
+            resident_sessions["resident_sessions"] = n_resident[s]
             if recorded:
+                occ = np.flatnonzero(resident[s])
                 by_row = np.zeros(capacity)
                 by_row[row_of[occ]] = delivered[s, occ]
-                delivered_kb = by_row.sum()
+                delivered_kb = float(by_row.sum())
         yield "slot", dict(
             slot=s,
-            active_users=int(active[s].sum()),
+            active_users=n_active[s],
             **resident_sessions,
-            tx_users=int((delivered[s] > 0.0).sum()),
-            allocated_units=int(alloc[s].sum()),
-            unit_budget=int(budgets[s]),
-            delivered_kb=float(delivered_kb),
-            rebuffering_s=float(rebuf[s].sum()),
-            energy_trans_mj=float(e_trans[s].sum()),
-            energy_tail_mj=float(e_tail[s].sum()),
-            mean_buffer_s=float(buffer_s[s].mean()),
-            # Per-user vectors: what repro.obs.analyze needs to
-            # reconstruct timelines and run the invariant checkers.
-            users={
-                "phi": alloc[s],
-                "delivered_kb": delivered[s],
-                "rebuffering_s": rebuf[s],
-                "buffer_s": buffer_s[s],
-                "energy_trans_mj": e_trans[s],
-                "energy_tail_mj": e_tail[s],
-                "link_units": link[s],
-                "sig_dbm": sig[s],
-                "rate_kbps": rates[s],
-                "active": active[s],
-            },
+            tx_users=n_tx[s],
+            allocated_units=units[s],
+            unit_budget=unit_budget[s],
+            delivered_kb=delivered_kb,
+            rebuffering_s=rebuf_sum[s],
+            energy_trans_mj=trans_sum[s],
+            energy_tail_mj=tail_sum[s],
+            mean_buffer_s=mean_buffer[s],
+            users={key: col[i] for key, col in rows.items()},
         )
         while k < len(events) and events[k][0] <= 2 * s + 1:
             yield events[k][1:]

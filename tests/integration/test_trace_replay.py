@@ -8,6 +8,7 @@ few events its grids lack, so how runs are grouped cannot show in it:
 * a churn run with a fault plan keeps every ``session.*``,
   ``fault.window`` and ``ema.queues`` event in its slot, and its slot
   totals sum in the loop's row order;
+* each slot event's totals are its grids' row reductions, bit for bit;
 * an in-memory result replays into a timeline whose Eq. (1)-(2) and
   RTMA checks run, and catch a budget overrun seeded into one run.
 """
@@ -167,6 +168,68 @@ class TestChurnTraceKeepsItsEvents:
         Simulation(cfg, DefaultScheduler(), instrumentation=instr).run()
         traced = [e["delivered_kb"] for e in _events(buf.getvalue()) if e["kind"] == "slot"]
         assert traced == row_sums
+
+
+class TestSlotTotalsAreRowReductions:
+    """The writer reduces a run's grids a run at a time; each slot's
+    totals must still be the row-by-row reductions, exactly."""
+
+    @staticmethod
+    def _check(res, events, row_order_delivery=False):
+        slots = [e for e in events if e["kind"] == "slot"]
+        assert [e["slot"] for e in slots] == list(range(res.config.n_slots))
+        grids = {
+            "rebuffering_s": res.rebuffering_s,
+            "energy_trans_mj": res.energy_trans_mj,
+            "energy_tail_mj": res.energy_tail_mj,
+        }
+        if not row_order_delivery:
+            grids["delivered_kb"] = res.delivered_kb
+        for s, e in enumerate(slots):
+            assert e["active_users"] == int(res.active[s].sum())
+            assert e["tx_users"] == int((res.delivered_kb[s] > 0.0).sum())
+            assert e["allocated_units"] == int(res.allocation_units[s].sum())
+            assert e["mean_buffer_s"] == float(res.buffer_s[s].mean())
+            for key, grid in grids.items():
+                assert e[key] == float(grid[s].sum()), (s, key)
+
+    def test_ragged_stack(self):
+        tasks = [
+            RunTask(_cfg(20), DefaultScheduler()),
+            RunTask(_cfg(30), RTMAScheduler(sig_threshold_dbm=-95.0)),
+            RunTask(_cfg(40), EMAScheduler(40, v_param=0.5)),
+        ]
+        buf = io.StringIO()
+        instr = Instrumentation(tracer=JsonlTraceWriter(buf))
+        results = run_batch(tasks, instrumentation=instr)
+        assert instr.spans.count(("run",)) == 1
+        events = _events(buf.getvalue())
+        starts = [i for i, e in enumerate(events) if e["kind"] == "run.start"]
+        for res, lo, hi in zip(results, starts, starts[1:] + [len(events)]):
+            self._check(res, events[lo:hi])
+
+    def test_churn_with_faults(self):
+        plan = FaultPlan(
+            signal=(SignalBlackout(start_slot=40, n_slots=30),),
+            capacity=(CapacityFault(start_slot=150, n_slots=20, factor=0.0),),
+        )
+        cfg = SimConfig(
+            n_users=24,
+            n_slots=240,
+            capacity_kbps=4_000.0,
+            video_size_range_kb=(1_000.0, 5_000.0),
+            buffer_capacity_s=40.0,
+            seed=4,
+            arrival_process="poisson",
+            arrival_rate_per_slot=0.5,
+            admission="accept-all",
+            faults=plan,
+        )
+        buf = io.StringIO()
+        instr = Instrumentation(tracer=JsonlTraceWriter(buf))
+        res = Simulation(cfg, DefaultScheduler(), instrumentation=instr).run()
+        # delivered_kb sums in the loop's row order (see above).
+        self._check(res, _events(buf.getvalue()), row_order_delivery=True)
 
 
 class TestInMemoryTimeline:

@@ -66,22 +66,26 @@ def traced_timeline(scheduler, cfg=None):
 
 
 class TestTimelineReconstruction:
-    def test_grids_match_in_memory_result(self):
+    def test_grids_match_in_memory_result(self, tmp_path):
         cfg = small_config()
-        tracer = RecordingTracer()
+        tracer = JsonlTraceWriter(tmp_path / "trace.jsonl")
         with use_instrumentation(Instrumentation(tracer=tracer)):
             result = Simulation(cfg, RTMAScheduler()).run()
-        (tl,) = timelines_from_events(tracer.events)
+        tracer.close()
+        (tl,) = timelines_from_trace(tmp_path)
 
         assert tl.scheduler == "rtma"
         assert tl.n_users == cfg.n_users and tl.n_slots == cfg.n_slots
         # -inf threshold survives the JSON round-trip via the sanitiser.
         assert tl.params["sig_threshold_dbm"] == float("-inf")
-        for key, expected in timeline_from_result(result).grids.items():
-            np.testing.assert_allclose(
-                tl.grids[key], np.asarray(expected, dtype=float), atol=1e-9,
-                err_msg=key,
-            )
+        # Python's float repr round-trips, so the file holds every bit.
+        expected = timeline_from_result(result)
+        for got, want in ((tl.grids, expected.grids), (tl.totals, expected.totals)):
+            assert got.keys() == want.keys()
+            for key, array in want.items():
+                assert got[key].dtype == array.dtype, key
+                assert np.array_equal(got[key], array), key
+                assert got[key].tobytes() == array.tobytes(), key
 
     def test_multi_run_segmentation_and_rebuffer_events(self):
         cfg = small_config()
@@ -126,6 +130,47 @@ class TestTimelineReconstruction:
         shutil.copy(path, renamed)
         (tl2,) = timelines_from_trace(renamed.parent)
         assert tl2.n_slots == 30
+
+    def test_non_finite_values_come_back_as_floats(self, tmp_path):
+        # A legacy trace: no run.start, so runs split where the slot
+        # counter resets.  The writer stores inf/-inf/nan as strings.
+        inf, nan = float("inf"), float("nan")
+        path = tmp_path / "trace.jsonl"
+        writer = JsonlTraceWriter(path)
+        for slot, pc in ((0, [1.0, inf]), (1, [0.5, 2.0, -inf]), (0, [nan, 3.0])):
+            writer.emit(
+                "slot",
+                slot=slot,
+                delivered_kb=inf if slot else 1.5,
+                rebuffering_s=nan,
+                users={
+                    "phi": [slot, 2],
+                    "buffer_s": [inf, -inf],
+                    "sig_dbm": [nan, -80.0],
+                    "link_units": [3, 4],
+                    "active": [True, False],
+                },
+            )
+            writer.emit("ema.queues", slot=slot + 1, pc_s=pc)
+        writer.close()
+        assert '"inf"' in path.read_text()
+
+        first, second = timelines_from_trace(path)
+        assert first.n_slots == 2 and second.n_slots == 1
+        assert first.totals["delivered_kb"].tolist() == [1.5, inf]
+        assert np.isnan(first.totals["rebuffering_s"]).all()
+        assert first.grids["buffer_s"].tolist() == [[inf, -inf]] * 2
+        assert np.isnan(first.grids["sig_dbm"][:, 0]).all()
+        assert first.grids["phi"].dtype == np.int64
+        assert first.grids["link_units"].dtype == np.int64
+        assert first.grids["active"].dtype == bool
+        assert first.grids["active"].tolist() == [[True, False]] * 2
+        assert first.grids["buffer_s"].dtype == first.grids["sig_dbm"].dtype == float
+        # Ragged queue rows (widths 2 and 3) give no queue array.
+        assert first.ema_queues is None and first.ema_queue_slots is None
+        assert np.isnan(second.ema_queues[0, 0])
+        assert second.ema_queues[0, 1] == 3.0
+        assert second.ema_queue_slots.tolist() == [1]
 
     def test_corrupt_line_is_located(self, tmp_path):
         path = tmp_path / "trace.jsonl"
