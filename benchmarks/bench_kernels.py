@@ -40,7 +40,7 @@ from repro.obs import Instrumentation, JsonlTraceWriter, MetricsRegistry, NullTr
 from repro.obs.analyze import timelines_from_events
 from repro.radio.rrc import RRCFleet
 from repro.sim import RunTask
-from repro.sim.batch import BatchPlan, _BlockScheduler, _block_key
+from repro.sim.batch import BatchPlan, _BlockScheduler, _block_key, run_batch
 from repro.sim.config import SimConfig
 from repro.sim.engine import Simulation, write_traces
 
@@ -232,8 +232,8 @@ def test_engine_100_slots(benchmark, sched_name):
 
 @pytest.mark.parametrize(
     "mode",
-    ["plain", "null-tracer", "live"],
-    ids=["plain", "null-tracer", "live"],
+    ["plain", "null-tracer", "live", "live-stacked"],
+    ids=["plain", "null-tracer", "live", "live-stacked"],
 )
 def test_engine_200_slots_instrumentation_overhead(benchmark, mode):
     """The observability acceptance gates, against the "plain" run:
@@ -249,6 +249,9 @@ def test_engine_200_slots_instrumentation_overhead(benchmark, mode):
       must cost < 3%.
 
     All on a 200-slot / 20-user run; compare the parametrisations.
+    ``live-stacked`` is the ledger's record of what the plane costs a
+    stack: four such runs (seeds 1-4) in one ``run_batch`` loop under
+    the same plane, which follows each run.
     """
     cfg = SimConfig(
         n_users=20,
@@ -261,7 +264,7 @@ def test_engine_200_slots_instrumentation_overhead(benchmark, mode):
     def make_instr():
         if mode == "plain":
             return None
-        if mode == "live":
+        if mode.startswith("live"):
             from repro.obs.live import LiveTelemetry
 
             live = LiveTelemetry(
@@ -271,6 +274,9 @@ def test_engine_200_slots_instrumentation_overhead(benchmark, mode):
         return Instrumentation(tracer=NullTracer())
 
     def run():
+        if mode == "live-stacked":
+            tasks = [RunTask(cfg.with_(seed=s), DefaultScheduler()) for s in range(1, 5)]
+            return run_batch(tasks, instrumentation=make_instr())[0]
         return Simulation(
             cfg, DefaultScheduler(), instrumentation=make_instr()
         ).run()

@@ -62,11 +62,10 @@ class Instrumentation:
         self.tracer = tracer if tracer is not None else NullTracer()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         #: Optional :class:`repro.obs.live.LiveTelemetry`; bound to the
-        #: sibling facets so its watchdog/exporter see this bundle's
-        #: metrics and tracer.
+        #: bundle's registry, which its snapshots export.
         self.live = live
         if live is not None:
-            live.bind(self.metrics, self.tracer)
+            live.bind(self.metrics)
         #: The engine records each slot phase here and activates the
         #: recorder around the slot loop, so registry-resolved kernels
         #: self-report backend-tagged spans.

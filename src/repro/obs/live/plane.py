@@ -2,19 +2,23 @@
 heartbeats, and export together.
 
 A :class:`LiveTelemetry` rides the :class:`~repro.obs.instrument.Instrumentation`
-bundle as its optional fourth facet (``instr.live``).  The engine's
-slot loop calls :meth:`observe_block` every ``watch_every`` slots (and
-at the run's last slot) with one cell-aggregated value per slot of the
-block; everything downstream — P²/Welford aggregation, SLO rule
-evaluation, heartbeat emission, snapshot export — hangs off that one
-call, so the overhead stays inside the <3% budget benched in
-``benchmarks/bench_kernels.py``.
+bundle as its optional fourth facet (``instr.live``).  It follows every
+run of a slot loop, a stack's runs included: :meth:`begin_run` gives
+each run a :class:`RunStream`, and every ``watch_every`` slots (and at
+the last slot) the loop calls :meth:`observe_block` once per run, with
+one cell-aggregated value per slot of the block, read from the run's
+own result grids; everything downstream — P²/Welford aggregation, SLO
+rule evaluation, heartbeat emission, snapshot export — hangs off that
+one call, so the overhead stays inside the <3% budget benched in
+``benchmarks/bench_kernels.py``.  The resolver, snapshot and
+heartbeats read the stream observed last.
 
 Live telemetry is strictly observational (bit-identical result grids
 with it on or off — ``tests/integration/test_live_equivalence.py``)
 with one sanctioned exception: a watchdog rule with ``action="abort"``
 raises :class:`~repro.errors.SloViolation`, and the engine's shutdown
-path turns that into a flushed trace ending in ``run.abort``.
+path turns that into a flushed trace ending in ``run.abort``: every
+run of the loop is cut at that slot.
 
 Channels fed by the engine (per-slot, cell-aggregated):
 
@@ -36,9 +40,13 @@ stall), so SLO rules can react to degraded-network conditions —
 ``max(outage_slots) < 64`` fires when a whole watch block is dark.
 Healthy runs feed constant zeros.
 
-Determinism note: aggregates and rule evaluations depend only on the
-slot stream (reset per run, evaluated every ``watch_every`` slots), so
-alert counts are reproducible run-over-run; only ``slots_per_s`` and
+Determinism note: a run's aggregates and rule evaluations depend only
+on its own slot stream (a fresh stream per run, evaluated every
+``watch_every`` slots), so alert counts and ``slo.*`` trace positions
+are reproducible run-over-run and do not depend on how runs are
+grouped into loops or workers.  Rules over a registry name (such as
+``slo.alerts``) read the bundle as of the loop's start, and a pool
+worker's private bundle under ``--jobs N``; only ``slots_per_s`` and
 ``worker_stall_s`` are wall-clock-derived, and rules over those are
 inherently timing-dependent.
 """
@@ -77,6 +85,26 @@ _RUN_CHANNELS = (
 #: path, so the other channels keep vectorized min/max/mean/std only;
 #: a pNN SLO rule on any channel adds the sketch it needs.
 _SKETCHED_CHANNELS = ("rebuffer_s", "slot_energy_mj")
+#: P² quantiles sketched on those channels unless configured otherwise.
+DEFAULT_QUANTILES = (0.5, 0.95)
+
+
+class RunStream:
+    """One run as the plane follows it: its channel aggregates, its SLO
+    edge state and the sinks of its ``slo.*`` alerts (the run's registry
+    and trace log, or the bundle's)."""
+
+    __slots__ = ("name", "n_slots", "slots", "stats", "violated", "metrics", "tracer")
+
+    def __init__(self, name, n_slots: int, quantiles, metrics=None, tracer=None):
+        self.name = name
+        self.n_slots = int(n_slots)
+        #: Slots observed so far.
+        self.slots = 0
+        self.stats = {ch: StreamStat(ch, quantiles[ch]) for ch in _RUN_CHANNELS}
+        #: Rules the run currently violates (the watchdog's edge state).
+        self.violated: set[str] = set()
+        self.metrics, self.tracer = metrics, tracer
 
 
 class LiveTelemetry:
@@ -111,7 +139,7 @@ class LiveTelemetry:
         rules: tuple[str | SloRule, ...] = (),
         action: str = "warn",
         watch_every: int = 64,
-        quantiles: tuple[float, ...] = (0.5, 0.95),
+        quantiles: tuple[float, ...] = DEFAULT_QUANTILES,
         heartbeat: HeartbeatEmitter | None = None,
         exporter: SnapshotExporter | None = None,
         server: MetricsServer | None = None,
@@ -141,26 +169,20 @@ class LiveTelemetry:
         self.server = server
         self.monitor: HeartbeatMonitor | None = None
         self.metrics = None
-        self.tracer = None
-        self.stats: dict[str, StreamStat] = {}
         self.slots_per_s = Ewma(halflife_s=3.0)
         self.total_slots = 0
         self.runs_started = 0
         self.runs_finished = 0
-        self._run_name: str | None = None
-        self._run_slots = 0
-        self._run_n_slots = 0
         self._last_tick = time.monotonic()
-        self._reset_run_stats()
+        #: The stream observed last (an empty one before any run).
+        self.stream = RunStream(None, 0, self._channel_quantiles)
 
     # -- wiring -------------------------------------------------------
 
-    def bind(self, metrics, tracer) -> None:
-        """Attach the sibling facets of the owning Instrumentation."""
+    def bind(self, metrics) -> None:
+        """Attach the owning Instrumentation's registry (exported in
+        snapshots, and read by rules over a registry name)."""
         self.metrics = metrics
-        self.tracer = tracer
-        if self.watchdog is not None:
-            self.watchdog.bind(metrics, tracer)
 
     def attach_monitor(self, monitor: HeartbeatMonitor | None) -> None:
         """Give the plane a parent-side heartbeat monitor to report on."""
@@ -184,38 +206,36 @@ class LiveTelemetry:
             rules=tuple(spec.get("rules", ())),
             action=spec.get("action", "warn"),
             watch_every=spec.get("watch_every", 64),
-            quantiles=tuple(spec.get("quantiles", (0.5, 0.95, 0.99))),
+            quantiles=tuple(spec.get("quantiles", DEFAULT_QUANTILES)),
             heartbeat=heartbeat,
         )
 
-    def _reset_run_stats(self) -> None:
-        for name in _RUN_CHANNELS:
-            self.stats[name] = StreamStat(name, self._channel_quantiles[name])
-
     # -- engine hooks -------------------------------------------------
 
-    def begin_run(self, scheduler: str, n_slots: int, n_users: int) -> None:
-        """Engine entry: reset per-run aggregates, announce the run.
+    def begin_run(
+        self, scheduler: str, n_slots: int, n_users: int, metrics=None, tracer=None
+    ) -> RunStream:
+        """Engine entry: announce a run; returns its :class:`RunStream`.
 
-        Per-run reset keeps aggregates (and therefore SLO alert counts)
-        identical whether a batch runs serially through one plane or
-        fans out to per-run worker planes.
+        ``metrics`` and ``tracer`` receive the run's ``slo.*`` alerts
+        (the engine passes the run's registry and trace log).  Fresh
+        per-run aggregates and edge state keep alert counts identical
+        however runs are grouped: serially through one plane, stacked
+        in one slot loop, or fanned out to worker planes.
         """
-        self._reset_run_stats()
-        if self.watchdog is not None:
-            self.watchdog.rearm()
-        self._run_name = scheduler
-        self._run_slots = 0
-        self._run_n_slots = int(n_slots)
+        stream = RunStream(scheduler, n_slots, self._channel_quantiles, metrics, tracer)
+        self.stream = stream
         self.runs_started += 1
         self._last_tick = time.monotonic()
         if self.heartbeat is not None:
             self.heartbeat.beat(
                 "run.start", scheduler=scheduler, n_slots=n_slots, n_users=n_users
             )
+        return stream
 
     def observe_block(
         self,
+        stream: RunStream,
         slot: int,
         rebuffer_s,
         energy_mj,
@@ -224,7 +244,7 @@ class LiveTelemetry:
         active_users: int = 0,
         outage_slots: int = 0,
     ) -> None:
-        """A block of consecutive slots, vectorized.
+        """A block of consecutive slots of one run, vectorized.
 
         The four array arguments hold one cell-aggregated value per
         slot; ``slot`` is the index of the block's last slot.  The
@@ -233,55 +253,49 @@ class LiveTelemetry:
         plane inside its <3% overhead budget.  One
         watchdog/heartbeat/export tick runs per block.
         """
-        stats = self.stats
+        self.stream = stream
+        stats = stream.stats
         stats["rebuffer_s"].add_array(rebuffer_s)
         stats["slot_energy_mj"].add_array(energy_mj)
         stats["delivered_kb"].add_array(delivered_kb)
         stats["buffer_s"].add_array(mean_buffer_s)
+        stats["active_users"].add(float(active_users))
+        stats["outage_slots"].add(float(outage_slots))
         n = len(rebuffer_s)
         self.total_slots += n
-        self._run_slots += n
-        self._tick(slot, n, active_users, outage_slots)
-
-    def _tick(
-        self, slot: int, n_slots: int, active_users: int, outage_slots: int = 0
-    ) -> None:
-        """Watchdog + heartbeat + export, once per observation block."""
-        self.stats["active_users"].add(float(active_users))
-        self.stats["outage_slots"].add(float(outage_slots))
+        stream.slots += n
         now = time.monotonic()
         dt = now - self._last_tick
         self._last_tick = now
         if dt > 0:
-            self.slots_per_s.update(n_slots / dt, dt)
+            self.slots_per_s.update(n / dt, dt)
         if self.heartbeat is not None and self.heartbeat.due(now):
             self.heartbeat.beat(
                 "slots",
-                scheduler=self._run_name,
-                slots_done=self._run_slots,
-                n_slots=self._run_n_slots,
+                scheduler=stream.name,
+                slots_done=stream.slots,
+                n_slots=stream.n_slots,
                 slots_per_s=round(self.slots_per_s.value, 2),
                 active_users=int(active_users),
                 stats=self.run_stats(),
             )
         if self.watchdog is not None:
-            self.watchdog.evaluate(self.resolve, slot=slot, context=self._run_name)
+            self.watchdog.evaluate(self.resolve, slot, stream.name, stream)
         if self.exporter is not None:
             self.exporter.maybe_push(self.snapshot())
 
-    def end_run(self) -> None:
+    def end_run(self, stream: RunStream) -> None:
         """Engine exit (clean): final watchdog pass + heartbeat/export."""
+        self.stream = stream
         self.runs_finished += 1
         if self.watchdog is not None:
-            self.watchdog.evaluate(
-                self.resolve, slot=self._run_slots - 1, context=self._run_name
-            )
+            self.watchdog.evaluate(self.resolve, stream.slots - 1, stream.name, stream)
         if self.heartbeat is not None:
             self.heartbeat.beat(
                 "run.end",
-                scheduler=self._run_name,
-                slots_done=self._run_slots,
-                n_slots=self._run_n_slots,
+                scheduler=stream.name,
+                slots_done=stream.slots,
+                n_slots=stream.n_slots,
                 stats=self.run_stats(),
             )
         if self.exporter is not None:
@@ -291,8 +305,8 @@ class LiveTelemetry:
         """Engine exit (crashed): flush what we have, mark the abort."""
         if self.heartbeat is not None:
             self.heartbeat.beat(
-                "run.abort", scheduler=self._run_name, error=error,
-                slots_done=self._run_slots,
+                "run.abort", scheduler=self.stream.name, error=error,
+                slots_done=self.stream.slots,
             )
         if self.exporter is not None:
             self.exporter.push(self.snapshot())
@@ -300,8 +314,9 @@ class LiveTelemetry:
     # -- rule resolution ----------------------------------------------
 
     def resolve(self, agg: str, channel: str) -> float | None:
-        """Resolver handed to the watchdog: live channels, then metrics."""
-        stat = self.stats.get(channel)
+        """Resolver handed to the watchdog: the stream observed last,
+        then the bundle's registry."""
+        stat = self.stream.stats.get(channel)
         if stat is not None:
             if not stat.count:
                 return None
@@ -331,14 +346,14 @@ class LiveTelemetry:
 
     def run_stats(self) -> dict[str, dict[str, float]]:
         """Small per-run stats dict (rides inside heartbeats)."""
-        return {name: self.stats[name].snapshot() for name in _RUN_CHANNELS}
+        return {name: stat.snapshot() for name, stat in self.stream.stats.items()}
 
     def snapshot(self) -> dict[str, Any]:
         """The full exportable view: registry + live + workers + alerts."""
         out: dict[str, Any] = (
             self.metrics.snapshot() if self.metrics is not None else {}
         )
-        live: dict[str, Any] = {name: stat.snapshot() for name, stat in self.stats.items()}
+        live: dict[str, Any] = self.run_stats()
         live["slots_per_s"] = (
             round(self.slots_per_s.value, 3) if self.slots_per_s.initialized else 0.0
         )
@@ -347,9 +362,9 @@ class LiveTelemetry:
             "runs_started": self.runs_started,
             "runs_finished": self.runs_finished,
             "total_slots": self.total_slots,
-            "run_slots": self._run_slots,
-            "run_n_slots": self._run_n_slots,
-            "scheduler": self._run_name,
+            "run_slots": self.stream.slots,
+            "run_n_slots": self.stream.n_slots,
+            "scheduler": self.stream.name,
         }
         if self.monitor is not None:
             out["executor"] = self.monitor.snapshot()

@@ -17,10 +17,11 @@ The :class:`SloWatchdog` evaluates its rules against a *resolver*
 (``resolver(agg, channel) -> float | None``; ``None`` = no data yet,
 rule skipped).  Alerts are edge-triggered: one ``slo.alert`` event +
 counter increment when a rule transitions into violation, one
-``slo.clear`` when it recovers.  ``action="abort"`` raises
-:class:`~repro.errors.SloViolation` after emitting the alert, which
-aborts the run through the engine's shutdown path (the trace still
-ends with ``run.abort`` and flushes).
+``slo.clear`` when it recovers; each run keeps its own edge state.
+``action="abort"`` raises :class:`~repro.errors.SloViolation` after
+emitting the alert, which aborts the run's slot loop through the
+engine's shutdown path (the trace still ends with ``run.abort`` and
+flushes).
 """
 
 from __future__ import annotations
@@ -119,9 +120,12 @@ class SloWatchdog:
         additionally raises :class:`~repro.errors.SloViolation` on the
         first firing alert.
     metrics / tracer:
-        Optional sinks (bound late by the live plane): alerts tick the
+        Optional sinks of a standalone watchdog: alerts tick the
         ``slo.alerts`` counter plus a per-rule ``slo.alerts.<key>``
         counter and emit ``slo.alert`` / ``slo.clear`` trace events.
+        The live plane passes each run's own sinks and edge state to
+        :meth:`evaluate` instead, so a rule a previous run violated
+        fires again when this run violates it too.
     """
 
     def __init__(
@@ -140,32 +144,27 @@ class SloWatchdog:
         self.metrics = metrics
         self.tracer = tracer
         #: Rules currently in violation (edge-trigger state).
-        self._violated: set[str] = set()
+        self.violated: set[str] = set()
         #: Every alert fired so far, most recent last (bounded).
         self.alerts: list[dict] = []
         self.n_alerts = 0
-
-    def bind(self, metrics, tracer) -> None:
-        self.metrics = metrics
-        self.tracer = tracer
-
-    def rearm(self) -> None:
-        """Reset the edge-trigger state at a run boundary.
-
-        Each run is an independent workload, so a rule a previous run
-        violated must fire again if this run violates it too — and this
-        keeps alert counts identical between a serial batch (one shared
-        watchdog) and a pooled one (fresh watchdog per worker run).
-        """
-        self._violated.clear()
 
     def evaluate(
         self,
         resolver: Callable[[str, str], float | None],
         slot: int | None = None,
         context: str | None = None,
+        run=None,
     ) -> list[dict]:
-        """Evaluate every rule; returns the alerts that fired *this* call."""
+        """Evaluate every rule; returns the alerts that fired *this* call.
+
+        ``run`` is the evaluated run's edge state and sinks (its
+        ``violated`` set, ``metrics`` and ``tracer``); by default the
+        watchdog's own set and sinks, for a standalone watchdog.
+        """
+        if run is None:
+            run = self
+        violated, metrics, tracer = run.violated, run.metrics, run.tracer
         fired: list[dict] = []
         abort_alert: dict | None = None
         for rule in self.rules:
@@ -173,16 +172,16 @@ class SloWatchdog:
             if observed is None or observed != observed:  # None or NaN: no data
                 continue
             if rule.holds(observed):
-                if rule.key in self._violated:
-                    self._violated.discard(rule.key)
-                    if self.tracer is not None and self.tracer.enabled:
-                        self.tracer.emit(
+                if rule.key in violated:
+                    violated.discard(rule.key)
+                    if tracer is not None and tracer.enabled:
+                        tracer.emit(
                             "slo.clear", rule=rule.text, observed=float(observed)
                         )
                 continue
-            if rule.key in self._violated:
+            if rule.key in violated:
                 continue  # still violated; already alerted
-            self._violated.add(rule.key)
+            violated.add(rule.key)
             alert = {
                 "rule": rule.text,
                 "key": rule.key,
@@ -206,11 +205,11 @@ class SloWatchdog:
                 rule.threshold,
                 f" at slot {slot}" if slot is not None else "",
             )
-            if self.metrics is not None:
-                self.metrics.counter("slo.alerts").inc()
-                self.metrics.counter(f"slo.alerts.{rule.key}").inc()
-            if self.tracer is not None and self.tracer.enabled:
-                self.tracer.emit("slo.alert", **alert)
+            if metrics is not None:
+                metrics.counter("slo.alerts").inc()
+                metrics.counter(f"slo.alerts.{rule.key}").inc()
+            if tracer is not None and tracer.enabled:
+                tracer.emit("slo.alert", **alert)
             if self.action == "abort" and abort_alert is None:
                 abort_alert = alert
         if abort_alert is not None:

@@ -74,10 +74,10 @@ gauges, published by ``finalize_runs`` (EMA's ``PC_i(n)``).
 not depend on how runs are grouped.  Traces do not either: each
 run's trace is written from its finished result and
 :class:`~repro.sim.engine.RunLog` (:func:`~repro.sim.engine.trace_events`),
-in task order.  The live telemetry plane alone needs each run's own
-slot stream, so :meth:`BatchPlan.run` runs every task as a one-segment
-loop when one is attached (:func:`runs_alone`), and the executor then
-gives every task its own group, so pool workers run them alone too.
+in task order.  Nor does the live telemetry plane: the loop feeds it
+each run's own slot stream, read from the run's flushed grids, so a
+watched run's aggregates, ``slo.*`` alerts and their trace positions
+are a lone run's.  An abort rule cuts every run of its loop.
 """
 
 from __future__ import annotations
@@ -96,7 +96,7 @@ from repro.sim.engine import RunLog, run_segments, write_traces
 from repro.sim.results import SimulationResult
 from repro.sim.workload import resolve_workload
 
-__all__ = ["BatchPlan", "run_batch", "batch_incompatibility", "runs_alone"]
+__all__ = ["BatchPlan", "run_batch", "batch_incompatibility"]
 
 #: Config fields that must be equal across every run of a batch (the
 #: slot loop, stacked fleet, RRC profile, and backend context are
@@ -145,15 +145,6 @@ def batch_incompatibility(tasks) -> str | None:
     if len({id(t.scheduler) for t in tasks}) != len(tasks):
         return "the same scheduler instance appears in multiple runs"
     return None
-
-
-def runs_alone(instr: Instrumentation | None) -> bool:
-    """Whether every run observed by ``instr`` needs its own loop.
-
-    The live telemetry plane consumes a run's own slot stream, so under
-    a live plane each run is a one-segment loop.
-    """
-    return instr is not None and instr.live is not None
 
 
 def run_batch(tasks, instrumentation: Instrumentation | None = None):
@@ -218,7 +209,7 @@ class BatchPlan:
     def run(
         self, instrumentation: Instrumentation | None = None, record: bool | None = None
     ) -> list[SimulationResult]:
-        """Execute the batch: one stacked loop, or run by run when it must.
+        """Execute the batch as one stacked loop; results in task order.
 
         ``record`` (default: whether the bundle traces) keeps each run's
         :class:`~repro.sim.engine.RunLog` in :attr:`run_logs`, for a pool
@@ -232,29 +223,22 @@ class BatchPlan:
         )
         if record is None:
             record = instr is not None and instr.tracer.enabled
-        n = len(self.tasks)
-        by_task, states_by_task, logs_by_task = [None] * n, [None] * n, [None] * n
-        for loop in [[i] for i in range(n)] if runs_alone(instr) else [self.order]:
-            logs = [RunLog() for _ in loop] if record else None
-            results, states = run_segments(
-                [self.tasks[i] for i in loop],
-                [self.workloads[i] for i in loop],
-                instr,
-                self._make_scheduler,
-                logs,
-            )
-            for k, i in enumerate(loop):
-                by_task[i] = results[k]
-                states_by_task[i] = states[k] if states else None
-                logs_by_task[i] = logs[k] if logs else None
-            if logs is not None:
-                # Each run's trace, in task order.
-                done = sorted(loop)
-                write_traces(
-                    instr, [by_task[i] for i in done], [logs_by_task[i] for i in done]
-                )
-        self.run_metric_states = states_by_task if instr is not None else []
-        self.run_logs = logs_by_task if record else []
+        order = self.order
+        logs = [RunLog() for _ in order] if record else None
+        results, states = run_segments(
+            [self.tasks[i] for i in order],
+            [self.workloads[i] for i in order],
+            instr,
+            self._make_scheduler,
+            logs,
+        )
+        # Loop position of each task.
+        at = sorted(range(len(order)), key=order.__getitem__)
+        by_task = [results[k] for k in at]
+        self.run_metric_states = [states[k] for k in at] if states else []
+        self.run_logs = [logs[k] for k in at] if record else []
+        # Each run's trace, in task order.
+        write_traces(instr, by_task, self.run_logs)
         for state in self.run_metric_states:
             instr.metrics.merge_state(state)
         return by_task

@@ -22,7 +22,7 @@ Each slot runs the paper's pipeline in order:
 
 One slot loop serves every run.  :func:`run_segments` stacks ``R >= 1``
 runs as row segments of one fleet: a single run (every
-:meth:`Simulation.run`, and every run that must run alone) is the
+:meth:`Simulation.run`, and every churn or faulted run) is the
 ``R = 1`` case, and :mod:`repro.sim.batch` stacks ``R > 1``
 batch-compatible runs, whose populations may differ (run ``r`` owns
 ``N_r`` rows).  The set-up is the same for both: per-run Eq. (2)
@@ -34,13 +34,12 @@ recorded: :class:`~repro.sim.results.SimulationResult` derives them
 from the deliveries and the workload.  Without
 churn (:attr:`~repro.sim.config.SimConfig.has_churn` false) the fleet's
 row space *is* the runs' session space, fixed at construction, and each
-slot's rows go straight into the session-keyed result grids (through
-per-block staging rows, flushed run slice by run slice, when
-``R > 1``).  With churn
+slot's rows go into per-block staging rows, flushed run slice by run
+slice into the session-keyed result grids, at every ``R``.  With churn
 (``R = 1`` only), a :class:`~repro.sim.sessions.SessionManager` admits
 arrivals into a growable row space at slot start, retires completed
 sessions at slot end, and each slot's row-space vectors are scattered
-into the session grids through its ``row -> session`` map.
+into the staging rows through its ``row -> session`` map.
 
 The engine is deliberately strict: it asserts conservation invariants
 as it goes (delivered bytes never exceed capacity or session size) and
@@ -54,8 +53,9 @@ slot loop writes no trace: under a tracing bundle it records, in one
 :class:`RunLog` per run, only what a run's grids cannot reproduce, and
 :func:`trace_events` derives the run's ``run.start``, ``fault.window``,
 ``slot`` and ``run.end`` events from its finished result and merges the
-log back in, so stacked and pooled runs trace like lone ones (the live
-plane alone needs a run's own slot stream, so it runs with ``R = 1``).
+log back in, so stacked and pooled runs trace like lone ones.  The
+live plane follows every run of a loop too: every ``watch_every``
+slots it reads each run's slot stream from the run's flushed grids.
 Instrumentation is strictly observational — instrumented and plain
 runs are bit-identical.
 """
@@ -519,9 +519,9 @@ def run_segments(tasks, workloads, instr, stack_scheduler=None, logs=None):
     their resolved workloads.  Every slot's
     :class:`~repro.net.gateway.SlotObservation` carries the per-run
     segment bounds and Eq. (2) budgets.  With ``R == 1`` the run's own
-    scheduler serves its one segment, and churn, fault plans and the
-    live plane all apply.  With ``R > 1`` the runs must be
-    batch-compatible (see :mod:`repro.sim.batch`):
+    scheduler serves its one segment, and churn and fault plans apply.
+    The live plane follows every run, at every ``R``.  With ``R > 1``
+    the runs must be batch-compatible (see :mod:`repro.sim.batch`):
     ``stack_scheduler(run_offsets)`` builds the scheduler serving the
     stacked rows.  ``logs`` (one :class:`RunLog` per run, or ``None``)
     receive what each run's trace needs beyond its result; the caller
@@ -530,9 +530,9 @@ def run_segments(tasks, workloads, instr, stack_scheduler=None, logs=None):
 
     An instrumented loop records into one fresh registry per run, for
     every ``R``: the run's accounting after the loop, its scheduler's
-    final state (``finalize_runs``), and a lone live run's ``slo.*``
-    alerts as they fire.  An aborted loop merges them into the bundle
-    before closing it.
+    final state (``finalize_runs``), and, under a live plane, its
+    ``slo.*`` alerts as they fire.  An aborted loop merges them into
+    the bundle before closing it.
 
     Returns ``(results, run_metric_states)``: one result per run in
     task order, and — when instrumented — one metrics state per run,
@@ -552,13 +552,6 @@ def run_segments(tasks, workloads, instr, stack_scheduler=None, logs=None):
             # inside, so every registry-resolved kernel self-reports.
             stack.enter_context(activate_spans(instr.spans))
             stack.enter_context(instr.spans.span("run"))
-            watchdog = instr.live.watchdog if instr.live is not None else None
-            if watchdog is not None:
-                # A live run is alone: its watchdog counts slo.* alerts
-                # into the run's registry and, traced, logs slo.* events
-                # at their slot.  The plane itself keeps the bundle.
-                watchdog.bind(registries[0], logs[0] if logs else instr.tracer)
-                stack.callback(watchdog.bind, instr.metrics, instr.tracer)
         return _slot_loop(tasks, workloads, instr, stack_scheduler, logs, registries)
 
 
@@ -622,8 +615,7 @@ def _slot_loop(tasks, workloads, instr, stack_scheduler, logs, registries):
     scheduler = tasks[0].scheduler if n_runs == 1 else stack_scheduler(run_offsets)
     scheduler.reset()
     # A traced loop records, per run, the header its trace needs and the
-    # events its grids lack; the lone run's log takes the session and
-    # watchdog events.
+    # events its grids lack; a churn run's log takes its session events.
     for rl, task in zip(logs or (), tasks):
         rl.params = _scheduler_trace_params(task.scheduler)
         rl.backend, rl.plan = backend_info()["resolved"], plan
@@ -656,28 +648,31 @@ def _slot_loop(tasks, workloads, instr, stack_scheduler, logs, registries):
     # Per-run result grids: run r's record is grids[r], C-contiguous
     # (n_slots, N_r) arrays handed out without a copy, which reduce
     # exactly like a lone run's.  A slot writes one row per grid into
-    # slot-major staging rows; with R = 1 those are the grids' own rows,
-    # otherwise a block buffer flushed, run slice by run slice, every
-    # SLOT_BLOCK_SLOTS slots.
+    # slot-major staging rows, a block buffer flushed, run slice by run
+    # slice, every SLOT_BLOCK_SLOTS slots (and before the live plane
+    # reads the grids).
     grids = [
         tuple(np.zeros((gamma, w), dtype=dt) for dt in _GRID_DTYPES)
         for w in widths
     ]
-    if n_runs > 1:
-        staging = tuple(
-            np.empty((SLOT_BLOCK_SLOTS, total), dtype=dt) for dt in _GRID_DTYPES
-        )
+    staging = tuple(
+        np.empty((SLOT_BLOCK_SLOTS, total), dtype=dt) for dt in _GRID_DTYPES
+    )
+    st_alloc, st_delivered, st_rebuf, st_tail, st_buffer, st_active = staging
+    flushed = 0
 
     def flush(stop: int) -> None:
-        # The block's slot-major rows up to ``stop`` into each run's
-        # grids: columns lo:hi of (slots, sum N_r) -> (slots, N_r).
+        # The block's slot-major rows from the last flush up to ``stop``
+        # into each run's grids: columns lo:hi of (slots, sum N_r) ->
+        # (slots, N_r).
+        nonlocal flushed
+        fresh = slice(flushed - block_start, stop - block_start)
         for r, run_grids in enumerate(grids):
             lo, hi = run_offsets[r], run_offsets[r + 1]
             for g, st in zip(run_grids, staging):
-                g[block_start:stop] = st[: stop - block_start, lo:hi]
+                g[flushed:stop] = st[fresh, lo:hi]
+        flushed = stop
 
-    # The lone run's grids, which the live plane reads while it runs.
-    _, delivered, rebuf, e_tail, buffer_s, _ = grids[0]
     completion = np.full(total, -1, dtype=np.int64)
 
     signals = [wl.signal_dbm[:gamma] for wl in workloads]
@@ -696,6 +691,8 @@ def _slot_loop(tasks, workloads, instr, stack_scheduler, logs, registries):
             radio, np.array([VACANT_SIG_DBM]), cfg.tau_s, cfg.delta_kb
         )
     arrivals = np.array([f.arrival_slot for f in flows], dtype=np.int64)
+
+    names = [getattr(t.scheduler, "name", type(t.scheduler).__name__) for t in tasks]
 
     def finish() -> list[SimulationResult]:
         # Per-run results in task order: each run's grids are its own
@@ -717,9 +714,7 @@ def _slot_loop(tasks, workloads, instr, stack_scheduler, logs, registries):
             alloc_r, delivered_r, rebuf_r, e_tail_r, buffer_r, active_r = grids[r]
             results.append(
                 SimulationResult(
-                    scheduler_name=getattr(
-                        task.scheduler, "name", type(task.scheduler).__name__
-                    ),
+                    scheduler_name=names[r],
                     config=task.config,
                     allocation_units=alloc_r,
                     delivered_kb=delivered_r,
@@ -738,15 +733,22 @@ def _slot_loop(tasks, workloads, instr, stack_scheduler, logs, registries):
 
     scheduler_name = getattr(scheduler, "name", type(scheduler).__name__)
     if live_on:
-        live.begin_run(scheduler_name, n_slots=gamma, n_users=n)
+        # One stream per run: its slo.* alerts count into the run's
+        # registry and, traced, are logged at their slot.
+        streams = [
+            live.begin_run(
+                names[r], gamma, w, registries[r], logs[r] if logs else instr.tracer
+            )
+            for r, w in enumerate(widths)
+        ]
         live_every = live.watch_every
         live_start = 0
     if instrumented:
         span_block_start = 0
         _block_t0 = perf_counter()
 
-    # Without churn every slot's row vectors are the result grids'
-    # rows; with churn they are arena rows scattered after the slot.
+    # Without churn every slot's row vectors are staging rows; with
+    # churn they are arena rows scattered after the slot.
     joined, departed = None, None
     row_offsets = run_offsets
     slot = -1
@@ -760,20 +762,17 @@ def _slot_loop(tasks, workloads, instr, stack_scheduler, logs, registries):
                 # every run in one vectorized 2-D pass over the
                 # (fault-applied) signal, and the rows slots write to.
                 block_start, block_end = slot, min(slot + SLOT_BLOCK_SLOTS, gamma)
-                if n_runs == 1:
-                    sig_block = signals[0][block_start:block_end]
-                    stage = tuple(g[block_start:block_end] for g in grids[0])
-                else:
-                    sig_block = np.concatenate(
-                        [sig[block_start:block_end] for sig in signals], axis=1
-                    )
-                    stage = staging
+                sig_block = np.concatenate(
+                    [sig[block_start:block_end] for sig in signals], axis=1
+                )
                 link_block, p_block = _eq24_tables(
                     radio, sig_block, cfg.tau_s, cfg.delta_kb
                 )
-                st_alloc, st_delivered, st_rebuf, st_tail, st_buffer, st_active = (
-                    stage
-                )
+                if churn:
+                    # Only resident sessions are scattered into a row;
+                    # the others' cells read 0.
+                    for st in staging:
+                        st.fill(0)
             i = slot - block_start
             if churn:
                 # 0. Session lifecycle: roll the join/depart masks,
@@ -919,7 +918,7 @@ def _slot_loop(tasks, workloads, instr, stack_scheduler, logs, registries):
                     logs[r].record(2 * slot, kind, slot=slot, **fields)
 
             if churn:
-                # Scatter row-space results into the session grids.
+                # Scatter row-space results into the session columns.
                 if occ.size:
                     st_alloc[i, sess_of] = phi[occ]
                     st_delivered[i, sess_of] = sent_kb[occ]
@@ -933,7 +932,7 @@ def _slot_loop(tasks, workloads, instr, stack_scheduler, logs, registries):
                 st_buffer[i] = obs.buffer_s
                 st_active[i] = obs.active
             done = slot + 1
-            if n_runs > 1 and done == block_end:
+            if done == block_end:
                 flush(block_end)
 
             if churn:
@@ -949,36 +948,32 @@ def _slot_loop(tasks, workloads, instr, stack_scheduler, logs, registries):
                             2 * slot + 1, "session.end", slot=slot, user=sess, row=int(row)
                         )
 
-            # Live telemetry consumes whole blocks straight from the
-            # result grids (R = 1: the staging rows are grid rows) — one
-            # comparison per slot, vectorized cell sums every
+            # Live telemetry consumes whole blocks of each run from its
+            # flushed result grids, which reduce bitwise as a lone run's
+            # do — one comparison per slot, vectorized cell sums every
             # watch_every slots (plus the run tail).
             if live_on and (slot - live_start + 1 >= live_every or slot == gamma - 1):
-                end = slot + 1
-                live_delivered = delivered[live_start:end]
-                if run_log is not None:
-                    run_log.at = 2 * slot + 1
-                live.observe_block(
-                    slot,
-                    rebuf[live_start:end].sum(axis=1),
-                    transmission_energy_mj(
-                        radio.power, signals[0][live_start:end], live_delivered
-                    ).sum(axis=1)
-                    + e_tail[live_start:end].sum(axis=1),
-                    live_delivered.sum(axis=1),
-                    buffer_s[live_start:end].mean(axis=1),
-                    active_users=(
-                        int(mgr.active_count)
-                        if churn
-                        else int(st_active[i].sum())
-                    ),
-                    outage_slots=(
-                        int(outage_mask[live_start:end].sum())
-                        if outage_mask is not None
-                        else 0
-                    ),
-                )
-                live_start = end
+                flush(done)
+                w = slice(live_start, done)
+                outage = int(outage_mask[w].sum()) if outage_mask is not None else 0
+                for r, stream in enumerate(streams):
+                    _, delivered, rebuf, e_tail, buffer_s, active = grids[r]
+                    if logs is not None:
+                        logs[r].at = 2 * slot + 1
+                    e_trans = transmission_energy_mj(
+                        radio.power, signals[r][w], delivered[w]
+                    )
+                    live.observe_block(
+                        stream,
+                        slot,
+                        rebuf[w].sum(axis=1),
+                        e_trans.sum(axis=1) + e_tail[w].sum(axis=1),
+                        delivered[w].sum(axis=1),
+                        buffer_s[w].mean(axis=1),
+                        int(mgr.active_count) if churn else int(active[slot].sum()),
+                        outage,
+                    )
+                live_start = done
             # One run;slots span per block of SPAN_BLOCK_SLOTS slots
             # (plus the run tail) — a single comparison per slot.
             if instrumented and (
@@ -995,10 +990,9 @@ def _slot_loop(tasks, workloads, instr, stack_scheduler, logs, registries):
             rec_block(_pc() - _block_t0)
             runs = ()
             if logs is not None:
-                if n_runs > 1 and done > block_start:
-                    flush(done)
+                flush(done)
                 runs = zip(finish(), logs)
-            # The partial registries (a live run's slo.* alerts, the
+            # The partial registries (the runs' slo.* alerts, the
             # scheduler's state at the abort) outlive the loop.
             scheduler.finalize_runs(registries)
             for reg in registries:
@@ -1009,9 +1003,10 @@ def _slot_loop(tasks, workloads, instr, stack_scheduler, logs, registries):
 
     results = finish()
     if live_on:
-        if run_log is not None:
-            run_log.at = 2 * gamma
-        live.end_run()
+        for r, stream in enumerate(streams):
+            if logs is not None:
+                logs[r].at = 2 * gamma
+            live.end_run(stream)
 
     # Each run's derived Eq. (3) energy, once and one grid alive at a
     # time: checked, then accounted into the run's own registry, for the

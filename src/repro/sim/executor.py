@@ -122,7 +122,7 @@ from repro.errors import ConfigurationError
 from repro.faults import FaultPlan, WorkerFault, current_fault_plan, use_fault_plan
 from repro.obs.instrument import Instrumentation, current_instrumentation
 from repro.obs.provenance import config_hash
-from repro.sim.batch import BatchPlan, batch_incompatibility, run_batch, runs_alone
+from repro.sim.batch import BatchPlan, batch_incompatibility, run_batch
 from repro.sim.engine import write_traces
 from repro.sim.config import SimConfig
 from repro.sim.results import SimulationResult
@@ -328,7 +328,9 @@ class RunExecutor:
         behaviour instead of failing.  Each pool worker receives whole
         groups.  Results and metrics stay bit-identical to
         ``batch_size=1`` (``tests/integration/test_batch_equivalence.py``).
-        A live batch keeps every task in its own group.
+        Traced and live batches group like any other: the trace is
+        written from each run's result, and the live plane follows each
+        run of a stack.
     task_timeout_s:
         Per-group result deadline for pool dispatch, measured from when
         the parent starts collecting that group (covers queueing plus
@@ -398,7 +400,7 @@ class RunExecutor:
             if instrumentation is not None
             else current_instrumentation()
         )
-        groups = self._group_tasks(tasks, instr)
+        groups = self._group_tasks(tasks)
         if self.jobs == 1 or len(groups) == 1:
             results: list[SimulationResult] = []
             for group in groups:
@@ -406,9 +408,7 @@ class RunExecutor:
             return results
         return self._map_pool_groups(groups, instr)
 
-    def _group_tasks(
-        self, tasks: list[RunTask], instr: Instrumentation | None = None
-    ) -> list[list[RunTask]]:
+    def _group_tasks(self, tasks: list[RunTask]) -> list[list[RunTask]]:
         """Split *consecutive* compatible tasks into stacked groups.
 
         Each maximal run of ``n`` compatible neighbours becomes
@@ -416,12 +416,8 @@ class RunExecutor:
         whose sizes differ by at most one, larger first.  Task order is
         never permuted — results must come back in task order, and
         batching is invisible to metrics only when each group is a
-        contiguous slice of the original sequence.  Under a live plane
-        every task is its own group
-        (:func:`~repro.sim.batch.runs_alone`), in a pool worker too.
+        contiguous slice of the original sequence.
         """
-        if runs_alone(instr):
-            return [[t] for t in tasks]
         runs: list[list[RunTask]] = []
         for t in tasks:
             if runs and batch_incompatibility(runs[-1] + [t]) is None:

@@ -1,9 +1,11 @@
 """LiveTelemetry end-to-end against the engine: per-slot feeding,
-abort-path trace hygiene, and snapshot structure.
+abort-path trace hygiene (a lone run and a stack), and snapshot
+structure.
 """
 
 from __future__ import annotations
 
+import io
 import json
 
 import numpy as np
@@ -12,11 +14,14 @@ import pytest
 from repro.baselines.default import DefaultScheduler
 from repro.core.ema import EMAScheduler
 from repro.errors import SloViolation
+from repro.obs.analyze import check_invariants, timelines_from_events
 from repro.obs.instrument import Instrumentation
 from repro.obs.live import LiveTelemetry
 from repro.obs.tracer import JsonlTraceWriter, RecordingTracer
 from repro.sim.config import SimConfig
+from repro.sim.batch import run_batch
 from repro.sim.engine import Simulation
+from repro.sim.executor import RunTask
 from repro.sim.workload import generate_workload
 
 
@@ -49,8 +54,8 @@ class TestLiveFeeding:
         instr = Instrumentation(live=live)
         Simulation(cfg, DefaultScheduler(), instrumentation=instr).run()
         assert live.total_slots == cfg.n_slots
-        assert live.stats["rebuffer_s"].count == cfg.n_slots
-        assert live.stats["slot_energy_mj"].count == cfg.n_slots
+        assert live.stream.stats["rebuffer_s"].count == cfg.n_slots
+        assert live.stream.stats["slot_energy_mj"].count == cfg.n_slots
         progress = live.snapshot()["progress"]
         assert progress["runs_started"] == progress["runs_finished"] == 1
         assert progress["run_slots"] == cfg.n_slots
@@ -63,7 +68,7 @@ class TestLiveFeeding:
             Simulation(cfg, DefaultScheduler(), instrumentation=instr).run()
         assert live.total_slots == 2 * cfg.n_slots
         # Per-run channels only hold the latest run.
-        assert live.stats["rebuffer_s"].count == cfg.n_slots
+        assert live.stream.stats["rebuffer_s"].count == cfg.n_slots
 
     def test_registry_fallback_resolution(self):
         cfg = small_config()
@@ -81,11 +86,11 @@ class TestLiveFeeding:
         result = Simulation(
             cfg, DefaultScheduler(), wl, instrumentation=instr
         ).run()
-        stat = live.stats["rebuffer_s"]
+        stat = live.stream.stats["rebuffer_s"]
         per_slot = result.rebuffering_s.sum(axis=1)
         assert stat.welford.mean == pytest.approx(float(per_slot.mean()))
         assert stat.max == pytest.approx(float(per_slot.max()))
-        energy = live.stats["slot_energy_mj"]
+        energy = live.stream.stats["slot_energy_mj"]
         total = (result.energy_trans_mj + result.energy_tail_mj).sum(axis=1)
         assert energy.welford.mean == pytest.approx(float(total.mean()))
 
@@ -125,6 +130,54 @@ class TestAbortPath:
         assert queues[-1]["slot"] == 63  # the slot whose block fired
         assert snap["gauges"]["ema.virtual_queues"] == queues[-1]["pc_s"].tolist()
         assert snap["gauges"]["ema.virtual_queue_max_s"] == queues[-1]["pc_s"].max()
+
+    def test_stacked_abort_cuts_every_run(self):
+        # One run of a three-run stack trips the abort rule: the loop
+        # stops at that tick, each run's trace keeps its prefix through
+        # the abort slot, and one run.abort closes the trace.
+        configs = [small_config(n_users=n, seed=5) for n in (2, 4, 12)]
+        energy = []
+        for cfg in configs:
+            res = Simulation(cfg, DefaultScheduler()).run()
+            energy.append((res.energy_trans_mj + res.energy_tail_mj).sum(axis=1))
+        bound = float(max(e.max() for e in energy[:2]))
+        ticks = [s for s in range(cfg.n_slots) if s % 16 == 15 or s == cfg.n_slots - 1]
+        abort_slot = next(s for s in ticks if energy[2][: s + 1].max() > bound)
+        live = LiveTelemetry(
+            rules=(f"max(slot_energy_mj) <= {bound!r}",), action="abort", watch_every=16
+        )
+        buf = io.StringIO()
+        instr = Instrumentation(tracer=JsonlTraceWriter(buf), live=live)
+        tasks = [RunTask(cfg, DefaultScheduler()) for cfg in configs]
+        with pytest.raises(SloViolation):
+            run_batch(tasks, instrumentation=instr)
+        events = [json.loads(line) for line in buf.getvalue().splitlines()]
+        assert events[-1]["kind"] == "run.abort"
+        assert events[-1]["slot"] == abort_slot
+        assert [e["kind"] for e in events].count("run.abort") == 1
+        starts = [i for i, e in enumerate(events) if e["kind"] == "run.start"]
+        assert [events[i]["n_users"] for i in starts] == [2, 4, 12]
+        for start, stop in zip(starts, starts[1:] + [len(events) - 1]):
+            run = events[start:stop]
+            slots = [e["slot"] for e in run if e["kind"] == "slot"]
+            assert slots == list(range(abort_slot + 1))
+            alerts = [e for e in run if e["kind"] == "slo.alert"]
+            assert len(alerts) == (start == starts[-1])
+            assert "run.end" not in [e["kind"] for e in run]
+        assert events[-2]["kind"] == "slo.alert"
+        assert events[-2]["slot"] == abort_slot
+        timelines = timelines_from_events(events)
+        assert [tl.grids["phi"].shape for tl in timelines] == [
+            (abort_slot + 1, n) for n in (2, 4, 12)
+        ]
+        for tl in timelines:
+            report = check_invariants(tl)
+            assert report.ok, report.render()
+        assert instr.metrics.snapshot()["counters"] == {
+            "slo.alerts": 1.0,
+            "slo.alerts.max(slot_energy_mj)": 1.0,
+        }
+        assert live.snapshot()["progress"]["runs_started"] == 3
 
     def test_crashed_run_leaves_valid_trace_prefix(self, tmp_path):
         cfg = small_config()

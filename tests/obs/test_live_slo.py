@@ -1,8 +1,10 @@
 """SLO rule parsing and the online watchdog: firing, edge-triggering,
-re-arming at run boundaries, and the abort action.
+per-run edge state, and the abort action.
 """
 
 from __future__ import annotations
+
+from types import SimpleNamespace
 
 import pytest
 
@@ -87,12 +89,21 @@ class TestSloWatchdog:
         assert len(dog.evaluate(_resolver({"x": 2.0}))) == 1
         assert dog.n_alerts == 2
 
-    def test_rearm_refires_across_runs(self):
+    def test_refires_in_each_run(self):
+        # Each run has its own edge state and sinks: a violation a
+        # previous run already alerted fires again in the next run.
         dog = SloWatchdog(["mean(x) < 1"])
-        assert len(dog.evaluate(_resolver({"x": 2.0}))) == 1
-        dog.rearm()  # run boundary: same violation must fire again
-        assert len(dog.evaluate(_resolver({"x": 2.0}))) == 1
+        runs = [
+            SimpleNamespace(violated=set(), metrics=MetricsRegistry(), tracer=None)
+            for _ in range(2)
+        ]
+        for run in runs:
+            assert len(dog.evaluate(_resolver({"x": 2.0}), run=run)) == 1
+            assert dog.evaluate(_resolver({"x": 2.0}), run=run) == []
+            assert run.violated == {"mean(x)"}
+            assert run.metrics.counter("slo.alerts").value == 1
         assert dog.n_alerts == 2
+        assert dog.violated == set()
 
     def test_no_data_skips_rule(self):
         dog = SloWatchdog(["p95(rebuffer_s) < 0.5"])
@@ -112,8 +123,8 @@ class TestSloWatchdog:
     def test_alert_tail_is_bounded(self):
         dog = SloWatchdog(["mean(x) < 1"])
         for _ in range(200):
-            dog.evaluate(_resolver({"x": 2.0}))
-            dog.rearm()
+            run = SimpleNamespace(violated=set(), metrics=None, tracer=None)
+            dog.evaluate(_resolver({"x": 2.0}), run=run)
         assert dog.n_alerts == 200
         assert len(dog.alerts) <= 64
 

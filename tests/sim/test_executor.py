@@ -402,8 +402,8 @@ class TestAutoGrouping:
         return [RunTask(cfg, DefaultScheduler()) for _ in range(n)]
 
     @staticmethod
-    def _sizes(executor, tasks, instr=None):
-        groups = executor._group_tasks(tasks, instr)
+    def _sizes(executor, tasks):
+        groups = executor._group_tasks(tasks)
         flat = [t for g in groups for t in g]
         assert len(flat) == len(tasks)
         assert all(a is b for a, b in zip(flat, tasks)), "task order changed"
@@ -441,17 +441,20 @@ class TestAutoGrouping:
             executor = RunExecutor(jobs=jobs, batch_size=1)
             assert self._sizes(executor, self._tasks()) == [1] * 10
 
-    def test_traced_runs_stack_live_runs_stay_alone(self):
-        # Traces are written from finished results, so a traced batch
-        # stacks; the live plane needs each run's own slot stream, so
-        # even a pool worker must not stack the tasks of a live batch.
+    def test_traced_and_live_runs_stack(self):
+        # Traces are written from finished results and the live plane
+        # follows every run of a stack, so neither splits a group: a
+        # live batch runs in as many slot loops as a traced one.
         from repro.obs.live import LiveTelemetry
 
-        traced = Instrumentation(tracer=RecordingTracer())
-        assert self._sizes(RunExecutor(jobs=2), self._tasks(), traced) == [5, 5]
-        live = Instrumentation(live=LiveTelemetry())
-        assert self._sizes(RunExecutor(jobs=2), self._tasks(), live) == [1] * 10
-        assert self._sizes(RunExecutor(), self._tasks(), Instrumentation()) == [10]
+        assert self._sizes(RunExecutor(jobs=2), self._tasks()) == [5, 5]
+        for instr in (
+            Instrumentation(tracer=RecordingTracer()),
+            Instrumentation(live=LiveTelemetry()),
+            Instrumentation(),
+        ):
+            RunExecutor(batch_size=5).map_runs(self._tasks(), instrumentation=instr)
+            assert instr.spans.count(("run",)) == 2
 
     def test_batch_size_validation_and_repr(self):
         with pytest.raises(ConfigurationError):
