@@ -280,7 +280,7 @@ class LiveTelemetry:
                 stats=self.run_stats(),
             )
         if self.watchdog is not None:
-            self.watchdog.evaluate(self.resolve, slot, stream.name, stream)
+            self.watchdog.evaluate(self.resolve, stream, slot, stream.name)
         if self.exporter is not None:
             self.exporter.maybe_push(self.snapshot())
 
@@ -289,7 +289,7 @@ class LiveTelemetry:
         self.stream = stream
         self.runs_finished += 1
         if self.watchdog is not None:
-            self.watchdog.evaluate(self.resolve, stream.slots - 1, stream.name, stream)
+            self.watchdog.evaluate(self.resolve, stream, stream.slots - 1, stream.name)
         if self.heartbeat is not None:
             self.heartbeat.beat(
                 "run.end",

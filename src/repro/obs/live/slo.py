@@ -119,21 +119,12 @@ class SloWatchdog:
         ``"warn"`` (default) logs + emits + counts; ``"abort"``
         additionally raises :class:`~repro.errors.SloViolation` on the
         first firing alert.
-    metrics / tracer:
-        Optional sinks of a standalone watchdog: alerts tick the
-        ``slo.alerts`` counter plus a per-rule ``slo.alerts.<key>``
-        counter and emit ``slo.alert`` / ``slo.clear`` trace events.
-        The live plane passes each run's own sinks and edge state to
-        :meth:`evaluate` instead, so a rule a previous run violated
-        fires again when this run violates it too.
     """
 
     def __init__(
         self,
         rules: Iterable[str | SloRule],
         action: str = "warn",
-        metrics=None,
-        tracer=None,
     ):
         if action not in ("warn", "abort"):
             raise ConfigurationError("action must be 'warn' or 'abort'")
@@ -141,10 +132,6 @@ class SloWatchdog:
             r if isinstance(r, SloRule) else parse_rule(r) for r in rules
         ]
         self.action = action
-        self.metrics = metrics
-        self.tracer = tracer
-        #: Rules currently in violation (edge-trigger state).
-        self.violated: set[str] = set()
         #: Every alert fired so far, most recent last (bounded).
         self.alerts: list[dict] = []
         self.n_alerts = 0
@@ -152,18 +139,19 @@ class SloWatchdog:
     def evaluate(
         self,
         resolver: Callable[[str, str], float | None],
+        run,
         slot: int | None = None,
         context: str | None = None,
-        run=None,
     ) -> list[dict]:
         """Evaluate every rule; returns the alerts that fired *this* call.
 
-        ``run`` is the evaluated run's edge state and sinks (its
-        ``violated`` set, ``metrics`` and ``tracer``); by default the
-        watchdog's own set and sinks, for a standalone watchdog.
+        ``run`` is the evaluated run's edge state and sinks: its
+        ``violated`` set of rule keys, and its ``metrics`` and ``tracer``
+        (either may be None).  Alerts tick ``slo.alerts`` plus a
+        per-rule ``slo.alerts.<key>`` counter and emit ``slo.alert`` /
+        ``slo.clear`` trace events.  Each run keeps its own state, so a
+        rule a previous run violated fires again in the next run.
         """
-        if run is None:
-            run = self
         violated, metrics, tracer = run.violated, run.metrics, run.tracer
         fired: list[dict] = []
         abort_alert: dict | None = None

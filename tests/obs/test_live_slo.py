@@ -63,17 +63,23 @@ def _resolver(values):
     return resolve
 
 
+def _run(metrics=None, tracer=None):
+    """One run's edge state and sinks, as the live plane's streams hold them."""
+    return SimpleNamespace(violated=set(), metrics=metrics, tracer=tracer)
+
+
 class TestSloWatchdog:
     def test_fires_once_per_violation_edge(self):
         metrics = MetricsRegistry()
         tracer = RecordingTracer()
-        dog = SloWatchdog(["mean(x) < 1"], metrics=metrics, tracer=tracer)
-        assert dog.evaluate(_resolver({"x": 0.5})) == []
-        fired = dog.evaluate(_resolver({"x": 2.0}))
+        dog = SloWatchdog(["mean(x) < 1"])
+        run = _run(metrics, tracer)
+        assert dog.evaluate(_resolver({"x": 0.5}), run) == []
+        fired = dog.evaluate(_resolver({"x": 2.0}), run)
         assert len(fired) == 1
         assert fired[0]["observed"] == 2.0
         # Still violated: no new alert.
-        assert dog.evaluate(_resolver({"x": 3.0})) == []
+        assert dog.evaluate(_resolver({"x": 3.0}), run) == []
         assert dog.n_alerts == 1
         assert metrics.counter("slo.alerts").value == 1
         assert metrics.counter("slo.alerts.mean(x)").value == 1
@@ -82,40 +88,38 @@ class TestSloWatchdog:
 
     def test_clear_and_refire(self):
         tracer = RecordingTracer()
-        dog = SloWatchdog(["mean(x) < 1"], tracer=tracer)
-        dog.evaluate(_resolver({"x": 2.0}))
-        dog.evaluate(_resolver({"x": 0.5}))  # recovers -> slo.clear
+        dog = SloWatchdog(["mean(x) < 1"])
+        run = _run(tracer=tracer)
+        dog.evaluate(_resolver({"x": 2.0}), run)
+        dog.evaluate(_resolver({"x": 0.5}), run)  # recovers -> slo.clear
         assert [e["kind"] for e in tracer.events] == ["slo.alert", "slo.clear"]
-        assert len(dog.evaluate(_resolver({"x": 2.0}))) == 1
+        assert len(dog.evaluate(_resolver({"x": 2.0}), run)) == 1
         assert dog.n_alerts == 2
 
     def test_refires_in_each_run(self):
         # Each run has its own edge state and sinks: a violation a
         # previous run already alerted fires again in the next run.
         dog = SloWatchdog(["mean(x) < 1"])
-        runs = [
-            SimpleNamespace(violated=set(), metrics=MetricsRegistry(), tracer=None)
-            for _ in range(2)
-        ]
+        runs = [_run(MetricsRegistry()) for _ in range(2)]
         for run in runs:
-            assert len(dog.evaluate(_resolver({"x": 2.0}), run=run)) == 1
-            assert dog.evaluate(_resolver({"x": 2.0}), run=run) == []
+            assert len(dog.evaluate(_resolver({"x": 2.0}), run)) == 1
+            assert dog.evaluate(_resolver({"x": 2.0}), run) == []
             assert run.violated == {"mean(x)"}
             assert run.metrics.counter("slo.alerts").value == 1
         assert dog.n_alerts == 2
-        assert dog.violated == set()
 
     def test_no_data_skips_rule(self):
         dog = SloWatchdog(["p95(rebuffer_s) < 0.5"])
-        assert dog.evaluate(_resolver({})) == []
-        assert dog.evaluate(_resolver({"rebuffer_s": float("nan")})) == []
+        run = _run()
+        assert dog.evaluate(_resolver({}), run) == []
+        assert dog.evaluate(_resolver({"rebuffer_s": float("nan")}), run) == []
         assert dog.n_alerts == 0
 
     def test_abort_raises_after_emitting(self):
         metrics = MetricsRegistry()
-        dog = SloWatchdog(["max(e) <= 10"], action="abort", metrics=metrics)
+        dog = SloWatchdog(["max(e) <= 10"], action="abort")
         with pytest.raises(SloViolation) as err:
-            dog.evaluate(_resolver({"e": 50.0}), slot=7)
+            dog.evaluate(_resolver({"e": 50.0}), _run(metrics), slot=7)
         assert err.value.observed == 50.0
         assert metrics.counter("slo.alerts").value == 1
         assert dog.alerts[-1]["slot"] == 7
@@ -123,8 +127,7 @@ class TestSloWatchdog:
     def test_alert_tail_is_bounded(self):
         dog = SloWatchdog(["mean(x) < 1"])
         for _ in range(200):
-            run = SimpleNamespace(violated=set(), metrics=None, tracer=None)
-            dog.evaluate(_resolver({"x": 2.0}), run=run)
+            dog.evaluate(_resolver({"x": 2.0}), _run())
         assert dog.n_alerts == 200
         assert len(dog.alerts) <= 64
 
