@@ -19,8 +19,6 @@ ever compares a backend against itself — a numpy-only baseline treats
 numba entries as "added", never as a cross-backend regression.
 """
 
-import io
-import json
 import os
 from pathlib import Path
 
@@ -37,7 +35,7 @@ from repro.faults import CapacityFault, FaultPlan, SignalBlackout
 from repro.kernels import available_backends, use_backend
 from repro.net.gateway import SlotObservation
 from repro.obs import Instrumentation, JsonlTraceWriter, MetricsRegistry, NullTracer
-from repro.obs.analyze import timelines_from_events
+from repro.obs.analyze import timelines_from_trace
 from repro.radio.rrc import RRCFleet
 from repro.sim import RunTask
 from repro.sim.batch import BatchPlan, _BlockScheduler, _block_key, run_batch
@@ -299,15 +297,17 @@ def traced_churn_run():
     return res, batch.run_logs[0]
 
 
-def test_trace_write_read(benchmark, traced_churn_run):
+def test_trace_write_read(benchmark, traced_churn_run, tmp_path):
     """A traced run's observation cost after its slot loop: its trace
-    written as JSON lines, then decoded and rebuilt into a timeline."""
+    written to a file (JSON lines and the per-user column stream), then
+    read back and rebuilt into a timeline."""
     res, run_log = traced_churn_run
 
     def write_read():
-        buf = io.StringIO()
-        write_traces(Instrumentation(tracer=JsonlTraceWriter(buf)), [res], [run_log])
-        return timelines_from_events(json.loads(line) for line in buf.getvalue().splitlines())
+        tracer = JsonlTraceWriter(tmp_path / "trace.jsonl")
+        write_traces(Instrumentation(tracer=tracer), [res], [run_log])
+        tracer.close()
+        return timelines_from_trace(tmp_path)
 
     (tl,) = benchmark.pedantic(write_read, rounds=15, warmup_rounds=1, iterations=1)
     assert tl.n_slots == 600 and tl.sessions and len(tl.fault_windows) == 2

@@ -25,10 +25,17 @@ checker** over each run:
 Every violation carries the slot/user coordinates plus the expected
 and actual values, so a corrupted or regressed run is localisable
 without rerunning it.  Traces are read *streaming* (JSON-lines, plain
-or gzip) — memory scales with one run's grids, not the file.
+or gzip) — memory scales with one run's grids, not the file.  A run
+whose ``run.start`` names its per-user columns gets its grids from the
+``.npy`` stream beside the trace (:class:`repro.obs.tracer.ColumnReader`),
+one array per column; a trace whose ``slot`` events carry their
+``users`` payload inline reads as before.
 
 ``repro-analyze <run_dir>`` is the CLI: prints each run's summary and
 invariant results, exit status 1 when any invariant is violated.
+``repro-analyze --export-jsonl OUT <run_dir>`` instead writes the trace
+with every ``slot`` event's ``users`` payload inline, as one JSON-lines
+file (:func:`export_jsonl`).
 """
 
 from __future__ import annotations
@@ -43,6 +50,7 @@ from typing import Any, Iterable, Iterator
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.obs.tracer import ColumnReader, JsonlTraceWriter, inline_columns
 from repro.radio.rrc import RRCParams, fleet_state_grid_from_tx, tail_split_from_tx
 
 __all__ = [
@@ -53,6 +61,7 @@ __all__ = [
     "timelines_from_events",
     "timelines_from_trace",
     "timeline_from_result",
+    "export_jsonl",
     "Violation",
     "InvariantChecker",
     "NonNegativeBufferChecker",
@@ -314,10 +323,19 @@ _GRID_DTYPES = {
 
 
 class _RunBuilder:
-    """Accumulates one run's events and finalises into a RunTimeline."""
+    """Accumulates one run's events and finalises into a RunTimeline.
 
-    def __init__(self, start_event: dict[str, Any] | None = None):
+    ``columns`` are the run's per-user grids by name, when its ``slot``
+    events do not carry them inline.
+    """
+
+    def __init__(
+        self,
+        start_event: dict[str, Any] | None = None,
+        columns: dict[str, np.ndarray] | None = None,
+    ):
         self.timeline = RunTimeline()
+        self.columns = columns
         self.slot_rows: list[dict[str, Any]] = []
         self.user_rows: list[dict[str, Any]] = []
         self.queue_rows: list[tuple[int, list[float]]] = []
@@ -360,7 +378,16 @@ class _RunBuilder:
                 tl.totals[key] = np.asarray(
                     [e.get(key, 0) for e in self.slot_rows], dtype=float
                 )
-        if self.user_rows and len(self.user_rows) == len(self.slot_rows):
+        if self.columns is not None:
+            for key, grid in self.columns.items():
+                if len(grid) != len(self.slot_rows):
+                    raise ConfigurationError(
+                        f"run {tl.scheduler!r}: column {key!r} has {len(grid)} "
+                        f"rows for {len(self.slot_rows)} slot events"
+                    )
+                tl.grids[key] = np.asarray(grid, dtype=_GRID_DTYPES.get(key, float))
+            tl.n_users = tl.grids[next(iter(tl.grids))].shape[1]
+        elif self.user_rows and len(self.user_rows) == len(self.slot_rows):
             for key in self.user_rows[0]:
                 tl.grids[key] = np.asarray(
                     [users[key] for users in self.user_rows],
@@ -383,11 +410,17 @@ class _RunBuilder:
         return tl
 
 
-def timelines_from_events(events: Iterable[dict[str, Any]]) -> list[RunTimeline]:
+def timelines_from_events(
+    events: Iterable[dict[str, Any]], columns=None
+) -> list[RunTimeline]:
     """Segment an event stream into runs and reconstruct each timeline.
 
     Runs are delimited by ``run.start`` events; traces recorded before
     those existed are segmented by the slot counter resetting.
+    ``columns(start)`` returns the per-user grids of the run whose
+    ``run.start`` event is ``start`` (``None`` when its ``slot`` events
+    carry them inline), as a :class:`~repro.obs.tracer.ColumnReader`
+    does for a trace file.
     """
     timelines: list[RunTimeline] = []
     builder: _RunBuilder | None = None
@@ -404,7 +437,12 @@ def timelines_from_events(events: Iterable[dict[str, Any]]) -> list[RunTimeline]
         kind = event.get("kind")
         if kind == "run.start":
             flush()
-            builder = _RunBuilder(event)
+            if "columns" in event and columns is None:
+                raise ConfigurationError(
+                    "a run's per-user columns are in the trace's column "
+                    "stream: read the file with timelines_from_trace"
+                )
+            builder = _RunBuilder(event, columns(event) if columns else None)
         elif kind == "slot":
             if builder is None or event["slot"] <= builder.last_slot:
                 flush()
@@ -432,25 +470,47 @@ def timelines_from_events(events: Iterable[dict[str, Any]]) -> list[RunTimeline]
 
 
 def timelines_from_trace(path: str | Path) -> list[RunTimeline]:
-    """Read a ``trace.jsonl`` / ``trace.jsonl.gz`` into timelines."""
-    return timelines_from_events(iter_trace_events(resolve_trace_path(path)))
+    """Read a ``trace.jsonl`` / ``trace.jsonl.gz`` (and its column
+    stream) into timelines."""
+    path = resolve_trace_path(path)
+    with ColumnReader(path) as columns:
+        return timelines_from_events(iter_trace_events(path), columns)
 
 
 def timeline_from_result(result, params: dict[str, Any] | None = None) -> RunTimeline:
     """Build a timeline from an in-memory :class:`~repro.sim.results.SimulationResult`.
 
-    The result is replayed into the events a traced run writes
+    The result gives the events and per-user columns a traced run writes
     (:func:`repro.sim.engine.trace_events`, which recomputes the per-slot
-    link caps and unit budgets) and read back like a trace, so every
+    link caps and unit budgets), read back like a trace, so every
     checker runs as on a trace.  ``params`` plays the role of the
     ``run.start`` scheduler parameters.
     """
     from repro.sim.engine import trace_events
 
+    events, columns = trace_events(result, params=params)
     (tl,) = timelines_from_events(
-        {"kind": kind, **fields} for kind, fields in trace_events(result, params=params)
+        ({"kind": kind, **fields} for kind, fields in events), lambda start: columns
     )
     return tl
+
+
+def export_jsonl(target: str | Path, out: str | Path) -> int:
+    """Write the trace at ``target`` to ``out`` with every ``slot``
+    event's ``users`` payload inline; returns the event count.
+
+    A trace that already holds its payloads inline is copied event for
+    event.  ``out`` is plain JSON lines, whatever ``target``'s form.
+    """
+    path = resolve_trace_path(target)
+    out = Path(out)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    with ColumnReader(path) as columns, out.open("w", encoding="utf-8") as f:
+        writer = JsonlTraceWriter(f)
+        events = ((event.pop("kind"), event) for event in iter_trace_events(path))
+        for kind, fields in inline_columns(events, columns):
+            writer.emit(kind, **fields)
+    return writer.n_events
 
 
 # -- invariant checking ----------------------------------------------------
@@ -1066,7 +1126,17 @@ def main(argv: list[str] | None = None) -> int:
         "--max-sessions", type=int, default=24,
         help="cap on per-session lifecycle rows printed per run (default 24)",
     )
+    parser.add_argument(
+        "--export-jsonl", metavar="OUT", default=None,
+        help="write the trace to OUT with every slot event's per-user "
+        "payload inline, instead of checking it",
+    )
     args = parser.parse_args(argv)
+
+    if args.export_jsonl is not None:
+        n_events = export_jsonl(args.target, args.export_jsonl)
+        print(f"exported {n_events} events to {args.export_jsonl}")
+        return 0
 
     reports = check_trace(args.target)
     if not reports:

@@ -6,6 +6,9 @@ bundle attached, then writes these artifacts into the output directory:
 
 * ``trace.jsonl`` — one structured JSON event per line (>= 1 per
   simulated slot, plus calibration and EMA-queue events);
+* ``trace.columns.npy`` — each run's per-user ``(n_slots, N)`` grids,
+  appended as ``.npy`` arrays; the run's ``run.start`` event names them
+  and their byte offset (see :mod:`repro.obs.tracer`);
 * ``manifest.json`` — provenance: config hash, seed, package version,
   git revision, wall time, event count;
 * ``metrics.json`` — the final counters/gauges/histograms snapshot;
@@ -19,7 +22,8 @@ and prints the span tree's calls, total and self time per node.
 This module also hosts :func:`add_version_argument`, the shared
 ``--version`` helper every ``repro-*`` console script installs.  An existing trace
 in the output directory is never silently overwritten — pass
-``--force``.  ``--gzip`` writes ``trace.jsonl.gz`` instead (the
+``--force``, which also removes a stale column stream.  ``--gzip``
+writes ``trace.jsonl.gz`` and ``trace.columns.npy.gz`` instead (the
 analysis tools read both), and ``--report`` additionally renders the
 self-contained ``report.html`` (see :mod:`repro.obs.report`).
 
@@ -41,7 +45,7 @@ from pathlib import Path
 from repro.analysis.tables import summary_table
 from repro.obs.instrument import Instrumentation, use_instrumentation
 from repro.obs.provenance import build_manifest
-from repro.obs.tracer import JsonlTraceWriter
+from repro.obs.tracer import JsonlTraceWriter, columns_path
 
 __all__ = ["main", "QUICKSTART", "add_version_argument"]
 
@@ -154,6 +158,7 @@ def main(argv: list[str] | None = None) -> int:
     for stale in existing:
         log.warning("overwriting existing trace %s (--force)", stale)
         stale.unlink()
+        columns_path(stale).unlink(missing_ok=True)
     trace_name = "trace.jsonl.gz" if args.gzip else "trace.jsonl"
     tracer = JsonlTraceWriter(out_dir / trace_name)
     instr = Instrumentation(tracer=tracer)

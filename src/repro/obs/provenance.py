@@ -92,16 +92,24 @@ def git_revision(repo_dir: str | Path | None = None) -> str | None:
     return rev or None
 
 
-def tree_revision(repo_dir: str | Path | None = None) -> str | None:
-    """:func:`git_revision`, marked when the working tree differs from it.
+#: What a benchmark measures: the working-tree paths whose changes mark
+#: a revision dirty (git pathspecs from the checkout root).  Docs and
+#: the ledger (``benchmarks/history.jsonl``) are left out, so every
+#: record appended from one uncommitted change stamps one revision.
+MEASURED_PATHS = ("src/", "benchmarks/*.py", "perfbench/")
 
-    The tree is dirty when tracked files differ from ``HEAD`` or when
-    files that are neither tracked nor ignored exist. It then reads
-    ``<rev>+dirty:<h>``, where ``h`` is the first 12 hex digits of a
-    SHA-256 over ``git diff HEAD`` followed by each untracked file's path
-    and contents (with no untracked files, of ``git diff HEAD`` alone), so
-    two different uncommitted changes on one commit stamp different
-    revisions.
+
+def tree_revision(repo_dir: str | Path | None = None) -> str | None:
+    """:func:`git_revision`, marked when the measured code differs from it.
+
+    The tree is dirty when tracked files under :data:`MEASURED_PATHS`
+    differ from ``HEAD`` or when files there that are neither tracked
+    nor ignored exist. It then reads ``<rev>+dirty:<h>``, where ``h`` is
+    the first 12 hex digits of a SHA-256 over ``git diff HEAD`` of those
+    paths followed by each untracked file's path and contents (with no
+    untracked files, of the diff alone), so two different uncommitted
+    changes to the code on one commit stamp different revisions, and
+    edits elsewhere none.
     """
     if repo_dir is None:
         repo_dir = Path(__file__).resolve().parent
@@ -110,8 +118,10 @@ def tree_revision(repo_dir: str | Path | None = None) -> str | None:
     if rev is None or top is None:
         return rev
     root = Path(top.decode().strip())
-    diff = _git(root, "diff", "HEAD")
-    untracked = _git(root, "ls-files", "--others", "--exclude-standard", "-z")
+    diff = _git(root, "diff", "HEAD", "--", *MEASURED_PATHS)
+    untracked = _git(
+        root, "ls-files", "--others", "--exclude-standard", "-z", "--", *MEASURED_PATHS
+    )
     if diff is None or untracked is None:
         return rev
     names = sorted(name for name in untracked.split(b"\0") if name)

@@ -186,8 +186,7 @@ def abort_run(instr, exc, slot, what="run", scheduler_name=None, runs=(), done=0
     )
     if instr.tracer.enabled:
         for res, run_log in runs:
-            for kind, fields in trace_events(res, run_log, slots=done):
-                instr.tracer.emit(kind, **fields)
+            instr.tracer.write_run(*trace_events(res, run_log, slots=done))
         instr.tracer.emit(
             "run.abort",
             scheduler=scheduler_name,
@@ -309,10 +308,11 @@ def _budget_tables(configs, plan, gamma: int):
 
 
 def trace_events(res, run_log: RunLog | None = None, slots: int | None = None, params=None):
-    """The trace of run ``res``, as ``(kind, fields)`` pairs in order.
+    """The trace of run ``res``: ``(events, columns)``.
 
-    ``run.start``, ``fault.window``, one ``slot`` event per slot and
-    ``run.end`` are derived from the result: its grids, workload and
+    ``events`` yields the run's events as ``(kind, fields)`` pairs, in
+    order.  ``run.start``, ``fault.window``, one ``slot`` event per slot
+    and ``run.end`` are derived from the result: its grids, workload and
     config, plus the Eq. (24) link units and Eq. (2) budgets recomputed
     with the slot loop's own tables, bitwise what the loop observed.
     ``run_log``'s recorded events are merged in at their positions.
@@ -323,12 +323,11 @@ def trace_events(res, run_log: RunLog | None = None, slots: int | None = None, p
     applies, and a churn run has no ``session.*`` events, so its slot
     totals sum in session order rather than the loop's row order.
 
-    The slot totals are reduced a run at a time and every number goes
-    out as a plain Python ``int``/``float``/``bool``: a ``slot`` event's
-    per-user vectors (its ``users`` payload) are lists, converted from
-    the grids a block of :data:`SLOT_BLOCK_SLOTS` slots at a time, so
-    the encoder never calls back into Python for them and the extra
-    memory is a block's, not the horizon's.
+    A ``slot`` event carries the slot's totals, reduced a run at a time
+    and sent out as plain Python ``int``/``float``/``bool``.  Its
+    per-user vectors are ``columns``: one ``(slots, N)`` grid per name,
+    row ``s`` for slot ``s``, which the tracer stores or inlines (see
+    :meth:`repro.obs.tracer.Tracer.write_run`).
     """
     recorded = run_log is not None
     if run_log is None:
@@ -340,26 +339,6 @@ def trace_events(res, run_log: RunLog | None = None, slots: int | None = None, p
     radio = cfg.radio
     gamma, n = res.allocation_units.shape
     churn = res.admitted is not None
-    yield "run.start", dict(
-        scheduler=res.scheduler_name,
-        n_users=n,
-        n_slots=gamma,
-        tau_s=cfg.tau_s,
-        delta_kb=cfg.delta_kb,
-        seed=cfg.seed,
-        kernel_backend=run_log.backend,
-        **(
-            {"arrival_process": cfg.arrival_process, "admission": cfg.admission}
-            if churn
-            else {}
-        ),
-        rrc={k: getattr(radio.rrc, k) for k in ("pd_mw", "pf_mw", "t1_s", "t2_s")},
-        params=run_log.params,
-        **({"faults": plan.spec()} if plan is not None else {}),
-    )
-    if plan is not None:
-        yield from _fault_window_events(plan)
-
     alloc, delivered, rebuf = res.allocation_units, res.delivered_kb, res.rebuffering_s
     e_tail, buffer_s, active = res.energy_tail_mj, res.buffer_s, res.active
     e_trans = res.energy_trans_mj
@@ -375,21 +354,7 @@ def trace_events(res, run_log: RunLog | None = None, slots: int | None = None, p
         resident = res.session_mask()
         link[~resident] = 0
         rates[~resident] = 0.0
-        row_of = np.full(n, -1, dtype=np.int64)
-        capacity = min(cfg.n_users, INITIAL_CAPACITY)
     n_out = gamma if slots is None else slots
-    # Slot totals, a run at a time: on the C-contiguous result grids an
-    # axis=1 reduction reduces each row as ``rebuf[s].sum()`` does,
-    # bitwise, and ``tolist`` hands the encoder plain Python numbers.
-    n_active = active[:n_out].sum(axis=1).tolist()
-    n_tx = (delivered[:n_out] > 0.0).sum(axis=1).tolist()
-    units = alloc[:n_out].sum(axis=1).tolist()
-    unit_budget = budgets[:n_out].tolist()
-    delivered_sum = delivered[:n_out].sum(axis=1).tolist()
-    rebuf_sum = rebuf[:n_out].sum(axis=1).tolist()
-    trans_sum = e_trans[:n_out].sum(axis=1).tolist()
-    tail_sum = e_tail[:n_out].sum(axis=1).tolist()
-    mean_buffer = buffer_s[:n_out].mean(axis=1).tolist()
     # Per-user vectors: what repro.obs.analyze needs to reconstruct
     # timelines and run the invariant checkers.
     columns = {
@@ -404,73 +369,107 @@ def trace_events(res, run_log: RunLog | None = None, slots: int | None = None, p
         "rate_kbps": rates,
         "active": active,
     }
-    if churn:
-        n_resident = resident[:n_out].sum(axis=1).tolist()
-    events, k = run_log.events, 0
-    for s in range(n_out):
-        while k < len(events) and events[k][0] <= 2 * s:
-            _, kind, fields = events[k]
-            k += 1
-            if kind == "session.start":
-                row_of[fields["user"]] = fields["row"]
-                while fields["row"] >= capacity:
-                    capacity *= 2
-            yield kind, fields
-        i = s % SLOT_BLOCK_SLOTS
-        if i == 0:
-            block = slice(s, min(s + SLOT_BLOCK_SLOTS, n_out))
-            rows = {key: grid[block].tolist() for key, grid in columns.items()}
-        delivered_kb = delivered_sum[s]
-        resident_sessions = {}
-        if churn:
-            resident_sessions["resident_sessions"] = n_resident[s]
-            if recorded:
-                occ = np.flatnonzero(resident[s])
-                by_row = np.zeros(capacity)
-                by_row[row_of[occ]] = delivered[s, occ]
-                delivered_kb = float(by_row.sum())
-        yield "slot", dict(
-            slot=s,
-            active_users=n_active[s],
-            **resident_sessions,
-            tx_users=n_tx[s],
-            allocated_units=units[s],
-            unit_budget=unit_budget[s],
-            delivered_kb=delivered_kb,
-            rebuffering_s=rebuf_sum[s],
-            energy_trans_mj=trans_sum[s],
-            energy_tail_mj=tail_sum[s],
-            mean_buffer_s=mean_buffer[s],
-            users={key: col[i] for key, col in rows.items()},
-        )
-        while k < len(events) and events[k][0] <= 2 * s + 1:
-            yield events[k][1:]
-            k += 1
-    if slots is None:
-        yield "run.end", dict(
+    columns = {key: grid[:n_out] for key, grid in columns.items()}
+
+    def events():
+        yield "run.start", dict(
             scheduler=res.scheduler_name,
+            n_users=n,
             n_slots=gamma,
-            delivered_total_kb=float(delivered.sum()),
-            energy_total_mj=float(e_trans.sum() + e_tail.sum()),
-            rebuffering_total_s=float(rebuf.sum()),
-            completed_users=int((res.completion_slot >= 0).sum()),
-            **({"sessions": session_counts(res)} if churn else {}),
+            tau_s=cfg.tau_s,
+            delta_kb=cfg.delta_kb,
+            seed=cfg.seed,
+            kernel_backend=run_log.backend,
+            **(
+                {"arrival_process": cfg.arrival_process, "admission": cfg.admission}
+                if churn
+                else {}
+            ),
+            rrc={k: getattr(radio.rrc, k) for k in ("pd_mw", "pf_mw", "t1_s", "t2_s")},
+            params=run_log.params,
+            **({"faults": plan.spec()} if plan is not None else {}),
         )
-    for _, kind, fields in events[k:]:
-        yield kind, fields
+        if plan is not None:
+            yield from _fault_window_events(plan)
+        # Slot totals, a run at a time: on the C-contiguous result grids
+        # an axis=1 reduction reduces each row as ``rebuf[s].sum()``
+        # does, bitwise, and ``tolist`` hands the encoder plain Python
+        # numbers.
+        n_active = active[:n_out].sum(axis=1).tolist()
+        n_tx = (delivered[:n_out] > 0.0).sum(axis=1).tolist()
+        units = alloc[:n_out].sum(axis=1).tolist()
+        unit_budget = budgets[:n_out].tolist()
+        delivered_sum = delivered[:n_out].sum(axis=1).tolist()
+        rebuf_sum = rebuf[:n_out].sum(axis=1).tolist()
+        trans_sum = e_trans[:n_out].sum(axis=1).tolist()
+        tail_sum = e_tail[:n_out].sum(axis=1).tolist()
+        mean_buffer = buffer_s[:n_out].mean(axis=1).tolist()
+        if churn:
+            n_resident = resident[:n_out].sum(axis=1).tolist()
+            row_of = np.full(n, -1, dtype=np.int64)
+            capacity = min(cfg.n_users, INITIAL_CAPACITY)
+        logged, k = run_log.events, 0
+        for s in range(n_out):
+            while k < len(logged) and logged[k][0] <= 2 * s:
+                _, kind, fields = logged[k]
+                k += 1
+                if kind == "session.start":
+                    row_of[fields["user"]] = fields["row"]
+                    while fields["row"] >= capacity:
+                        capacity *= 2
+                yield kind, fields
+            delivered_kb = delivered_sum[s]
+            resident_sessions = {}
+            if churn:
+                resident_sessions["resident_sessions"] = n_resident[s]
+                if recorded:
+                    occ = np.flatnonzero(resident[s])
+                    by_row = np.zeros(capacity)
+                    by_row[row_of[occ]] = delivered[s, occ]
+                    delivered_kb = float(by_row.sum())
+            yield "slot", dict(
+                slot=s,
+                active_users=n_active[s],
+                **resident_sessions,
+                tx_users=n_tx[s],
+                allocated_units=units[s],
+                unit_budget=unit_budget[s],
+                delivered_kb=delivered_kb,
+                rebuffering_s=rebuf_sum[s],
+                energy_trans_mj=trans_sum[s],
+                energy_tail_mj=tail_sum[s],
+                mean_buffer_s=mean_buffer[s],
+            )
+            while k < len(logged) and logged[k][0] <= 2 * s + 1:
+                yield logged[k][1:]
+                k += 1
+        if slots is None:
+            yield "run.end", dict(
+                scheduler=res.scheduler_name,
+                n_slots=gamma,
+                delivered_total_kb=float(delivered.sum()),
+                energy_total_mj=float(e_trans.sum() + e_tail.sum()),
+                rebuffering_total_s=float(rebuf.sum()),
+                completed_users=int((res.completion_slot >= 0).sum()),
+                **({"sessions": session_counts(res)} if churn else {}),
+            )
+        for _, kind, fields in logged[k:]:
+            yield kind, fields
+
+    return events(), columns
 
 
 def write_traces(instr, results, logs) -> None:
     """Write each run's trace, in order, into a tracing bundle.
 
     ``logs`` are the runs' :class:`RunLog` objects (``None`` or empty
-    when nothing was recorded).
+    when nothing was recorded).  Each run goes to the tracer in one
+    :meth:`~repro.obs.tracer.Tracer.write_run` call.
     """
     if not logs or instr is None or not instr.tracer.enabled:
         return
     for res, run_log in zip(results, logs):
-        for kind, fields in trace_events(res, run_log):
-            instr.tracer.emit(kind, **fields)
+        instr.tracer.write_run(*trace_events(res, run_log))
 
 
 class Simulation:

@@ -10,7 +10,12 @@ few events its grids lack, so how runs are grouped cannot show in it:
   totals sum in the loop's row order;
 * each slot event's totals are its grids' row reductions, bit for bit;
 * an in-memory result replays into a timeline whose Eq. (1)-(2) and
-  RTMA checks run, and catch a budget overrun seeded into one run.
+  RTMA checks run, and catch a budget overrun seeded into one run;
+* a trace file keeps its per-user columns in a ``.npy`` stream beside
+  it: two writes of the same runs give the same bytes, the
+  ``--export-jsonl`` export equals what a file-object writer puts
+  inline, and the timelines read back equal the inline trace's and the
+  in-memory result's, in keys, dtypes and bytes.
 """
 
 import io
@@ -24,10 +29,17 @@ from repro.core.ema import EMAScheduler
 from repro.core.rtma import RTMAScheduler
 from repro.faults import CapacityFault, FaultPlan, SignalBlackout
 from repro.obs import Instrumentation, JsonlTraceWriter
-from repro.obs.analyze import check_invariants, timeline_from_result, timelines_from_events
+from repro.obs.analyze import (
+    check_invariants,
+    export_jsonl,
+    timeline_from_result,
+    timelines_from_events,
+    timelines_from_trace,
+)
+from repro.obs.tracer import RecordingTracer
 from repro.sim import RunExecutor, RunTask, SimConfig, map_runs, use_executor
-from repro.sim.batch import run_batch
-from repro.sim.engine import Simulation
+from repro.sim.batch import BatchPlan, run_batch
+from repro.sim.engine import Simulation, trace_events, write_traces
 
 
 def _cfg(n_users, **overrides):
@@ -92,25 +104,30 @@ class TestGroupingIsInvisible:
         assert pooled == serial
 
 
+def _churn_cfg():
+    """A churn run with a signal blackout and a capacity outage."""
+    plan = FaultPlan(
+        signal=(SignalBlackout(start_slot=40, n_slots=30),),
+        capacity=(CapacityFault(start_slot=150, n_slots=20, factor=0.0),),
+    )
+    return SimConfig(
+        n_users=16,
+        n_slots=300,
+        capacity_kbps=4_000.0,
+        video_size_range_kb=(3_000.0, 8_000.0),
+        buffer_capacity_s=40.0,
+        seed=3,
+        arrival_process="poisson",
+        arrival_rate_per_slot=0.4,
+        admission="capacity-threshold",
+        admission_max_active=4,
+        faults=plan,
+    )
+
+
 class TestChurnTraceKeepsItsEvents:
     def test_sessions_faults_and_queues_survive(self):
-        plan = FaultPlan(
-            signal=(SignalBlackout(start_slot=40, n_slots=30),),
-            capacity=(CapacityFault(start_slot=150, n_slots=20, factor=0.0),),
-        )
-        cfg = SimConfig(
-            n_users=16,
-            n_slots=300,
-            capacity_kbps=4_000.0,
-            video_size_range_kb=(3_000.0, 8_000.0),
-            buffer_capacity_s=40.0,
-            seed=3,
-            arrival_process="poisson",
-            arrival_rate_per_slot=0.4,
-            admission="capacity-threshold",
-            admission_max_active=4,
-            faults=plan,
-        )
+        cfg = _churn_cfg()
         buf = io.StringIO()
         instr = Instrumentation(tracer=JsonlTraceWriter(buf))
         sched = EMAScheduler(cfg.n_users, v_param=0.05, tau_s=cfg.tau_s)
@@ -287,3 +304,128 @@ def test_aborted_run_keeps_its_trace_prefix(stacked):
     # The crashed run keeps its 70 completed slots.
     crashed = [e for e in events[starts[-1] :] if e["kind"] == "slot"]
     assert [e["slot"] for e in crashed] == list(range(70))
+
+
+def _stack_tasks():
+    """A ragged 20/30/40-user Default/RTMA/EMA stack, the shape of
+    fig05's comparison phase."""
+    return [
+        RunTask(_cfg(20), DefaultScheduler()),
+        RunTask(_cfg(30), RTMAScheduler(sig_threshold_dbm=-95.0)),
+        RunTask(_cfg(40), EMAScheduler(40, v_param=0.5)),
+    ]
+
+
+def _recorded(tasks):
+    """``tasks`` as one loop: (results, run logs)."""
+    plan = BatchPlan(tasks)
+    results = plan.run(record=True)
+    return results, plan.run_logs
+
+
+def _write(target, results, logs):
+    """The runs' traces through a writer on ``target``; the writer."""
+    tracer = JsonlTraceWriter(target)
+    write_traces(Instrumentation(tracer=tracer), results, logs)
+    tracer.close()
+    return tracer
+
+
+def _assert_same_timelines(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        for field in ("scheduler", "n_users", "n_slots", "params", "sessions",
+                      "fault_windows", "end_summary"):
+            assert getattr(a, field) == getattr(b, field), field
+        for x, y in ((a.grids, b.grids), (a.totals, b.totals)):
+            assert x.keys() == y.keys()
+            for key in y:
+                assert x[key].dtype == y[key].dtype, key
+                assert x[key].shape == y[key].shape, key
+                assert x[key].tobytes() == y[key].tobytes(), key
+        for key in ("ema_queue_slots", "ema_queues"):
+            x, y = getattr(a, key), getattr(b, key)
+            assert (x is None) == (y is None), key
+            if x is not None:
+                assert x.tobytes() == y.tobytes(), key
+
+
+@pytest.fixture(scope="module")
+def recorded_runs():
+    return {
+        "stack": _recorded(_stack_tasks()),
+        "churn": _recorded([RunTask(_churn_cfg(), EMAScheduler(16, v_param=0.05))]),
+    }
+
+
+class TestColumnStream:
+    @pytest.mark.parametrize("case", ["stack", "churn"])
+    @pytest.mark.parametrize("name", ["trace.jsonl", "trace.jsonl.gz"])
+    def test_export_equals_inline_writer(self, recorded_runs, tmp_path, case, name):
+        results, logs = recorded_runs[case]
+        buf = io.StringIO()
+        _write(buf, results, logs)
+        tracer = _write(tmp_path / name, results, logs)
+        assert tracer.columns_path.stat().st_size > 0
+        lines = buf.getvalue().splitlines()
+        assert all("users" in e for e in map(json.loads, lines) if e["kind"] == "slot")
+        assert export_jsonl(tmp_path, tmp_path / "export.jsonl") == len(lines)
+        assert (tmp_path / "export.jsonl").read_text() == buf.getvalue()
+        # An inline trace exports unchanged.
+        assert export_jsonl(tmp_path / "export.jsonl", tmp_path / "again.jsonl") == len(lines)
+        assert (tmp_path / "again.jsonl").read_text() == buf.getvalue()
+
+    @pytest.mark.parametrize("name", ["trace.jsonl", "trace.jsonl.gz"])
+    def test_two_writes_give_the_same_bytes(self, recorded_runs, tmp_path, name):
+        results, logs = recorded_runs["stack"]
+        first = _write(tmp_path / "a" / name, results, logs)
+        second = _write(tmp_path / "b" / name, results, logs)
+        for x, y in ((first.path, second.path), (first.columns_path, second.columns_path)):
+            assert x.read_bytes() == y.read_bytes()
+        # Opening a writer on the path replaces the stale stream.
+        single = _write(tmp_path / "c" / name, results[:1], logs[:1])
+        _write(tmp_path / "a" / name, results[:1], logs[:1])
+        assert first.columns_path.read_bytes() == single.columns_path.read_bytes()
+        JsonlTraceWriter(tmp_path / "a" / name).close()
+        assert not first.columns_path.exists()
+
+    @pytest.mark.parametrize("case", ["stack", "churn"])
+    def test_timelines_agree(self, recorded_runs, tmp_path, case):
+        results, logs = recorded_runs[case]
+        _write(tmp_path / "trace.jsonl", results, logs)
+        buf = io.StringIO()
+        _write(buf, results, logs)
+        from_file = timelines_from_trace(tmp_path)
+        inline = timelines_from_events(json.loads(line) for line in buf.getvalue().splitlines())
+        _assert_same_timelines(from_file, inline)
+        # An in-memory result's columns give the timeline its inline
+        # replay gives.
+        for res in results:
+            recording = RecordingTracer()
+            recording.write_run(*trace_events(res))
+            (replayed,) = timelines_from_events(recording.events)
+            _assert_same_timelines([timeline_from_result(res)], [replayed])
+
+    def test_aborted_stack_prefix(self, tmp_path):
+        class Crashing(DefaultScheduler):
+            def allocate(self, obs):
+                if obs.slot == 70:
+                    raise RuntimeError("scheduler crash")
+                return super().allocate(obs)
+
+        def run(target):
+            tracer = JsonlTraceWriter(target)
+            tasks = [RunTask(_cfg(6), DefaultScheduler()), RunTask(_cfg(9), Crashing())]
+            with pytest.raises(RuntimeError, match="scheduler crash"):
+                run_batch(tasks, instrumentation=Instrumentation(tracer=tracer))
+            return tracer
+
+        buf = io.StringIO()
+        run(buf)
+        run(tmp_path / "trace.jsonl")
+        export_jsonl(tmp_path, tmp_path / "export.jsonl")
+        assert (tmp_path / "export.jsonl").read_text() == buf.getvalue()
+        from_file = timelines_from_trace(tmp_path)
+        assert [tl.grids["phi"].shape for tl in from_file] == [(70, 6), (70, 9)]
+        inline = timelines_from_events(json.loads(line) for line in buf.getvalue().splitlines())
+        _assert_same_timelines(from_file, inline)

@@ -30,6 +30,7 @@ from repro.obs.analyze import (
     RTMAEnergyBudgetChecker,
     check_invariants,
     check_trace,
+    iter_trace_events,
     main,
     timeline_from_result,
     timelines_from_events,
@@ -124,10 +125,14 @@ class TestTimelineReconstruction:
         (tl,) = timelines_from_trace(path)
         assert tl.n_slots == 30
 
-        # A gz payload under a .jsonl name is detected by magic bytes.
+        # A gz payload under a .jsonl name is detected by magic bytes,
+        # and so is its column stream under the matching plain name.
+        stream = tmp_path / "trace.columns.npy.gz"
+        assert stream.read_bytes()[:2] == b"\x1f\x8b"
         renamed = tmp_path / "renamed" / "trace.jsonl"
         renamed.parent.mkdir()
         shutil.copy(path, renamed)
+        shutil.copy(stream, renamed.parent / "trace.columns.npy")
         (tl2,) = timelines_from_trace(renamed.parent)
         assert tl2.n_slots == 30
 
@@ -171,6 +176,29 @@ class TestTimelineReconstruction:
         assert np.isnan(second.ema_queues[0, 0])
         assert second.ema_queues[0, 1] == 3.0
         assert second.ema_queue_slots.tolist() == [1]
+
+    @pytest.mark.parametrize("name", ["trace.jsonl", "trace.jsonl.gz"])
+    def test_missing_or_truncated_column_stream_is_named(self, tmp_path, name):
+        path = tmp_path / name
+        tracer = JsonlTraceWriter(path)
+        with use_instrumentation(Instrumentation(tracer=tracer)):
+            for sched in (DefaultScheduler(), RTMAScheduler()):
+                Simulation(small_config(), sched).run()
+        tracer.close()
+        stream = tracer.columns_path
+        assert stream.name == name.replace("jsonl", "columns.npy")
+        data = stream.read_bytes()
+        assert len(timelines_from_trace(path)) == 2
+
+        stream.write_bytes(data[: len(data) - 100])
+        with pytest.raises(ConfigurationError, match=f"{stream.name}: truncated"):
+            timelines_from_trace(path)
+        stream.unlink()
+        with pytest.raises(ConfigurationError, match=f"{stream.name}: cannot open"):
+            timelines_from_trace(path)
+        # The events alone cannot stand in for the stream.
+        with pytest.raises(ConfigurationError, match="column stream"):
+            timelines_from_events(iter_trace_events(path))
 
     def test_corrupt_line_is_located(self, tmp_path):
         path = tmp_path / "trace.jsonl"
@@ -358,12 +386,32 @@ class TestAnalyzeCli:
         assert "energy split" in out
 
     def test_corrupted_trace_exits_nonzero(self, traced_quickstart_dir, tmp_path, capsys):
-        src = traced_quickstart_dir / "trace.jsonl"
-        dst = tmp_path / "trace.jsonl"
-        # Drive one slot event's buffer negative for user 5.
         import json
 
-        lines = src.read_text().splitlines()
+        # Drive the 100th slot's buffer negative for user 5: in the
+        # first run's buffer_s column of the stream ...
+        columns = tmp_path / "columns"
+        columns.mkdir()
+        for name in ("trace.jsonl", "trace.columns.npy"):
+            shutil.copy(traced_quickstart_dir / name, columns / name)
+        with (columns / "trace.jsonl").open() as f:
+            record = json.loads(f.readline())["columns"]
+        with (columns / "trace.columns.npy").open("r+b") as f:
+            f.seek(record["offset"])
+            for name in record["names"]:
+                grid = np.lib.format.read_array(f, allow_pickle=False)
+                if name == "buffer_s":
+                    break
+            f.seek((99 * grid.shape[1] + 5) * grid.itemsize - grid.nbytes, 1)
+            f.write(np.float64(-3.0).tobytes())
+        assert main([str(columns)]) == 1
+        assert "slot 99, user 5: negative buffer occupancy" in capsys.readouterr().out
+
+        # ... and in the slot event's payload of the inline export.
+        inline = tmp_path / "inline"
+        inline.mkdir()
+        assert main(["--export-jsonl", str(inline / "trace.jsonl"), str(traced_quickstart_dir)]) == 0
+        lines = (inline / "trace.jsonl").read_text().splitlines()
         n_slot = 0
         for i, line in enumerate(lines):
             event = json.loads(line)
@@ -372,6 +420,7 @@ class TestAnalyzeCli:
                 if n_slot == 100:
                     event["users"]["buffer_s"][5] = -3.0
                     lines[i] = json.dumps(event)
-        dst.write_text("\n".join(lines) + "\n")
-        assert main([str(tmp_path)]) == 1
-        assert "negative buffer occupancy" in capsys.readouterr().out
+        (inline / "trace.jsonl").write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main([str(inline)]) == 1
+        assert "slot 99, user 5: negative buffer occupancy" in capsys.readouterr().out

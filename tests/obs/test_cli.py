@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from repro.obs.analyze import main as analyze_main
 from repro.obs.cli import main
 
 
@@ -28,8 +29,19 @@ class TestReproTrace:
         ends = [e for e in events if e["kind"] == "run.end"]
         assert [e["scheduler"] for e in starts] == ["default", "rtma", "ema"]
         assert len(ends) == 3
-        # Per-user payloads ride on every slot event.
-        assert all(len(e["users"]["phi"]) == 8 for e in slot_events)
+        # Per-user payloads live in the column stream beside the trace:
+        # each run.start names its columns, and the export puts them
+        # back on every slot event.
+        assert not any("users" in e for e in slot_events)
+        assert (out / "trace.columns.npy").stat().st_size > 0
+        assert all(e["columns"]["names"][0] == "phi" for e in starts)
+        inline = tmp_path / "inline.jsonl"
+        assert analyze_main(["--export-jsonl", str(inline), str(out)]) == 0
+        inline_slots = [
+            e for e in map(json.loads, inline.read_text().splitlines()) if e["kind"] == "slot"
+        ]
+        assert len(inline_slots) == len(slot_events)
+        assert all(len(e["users"]["phi"]) == 8 for e in inline_slots)
 
         manifest = json.loads(manifest_path.read_text())
         assert len(manifest["config_hash"]) == 64
@@ -74,6 +86,9 @@ class TestReproTrace:
         assert main(["quickstart", "--out", str(out)]) == 2
         assert main(["quickstart", "--out", str(out), "--force"]) == 0
         assert (out / "trace.jsonl").exists() and not gz.exists()
+        # --force takes the stale trace's column stream with it.
+        assert (out / "trace.columns.npy").exists()
+        assert not (out / "trace.columns.npy.gz").exists()
 
     def test_report_flag_writes_selfcontained_html(self, tmp_path):
         out = tmp_path / "trace_out"

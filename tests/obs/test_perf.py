@@ -125,11 +125,14 @@ class TestTreeRevision:
     @pytest.fixture
     def repo(self, tmp_path):
         repo = tmp_path / "repo"
-        (repo / "sub").mkdir(parents=True)
+        (repo / "src" / "sub").mkdir(parents=True)
+        (repo / "benchmarks").mkdir()
         _git(repo, "init", "-q")
-        (repo / "a.txt").write_text("one\n")
+        (repo / "src" / "a.py").write_text("one\n")
+        (repo / "README.md").write_text("docs\n")
+        (repo / "benchmarks" / "history.jsonl").write_text("{}\n")
         (repo / ".gitignore").write_text("*.log\n")
-        _git(repo, "add", "a.txt", ".gitignore")
+        _git(repo, "add", "src", "README.md", "benchmarks", ".gitignore")
         _git(repo, "commit", "-q", "-m", "first")
         return repo
 
@@ -137,21 +140,21 @@ class TestTreeRevision:
         head = _git(repo, "rev-parse", "HEAD").strip()
         assert tree_revision(repo) == head
         # Ignored files leave the tree clean.
-        (repo / "run.log").write_text("noise\n")
+        (repo / "src" / "run.log").write_text("noise\n")
         assert tree_revision(repo) == head
 
     def test_changed_tracked_file_stamps_diff_hash(self, repo):
         head = _git(repo, "rev-parse", "HEAD").strip()
-        (repo / "a.txt").write_text("two\n")
+        (repo / "src" / "a.py").write_text("two\n")
         diff = subprocess.run(
             ["git", "diff", "HEAD"], cwd=repo, capture_output=True, check=True
         ).stdout
         first = tree_revision(repo)
         assert first == f"{head}+dirty:{hashlib.sha256(diff).hexdigest()[:12]}"
         # A subdirectory of the checkout stamps the same revision.
-        assert tree_revision(repo / "sub") == first
+        assert tree_revision(repo / "src" / "sub") == first
         # Another uncommitted change on the same commit stamps differently.
-        (repo / "a.txt").write_text("three\n")
+        (repo / "src" / "a.py").write_text("three\n")
         second = tree_revision(repo)
         assert second.startswith(f"{head}+dirty:")
         assert second != first
@@ -159,13 +162,29 @@ class TestTreeRevision:
 
     def test_untracked_file_is_dirty(self, repo):
         head = _git(repo, "rev-parse", "HEAD").strip()
-        (repo / "sub" / "new.py").write_text("x = 1\n")
+        (repo / "src" / "sub" / "new.py").write_text("x = 1\n")
         first = tree_revision(repo)
         assert first.startswith(f"{head}+dirty:")
-        assert tree_revision(repo / "sub") == first
+        assert tree_revision(repo / "src" / "sub") == first
         # The untracked file's contents count, not just its name.
-        (repo / "sub" / "new.py").write_text("x = 2\n")
+        (repo / "src" / "sub" / "new.py").write_text("x = 2\n")
         assert tree_revision(repo) not in (first, head)
+
+    def test_ledger_and_docs_keep_the_revision(self, repo):
+        head = _git(repo, "rev-parse", "HEAD").strip()
+        (repo / "benchmarks" / "history.jsonl").write_text("{}\n{}\n")
+        (repo / "README.md").write_text("more docs\n")
+        (repo / "NOTES.md").write_text("untracked\n")
+        assert tree_revision(repo) == head
+        (repo / "src" / "a.py").write_text("two\n")
+        dirty = tree_revision(repo)
+        assert dirty.startswith(f"{head}+dirty:")
+        # Records appended from one code change share its revision.
+        (repo / "benchmarks" / "history.jsonl").write_text("{}\n{}\n{}\n")
+        assert tree_revision(repo) == dirty
+        # A bench file is measured code.
+        (repo / "benchmarks" / "bench_x.py").write_text("x = 1\n")
+        assert tree_revision(repo) not in (dirty, head)
 
     def test_outside_a_checkout_has_no_revision(self, tmp_path):
         outside = tmp_path / "plain"

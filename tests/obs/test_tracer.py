@@ -1,12 +1,19 @@
 """Tests for the structured event tracers."""
 
+import io
 import json
 import math
 
 import numpy as np
 import pytest
 
-from repro.obs.tracer import JsonlTraceWriter, NullTracer, RecordingTracer
+from repro.obs.tracer import (
+    ColumnReader,
+    JsonlTraceWriter,
+    NullTracer,
+    RecordingTracer,
+    columns_path,
+)
 
 
 class TestNullTracer:
@@ -80,3 +87,62 @@ class TestJsonlTraceWriter:
         assert t.enabled is True
         assert t.path == tmp_path / "t.jsonl"
         t.close()
+
+
+class TestWriteRun:
+    EVENTS = [
+        ("run.start", {"n_users": 2}),
+        ("slot", {"slot": 0, "delivered_kb": 1.5}),
+        ("ema.queues", {"slot": 1}),
+        ("slot", {"slot": 1, "delivered_kb": 0.0}),
+        ("run.end", {}),
+    ]
+    COLUMNS = {
+        "phi": np.array([[1, 2], [3, 4]]),
+        "sig_dbm": np.array([[-80.0, float("-inf")], [-90.5, -70.0]]),
+        "active": np.array([[True, False], [False, True]]),
+    }
+
+    def test_stream_path_names_the_stem(self):
+        assert columns_path("d/trace.jsonl").as_posix() == "d/trace.columns.npy"
+        assert columns_path("d/run.jsonl.gz").as_posix() == "d/run.columns.npy.gz"
+
+    def test_file_object_and_recorder_get_the_payload_inline(self):
+        buf = io.StringIO()
+        JsonlTraceWriter(buf).write_run(iter(self.EVENTS), self.COLUMNS)
+        events = [json.loads(line) for line in buf.getvalue().splitlines()]
+        assert events[3] == {
+            "kind": "slot",
+            "slot": 1,
+            "delivered_kb": 0.0,
+            "users": {"phi": [3, 4], "sig_dbm": [-90.5, -70.0], "active": [False, True]},
+        }
+        # Non-finite values stay strict JSON.
+        assert events[1]["users"]["sig_dbm"] == [-80.0, "-inf"]
+        recorder = RecordingTracer()
+        recorder.write_run(iter(self.EVENTS), self.COLUMNS)
+        assert recorder.events[3]["users"]["phi"] == [3, 4]
+        assert [e["kind"] for e in recorder.events] == [k for k, _ in self.EVENTS]
+
+    def test_path_streams_the_columns(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        with JsonlTraceWriter(path) as t:
+            t.write_run(iter(self.EVENTS), self.COLUMNS)
+            t.write_run(iter(self.EVENTS), self.COLUMNS)
+        events = [json.loads(line) for line in path.read_text().splitlines()]
+        assert t.n_events == len(events) == 10
+        assert not any("users" in e for e in events)
+        starts = [e for e in events if e["kind"] == "run.start"]
+        assert starts[0]["columns"] == {"offset": 0, "names": ["phi", "sig_dbm", "active"]}
+        assert starts[1]["columns"]["offset"] == t.columns_path.stat().st_size // 2
+        with ColumnReader(path) as read:
+            assert read({"n_users": 2}) is None
+            for start in reversed(starts):
+                columns = read(start)
+                assert list(columns) == list(self.COLUMNS)
+                for name, grid in self.COLUMNS.items():
+                    assert columns[name].dtype == grid.dtype
+                    assert columns[name].tobytes() == grid.tobytes()
+
+    def test_null_tracer_drops_runs(self):
+        NullTracer().write_run(iter(self.EVENTS), self.COLUMNS)
