@@ -87,18 +87,6 @@ class DefaultScheduler(ClipScheduler):
     def reset(self) -> None:
         self._refilling = None
 
-    def grow_users(self, n_users: int) -> None:
-        if self._refilling is None or self._refilling.shape == (n_users,):
-            return
-        fresh = np.ones(n_users, dtype=bool)
-        keep = min(self._refilling.size, n_users)
-        fresh[:keep] = self._refilling[:keep]
-        self._refilling = fresh
-
-    def release_users(self, rows) -> None:
-        if self._refilling is not None:
-            self._refilling[rows] = True  # recycled rows start refilling
-
 
 class NeedRateScheduler(ClipScheduler):
     """Required-rate delivery, head-of-line under contention.

@@ -81,15 +81,3 @@ class EStreamerScheduler(ClipScheduler):
 
     def reset(self) -> None:
         self._bursting = None
-
-    def grow_users(self, n_users: int) -> None:
-        if self._bursting is None or self._bursting.shape == (n_users,):
-            return
-        fresh = np.ones(n_users, dtype=bool)
-        keep = min(self._bursting.size, n_users)
-        fresh[:keep] = self._bursting[:keep]
-        self._bursting = fresh
-
-    def release_users(self, rows) -> None:
-        if self._bursting is not None:
-            self._bursting[rows] = True  # recycled rows start with a burst

@@ -69,15 +69,3 @@ class OnOffScheduler(ClipScheduler):
 
     def reset(self) -> None:
         self._on = None
-
-    def grow_users(self, n_users: int) -> None:
-        if self._on is None or self._on.shape == (n_users,):
-            return
-        fresh = np.ones(n_users, dtype=bool)
-        keep = min(self._on.size, n_users)
-        fresh[:keep] = self._on[:keep]
-        self._on = fresh
-
-    def release_users(self, rows) -> None:
-        if self._on is not None:
-            self._on[rows] = True  # recycled rows begin ON (empty buffer)

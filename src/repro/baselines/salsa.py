@@ -80,15 +80,3 @@ class SalsaScheduler(ClipScheduler):
 
     def reset(self) -> None:
         self._queue_kb = None
-
-    def grow_users(self, n_users: int) -> None:
-        if self._queue_kb is None or self._queue_kb.shape == (n_users,):
-            return
-        fresh = np.zeros(n_users, dtype=float)
-        keep = min(self._queue_kb.size, n_users)
-        fresh[:keep] = self._queue_kb[:keep]
-        self._queue_kb = fresh
-
-    def release_users(self, rows) -> None:
-        if self._queue_kb is not None:
-            self._queue_kb[rows] = 0.0

@@ -1,7 +1,7 @@
 """Admission control for arriving streaming sessions.
 
-When the dynamic session-lifecycle engine sees a session arrive it
-consults an :class:`AdmissionPolicy` before granting the session a
+When the engine sees a churn run's session arrive it consults an
+:class:`AdmissionPolicy` before letting the session play in its
 fleet row.  Rejected sessions never receive data units and are
 reported separately from admitted load (offered vs admitted split in
 summaries), following the admission-control framing of Bethanabhotla
@@ -57,8 +57,6 @@ class AdmissionContext:
         Arrival slot of the candidate session.
     active_sessions:
         Sessions resident in the cell *before* this decision.
-    capacity_rows:
-        Current fleet row capacity (grows on demand; informational).
     unit_budget:
         Nominal per-slot data-unit budget ``τS/δ`` (constraint (2)).
     flow:
@@ -67,13 +65,12 @@ class AdmissionContext:
 
     slot: int
     active_sessions: int
-    capacity_rows: int
     unit_budget: int
     flow: Any
 
 
 class AdmissionPolicy(abc.ABC):
-    """Decide whether an arriving session gets a fleet row."""
+    """Decide whether an arriving session is admitted."""
 
     #: Stable policy name (mirrors ``SimConfig.admission`` values).
     name: str = "admission"

@@ -559,37 +559,3 @@ class EMAScheduler(Scheduler):
         self._kernel = None
         for s in self._parts:
             s.reset()
-
-    # -- dynamic session lifecycle --------------------------------------------
-
-    def grow_users(self, n_users: int) -> None:
-        """Resize the virtual-queue dimension to the fleet's row count.
-
-        Existing rows keep their ``PC_i`` and seeding flag bit-for-bit;
-        new rows come up zeroed/unseeded like a fresh run (they seed at
-        their first active slot via :meth:`_seed_queues`).  The dynamic
-        engine may also shrink once at run start — before any state has
-        accrued — to match its small initial capacity.  Churn runs are
-        one segment, so the parameter lanes are rebuilt as one.
-        """
-        n = int(n_users)
-        if n <= 0:
-            raise ConfigurationError("n_users must be positive")
-        if n == self.n_users:
-            return
-        keep = min(self.n_users, n)
-        values = np.zeros(n, dtype=float)
-        values[:keep] = self.queues.values[:keep]
-        initialized = np.zeros(n, dtype=bool)
-        initialized[:keep] = self._initialized[:keep]
-        self.queues = VirtualQueues(n, self.tau_s)
-        self.queues.values = values
-        self._initialized = initialized
-        self._scratch = _EmaScratch(n)
-        self._set_lanes([self], np.array([0, n]))
-        self.n_users = n
-
-    def release_users(self, rows) -> None:
-        """Clear queue state of vacated rows so recycling starts fresh."""
-        self.queues.values[rows] = 0.0
-        self._initialized[rows] = False

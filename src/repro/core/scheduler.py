@@ -32,7 +32,15 @@ __all__ = ["Scheduler", "ClipScheduler"]
 
 
 class Scheduler(abc.ABC):
-    """Base class for per-slot data-unit allocation policies."""
+    """Base class for per-slot data-unit allocation policies.
+
+    An observation's rows are the served runs' sessions, fixed for the
+    whole run: row ``i`` of a run's segment is its user ``i`` from the
+    first slot to the last, under churn too (a session that has not
+    arrived, was rejected or has retired is simply inactive).  So
+    per-user state sized from the first observation stays aligned,
+    and a policy never resizes or recycles it.
+    """
 
     #: Human-readable policy name (used in result tables).
     name: str = "scheduler"
@@ -76,25 +84,6 @@ class Scheduler(abc.ABC):
         event of that run's slot.  Default: none.
         """
         return []
-
-    def grow_users(self, n_users: int) -> None:
-        """Resize per-user state to ``n_users`` rows (dynamic lifecycle).
-
-        Called by the engine on churn runs whenever the fleet's row capacity
-        changes.  Stateful policies must preserve the state of the
-        common row prefix bit-for-bit and initialise new rows exactly
-        like a fresh run; the one shrink happens at run start, before
-        any state accrues.  Stateless policies (and policies whose
-        scratch auto-sizes to the observation) inherit this no-op.
-        """
-
-    def release_users(self, rows) -> None:
-        """Reset per-user state for vacated rows (default: no-op).
-
-        Called when sessions retire; ``rows`` indexes rows that may be
-        recycled for future sessions and must come up indistinguishable
-        from freshly-initialised ones.
-        """
 
     @staticmethod
     def _zeros(obs: SlotObservation) -> np.ndarray:

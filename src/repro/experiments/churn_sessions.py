@@ -8,8 +8,10 @@ reports the offered/admitted/rejected/completed session accounting
 next to the paper's energy and rebuffering metrics.
 
 The bench scale is sized for CI: every admitted session completes well
-inside the horizon, so the run exercises admission, fleet growth, row
-recycling, and retirement end to end in a few seconds.
+inside the horizon, so the run exercises arrivals, admission,
+rejection and retirement end to end in a few seconds.  Each session
+owns its fleet row for the whole run, so the four schedulers' runs
+stack into one slot loop like any other comparison.
 """
 
 from __future__ import annotations
@@ -34,8 +36,8 @@ def churn_config(scale: str = "bench", seed: int = 0) -> SimConfig:
 
     Short sessions (a few MB) against a comfortable cell capacity, a
     Poisson arrival stream, and an admission cap below the offered
-    population — so the run sees joins, rejections, capacity growth,
-    and retirements rather than one static cohort.
+    population — so the run sees joins, rejections and retirements
+    rather than one static cohort.
     """
     if scale == "bench":
         return SimConfig(

@@ -51,13 +51,13 @@ __all__ = ["ClientFleet", "FleetClientView", "rate_grid_kbps"]
 #: ``repro.media.player._EPS`` for cross-path bit-identity.
 _EPS = 1e-9
 
-#: Arrival slot of vacant fleet rows — far past any horizon, so the
-#: begin-slot kernel never touches them.
+#: Arrival slot of a cleared fleet row — far past any horizon, so the
+#: begin-slot kernel never touches it.
 _FAR_FUTURE = int(2**62)
 
 
 def _placeholder_video() -> VideoSession:
-    """Session occupying a vacant row: 0 remaining bytes, safe 1 KB/s rate.
+    """Session occupying a cleared row: 0 remaining bytes, safe 1 KB/s rate.
 
     The row's ``size_kb`` is forced to 0 (``VideoSession`` itself
     forbids empty videos) so the row is "fully delivered" and inactive;
@@ -65,17 +65,6 @@ def _placeholder_video() -> VideoSession:
     non-positive-rate guard and EMA's rate divisions well-defined.
     """
     return VideoSession(1.0, ConstantBitrateProfile(1.0))
-
-
-class _VacantRowFlow:
-    """Flow-shaped stand-in used to construct an all-vacant fleet."""
-
-    __slots__ = ("user_id", "video", "arrival_slot")
-
-    def __init__(self, user_id: int, video: VideoSession):
-        self.user_id = user_id
-        self.video = video
-        self.arrival_slot = 0
 
 
 class _RateTable:
@@ -239,110 +228,31 @@ class ClientFleet:
         self._begin_kernel = None
         self._deliver_kernel = None
 
-    # -- dynamic-population support (growable row space) ----------------------
-
-    @classmethod
-    def with_capacity(
-        cls, capacity: int, tau_s: float, buffer_capacity_s: float | None = None
-    ) -> "ClientFleet":
-        """An all-vacant fleet of ``capacity`` rows.
-
-        A churn run starts small and loads rows as sessions are
-        admitted (:meth:`load_row`), doubling via :meth:`grow` when the
-        free list runs dry.
-        """
-        if capacity <= 0:
-            raise ConfigurationError("capacity must be positive")
-        placeholder = _placeholder_video()
-        flows = [
-            _VacantRowFlow(user_id=i, video=placeholder) for i in range(capacity)
-        ]
-        fleet = cls(flows, tau_s, buffer_capacity_s)
-        for row in range(capacity):
-            fleet._clear_row_state(row)
-        fleet._rates = _RateTable(fleet._profiles)
-        return fleet
-
-    def grow(self, new_capacity: int) -> None:
-        """Resize to ``new_capacity`` rows, preserving existing state.
-
-        Existing rows keep every state value bit-for-bit (the common
-        prefix is copied, never recomputed); new rows come up vacant.
-        All alternate buffers and scratch areas are reallocated in
-        lockstep so the kernel double-buffer protocol is unaffected.
-        """
-        old = self.n_users
-        if new_capacity <= old:
-            raise ConfigurationError("grow requires new_capacity > current capacity")
-        placeholder = _placeholder_video()
-        self.videos.extend(placeholder for _ in range(old, new_capacity))
-        self._profiles.extend(placeholder.profile for _ in range(old, new_capacity))
-
-        def _resized(arr: np.ndarray) -> np.ndarray:
-            out = np.zeros(new_capacity, dtype=arr.dtype)
-            out[:old] = arr
-            return out
-
-        self.size_kb = _resized(self.size_kb)
-        self.arrival_slot = _resized(self.arrival_slot)
-        self.delivered_kb = _resized(self.delivered_kb)
-        self.delivered_playback_s = _resized(self.delivered_playback_s)
-        self.elapsed_playback_s = _resized(self.elapsed_playback_s)
-        self.total_rebuffering_s = _resized(self.total_rebuffering_s)
-        self.buffer_occupancy_s = _resized(self.buffer_occupancy_s)
-        self.pending_playback_s = _resized(self.pending_playback_s)
-        self.last_slot_rebuffering_s = _resized(self.last_slot_rebuffering_s)
-        self._began = _resized(self._began)
-        self._occ_alt = np.empty(new_capacity, dtype=float)
-        self._pend_alt = np.empty(new_capacity, dtype=float)
-        self._began_alt = np.empty(new_capacity, dtype=bool)
-        self._elapsed_alt = np.empty(new_capacity, dtype=float)
-        self._total_alt = np.empty(new_capacity, dtype=float)
-        self._rebuf_alt = np.empty(new_capacity, dtype=float)
-        self._delivered_alt = np.empty(new_capacity, dtype=float)
-        self._dplay_alt = np.empty(new_capacity, dtype=float)
-        self._accepted = np.empty(new_capacity, dtype=float)
-        self._fscratch = np.empty(2 * new_capacity, dtype=float)
-        self._bscratch = np.empty(4 * new_capacity, dtype=bool)
-        self.n_users = new_capacity
-        self._views = None
-        for row in range(old, new_capacity):
-            self._clear_row_state(row)
-        self._rates = _RateTable(self._profiles)
-
-    def load_row(self, row: int, flow) -> None:
-        """Bind a freshly admitted session's flow to a vacant row."""
-        self.videos[row] = flow.video
-        self._profiles[row] = flow.video.profile
-        self.size_kb[row] = float(flow.video.size_kb)
-        self.arrival_slot[row] = int(flow.arrival_slot)
-        self._zero_row_state(row)
-        self._rates = _RateTable(self._profiles)
-
     def clear_row(self, row: int) -> None:
-        """Vacate a row (session departed); it can be recycled later."""
-        self._clear_row_state(row)
-        self._rates = _RateTable(self._profiles)
+        """Take a row out of play for the rest of the run (a churn
+        session rejected or retired): it never becomes active again and
+        its state reads 0.
 
-    def _clear_row_state(self, row: int) -> None:
+        Rows are cleared between slots (before the collect phase
+        aliases the arrays), so in-place writes are safe here.
+        """
         placeholder = _placeholder_video()
         self.videos[row] = placeholder
         self._profiles[row] = placeholder.profile
         self.size_kb[row] = 0.0
         self.arrival_slot[row] = _FAR_FUTURE
-        self._zero_row_state(row)
-
-    def _zero_row_state(self, row: int) -> None:
-        # Row loads/clears happen between slots (before the collect
-        # phase aliases the arrays), so in-place writes are safe here.
-        self.delivered_kb[row] = 0.0
-        self.delivered_playback_s[row] = 0.0
-        self.elapsed_playback_s[row] = 0.0
-        self.total_rebuffering_s[row] = 0.0
-        self.buffer_occupancy_s[row] = 0.0
-        self.pending_playback_s[row] = 0.0
-        self.last_slot_rebuffering_s[row] = 0.0
-        self._began[row] = False
+        for state in (
+            self.delivered_kb,
+            self.delivered_playback_s,
+            self.elapsed_playback_s,
+            self.total_rebuffering_s,
+            self.buffer_occupancy_s,
+            self.pending_playback_s,
+            self.last_slot_rebuffering_s,
+            self._began,
+        ):
+            state[row] = 0
+        self._rates = _RateTable(self._profiles)
 
     # -- progress predicates (all shape (n_users,)) --------------------------
 

@@ -84,12 +84,6 @@ class SlotObservation:
     #: Receiver window: bytes each client can accept this slot, KB
     #: (inf for uncapped buffers).
     receivable_kb: np.ndarray = None  # type: ignore[assignment]
-    #: Rows whose session was admitted this slot (churn runs only;
-    #: ``None`` when row space is session space).
-    joined: np.ndarray | None = None
-    #: Rows vacated since the previous slot (churn runs only; ``None``
-    #: when row space is session space).
-    departed: np.ndarray | None = None
     #: ``(R+1,)`` int64 row bounds of each run's segment.
     run_offsets: np.ndarray = None  # type: ignore[assignment]
     #: ``(R,)`` int64 per-run Eq. (2) budgets.
@@ -145,8 +139,6 @@ class InformationCollector:
         unit_budget: np.ndarray,
         run_offsets: np.ndarray,
         arena,
-        joined: np.ndarray | None = None,
-        departed: np.ndarray | None = None,
     ) -> SlotObservation:
         """The slot's observation over ``R`` run segments of ``fleet``.
 
@@ -187,8 +179,6 @@ class InformationCollector:
             remaining_kb=remaining,
             idle_tail_cost_mj=np.asarray(idle_tail_cost_mj, dtype=float),
             receivable_kb=receivable,
-            joined=joined,
-            departed=departed,
             run_offsets=run_offsets,
             run_unit_budgets=unit_budget,
         )
@@ -249,8 +239,6 @@ class Gateway:
         run_offsets: np.ndarray,
         arena,
         timers=None,
-        joined_mask: np.ndarray | None = None,
-        departed_mask: np.ndarray | None = None,
         stall_mask: np.ndarray | None = None,
     ) -> tuple[SlotObservation, np.ndarray, np.ndarray]:
         """Run one slot of the framework over ``R`` run segments.
@@ -283,8 +271,6 @@ class Gateway:
             unit_budget,
             run_offsets,
             arena,
-            joined=joined_mask,
-            departed=departed_mask,
         )
         if timers is not None:
             rec_observe, rec_schedule, rec_transmit = timers

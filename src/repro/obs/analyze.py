@@ -395,17 +395,8 @@ class _RunBuilder:
                 )
             tl.n_users = tl.grids[next(iter(tl.grids))].shape[1]
         if self.queue_rows:
-            # Dynamic runs snapshot EMA queues in row space, whose
-            # capacity grows mid-run — ragged rows cannot stack (and
-            # would not align with session-keyed grids anyway).
-            widths = {len(pc) for _, pc in self.queue_rows}
-            if len(widths) == 1:
-                tl.ema_queue_slots = np.array(
-                    [s for s, _ in self.queue_rows], dtype=np.int64
-                )
-                tl.ema_queues = np.asarray(
-                    [pc for _, pc in self.queue_rows], dtype=float
-                )
+            tl.ema_queue_slots = np.array([s for s, _ in self.queue_rows], dtype=np.int64)
+            tl.ema_queues = np.asarray([pc for _, pc in self.queue_rows], dtype=float)
         tl.sessions = self.session_rows
         return tl
 
@@ -723,15 +714,12 @@ class EMAQueueChecker(InvariantChecker):
         self.tol = tol
 
     def skip_reason(self, tl: RunTimeline) -> str | None:
-        if tl.sessions:
-            return (
-                "dynamic run: EMA queues are snapshotted in row space and "
-                "do not align with the session-keyed grids"
-            )
         if tl.ema_queues is None:
             return "run has no ema.queues snapshots"
         if not {"delivered_kb", "rate_kbps", "active"} <= tl.grids.keys():
             return "trace has no per-user delivery/rate grids"
+        if tl.ema_queues.shape[1] != tl.grids["active"].shape[1]:
+            return "ema.queues snapshots are not one queue per user"
         return None
 
     def check(self, tl: RunTimeline) -> list[Violation]:
@@ -945,11 +933,6 @@ class FaultInjectionChecker(InvariantChecker):
     def skip_reason(self, tl: RunTimeline) -> str | None:
         if tl.faults is None:
             return "run declares no fault plan"
-        if tl.sessions:
-            return (
-                "dynamic run: grids are row-keyed while fault windows "
-                "name sessions"
-            )
         if not tl.has_user_grids:
             return "trace has no per-user grids"
         return None

@@ -171,30 +171,6 @@ class RRCFleet:
         self._step_kernel = None
         self._idle_kernel = None
 
-    def grow(self, new_n_users: int) -> None:
-        """Resize to ``new_n_users`` devices, preserving existing state.
-
-        Existing devices keep their idle age and promotion flag
-        bit-for-bit; new devices come up IDLE with no pending tail —
-        exactly like a freshly-created machine.
-        """
-        old = self.n_users
-        if new_n_users <= old:
-            raise ConfigurationError("grow requires new_n_users > current n_users")
-        full = self.params.t1_s + self.params.t2_s
-        age = np.full(new_n_users, full, dtype=float)
-        age[:old] = self.idle_age_s
-        ever = np.zeros(new_n_users, dtype=bool)
-        ever[:old] = self.ever_transmitted
-        self.idle_age_s = age
-        self.ever_transmitted = ever
-        self._age_alt = np.empty(new_n_users, dtype=float)
-        self._ever_alt = np.empty(new_n_users, dtype=bool)
-        self._tail = np.empty(new_n_users, dtype=float)
-        self._fscratch = np.empty(2 * new_n_users, dtype=float)
-        self._bscratch = np.empty(new_n_users, dtype=bool)
-        self.n_users = int(new_n_users)
-
     def reset_rows(self, rows) -> None:
         """Return devices to the fresh IDLE state (session departed).
 

@@ -18,6 +18,11 @@ by ``tests/integration/test_batch_equivalence.py``).  It holds because:
 
 * every fleet/RRC/arena/receiver operation in the slot pipeline is
   row-elementwise, so the run axis rides the row axis for free;
+* churn and faults are per-run data over the run's own rows: a churn
+  run's :class:`~repro.sim.sessions.SessionManager` admits against its
+  own resident count and clears only its own rows, and a fault plan
+  applies to its run's signal copy, stall columns, outage mask and
+  budget table;
 * the only cross-user couplings — the Eq. (2) budget in
   ``check_constraints`` / ``clip_to_constraints``, RTMA's rounds, and
   EMA's knapsack DP — are segment-aware for every ``R``: each
@@ -58,11 +63,11 @@ Compatibility: stacked runs must share ``n_slots``, ``tau_s``,
 ``delta_kb``, ``buffer_capacity_s``, the radio profile and the kernel
 backend; user counts, BS capacity, background traffic, seeds, signal
 models, scheduler types and per-run scheduler parameters (RTMA
-thresholds, EMA ``V``) may differ.  One scheduler instance may not
-serve two runs.  Dynamic-lifecycle (churn) runs and fault plans cannot
-be stacked.  :func:`batch_incompatibility` is the
-single oracle — the executor uses it to decide which consecutive tasks
-may share a batch.
+thresholds, EMA ``V``), session churn (arrivals, admission and
+retirement) and fault plans may differ too: both are per-run data over
+the run's own rows.  One scheduler instance may not serve two runs.
+:func:`batch_incompatibility` is the single oracle — the executor uses
+it to decide which consecutive tasks may share a batch.
 
 Instrumentation: metrics and spans are recorded the same way for
 every ``R`` (one span per phase per slot covers the whole loop, and
@@ -89,7 +94,6 @@ from repro.core.ema import EMAScheduler
 from repro.core.rtma import RTMAScheduler
 from repro.core.scheduler import ClipScheduler, Scheduler
 from repro.errors import ConfigurationError
-from repro.faults import current_fault_plan
 from repro.net.gateway import SlotObservation
 from repro.obs.instrument import Instrumentation, current_instrumentation
 from repro.sim.engine import RunLog, run_segments, write_traces
@@ -125,17 +129,6 @@ def batch_incompatibility(tasks) -> str | None:
     if len(tasks) == 1:
         # A single task is always fine: it *is* a one-segment loop.
         return None
-    # Churn (a growable, recycled row space) and fault plans (per-run
-    # injections) are one-segment features of the slot loop.
-    for t in tasks:
-        if t.config.has_churn:
-            return "dynamic session lifecycle (arrivals/admission) cannot be stacked"
-    for t in tasks:
-        if t.config.faults is not None and not t.config.faults.is_empty:
-            return "fault plan attached (faults need a one-segment loop)"
-    ambient = current_fault_plan()
-    if ambient is not None and not ambient.is_empty:
-        return "ambient fault plan active (faults need a one-segment loop)"
     cfg0 = tasks[0].config
     for name in _COMPAT_FIELDS:
         v0 = getattr(cfg0, name)
@@ -319,8 +312,6 @@ class _Block:
                 "remaining_kb": obs.remaining_kb[rows],
                 "idle_tail_cost_mj": obs.idle_tail_cost_mj[rows],
                 "receivable_kb": obs.receivable_kb[rows],
-                "joined": None,
-                "departed": None,
                 "run_offsets": self.run_offsets,
                 "run_unit_budgets": budgets,
             }

@@ -81,8 +81,7 @@ class SimConfig:
         ``"budget-aware"`` (admit while every active session can still
         be guaranteed ``admission_min_units_per_user`` data units of
         the nominal per-slot budget).  Anything except the default
-        routes the run through the dynamic session-lifecycle engine
-        (see :attr:`has_churn`).
+        gives the run a session lifecycle (see :attr:`has_churn`).
     admission_max_active:
         Concurrent-session cap for ``admission="capacity-threshold"``.
     admission_min_units_per_user:
@@ -237,10 +236,11 @@ class SimConfig:
         """Whether the run has session churn.
 
         The default ``all_at_zero`` + ``accept-all`` combination runs
-        the engine's slot loop on a fixed population (rows are
-        sessions) and stays bit-identical to every prior release;
-        anything else adds admission control, session retirement and a
-        growable fleet row space to the same loop.
+        the engine's slot loop on a fixed population and stays
+        bit-identical to every prior release; anything else adds
+        admission control and session retirement to the same loop.
+        Rows are sessions either way, so churn runs stack with any
+        compatible run.
         """
         return self.arrival_process != "all_at_zero" or self.admission != "accept-all"
 

@@ -22,24 +22,25 @@ Each slot runs the paper's pipeline in order:
 
 One slot loop serves every run.  :func:`run_segments` stacks ``R >= 1``
 runs as row segments of one fleet: a single run (every
-:meth:`Simulation.run`, and every churn or faulted run) is the
-``R = 1`` case, and :mod:`repro.sim.batch` stacks ``R > 1``
-batch-compatible runs, whose populations may differ (run ``r`` owns
-``N_r`` rows).  The set-up is the same for both: per-run Eq. (2)
-budget tables from each run's capacity model and slicer, the Eq. (24)
-link/power tables computed per block of slots from the fault-applied
+:meth:`Simulation.run`) is the ``R = 1`` case, and
+:mod:`repro.sim.batch` stacks ``R > 1`` batch-compatible runs, whose
+populations may differ (run ``r`` owns ``N_r`` rows).  The set-up is
+the same for both: per-run Eq. (2) budget tables from each run's
+capacity model, capacity faults and slicer, the Eq. (24) link/power
+tables computed per block of slots from each run's fault-applied
 signal trace, and per-run ``(n_slots, N_r)`` result grids that are the
 runs' results.  Transmission energy and required data are not
 recorded: :class:`~repro.sim.results.SimulationResult` derives them
-from the deliveries and the workload.  Without
-churn (:attr:`~repro.sim.config.SimConfig.has_churn` false) the fleet's
-row space *is* the runs' session space, fixed at construction, and each
-slot's rows go into per-block staging rows, flushed run slice by run
-slice into the session-keyed result grids, at every ``R``.  With churn
-(``R = 1`` only), a :class:`~repro.sim.sessions.SessionManager` admits
-arrivals into a growable row space at slot start, retires completed
-sessions at slot end, and each slot's row-space vectors are scattered
-into the staging rows through its ``row -> session`` map.
+from the deliveries and the workload.  Rows are sessions, fixed at
+construction: each slot's rows go into per-block staging rows, flushed
+run slice by run slice into the session-keyed result grids.  A fault
+plan is per-run data (a run's own signal copy, stall columns and
+outage mask), and so is churn
+(:attr:`~repro.sim.config.SimConfig.has_churn`): a churn run's
+:class:`~repro.sim.sessions.SessionManager` admits or rejects each
+session in its own row at its arrival slot and retires it at the end
+of its completion slot; until it arrives, and once rejected or
+retired, the row is inactive, as a staggered arrival is.
 
 The engine is deliberately strict: it asserts conservation invariants
 as it goes (delivered bytes never exceed capacity or session size) and
@@ -83,7 +84,7 @@ from repro.obs.spans import SLOT_PREFIX, activate_spans
 from repro.radio.rrc import RRCFleet, fleet_occupancy_from_tx
 from repro.sim.config import SimConfig
 from repro.sim.results import SimulationResult, transmission_energy_mj
-from repro.sim.sessions import INITIAL_CAPACITY, SessionManager
+from repro.sim.sessions import SessionManager
 from repro.sim.workload import Workload, resolve_workload
 
 __all__ = ["Simulation", "run_segments", "RunLog", "trace_events", "write_traces"]
@@ -112,10 +113,6 @@ SPAN_BLOCK_SLOTS = 64
 #: result grids: the loop holds a block of slots, never the horizon, of
 #: either.
 SLOT_BLOCK_SLOTS = 64
-
-#: Signal a vacant churn row observes (its link/power columns are this
-#: signal's Eq. 24 values; vacant rows are inactive and get nothing).
-VACANT_SIG_DBM = -110.0
 
 #: The slot pipeline's phases, in order.
 SLOT_PHASES = ("playback", "observe", "schedule", "transmit", "rrc", "feedback")
@@ -246,7 +243,7 @@ class RunLog:
     """What a run's trace needs beyond its result grids.
 
     Three kinds of event carry data the grids lack: churn's
-    ``session.*`` events (their row ids), EMA's ``ema.queues`` snapshots
+    ``session.*`` events (the admission decisions), EMA's ``ema.queues`` snapshots
     and the live watchdog's ``slo.*`` events.  The slot loop records
     them here against their position instead of emitting them (the
     log's :meth:`emit` stands in for the watchdog's tracer).  Position
@@ -276,10 +273,18 @@ class RunLog:
         self.record(self.at, kind, **fields)
 
 
-def _budget_tables(configs, plan, gamma: int):
+def _run_fault_plan(cfg, ambient):
+    """A run's fault plan: its config's if it has one, else ``ambient``;
+    ``None`` when the plan injects nothing."""
+    plan = cfg.faults if cfg.faults is not None else ambient
+    return None if plan is None or plan.is_empty else plan
+
+
+def _budget_tables(configs, plans, gamma: int):
     """Per-run Eq. (2) unit budget tables, ``(gamma, R)``.
 
-    Each run's budgets go through its own capacity model and slicer,
+    Each run's budgets go through its own capacity model, capacity
+    faults (``plans``, one fault plan or ``None`` per run) and slicer,
     with the scalar chain a slot evaluates.  Without background traffic
     or capacity faults they are slot-invariant and one evaluation covers
     the horizon (the table is a broadcast view); otherwise every slot
@@ -289,10 +294,10 @@ def _budget_tables(configs, plan, gamma: int):
     cfg = configs[0]
     cap_models = [ConstantCapacity(c.capacity_kbps) for c in configs]
     varying = any(c.background is not None for c in configs)
-    if plan is not None and plan.capacity:
-        factors = plan.capacity_factors(gamma)
-        cap_models = [FaultyCapacity(m, factors) for m in cap_models]
-        varying = True
+    for r, plan in enumerate(plans):
+        if plan is not None and plan.capacity:
+            cap_models[r] = FaultyCapacity(cap_models[r], plan.capacity_factors(gamma))
+            varying = True
     slicers = [
         ResourceSlicer(c.background) if c.background else ResourceSlicer()
         for c in configs
@@ -320,8 +325,7 @@ def trace_events(res, run_log: RunLog | None = None, slots: int | None = None, p
     slots (the recorded events of the slot in progress follow; no
     ``run.end``).  Without a log (an in-memory result), ``params``
     stands in for the scheduler parameters, the config's fault plan
-    applies, and a churn run has no ``session.*`` events, so its slot
-    totals sum in session order rather than the loop's row order.
+    applies, and a churn run has no ``session.*`` events.
 
     A ``slot`` event carries the slot's totals, reduced a run at a time
     and sent out as plain Python ``int``/``float``/``bool``.  Its
@@ -329,11 +333,8 @@ def trace_events(res, run_log: RunLog | None = None, slots: int | None = None, p
     row ``s`` for slot ``s``, which the tracer stores or inlines (see
     :meth:`repro.obs.tracer.Tracer.write_run`).
     """
-    recorded = run_log is not None
     if run_log is None:
-        plan = res.config.faults
-        if plan is not None and plan.is_empty:
-            plan = None
+        plan = _run_fault_plan(res.config, None)
         run_log = RunLog(params, backend_info()["resolved"], plan)
     cfg, plan = res.config, run_log.plan
     radio = cfg.radio
@@ -345,12 +346,10 @@ def trace_events(res, run_log: RunLog | None = None, slots: int | None = None, p
     sig = res.signal_dbm
     link, _ = _eq24_tables(radio, sig, cfg.tau_s, cfg.delta_kb)
     rates = rate_grid_kbps(res.workload.flows, gamma)
-    budgets = _budget_tables([cfg], plan, gamma)[:, 0]
+    budgets = _budget_tables([cfg], [plan], gamma)[:, 0]
     if churn:
-        # Only resident sessions occupy rows: the others' link and rate
-        # columns read 0.  The loop summed deliveries over its row
-        # space, whose rows the session.start events name and whose
-        # capacity doubles on demand.
+        # Only resident sessions' link and rate columns are traced; the
+        # others' read 0.
         resident = res.session_mask()
         link[~resident] = 0
         rates[~resident] = 0.0
@@ -406,27 +405,14 @@ def trace_events(res, run_log: RunLog | None = None, slots: int | None = None, p
         mean_buffer = buffer_s[:n_out].mean(axis=1).tolist()
         if churn:
             n_resident = resident[:n_out].sum(axis=1).tolist()
-            row_of = np.full(n, -1, dtype=np.int64)
-            capacity = min(cfg.n_users, INITIAL_CAPACITY)
         logged, k = run_log.events, 0
         for s in range(n_out):
             while k < len(logged) and logged[k][0] <= 2 * s:
-                _, kind, fields = logged[k]
+                yield logged[k][1:]
                 k += 1
-                if kind == "session.start":
-                    row_of[fields["user"]] = fields["row"]
-                    while fields["row"] >= capacity:
-                        capacity *= 2
-                yield kind, fields
-            delivered_kb = delivered_sum[s]
             resident_sessions = {}
             if churn:
                 resident_sessions["resident_sessions"] = n_resident[s]
-                if recorded:
-                    occ = np.flatnonzero(resident[s])
-                    by_row = np.zeros(capacity)
-                    by_row[row_of[occ]] = delivered[s, occ]
-                    delivered_kb = float(by_row.sum())
             yield "slot", dict(
                 slot=s,
                 active_users=n_active[s],
@@ -434,7 +420,7 @@ def trace_events(res, run_log: RunLog | None = None, slots: int | None = None, p
                 tx_users=n_tx[s],
                 allocated_units=units[s],
                 unit_budget=unit_budget[s],
-                delivered_kb=delivered_kb,
+                delivered_kb=delivered_sum[s],
                 rebuffering_s=rebuf_sum[s],
                 energy_trans_mj=trans_sum[s],
                 energy_tail_mj=tail_sum[s],
@@ -518,8 +504,9 @@ def run_segments(tasks, workloads, instr, stack_scheduler=None, logs=None):
     their resolved workloads.  Every slot's
     :class:`~repro.net.gateway.SlotObservation` carries the per-run
     segment bounds and Eq. (2) budgets.  With ``R == 1`` the run's own
-    scheduler serves its one segment, and churn and fault plans apply.
-    The live plane follows every run, at every ``R``.  With ``R > 1``
+    scheduler serves its one segment.  Each run's churn and fault plan
+    apply to its own rows, and the live plane follows every run, at
+    every ``R``.  With ``R > 1``
     the runs must be batch-compatible (see :mod:`repro.sim.batch`):
     ``stack_scheduler(run_offsets)`` builds the scheduler serving the
     stacked rows.  ``logs`` (one :class:`RunLog` per run, or ``None``)
@@ -573,23 +560,18 @@ def _slot_loop(tasks, workloads, instr, stack_scheduler, logs, registries):
     cfg = tasks[0].config
     radio = cfg.radio
     n_runs = len(tasks)
-    # n: the population of a lone run (churn and faults are R = 1
-    # features); a stack's runs own segments of their own widths.
-    n, gamma = cfg.n_users, cfg.n_slots
+    gamma = cfg.n_slots
     widths = [t.config.n_users for t in tasks]
     run_offsets = np.zeros(n_runs + 1, dtype=np.int64)
     np.cumsum(widths, out=run_offsets[1:])
     total = int(run_offsets[-1])
-    churn = cfg.has_churn
 
-    # Fault injection: a plan on the config wins; otherwise the
-    # ambient plan (repro-experiments --faults) applies.  With
-    # neither, every fault hook below compiles to the historical
-    # no-op path — bit-identical to the seed behaviour.
-    plan = cfg.faults if cfg.faults is not None else current_fault_plan()
-    if plan is not None and plan.is_empty:
-        plan = None
-    faults_on = plan is not None
+    # Fault injection, per run: a plan on the run's config wins;
+    # otherwise the ambient plan (repro-experiments --faults) applies.
+    # A run with neither takes the historical no-op path, bit-identical
+    # to the seed behaviour.
+    ambient = current_fault_plan()
+    plans = [_run_fault_plan(t.config, ambient) for t in tasks]
 
     instrumented = instr is not None
     live = instr.live if instrumented else None
@@ -614,35 +596,28 @@ def _slot_loop(tasks, workloads, instr, stack_scheduler, logs, registries):
     scheduler = tasks[0].scheduler if n_runs == 1 else stack_scheduler(run_offsets)
     scheduler.reset()
     # A traced loop records, per run, the header its trace needs and the
-    # events its grids lack; a churn run's log takes its session events.
-    for rl, task in zip(logs or (), tasks):
+    # events its grids lack.
+    for rl, task, plan in zip(logs or (), tasks, plans):
         rl.params = _scheduler_trace_params(task.scheduler)
         rl.backend, rl.plan = backend_info()["resolved"], plan
-    run_log = logs[0] if logs is not None and n_runs == 1 else None
+    # Rows are sessions: run r's user i is row run_offsets[r] + i for
+    # the whole run.
     flows = [f for wl in workloads for f in wl.flows]
-    # Row space: every run's whole population without churn; otherwise
-    # a small capacity the session manager doubles on demand.
-    if churn:
-        rows = min(n, INITIAL_CAPACITY)
-        fleet = ClientFleet.with_capacity(rows, cfg.tau_s, cfg.buffer_capacity_s)
-    else:
-        rows = total
-        fleet = ClientFleet(flows, cfg.tau_s, cfg.buffer_capacity_s)
+    fleet = ClientFleet(flows, cfg.tau_s, cfg.buffer_capacity_s)
     # All per-row observation/transmit buffers for the whole run;
     # the slot loop allocates no array at steady state.
-    arena = SlotArena(rows)
-    rrc = RRCFleet(rows, radio.rrc)
+    arena = SlotArena(total)
+    rrc = RRCFleet(total, radio.rrc)
     gateway = Gateway(scheduler, cfg.tau_s, cfg.delta_kb)
-    if churn:
-        # Row-capacity alignment: stateful schedulers built for
-        # cfg.n_users shrink once here, before any state accrues.
-        scheduler.grow_users(rows)
-        mgr = SessionManager(flows, fleet, rrc, arena, scheduler)
-        policy = make_admission_policy(cfg)
-        policy.reset()
-        departure = np.full(n, -1, dtype=np.int64)
+    # Each churn run admits, rejects and retires its own sessions.
+    churn = {}
+    for r, (task, wl) in enumerate(zip(tasks, workloads)):
+        if task.config.has_churn:
+            policy = make_admission_policy(task.config)
+            policy.reset()
+            churn[r] = (SessionManager(wl.flows, fleet, rrc, run_offsets[r]), policy)
 
-    budget_table = _budget_tables([t.config for t in tasks], plan, gamma)
+    budget_table = _budget_tables([t.config for t in tasks], plans, gamma)
 
     # Per-run result grids: run r's record is grids[r], C-contiguous
     # (n_slots, N_r) arrays handed out without a copy, which reduce
@@ -674,21 +649,23 @@ def _slot_loop(tasks, workloads, instr, stack_scheduler, logs, registries):
 
     completion = np.full(total, -1, dtype=np.int64)
 
+    # Blackouts are applied to a *copy* of each faulted run's generated
+    # trace (the workload object itself is shared across schedulers and
+    # must stay pristine), and the stall/outage masks are precomputed
+    # once — the slot loop pays one row lookup.
     signals = [wl.signal_dbm[:gamma] for wl in workloads]
-    stall_grid = outage_mask = stall_row = None
-    if faults_on:
-        # Blackouts are applied to a *copy* of the generated trace
-        # (the workload object itself is shared across schedulers
-        # and must stay pristine), and the stall/outage masks are
-        # precomputed once — the slot loop pays one row lookup.
-        # Windows name sessions; churn runs gather them into rows.
-        signals = [plan.apply_signal(signals[0])]
-        stall_grid = plan.stall_grid(gamma, n)
-        outage_mask = plan.outage_slot_mask(gamma)
-    if churn:
-        vacant_link, vacant_p = _eq24_tables(
-            radio, np.array([VACANT_SIG_DBM]), cfg.tau_s, cfg.delta_kb
-        )
+    signals = [
+        sig if plan is None else plan.apply_signal(sig)
+        for sig, plan in zip(signals, plans)
+    ]
+    outages = [None if plan is None else plan.outage_slot_mask(gamma) for plan in plans]
+    stall_grid = None
+    for r, plan in enumerate(plans):
+        stalls = None if plan is None else plan.stall_grid(gamma, widths[r])
+        if stalls is not None:
+            if stall_grid is None:
+                stall_grid = np.zeros((gamma, total), dtype=bool)
+            stall_grid[:, run_offsets[r] : run_offsets[r + 1]] = stalls
     arrivals = np.array([f.arrival_slot for f in flows], dtype=np.int64)
 
     names = [getattr(t.scheduler, "name", type(t.scheduler).__name__) for t in tasks]
@@ -698,18 +675,20 @@ def _slot_loop(tasks, workloads, instr, stack_scheduler, logs, registries):
         # C-contiguous (n_slots, N_r) arrays, so NumPy's pairwise
         # summation visits exactly the elements, in exactly the layout,
         # a lone run would reduce.
-        session_fields = {}
-        if churn:
-            session_fields = dict(
-                admitted=mgr.admitted.copy(),
-                rejected=mgr.rejected.copy(),
-                departure_slot=departure,
-                offered_video_kb=workloads[0].offered_video_kb(),
-                admitted_video_kb=workloads[0].admitted_video_kb(mgr.admitted),
-            )
         results = []
         for r, task in enumerate(tasks):
             lo, hi = int(run_offsets[r]), int(run_offsets[r + 1])
+            session_fields = {}
+            if r in churn:
+                # A churn session departs at the end of its completion slot.
+                admitted = churn[r][0].admitted
+                session_fields = dict(
+                    admitted=admitted.copy(),
+                    rejected=churn[r][0].rejected.copy(),
+                    departure_slot=completion[lo:hi].copy(),
+                    offered_video_kb=workloads[r].offered_video_kb(),
+                    admitted_video_kb=workloads[r].admitted_video_kb(admitted),
+                )
             alloc_r, delivered_r, rebuf_r, e_tail_r, buffer_r, active_r = grids[r]
             results.append(
                 SimulationResult(
@@ -724,7 +703,7 @@ def _slot_loop(tasks, workloads, instr, stack_scheduler, logs, registries):
                     completion_slot=completion[lo:hi].copy(),
                     arrival_slot=arrivals[lo:hi].copy(),
                     workload=workloads[r],
-                    faulted_signal_dbm=signals[0] if faults_on else None,
+                    faulted_signal_dbm=None if plans[r] is None else signals[r],
                     **session_fields,
                 )
             )
@@ -746,10 +725,6 @@ def _slot_loop(tasks, workloads, instr, stack_scheduler, logs, registries):
         span_block_start = 0
         _block_t0 = perf_counter()
 
-    # Without churn every slot's row vectors are staging rows; with
-    # churn they are arena rows scattered after the slot.
-    joined, departed = None, None
-    row_offsets = run_offsets
     slot = -1
     # Slots whose rows are all written: an aborted run's trace keeps them.
     done = 0
@@ -759,7 +734,7 @@ def _slot_loop(tasks, workloads, instr, stack_scheduler, logs, registries):
             if slot == block_end:
                 # Next block of slots: the Eq. (24) link/power tables of
                 # every run in one vectorized 2-D pass over the
-                # (fault-applied) signal, and the rows slots write to.
+                # (fault-applied) signals.
                 block_start, block_end = slot, min(slot + SLOT_BLOCK_SLOTS, gamma)
                 sig_block = np.concatenate(
                     [sig[block_start:block_end] for sig in signals], axis=1
@@ -767,82 +742,50 @@ def _slot_loop(tasks, workloads, instr, stack_scheduler, logs, registries):
                 link_block, p_block = _eq24_tables(
                     radio, sig_block, cfg.tau_s, cfg.delta_kb
                 )
-                if churn:
-                    # Only resident sessions are scattered into a row;
-                    # the others' cells read 0.
-                    for st in staging:
-                        st.fill(0)
             i = slot - block_start
-            if churn:
-                # 0. Session lifecycle: roll the join/depart masks,
-                #    then admit (or reject) every session whose
-                #    arrival slot has come, in deterministic
-                #    (arrival, user) order.
-                mgr.begin_slot()
+            # 0. Session lifecycle: each churn run admits (or rejects)
+            #    every session whose arrival slot has come, in
+            #    deterministic (arrival, user) order.
+            for r, (mgr, policy) in churn.items():
                 for sess in mgr.due_sessions(slot):
                     ctx = AdmissionContext(
                         slot=slot,
                         active_sessions=mgr.active_count,
-                        capacity_rows=mgr.capacity,
-                        unit_budget=cfg.unit_budget_per_slot,
-                        flow=flows[sess],
+                        unit_budget=tasks[r].config.unit_budget_per_slot,
+                        flow=mgr.flows[sess],
                     )
                     if policy.admit(ctx):
-                        row = mgr.admit(sess)
-                        if run_log is not None:
-                            run_log.record(
-                                2 * slot,
-                                "session.start",
-                                slot=slot,
-                                user=int(sess),
-                                row=int(row),
-                                arrival_slot=int(arrivals[sess]),
-                            )
+                        mgr.admit(sess)
+                        kind = "session.start"
+                        fields = dict(arrival_slot=int(mgr.flows[sess].arrival_slot))
                     else:
                         mgr.reject(sess)
-                        if run_log is not None:
-                            run_log.record(
-                                2 * slot,
-                                "session.reject",
-                                slot=slot,
-                                user=int(sess),
-                                policy=policy.name,
-                            )
-                occ = mgr.occupied_rows()
-                sess_of = mgr.row_session[occ]
-                # Admission may have grown the arena and the masks.
-                rebuf_row, tail_row = arena.rebuf_s, arena.tail_mj
-                joined, departed = mgr.joined_mask, mgr.departed_mask
-                if row_offsets[-1] != fleet.n_users:
-                    # A churn run is one segment over the row capacity.
-                    row_offsets = np.array([0, fleet.n_users], dtype=np.int64)
-            else:
-                rebuf_row, tail_row = st_rebuf[i], st_tail[i]
+                        kind, fields = "session.reject", dict(policy=policy.name)
+                    if logs is not None:
+                        logs[r].record(2 * slot, kind, slot=slot, user=sess, **fields)
 
             # 1. Playback: Eq. (7)/(8) with last slot's deliveries.
             #    Sessions that have not arrived yet do not play (and
-            #    do not accrue startup rebuffering).  Completion is
+            #    do not accrue startup rebuffering); neither do the
+            #    rows of rejected or retired churn sessions, whose
+            #    arrival lies past the horizon.  Completion is
             #    assembled in arena scratch (the observe/transmit
             #    buffers are free during playback).
             if instrumented:
                 _t0 = _pc()
-            fleet.begin_slot(slot, out=rebuf_row)
+            fleet.begin_slot(slot, out=st_rebuf[i])
             newly_done = fleet.playback_complete_into(
                 arena.b1_tmp, arena.f8_tmp, arena.tx_mask
             )
-            if churn:
-                # Resident rows only; they retire at slot end.
-                np.greater_equal(mgr.row_session, 0, out=arena.tx_mask)
-                np.logical_and(newly_done, arena.tx_mask, out=newly_done)
-                done_rows = np.flatnonzero(newly_done)
-                completion[mgr.row_session[done_rows]] = slot
-            else:
-                np.less(completion, 0, out=arena.tx_mask)
-                np.logical_and(newly_done, arena.tx_mask, out=newly_done)
-                np.less_equal(arrivals, slot, out=arena.tx_mask)
-                np.logical_and(newly_done, arena.tx_mask, out=newly_done)
-                if newly_done.any():
-                    completion[newly_done] = slot
+            np.less(completion, 0, out=arena.tx_mask)
+            np.logical_and(newly_done, arena.tx_mask, out=newly_done)
+            np.less_equal(fleet.arrival_slot, slot, out=arena.tx_mask)
+            np.logical_and(newly_done, arena.tx_mask, out=newly_done)
+            retiring = ()
+            if newly_done.any():
+                completion[newly_done] = slot
+                if churn:
+                    retiring = np.flatnonzero(newly_done)
             if instrumented:
                 rec_playback(_pc() - _t0)
 
@@ -850,42 +793,18 @@ def _slot_loop(tasks, workloads, instr, stack_scheduler, logs, registries):
             idle_cost = rrc.expected_idle_cost_mj(
                 cfg.tau_s, out=arena.idle_tail_cost_mj
             )
-            if churn:
-                # Session-keyed signal, link, power and stall rows
-                # gathered into row space: vacant rows see a floor
-                # signal (they are inactive, so schedulers allocate
-                # them nothing) and the >= 0 mask discards the wrapped
-                # values fancy indexing produces for them.
-                sig_row = arena.sig_dbm
-                link_row, p_row = arena.link_units, arena.p_mj_per_kb
-                sig_row.fill(VACANT_SIG_DBM)
-                link_row.fill(vacant_link[0])
-                p_row.fill(vacant_p[0])
-                if occ.size:
-                    sig_row[occ] = sig_block[i][sess_of]
-                    link_row[occ] = link_block[i][sess_of]
-                    p_row[occ] = p_block[i][sess_of]
-                if stall_grid is not None:
-                    stall_row = stall_grid[slot][mgr.row_session]
-                    stall_row &= mgr.row_session >= 0
-            else:
-                sig_row, link_row, p_row = sig_block[i], link_block[i], p_block[i]
-                if stall_grid is not None:
-                    stall_row = stall_grid[slot]
             obs, phi, sent_kb = gateway.step(
                 slot,
-                sig_row,
+                sig_block[i],
                 fleet,
-                link_row,
-                p_row,
+                link_block[i],
+                p_block[i],
                 idle_cost,
                 budget_table[slot],
-                row_offsets,
+                run_offsets,
                 arena,
                 timers=gateway_timers,
-                joined_mask=joined,
-                departed_mask=departed,
-                stall_mask=stall_row,
+                stall_mask=None if stall_grid is None else stall_grid[slot],
             )
             check_constraints(phi, obs)
             np.multiply(phi, cfg.delta_kb, out=arena.f8_tmp)
@@ -902,7 +821,7 @@ def _slot_loop(tasks, workloads, instr, stack_scheduler, logs, registries):
             if instrumented:
                 _t0 = _pc()
             tx_mask = np.greater(sent_kb, 0.0, out=arena.tx_mask)
-            rrc.step(tx_mask, cfg.tau_s, out=tail_row)
+            rrc.step(tx_mask, cfg.tau_s, out=st_tail[i])
             if instrumented:
                 rec_rrc(_pc() - _t0)
 
@@ -916,36 +835,23 @@ def _slot_loop(tasks, workloads, instr, stack_scheduler, logs, registries):
                 for r, kind, fields in scheduler.trace_snapshots():
                     logs[r].record(2 * slot, kind, slot=slot, **fields)
 
-            if churn:
-                # Scatter row-space results into the session columns.
-                if occ.size:
-                    st_alloc[i, sess_of] = phi[occ]
-                    st_delivered[i, sess_of] = sent_kb[occ]
-                    st_rebuf[i, sess_of] = arena.rebuf_s[occ]
-                    st_tail[i, sess_of] = arena.tail_mj[occ]
-                    st_buffer[i, sess_of] = obs.buffer_s[occ]
-                    st_active[i, sess_of] = obs.active[occ]
-            else:
-                st_alloc[i] = phi
-                st_delivered[i] = sent_kb
-                st_buffer[i] = obs.buffer_s
-                st_active[i] = obs.active
+            st_alloc[i] = phi
+            st_delivered[i] = sent_kb
+            st_buffer[i] = obs.buffer_s
+            st_active[i] = obs.active
             done = slot + 1
             if done == block_end:
                 flush(block_end)
 
-            if churn:
-                # Retirement happens at the *end* of the completion
-                # slot — the slot's tail accrual and accounting
-                # include the session — and frees the row.
-                for row in done_rows:
-                    sess = int(mgr.row_session[row])
-                    departure[sess] = slot
-                    mgr.retire(sess)
-                    if run_log is not None:
-                        run_log.record(
-                            2 * slot + 1, "session.end", slot=slot, user=sess, row=int(row)
-                        )
+            # A churn session retires at the *end* of its completion
+            # slot — the slot's tail accrual and accounting include it.
+            for row in retiring:
+                r = int(np.searchsorted(run_offsets, row, side="right")) - 1
+                if r in churn:
+                    sess = int(row - run_offsets[r])
+                    churn[r][0].retire(sess)
+                    if logs is not None:
+                        logs[r].record(2 * slot + 1, "session.end", slot=slot, user=sess)
 
             # Live telemetry consumes whole blocks of each run from its
             # flushed result grids, which reduce bitwise as a lone run's
@@ -954,7 +860,6 @@ def _slot_loop(tasks, workloads, instr, stack_scheduler, logs, registries):
             if live_on and (slot - live_start + 1 >= live_every or slot == gamma - 1):
                 flush(done)
                 w = slice(live_start, done)
-                outage = int(outage_mask[w].sum()) if outage_mask is not None else 0
                 for r, stream in enumerate(streams):
                     _, delivered, rebuf, e_tail, buffer_s, active = grids[r]
                     if logs is not None:
@@ -969,8 +874,8 @@ def _slot_loop(tasks, workloads, instr, stack_scheduler, logs, registries):
                         e_trans.sum(axis=1) + e_tail[w].sum(axis=1),
                         delivered[w].sum(axis=1),
                         buffer_s[w].mean(axis=1),
-                        int(mgr.active_count) if churn else int(active[slot].sum()),
-                        outage,
+                        int(active[slot].sum()),
+                        0 if outages[r] is None else int(outages[r][w].sum()),
                     )
                 live_start = done
             # One run;slots span per block of SPAN_BLOCK_SLOTS slots
@@ -1020,7 +925,7 @@ def _slot_loop(tasks, workloads, instr, stack_scheduler, logs, registries):
         if instrumented:
             reg = registries[r]
             record_run_metrics(reg, res, e_trans, np.ascontiguousarray(budget_table[:, r]))
-            if faults_on:
-                _fault_counters(reg, plan, outage_mask, gamma)
+            if plans[r] is not None:
+                _fault_counters(reg, plans[r], outages[r], gamma)
     scheduler.finalize_runs(registries)
     return results, [reg.state() for reg in registries]

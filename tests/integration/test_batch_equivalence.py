@@ -223,30 +223,35 @@ def _as_json(value):
     return json.dumps(value, default=default, sort_keys=True)
 
 
+def _churn_faults_cfg():
+    """Churn under a signal blackout, a BS outage and a flow stall."""
+    plan = FaultPlan(
+        signal=(SignalBlackout(start_slot=40, n_slots=30),),
+        capacity=(CapacityFault(start_slot=120, n_slots=20, factor=0.0),),
+        stalls=(FlowStall(start_slot=60, n_slots=25, users=(0, 3, 5)),),
+    )
+    return SimConfig(
+        n_users=16,
+        n_slots=300,
+        capacity_kbps=4_000.0,
+        video_size_range_kb=(3_000.0, 8_000.0),
+        buffer_capacity_s=40.0,
+        seed=3,
+        arrival_process="poisson",
+        arrival_rate_per_slot=0.4,
+        admission="capacity-threshold",
+        admission_max_active=4,
+        faults=plan,
+    )
+
+
 class TestOneSegmentRun:
     """Churn, faults and a recording tracer meet in one R = 1 loop:
     ``Simulation.run`` and a single-task ``run_batch`` are the same run."""
 
     @pytest.mark.parametrize("sched_name", ["rtma", "ema"])
     def test_simulation_equals_single_task_batch(self, sched_name):
-        plan = FaultPlan(
-            signal=(SignalBlackout(start_slot=40, n_slots=30),),
-            capacity=(CapacityFault(start_slot=120, n_slots=20, factor=0.0),),
-            stalls=(FlowStall(start_slot=60, n_slots=25, users=(0, 3, 5)),),
-        )
-        cfg = SimConfig(
-            n_users=16,
-            n_slots=300,
-            capacity_kbps=4_000.0,
-            video_size_range_kb=(3_000.0, 8_000.0),
-            buffer_capacity_s=40.0,
-            seed=3,
-            arrival_process="poisson",
-            arrival_rate_per_slot=0.4,
-            admission="capacity-threshold",
-            admission_max_active=4,
-            faults=plan,
-        )
+        cfg = _churn_faults_cfg()
         make = SCHEDULERS[sched_name]
         runs = []
         for via_batch in (False, True):
@@ -270,6 +275,47 @@ class TestOneSegmentRun:
         assert _as_json(events_a) == _as_json(events_b)
         assert "fault.stall_slots" in state_a["counters"]
         assert _as_json(state_a) == _as_json(state_b)
+
+
+class TestChurnWithFaultsStack:
+    """Churn and fault plans are per-run data: Default, ON-OFF, RTMA and
+    EMA under churn, a blackout, an outage and a stall stack into one
+    loop whose results, summaries, trace and merged registry are those
+    of the runs run one at a time, serially and on the pool."""
+
+    @staticmethod
+    def _run(executor):
+        cfg = _churn_faults_cfg()
+        wl = generate_workload(cfg)
+        tasks = [
+            RunTask(cfg, SCHEDULERS[name](cfg), wl)
+            for name in ("default", "on-off", "rtma", "ema")
+        ]
+        tracer = RecordingTracer()
+        instr = Instrumentation(tracer=tracer)
+        results = executor.map_runs(tasks, instrumentation=instr)
+        return results, tracer.events, instr.metrics.state(), instr.spans.count(("run",))
+
+    def test_stack_equals_runs_one_at_a_time(self):
+        want, want_events, want_state, loops = self._run(RunExecutor(batch_size=1))
+        assert loops == 4
+        assert all(res.rejected.any() for res in want)
+        kinds = {e["kind"] for e in want_events}
+        assert {"fault.window", "session.start", "session.reject", "ema.queues"} <= kinds
+        assert "fault.stall_slots" in want_state["counters"]
+        for jobs in (1, 2):
+            got, events, state, loops = self._run(RunExecutor(jobs=jobs))
+            if jobs == 1:
+                assert loops == 1
+            assert len(got) == len(want)
+            for r, (a, b) in enumerate(zip(want, got)):
+                label = f"jobs={jobs} run {r}"
+                assert_results_bit_identical(a, b, label)
+                for name in ("admitted", "rejected", "departure_slot", "faulted_signal_dbm"):
+                    assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), label
+                assert _as_json(a.to_summary_dict()) == _as_json(b.to_summary_dict()), label
+            assert _as_json(events) == _as_json(want_events), f"jobs={jobs}"
+            assert _registry_view(state) == _registry_view(want_state), f"jobs={jobs}"
 
 
 class TestBatchMetricsEquivalence:

@@ -3,13 +3,13 @@
 Three contracts:
 
 * **Zero-churn bit-identity** — configs without churn (the default
-  ``all_at_zero`` / ``accept-all``) run the slot loop with row space
-  fixed to session space, and making that default explicit changes
-  nothing, for every scheduler, seed, and kernel backend.  A stronger
-  pin rides along: the loop's churn mode itself, driven by an all-zero
-  arrival trace with videos too large to complete (so no retirement),
-  reproduces the fixed population byte-for-byte — admission, row
-  mapping, and the row-to-session scatter are exact.
+  ``all_at_zero`` / ``accept-all``) run the slot loop on a fixed
+  population, and making that default explicit changes nothing, for
+  every scheduler, seed, and kernel backend.  A stronger pin rides
+  along: the loop's churn mode itself, driven by an all-zero arrival
+  trace with videos too large to complete (so no retirement),
+  reproduces the fixed population byte-for-byte — admission in
+  session space is exact.
 * **Churn end-to-end** — a Poisson-arrival, admission-capped scenario
   runs serially and on the process pool with identical results, emits
   session lifecycle events, and passes the offline invariant checkers
@@ -35,6 +35,7 @@ from repro.kernels import available_backends
 from repro.obs import Instrumentation, JsonlTraceWriter, check_trace
 from repro.obs.analyze import timeline_from_result, timelines_from_trace
 from repro.sim import RunExecutor, RunTask
+from repro.sim.batch import run_batch
 from repro.sim.config import SimConfig
 from repro.sim.engine import Simulation
 from repro.sim.workload import generate_workload
@@ -111,10 +112,10 @@ class TestZeroChurnIdentity:
     @pytest.mark.parametrize("backend", available_backends())
     @pytest.mark.parametrize("sched_name", sorted(SCHEDULERS))
     def test_dynamic_body_reproduces_fixed_path(self, backend, sched_name):
-        # All sessions arrive at slot 0 via a trace (forcing the
-        # dynamic body) with videos far too large to complete (no
+        # All sessions arrive at slot 0 via a trace (forcing churn's
+        # session lifecycle) with videos far too large to complete (no
         # retirement): every grid must match the fixed path
-        # byte-for-byte, through the 4 -> 8 capacity growth.
+        # byte-for-byte.
         fixed = SimConfig(
             n_users=8, n_slots=200, capacity_kbps=6_000.0,
             video_size_range_kb=(200_000.0, 400_000.0),
@@ -178,6 +179,23 @@ class TestChurnEndToEnd:
         if out.any():
             assert not res.allocation_units[:, out].any()
             assert not res.energy_trans_mj[:, out].any()
+
+    def test_rejected_sessions_keep_empty_rows(self):
+        # A rejected session's row never plays, in a lone run and in a
+        # stack of churn runs alike: no completion and all-zero cells.
+        cfg = churn_config(seed=3)
+        wl = generate_workload(cfg)
+        tasks = [
+            RunTask(cfg, SCHEDULERS[name](cfg), wl) for name in ("default", "rtma", "ema")
+        ]
+        lone = Simulation(cfg, DefaultScheduler(), wl).run()
+        for res in [lone, *run_batch(tasks)]:
+            out = res.rejected
+            assert out.any()
+            assert (res.completion_slot[out] == -1).all()
+            assert (res.departure_slot[out] == -1).all()
+            for name in RESULT_ARRAYS[:-2]:
+                assert not getattr(res, name)[:, out].any(), name
 
     def test_serial_equals_pooled_under_churn(self):
         cfg = churn_config()

@@ -103,6 +103,7 @@ class TestPhasedDrivers:
             ("fig08", 4, 66),
             ("fig09", 2, 33),
             ("fig10", 3, 57),
+            ("churn", 1, 4),
         ],
     )
     def test_slot_loops_at_bench_scale(self, monkeypatch, exp_id, loops, runs):

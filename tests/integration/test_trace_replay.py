@@ -7,7 +7,7 @@ few events its grids lack, so how runs are grouped cannot show in it:
   one, and a pooled batch the trace of a serial one, byte for byte;
 * a churn run with a fault plan keeps every ``session.*``,
   ``fault.window`` and ``ema.queues`` event in its slot, and its slot
-  totals sum in the loop's row order;
+  totals sum in the loop's row order, which is session order;
 * each slot event's totals are its grids' row reductions, bit for bit;
 * an in-memory result replays into a timeline whose Eq. (1)-(2) and
   RTMA checks run, and catch a budget overrun seeded into one run;
@@ -155,10 +155,9 @@ class TestChurnTraceKeepsItsEvents:
         assert "session.conservation" in report.checked
 
     def test_slot_totals_sum_in_row_order(self, monkeypatch):
-        # The loop sums each slot's deliveries over its row space, whose
-        # rows recycle; the replay rebuilds that order from the
-        # session.start rows (session order differs in the last bit on
-        # this run).
+        # The loop sums each slot's deliveries over its rows, which are
+        # the run's sessions, so the trace's session-order totals are
+        # the loop's sums bit for bit.
         from repro.net.gateway import Gateway
 
         step, row_sums = Gateway.step, []
@@ -192,16 +191,15 @@ class TestSlotTotalsAreRowReductions:
     totals must still be the row-by-row reductions, exactly."""
 
     @staticmethod
-    def _check(res, events, row_order_delivery=False):
+    def _check(res, events):
         slots = [e for e in events if e["kind"] == "slot"]
         assert [e["slot"] for e in slots] == list(range(res.config.n_slots))
         grids = {
             "rebuffering_s": res.rebuffering_s,
             "energy_trans_mj": res.energy_trans_mj,
             "energy_tail_mj": res.energy_tail_mj,
+            "delivered_kb": res.delivered_kb,
         }
-        if not row_order_delivery:
-            grids["delivered_kb"] = res.delivered_kb
         for s, e in enumerate(slots):
             assert e["active_users"] == int(res.active[s].sum())
             assert e["tx_users"] == int((res.delivered_kb[s] > 0.0).sum())
@@ -245,8 +243,7 @@ class TestSlotTotalsAreRowReductions:
         buf = io.StringIO()
         instr = Instrumentation(tracer=JsonlTraceWriter(buf))
         res = Simulation(cfg, DefaultScheduler(), instrumentation=instr).run()
-        # delivered_kb sums in the loop's row order (see above).
-        self._check(res, _events(buf.getvalue()), row_order_delivery=True)
+        self._check(res, _events(buf.getvalue()))
 
 
 class TestInMemoryTimeline:

@@ -452,10 +452,10 @@ class TestSlotArena:
     def test_buffer_shapes_and_dtypes(self):
         arena = SlotArena(7)
         assert arena.n_users == 7
-        assert arena.link_units.dtype == np.int64
-        assert arena.active.dtype == bool
+        for name in ("active", "tx_mask", "b1_tmp"):
+            buf = getattr(arena, name)
+            assert buf.shape == (7,) and buf.dtype == bool
         for name in (
-            "p_mj_per_kb",
             "remaining_kb",
             "receivable_kb",
             "idle_tail_cost_mj",

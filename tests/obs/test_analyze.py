@@ -142,7 +142,7 @@ class TestTimelineReconstruction:
         inf, nan = float("inf"), float("nan")
         path = tmp_path / "trace.jsonl"
         writer = JsonlTraceWriter(path)
-        for slot, pc in ((0, [1.0, inf]), (1, [0.5, 2.0, -inf]), (0, [nan, 3.0])):
+        for slot, pc in ((0, [1.0, inf]), (1, [0.5, -inf]), (0, [nan, 3.0])):
             writer.emit(
                 "slot",
                 slot=slot,
@@ -171,8 +171,8 @@ class TestTimelineReconstruction:
         assert first.grids["active"].dtype == bool
         assert first.grids["active"].tolist() == [[True, False]] * 2
         assert first.grids["buffer_s"].dtype == first.grids["sig_dbm"].dtype == float
-        # Ragged queue rows (widths 2 and 3) give no queue array.
-        assert first.ema_queues is None and first.ema_queue_slots is None
+        assert first.ema_queues.tolist() == [[1.0, inf], [0.5, -inf]]
+        assert first.ema_queue_slots.tolist() == [1, 2]
         assert np.isnan(second.ema_queues[0, 0])
         assert second.ema_queues[0, 1] == 3.0
         assert second.ema_queue_slots.tolist() == [1]
@@ -306,6 +306,57 @@ class TestFaultInjection:
         tl.grids.clear()
         report = check_invariants(tl)
         assert set(report.skipped) >= {"buffer.non_negative", "allocation.capacity"}
+
+
+class TestChurnEMAQueues:
+    """A churn run's EMA queues are session-keyed like its grids, so the
+    Eq. (16) queue checker runs on it, faults and all."""
+
+    @staticmethod
+    def _timeline():
+        from repro.faults import CapacityFault, FaultPlan, SignalBlackout
+
+        plan = FaultPlan(
+            signal=(SignalBlackout(start_slot=40, n_slots=30),),
+            capacity=(CapacityFault(start_slot=150, n_slots=20, factor=0.0),),
+        )
+        cfg = small_config(
+            n_users=16,
+            n_slots=300,
+            capacity_kbps=4_000.0,
+            video_size_range_kb=(3_000.0, 8_000.0),
+            buffer_capacity_s=40.0,
+            arrival_process="poisson",
+            arrival_rate_per_slot=0.4,
+            admission="capacity-threshold",
+            admission_max_active=4,
+            faults=plan,
+        )
+        return traced_timeline(EMAScheduler(16, v_param=0.05, tau_s=cfg.tau_s), cfg)
+
+    def test_churn_queues_are_checked_clean(self):
+        tl = self._timeline()
+        assert tl.sessions and tl.faults is not None
+        assert tl.ema_queues.shape == (tl.n_slots, tl.n_users)
+        report = check_invariants(tl)
+        assert {"ema.virtual_queues", "session.conservation"} <= set(report.checked)
+        assert report.ok, report.render()
+
+    def test_queue_tamper_is_located(self):
+        tl = self._timeline()
+        active = tl.grids["active"]
+        # Cells of established sessions: active now and in an earlier slot.
+        established = active.copy()
+        established[1:] &= np.cumsum(active, axis=0)[:-1] > 0
+        established[0] = False
+        cells = np.argwhere(established)
+        slot, user = (int(x) for x in cells[len(cells) // 2])
+        (j,) = np.flatnonzero(tl.ema_queue_slots == slot)
+        tl.ema_queues[j, user] += tl.tau_s
+        violations = EMAQueueChecker().check(tl)
+        coords = [(v.slot, v.user) for v in violations]
+        assert (slot, user) in coords
+        assert all(u in (user, None) for _, u in coords)
 
 
 class TestFaultPlaneChecker:

@@ -1,13 +1,13 @@
-"""Property-based tests for the growable row space.
+"""Property-based tests for churn's row lifecycle in session space.
 
-The dynamic engine's correctness hangs on two mechanical guarantees:
+A churn session owns its fleet row for the whole run; rejecting or
+retiring it takes the row out of play.  Two mechanical guarantees:
 
-* **grow is invisible** — doubling a fleet's (or RRC fleet's) capacity
-  mid-run changes nothing for the rows that already exist: every state
-  value is preserved bit-for-bit and the subsequent evolution matches
-  a fleet that never grew;
-* **recycle is a reset** — a vacated row reloaded with a fresh session
-  behaves exactly like that session in a brand-new fleet.
+* **clearing is local** — ``ClientFleet.clear_row`` changes nothing for
+  the other rows, bit for bit, and the cleared row never becomes
+  active again and reads 0;
+* **reset ends the tail** — ``RRCFleet.reset_rows`` on a retired row
+  stops its tail energy.
 """
 
 import numpy as np
@@ -57,104 +57,32 @@ def _drive(fleet, slot, offers):
         min_size=2,
         max_size=12,
     ),
-    grow_at=st.integers(0, 11),
-    extra=st.integers(1, 8),
+    clear_at=st.integers(0, 11),
+    row=st.integers(0, 4),
 )
 @settings(max_examples=40, deadline=None)
-def test_fleet_grow_is_invisible_to_existing_rows(
-    sizes, rate, offers, grow_at, extra
-):
+def test_clear_row_is_invisible_to_other_rows(sizes, rate, offers, clear_at, row):
     n = len(sizes)
+    row %= n
     flows = _flows(sizes, [rate] * n)
     reference = ClientFleet(flows, tau_s=1.0, buffer_capacity_s=30.0)
-    grower = ClientFleet(flows, tau_s=1.0, buffer_capacity_s=30.0)
-    for slot, row in enumerate(offers):
-        if slot == min(grow_at, len(offers) - 1):
-            grower.grow(n + extra)
-        _drive(reference, slot, row[:n])
-        pad = np.zeros(grower.n_users)
-        pad[:n] = row[:n]
-        _drive(grower, slot, pad)
+    clearing = ClientFleet(flows, tau_s=1.0, buffer_capacity_s=30.0)
+    others = np.arange(n) != row
+    cleared_at = min(clear_at, len(offers) - 1)
+    for slot, offer in enumerate(offers):
+        if slot == cleared_at:
+            clearing.clear_row(row)
+        _drive(reference, slot, offer[:n])
+        _drive(clearing, slot, offer[:n])
         for name in FLEET_STATE:
-            a = getattr(reference, name)[:n]
-            b = getattr(grower, name)[:n]
+            a = getattr(reference, name)[others]
+            b = getattr(clearing, name)[others]
             assert a.tobytes() == b.tobytes(), (name, slot)
-        if grower.n_users > n:
-            # Vacant rows never accrue playback or buffer state.
-            assert not grower.delivered_kb[n:].any()
-            assert not grower.buffer_occupancy_s[n:].any()
-            assert not grower.total_rebuffering_s[n:].any()
-
-
-@given(
-    first_size=st.floats(400.0, 2_000.0),
-    second_size=st.floats(400.0, 2_000.0),
-    rate=st.floats(100.0, 800.0),
-    pre=st.lists(st.floats(0.0, 500.0), min_size=1, max_size=8),
-    post=st.lists(st.floats(0.0, 500.0), min_size=1, max_size=8),
-)
-@settings(max_examples=40, deadline=None)
-def test_recycled_row_matches_fresh_fleet(first_size, second_size, rate, pre, post):
-    recycled = ClientFleet.with_capacity(2, tau_s=1.0, buffer_capacity_s=30.0)
-    first = _flows([first_size], [rate])[0]
-    recycled.load_row(0, first)
-    for slot, kb in enumerate(pre):
-        offer = np.zeros(2)
-        offer[0] = kb
-        _drive(recycled, slot, offer)
-    recycled.clear_row(0)
-
-    restart = len(pre)
-    second = VideoFlow(
-        user_id=1,
-        video=VideoSession(second_size, ConstantBitrateProfile(rate)),
-        arrival_slot=restart,
-    )
-    recycled.load_row(0, second)
-    fresh = ClientFleet([second], tau_s=1.0, buffer_capacity_s=30.0)
-    for k, kb in enumerate(post):
-        slot = restart + k
-        offer = np.zeros(2)
-        offer[0] = kb
-        _drive(recycled, slot, offer)
-        _drive(fresh, slot, [kb])
-        for name in FLEET_STATE:
-            got = getattr(recycled, name)[0]
-            want = getattr(fresh, name)[0]
-            assert got == want, (name, slot, got, want)
-
-
-@given(
-    tx=st.lists(
-        st.lists(st.booleans(), min_size=4, max_size=4),
-        min_size=2,
-        max_size=16,
-    ),
-    grow_at=st.integers(0, 15),
-    extra=st.integers(1, 6),
-)
-@settings(max_examples=40, deadline=None)
-def test_rrc_grow_preserves_state_and_energy(tx, grow_at, extra):
-    n = 4
-    reference = RRCFleet(n)
-    grower = RRCFleet(n)
-    for slot, row in enumerate(tx):
-        if slot == min(grow_at, len(tx) - 1):
-            grower.grow(n + extra)
-        mask = np.asarray(row, dtype=bool)
-        e_ref = reference.step(mask, 1.0)
-        pad = np.zeros(grower.n_users, dtype=bool)
-        pad[:n] = mask
-        e_grow = grower.step(pad, 1.0)
-        assert e_ref.tobytes() == e_grow[:n].tobytes(), slot
-        assert reference.idle_age_s.tobytes() == grower.idle_age_s[:n].tobytes()
-        assert (
-            reference.ever_transmitted.tobytes()
-            == grower.ever_transmitted[:n].tobytes()
-        )
-        if grower.n_users > n:
-            # New rows come up cold: no tail energy without a transmission.
-            assert not e_grow[n:].any()
+        if slot >= cleared_at:
+            # A cleared row never plays again and its state reads 0.
+            assert not clearing.active_mask(slot)[row]
+            for name in FLEET_STATE[2:]:
+                assert getattr(clearing, name)[row] == 0, (name, slot)
 
 
 @given(

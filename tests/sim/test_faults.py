@@ -278,31 +278,68 @@ class TestAmbientPlan:
 
 
 class TestBatchGuard:
-    def test_faulted_configs_do_not_stack(self):
-        from repro.sim.batch import batch_incompatibility
+    """Fault plans are per-run data: faulted runs stack, and each run
+    of the stack equals its lone run."""
+
+    @staticmethod
+    def _check_stack(make_tasks):
+        from repro.sim.batch import batch_incompatibility, run_batch
+
+        assert batch_incompatibility(make_tasks()) is None
+        stacked = run_batch(make_tasks())
+        lone = [Simulation(t.config, t.scheduler).run() for t in make_tasks()]
+        for a, b in zip(lone, stacked):
+            assert_results_bit_identical(a, b)
+            assert a.signal_dbm.tobytes() == b.signal_dbm.tobytes()
+        return lone
+
+    def test_faulted_configs_stack(self):
         from repro.sim.executor import RunTask
 
-        plan = FaultPlan(capacity=(CapacityFault(start_slot=0, n_slots=5),))
-        cfg = small_config(faults=plan)
-        tasks = [
-            RunTask(cfg, DefaultScheduler()),
-            RunTask(cfg.with_(seed=1), DefaultScheduler()),
-        ]
-        assert batch_incompatibility(tasks) is not None
+        # Each run carries its own plan: one stalls user 1 and cuts the
+        # BS, the other blacks out users 0 and 2.
+        plans = (
+            FaultPlan(
+                capacity=(CapacityFault(start_slot=0, n_slots=5),),
+                stalls=(FlowStall(start_slot=20, n_slots=30, users=(1,)),),
+            ),
+            FaultPlan(signal=(SignalBlackout(start_slot=10, n_slots=20, users=(0, 2)),)),
+        )
 
-    def test_ambient_plan_blocks_stacking(self):
-        from repro.sim.batch import batch_incompatibility
+        def make_tasks():
+            return [
+                RunTask(small_config(faults=plans[0]), DefaultScheduler()),
+                RunTask(small_config(seed=1, faults=plans[1]), RTMAScheduler()),
+                RunTask(small_config(seed=2), DefaultScheduler()),
+            ]
+
+        faulted, blacked, healthy = self._check_stack(make_tasks)
+        assert faulted.delivered_kb[:5].sum() == 0.0
+        assert faulted.delivered_kb[20:50, 1].sum() == 0.0
+        assert (blacked.signal_dbm[10:30, [0, 2]] == constants.SIGNAL_MIN_DBM).all()
+        assert faulted.faulted_signal_dbm is not None
+        assert healthy.faulted_signal_dbm is None
+
+    def test_ambient_plan_stacks(self):
         from repro.sim.executor import RunTask
 
-        cfg = small_config()
-        tasks = [
-            RunTask(cfg, DefaultScheduler()),
-            RunTask(cfg.with_(seed=1), DefaultScheduler()),
-        ]
-        assert batch_incompatibility(tasks) is None
-        plan = FaultPlan(capacity=(CapacityFault(start_slot=0, n_slots=5),))
+        plan = FaultPlan(
+            signal=(SignalBlackout(start_slot=30, n_slots=10),),
+            capacity=(CapacityFault(start_slot=0, n_slots=5),),
+        )
+
+        def make_tasks():
+            cfg = small_config()
+            return [
+                RunTask(cfg, DefaultScheduler()),
+                RunTask(cfg.with_(seed=1), DefaultScheduler()),
+            ]
+
         with use_fault_plan(plan):
-            assert batch_incompatibility(tasks) is not None
+            runs = self._check_stack(make_tasks)
+        for res in runs:
+            assert res.delivered_kb[:5].sum() == 0.0
+            assert res.faulted_signal_dbm is not None
 
     def test_single_faulted_task_still_runs_via_batch_plan(self):
         from repro.sim.batch import BatchPlan

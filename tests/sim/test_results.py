@@ -133,17 +133,6 @@ def _traced_run(cfg):
     return res, sched.rows, tracer.events
 
 
-def _session_rows(events, n_slots, n_users):
-    """``(slots, sessions)`` row of each resident session, else -1."""
-    rows = np.full((n_slots, n_users), -1, dtype=np.int64)
-    for e in events:
-        if e["kind"] == "session.start":
-            rows[e["slot"] :, e["user"]] = e["row"]
-        elif e["kind"] == "session.end":
-            rows[e["slot"] + 1 :, e["user"]] = -1
-    return rows
-
-
 class TestDerivedGrids:
     """``energy_trans_mj`` and ``need_kb`` are not stored: they are
     derived from the deliveries and the workload, bitwise the values
@@ -193,13 +182,13 @@ class TestDerivedGrids:
         )
         res, rows, events = _traced_run(cfg)
         assert res.rejected.any() and (res.departure_slot >= 0).any()
-        where = _session_rows(events, cfg.n_slots, cfg.n_users)
-        trans = np.zeros((cfg.n_slots, cfg.n_users))
-        need = np.zeros((cfg.n_slots, cfg.n_users))
-        for slot, (t_row, n_row) in enumerate(rows):
-            resident = where[slot] >= 0
-            trans[slot, resident] = t_row[where[slot, resident]]
-            need[slot, resident] = n_row[where[slot, resident]]
+        # Rows are sessions: each session's column is what its own row
+        # observed, and need is zero outside its residency.
+        trans = np.array([t for t, _ in rows])
+        need = np.array([n for _, n in rows])
+        need[~res.session_mask()] = 0.0
         assert need.any()
         assert res.energy_trans_mj.tobytes() == trans.tobytes()
         assert res.need_kb.tobytes() == need.tobytes()
+        starts = [e for e in events if e["kind"] == "session.start"]
+        assert starts and not any("row" in e for e in starts)
